@@ -8,10 +8,10 @@
 //!    be at least 1.5x the throughput of the pair-slice reference sweep
 //!    ([`viderec_emd::emd_1d_presorted`]) on 64-point signatures — the
 //!    shape where the branchless merge and lane loads pay for themselves.
-//! 2. **Prefilter tier**: a traced pass over a small community must show the
-//!    cached-embedding tier actually pruning (`pruned_embed > 0`); a wiring
-//!    regression that silently drops tier 2 back to exact evaluation keeps
-//!    results correct, so only a counter gate catches it.
+//! 2. **Bound ladder**: a traced pass over a small community must show the
+//!    ladder actually pruning (`pruned > 0`); a wiring regression that
+//!    silently sends every candidate to exact evaluation keeps results
+//!    correct, so only a counter gate catches it.
 //!
 //! Both sweeps are bit-identical by construction (pinned by unit tests in
 //! `viderec-emd`), so timing is the only thing measured here.
@@ -98,8 +98,8 @@ fn time_kernels(sigs: &[Sig], reps: usize, cap: Option<f64>) -> (f64, f64) {
     (pair_s, soa_s)
 }
 
-/// Traced pass over a community: per-tier prune counters for the default
-/// (ceiling-sorted, three-tier) sequential path.
+/// Traced pass over a community: prune counters for the default sequential
+/// path.
 fn tier_counters(hours: f64, queries: usize) -> (PruneStats, usize) {
     let community = Community::generate(CommunityConfig {
         hours,
@@ -126,9 +126,9 @@ fn main() {
     // is ours, everything else is ignored.
     let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode shrinks the kernel pool and reps but keeps the full-size
-    // community: the embedding tier only prunes once the top-k floor is
-    // high, and a toy corpus never fills the heap with good-enough scores
-    // to give tier 2 anything to cut.
+    // community: the ladder only prunes once the top-k floor is high, and
+    // a toy corpus never fills the heap with good-enough scores to give the
+    // ceilings anything to cut.
     let (pool, reps, hours, queries) = if quick {
         (48, 40, 10.0, 8)
     } else {
@@ -164,23 +164,22 @@ fn main() {
         }
     }
 
-    // Gate 2: the cached-embedding tier prunes on a real scan.
+    // Gate 2: the bound ladder prunes on a real scan.
     let (stats, corpus) = tier_counters(hours, queries);
-    let anchor = stats.pruned - stats.pruned_embed;
     println!(
-        "tier counters over {corpus}-video corpus: scanned {} | anchor-pruned {anchor} | \
-         embed-pruned {} | exact {} (cap-aborted {} / full {})",
-        stats.scanned, stats.pruned_embed, stats.exact_evals, stats.cap_aborted, stats.full_sweeps,
+        "ladder counters over {corpus}-video corpus: scanned {} | pruned {} | exact {} \
+         (cap-aborted {} / full {})",
+        stats.scanned, stats.pruned, stats.exact_evals, stats.cap_aborted, stats.full_sweeps,
     );
     assert_eq!(
         stats.pruned + stats.exact_evals,
         stats.scanned,
         "prune counters must partition the scanned set"
     );
-    if stats.pruned_embed == 0 {
+    if stats.pruned == 0 {
         failures.push(
-            "the cached-embedding tier pruned nothing (gate: pruned_embed > 0) — \
-             tier 2 is miswired or vacuous"
+            "the bound ladder pruned nothing (gate: pruned > 0) — its rungs are \
+             miswired or vacuous"
                 .into(),
         );
     }

@@ -1,4 +1,4 @@
-//! Single-query latency: the pruned sequential path (ceiling-sorted scan
+//! Single-query latency: the pruned sequential path (lazy bound ladder
 //! over the corpus-owned scoring arena, DESIGN.md "Corpus-owned scoring
 //! arena") against the unpruned reference scan that scores every candidate.
 //!
@@ -167,12 +167,9 @@ fn report(recommender: &Recommender, queries: &[QueryVideo]) {
             100.0 * stats.prune_rate(),
         );
         println!(
-            "          tiers: anchor-pruned {} | embedding-pruned {} | \
+            "          ladder: pruned {} | exact {} | \
              cap-aborted sweeps {} | full exact sweeps {}",
-            stats.pruned - stats.pruned_embed,
-            stats.pruned_embed,
-            stats.cap_aborted,
-            stats.full_sweeps,
+            stats.pruned, stats.exact_evals, stats.cap_aborted, stats.full_sweeps,
         );
         let shares: Vec<String> = Stage::ALL
             .iter()
@@ -230,7 +227,7 @@ fn write_json(
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"single_query\",\n");
     json.push_str(
-        "  \"description\": \"Pruned sequential recommend (ceiling-sorted scan over the \
+        "  \"description\": \"Pruned sequential recommend (lazy best-first bound ladder over the \
          corpus-owned scoring arena) vs the unpruned reference scan over the same \
          candidate universe (recommend_unpruned_excluding). Bit-identical results \
          (tests/sequential_prune_equiv.rs); latency only. Stage shares come from one \
@@ -260,7 +257,7 @@ fn write_json(
              \"pruned_ms_per_query\": {:.3},\n      \"speedup\": {:.2},\n      \
              \"scanned\": {},\n      \"pruned\": {},\n      \"exact_evals\": {},\n      \
              \"prune_rate\": {:.3},\n      \"tier_breakdown\": {{\n        \
-             \"anchor_pruned\": {},\n        \"embedding_pruned\": {},\n        \
+             \"ladder_pruned\": {},\n        \"embedding_pruned\": 0,\n        \
              \"cap_aborted_sweeps\": {},\n        \"full_exact_sweeps\": {}\n      }},\n      \
              \"stage_breakdown\": {{\n        \
              \"source\": \"one traced pass per query; shares of the stage sum\",\n        \
@@ -273,8 +270,7 @@ fn write_json(
             r.stats.pruned,
             r.stats.exact_evals,
             r.stats.prune_rate(),
-            r.stats.pruned - r.stats.pruned_embed,
-            r.stats.pruned_embed,
+            r.stats.pruned,
             r.stats.cap_aborted,
             r.stats.full_sweeps,
             r.stage_sums_ns[Stage::Emd.index()] as f64 / stage_total as f64,
@@ -326,8 +322,8 @@ fn write_json(
     let headline_ms = headline.pruned_s * 1e3;
     let headline_stage_total = headline.stage_sums_ns.iter().sum::<u64>().max(1);
     let emd_share = headline.stage_sums_ns[Stage::Emd.index()] as f64 / headline_stage_total as f64;
-    // The PR 2 seed of this file measured the pre-SoA, pre-embedding-tier
-    // pruned path at 8.432 ms/query on this fixture; the kernel rework must
+    // The PR 2 seed of this file measured the pre-SoA pruned path at
+    // 8.432 ms/query on this fixture; the kernel rework must
     // at least halve that and push EMD below 40% of the traced stage time.
     let baseline_pr2_ms = 8.432;
     let pass = speedup >= 1.3 && headline_ms <= baseline_pr2_ms / 2.0 && emd_share < 0.4;
@@ -358,8 +354,8 @@ fn write_json(
          see DESIGN.md 12), so the remaining EMD time is eligibility work, not kernel \
          overhead. The profile section above attributes this at function level: the \
          kernel proper (emd_1d_soa_capped) is profiler_emd_kernel_sample_share of all \
-         on-CPU samples, the rest of the emd stage being the embedding-tier recheck and \
-         sweep bookkeeping — see EXPERIMENTS.md, PR 7 follow-up.\"\n}\n",
+         on-CPU samples, the rest of the emd stage being pair screens and sweep \
+         bookkeeping — see EXPERIMENTS.md, PR 7 follow-up and the PR 14 tier ledger.\"\n}\n",
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),

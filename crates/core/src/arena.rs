@@ -17,10 +17,9 @@
 //!   cuboid) with a per-signature `pair_off` table — the SoA layout the
 //!   branchless EMD kernel ([`viderec_emd::emd_1d_soa_capped`]) sweeps with
 //!   no sorting, no allocation, and no `(f64, f64)` interleaving;
-//! * one flat `embeds` buffer of [`EMBED_TIER_DIMS`]-point CDF embeddings
-//!   over the bound's value domain — the tier-2 prefilter
-//!   ([`viderec_emd::cdf_lower_bound_from_embeddings`]) reads these instead
-//!   of touching the signatures at all;
+//! * per-video `mean_lo`/`mean_hi` columns — the signature-mean range the
+//!   O(1) separation rung and the flat certificate sweep read without
+//!   touching any per-signature buffer;
 //! * optional quantized lanes (`qvalues`/`qweights` plus a per-signature
 //!   error bound `qerr`) when the arena is built for
 //!   [`crate::config::EmdKernel::Quantized`];
@@ -33,36 +32,20 @@
 //! the two query paths literally share one cache.
 
 use crate::prune::{PruneBound, ANCHORS};
-use viderec_emd::{anchor_features, anchor_features_from_lanes, quantize_lanes, CdfEmbedder};
+use viderec_emd::{anchor_features, anchor_features_from_lanes, quantize_lanes};
 use viderec_signature::SignatureSeries;
-
-/// Dimensionality of the arena's cached tier-2 CDF embeddings. Twice the
-/// LSB embedding grid ([`viderec_emd::CDF_EMBED_DIMS`]): the tier-2 bound
-/// pays its `2·step` total-variation correction against the pruning radius,
-/// so a finer grid than the index needs is what makes the bound bite.
-pub(crate) const EMBED_TIER_DIMS: usize = 2 * viderec_emd::CDF_EMBED_DIMS;
-
-/// The value domain the tier-2 embeddings are sampled over for `bound`:
-/// the anchor domain for [`PruneBound::Best`], the default anchor domain
-/// for [`PruneBound::Centroid`] (which carries no domain of its own).
-fn tier_embedder(bound: PruneBound) -> CdfEmbedder {
-    let (lo, hi) = match bound {
-        PruneBound::Best { lo, hi } => (lo, hi),
-        PruneBound::Centroid => match PruneBound::default() {
-            PruneBound::Best { lo, hi } => (lo, hi),
-            PruneBound::Centroid => (-16.0, 16.0),
-        },
-    };
-    CdfEmbedder::new(lo, hi, EMBED_TIER_DIMS)
-}
 
 /// Structure-of-arrays scoring caches for a whole corpus (or, via
 /// [`ScoringArena::for_series`], a single query series).
 #[derive(Debug, Clone)]
 pub(crate) struct ScoringArena {
     bound: PruneBound,
-    embedder: CdfEmbedder,
     quantize: bool,
+    /// Cuboid count of the longest signature ingested so far, and the
+    /// largest `|value|` of any cuboid — what the rounding allowance of the
+    /// cached sums ([`viderec_emd::rounding_allowance`]) scales with.
+    max_terms: usize,
+    max_abs: f64,
     /// Per-video signature ranges: video `v` owns global signature indices
     /// `sig_off[v]..sig_off[v + 1]`. Length `num_videos + 1`.
     sig_off: Vec<u32>,
@@ -84,8 +67,10 @@ pub(crate) struct ScoringArena {
     values: Vec<f64>,
     /// The weights matching `values`, in the same (value-sorted) order.
     weights: Vec<f64>,
-    /// Cached CDF embeddings, [`EMBED_TIER_DIMS`] per signature.
-    embeds: Vec<f64>,
+    /// Smallest signature mean of each video (`0.0` for an empty series).
+    mean_lo: Vec<f64>,
+    /// Largest signature mean of each video (`0.0` for an empty series).
+    mean_hi: Vec<f64>,
     /// Quantized value lanes (same offsets as `values`); empty unless
     /// `quantize`.
     qvalues: Vec<i32>,
@@ -105,8 +90,9 @@ impl ScoringArena {
     pub(crate) fn new(bound: PruneBound, quantize: bool) -> Self {
         Self {
             bound,
-            embedder: tier_embedder(bound),
             quantize,
+            max_terms: 0,
+            max_abs: 0.0,
             sig_off: vec![0],
             means: Vec::new(),
             mean_order: Vec::new(),
@@ -114,7 +100,8 @@ impl ScoringArena {
             pair_off: vec![0],
             values: Vec::new(),
             weights: Vec::new(),
-            embeds: Vec::new(),
+            mean_lo: Vec::new(),
+            mean_hi: Vec::new(),
             qvalues: Vec::new(),
             qweights: Vec::new(),
             qerr: Vec::new(),
@@ -142,15 +129,14 @@ impl ScoringArena {
             }
             pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
             let lane_start = self.values.len();
+            self.max_terms = self.max_terms.max(pairs.len());
             for &(v, w) in &pairs {
+                self.max_abs = self.max_abs.max(v.abs());
                 self.values.push(v);
                 self.weights.push(w);
             }
-            let (values, weights) = (&self.values[lane_start..], &self.weights[lane_start..]);
-            self.embedder
-                .embed_sorted_into(values, weights, &mut self.embeds);
             if self.quantize {
-                match quantize_lanes(values, weights) {
+                match quantize_lanes(&self.values[lane_start..], &self.weights[lane_start..]) {
                     Some(q) => {
                         self.qvalues.extend_from_slice(&q.values);
                         self.qweights.extend_from_slice(&q.weights);
@@ -171,8 +157,22 @@ impl ScoringArena {
         let means = &self.means;
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&x, &y| means[base + x as usize].total_cmp(&means[base + y as usize]));
+        let mean_at = |o: Option<&u32>| o.map_or(0.0, |&x| means[base + x as usize]);
+        self.mean_lo.push(mean_at(order.first()));
+        self.mean_hi.push(mean_at(order.last()));
         self.mean_order.extend_from_slice(&order);
         self.sig_off.push(self.means.len() as u32);
+    }
+
+    /// The per-video `[min, max]` signature-mean columns, indexed by video.
+    pub(crate) fn mean_ranges(&self) -> (&[f64], &[f64]) {
+        (&self.mean_lo, &self.mean_hi)
+    }
+
+    /// `(longest signature, largest |value|)` over everything ingested: the
+    /// arena's side of [`crate::prune::Slack::between`].
+    pub(crate) fn rounding(&self) -> (usize, f64) {
+        (self.max_terms, self.max_abs)
     }
 
     /// The bound the arena's anchor features were computed for.
@@ -231,9 +231,7 @@ impl ScoringArena {
             pair_off: &self.pair_off[lo..=hi],
             values: &self.values,
             weights: &self.weights,
-            embeds: &self.embeds[lo * EMBED_TIER_DIMS..hi * EMBED_TIER_DIMS],
-            embed_lo: self.embedder.lo(),
-            embed_step: self.embedder.step(),
+            rounding: self.rounding(),
             quant: if self.quantize {
                 Some(QuantLanes {
                     values: &self.qvalues,
@@ -276,12 +274,9 @@ pub(crate) struct SeriesView<'a> {
     values: &'a [f64],
     /// The arena-wide weight lane the offsets index into.
     weights: &'a [f64],
-    /// This video's CDF embeddings, [`EMBED_TIER_DIMS`] per signature.
-    embeds: &'a [f64],
-    /// Lower endpoint of the embedding grid (grid identity, with the step).
-    embed_lo: f64,
-    /// Step width of the embedding grid.
-    embed_step: f64,
+    /// The arena's [`ScoringArena::rounding`] (arena-wide, not just this
+    /// series).
+    pub(crate) rounding: (usize, f64),
     quant: Option<QuantLanes<'a>>,
 }
 
@@ -295,25 +290,6 @@ impl SeriesView<'_> {
     pub(crate) fn lanes(&self, i: usize) -> (&[f64], &[f64]) {
         let range = self.pair_off[i] as usize..self.pair_off[i + 1] as usize;
         (&self.values[range.clone()], &self.weights[range])
-    }
-
-    /// Signature `i`'s cached CDF embedding.
-    pub(crate) fn embedding(&self, i: usize) -> &[f64] {
-        &self.embeds[i * EMBED_TIER_DIMS..(i + 1) * EMBED_TIER_DIMS]
-    }
-
-    /// Step width of the embedding grid (feeds the bound's `2·step`
-    /// total-variation correction).
-    pub(crate) fn embed_step(&self) -> f64 {
-        self.embed_step
-    }
-
-    /// Whether two views' embeddings live on the same sample grid — only
-    /// then may their coordinates be compared. Views of arenas built for
-    /// different bound domains (e.g. a parallel engine overlay) fail this
-    /// and the caller must skip the embedding tier.
-    pub(crate) fn embed_grid_matches(&self, other: &SeriesView<'_>) -> bool {
-        self.embed_lo == other.embed_lo && self.embed_step == other.embed_step
     }
 
     /// Signature `i`'s quantized lanes and weight error, when the arena was
@@ -368,7 +344,9 @@ mod tests {
         assert_eq!(va.lanes(0), (&[1.0, 3.0][..], &[0.5, 0.5][..]));
         assert_eq!(va.mean_order, &[0, 1]);
         assert_eq!(va.feats.len(), 2 * ANCHORS);
-        assert_eq!(va.embedding(0).len(), EMBED_TIER_DIMS);
+        let (lo, hi) = arena.mean_ranges();
+        assert_eq!((lo[0], hi[0]), (va.means[0], va.means[1]));
+        assert_eq!(lo[1], hi[1], "a one-signature video has a point range");
 
         let vb = arena.view(1);
         assert_eq!(vb.len(), 1);
@@ -431,33 +409,6 @@ mod tests {
         assert_eq!(overlay, fresh.feats);
         let view = base.view_with_feats(0, &overlay);
         assert_eq!(view.feats, fresh.view(0).feats);
-    }
-
-    #[test]
-    fn cached_embeddings_match_the_embedder_on_raw_signatures() {
-        let a = series(&[&[3.0, -7.0, 1.0], &[12.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::default(), false);
-        let embedder = tier_embedder(PruneBound::default());
-        let view = arena.view(0);
-        for (i, sig) in a.signatures().iter().enumerate() {
-            assert_eq!(view.embedding(i), embedder.embed(&sig.as_pairs()));
-        }
-        assert!(view.embed_grid_matches(&arena.view(0)));
-    }
-
-    #[test]
-    fn embedding_grids_of_different_domains_do_not_match() {
-        let a = series(&[&[1.0]]);
-        let base = ScoringArena::for_series(&a, PruneBound::default(), false);
-        let other = ScoringArena::for_series(
-            &a,
-            PruneBound::Best {
-                lo: -110.0,
-                hi: 110.0,
-            },
-            false,
-        );
-        assert!(!base.view(0).embed_grid_matches(&other.view(0)));
     }
 
     #[test]

@@ -21,27 +21,19 @@
 use crate::arena::{ScoringArena, SeriesView};
 use crate::config::{EmdKernel, RetrievalMode};
 use crate::corpus::QueryVideo;
-use crate::prune::{kappa_exact_cached, kappa_upper_bound_embed, PruneBound, PruneStats};
+use crate::prune::{kappa_exact_cached, Ladder, LadderQueue, PruneBound, PruneStats};
 use crate::recommender::{PreparedQuery, Recommender, Scored};
 use crate::relevance::{strategy_score, Strategy};
-use crate::topk::{push_top_k, WorstFirst};
-use crate::trace::{
-    AllocCell, QueryTrace, ShardTrace, Stage, StageSet, Tracer, MAX_SHARD_TRACES, NUM_STAGES,
-};
+use crate::topk::{floor_of, push_top_k, WorstFirst};
+use crate::trace::{QueryTrace, ShardTrace, Stage, Tracer, MAX_SHARD_TRACES};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::AtomicU64;
 
-/// What one shard worker hands back: its top-k, counters, stage timings,
-/// per-stage allocation cells (from the worker's own thread-local
-/// counters — exact because a shard never migrates threads mid-scan), and
-/// wall time.
-type ShardResult = (
-    Vec<Scored>,
-    PruneStats,
-    StageSet<NUM_STAGES>,
-    [AllocCell; NUM_STAGES],
-    u64,
-);
+/// What one shard worker hands back: its top-k and a trace of its own —
+/// counters, stage timings, per-stage allocation cells (from the worker's
+/// own thread-local counters — exact because a shard never migrates threads
+/// mid-scan) and, in `total_ns`, its wall time.
+type ShardResult = (Vec<Scored>, QueryTrace);
 
 /// Configuration of the sharded engine.
 #[derive(Debug, Clone, Copy)]
@@ -327,44 +319,21 @@ impl<'a> ParallelRecommender<'a> {
         trace.shards = workers as u64;
 
         let mut merged = if self.cfg.prune && strategy.uses_content() {
-            if workers == 1 {
-                // The sequential engine's exact single-heap scan, through the
-                // same shared helpers — identical results *and* identical
-                // [`PruneStats`] to [`Recommender::recommend_with_stats`].
-                let annotated = self.rec.annotate_candidates(
-                    strategy,
-                    query,
-                    &prep,
-                    qv,
-                    &|i| self.video_view(i),
-                    self.cfg.bound,
-                    &candidates,
-                    tracer,
-                    &mut trace,
-                );
-                self.rec.scan_annotated_single(
-                    strategy,
-                    qv,
-                    &|i| self.video_view(i),
-                    self.cfg.bound,
-                    &annotated,
-                    k,
-                    tracer,
-                    &mut trace,
-                )
-            } else {
-                self.run_pruned(
-                    strategy,
-                    query,
-                    &prep,
-                    qv,
-                    &candidates,
-                    k,
-                    workers,
-                    tracer,
-                    &mut trace,
-                )
-            }
+            let view_of = |i: usize| self.video_view(i);
+            let ladder = self
+                .rec
+                .ladder(strategy, &query_cache, &view_of, self.cfg.bound, k);
+            let queue = self.rec.enqueue(
+                strategy,
+                query,
+                &prep,
+                &candidates,
+                candidates.len(),
+                Vec::new(),
+                tracer,
+                &mut trace,
+            );
+            self.run_pruned(ladder, queue, workers, tracer, &mut trace)
         } else {
             self.run_plain(
                 strategy,
@@ -451,120 +420,69 @@ impl<'a> ParallelRecommender<'a> {
         merge_shards(results, trace)
     }
 
-    /// Pruned path. The whole candidate set is annotated *once* with each
-    /// candidate's exact social score and admissible score ceiling, and
-    /// sorted ceiling-descending. The `k` highest-ceiling candidates are then
-    /// evaluated inline: their k-th score is a *global* pruning floor that
-    /// every shard can test against from its very first candidate — a shard
-    /// smaller than `k` (whose own heap can never fill) prunes exactly as
-    /// well as the sequential scan, so prune rates no longer collapse as the
-    /// worker count grows. The remainder is dealt to the workers round-robin;
-    /// striding a ceiling-sorted list keeps every shard itself
-    /// ceiling-descending, preserving the one-step tail prune.
+    /// Pruned path: the bound ladder over the queued candidates. On one
+    /// worker that is the sequential engine's scan verbatim — identical
+    /// results *and* identical [`PruneStats`] to
+    /// [`Recommender::recommend_with_stats`]. Otherwise the ladder first runs
+    /// inline until `k` candidates are scored: their k-th score is a *global*
+    /// pruning floor that every shard can test against from its very first
+    /// candidate — a shard smaller than `k` (whose own heap can never fill)
+    /// prunes exactly as well as the sequential scan, so prune rates do not
+    /// collapse as the worker count grows. What is left of the queue is dealt
+    /// to the workers round-robin, each running the same ladder over its own
+    /// queue and heap against the shared floor.
     ///
-    /// Soundness of the floor: the prefix holds `k` candidates whose exact
-    /// scores are all ≥ the floor, so a candidate whose ceiling is *strictly*
-    /// below it loses to all of them regardless of tie-breaking.
-    #[allow(clippy::too_many_arguments)]
+    /// Soundness of the floor: the inline pass holds `k` candidates whose
+    /// exact scores are all ≥ the floor, so a candidate whose ceiling is
+    /// *strictly* below it loses to all of them regardless of tie-breaking.
     fn run_pruned(
         &self,
-        strategy: Strategy,
-        query: &QueryVideo,
-        prep: &PreparedQuery,
-        qv: SeriesView<'_>,
-        candidates: &[u32],
-        k: usize,
+        ladder: Ladder<'_, '_>,
+        mut queue: LadderQueue,
         workers: usize,
         tracer: Tracer,
         trace: &mut QueryTrace,
     ) -> Vec<Scored> {
-        let omega = self.rec.config().omega;
-        let matching = self.rec.config().matching;
-
-        // Annotate: exact social score (cheap) + admissible score ceiling —
-        // the same shared helper (and the same `Social`/`Bound`/`Sort` stage
-        // laps) as the sequential scan.
-        let annotated = self.rec.annotate_candidates(
-            strategy,
-            query,
-            prep,
-            qv,
-            &|i| self.video_view(i),
-            self.cfg.bound,
-            candidates,
-            tracer,
-            trace,
-        );
-
-        // Evaluate the k highest ceilings inline to establish the floor.
+        let k = ladder.top_k;
+        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+        if workers == 1 {
+            ladder.run(&mut queue, &mut heap, trace, tracer);
+            return heap.into_iter().map(|e| e.0).collect();
+        }
         let mut sp = tracer.start();
-        let mut prefix_heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
-        let prefix = annotated.len().min(k);
-        for &(idx, sj, _) in &annotated[..prefix] {
-            trace.stats.exact_evals += 1;
-            let idx = idx as usize;
-            let score = strategy_score(
-                strategy,
-                omega,
-                kappa_exact_cached(qv, self.video_view(idx), matching, &mut trace.stats),
-                sj,
-            );
-            trace.lap_span(&mut sp, Stage::Emd);
-            push_top_k(
-                &mut prefix_heap,
-                WorstFirst(Scored {
-                    video: self.rec.videos[idx].id,
-                    score,
-                }),
-                k,
-            );
-            trace.lap_span(&mut sp, Stage::TopK);
-        }
-        let rest = &annotated[prefix..];
-        if rest.is_empty() {
-            return prefix_heap.into_iter().map(|e| e.0).collect();
-        }
-        // rest is non-empty ⇒ prefix == k ⇒ the heap is full. Workers share
-        // the floor through an atomic (monotone max over f64 bit patterns —
-        // scores are non-negative, so the bit order is the numeric order) and
-        // publish their own k-th scores as they rise, so every shard prunes
-        // against the best threshold discovered anywhere, not just its own.
-        // viderec-lint: allow(serve-no-panic) — `rest` being non-empty
-        // means the prefix pass filled the heap to `k`, as the comment
-        // above documents.
-        let floor = prefix_heap.peek().expect("prefix heap is full").0.score;
-        let shared_floor = AtomicU64::new(floor.to_bits());
-
-        let mut shards: Vec<Vec<(u32, f64, f64)>> = (0..workers)
-            .map(|_| Vec::with_capacity(rest.len() / workers + 1))
-            .collect();
-        for (pos, &entry) in rest.iter().enumerate() {
-            shards[pos % workers].push(entry);
-        }
+        while heap.len() < k && ladder.step(&mut queue, &mut heap, false, trace, &mut sp) {}
+        // Workers share the floor through an atomic and publish their own
+        // k-th scores as they rise, so every shard prunes against the best
+        // threshold discovered anywhere, not just its own. A short heap means
+        // the queue ran dry, and `0.0` is no floor at all.
+        let shared_floor = AtomicU64::new(floor_of(&heap, k).unwrap_or(0.0).to_bits());
+        let ladder = Ladder {
+            shared_floor: Some(&shared_floor),
+            ..ladder
+        };
+        let shards = queue.deal(workers);
+        let scan = |shard: &LadderQueue| -> ShardResult {
+            let wall = tracer.start();
+            let mut shard_trace = QueryTrace::new(ladder.strategy, k);
+            let mut own: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+            let mut pending = shard.clone();
+            ladder.run(&mut pending, &mut own, &mut shard_trace, tracer);
+            shard_trace.total_ns = wall.elapsed_ns().unwrap_or(0);
+            (own.into_iter().map(|e| e.0).collect(), shard_trace)
+        };
         let threads = self.threads_for(shards.len());
         let results = if threads == 1 {
             // Serial drain of the logical shards: the shared floor still
             // carries each shard's k-th score into the next, like the
             // threaded drain's atomic does across cores.
-            shards
-                .iter()
-                .map(|shard| {
-                    self.score_annotated_shard(strategy, qv, shard, k, &shared_floor, tracer)
-                })
-                .collect()
+            shards.iter().map(scan).collect()
         } else {
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .chunks(shards.len().div_ceil(threads))
                     .map(|mine| {
-                        let sf = &shared_floor;
-                        scope.spawn(move |_| {
-                            mine.iter()
-                                .map(|shard| {
-                                    self.score_annotated_shard(strategy, qv, shard, k, sf, tracer)
-                                })
-                                .collect::<Vec<_>>()
-                        })
+                        let scan = &scan;
+                        scope.spawn(move |_| mine.iter().map(scan).collect::<Vec<_>>())
                     })
                     .collect();
                 handles
@@ -580,7 +498,7 @@ impl<'a> ParallelRecommender<'a> {
             .expect("crossbeam scope")
         };
         let mut merged = merge_shards(results, trace);
-        merged.extend(prefix_heap.into_iter().map(|e| e.0));
+        merged.extend(heap.into_iter().map(|e| e.0));
         merged
     }
 
@@ -600,146 +518,29 @@ impl<'a> ParallelRecommender<'a> {
         let omega = self.rec.config().omega;
         let matching = self.rec.config().matching;
         let wall = tracer.start();
-        let mut stages: StageSet<NUM_STAGES> = StageSet::default();
-        let mut allocs = [AllocCell::default(); NUM_STAGES];
-        let mut stats = PruneStats::default();
+        let mut trace = QueryTrace::new(strategy, k);
         let mut sp = tracer.start();
         let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
         for &idx in shard {
             let idx = idx as usize;
+            trace.stats.exact_evals += 1;
             let content = if strategy.uses_content() {
-                stats.exact_evals += 1;
-                let kappa = kappa_exact_cached(qv, self.video_view(idx), matching, &mut stats);
-                let i = Stage::Emd.index();
-                sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
+                let kappa =
+                    kappa_exact_cached(qv, self.video_view(idx), matching, &mut trace.stats);
+                trace.lap_span(&mut sp, Stage::Emd);
                 kappa
             } else {
                 0.0
             };
             let sj = self.rec.social_score(strategy, query, prep, idx);
-            if !strategy.uses_content() {
-                stats.exact_evals += 1;
-            }
             let score = strategy_score(strategy, omega, content, sj);
-            let i = Stage::Social.index();
-            sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
-            push_top_k(
-                &mut heap,
-                WorstFirst(Scored {
-                    video: self.rec.videos[idx].id,
-                    score,
-                }),
-                k,
-            );
-            let i = Stage::TopK.index();
-            sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
+            trace.lap_span(&mut sp, Stage::Social);
+            let video = self.rec.videos[idx].id;
+            push_top_k(&mut heap, WorstFirst(Scored { video, score }), k);
+            trace.lap_span(&mut sp, Stage::TopK);
         }
-        let ns = wall.elapsed_ns().unwrap_or(0);
-        (
-            heap.into_iter().map(|e| e.0).collect(),
-            stats,
-            stages,
-            allocs,
-            ns,
-        )
-    }
-
-    /// Scores one ceiling-descending annotated shard into its exact top-k,
-    /// pruning candidates whose score ceiling cannot strictly beat the
-    /// shared floor — the highest k-th score any worker (or the prefix scan)
-    /// has reached so far. Each worker publishes its own k-th score to the
-    /// atomic as it rises; every published value is the k-th best of `k`
-    /// exactly-scored candidates, so it is a sound global floor.
-    ///
-    /// The ceiling-descending order front-loads the strong candidates so the
-    /// running k-th score rises fast — and once the ceiling of the current
-    /// candidate falls *strictly* below the threshold, every remaining
-    /// candidate's ceiling is at least as low, so the whole tail is pruned in
-    /// one step. Candidates whose ceiling ties the threshold are still
-    /// evaluated (ranking ties break by `VideoId`), keeping the result exact.
-    fn score_annotated_shard(
-        &self,
-        strategy: Strategy,
-        qv: SeriesView<'_>,
-        shard: &[(u32, f64, f64)],
-        k: usize,
-        shared_floor: &AtomicU64,
-        tracer: Tracer,
-    ) -> ShardResult {
-        let omega = self.rec.config().omega;
-        let matching = self.rec.config().matching;
-        let wall = tracer.start();
-        let mut stages: StageSet<NUM_STAGES> = StageSet::default();
-        let mut allocs = [AllocCell::default(); NUM_STAGES];
-        let mut stats = PruneStats::default();
-        let mut sp = tracer.start();
-        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
-        for (pos, &(idx, sj, ceiling)) in shard.iter().enumerate() {
-            let mut threshold = f64::from_bits(shared_floor.load(AtomicOrdering::Relaxed));
-            if heap.len() == k {
-                // viderec-lint: allow(serve-no-panic) — peek is guarded by
-                // `heap.len() == k` with `k >= 1` (zero returns early upstream).
-                let kth = heap.peek().expect("heap is full").0.score;
-                if kth > threshold {
-                    shared_floor.fetch_max(kth.to_bits(), AtomicOrdering::Relaxed);
-                    threshold = kth;
-                }
-            }
-            if ceiling < threshold {
-                // Strictly below a score k candidates already reach: even a
-                // tie is impossible, so neither this candidate nor any later
-                // one (sorted by ceiling) can enter the top-k.
-                stats.pruned += (shard.len() - pos) as u64;
-                break;
-            }
-            let idx = idx as usize;
-            if threshold > 0.0 {
-                // Second pruning tier against the same shared floor: the
-                // cached-embedding ceiling is never looser than the anchor
-                // ceiling, but it does not respect the shard's anchor-ceiling
-                // order, so a tier-2 prune drops only this candidate.
-                let ceiling2 = strategy_score(
-                    strategy,
-                    omega,
-                    kappa_upper_bound_embed(qv, self.video_view(idx), self.cfg.bound, matching),
-                    sj,
-                );
-                let i = Stage::Bound.index();
-                sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
-                if ceiling2 < threshold {
-                    stats.pruned += 1;
-                    stats.pruned_embed += 1;
-                    continue;
-                }
-            }
-            stats.exact_evals += 1;
-            let score = strategy_score(
-                strategy,
-                omega,
-                kappa_exact_cached(qv, self.video_view(idx), matching, &mut stats),
-                sj,
-            );
-            let i = Stage::Emd.index();
-            sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
-            push_top_k(
-                &mut heap,
-                WorstFirst(Scored {
-                    video: self.rec.videos[idx].id,
-                    score,
-                }),
-                k,
-            );
-            let i = Stage::TopK.index();
-            sp.lap_with_alloc(stages.cell_mut(i), &mut allocs[i]);
-        }
-        let ns = wall.elapsed_ns().unwrap_or(0);
-        (
-            heap.into_iter().map(|e| e.0).collect(),
-            stats,
-            stages,
-            allocs,
-            ns,
-        )
+        trace.total_ns = wall.elapsed_ns().unwrap_or(0);
+        (heap.into_iter().map(|e| e.0).collect(), trace)
     }
 }
 
@@ -748,20 +549,18 @@ impl<'a> ParallelRecommender<'a> {
 /// first [`MAX_SHARD_TRACES`] shards get individual breakdown entries).
 fn merge_shards(results: Vec<ShardResult>, trace: &mut QueryTrace) -> Vec<Scored> {
     let mut merged = Vec::new();
-    for (s, (shard_top, shard_stats, shard_stages, shard_allocs, shard_ns)) in
-        results.into_iter().enumerate()
-    {
+    for (s, (shard_top, shard)) in results.into_iter().enumerate() {
         merged.extend(shard_top);
-        trace.stats.absorb(shard_stats);
-        trace.stages.merge(&shard_stages);
-        for (mine, theirs) in trace.allocs.iter_mut().zip(shard_allocs.iter()) {
+        trace.stats.absorb(shard.stats);
+        trace.stages.merge(&shard.stages);
+        for (mine, theirs) in trace.allocs.iter_mut().zip(shard.allocs.iter()) {
             mine.merge(*theirs);
         }
         if s < MAX_SHARD_TRACES {
             trace.shard[s] = ShardTrace {
-                ns: shard_ns,
-                exact_evals: shard_stats.exact_evals,
-                pruned: shard_stats.pruned,
+                ns: shard.total_ns,
+                exact_evals: shard.stats.exact_evals,
+                pruned: shard.stats.pruned,
             };
             trace.shards_recorded = (s + 1) as u64;
         }

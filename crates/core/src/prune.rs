@@ -24,14 +24,28 @@
 //! The pruning test uses *strict* inequality: a candidate tying the k-th
 //! score must still be evaluated because ranking ties break by `VideoId`, so
 //! the result set stays identical to the unpruned scan.
+//!
+//! Every scan — paper mode, each gated round (gathered candidates and
+//! certificate survivors alike) and each shard of the batch engine — drives
+//! those ceilings through one lazy best-first [`Ladder`]: a max-queue keyed
+//! by each candidate's *current* score ceiling, refined one rung at a time
+//! and only while the ceiling still clears the top-k floor.
 
 use crate::arena::SeriesView;
+use crate::recommender::{Recommender, Scored};
+use crate::relevance::{strategy_score, Strategy};
+use crate::topk::{floor_of, push_top_k, WorstFirst};
+use crate::trace::{QueryTrace, Stage, Tracer};
 use std::cell::RefCell;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use viderec_trace::Span;
 
 use viderec_emd::{
-    anchor_lower_bound_from_features, cdf_lower_bound_from_embeddings, emd_1d_soa,
-    emd_1d_soa_capped, emd_1d_soa_capped_x8, extended_jaccard, quant_area_exceeds,
-    quant_area_threshold, sim_c, sim_c_upper_bound, MatchingConfig, SweepJob, SWEEP_LANES,
+    emd_1d_soa, emd_1d_soa_capped, emd_1d_soa_capped_x8, extended_jaccard, quant_area_exceeds,
+    quant_area_threshold, rounding_allowance, sim_c, sim_c_upper_bound, MatchingConfig, SweepJob,
+    SWEEP_LANES,
 };
 
 /// Lipschitz anchors cached per signature for [`PruneBound::Best`]: the bound
@@ -56,14 +70,14 @@ const ROW_GIVE_UP_LB: f64 = 0.25;
 pub struct PruneStats {
     /// Candidates considered (shard sizes summed).
     pub scanned: u64,
-    /// Candidates skipped because their score ceiling could not beat the
-    /// running k-th score. `pruned + exact_evals == scanned` always.
+    /// Candidates that never paid for an exact `κJ` evaluation: their score
+    /// ceiling fell strictly below the running k-th score, or a bound proved
+    /// `κJ = 0` and with it the exact score. `pruned + exact_evals ==
+    /// scanned` always.
     pub pruned: u64,
-    /// Of `pruned`, how many survived the anchor-tier ceiling and only fell
-    /// to the cached-embedding tier (the per-candidate recheck before the
-    /// exact kernel). The remainder (`pruned - pruned_embed`) fell to the
-    /// anchor tier: the sorted-ceiling tail cut or the per-candidate floor
-    /// test on the anchor ceiling.
+    /// Retired with the cached-embedding tier (which pruned nothing on any
+    /// measured workload); kept so counters and trace records keep their
+    /// layout. Always 0.
     pub pruned_embed: u64,
     /// Candidates that paid for an exact `κJ` evaluation.
     pub exact_evals: u64,
@@ -81,7 +95,6 @@ impl PruneStats {
     pub fn absorb(&mut self, other: PruneStats) {
         self.scanned += other.scanned;
         self.pruned += other.pruned;
-        self.pruned_embed += other.pruned_embed;
         self.exact_evals += other.exact_evals;
         self.cap_aborted += other.cap_aborted;
         self.full_sweeps += other.full_sweeps;
@@ -149,10 +162,10 @@ thread_local! {
 }
 
 /// Exact `κJ(query, video)` from cached state — the same value (bit for bit)
-/// as [`viderec_signature::kappa_j_series_pruned`] on the underlying series:
-/// identical centroid pre-filter, identical EMD sweep (over the arena's
-/// value-sorted SoA lanes, which [`viderec_emd::emd_1d_soa_capped`] pins
-/// bit-identical to the pair-slice sweep), identical greedy matching.
+/// as the unscreened [`viderec_signature::kappa_j_series`] on the underlying
+/// series: identical EMD sweep (over the arena's value-sorted SoA lanes,
+/// which [`viderec_emd::emd_1d_soa_capped`] pins bit-identical to the
+/// pair-slice sweep), identical threshold test, identical greedy matching.
 ///
 /// The evaluation is staged so the sweeps run batched instead of one at a
 /// time from inside the matcher's closure:
@@ -175,8 +188,9 @@ thread_local! {
 ///    survivors enter in the same row-major order, so the stable sort, the
 ///    matching, and the accumulation order are unchanged bit for bit.
 ///
-/// Screens only skip sweeps whose outcome (`sim_c(∞) = 0`) is already
-/// proven, so the returned `κJ` is unchanged in every case.
+/// Screens only skip sweeps whose outcome (`SimC < τ`) is already proven —
+/// each bound has to clear the radius by its rounding allowance ([`Slack`])
+/// — so the returned `κJ` is unchanged in every case.
 ///
 /// `stats` collects the per-pair sweep counters (`cap_aborted`,
 /// `full_sweeps`); candidate-level counters are the caller's business.
@@ -203,8 +217,13 @@ pub(crate) fn kappa_exact_cached(
             cfg,
         )
     } else {
-        let radius = 1.0 / cfg.min_similarity - 1.0;
+        let radius = cfg.radius();
         let anchors = !query.feats.is_empty() && !video.feats.is_empty();
+        let slack = Slack::between(query.rounding, video.rounding);
+        // What a float lower bound has to exceed before it proves the swept
+        // distance over the radius; a pair inside the band goes to the
+        // sweep, which decides it exactly.
+        let reach = radius + slack.give;
         SWEEP_SCRATCH.with(|scratch| {
             let SweepScratch {
                 pairs,
@@ -216,17 +235,12 @@ pub(crate) fn kappa_exact_cached(
             eligible.clear();
             for i in 0..n1 {
                 for j in 0..n2 {
-                    if (query.means[i] - video.means[j]).abs() > radius {
+                    if (query.means[i] - video.means[j]).abs() > reach {
                         // Centroid lower bound already exceeds the match
                         // radius; the pair scores `SimC = 0`.
                         continue;
                     }
-                    if anchors
-                        && anchor_lower_bound_from_features(
-                            &query.feats[i * ANCHORS..(i + 1) * ANCHORS],
-                            &video.feats[j * ANCHORS..(j + 1) * ANCHORS],
-                        ) > radius
-                    {
+                    if anchors && anchor_lb(query, video, i, j, slack.unit) > reach {
                         // The O(ANCHORS) Lipschitz bound already proves
                         // EMD > radius: the capped sweep would have burned a
                         // partial merge only to return ∞.
@@ -241,7 +255,7 @@ pub(crate) fn kappa_exact_cached(
                         // Union support width, for the weight-error term of
                         // the quantization error band.
                         let span = qv[qv.len() - 1].max(vv[vv.len() - 1]) - qv[0].min(vv[0]);
-                        let threshold = quant_area_threshold(radius, err_q, err_v, span);
+                        let threshold = quant_area_threshold(reach, err_q, err_v, span);
                         if threshold != u64::MAX
                             && quant_area_exceeds(qiv, qiw, viv, viw, threshold)
                         {
@@ -254,10 +268,12 @@ pub(crate) fn kappa_exact_cached(
                     pairs.push((i as u32, j as u32));
                 }
             }
-            // A pair is only eligible when EMD ≤ radius, so the sweeps may
-            // abort once their running total passes it: `sim_c(∞) = 0` fails
-            // the τ test exactly like the true (> radius) distance would,
-            // and distances within the radius come back exact.
+            // A pair is only eligible when its swept distance is within the
+            // radius ([`MatchingConfig::radius`] covers every distance whose
+            // `SimC` rounds to τ or above), so the sweeps may abort once
+            // their running total passes it: `sim_c(∞) = 0` fails the τ test
+            // exactly like the distance would, and distances within the
+            // radius come back exact.
             let mut record = |i: u32, j: u32, d: f64| {
                 if d.is_finite() {
                     full_sweeps += 1;
@@ -323,79 +339,70 @@ pub(crate) fn kappa_exact_cached(
     kappa
 }
 
+/// The rounding allowances every float EMD lower bound gives away before it
+/// is compared with the match radius or turned into a ceiling
+/// ([`rounding_allowance`] has the derivation). A pair that sits exactly on
+/// the radius — `EMD == 1/τ − 1` to the bit, as dyadic pixel-pipeline
+/// cuboids and shifted copies do — would otherwise be decided by which way
+/// the cached sums happened to round, not by the sweep the unpruned scan
+/// runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slack {
+    /// Per unit of the two anchor features a gap was taken between: the
+    /// rounding of the features themselves.
+    unit: f64,
+    /// Absolute, from the largest cuboid magnitudes either side holds: the
+    /// rounding of a centroid gap, and of the sweep any bound stands in for.
+    pub(crate) give: f64,
+}
+
+impl Slack {
+    /// The allowances between two arenas' ([`SeriesView::rounding`])
+    /// `(longest signature, largest |value|)`.
+    pub(crate) fn between(query: (usize, f64), video: (usize, f64)) -> Self {
+        let terms = query.0 + video.0;
+        Self {
+            unit: rounding_allowance(terms, 1.0),
+            give: rounding_allowance(terms, query.1 + video.1),
+        }
+    }
+}
+
+/// The Lipschitz anchor bound of signature pair `(i, j)`
+/// ([`viderec_emd::anchor_lower_bound_from_features`]) with each anchor's
+/// gap reduced by `unit` of the two features it was taken between.
+fn anchor_lb(query: SeriesView<'_>, video: SeriesView<'_>, i: usize, j: usize, unit: f64) -> f64 {
+    let fq = &query.feats[i * ANCHORS..(i + 1) * ANCHORS];
+    let fv = &video.feats[j * ANCHORS..(j + 1) * ANCHORS];
+    fq.iter()
+        .zip(fv)
+        .map(|(x, y)| (x - y).abs() - unit * (x + y))
+        .fold(0.0, f64::max)
+}
+
+/// O(1) proof that `κJ = 0`: the two series' signature-mean ranges lie
+/// further apart than `reach` — the match radius plus [`Slack::give`] — so
+/// every pair fails the centroid screen of the exact evaluation (float
+/// subtraction is monotone: a range gap over `reach` puts every individual
+/// `|mean_q − mean_v|` over it too).
+pub(crate) fn separated(q_range: (f64, f64), v_range: (f64, f64), reach: f64) -> bool {
+    (v_range.0 - q_range.1).max(q_range.0 - v_range.1) > reach
+}
+
 /// Admissible upper bound on `κJ(query, video)` from the two series' views,
 /// whose anchor features (when `bound` needs them) must have been computed
-/// over the same anchor domain. This is the tier-1 (anchor) ceiling the
-/// candidate sort is built from; [`kappa_upper_bound_embed`] tightens it
-/// with the cached-embedding bound for per-candidate rechecks.
+/// over the same anchor domain: per query signature, `SimC` of the smallest
+/// per-pair EMD lower bound in its row — the centroid gap, maxed with the
+/// Lipschitz anchor bound when `bound` caches features.
 pub(crate) fn kappa_upper_bound(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
     bound: PruneBound,
     cfg: MatchingConfig,
 ) -> f64 {
-    kappa_upper_bound_impl(query, video, cfg, |i, j, centroid| {
-        pair_anchor_lb(query, video, bound, i, j, centroid)
-    })
-}
-
-/// Tier-2 ceiling: the anchor-tier per-pair bound of [`kappa_upper_bound`]
-/// maxed with the Riemann lower-sum bound over the arena's cached CDF
-/// embeddings ([`cdf_lower_bound_from_embeddings`]). Each per-pair bound is
-/// a max of admissible EMD lower bounds, so the ceiling stays admissible and
-/// is never looser than tier 1 — it can only prune *more*.
-///
-/// Falls back to the tier-1 bound when the two views' embedding grids
-/// differ (e.g. one side of a parallel-engine overlay with a foreign bound
-/// domain): coordinates from different grids are not comparable.
-pub(crate) fn kappa_upper_bound_embed(
-    query: SeriesView<'_>,
-    video: SeriesView<'_>,
-    bound: PruneBound,
-    cfg: MatchingConfig,
-) -> f64 {
-    if !query.embed_grid_matches(&video) {
-        return kappa_upper_bound(query, video, bound, cfg);
-    }
-    let step = query.embed_step();
-    kappa_upper_bound_impl(query, video, cfg, |i, j, centroid| {
-        pair_anchor_lb(query, video, bound, i, j, centroid).max(cdf_lower_bound_from_embeddings(
-            query.embedding(i),
-            video.embedding(j),
-            step,
-        ))
-    })
-}
-
-/// The tier-1 per-pair EMD lower bound: the centroid gap, maxed with the
-/// Lipschitz anchor bound when `bound` caches features.
-fn pair_anchor_lb(
-    query: SeriesView<'_>,
-    video: SeriesView<'_>,
-    bound: PruneBound,
-    i: usize,
-    j: usize,
-    centroid: f64,
-) -> f64 {
-    match bound {
-        PruneBound::Centroid => centroid,
-        PruneBound::Best { .. } => centroid.max(anchor_lower_bound_from_features(
-            &query.feats[i * ANCHORS..(i + 1) * ANCHORS],
-            &video.feats[j * ANCHORS..(j + 1) * ANCHORS],
-        )),
-    }
-}
-
-/// The shared row scan behind the κJ ceilings: `pair_lb(i, j, centroid_gap)`
-/// must return an admissible EMD lower bound that is ≥ the centroid gap
-/// (that dominance is what lets the centroid-gap-ordered scan break early).
-fn kappa_upper_bound_impl(
-    query: SeriesView<'_>,
-    video: SeriesView<'_>,
-    cfg: MatchingConfig,
-    pair_lb: impl Fn(usize, usize, f64) -> f64,
-) -> f64 {
     let (n1, n2) = (query.len(), video.len());
+    let slack = Slack::between(query.rounding, video.rounding);
+    let order = video.mean_order;
     viderec_emd::extended_jaccard_upper_bound(
         n1,
         n2,
@@ -407,8 +414,9 @@ fn kappa_upper_bound_impl(
             // remaining gap reaches the running minimum, no remaining pair
             // can lower it and the row is done. Exact, not a relaxation —
             // typically only one or two anchor comparisons survive per row.
+            // Every bound gives `slack.give` away first, so the ceiling
+            // stays above the `SimC` of the swept distance.
             let q = query.means[i];
-            let order = video.mean_order;
             let mut r = order.partition_point(|&j| video.means[j as usize] < q);
             let mut l = r;
             let mut min_lb = f64::INFINITY;
@@ -423,7 +431,7 @@ fn kappa_upper_bound_impl(
                 } else {
                     f64::INFINITY
                 };
-                let (j, centroid) = if gap_l <= gap_r {
+                let (j, gap) = if gap_l <= gap_r {
                     l -= 1;
                     (order[l] as usize, gap_l)
                 } else {
@@ -431,11 +439,14 @@ fn kappa_upper_bound_impl(
                     r += 1;
                     (j, gap_r)
                 };
-                if centroid >= min_lb {
+                if (gap - slack.give).max(0.0) >= min_lb {
                     break;
                 }
-                let lb = pair_lb(i, j, centroid);
-                min_lb = min_lb.min(lb);
+                let lb = match bound {
+                    PruneBound::Centroid => gap,
+                    PruneBound::Best { .. } => gap.max(anchor_lb(query, video, i, j, slack.unit)),
+                };
+                min_lb = min_lb.min((lb - slack.give).max(0.0));
                 if min_lb <= ROW_GIVE_UP_LB {
                     // Give up on an uninformative row (see [`ROW_GIVE_UP_LB`]);
                     // `sim_c_upper_bound(0) = 1` dominates every true `SimC`.
@@ -449,10 +460,259 @@ fn kappa_upper_bound_impl(
     )
 }
 
+/// A candidate in the ladder's queue: its exact social score and its
+/// current score ceiling — `FJ(κ=1, s)` until `refined`. Ordered best-first:
+/// ceiling descending, then index ascending.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Queued {
+    pub(crate) key: f64,
+    pub(crate) sj: f64,
+    pub(crate) idx: u32,
+    pub(crate) refined: bool,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key
+            .total_cmp(&other.key)
+            .then(other.idx.cmp(&self.idx))
+    }
+}
+
+/// The ladder's max-queue, in two tiers. Candidates enter on the first rung
+/// in bulk and most never leave it — in a gated gather nine in ten tie at
+/// `FJ(κ=1, s=0)` — so that tier is a list sorted once and consumed from the
+/// back; only refined candidates that fell behind the front wait in a heap.
+/// (One `BinaryHeap` over everything is the same queue and pays a
+/// thirteen-level sift per pop: +0.8 ms on a 5.7 ms `gated_scale` query,
+/// EXPERIMENTS.md, PR 14.)
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LadderQueue {
+    /// First-rung candidates, ceiling *ascending*: the best is at the back.
+    fresh: Vec<Queued>,
+    refined: BinaryHeap<Queued>,
+}
+
+impl LadderQueue {
+    /// Queues first-rung candidates.
+    pub(crate) fn new(mut fresh: Vec<Queued>) -> Self {
+        fresh.sort_unstable();
+        Self {
+            fresh,
+            refined: BinaryHeap::new(),
+        }
+    }
+
+    /// Empties the queue; returns how many candidates were left in it.
+    fn clear(&mut self) -> usize {
+        let left = self.fresh.len() + self.refined.len();
+        self.fresh.clear();
+        self.refined.clear();
+        left
+    }
+
+    /// The highest ceiling in the queue.
+    fn best_key(&self) -> Option<f64> {
+        let fronts = self.fresh.last().into_iter().chain(self.refined.peek());
+        fronts.map(|e| e.key).reduce(f64::max)
+    }
+
+    /// Removes the candidate with the highest ceiling (a refined one on a
+    /// tie: it is a rung closer to raising the floor).
+    fn pop(&mut self) -> Option<Queued> {
+        match (self.fresh.last(), self.refined.peek()) {
+            (Some(f), Some(r)) if f.key > r.key => self.fresh.pop(),
+            (_, Some(_)) => self.refined.pop(),
+            _ => self.fresh.pop(),
+        }
+    }
+
+    /// Splits the queue round-robin into `ways` queues (a subsequence of a
+    /// sorted list is sorted).
+    pub(crate) fn deal(self, ways: usize) -> Vec<LadderQueue> {
+        let mut shards = vec![LadderQueue::default(); ways];
+        for (pos, e) in self.fresh.into_iter().enumerate() {
+            shards[pos % ways].fresh.push(e);
+        }
+        for (pos, e) in self.refined.into_iter().enumerate() {
+            shards[pos % ways].refined.push(e);
+        }
+        shards
+    }
+
+    /// The emptied first-tier storage, for the next query to reuse.
+    pub(crate) fn into_storage(mut self) -> Vec<Queued> {
+        self.fresh.clear();
+        self.fresh
+    }
+}
+
+/// The lazy best-first bound ladder every content scan runs on (optimal
+/// multi-step top-k): [`Self::step`] pops the candidate with the highest
+/// current score ceiling; if that ceiling is strictly below the k-th exact
+/// score the whole queue is pruned, otherwise the candidate climbs one rung
+/// — `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → anchor `κJ`
+/// ceiling → exact `κJ` — and is dropped, re-queued, or scored.
+///
+/// Exactness: ceilings are admissible at every rung, so a candidate's key
+/// never undercuts its exact score; the floor is always the k-th best of `k`
+/// exactly scored candidates; and the prune is *strict* (`key < floor`), so
+/// a candidate tying the floor is still scored and ranking ties break by
+/// `VideoId` exactly as in the unpruned scan. Optimality: a candidate is
+/// only refined while its key is the queue maximum and at least the floor,
+/// so nothing is refined whose previous-rung ceiling is below the *final*
+/// floor — `k` candidates with higher exact scores, hence higher keys, would
+/// have been popped and scored first.
+pub(crate) struct Ladder<'a, 'v> {
+    pub(crate) rec: &'a Recommender,
+    pub(crate) strategy: Strategy,
+    /// The query's scoring cache and its signature-mean range.
+    pub(crate) qv: SeriesView<'a>,
+    pub(crate) q_range: (f64, f64),
+    /// What a mean-range gap must exceed to prove `κJ = 0` (see
+    /// [`separated`]).
+    pub(crate) reach: f64,
+    /// Per-video views (the arena's own, or the batch engine's overlay).
+    pub(crate) view_of: &'a (dyn Fn(usize) -> SeriesView<'v> + Sync),
+    pub(crate) bound: PruneBound,
+    pub(crate) top_k: usize,
+    /// A floor established outside this ladder's own heap: the batch
+    /// engine's shards share the best k-th score any of them has reached
+    /// (monotone max over f64 bit patterns — scores are non-negative, so the
+    /// bit order is the numeric order). Every published value is the k-th
+    /// best of `k` exactly scored candidates, hence a sound global floor.
+    pub(crate) shared_floor: Option<&'a AtomicU64>,
+}
+
+impl Ladder<'_, '_> {
+    /// Whether `key` is strictly below the k-th score reached so far, here
+    /// or (through the shared floor) anywhere; publishes this heap's own
+    /// k-th score when it leads.
+    fn below_floor(&self, key: f64, heap: &BinaryHeap<WorstFirst>) -> bool {
+        let own = floor_of(heap, self.top_k);
+        let floor = match (own, self.shared_floor) {
+            (own, None) => own,
+            (own, Some(shared)) => {
+                let seen = f64::from_bits(shared.load(AtomicOrdering::Relaxed));
+                match own {
+                    Some(kth) if kth > seen => {
+                        shared.fetch_max(kth.to_bits(), AtomicOrdering::Relaxed);
+                        Some(kth)
+                    }
+                    _ => Some(seen),
+                }
+            }
+        };
+        floor.is_some_and(|f| key < f)
+    }
+
+    /// Drains a queue of gathered candidates into `heap`: [`Self::step`]
+    /// until the queue is spent.
+    pub(crate) fn run(
+        &self,
+        queue: &mut LadderQueue,
+        heap: &mut BinaryHeap<WorstFirst>,
+        trace: &mut QueryTrace,
+        tracer: Tracer,
+    ) {
+        let mut sp = tracer.start();
+        while self.step(queue, heap, false, trace, &mut sp) {}
+    }
+
+    /// One move: pop the best candidate and carry it as far as it goes.
+    /// Returns `false` once the queue is spent — empty, or pruned wholesale
+    /// because its best ceiling fell below the floor.
+    ///
+    /// With `promoting`, the queue holds certificate survivors rather than
+    /// gathered candidates: one that drops below the floor was only ever a
+    /// bound check and is not counted, one that gets scored is counted as
+    /// promoted *and* scanned.
+    pub(crate) fn step(
+        &self,
+        queue: &mut LadderQueue,
+        heap: &mut BinaryHeap<WorstFirst>,
+        promoting: bool,
+        trace: &mut QueryTrace,
+        sp: &mut Span,
+    ) -> bool {
+        let Some(mut e) = queue.pop() else {
+            return false;
+        };
+        let cfg = self.rec.config();
+        if self.below_floor(e.key, heap) {
+            // Best-first: every key left in the queue is at most this one.
+            let left = queue.clear() as u64;
+            if !promoting {
+                trace.stats.pruned += 1 + left;
+            }
+            trace.lap_span(sp, Stage::TopK);
+            return false;
+        }
+        trace.lap_span(sp, Stage::TopK);
+        let i = e.idx as usize;
+        if !e.refined {
+            e.refined = true;
+            let (lo, hi) = self.rec.arena().mean_ranges();
+            let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
+                0.0
+            } else {
+                kappa_upper_bound(self.qv, (self.view_of)(i), self.bound, cfg.matching)
+            };
+            e.key = strategy_score(self.strategy, cfg.omega, kappa_ub, e.sj);
+            trace.lap_span(sp, Stage::Bound);
+            let dropped = self.below_floor(e.key, heap);
+            if dropped || queue.best_key().is_some_and(|next| next > e.key) {
+                if !dropped {
+                    queue.refined.push(e);
+                } else if !promoting {
+                    trace.stats.pruned += 1;
+                }
+                trace.lap_span(sp, Stage::TopK);
+                return true;
+            }
+        }
+        // Still the best ceiling in play: score it. A key equal to the score
+        // at `κJ = 0` already *is* the exact score (the score is monotone in
+        // `κJ` and the key bounds it from above), so only a key above it
+        // pays for the sweep.
+        let score = if e.key == strategy_score(self.strategy, cfg.omega, 0.0, e.sj) {
+            trace.stats.pruned += 1;
+            e.key
+        } else {
+            trace.stats.exact_evals += 1;
+            let kappa =
+                kappa_exact_cached(self.qv, (self.view_of)(i), cfg.matching, &mut trace.stats);
+            let score = strategy_score(self.strategy, cfg.omega, kappa, e.sj);
+            trace.lap_span(sp, Stage::Emd);
+            score
+        };
+        if promoting {
+            trace.promoted += 1;
+            trace.stats.scanned += 1;
+        }
+        let video = self.rec.videos[i].id;
+        push_top_k(heap, WorstFirst(Scored { video, score }), self.top_k);
+        trace.lap_span(sp, Stage::TopK);
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::ScoringArena;
+    use proptest::prelude::{prop, prop_assert, proptest, ProptestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use viderec_signature::cuboid::{Cuboid, CuboidSignature};
@@ -511,7 +771,6 @@ mod tests {
 
     #[test]
     fn cached_exact_kappa_matches_series_kappa() {
-        use viderec_signature::kappa_j_series_pruned;
         let mut rng = StdRng::seed_from_u64(94);
         for _ in 0..60 {
             let a = random_series(&mut rng, 6);
@@ -522,12 +781,12 @@ mod tests {
                 };
                 let qc = ScoringArena::for_series(&a, PruneBound::Centroid, false);
                 let vc = ScoringArena::for_series(&b, PruneBound::Centroid, false);
-                // Bit-identical, not merely close: same pre-filter, same
-                // sweep, same greedy matcher.
+                // Bit-identical, not merely close: same sweep, same
+                // threshold test, same greedy matcher.
                 let mut stats = PruneStats::default();
                 assert_eq!(
                     kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut stats),
-                    kappa_j_series_pruned(&a, &b, cfg),
+                    kappa_j_series(&a, &b, cfg),
                     "τ={tau}"
                 );
             }
@@ -572,63 +831,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn embed_tier_ceiling_is_admissible_and_no_looser_than_anchor_tier() {
-        let mut rng = StdRng::seed_from_u64(96);
-        let bound = PruneBound::Best {
-            lo: -45.0,
-            hi: 45.0,
+    /// A series from `(value, relative weight)` shapes, every value shifted
+    /// by `shift`; each signature's last cuboid takes the mass the others
+    /// leave, so dyadic weights stay dyadic.
+    fn shaped_series(shape: &[Vec<(f64, f64)>], shift: f64) -> SignatureSeries {
+        let sigs = shape.iter().map(|sig| {
+            let mass: f64 = sig.iter().map(|&(_, w)| w).sum();
+            let last = sig.len() - 1;
+            let used: f64 = sig[..last].iter().map(|&(_, w)| w / mass).sum();
+            let cuboids = sig.iter().enumerate().map(|(n, &(v, w))| Cuboid {
+                value: v + shift,
+                weight: if n == last { 1.0 - used } else { w / mass },
+            });
+            CuboidSignature::new(cuboids.collect())
+        });
+        SignatureSeries::new(sigs.collect())
+    }
+
+    /// A series and its copy shifted by exactly the match radius have every
+    /// aligned pair at `EMD == radius` give or take the sweep's rounding.
+    /// The cached evaluation must agree with the unscreened measure bit for
+    /// bit, so must the screened series measure the naive scan scores with,
+    /// and every ceiling must stay above them, for any anchor domain.
+    fn check_on_the_radius(shape: &[Vec<(f64, f64)>], tau: f64, hi: f64, quantize: bool) -> f64 {
+        use viderec_signature::kappa_j_series_pruned;
+        let cfg = MatchingConfig {
+            min_similarity: tau,
         };
-        for _ in 0..60 {
-            let a = random_series(&mut rng, 6);
-            let b = random_series(&mut rng, 6);
-            for tau in [0.3, 0.5, 0.8] {
-                let cfg = MatchingConfig {
-                    min_similarity: tau,
-                };
-                let qc = ScoringArena::for_series(&a, bound, false);
-                let vc = ScoringArena::for_series(&b, bound, false);
-                let exact = kappa_j_series(&a, &b, cfg);
-                let tier1 = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
-                let tier2 = kappa_upper_bound_embed(qc.view(0), vc.view(0), bound, cfg);
-                assert!(
-                    tier2 >= exact - 1e-12,
-                    "τ={tau}: tier-2 ceiling {tier2} below exact κJ {exact}"
-                );
-                assert!(
-                    tier2 <= tier1 + 1e-12,
-                    "τ={tau}: tier-2 ceiling {tier2} looser than tier-1 {tier1}"
-                );
-            }
+        let (a, b) = (
+            shaped_series(shape, 0.0),
+            shaped_series(shape, 1.0 / tau - 1.0),
+        );
+        let want = kappa_j_series(&a, &b, cfg);
+        assert_eq!(kappa_j_series_pruned(&a, &b, cfg).to_bits(), want.to_bits());
+        for bound in [PruneBound::Centroid, PruneBound::Best { lo: -hi, hi }] {
+            let qc = ScoringArena::for_series(&a, bound, quantize);
+            let vc = ScoringArena::for_series(&b, bound, quantize);
+            let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut PruneStats::default());
+            assert_eq!(got.to_bits(), want.to_bits(), "{bound:?}");
+            let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
+            assert!(ub >= want, "{bound:?}: ceiling {ub} under exact {want}");
+            let (q, v) = (qc.mean_ranges(), vc.mean_ranges());
+            let reach = cfg.radius() + Slack::between(qc.rounding(), vc.rounding()).give;
+            assert!(want == 0.0 || !separated((q.0[0], q.1[0]), (v.0[0], v.1[0]), reach));
+        }
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Regression for the pixel-pipeline defect: dyadic values (a 1/8
+        /// grid) and weights (sixteenths) put the aligned pairs on the
+        /// radius to the bit, so `SimC == τ` and the pair matches — unless
+        /// a screen whose cached sums rounded an ulp high throws it out.
+        #[test]
+        fn dyadic_pairs_exactly_on_the_radius_are_never_screened_out(
+            shape in prop::collection::vec(
+                prop::collection::vec((-120..120i32, 1..4u32), 1..5), 1..4),
+            hi in 9.0..120.0f64,
+            quantize in 0..2u32,
+        ) {
+            let shape: Vec<Vec<(f64, f64)>> = shape
+                .iter()
+                .map(|sig| {
+                    let spare = 16 - sig.iter().map(|&(_, w)| w).sum::<u32>();
+                    let mut sig: Vec<_> =
+                        sig.iter().map(|&(v, w)| (v as f64 / 8.0, w as f64)).collect();
+                    sig.last_mut().unwrap().1 += spare as f64;
+                    sig
+                })
+                .collect();
+            let want = check_on_the_radius(&shape, 0.5, hi, quantize == 1);
+            prop_assert!(want > 0.0, "aligned pairs sit on the radius and match");
+        }
+
+        /// The same without the grid: arbitrary values and weights, mixed
+        /// signs around a mean near zero, and radii that are not themselves
+        /// representable — the swept distance lands an ulp or two either
+        /// side of the radius and the matcher's own `SimC ≥ τ` decides.
+        #[test]
+        fn shifted_copies_agree_with_the_unscreened_measure(
+            shape in prop::collection::vec(
+                prop::collection::vec((-45.0..45.0f64, 0.1..1.0f64), 1..5), 1..4),
+            tau in 0..3usize,
+            hi in 9.0..120.0f64,
+            quantize in 0..2u32,
+        ) {
+            check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau], hi, quantize == 1);
         }
     }
 
-    #[test]
-    fn embed_tier_falls_back_when_grids_differ() {
-        let mut rng = StdRng::seed_from_u64(97);
-        let a = random_series(&mut rng, 4);
-        let b = random_series(&mut rng, 4);
-        let cfg = MatchingConfig::default();
-        let bound = PruneBound::default();
-        let qc = ScoringArena::for_series(&a, bound, false);
-        // Same anchor feats domain would be required for tier 1, so give the
-        // video arena the same bound but check the cross-grid guard via a
-        // foreign-domain query arena.
-        let foreign = PruneBound::Best {
-            lo: -128.0,
-            hi: 128.0,
+    /// One signature per video: a point mass, or two half masses `±spread`
+    /// around the same mean (which the centroid and — inside the anchors'
+    /// spacing — the anchor bound cannot tell from the point mass).
+    fn one_sig(mean: f64, spread: f64) -> SignatureSeries {
+        let cuboids = if spread == 0.0 {
+            vec![(mean, 1.0)]
+        } else {
+            vec![(mean - spread, 0.5), (mean + spread, 0.5)]
         };
-        let vc = ScoringArena::for_series(&b, foreign, false);
-        let qv = qc.view(0);
-        let vv = vc.view(0);
-        assert!(!qv.embed_grid_matches(&vv));
-        // With mismatched grids the tier-2 ceiling must equal tier 1 (the
-        // embedding term is skipped entirely). Feats domains differ too, but
-        // both calls read the same feats, so the values must coincide.
+        let cuboids = cuboids
+            .into_iter()
+            .map(|(value, weight)| Cuboid { value, weight });
+        SignatureSeries::new(vec![CuboidSignature::new(cuboids.collect())])
+    }
+
+    #[test]
+    fn ladder_sweeps_exactly_the_ceilings_that_reach_the_final_floor_and_keeps_ties() {
+        use crate::{CorpusVideo, QueryVideo, RecommenderConfig};
+        use viderec_video::VideoId;
+        // Against a point-mass query at 0 with τ = 0.5 (radius 1), CR scores
+        // `1 / (1 + EMD)` inside the radius and 0 outside. (mean, spread):
+        let shapes = [
+            (0.25, 0.0), // exact 0.8, tight ceiling
+            (0.0, 0.5),  // exact 2/3, ceiling 1: the loose one
+            (0.5, 0.0),  // exact 2/3 again: a tie at the final floor
+            (0.9, 0.0),  // exact 0.526, tight ceiling below the floor
+            (5.0, 0.0),  // mean gap over the radius: separated, κJ = 0
+            (0.0, 3.0),  // ceiling 0.583 (anchors 2.29 off the mean), exact 0
+        ];
+        let corpus = shapes
+            .iter()
+            .enumerate()
+            .map(|(n, &(mean, spread))| CorpusVideo {
+                id: VideoId(10 + n as u64),
+                series: one_sig(mean, spread),
+                users: vec![format!("u{n}")],
+            });
+        let cfg = RecommenderConfig {
+            k_subcommunities: 2,
+            ..Default::default()
+        };
+        let rec = Recommender::build(cfg, corpus.collect()).unwrap();
+        let query = QueryVideo {
+            series: one_sig(0.0, 0.0),
+            users: Vec::new(),
+        };
+        let (top, stats) = rec.recommend_with_stats(Strategy::Cr, &query, 2, &[]);
         assert_eq!(
-            kappa_upper_bound_embed(qv, vv, bound, cfg),
-            kappa_upper_bound(qv, vv, bound, cfg)
+            top,
+            rec.recommend_naive_excluding(Strategy::Cr, &query, 2, &[])
         );
+        // The tie at the floor is swept and resolved by id, not pruned.
+        assert_eq!((top[1].video, top[1].score), (VideoId(11), 1.0 / 1.5));
+
+        // Refinement-optimality: swept ⟺ last ceiling ≥ final floor.
+        let floor = top[1].score;
+        let bound = rec.arena().bound();
+        let matching = rec.config().matching;
+        let qc = ScoringArena::for_series(&query.series, bound, false);
+        let ceilings = (0..shapes.len()).map(|i| {
+            let (lo, hi) = rec.arena().mean_ranges();
+            if separated((0.0, 0.0), (lo[i], hi[i]), matching.radius()) {
+                0.0
+            } else {
+                kappa_upper_bound(qc.view(0), rec.arena().view(i), bound, matching)
+            }
+        });
+        let reach = ceilings.filter(|&c| c >= floor).count() as u64;
+        assert_eq!((reach, stats.exact_evals), (3, 3));
+        assert_eq!(stats.pruned + stats.exact_evals, stats.scanned);
     }
 
     #[test]
@@ -680,10 +1043,10 @@ mod tests {
         s.absorb(PruneStats {
             scanned: 8,
             pruned: 6,
-            pruned_embed: 2,
             exact_evals: 2,
             cap_aborted: 5,
             full_sweeps: 3,
+            ..Default::default()
         });
         s.absorb(PruneStats {
             scanned: 2,
@@ -696,7 +1059,7 @@ mod tests {
             PruneStats {
                 scanned: 10,
                 pruned: 6,
-                pruned_embed: 2,
+                pruned_embed: 0,
                 exact_evals: 4,
                 cap_aborted: 5,
                 full_sweeps: 3,

@@ -46,6 +46,12 @@ pub(crate) fn push_top_k(heap: &mut BinaryHeap<WorstFirst>, entry: WorstFirst, k
     }
 }
 
+/// The pruning floor of a `k`-bounded heap: its k-th best score once it holds
+/// `k` entries, `None` while it is short (nothing can be pruned yet).
+pub(crate) fn floor_of(heap: &BinaryHeap<WorstFirst>, k: usize) -> Option<f64> {
+    heap.peek().filter(|_| heap.len() == k).map(|w| w.0.score)
+}
+
 /// Sorts a result list into the ranking order the recommender returns.
 pub(crate) fn sort_ranked(scored: &mut [Scored]) {
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.video.cmp(&b.video)));

@@ -52,7 +52,8 @@ pub use lower_bounds::{
 };
 pub use matrix::DenseMatrix;
 pub use measures::{
-    extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound, MatchingConfig,
+    extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound, rounding_allowance,
+    MatchingConfig,
 };
 pub use quant::{
     quant_area_exceeds, quant_area_threshold, quantize_lanes, QuantSignature, QUANT_VALUE_SCALE,

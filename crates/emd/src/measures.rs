@@ -27,6 +27,43 @@ impl Default for MatchingConfig {
     }
 }
 
+impl MatchingConfig {
+    /// The match radius: every float distance `d` whose `SimC`
+    /// ([`crate::sim_c`]) passes the matcher's `SimC ≥ τ` test is at most
+    /// this (infinite when every pair is eligible). That is `1/τ − 1`
+    /// widened by twice the roundings between the two forms of the test —
+    /// `1 + d`, its reciprocal, and this quotient and difference, each at
+    /// most half an `ε` of `1 + d` — so a screen or sweep cap that compares
+    /// a distance with the radius never rejects a pair the matcher would
+    /// take; the matcher's own test still decides every pair inside it.
+    pub fn radius(&self) -> f64 {
+        if self.min_similarity > 0.0 {
+            let radius = 1.0 / self.min_similarity - 1.0;
+            radius + 4.0 * f64::EPSILON * (1.0 + radius)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// How far a float EMD lower bound can sit above the float EMD sweep of the
+/// same pair through rounding alone, when the two signatures hold `terms`
+/// cuboids between them and every summed magnitude is at most `scale` (the
+/// sum of the two signatures' largest `|value|`, mass being 1).
+///
+/// A cached mean or anchor feature is a recursive sum of one product per
+/// cuboid, off by at most `(n + 1)·ε/2` of the summed magnitudes, and a
+/// bound is the difference of two of them: `(terms + 3)·ε/2 · scale`. The
+/// sweep adds one `|ΔF|·Δt` term per cuboid; its running CDFs are off by
+/// `terms·ε/2`, over a support no wider than `scale`, and the accumulation
+/// adds as much again: `(terms + 1.5)·ε · scale`. Together under
+/// `2·(terms + 2)·ε · scale`. A screen that skips a pair only when
+/// `bound − allowance > radius` therefore skips only pairs whose swept
+/// distance is over the radius too.
+pub fn rounding_allowance(terms: usize, scale: f64) -> f64 {
+    2.0 * (terms + 2) as f64 * f64::EPSILON * scale
+}
+
 /// `κJ(S₁, S₂)` with greedy one-to-one matching (the system's measure).
 ///
 /// `sim(i, j)` must return the similarity between the i-th signature of `S₁`
@@ -133,6 +170,31 @@ pub fn extended_jaccard_all_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn radius_covers_every_distance_the_threshold_test_accepts() {
+        for step in 1..200 {
+            let cfg = MatchingConfig {
+                min_similarity: step as f64 / 200.0,
+            };
+            let radius = cfg.radius();
+            assert!(crate::sim_c(radius + radius * f64::EPSILON) < cfg.min_similarity);
+            // Walk up from below `1/τ − 1` an ulp at a time: whatever the
+            // matcher accepts lies inside the radius.
+            let mut d = (1.0 / cfg.min_similarity - 1.0) * (1.0 - 8.0 * f64::EPSILON);
+            for _ in 0..64 {
+                assert!(crate::sim_c(d) < cfg.min_similarity || d <= radius);
+                d = f64::from_bits(d.to_bits() + 1);
+            }
+        }
+        assert_eq!(
+            MatchingConfig {
+                min_similarity: 0.0
+            }
+            .radius(),
+            f64::INFINITY
+        );
+    }
 
     #[test]
     fn identical_series_score_one() {

@@ -57,7 +57,7 @@ pub struct LsbForest<P> {
     len: usize,
 }
 
-impl<P: Clone + Eq + std::hash::Hash> LsbForest<P> {
+impl<P: Clone + Ord> LsbForest<P> {
     /// Empty forest for `dims`-dimensional points.
     ///
     /// # Panics
@@ -189,21 +189,59 @@ impl<P: Clone + Eq + std::hash::Hash> LsbForest<P> {
         self.expand(point, |_pulled, lcp| lcp >= min_lcp)
     }
 
-    /// Shared bidirectional cursor expansion: per tree, pull the side with
-    /// the longer common prefix while `keep(pulled_so_far, next_lcp)` holds,
-    /// dedup across trees keeping each payload's best LCP, and sort best
-    /// prefix first.
+    /// The raw pull sequence behind [`Self::query_monotone`]: every payload
+    /// the per-tree `limit`-bounded expansion touches, duplicates included
+    /// and in no useful order, handed to `visit` without being collected.
+    /// For callers with a cheaper dedup of their own than the sort this
+    /// module would do (the recommender's gather marks a bitset); the
+    /// visited *set* equals `query_monotone`'s, so it is monotone in `limit`
+    /// just the same.
+    pub fn visit_monotone(&self, point: &[f64], limit: usize, mut visit: impl FnMut(&P)) {
+        if limit > 0 {
+            self.pull(point, |pulled, _lcp| pulled < limit, |v, _lcp| visit(v));
+        }
+    }
+
+    /// Shared bidirectional cursor expansion: [`Self::pull`]ed candidates,
+    /// deduplicated across trees keeping each payload's best LCP, best prefix
+    /// first and equal prefixes by payload ascending. The order is a function
+    /// of the pulls alone — no hasher — so [`Self::query`]'s truncation keeps
+    /// the same candidates on every call.
+    fn expand(&self, point: &[f64], keep: impl FnMut(usize, u32) -> bool) -> Vec<LsbCandidate<P>> {
+        let mut out: Vec<LsbCandidate<P>> = Vec::new();
+        self.pull(point, keep, |v, lcp| {
+            out.push(LsbCandidate {
+                payload: v.clone(),
+                lcp,
+            })
+        });
+        // Dedup by payload, keeping each one's best LCP; the stable sort on
+        // LCP alone then leaves equal prefixes in payload order.
+        out.sort_unstable_by(|a, b| a.payload.cmp(&b.payload));
+        out.dedup_by(|later, kept| {
+            let same = later.payload == kept.payload;
+            if same {
+                kept.lcp = kept.lcp.max(later.lcp);
+            }
+            same
+        });
+        out.sort_by_key(|c| std::cmp::Reverse(c.lcp));
+        out
+    }
+
+    /// Per tree, pulls the side with the longer common prefix while
+    /// `keep(pulled_so_far, next_lcp)` holds, visiting every `(payload, lcp)`.
     // viderec-lint: allow(serve-no-panic) — every `.expect("peeked")`
     // is dominated by the `peek_key()` match that just proved that
     // cursor side non-empty.
-    fn expand(
+    fn pull(
         &self,
         point: &[f64],
         mut keep: impl FnMut(usize, u32) -> bool,
-    ) -> Vec<LsbCandidate<P>> {
+        mut visit: impl FnMut(&P, u32),
+    ) {
         assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
         let total_bits = self.total_bits();
-        let mut best: std::collections::HashMap<P, u32> = std::collections::HashMap::new();
         for (lsh, tree) in &self.trees {
             let q = self.zvalue(lsh, point);
             let mut fwd = tree.cursor_forward(q);
@@ -232,21 +270,10 @@ impl<P: Clone + Eq + std::hash::Hash> LsbForest<P> {
                     bwd.next().expect("peeked")
                 };
                 let lcp = common_prefix_len(q, key, total_bits);
-                for v in values {
-                    let e = best.entry(v.clone()).or_insert(lcp);
-                    if lcp > *e {
-                        *e = lcp;
-                    }
-                    pulled += 1;
-                }
+                values.iter().for_each(|v| visit(v, lcp));
+                pulled += values.len();
             }
         }
-        let mut out: Vec<LsbCandidate<P>> = best
-            .into_iter()
-            .map(|(payload, lcp)| LsbCandidate { payload, lcp })
-            .collect();
-        out.sort_by_key(|c| std::cmp::Reverse(c.lcp));
-        out
     }
 }
 
@@ -318,6 +345,25 @@ mod tests {
     }
 
     #[test]
+    fn truncated_query_is_deterministic_with_ties_by_payload() {
+        let mut f: LsbForest<u32> = LsbForest::new(cfg(), 4);
+        let mut rng = StdRng::seed_from_u64(13);
+        // Few distinct points under many payloads: LCP ties at every cut.
+        let points: Vec<Vec<f64>> = (0..6).map(|_| random_point(&mut rng, 4, 8.0)).collect();
+        for i in 0..120u32 {
+            f.insert(&points[i as usize % points.len()], i);
+        }
+        for limit in [1, 7, 20, 64] {
+            let first = f.query(&points[0], limit);
+            assert_eq!(first, f.query(&points[0], limit), "limit {limit}");
+            assert_eq!(first, f.clone().query(&points[0], limit), "limit {limit}");
+            for w in first.windows(2) {
+                assert!((w[1].lcp, w[0].payload) < (w[0].lcp, w[1].payload));
+            }
+        }
+    }
+
+    #[test]
     fn limit_respected_and_dedup() {
         let mut f: LsbForest<u8> = LsbForest::new(cfg(), 4);
         let p = [1.0, 2.0, 3.0, 4.0];
@@ -378,6 +424,11 @@ mod tests {
                 "widening the fan-out from {} to {limit} dropped a candidate",
                 limit - 1
             );
+            let mut visited = std::collections::BTreeSet::new();
+            f.visit_monotone(&q, limit, |&p| {
+                visited.insert(p);
+            });
+            assert_eq!(visited, cur, "the raw pulls cover the same set");
             // The truncated query draws from the same pulls, so everything it
             // returns must already be in the untruncated set.
             let truncated = payload_set(&f.query(&q, limit));

@@ -291,10 +291,11 @@ pub struct Metrics {
     pub events_failed: AtomicU64,
     /// Snapshots published (≥ 1 once the first update lands).
     pub snapshots_published: AtomicU64,
-    /// Candidates pruned by the anchor-bound tier (ceiling sort + tail
-    /// prune) across traced `/recommend` queries.
+    /// Candidates the bound ladder kept out of exact evaluation (any rung)
+    /// across traced `/recommend` queries.
     pub prune_anchor: AtomicU64,
-    /// Candidates pruned by the cached-embedding recheck tier.
+    /// Retired with the cached-embedding tier: never incremented, exposed as
+    /// a constant 0 so dashboards keyed on the family keep resolving.
     pub prune_embed: AtomicU64,
     /// Capped EMD sweeps aborted early (threshold exceeded or quantized
     /// screen fired) across traced queries.
@@ -415,12 +416,12 @@ impl Metrics {
             (
                 "serve_prune_anchor_total",
                 c(&self.prune_anchor),
-                "Candidates pruned by the anchor-bound tier in traced queries.",
+                "Candidates pruned on a bound-ladder rung in traced queries.",
             ),
             (
                 "serve_prune_embed_total",
                 c(&self.prune_embed),
-                "Candidates pruned by the cached-embedding recheck tier.",
+                "Retired, always 0: the cached-embedding tier was deleted.",
             ),
             (
                 "serve_emd_cap_aborted_total",

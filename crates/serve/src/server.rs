@@ -540,14 +540,9 @@ fn recommend(
                 ctx.metrics.stage_alloc_bytes[stage.index()].record(alloc.bytes);
             }
         }
-        // Per-tier prune accounting: `pruned` counts both tiers, so the
-        // anchor tier is the difference.
         let s = &trace.stats;
         let ord = std::sync::atomic::Ordering::Relaxed;
-        ctx.metrics
-            .prune_anchor
-            .fetch_add(s.pruned - s.pruned_embed, ord);
-        ctx.metrics.prune_embed.fetch_add(s.pruned_embed, ord);
+        ctx.metrics.prune_anchor.fetch_add(s.pruned, ord);
         ctx.metrics.emd_cap_aborted.fetch_add(s.cap_aborted, ord);
         ctx.metrics.emd_full_sweeps.fetch_add(s.full_sweeps, ord);
         ctx.traces.record(&trace);

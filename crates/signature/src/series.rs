@@ -9,7 +9,7 @@ use crate::cuboid::CuboidSignature;
 use serde::{Deserialize, Serialize};
 use viderec_emd::dtw::dtw_similarity;
 use viderec_emd::erp::erp_similarity;
-use viderec_emd::{extended_jaccard, MatchingConfig};
+use viderec_emd::{extended_jaccard, rounding_allowance, MatchingConfig};
 
 /// The ordered cuboid signatures of one video.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -59,23 +59,35 @@ pub fn kappa_j_series(a: &SignatureSeries, b: &SignatureSeries, cfg: MatchingCon
 /// match when `SimC ≥ τ`, i.e. `EMD ≤ 1/τ − 1`; since
 /// `|mean(C₁) − mean(C₂)| ≤ EMD`, any pair whose centroid gap exceeds that
 /// radius is skipped without solving the EMD. Returns *exactly* the same
-/// value as [`kappa_j_series`] (the bound is sound); it is the "LSH-based
-/// optimization … to reduce the number of EMD-based signature measures" of
-/// §4.1 in filter form, and the hot path used by the recommender.
+/// value as [`kappa_j_series`], bit for bit: the gap is a float sum compared
+/// against a distance the sweep computes in floats too, so it has to clear
+/// the radius by [`rounding_allowance`] before the pair is skipped — a pair
+/// sitting on the radius goes to the sweep, which decides it. It is the
+/// "LSH-based optimization … to reduce the number of EMD-based signature
+/// measures" of §4.1 in filter form, and the reference the recommender's
+/// scans are checked against.
 pub fn kappa_j_series_pruned(a: &SignatureSeries, b: &SignatureSeries, cfg: MatchingConfig) -> f64 {
     if cfg.min_similarity <= 0.0 {
         return kappa_j_series(a, b, cfg);
     }
-    let radius = 1.0 / cfg.min_similarity - 1.0;
-    let mean =
-        |sig: &CuboidSignature| -> f64 { sig.cuboids().iter().map(|c| c.value * c.weight).sum() };
-    let means_a: Vec<f64> = a.signatures().iter().map(mean).collect();
-    let means_b: Vec<f64> = b.signatures().iter().map(mean).collect();
+    let radius = cfg.radius();
+    // Per signature: mean, cuboid count, largest |value|.
+    let summary = |sig: &CuboidSignature| -> (f64, usize, f64) {
+        let cuboids = sig.cuboids();
+        (
+            cuboids.iter().map(|c| c.value * c.weight).sum(),
+            cuboids.len(),
+            cuboids.iter().map(|c| c.value.abs()).fold(0.0, f64::max),
+        )
+    };
+    let of_a: Vec<_> = a.signatures().iter().map(summary).collect();
+    let of_b: Vec<_> = b.signatures().iter().map(summary).collect();
     extended_jaccard(
         a.len(),
         b.len(),
         |i, j| {
-            if (means_a[i] - means_b[j]).abs() > radius {
+            let ((mean_a, n_a, abs_a), (mean_b, n_b, abs_b)) = (of_a[i], of_b[j]);
+            if (mean_a - mean_b).abs() > radius + rounding_allowance(n_a + n_b, abs_a + abs_b) {
                 // Lower bound already exceeds the match radius: SimC < τ.
                 0.0
             } else {
@@ -210,10 +222,7 @@ mod tests {
                 };
                 let exact = kappa_j_series(&a, &b, cfg);
                 let pruned = kappa_j_series_pruned(&a, &b, cfg);
-                assert!(
-                    (exact - pruned).abs() < 1e-12,
-                    "τ={tau}: exact {exact} vs pruned {pruned}"
-                );
+                assert_eq!(exact, pruned, "τ={tau}");
             }
         }
     }
