@@ -18,6 +18,13 @@
 //!    zero-extension pass);
 //! 4. the Eq. 8 cost model prices the run from the measured counters.
 //!
+//! The recommender's components are shared with every published snapshot
+//! (see [`Recommender`]'s `Clone`), so each write below first unshares what
+//! it is about to change: components through [`write`], which also records
+//! them in the round's write set, and social rows — only the ones that
+//! actually change — through [`Arc::make_mut`]. "Only the affected
+//! structures" is therefore also what a snapshot costs.
+//!
 //! [`Recommender::add_videos`] is the corpus-growth counterpart: new videos
 //! enter every index incrementally — including the scoring arena, which is
 //! *extended* per video ([`crate::arena::ScoringArena::push_series`]), never
@@ -25,7 +32,8 @@
 
 use crate::corpus::CorpusVideo;
 use crate::errors::RecError;
-use crate::recommender::{vectorize_sparse, Recommender, StoredVideo};
+use crate::recommender::{intern_users, part, vectorize_sparse, write, Recommender, SocialRow};
+use std::sync::Arc;
 use viderec_social::cost::CostModel;
 use viderec_social::update::MaintenanceReport;
 use viderec_social::UserId;
@@ -89,30 +97,43 @@ impl Recommender {
         let mut commented_videos: Vec<u32> = Vec::new();
         let mut comments_applied = 0usize;
         for update in updates {
-            let Some(&vidx) = self.by_id.get(&update.video) else {
+            let Some(&vidx) = self.content.by_id.get(&update.video) else {
                 continue; // comment on a video outside the corpus
             };
-            let user = self.registry.intern(&update.user);
-            let video = &mut self.videos[vidx];
-            if !video.descriptor.insert(user) {
+            // Only a never-seen name writes the registry.
+            let user = match self.registry.get(&update.user) {
+                Some(user) => user,
+                None => write(&mut self.registry, &mut self.written, part::REGISTRY)
+                    .intern(&update.user),
+            };
+            if self.videos[vidx].descriptor.contains(user) {
                 continue; // repeat comment: no new interest connection
             }
+            let video = Arc::make_mut(&mut self.videos[vidx]);
+            video.descriptor.insert(user);
             comments_applied += 1;
-            video.user_names.push(update.user.clone());
+            video
+                .user_names
+                .push(Arc::clone(self.registry.shared_name(user)));
             for other in video.descriptor.iter() {
                 if other != user {
                     connections.push((user, other, 1));
                 }
             }
-            self.videos_of_user
-                .entry(user)
-                .or_default()
-                .push(vidx as u32);
+            write(
+                &mut self.videos_of_user,
+                &mut self.written,
+                part::VIDEOS_OF_USER,
+            )
+            .entry(user)
+            .or_default()
+            .push(vidx as u32);
             commented_videos.push(vidx as u32);
         }
 
         // --- 2. Fig. 5 merge/split maintenance ---
-        let report = self.maintenance.apply_connections(&connections);
+        let report = write(&mut self.maintenance, &mut self.written, part::MAINTENANCE)
+            .apply_connections(&connections);
 
         // --- 3 + 4. incremental index sync, priced by Eq. 8 ---
         let (videos_rewritten, estimated_seconds) =
@@ -132,7 +153,8 @@ impl Recommender {
     /// split, and — like [`Self::apply_social_updates`] — only the affected
     /// index structures are rewritten.
     pub fn age_social_connections(&mut self, amount: u32) -> UpdateSummary {
-        let report = self.maintenance.age_connections(amount);
+        let report = write(&mut self.maintenance, &mut self.written, part::MAINTENANCE)
+            .age_connections(amount);
         let (videos_rewritten, estimated_seconds) =
             self.sync_after_maintenance(&report, Vec::new());
         UpdateSummary {
@@ -162,7 +184,7 @@ impl Recommender {
         {
             let mut seen = std::collections::HashSet::new();
             for v in &additions {
-                if self.by_id.contains_key(&v.id) || !seen.insert(v.id) {
+                if self.content.by_id.contains_key(&v.id) || !seen.insert(v.id) {
                     return Err(RecError::DuplicateVideo(v.id.0));
                 }
             }
@@ -171,15 +193,12 @@ impl Recommender {
         // Intern users, build descriptors, collect the pairwise connections
         // the new engagements imply (the UIG edge weight is the common-video
         // count, so each co-engagement pair contributes +1).
-        let mut descriptors = Vec::with_capacity(additions.len());
+        let registry = write(&mut self.registry, &mut self.written, part::REGISTRY);
+        let mut socials = Vec::with_capacity(additions.len());
         let mut connections: Vec<(UserId, UserId, u32)> = Vec::new();
         let mut comments_applied = 0usize;
         for video in &additions {
-            let desc: viderec_social::SocialDescriptor = video
-                .users
-                .iter()
-                .map(|name| self.registry.intern(name))
-                .collect();
+            let (desc, user_names) = intern_users(registry, &video.users);
             comments_applied += desc.len();
             let ids: Vec<UserId> = desc.iter().collect();
             for (i, &a) in ids.iter().enumerate() {
@@ -187,47 +206,46 @@ impl Recommender {
                     connections.push((a, b, 1));
                 }
             }
-            descriptors.push(desc);
+            socials.push((desc, user_names));
         }
 
-        let report = self.maintenance.apply_connections(&connections);
+        let maintenance = write(&mut self.maintenance, &mut self.written, part::MAINTENANCE);
+        let report = maintenance.apply_connections(&connections);
 
         // Index the new videos. Their vectors are computed against the
         // *post-maintenance* assignment, so they need no later rewrite — but
         // the inverted files must cover any slots that maintenance appended.
-        while self.inverted.k() < self.maintenance.num_slots() {
-            self.inverted.push_community();
+        let assignment = maintenance.assignment_raw();
+        let content = write(&mut self.content, &mut self.written, part::CONTENT);
+        let videos_of_user = write(
+            &mut self.videos_of_user,
+            &mut self.written,
+            part::VIDEOS_OF_USER,
+        );
+        let chained = write(&mut self.chained, &mut self.written, part::CHAINED);
+        let inverted = write(&mut self.inverted, &mut self.written, part::INVERTED);
+        while inverted.k() < maintenance.num_slots() {
+            inverted.push_community();
         }
-        for (video, descriptor) in additions.into_iter().zip(descriptors) {
-            let idx = self.videos.len();
-            self.by_id.insert(video.id, idx);
-            let vector = vectorize_sparse(self.maintenance.assignment_raw(), &descriptor);
+        for (video, (descriptor, user_names)) in additions.into_iter().zip(socials) {
+            let idx = self.videos.len() as u32;
+            let vector = vectorize_sparse(assignment, &descriptor);
             for &(slot, _) in &vector {
-                self.inverted.add_posting(slot as usize, video.id);
+                inverted.add_posting(slot as usize, video.id);
             }
             for user in descriptor.iter() {
-                self.videos_of_user
-                    .entry(user)
-                    .or_default()
-                    .push(idx as u32);
-                let name = self.registry.name(user).to_owned();
-                if let Some(&slot) = self.maintenance.assignment_raw().get(user.index()) {
-                    self.chained.insert(&name, slot);
+                videos_of_user.entry(user).or_default().push(idx);
+                if let Some(&slot) = assignment.get(user.index()) {
+                    chained.insert(registry.name(user), slot);
                 }
             }
-            for sig in video.series.signatures() {
-                self.lsb
-                    .insert(&self.embedder.embed(&sig.as_pairs()), idx as u32);
-            }
-            self.arena.push_series(&video.series);
-            debug_assert_eq!(self.arena.len(), idx + 1, "arena tracks the corpus 1:1");
-            self.videos.push(StoredVideo {
-                id: video.id,
-                series: video.series,
+            let fresh = content.push(video.id, video.series);
+            debug_assert!(fresh, "duplicate ids were rejected above");
+            self.videos.push(Arc::new(SocialRow {
                 descriptor,
-                user_names: video.users,
+                user_names,
                 vector,
-            });
+            }));
         }
 
         // Existing videos touched by reassignments sync like any other
@@ -248,7 +266,8 @@ impl Recommender {
     /// files to any fresh community slots, re-hashes reassigned users, and
     /// re-vectorises affected videos (the `touched` set plus every video of a
     /// reassigned user) with a sparse two-pointer diff — postings change only
-    /// where the support changed. Returns the rewritten-video count and the
+    /// where the support changed, and a row whose vector comes out unchanged
+    /// is not written at all. Returns the rewritten-video count and the
     /// Eq. 8 cost estimate.
     fn sync_after_maintenance(
         &mut self,
@@ -258,20 +277,25 @@ impl Recommender {
         // Splits may have appended community slots: grow the inverted files.
         // Sparse vectors need no zero-extension — absent slots are zeros.
         let slots = self.maintenance.num_slots();
-        while self.inverted.k() < slots {
-            self.inverted.push_community();
+        if self.inverted.k() < slots {
+            let inverted = write(&mut self.inverted, &mut self.written, part::INVERTED);
+            while inverted.k() < slots {
+                inverted.push_community();
+            }
         }
 
+        let assignment = self.maintenance.assignment_raw();
         let mut affected: Vec<u32> = touched;
-        for user in &report.reassigned_users {
-            if let Some(list) = self.videos_of_user.get(user) {
-                affected.extend_from_slice(list);
-            }
-            // Chained hash follows the reassignment.
-            if user.index() < self.registry.len() {
-                let slot = self.maintenance.assignment_raw()[user.index()];
-                let name = self.registry.name(*user).to_owned();
-                self.chained.insert(&name, slot);
+        if !report.reassigned_users.is_empty() {
+            let chained = write(&mut self.chained, &mut self.written, part::CHAINED);
+            for user in &report.reassigned_users {
+                if let Some(list) = self.videos_of_user.get(user) {
+                    affected.extend_from_slice(list);
+                }
+                // Chained hash follows the reassignment.
+                if user.index() < self.registry.len() {
+                    chained.insert(self.registry.name(*user), assignment[user.index()]);
+                }
             }
         }
         affected.sort_unstable();
@@ -279,23 +303,28 @@ impl Recommender {
 
         let mut descriptor_dim_updates = 0usize;
         for &vidx in &affected {
-            let video = &mut self.videos[vidx as usize];
-            let fresh = vectorize_sparse(self.maintenance.assignment_raw(), &video.descriptor);
+            let row = &self.videos[vidx as usize];
+            let fresh = vectorize_sparse(assignment, &row.descriptor);
+            if fresh == row.vector {
+                continue;
+            }
+            let id = self.content.ids[vidx as usize];
+            let inverted = write(&mut self.inverted, &mut self.written, part::INVERTED);
             // Two-pointer diff of the sorted supports: a slot entering or
             // leaving the support moves a posting; a count change in a shared
             // slot only counts as a dimension update.
-            let (old, new) = (&video.vector, &fresh);
+            let (old, new) = (&row.vector, &fresh);
             let (mut i, mut j) = (0usize, 0usize);
             while i < old.len() && j < new.len() {
                 match old[i].0.cmp(&new[j].0) {
                     std::cmp::Ordering::Less => {
                         descriptor_dim_updates += 1;
-                        self.inverted.remove_posting(old[i].0 as usize, video.id);
+                        inverted.remove_posting(old[i].0 as usize, id);
                         i += 1;
                     }
                     std::cmp::Ordering::Greater => {
                         descriptor_dim_updates += 1;
-                        self.inverted.add_posting(new[j].0 as usize, video.id);
+                        inverted.add_posting(new[j].0 as usize, id);
                         j += 1;
                     }
                     std::cmp::Ordering::Equal => {
@@ -309,13 +338,13 @@ impl Recommender {
             }
             for &(slot, _) in &old[i..] {
                 descriptor_dim_updates += 1;
-                self.inverted.remove_posting(slot as usize, video.id);
+                inverted.remove_posting(slot as usize, id);
             }
             for &(slot, _) in &new[j..] {
                 descriptor_dim_updates += 1;
-                self.inverted.add_posting(slot as usize, video.id);
+                inverted.add_posting(slot as usize, id);
             }
-            video.vector = fresh;
+            Arc::make_mut(&mut self.videos[vidx as usize]).vector = fresh;
         }
 
         let estimated_seconds =
@@ -364,14 +393,13 @@ mod tests {
     /// Every sparse vector must equal the from-scratch vectorisation of its
     /// descriptor, and the inverted postings must match the supports.
     fn assert_indexes_consistent(r: &Recommender) {
-        for video in &r.videos {
+        for (video, id) in r.videos.iter().zip(&r.content.ids) {
             let fresh = vectorize_sparse(r.maintenance.assignment_raw(), &video.descriptor);
-            assert_eq!(video.vector, fresh, "video {} vector stale", video.id);
+            assert_eq!(video.vector, fresh, "video {id} vector stale");
             for &(slot, _) in &video.vector {
                 assert!(
-                    r.inverted.postings(slot as usize).contains(&video.id),
-                    "video {} missing from posting list {slot}",
-                    video.id
+                    r.inverted.postings(slot as usize).contains(id),
+                    "video {id} missing from posting list {slot}"
                 );
             }
         }
@@ -485,7 +513,7 @@ mod tests {
         assert_indexes_consistent(&r);
         let q = QueryVideo {
             series: r.series_of(VideoId(0)).unwrap().clone(),
-            users: r.users_of(VideoId(0)).unwrap().to_vec(),
+            users: r.users_of(VideoId(0)).unwrap(),
         };
         let recs = r.recommend(Strategy::CsfSarH, &q, 3);
         assert!(!recs.is_empty());
@@ -494,7 +522,7 @@ mod tests {
     #[test]
     fn recommendations_stay_sane_after_updates() {
         let mut r = Recommender::build(cfg(), corpus()).unwrap();
-        let q_users: Vec<String> = r.users_of(VideoId(1)).unwrap().to_vec();
+        let q_users: Vec<String> = r.users_of(VideoId(1)).unwrap();
         let q = QueryVideo {
             series: r.series_of(VideoId(1)).unwrap().clone(),
             users: q_users,
@@ -544,7 +572,7 @@ mod tests {
         // The new videos are reachable through every query path.
         let q = QueryVideo {
             series: r.series_of(VideoId(4)).unwrap().clone(),
-            users: r.users_of(VideoId(4)).unwrap().to_vec(),
+            users: r.users_of(VideoId(4)).unwrap(),
         };
         for strategy in [Strategy::Csf, Strategy::CsfSar, Strategy::CsfSarH] {
             let recs = r.recommend(strategy, &q, 6);
@@ -571,7 +599,7 @@ mod tests {
         let snapshot = r.clone();
         let q = QueryVideo {
             series: r.series_of(VideoId(0)).unwrap().clone(),
-            users: r.users_of(VideoId(0)).unwrap().to_vec(),
+            users: r.users_of(VideoId(0)).unwrap(),
         };
         // The clone answers bit-identically...
         for strategy in [Strategy::Csf, Strategy::CsfSarH] {

@@ -517,6 +517,7 @@ impl<'a> ParallelRecommender<'a> {
     ) -> ShardResult {
         let omega = self.rec.config().omega;
         let matching = self.rec.config().matching;
+        let ids = &self.rec.content.ids;
         let wall = tracer.start();
         let mut trace = QueryTrace::new(strategy, k);
         let mut sp = tracer.start();
@@ -535,7 +536,7 @@ impl<'a> ParallelRecommender<'a> {
             let sj = self.rec.social_score(strategy, query, prep, idx);
             let score = strategy_score(strategy, omega, content, sj);
             trace.lap_span(&mut sp, Stage::Social);
-            let video = self.rec.videos[idx].id;
+            let video = ids[idx];
             push_top_k(&mut heap, WorstFirst(Scored { video, score }), k);
             trace.lap_span(&mut sp, Stage::TopK);
         }
@@ -605,7 +606,7 @@ mod tests {
         let queries: Vec<QueryVideo> = (0..3)
             .map(|i| QueryVideo {
                 series: rec.series_of(VideoId(i)).unwrap().clone(),
-                users: rec.users_of(VideoId(i)).unwrap().to_vec(),
+                users: rec.users_of(VideoId(i)).unwrap(),
             })
             .collect();
         let par = ParallelRecommender::new(&rec);
@@ -635,7 +636,7 @@ mod tests {
         let queries: Vec<QueryVideo> = (0..3)
             .map(|i| QueryVideo {
                 series: rec.series_of(VideoId(i)).unwrap().clone(),
-                users: rec.users_of(VideoId(i)).unwrap().to_vec(),
+                users: rec.users_of(VideoId(i)).unwrap(),
             })
             .collect();
         let par = ParallelRecommender::new(&rec);
@@ -694,7 +695,7 @@ mod tests {
         );
         let q = QueryVideo {
             series: rec.series_of(VideoId(1)).unwrap().clone(),
-            users: rec.users_of(VideoId(1)).unwrap().to_vec(),
+            users: rec.users_of(VideoId(1)).unwrap(),
         };
         let want = rec.recommend(Strategy::CsfSar, &q, 5);
         assert_eq!(par.recommend_batch(Strategy::CsfSar, &[q], 5), vec![want]);
@@ -705,7 +706,7 @@ mod tests {
         let rec = build();
         let q = QueryVideo {
             series: rec.series_of(VideoId(0)).unwrap().clone(),
-            users: rec.users_of(VideoId(0)).unwrap().to_vec(),
+            users: rec.users_of(VideoId(0)).unwrap(),
         };
         let par = ParallelRecommender::with_config(
             &rec,
@@ -727,7 +728,7 @@ mod tests {
         let queries: Vec<QueryVideo> = (0..4)
             .map(|i| QueryVideo {
                 series: rec.series_of(VideoId(i)).unwrap().clone(),
-                users: rec.users_of(VideoId(i)).unwrap().to_vec(),
+                users: rec.users_of(VideoId(i)).unwrap(),
             })
             .collect();
         let par = ParallelRecommender::with_config(
@@ -769,7 +770,7 @@ mod tests {
         let rec = build();
         let q = QueryVideo {
             series: rec.series_of(VideoId(2)).unwrap().clone(),
-            users: rec.users_of(VideoId(2)).unwrap().to_vec(),
+            users: rec.users_of(VideoId(2)).unwrap(),
         };
         let par = ParallelRecommender::with_config(
             &rec,

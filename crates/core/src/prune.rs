@@ -32,7 +32,8 @@
 //! and only while the ceiling still clears the top-k floor.
 
 use crate::arena::SeriesView;
-use crate::recommender::{Recommender, Scored};
+use crate::config::RecommenderConfig;
+use crate::recommender::{Content, Scored};
 use crate::relevance::{strategy_score, Strategy};
 use crate::topk::{floor_of, push_top_k, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
@@ -575,7 +576,9 @@ impl LadderQueue {
 /// floor — `k` candidates with higher exact scores, hence higher keys, would
 /// have been popped and scored first.
 pub(crate) struct Ladder<'a, 'v> {
-    pub(crate) rec: &'a Recommender,
+    pub(crate) cfg: &'a RecommenderConfig,
+    /// The corpus's content component, dereferenced once per query.
+    pub(crate) content: &'a Content,
     pub(crate) strategy: Strategy,
     /// The query's scoring cache and its signature-mean range.
     pub(crate) qv: SeriesView<'a>,
@@ -649,7 +652,7 @@ impl Ladder<'_, '_> {
         let Some(mut e) = queue.pop() else {
             return false;
         };
-        let cfg = self.rec.config();
+        let cfg = self.cfg;
         if self.below_floor(e.key, heap) {
             // Best-first: every key left in the queue is at most this one.
             let left = queue.clear() as u64;
@@ -663,7 +666,7 @@ impl Ladder<'_, '_> {
         let i = e.idx as usize;
         if !e.refined {
             e.refined = true;
-            let (lo, hi) = self.rec.arena().mean_ranges();
+            let (lo, hi) = self.content.arena.mean_ranges();
             let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
                 0.0
             } else {
@@ -701,7 +704,7 @@ impl Ladder<'_, '_> {
             trace.promoted += 1;
             trace.stats.scanned += 1;
         }
-        let video = self.rec.videos[i].id;
+        let video = self.content.ids[i];
         push_top_k(heap, WorstFirst(Scored { video, score }), self.top_k);
         trace.lap_span(sp, Stage::TopK);
         true
@@ -939,7 +942,7 @@ mod tests {
 
     #[test]
     fn ladder_sweeps_exactly_the_ceilings_that_reach_the_final_floor_and_keeps_ties() {
-        use crate::{CorpusVideo, QueryVideo, RecommenderConfig};
+        use crate::{CorpusVideo, QueryVideo, Recommender};
         use viderec_video::VideoId;
         // Against a point-mass query at 0 with τ = 0.5 (radius 1), CR scores
         // `1 / (1 + EMD)` inside the radius and 0 outside. (mean, spread):

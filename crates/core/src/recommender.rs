@@ -48,7 +48,9 @@ use crate::relevance::{strategy_score, Strategy};
 use crate::topk::{floor_of, push_top_k, sort_ranked, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 use viderec_emd::CdfEmbedder;
 use viderec_index::{ChainedHashTable, InvertedIndex, LsbForest};
 use viderec_signature::{kappa_j_series_pruned as kappa_j_series, SignatureSeries};
@@ -75,44 +77,107 @@ pub(crate) struct PreparedQuery {
     pub(crate) qvec: Vec<(u32, u32)>,
 }
 
+/// What only an ingest writes: identity, content signatures and everything
+/// derived from them. A comment or aging round never touches it, so every
+/// snapshot published between two ingests shares one copy.
 #[derive(Clone)]
-pub(crate) struct StoredVideo {
-    pub(crate) id: VideoId,
-    pub(crate) series: SignatureSeries,
+pub(crate) struct Content {
+    /// Video ids by corpus index.
+    pub(crate) ids: Vec<VideoId>,
+    pub(crate) by_id: HashMap<VideoId, usize>,
+    /// Signature series by corpus index.
+    pub(crate) series: Vec<SignatureSeries>,
+    /// Corpus-owned scoring caches (see [`crate::arena`]): built at ingest,
+    /// extended by [`crate::maintenance`], borrowed by both the sequential
+    /// pruned scan and the batch engine.
+    pub(crate) arena: ScoringArena,
+    pub(crate) lsb: LsbForest<u32>,
+    pub(crate) embedder: CdfEmbedder,
+}
+
+/// One video's social side. Rows are shared one by one, so a round copies
+/// only the rows it writes: those that got a comment or hold a reassigned
+/// user.
+#[derive(Clone)]
+pub(crate) struct SocialRow {
     pub(crate) descriptor: SocialDescriptor,
-    /// Raw user names, kept for the unoptimised exact-`sJ` path.
-    pub(crate) user_names: Vec<String>,
+    /// User names in engagement order (the registry's own allocations),
+    /// kept for the unoptimised exact-`sJ` path.
+    pub(crate) user_names: Vec<Arc<str>>,
     /// Sparse SAR histogram over the community slots: sorted `(slot, count)`
     /// pairs, zero slots omitted. Slots beyond the last entry are implicit
     /// zeros, so community splits never need to touch it.
     pub(crate) vector: Vec<(u32, u32)>,
 }
 
+/// Write-set bits, one per shared component of a [`Recommender`] (the
+/// per-video rows are shared row by row and need none).
+#[doc(hidden)]
+pub mod part {
+    /// Ids, series, scoring arena, LSB forest.
+    pub const CONTENT: u8 = 1 << 0;
+    /// The user registry.
+    pub const REGISTRY: u8 = 1 << 1;
+    /// The user → videos engagement lists.
+    pub const VIDEOS_OF_USER: u8 = 1 << 2;
+    /// UIG and sub-community state.
+    pub const MAINTENANCE: u8 = 1 << 3;
+    /// The chained hash table.
+    pub const CHAINED: u8 = 1 << 4;
+    /// The inverted files.
+    pub const INVERTED: u8 = 1 << 5;
+}
+
+/// The `&mut` accessor every maintenance write goes through: records `bit`
+/// in the write set and unshares `slot` — a copy only while a snapshot still
+/// holds it. Borrows the component alone, so several can be open at once.
+pub(crate) fn write<'a, T: Clone>(slot: &'a mut Arc<T>, written: &mut u8, bit: u8) -> &'a mut T {
+    *written |= bit;
+    Arc::make_mut(slot)
+}
+
 /// The content-social video recommender.
 ///
-/// `Clone` is the *clone-for-publish* path of the serving layer: a deep copy
-/// of every index and the scoring arena, producing an independent corpus
-/// state a single-writer maintenance thread can mutate while readers keep
-/// querying the previous snapshot (see `viderec-serve`). The copy is O(corpus)
-/// in time and memory; queries against the clone are bit-identical to queries
-/// against the original.
-#[derive(Clone)]
+/// A handle over `Arc`-shared components grouped by which event writes them:
+/// content (ingest only), one social row per video (comments on it,
+/// reassignments of its users) and the five social structures. `Clone` is
+/// the serving layer's *publish* path and copies no corpus data: it bumps
+/// one reference count per component and per row. The clone is a snapshot —
+/// every later write to either handle goes through [`Arc::make_mut`] and so
+/// copies what it is about to change unless the writer is the only holder —
+/// and answers queries bit-identically to the original at the moment of the
+/// clone (see `viderec-serve` and [`Self::reprivatise`]).
 pub struct Recommender {
     cfg: RecommenderConfig,
-    pub(crate) registry: UserRegistry,
-    pub(crate) videos: Vec<StoredVideo>,
-    pub(crate) by_id: HashMap<VideoId, usize>,
+    pub(crate) content: Arc<Content>,
+    /// The social rows by corpus index.
+    pub(crate) videos: Vec<Arc<SocialRow>>,
+    pub(crate) registry: Arc<UserRegistry>,
     /// Inverse engagement index: user → indices of videos they engaged with.
-    pub(crate) videos_of_user: HashMap<UserId, Vec<u32>>,
-    pub(crate) maintenance: SocialUpdatesMaintenance,
-    pub(crate) chained: ChainedHashTable<usize>,
-    pub(crate) inverted: InvertedIndex,
-    pub(crate) lsb: LsbForest<u32>,
-    pub(crate) embedder: CdfEmbedder,
-    /// Corpus-owned scoring caches (see [`crate::arena`]): built here at
-    /// ingest, extended by [`crate::maintenance`], borrowed by both the
-    /// sequential pruned scan and the batch engine.
-    pub(crate) arena: ScoringArena,
+    pub(crate) videos_of_user: Arc<HashMap<UserId, Vec<u32>>>,
+    pub(crate) maintenance: Arc<SocialUpdatesMaintenance>,
+    pub(crate) chained: Arc<ChainedHashTable<usize>>,
+    pub(crate) inverted: Arc<InvertedIndex>,
+    /// Components written since the last [`Self::reprivatise`] ([`part`]
+    /// bits).
+    pub(crate) written: u8,
+}
+
+impl Clone for Recommender {
+    fn clone(&self) -> Self {
+        Self {
+            cfg: self.cfg.clone(),
+            content: Arc::clone(&self.content),
+            videos: self.videos.clone(),
+            registry: Arc::clone(&self.registry),
+            videos_of_user: Arc::clone(&self.videos_of_user),
+            maintenance: Arc::clone(&self.maintenance),
+            chained: Arc::clone(&self.chained),
+            inverted: Arc::clone(&self.inverted),
+            // The clone has written nothing yet.
+            written: 0,
+        }
+    }
 }
 
 impl Recommender {
@@ -128,17 +193,12 @@ impl Recommender {
 
         // --- social side: registry, descriptors, UIG ---
         let mut registry = UserRegistry::new();
-        let mut descriptors = Vec::with_capacity(corpus.len());
+        let mut socials = Vec::with_capacity(corpus.len());
         for video in &corpus {
-            let desc: SocialDescriptor = video
-                .users
-                .iter()
-                .map(|name| registry.intern(name))
-                .collect();
-            descriptors.push(desc);
+            socials.push(intern_users(&mut registry, &video.users));
         }
         let mut graph = UserInterestGraph::new(registry.len().max(1));
-        for desc in &descriptors {
+        for (desc, _) in &socials {
             let ids: Vec<_> = desc.iter().collect();
             graph.add_video(&ids);
         }
@@ -155,15 +215,20 @@ impl Recommender {
 
         // --- per-video records + inverted files + LSB forest + arena ---
         let mut inverted = InvertedIndex::new(slots);
-        let mut by_id = HashMap::with_capacity(corpus.len());
         let mut videos_of_user: HashMap<UserId, Vec<u32>> = HashMap::new();
         let mut videos = Vec::with_capacity(corpus.len());
-        let embedder = CdfEmbedder::for_intensity_deltas(cfg.embed_dims);
-        let mut lsb = LsbForest::new(cfg.lsb, cfg.embed_dims);
-        let mut arena = ScoringArena::new(cfg.prune_bound, cfg.kernel == EmdKernel::Quantized);
+        let mut content = Content {
+            ids: Vec::with_capacity(corpus.len()),
+            by_id: HashMap::with_capacity(corpus.len()),
+            series: Vec::with_capacity(corpus.len()),
+            arena: ScoringArena::new(cfg.prune_bound, cfg.kernel == EmdKernel::Quantized),
+            lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
+            embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
+        };
 
-        for (idx, (video, descriptor)) in corpus.into_iter().zip(descriptors).enumerate() {
-            if by_id.insert(video.id, idx).is_some() {
+        for (idx, (video, (descriptor, user_names))) in corpus.into_iter().zip(socials).enumerate()
+        {
+            if !content.push(video.id, video.series) {
                 return Err(RecError::DuplicateVideo(video.id.0));
             }
             let vector = vectorize_sparse(maintenance.assignment_raw(), &descriptor);
@@ -173,32 +238,77 @@ impl Recommender {
             for user in descriptor.iter() {
                 videos_of_user.entry(user).or_default().push(idx as u32);
             }
-            for sig in video.series.signatures() {
-                lsb.insert(&embedder.embed(&sig.as_pairs()), idx as u32);
-            }
-            arena.push_series(&video.series);
-            videos.push(StoredVideo {
-                id: video.id,
-                series: video.series,
+            videos.push(Arc::new(SocialRow {
                 descriptor,
-                user_names: video.users,
+                user_names,
                 vector,
-            });
+            }));
         }
 
         Ok(Self {
             cfg,
-            registry,
+            content: Arc::new(content),
             videos,
-            by_id,
-            videos_of_user,
-            maintenance,
-            chained,
-            inverted,
-            lsb,
-            embedder,
-            arena,
+            registry: Arc::new(registry),
+            videos_of_user: Arc::new(videos_of_user),
+            maintenance: Arc::new(maintenance),
+            chained: Arc::new(chained),
+            inverted: Arc::new(inverted),
+            written: 0,
         })
+    }
+
+    /// Copies, now, every component written since the last call that a
+    /// snapshot still shares, and empties the write set. A writer that
+    /// publishes clones calls this *after* each publish: what one round
+    /// wrote the next round mostly writes again, so the copy-on-write copies
+    /// land here instead of inside the next [`Self::apply_event`]. A no-op
+    /// for a handle nobody shares.
+    pub fn reprivatise(&mut self) {
+        fn unshare<T: Clone>(slot: &mut Arc<T>, written: u8, bit: u8) {
+            if written & bit != 0 {
+                Arc::make_mut(slot);
+            }
+        }
+        let written = std::mem::take(&mut self.written);
+        unshare(&mut self.content, written, part::CONTENT);
+        unshare(&mut self.registry, written, part::REGISTRY);
+        unshare(&mut self.videos_of_user, written, part::VIDEOS_OF_USER);
+        unshare(&mut self.maintenance, written, part::MAINTENANCE);
+        unshare(&mut self.chained, written, part::CHAINED);
+        unshare(&mut self.inverted, written, part::INVERTED);
+    }
+
+    /// Test probe: the write set ([`part`] bits) since the last
+    /// [`Self::reprivatise`].
+    #[doc(hidden)]
+    pub fn written(&self) -> u8 {
+        self.written
+    }
+
+    /// Test probe: which components ([`part`] bits) `self` and `other` hold
+    /// the same allocation of, and how many social rows.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Self) -> (u8, usize) {
+        fn same<T>(a: &Arc<T>, b: &Arc<T>, bit: u8) -> u8 {
+            if Arc::ptr_eq(a, b) {
+                bit
+            } else {
+                0
+            }
+        }
+        let parts = same(&self.content, &other.content, part::CONTENT)
+            | same(&self.registry, &other.registry, part::REGISTRY)
+            | same(
+                &self.videos_of_user,
+                &other.videos_of_user,
+                part::VIDEOS_OF_USER,
+            )
+            | same(&self.maintenance, &other.maintenance, part::MAINTENANCE)
+            | same(&self.chained, &other.chained, part::CHAINED)
+            | same(&self.inverted, &other.inverted, part::INVERTED);
+        let rows = self.videos.iter().zip(&other.videos);
+        (parts, rows.filter(|(a, b)| Arc::ptr_eq(a, b)).count())
     }
 
     /// Configuration in force.
@@ -241,18 +351,23 @@ impl Recommender {
     /// The corpus scoring arena (crate-internal: the batch engine borrows it
     /// instead of deriving its own caches).
     pub(crate) fn arena(&self) -> &ScoringArena {
-        &self.arena
+        &self.content.arena
+    }
+
+    /// Corpus index of a video id.
+    fn index_of(&self, id: VideoId) -> Option<usize> {
+        self.content.by_id.get(&id).copied()
     }
 
     /// The signature series of an indexed video (test/eval support).
     pub fn series_of(&self, id: VideoId) -> Option<&SignatureSeries> {
-        self.by_id.get(&id).map(|&i| &self.videos[i].series)
+        self.index_of(id).map(|i| &self.content.series[i])
     }
 
     /// The *dense* SAR vector of an indexed video over the current community
     /// slots (test/eval support; storage is sparse).
     pub fn vector_of(&self, id: VideoId) -> Option<Vec<u32>> {
-        self.by_id.get(&id).map(|&i| {
+        self.index_of(id).map(|i| {
             let mut dense = vec![0u32; self.community_slots()];
             for &(slot, count) in &self.videos[i].vector {
                 if (slot as usize) < dense.len() {
@@ -265,26 +380,28 @@ impl Recommender {
 
     /// The sparse SAR vector of an indexed video (test/eval support).
     pub fn sparse_vector_of(&self, id: VideoId) -> Option<&[(u32, u32)]> {
-        self.by_id
-            .get(&id)
-            .map(|&i| self.videos[i].vector.as_slice())
+        self.index_of(id).map(|i| self.videos[i].vector.as_slice())
     }
 
     /// The query "click" on an indexed video: its signature series and
     /// engaged users, exactly as [`QueryVideo::from_corpus`] would build it.
     /// This is what a served `GET /recommend?video=<id>` resolves to.
     pub fn query_for(&self, id: VideoId) -> Option<QueryVideo> {
-        self.by_id.get(&id).map(|&i| QueryVideo {
-            series: self.videos[i].series.clone(),
-            users: self.videos[i].user_names.clone(),
+        self.index_of(id).map(|i| QueryVideo {
+            series: self.content.series[i].clone(),
+            users: self.names_at(i),
         })
     }
 
-    /// The engaged user names of an indexed video (test/eval support).
-    pub fn users_of(&self, id: VideoId) -> Option<&[String]> {
-        self.by_id
-            .get(&id)
-            .map(|&i| self.videos[i].user_names.as_slice())
+    /// The engaged user names of an indexed video, in engagement order
+    /// (test/eval support).
+    pub fn users_of(&self, id: VideoId) -> Option<Vec<String>> {
+        self.index_of(id).map(|i| self.names_at(i))
+    }
+
+    fn names_at(&self, idx: usize) -> Vec<String> {
+        let names = self.videos[idx].user_names.iter();
+        names.map(|name| name.to_string()).collect()
     }
 
     /// Top-`top_k` recommendations for a clicked video under `strategy`.
@@ -342,8 +459,8 @@ impl Recommender {
                 query,
                 top_k,
                 exclude,
-                &|i| self.arena.view(i),
-                self.arena.bound(),
+                &|i| self.content.arena.view(i),
+                self.content.arena.bound(),
                 tracer,
             );
         }
@@ -369,7 +486,7 @@ impl Recommender {
         let sp = tracer.start();
         let excluded: HashSet<u32> = exclude
             .iter()
-            .filter_map(|id| self.by_id.get(id).map(|&i| i as u32))
+            .filter_map(|&id| self.index_of(id).map(|i| i as u32))
             .collect();
         if !excluded.is_empty() {
             candidates.retain(|idx| !excluded.contains(idx));
@@ -382,14 +499,15 @@ impl Recommender {
         let mut top: Vec<Scored> = if strategy.uses_content() {
             // The query-side scoring cache is query preparation too.
             let sp = tracer.start();
-            let bound = self.arena.bound();
+            let arena = &self.content.arena;
+            let bound = arena.bound();
             let query_cache = ScoringArena::for_series(
                 &query.series,
                 bound,
                 self.cfg.kernel == EmdKernel::Quantized,
             );
             trace.stop_span(sp, Stage::Prepare);
-            let view_of = |i: usize| self.arena.view(i);
+            let view_of = |i: usize| arena.view(i);
             let ladder = self.ladder(strategy, &query_cache, &view_of, bound, top_k);
             let mut queue = self.enqueue(
                 strategy,
@@ -440,9 +558,10 @@ impl Recommender {
         top_k: usize,
     ) -> Ladder<'a, 'v> {
         let (lo, hi) = query_cache.mean_ranges();
-        let slack = Slack::between(query_cache.rounding(), self.arena.rounding());
+        let slack = Slack::between(query_cache.rounding(), self.content.arena.rounding());
         Ladder {
-            rec: self,
+            cfg: &self.cfg,
+            content: &self.content,
             strategy,
             qv: query_cache.view(0),
             q_range: (lo[0], hi[0]),
@@ -516,7 +635,7 @@ impl Recommender {
             // gated modes.
             .all_video_indices()
             .map(|idx| Scored {
-                video: self.videos[idx as usize].id,
+                video: self.content.ids[idx as usize],
                 score: self.score_video(strategy, query, &prep, idx as usize),
             })
             .collect();
@@ -550,7 +669,7 @@ impl Recommender {
             .candidate_indices(strategy, query, &prep)
             .into_iter()
             .map(|idx| Scored {
-                video: self.videos[idx as usize].id,
+                video: self.content.ids[idx as usize],
                 score: self.score_video(strategy, query, &prep, idx as usize),
             })
             .collect();
@@ -640,6 +759,7 @@ impl Recommender {
         scratch: &mut Scratch,
     ) -> (usize, u64) {
         let (seen, out) = (&mut scratch.seen, &mut scratch.candidates);
+        let content = &*self.content;
         // viderec-lint: allow(corpus-enumeration) — sizes the per-query
         // bitset; no video is visited.
         seen.reset(self.videos.len());
@@ -656,7 +776,7 @@ impl Recommender {
         };
         if strategy.uses_social() {
             for video in self.inverted.posting_union(gather_vec) {
-                if let Some(&idx) = self.by_id.get(&video) {
+                if let Some(&idx) = content.by_id.get(&video) {
                     offer(idx as u32, out);
                 }
             }
@@ -664,8 +784,9 @@ impl Recommender {
         let social = out.len();
         if strategy.uses_content() {
             for sig in query.series.signatures() {
-                let point = self.embedder.embed(&sig.as_pairs());
-                self.lsb
+                let point = content.embedder.embed(&sig.as_pairs());
+                content
+                    .lsb
                     .visit_monotone(&point, fanout, |&idx| offer(idx, out));
             }
         }
@@ -726,9 +847,10 @@ impl Recommender {
         let mut names: HashSet<&str> = HashSet::new();
         let mut q_unassigned = 0usize;
         if matches!(strategy, Strategy::Sr | Strategy::Csf) {
+            let (chained, slots) = (&*self.chained, self.community_slots());
             for name in &query.users {
                 if names.insert(name.as_str())
-                    && !matches!(self.chained.get(name), Some(&c) if c < self.community_slots())
+                    && !matches!(chained.get(name), Some(&c) if c < slots)
                 {
                     q_unassigned += 1;
                 }
@@ -743,7 +865,7 @@ impl Recommender {
         if !reaches(1.0, s_ub(0)) {
             return;
         }
-        let (lo, hi) = self.arena.mean_ranges();
+        let (lo, hi) = self.content.arena.mean_ranges();
         // viderec-lint: allow(corpus-enumeration) — the certificate sweep is
         // bound-only: it never scores, and its cost is not counted as scanned.
         for idx in seen.unseen(self.videos.len() as u32) {
@@ -779,7 +901,7 @@ impl Recommender {
         // only until `top_k` certified-zero entries are offered; it never
         // scores a video.
         for idx in seen.unseen(self.videos.len() as u32).take(top_k) {
-            let video = self.videos[idx as usize].id;
+            let video = self.content.ids[idx as usize];
             push_top_k(heap, WorstFirst(Scored { video, score: 0.0 }), top_k);
         }
     }
@@ -941,18 +1063,13 @@ impl Recommender {
         trace: &mut QueryTrace,
     ) {
         let mut sp = tracer.start();
+        let ids = &self.content.ids;
         for &idx in candidates {
             trace.stats.exact_evals += 1;
             let score = self.score_video(strategy, query, prep, idx as usize);
             trace.lap_span(&mut sp, Stage::Social);
-            push_top_k(
-                heap,
-                WorstFirst(Scored {
-                    video: self.videos[idx as usize].id,
-                    score,
-                }),
-                top_k,
-            );
+            let video = ids[idx as usize];
+            push_top_k(heap, WorstFirst(Scored { video, score }), top_k);
             trace.lap_span(&mut sp, Stage::TopK);
         }
     }
@@ -991,7 +1108,7 @@ impl Recommender {
         };
         let mut excluded: Vec<u32> = exclude
             .iter()
-            .filter_map(|id| self.by_id.get(id).map(|&i| i as u32))
+            .filter_map(|&id| self.index_of(id).map(|i| i as u32))
             .collect();
         excluded.sort_unstable();
         let mut outcome = None;
@@ -1026,32 +1143,29 @@ impl Recommender {
     /// comparison (Fig. 10), which refuse all strategies from one component
     /// table.
     pub fn score_components(&self, query: &QueryVideo) -> Vec<(VideoId, f64, f64)> {
-        self.videos
-            .iter()
-            .map(|v| {
-                (
-                    v.id,
-                    kappa_j_series(&query.series, &v.series, self.cfg.matching),
-                    exact_sj_strings(&query.users, &v.user_names),
-                )
-            })
-            .collect()
+        self.components(query, |row| exact_sj_strings(&query.users, &row.user_names))
+    }
+
+    /// `(video, κJ, social(row))` for every corpus video.
+    fn components(
+        &self,
+        query: &QueryVideo,
+        social: impl Fn(&SocialRow) -> f64,
+    ) -> Vec<(VideoId, f64, f64)> {
+        let content = &*self.content;
+        let rows = content.ids.iter().zip(&content.series).zip(&self.videos);
+        rows.map(|((&id, series), row)| {
+            let kappa = kappa_j_series(&query.series, series, self.cfg.matching);
+            (id, kappa, social(row))
+        })
+        .collect()
     }
 
     /// Like [`Self::score_components`] but with the SAR social similarity —
     /// evaluation support for the k sweep (Fig. 9).
     pub fn score_components_sar(&self, query: &QueryVideo) -> Vec<(VideoId, f64, f64)> {
         let qvec = self.vectorize_by_hash(&query.users);
-        self.videos
-            .iter()
-            .map(|v| {
-                (
-                    v.id,
-                    kappa_j_series(&query.series, &v.series, self.cfg.matching),
-                    sar_similarity_sparse(&qvec, &v.vector),
-                )
-            })
-            .collect()
+        self.components(query, |row| sar_similarity_sparse(&qvec, &row.vector))
     }
 
     // ---------- shared scoring kernel ----------
@@ -1093,6 +1207,7 @@ impl Recommender {
                 self.all_video_indices().collect()
             }
             Strategy::Cr | Strategy::CsfSarH => SCRATCH.with_borrow_mut(|scratch| {
+                let content = &*self.content;
                 let seen = &mut scratch.seen;
                 // viderec-lint: allow(corpus-enumeration) — sizes the
                 // per-query bitset; no video is visited.
@@ -1103,7 +1218,7 @@ impl Recommender {
                         .inverted
                         .candidates_topn(&prep.qvec, self.cfg.candidate_limit)
                     {
-                        match self.by_id.get(&video) {
+                        match content.by_id.get(&video) {
                             Some(&idx) if seen.insert(idx as u32) => candidates.push(idx as u32),
                             _ => {}
                         }
@@ -1111,8 +1226,8 @@ impl Recommender {
                 }
                 if strategy.uses_content() {
                     for sig in query.series.signatures() {
-                        let point = self.embedder.embed(&sig.as_pairs());
-                        for cand in self.lsb.query(&point, self.cfg.candidate_limit) {
+                        let point = content.embedder.embed(&sig.as_pairs());
+                        for cand in content.lsb.query(&point, self.cfg.candidate_limit) {
                             if seen.insert(cand.payload) {
                                 candidates.push(cand.payload);
                             }
@@ -1128,7 +1243,7 @@ impl Recommender {
     /// The content side of the score: `κJ` for content strategies, 0 for SR.
     pub(crate) fn content_score(&self, strategy: Strategy, query: &QueryVideo, idx: usize) -> f64 {
         if strategy.uses_content() {
-            kappa_j_series(&query.series, &self.videos[idx].series, self.cfg.matching)
+            kappa_j_series(&query.series, &self.content.series[idx], self.cfg.matching)
         } else {
             0.0
         }
@@ -1177,34 +1292,52 @@ impl Recommender {
     /// look up its community slot. Deliberately linear in the user count —
     /// this is the cost the chained hash removes.
     fn vectorize_by_scan(&self, users: &[String]) -> Vec<(u32, u32)> {
-        let mut v = vec![0u32; self.community_slots()];
-        for name in users {
-            let found = self
-                .registry
-                .iter()
-                .find(|(_, n)| *n == name.as_str())
-                .map(|(id, _)| id);
-            if let Some(id) = found {
-                if let Some(&c) = self.maintenance.assignment_raw().get(id.index()) {
-                    v[c] += 1;
-                }
-            }
-        }
-        viderec_social::sparsify(&v)
+        let (registry, assignment) = (&*self.registry, self.maintenance.assignment_raw());
+        let slot_of = |name: &String| {
+            let (id, _) = registry.iter().find(|(_, n)| *n == name.as_str())?;
+            assignment.get(id.index()).map(|&c| c as u32)
+        };
+        run_lengths(users.iter().filter_map(slot_of).collect())
     }
 
     /// SAR-H: O(1 + η) chained-hash mapping per user name (§4.2.3).
     pub(crate) fn vectorize_by_hash(&self, users: &[String]) -> Vec<(u32, u32)> {
-        let mut v = vec![0u32; self.community_slots()];
-        for name in users {
-            if let Some(&c) = self.chained.get(name) {
-                if c < v.len() {
-                    v[c] += 1;
-                }
-            }
-        }
-        viderec_social::sparsify(&v)
+        let (chained, slots) = (&*self.chained, self.community_slots());
+        let slot_of = |name: &String| chained.get(name).copied().filter(|&c| c < slots);
+        run_lengths(users.iter().filter_map(slot_of).map(|c| c as u32).collect())
     }
+}
+
+impl Content {
+    /// Appends one video to every content structure; `false`, with nothing
+    /// appended, when `id` is already indexed.
+    pub(crate) fn push(&mut self, id: VideoId, series: SignatureSeries) -> bool {
+        let idx = self.ids.len();
+        match self.by_id.entry(id) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => slot.insert(idx),
+        };
+        for sig in series.signatures() {
+            self.lsb
+                .insert(&self.embedder.embed(&sig.as_pairs()), idx as u32);
+        }
+        self.arena.push_series(&series);
+        debug_assert_eq!(self.arena.len(), idx + 1, "arena tracks the corpus 1:1");
+        self.ids.push(id);
+        self.series.push(series);
+        true
+    }
+}
+
+/// Interns a video's user names: its descriptor, and the names as the
+/// registry's own allocations in the order given.
+pub(crate) fn intern_users(
+    registry: &mut UserRegistry,
+    names: &[String],
+) -> (SocialDescriptor, Vec<Arc<str>>) {
+    let ids: Vec<UserId> = names.iter().map(|name| registry.intern(name)).collect();
+    let shared = ids.iter().map(|&id| Arc::clone(registry.shared_name(id)));
+    (ids.iter().copied().collect(), shared.collect())
 }
 
 /// Vectorises a descriptor against a raw slot assignment into the sparse
@@ -1213,10 +1346,13 @@ pub(crate) fn vectorize_sparse(
     assignment: &[usize],
     descriptor: &SocialDescriptor,
 ) -> Vec<(u32, u32)> {
-    let mut slots: Vec<u32> = descriptor
-        .iter()
-        .filter_map(|user| assignment.get(user.index()).map(|&c| c as u32))
-        .collect();
+    let slot_of = |user: UserId| assignment.get(user.index()).map(|&c| c as u32);
+    run_lengths(descriptor.iter().filter_map(slot_of).collect())
+}
+
+/// Sorts community slots and run-length encodes them into the sparse
+/// `(slot, count)` histogram.
+fn run_lengths(mut slots: Vec<u32>) -> Vec<(u32, u32)> {
     slots.sort_unstable();
     let mut sparse: Vec<(u32, u32)> = Vec::with_capacity(slots.len());
     for slot in slots {
@@ -1231,25 +1367,28 @@ pub(crate) fn vectorize_sparse(
 /// Exact `sJ` over raw user-name sets with nested string comparison — the
 /// quadratic cost §4.2.1 attributes to the unoptimised measure. Duplicate
 /// names in either list are counted once (set semantics).
-pub(crate) fn exact_sj_strings(a: &[String], b: &[String]) -> f64 {
+pub(crate) fn exact_sj_strings<A: AsRef<str>, B: AsRef<str>>(a: &[A], b: &[B]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
+    fn holds<T: AsRef<str>>(list: &[T], name: &str) -> bool {
+        list.iter().any(|other| other.as_ref() == name)
+    }
     // Set-ify by skipping earlier duplicates (still via string comparison to
     // keep the cost model honest).
-    let is_first = |list: &[String], i: usize| !list[..i].contains(&list[i]);
     let mut size_a = 0usize;
     let mut inter = 0usize;
-    for i in 0..a.len() {
-        if !is_first(a, i) {
+    for (i, name) in a.iter().enumerate() {
+        if holds(&a[..i], name.as_ref()) {
             continue;
         }
         size_a += 1;
-        if b.contains(&a[i]) {
+        if holds(b, name.as_ref()) {
             inter += 1;
         }
     }
-    let size_b = (0..b.len()).filter(|&j| is_first(b, j)).count();
+    let first_in_b = |(j, name): (usize, &B)| !holds(&b[..j], name.as_ref());
+    let size_b = b.iter().enumerate().filter(|&e| first_in_b(e)).count();
     let union = size_a + size_b - inter;
     if union == 0 {
         0.0
@@ -1456,20 +1595,15 @@ mod tests {
         floor: f64,
     ) -> Vec<u32> {
         let (omega, matching) = (rec.cfg.omega, rec.cfg.matching);
+        let arena = rec.arena();
         let names: HashSet<&str> = query.users.iter().map(String::as_str).collect();
         let assigned =
             |n: &str| matches!(rec.chained.get(n), Some(&c) if c < rec.community_slots());
         let q_unassigned = names.iter().filter(|n| !assigned(n)).count();
-        let cache = ScoringArena::for_series(&query.series, rec.arena.bound(), false);
+        let cache = ScoringArena::for_series(&query.series, arena.bound(), false);
         let qv = cache.view(0);
         let reach = rec
-            .ladder(
-                strategy,
-                &cache,
-                &|i| rec.arena.view(i),
-                rec.arena.bound(),
-                1,
-            )
+            .ladder(strategy, &cache, &|i| arena.view(i), arena.bound(), 1)
             .reach;
         let range = |v: SeriesView<'_>| match (v.mean_order.first(), v.mean_order.last()) {
             (Some(&lo), Some(&hi)) => (v.means[lo as usize], v.means[hi as usize]),
@@ -1479,7 +1613,7 @@ mod tests {
         // viderec-lint: allow(corpus-enumeration) — test oracle: the
         // per-video walk the flat sweep replaced.
         for idx in rec.all_video_indices() {
-            let vv = rec.arena.view(idx as usize);
+            let vv = arena.view(idx as usize);
             let s_ub = match strategy {
                 Strategy::Cr | Strategy::CsfSar | Strategy::CsfSarH => 0.0,
                 Strategy::Sr | Strategy::Csf => {
@@ -1490,7 +1624,7 @@ mod tests {
             let kappa_ub = if !strategy.uses_content() || separated(range(qv), range(vv), reach) {
                 0.0
             } else {
-                crate::prune::kappa_upper_bound(qv, vv, rec.arena.bound(), matching)
+                crate::prune::kappa_upper_bound(qv, vv, arena.bound(), matching)
             };
             let ceiling = strategy_score(strategy, omega, kappa_ub, s_ub);
             if !skip.contains(&idx) && ceiling > 0.0 && ceiling >= floor {
@@ -1509,9 +1643,9 @@ mod tests {
             for source in &corpus {
                 let mut q = QueryVideo::from_corpus(source);
                 q.users.push("stranger".into());
-                let cache = ScoringArena::for_series(&q.series, r.arena.bound(), false);
-                let view_of = |i: usize| r.arena.view(i);
-                let ladder = r.ladder(strategy, &cache, &view_of, r.arena.bound(), 1);
+                let cache = ScoringArena::for_series(&q.series, r.arena().bound(), false);
+                let view_of = |i: usize| r.arena().view(i);
+                let ladder = r.ladder(strategy, &cache, &view_of, r.arena().bound(), 1);
                 for skip in [vec![], vec![1u32], vec![0, 3]] {
                     let mut seen = Seen::default();
                     seen.reset(r.num_videos());
@@ -1695,11 +1829,11 @@ mod tests {
     #[test]
     fn exact_sj_strings_behaviour() {
         let a = vec!["x".to_string(), "y".into(), "x".into()];
-        let b = vec!["y".to_string(), "z".into()];
+        let b: Vec<Arc<str>> = vec!["y".into(), "z".into()];
         // sets {x, y} and {y, z}: 1 / 3.
         assert!((exact_sj_strings(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(exact_sj_strings(&[], &[]), 0.0);
-        assert_eq!(exact_sj_strings(&a, &[]), 0.0);
+        assert_eq!(exact_sj_strings::<String, String>(&[], &[]), 0.0);
+        assert_eq!(exact_sj_strings::<_, String>(&a, &[]), 0.0);
         assert_eq!(exact_sj_strings(&a, &a), 1.0);
     }
 

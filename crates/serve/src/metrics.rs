@@ -315,10 +315,10 @@ pub struct Metrics {
     pub update_apply: [Histogram; UPDATE_KINDS],
     /// Events drained per maintenance round (unit: events, not micros).
     pub update_batch_events: Histogram,
-    /// Heap bytes the maintenance writer allocated per drained round
-    /// (unit: bytes; zero unless the counting allocator is installed).
+    /// Heap bytes the maintenance writer allocated per drained round, its
+    /// copy-on-write copies included (zero without the counting allocator).
     pub update_batch_alloc_bytes: Histogram,
-    /// Master-copy clone time before a publish.
+    /// Master-handle clone time before a publish (reference-count bumps).
     pub snapshot_clone: Histogram,
     /// Epoch-swap publish time.
     pub snapshot_publish: Histogram,
@@ -804,7 +804,7 @@ impl Metrics {
         meta(
             &mut out,
             "serve_snapshot_clone_micros",
-            "Master-copy clone time before a publish.",
+            "Master-handle clone time before a publish (reference-count bumps).",
             "histogram",
         );
         histogram_samples(

@@ -9,9 +9,18 @@
 //!                        (bounded MPMC)            │      before scoring)
 //!                                                  └─ 200/202/400/404/503
 //!   POST /update ── update queue ── maintenance thread
-//!                    (bounded)       apply events → master.clone()
+//!                    (bounded)       WAL append → apply events → ack
+//!                                    → master.clone()   (pointer bumps)
 //!                                    → SnapshotCell::publish (epoch++)
+//!                                    → master.reprivatise()
 //! ```
+//!
+//! The master and every published snapshot are handles over shared
+//! components (see [`Recommender`]'s `Clone`): a write copies the component
+//! it touches unless the master is its only holder. `reprivatise` takes
+//! those copies for what the round wrote right after the publish, so the
+//! next round's applies — the part of a round a durable ack waits for —
+//! find their components private again.
 //!
 //! Invariants:
 //!
@@ -249,6 +258,8 @@ fn start_inner(
     };
 
     let metrics = Arc::new(Metrics::default());
+    // The first snapshot shares every component with the master: a server
+    // that never takes a write holds one corpus.
     let master = recommender;
     let cell = Arc::new(SnapshotCell::new(Arc::new(master.clone())));
     let traces = Arc::new(TraceStore::new(cfg.trace_capacity));
@@ -904,23 +915,11 @@ fn maintainer_loop(
         if tracer.enabled() {
             metrics.update_batch_events.record(drained_events);
         }
+        publish_round(&mut master, cell, metrics, tracer);
+        // Copy-on-write copies included, wherever in the round they ran.
         if let Some(snap) = round_alloc {
             metrics.update_batch_alloc_bytes.record(snap.delta().bytes);
         }
-        // Clone-for-publish: readers keep the old snapshot until they next
-        // observe the epoch bump; nothing is ever mutated in place under a
-        // reader.
-        let span = tracer.start();
-        let next = Arc::new(master.clone());
-        if let Some(ns) = span.elapsed_ns() {
-            metrics.snapshot_clone.record(ns / 1_000);
-        }
-        let span = tracer.start();
-        cell.publish(next);
-        if let Some(ns) = span.elapsed_ns() {
-            metrics.snapshot_publish.record(ns / 1_000);
-        }
-        metrics.snapshots_published.fetch_add(1, Ordering::Relaxed);
         // Checkpoint cadence, after publish so readers never wait on it.
         if let Some(d) = durable.as_mut() {
             if d.maybe_checkpoint(last_acked, false, metrics).is_err() {
@@ -938,6 +937,32 @@ fn maintainer_loop(
     }
 }
 
+/// Makes everything applied to `master` so far visible to readers. The
+/// clone bumps reference counts; readers keep the old snapshot until they
+/// next observe the epoch bump, and nothing is ever mutated in place under a
+/// reader because the master's next write to a component the snapshot
+/// shares copies it first. Those copies are taken here, after the publish,
+/// for the components this round wrote (see [`Recommender::reprivatise`]).
+fn publish_round(
+    master: &mut Recommender,
+    cell: &SnapshotCell<Recommender>,
+    metrics: &Metrics,
+    tracer: Tracer,
+) {
+    let span = tracer.start();
+    let next = Arc::new(master.clone());
+    if let Some(ns) = span.elapsed_ns() {
+        metrics.snapshot_clone.record(ns / 1_000);
+    }
+    let span = tracer.start();
+    cell.publish(next);
+    if let Some(ns) = span.elapsed_ns() {
+        metrics.snapshot_publish.record(ns / 1_000);
+    }
+    metrics.snapshots_published.fetch_add(1, Ordering::Relaxed);
+    master.reprivatise();
+}
+
 /// Parses a strategy label (case-insensitive; `_` and `-` interchangeable).
 pub fn parse_strategy(s: &str) -> Option<Strategy> {
     match s.to_ascii_lowercase().replace('_', "-").as_str() {
@@ -953,6 +978,57 @@ pub fn parse_strategy(s: &str) -> Option<Strategy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use viderec_core::SocialUpdate;
+    use viderec_signature::cuboid::{Cuboid, CuboidSignature};
+    use viderec_signature::SignatureSeries;
+
+    /// The maintainer's round, minus queue and WAL: whatever the published
+    /// snapshot still shares with the master when a round's applies start
+    /// must be outside that round's write set, or the copy-on-write copy ran
+    /// between WAL append and ack. Only the first round may pay it — boot
+    /// shares everything.
+    #[test]
+    fn after_the_first_round_no_apply_copies_a_shared_component() {
+        let ids: Vec<VideoId> = (0..24).map(VideoId).collect();
+        let video = |&id: &VideoId| {
+            let point = Cuboid {
+                value: id.0 as f64,
+                weight: 1.0,
+            };
+            CorpusVideo {
+                id,
+                series: SignatureSeries::new(vec![CuboidSignature::new(vec![point])]),
+                users: vec![format!("user-{}", id.0 % 6), format!("user-{}", id.0 % 4)],
+            }
+        };
+        let corpus: Vec<CorpusVideo> = ids.iter().map(video).collect();
+        let regular = corpus[0].users[0].clone();
+        let mut master =
+            Recommender::build(RecommenderConfig::default(), corpus).expect("valid corpus");
+        let cell = SnapshotCell::new(Arc::new(master.clone()));
+        let metrics = Metrics::default();
+        for round in 0..8usize {
+            let (shared, _) = master.shared_with(&cell.load().0);
+            let comment = |video: VideoId, user: String| SocialUpdate { video, user };
+            let batch = vec![
+                comment(ids[round], format!("newcomer-{round}")),
+                comment(ids[round + 8], format!("newcomer-{round}")),
+                comment(ids[round + 16], regular.clone()),
+            ];
+            master
+                .apply_event(UpdateEvent::Comments(batch))
+                .expect("comments always apply");
+            let copied = master.written() & shared;
+            if round == 0 {
+                assert_ne!(copied, 0, "the first round unshares what it writes");
+            } else {
+                assert_eq!(copied, 0, "round {round} copied a shared component");
+            }
+            publish_round(&mut master, &cell, &metrics, Tracer::OFF);
+            assert_eq!(cell.epoch(), round as u64 + 2);
+            assert_eq!(master.written(), 0);
+        }
+    }
 
     #[test]
     fn strategy_labels_parse_back() {

@@ -53,7 +53,7 @@ impl<T> SnapshotCell<T> {
         // panic *between* publishes, never a half-swapped pair).
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         slot.1 += 1;
-        slot.0 = next;
+        let previous = std::mem::replace(&mut slot.0, next);
         let epoch = slot.1;
         self.published_at_micros
             .store(self.born.elapsed().as_micros() as u64, Ordering::Relaxed);
@@ -61,6 +61,10 @@ impl<T> SnapshotCell<T> {
         // epoch and then locks the slot is guaranteed to find a snapshot at
         // least this new.
         self.epoch.store(epoch, Ordering::Release);
+        drop(slot);
+        // With no reader pinning it this frees the previous snapshot, which
+        // can take milliseconds: never under the lock re-pinning readers take.
+        drop(previous);
         epoch
     }
 

@@ -3,10 +3,14 @@
 //! Users appear in the system under their registered names (§4.2.3 hashes
 //! user *names* with the shift-add-xor family), but every hot path works on
 //! dense integer ids. [`UserRegistry`] interns names to dense [`UserId`]s and
-//! keeps the reverse mapping.
+//! keeps the reverse mapping. Each name is stored once, as an `Arc<str>`
+//! both directions share and [`UserRegistry::shared_name`] hands out, so a
+//! holder of many names (the recommender's per-video user lists) pays a
+//! pointer per name, not a second copy of the string.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dense identifier of a registered social user.
 #[derive(
@@ -31,8 +35,8 @@ impl std::fmt::Display for UserId {
 /// Bidirectional interner between user names and dense [`UserId`]s.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UserRegistry {
-    by_name: HashMap<String, UserId>,
-    names: Vec<String>,
+    by_name: HashMap<Arc<str>, UserId>,
+    names: Vec<Arc<str>>,
 }
 
 impl UserRegistry {
@@ -47,8 +51,9 @@ impl UserRegistry {
             return id;
         }
         let id = UserId(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
@@ -62,6 +67,15 @@ impl UserRegistry {
     /// # Panics
     /// Panics if the id was not issued by this registry.
     pub fn name(&self, id: UserId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The registry's own allocation of a user's name, for holders that
+    /// keep many names alive without copying them.
+    ///
+    /// # Panics
+    /// Panics if the id was not issued by this registry.
+    pub fn shared_name(&self, id: UserId) -> &Arc<str> {
         &self.names[id.index()]
     }
 
@@ -80,7 +94,7 @@ impl UserRegistry {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (UserId(i as u32), n.as_str()))
+            .map(|(i, n)| (UserId(i as u32), &**n))
     }
 }
 
@@ -108,6 +122,7 @@ mod tests {
         assert_eq!(r.get("carol"), Some(id));
         assert_eq!(r.get("dave"), None);
         assert_eq!(r.name(id), "carol");
+        assert_eq!(&**r.shared_name(id), "carol");
         assert_eq!(id.to_string(), "u0");
     }
 
