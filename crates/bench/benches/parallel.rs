@@ -10,8 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use viderec_core::{
-    ParallelConfig, ParallelRecommender, PruneBound, QueryVideo, Recommender, RecommenderConfig,
-    Strategy,
+    ParallelConfig, ParallelRecommender, QueryVideo, Recommender, RecommenderConfig, Strategy,
 };
 use viderec_eval::community::{Community, CommunityConfig};
 
@@ -76,43 +75,61 @@ fn report(recommender: &Recommender, queries: &[QueryVideo]) {
         queries.len() as f64 / seq
     );
 
+    // The unpruned reference over the same candidate universe: what every
+    // candidate costs when each pays for its exact `κJ`.
+    let unpruned = time_batch(
+        || {
+            for q in queries {
+                std::hint::black_box(recommender.recommend_unpruned_excluding(
+                    Strategy::CsfSarH,
+                    q,
+                    TOP_K,
+                    &[],
+                ));
+            }
+        },
+        reps,
+    );
+    println!(
+        "unpruned:   {:>9.3} ms/batch  ({:.2}x the pruned sequential scan)",
+        unpruned * 1e3,
+        unpruned / seq
+    );
+
     for workers in [1usize, 2, 4, 8] {
-        for (prune, tag) in [(false, "prune off"), (true, "prune on ")] {
-            let par = ParallelRecommender::with_config(
-                recommender,
-                ParallelConfig {
-                    workers,
-                    prune,
-                    bound: PruneBound::default(),
-                    max_threads: None,
-                },
-            );
-            let t = time_batch(
-                || {
-                    std::hint::black_box(par.recommend_batch(Strategy::CsfSarH, queries, TOP_K));
-                },
-                reps,
-            );
-            // Counters from one extra run (identical work: the engine is
-            // deterministic).
-            let stats = par
-                .recommend_batch_with_stats(Strategy::CsfSarH, queries, TOP_K)
-                .into_iter()
-                .fold(viderec_core::PruneStats::default(), |mut acc, (_, s)| {
-                    acc.absorb(s);
-                    acc
-                });
-            println!(
-                "workers={workers} {tag}: {:>9.3} ms/batch  speedup {:>5.2}x  \
-                 scanned {:>6}  pruned {:>6}  exact {:>6}  prune-rate {:>5.1}%",
-                t * 1e3,
-                seq / t,
-                stats.scanned,
-                stats.pruned,
-                stats.exact_evals,
-                100.0 * stats.prune_rate()
-            );
-        }
+        let par = ParallelRecommender::with_config(
+            recommender,
+            ParallelConfig {
+                workers,
+                max_threads: None,
+            },
+        );
+        let t = time_batch(
+            || {
+                std::hint::black_box(par.recommend_batch(Strategy::CsfSarH, queries, TOP_K));
+            },
+            reps,
+        );
+        // Counters from one extra run (identical work: the engine is
+        // deterministic).
+        let stats = par
+            .recommend_batch_with_stats(Strategy::CsfSarH, queries, TOP_K)
+            .into_iter()
+            .fold(viderec_core::PruneStats::default(), |mut acc, (_, s)| {
+                acc.absorb(s);
+                acc
+            });
+        println!(
+            "workers={workers}: {:>9.3} ms/batch  speedup {:>5.2}x  vs unpruned {:>5.2}x  \
+             scanned {:>6}  pruned {:>6}  exact {:>6}  prune-rate {:>5.1}%",
+            t * 1e3,
+            seq / t,
+            unpruned / t,
+            stats.scanned,
+            stats.pruned,
+            stats.exact_evals,
+            100.0 * stats.prune_rate()
+        );
     }
 
     // Full-scan strategy for contrast: pruning has the whole corpus to cut.
@@ -120,8 +137,6 @@ fn report(recommender: &Recommender, queries: &[QueryVideo]) {
         recommender,
         ParallelConfig {
             workers: 4,
-            prune: true,
-            bound: PruneBound::default(),
             max_threads: None,
         },
     );
@@ -166,8 +181,6 @@ fn bench_parallel(c: &mut Criterion) {
             &recommender,
             ParallelConfig {
                 workers,
-                prune: true,
-                bound: PruneBound::default(),
                 max_threads: None,
             },
         );

@@ -391,7 +391,6 @@ pub const SPECS: &[Spec] = &[
     spec("pruned_ms_per_query", LO, 0.30, false),
     spec("ms_per_query", LO, 0.40, false),
     spec("mean_ms_per_query", LO, 0.40, false),
-    spec("emd_time_share", LO, 0.25, false),
     spec("throughput_rps", HI, 0.30, false),
     spec("p50_micros", LO, 0.50, false),
     spec("p99_micros", LO, 0.75, false),

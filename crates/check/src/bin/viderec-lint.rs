@@ -68,14 +68,14 @@ fn main() -> ExitCode {
         .collect();
 
     if std::env::args().any(|a| a == "--print-atomics-rows") {
-        for (path, line, ordering) in lint::atomics_sites(&loaded) {
-            println!("| `{path}:{line}` | `{ordering}` | TODO |");
+        for site in lint::atomics_sites(&loaded) {
+            println!("| `{}` | `{}` | TODO |", site.key, site.class);
         }
         return ExitCode::SUCCESS;
     }
     if std::env::args().any(|a| a == "--print-safety-rows") {
-        for (path, line, kind, _) in lint::unsafe_sites(&loaded) {
-            println!("| `{path}:{line}` | `{kind}` | TODO |");
+        for site in lint::unsafe_sites(&loaded) {
+            println!("| `{}` | `{}` | TODO |", site.key, site.class);
         }
         return ExitCode::SUCCESS;
     }

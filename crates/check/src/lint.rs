@@ -10,8 +10,9 @@
 //!
 //! * **`atomics-audit`** — every `Ordering::{Relaxed,Acquire,Release,AcqRel,
 //!   SeqCst}` site in shipped code must have a row in `ATOMICS.md` matching
-//!   its exact `path:line` and ordering, with a non-empty justification.
-//!   Stale rows (no matching site anymore) fail too, so the table cannot rot.
+//!   its `path::enclosing_item` key (`#n` for the n-th identical site in an
+//!   item) and ordering, with a non-empty justification. Stale rows (no
+//!   matching site anymore) fail too, so the table cannot rot.
 //! * **`serve-no-panic`** — no `.unwrap(` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` on the serve request path
 //!   (`crates/serve/src`), excluding `#[cfg(test)]` regions.
@@ -61,7 +62,7 @@
 //!   *and their integration tests* needs (a) a `// SAFETY:` comment run
 //!   directly above it (for `unsafe fn`/`unsafe impl` items a doc comment
 //!   with a `# Safety` section also qualifies), and (b) a justified
-//!   `path:line` row in the checked-in `SAFETY.md` table. Stale rows fail
+//!   `path::enclosing_item` row in the checked-in `SAFETY.md` table. Stale rows fail
 //!   too. Like `atomics-audit` it cannot be waived — the table *is* the
 //!   escape hatch, and `viderec-lint --print-safety-rows` regenerates its
 //!   skeleton.
@@ -352,35 +353,84 @@ fn atomics_scope(path: &str) -> bool {
         || path.starts_with("src/")
 }
 
-/// Every in-scope `Ordering::<variant>` site across `files`, deduplicated,
-/// as `(path, line, variant)` — the raw material for `ATOMICS.md` rows.
-pub fn atomics_sites(files: &[(String, String)]) -> Vec<(String, u32, String)> {
-    let mut seen = HashSet::new();
+/// One audited site: where it is, and the key its audit-table row carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AuditSite {
+    /// Workspace-relative path (forward slashes).
+    pub path: String,
+    /// 1-based line — where findings point; rows do not carry it, so edits
+    /// that only shift lines leave the tables alone.
+    pub line: u32,
+    /// The row key: `path::item` (the innermost enclosing fn), with `#n`
+    /// appended for the n-th (n ≥ 2) site of the same class in that item.
+    pub key: String,
+    /// The `Ordering` variant, or the `unsafe` construct's kind label.
+    pub class: String,
+    /// `unsafe` sites: a qualifying safety comment covers the site.
+    pub commented: bool,
+}
+
+/// Keys one file's `(line, item, class, commented)` sites, in source order.
+fn keyed(path: &str, sites: Vec<(u32, String, String, bool)>, out: &mut Vec<AuditSite>) {
+    let mut seen: HashMap<(String, String), u32> = HashMap::new();
+    for (line, item, class, commented) in sites {
+        let nth = seen.entry((item.clone(), class.clone())).or_insert(0);
+        *nth += 1;
+        let key = match *nth {
+            1 => format!("{path}::{item}"),
+            n => format!("{path}::{item}#{n}"),
+        };
+        out.push(AuditSite {
+            path: path.to_string(),
+            line,
+            key,
+            class,
+            commented,
+        });
+    }
+}
+
+/// Every in-scope `Ordering::<variant>` site across `files` (one per line and
+/// variant) — the raw material for `ATOMICS.md` rows.
+pub fn atomics_sites(files: &[(String, String)]) -> Vec<AuditSite> {
     let mut out = Vec::new();
     for (path, src) in files {
         if !atomics_scope(path) {
             continue;
         }
         let tokens = lex(src);
-        for (line, variant) in ordering_sites(&significant(&tokens)) {
-            if seen.insert((path.clone(), line, variant.clone())) {
-                out.push((path.clone(), line, variant));
-            }
+        let mut sites = ordering_sites(&significant(&tokens));
+        let mut seen = HashSet::new();
+        sites.retain(|site| seen.insert(site.clone()));
+        if sites.is_empty() {
+            continue;
         }
+        let parsed = parse_file(src);
+        let sites = sites
+            .into_iter()
+            .map(|(line, variant)| (line, parsed.item_at(line), variant, true))
+            .collect();
+        keyed(path, sites, &mut out);
     }
     out
 }
 
+/// One row of an audit table.
 struct AuditRow {
-    path: String,
-    line: u32,
-    ordering: String,
+    key: String,
+    class: String,
     justified: bool,
     row_line: u32,
     used: bool,
 }
 
-fn parse_audit(md: &str, findings: &mut Vec<Finding>) -> Vec<AuditRow> {
+/// The `| site | class | justification |` rows of the audit table `table`.
+fn parse_audit(
+    md: &str,
+    table: &str,
+    rule: &'static str,
+    findings: &mut Vec<Finding>,
+) -> Vec<AuditRow> {
     let mut rows = Vec::new();
     for (idx, raw) in md.lines().enumerate() {
         let row_line = (idx + 1) as u32;
@@ -399,28 +449,80 @@ fn parse_audit(md: &str, findings: &mut Vec<Finding>) -> Vec<AuditRow> {
         {
             continue;
         }
-        let parsed = cells[0]
-            .rsplit_once(':')
-            .and_then(|(p, l)| l.parse::<u32>().ok().map(|l| (p.to_string(), l)));
-        let Some((path, line)) = parsed else {
+        if !cells[0].contains(".rs::") {
             findings.push(Finding {
-                path: "ATOMICS.md".into(),
+                path: table.into(),
                 line: row_line,
-                rule: "atomics-audit",
-                message: format!("malformed site cell `{}` (expected `path:line`)", cells[0]),
+                rule,
+                message: format!("malformed site cell `{}` (expected `path::item`)", cells[0]),
             });
             continue;
-        };
+        }
         rows.push(AuditRow {
-            path,
-            line,
-            ordering: cells[1].to_string(),
+            key: cells[0].to_string(),
+            class: cells[1].to_string(),
             justified: !cells[2].is_empty() && cells[2] != "TODO",
             row_line,
             used: false,
         });
     }
     rows
+}
+
+/// Checks `sites` against the rows of `table` in both directions: a site
+/// needs a justified row with its key and class, and a row needs a site.
+/// `noun` names a site of a given class in the messages.
+fn audit(
+    sites: &[AuditSite],
+    md: Option<&str>,
+    (table, rule, flag): (&str, &'static str, &str),
+    noun: impl Fn(&str) -> String,
+    findings: &mut Vec<Finding>,
+) {
+    let mut rows = md
+        .map(|md| parse_audit(md, table, rule, findings))
+        .unwrap_or_default();
+    for site in sites {
+        let row = rows
+            .iter_mut()
+            .find(|r| r.key == site.key && r.class == site.class);
+        let message = match row {
+            Some(row) => {
+                row.used = true;
+                if row.justified {
+                    continue;
+                }
+                format!(
+                    "{} is listed in {table} but has no justification",
+                    noun(&site.class)
+                )
+            }
+            None => format!(
+                "{} is not in the {table} audit table as `{}` (regenerate rows with \
+                 `viderec-lint {flag}`)",
+                noun(&site.class),
+                site.key
+            ),
+        };
+        findings.push(Finding {
+            path: site.path.clone(),
+            line: site.line,
+            rule,
+            message,
+        });
+    }
+    for row in rows.iter().filter(|r| !r.used) {
+        findings.push(Finding {
+            path: table.into(),
+            line: row.row_line,
+            rule,
+            message: format!(
+                "stale row: no {} at `{}` anymore",
+                noun(&row.class),
+                row.key
+            ),
+        });
+    }
 }
 
 /// A panic token at `toks[i]`: `.unwrap(`/`.expect(` or a panic macro.
@@ -468,76 +570,19 @@ fn unsafe_audit_scope(path: &str) -> bool {
         || path.starts_with("src/")
 }
 
-/// Every in-scope `unsafe` site across `files` as `(path, line, kind
-/// label, has_safety_comment)` — the raw material for `SAFETY.md` rows.
-pub fn unsafe_sites(files: &[(String, String)]) -> Vec<(String, u32, &'static str, bool)> {
+/// Every in-scope `unsafe` site across `files` — the raw material for
+/// `SAFETY.md` rows.
+pub fn unsafe_sites(files: &[(String, String)]) -> Vec<AuditSite> {
     let mut out = Vec::new();
     for (path, src) in files {
         if !unsafe_audit_scope(path) {
             continue;
         }
-        for site in parse_file(src).unsafe_sites {
-            out.push((
-                path.clone(),
-                site.line,
-                site.kind.label(),
-                site.has_safety_comment,
-            ));
-        }
+        let sites = parse_file(src).unsafe_sites.into_iter();
+        let sites = sites.map(|s| (s.line, s.item, s.kind.label().into(), s.has_safety_comment));
+        keyed(path, sites.collect(), &mut out);
     }
     out
-}
-
-struct SafetyRow {
-    path: String,
-    line: u32,
-    kind: String,
-    justified: bool,
-    row_line: u32,
-    used: bool,
-}
-
-fn parse_safety(md: &str, findings: &mut Vec<Finding>) -> Vec<SafetyRow> {
-    let mut rows = Vec::new();
-    for (idx, raw) in md.lines().enumerate() {
-        let row_line = (idx + 1) as u32;
-        let t = raw.trim();
-        if !t.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = t
-            .trim_matches('|')
-            .split('|')
-            .map(|c| c.trim().trim_matches('`'))
-            .collect();
-        if cells.len() < 3
-            || cells[0] == "site"
-            || cells[0].chars().all(|c| matches!(c, '-' | ':' | ' '))
-        {
-            continue;
-        }
-        let parsed = cells[0]
-            .rsplit_once(':')
-            .and_then(|(p, l)| l.parse::<u32>().ok().map(|l| (p.to_string(), l)));
-        let Some((path, line)) = parsed else {
-            findings.push(Finding {
-                path: "SAFETY.md".into(),
-                line: row_line,
-                rule: "unsafe-audit",
-                message: format!("malformed site cell `{}` (expected `path:line`)", cells[0]),
-            });
-            continue;
-        };
-        rows.push(SafetyRow {
-            path,
-            line,
-            kind: cells[1].to_string(),
-            justified: !cells[2].is_empty() && cells[2] != "TODO",
-            row_line,
-            used: false,
-        });
-    }
-    rows
 }
 
 /// `root → … → offender`, middle-elided past [`CHAIN_DISPLAY`] frames.
@@ -656,110 +701,37 @@ pub fn lint_workspace(
     };
 
     // atomics-audit: sites vs the checked-in table, both directions.
-    let sites = atomics_sites(files);
-    let mut rows = atomics_md
-        .map(|md| parse_audit(md, &mut findings))
-        .unwrap_or_default();
-    for (path, line, ordering) in &sites {
-        match rows
-            .iter_mut()
-            .find(|r| r.path == *path && r.line == *line && r.ordering == *ordering)
-        {
-            Some(row) => {
-                row.used = true;
-                if !row.justified {
-                    findings.push(Finding {
-                        path: path.clone(),
-                        line: *line,
-                        rule: "atomics-audit",
-                        message: format!(
-                            "`Ordering::{ordering}` is listed in ATOMICS.md but has no \
-                             justification"
-                        ),
-                    });
-                }
-            }
-            None => findings.push(Finding {
-                path: path.clone(),
-                line: *line,
-                rule: "atomics-audit",
-                message: format!(
-                    "`Ordering::{ordering}` site is not in the ATOMICS.md audit table \
-                     (regenerate rows with `viderec-lint --print-atomics-rows`)"
-                ),
-            }),
-        }
-    }
-    for row in rows.iter().filter(|r| !r.used) {
-        findings.push(Finding {
-            path: "ATOMICS.md".into(),
-            line: row.row_line,
-            rule: "atomics-audit",
-            message: format!(
-                "stale row: no `Ordering::{}` site at `{}:{}` anymore",
-                row.ordering, row.path, row.line
-            ),
-        });
-    }
+    audit(
+        &atomics_sites(files),
+        atomics_md,
+        ("ATOMICS.md", "atomics-audit", "--print-atomics-rows"),
+        |ordering| format!("`Ordering::{ordering}` site"),
+        &mut findings,
+    );
 
     // unsafe-audit: every site needs a SAFETY comment and a justified
     // SAFETY.md row; stale rows fail. Not waivable — the table is the
     // escape hatch.
     let usites = unsafe_sites(files);
-    let mut srows = safety_md
-        .map(|md| parse_safety(md, &mut findings))
-        .unwrap_or_default();
-    for (path, line, kind, has_comment) in &usites {
-        if !has_comment {
-            findings.push(Finding {
-                path: path.clone(),
-                line: *line,
-                rule: "unsafe-audit",
-                message: format!(
-                    "`unsafe` {kind} without a `// SAFETY:` comment directly above it \
-                     (an `unsafe fn`/`unsafe impl` may use a `# Safety` doc section instead)"
-                ),
-            });
-        }
-        match srows
-            .iter_mut()
-            .find(|r| r.path == *path && r.line == *line && r.kind == *kind)
-        {
-            Some(row) => {
-                row.used = true;
-                if !row.justified {
-                    findings.push(Finding {
-                        path: path.clone(),
-                        line: *line,
-                        rule: "unsafe-audit",
-                        message: format!(
-                            "`unsafe` {kind} is listed in SAFETY.md but has no justification"
-                        ),
-                    });
-                }
-            }
-            None => findings.push(Finding {
-                path: path.clone(),
-                line: *line,
-                rule: "unsafe-audit",
-                message: format!(
-                    "`unsafe` {kind} is not in the SAFETY.md audit table (regenerate rows \
-                     with `viderec-lint --print-safety-rows`)"
-                ),
-            }),
-        }
-    }
-    for row in srows.iter().filter(|r| !r.used) {
+    for site in usites.iter().filter(|s| !s.commented) {
         findings.push(Finding {
-            path: "SAFETY.md".into(),
-            line: row.row_line,
+            path: site.path.clone(),
+            line: site.line,
             rule: "unsafe-audit",
             message: format!(
-                "stale row: no `unsafe` {} site at `{}:{}` anymore",
-                row.kind, row.path, row.line
+                "`unsafe` {} without a `// SAFETY:` comment directly above it \
+                 (an `unsafe fn`/`unsafe impl` may use a `# Safety` doc section instead)",
+                site.class
             ),
         });
     }
+    audit(
+        &usites,
+        safety_md,
+        ("SAFETY.md", "unsafe-audit", "--print-safety-rows"),
+        |kind| format!("`unsafe` {kind}"),
+        &mut findings,
+    );
 
     for (path, tokens) in &lexed {
         let toks = significant(tokens);

@@ -56,6 +56,17 @@ pub struct FnDef {
     pub macros: Vec<(String, u32)>,
 }
 
+impl FnDef {
+    /// `module::Type::name` within the file — the item half of the
+    /// `path::item` keys the audit tables use.
+    fn item_path(&self) -> String {
+        let mut segments = self.modules.clone();
+        segments.extend(self.self_ty.clone());
+        segments.push(self.name.clone());
+        segments.join("::")
+    }
+}
+
 /// What kind of construct an [`UnsafeSite`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UnsafeKind {
@@ -85,6 +96,10 @@ impl UnsafeKind {
 pub struct UnsafeSite {
     /// 1-based line of the `unsafe` keyword.
     pub line: u32,
+    /// The enclosing item: the innermost fn (`module::Type::name`) for a
+    /// block, the fn itself for an `unsafe fn`, `impl Type` for an
+    /// `unsafe impl`/`unsafe trait`.
+    pub item: String,
     /// Construct kind.
     pub kind: UnsafeKind,
     /// A qualifying safety comment was found.
@@ -101,6 +116,23 @@ pub struct ParsedFile {
     pub fns: Vec<FnDef>,
     /// Every `unsafe` keyword site.
     pub unsafe_sites: Vec<UnsafeSite>,
+}
+
+/// The item of a line outside every fn.
+const TOP_LEVEL: &str = "(top level)";
+
+impl ParsedFile {
+    /// The item enclosing `line`: the innermost fn whose span holds it
+    /// (`module::Type::name`), or [`TOP_LEVEL`].
+    pub(crate) fn item_at(&self, line: u32) -> String {
+        let holding = self
+            .fns
+            .iter()
+            .filter(|f| f.line <= line && line <= f.end_line);
+        holding
+            .max_by_key(|f| f.line)
+            .map_or_else(|| TOP_LEVEL.to_string(), FnDef::item_path)
+    }
 }
 
 /// Keywords that look like `ident (` in expression position but are not
@@ -122,7 +154,9 @@ struct Parser<'a> {
     i: usize,
     scopes: Vec<Scope>,
     fns: Vec<FnDef>,
-    unsafe_sites: Vec<(u32, UnsafeKind)>,
+    /// `(line, kind, item)`; a block's item is resolved once every fn span
+    /// is known.
+    unsafe_sites: Vec<(u32, UnsafeKind, Option<String>)>,
     /// An `unsafe` modifier seen and not yet attached to `fn`/`impl`.
     pending_unsafe: Option<u32>,
 }
@@ -162,6 +196,14 @@ impl Parser<'_> {
                 _ => None,
             })
             .collect()
+    }
+
+    /// `impl Type` of the impl scope [`Self::parse_impl`] just opened.
+    fn impl_item(&self) -> Option<String> {
+        match self.scopes.last() {
+            Some(Scope::Impl(Some(ty))) => Some(format!("impl {ty}")),
+            _ => None,
+        }
     }
 
     fn current_self_ty(&self) -> Option<String> {
@@ -458,7 +500,7 @@ impl Parser<'_> {
                 Some("unsafe") => {
                     let line = self.line(self.i);
                     if self.punct(self.i + 1, "{") {
-                        self.unsafe_sites.push((line, UnsafeKind::Block));
+                        self.unsafe_sites.push((line, UnsafeKind::Block, None));
                         self.scopes.push(Scope::Block);
                         self.i += 2;
                     } else {
@@ -467,16 +509,16 @@ impl Parser<'_> {
                     }
                 }
                 Some("impl") => {
-                    if self.pending_unsafe.take().is_some() {
-                        self.unsafe_sites
-                            .push((self.line(self.i), UnsafeKind::Impl));
-                    }
+                    let site = self.pending_unsafe.take().map(|_| self.line(self.i));
                     self.parse_impl();
+                    self.unsafe_sites
+                        .extend(site.map(|l| (l, UnsafeKind::Impl, self.impl_item())));
                 }
                 Some("trait") => {
                     if self.pending_unsafe.take().is_some() {
+                        let item = self.ident(self.i + 1).map(|name| format!("impl {name}"));
                         self.unsafe_sites
-                            .push((self.line(self.i), UnsafeKind::Impl));
+                            .push((self.line(self.i), UnsafeKind::Impl, item));
                     }
                     // `trait Name … {`: the scope behaves like an impl of
                     // `Name` for default-method qualification.
@@ -499,14 +541,15 @@ impl Parser<'_> {
                 }
                 Some("fn") => {
                     let unsafe_line = self.pending_unsafe.take();
-                    if let Some(l) = unsafe_line {
-                        // Only a *declaring* fn marks the site; `fn(` types
-                        // are filtered inside parse_fn, so check here too.
-                        if self.ident(self.i + 1).is_some() {
-                            self.unsafe_sites.push((l, UnsafeKind::Fn));
-                        }
-                    }
+                    // Only a *declaring* fn marks the site; `fn(` types are
+                    // filtered inside parse_fn, so check here too.
+                    let declares = self.ident(self.i + 1).is_some();
+                    let parsed = self.fns.len();
                     self.parse_fn(unsafe_line.is_some());
+                    if let Some(l) = unsafe_line.filter(|_| declares) {
+                        let item = self.fns.get(parsed).map(FnDef::item_path);
+                        self.unsafe_sites.push((l, UnsafeKind::Fn, item));
+                    }
                 }
                 _ => {
                     if self.punct(self.i, ";") {
@@ -615,18 +658,20 @@ pub fn parse_file(src: &str) -> ParsedFile {
         pending_unsafe: None,
     };
     p.run();
-    let fns = std::mem::take(&mut p.fns);
-    let unsafe_sites = std::mem::take(&mut p.unsafe_sites)
+    let sites = std::mem::take(&mut p.unsafe_sites);
+    let mut parsed = ParsedFile {
+        fns: std::mem::take(&mut p.fns),
+        tokens: toks,
+        unsafe_sites: Vec::new(),
+    };
+    parsed.unsafe_sites = sites
         .into_iter()
-        .map(|(line, kind)| UnsafeSite {
+        .map(|(line, kind, item)| UnsafeSite {
             line,
+            item: item.unwrap_or_else(|| parsed.item_at(line)),
             kind,
             has_safety_comment: comment_preamble(&raw, line, kind != UnsafeKind::Block),
         })
         .collect();
-    ParsedFile {
-        tokens: toks,
-        fns,
-        unsafe_sites,
-    }
+    parsed
 }

@@ -1,7 +1,7 @@
 //! Rule tests for the `viderec-lint` engine: every rule fires on a seeded
 //! violation, stays quiet on clean code, and respects waivers.
 
-use viderec_check::lint::{atomics_sites, lint_workspace, Finding};
+use viderec_check::lint::{atomics_sites, lint_workspace, AuditSite, Finding};
 
 fn files(entries: &[(&str, &str)]) -> Vec<(String, String)> {
     entries
@@ -32,7 +32,7 @@ fn listed_and_justified_site_is_clean() {
     let fs = files(&[("crates/trace/src/ring.rs", RING_SNIPPET)]);
     let md = "| site | ordering | justification |\n\
               |---|---|---|\n\
-              | `crates/trace/src/ring.rs:1` | `Relaxed` | pure counter, no payload |\n";
+              | `crates/trace/src/ring.rs::bump` | `Relaxed` | pure counter, no payload |\n";
     assert!(lint_workspace(&fs, Some(md), None).is_empty());
 }
 
@@ -43,8 +43,8 @@ fn stale_row_and_empty_justification_are_findings() {
     // that no longer exists.
     let md = "| site | ordering | justification |\n\
               |---|---|---|\n\
-              | `crates/trace/src/ring.rs:1` | `Relaxed` | TODO |\n\
-              | `crates/trace/src/ring.rs:99` | `Release` | was real once |\n";
+              | `crates/trace/src/ring.rs::bump` | `Relaxed` | TODO |\n\
+              | `crates/trace/src/ring.rs::gone` | `Release` | was real once |\n";
     let findings = lint_workspace(&fs, Some(md), None);
     assert_eq!(rules_of(&findings), vec!["atomics-audit", "atomics-audit"]);
     assert!(findings
@@ -58,7 +58,7 @@ fn stale_row_and_empty_justification_are_findings() {
 #[test]
 fn wrong_ordering_in_row_counts_as_unlisted_plus_stale() {
     let fs = files(&[("crates/trace/src/ring.rs", RING_SNIPPET)]);
-    let md = "| `crates/trace/src/ring.rs:1` | `Release` | wrong variant |\n";
+    let md = "| `crates/trace/src/ring.rs::bump` | `Release` | wrong variant |\n";
     let findings = lint_workspace(&fs, Some(md), None);
     assert_eq!(findings.len(), 2, "{findings:?}");
 }
@@ -87,15 +87,41 @@ fn cmp_ordering_variants_do_not_match() {
 }
 
 #[test]
-fn atomics_sites_reports_path_line_variant() {
-    let fs = files(&[("vendor/bytes/src/lib.rs", RING_SNIPPET)]);
+fn atomics_sites_are_keyed_by_item_and_ordinal_not_by_line() {
+    let src = "impl Ring {\n\
+               \x20   fn push(&self) {\n\
+               \x20       self.head.load(Ordering::Relaxed);\n\
+               \x20       self.tail.store(1, Ordering::Release);\n\
+               \x20       self.drops.fetch_add(1, Ordering::Relaxed);\n\
+               \x20   }\n\
+               }\n\
+               static SEED: u64 = pick(Ordering::SeqCst);\n";
+    let site = |line, key: &str, class: &str| AuditSite {
+        path: "vendor/bytes/src/lib.rs".into(),
+        line,
+        key: format!("vendor/bytes/src/lib.rs::{key}"),
+        class: class.into(),
+        commented: true,
+    };
+    let want = vec![
+        site(3, "Ring::push", "Relaxed"),
+        site(4, "Ring::push", "Release"),
+        site(5, "Ring::push#2", "Relaxed"),
+        site(8, "(top level)", "SeqCst"),
+    ];
     assert_eq!(
-        atomics_sites(&fs),
-        vec![(
-            "vendor/bytes/src/lib.rs".to_string(),
-            1,
-            "Relaxed".to_string()
-        )]
+        atomics_sites(&files(&[("vendor/bytes/src/lib.rs", src)])),
+        want
+    );
+    // Shifting every line moves no key: the same rows still match.
+    let shifted = format!("\n\n// a new comment\n{src}");
+    let keys = |sites: Vec<AuditSite>| sites.into_iter().map(|s| s.key).collect::<Vec<_>>();
+    assert_eq!(
+        keys(atomics_sites(&files(&[(
+            "vendor/bytes/src/lib.rs",
+            &shifted
+        )]))),
+        keys(want)
     );
 }
 
@@ -518,8 +544,8 @@ fn the_handler_modules_real_vocabulary_is_clean() {
     )]);
     let md = "| site | ordering | justification |\n\
               |---|---|---|\n\
-              | `crates/prof/src/signal.rs:5` | `Relaxed` | sample word, published later |\n\
-              | `crates/prof/src/signal.rs:6` | `Relaxed` | drop counter, no payload |\n";
+              | `crates/prof/src/signal.rs::record` | `Relaxed` | sample word, published later |\n\
+              | `crates/prof/src/signal.rs::record#2` | `Relaxed` | drop counter, no payload |\n";
     assert!(lint_workspace(&fs, Some(md), None).is_empty());
 }
 
@@ -573,7 +599,7 @@ fn unsafe_block_without_safety_comment_is_a_finding() {
         "crates/prof/src/raw.rs",
         "fn f() {\n    unsafe { poke() }\n}\n",
     )]);
-    let md = "| `crates/prof/src/raw.rs:2` | `block` | justified elsewhere |\n";
+    let md = "| `crates/prof/src/raw.rs::f` | `block` | justified elsewhere |\n";
     let findings = lint_workspace(&fs, None, Some(md));
     assert_eq!(rules_of(&findings), vec!["unsafe-audit"]);
     assert!(findings[0].message.contains("SAFETY"), "{findings:?}");
@@ -596,15 +622,15 @@ fn commented_and_tabled_unsafe_site_is_clean() {
     let fs = files(&[("crates/prof/src/raw.rs", UNSAFE_SNIPPET)]);
     let md = "| site | kind | justification |\n\
               |---|---|---|\n\
-              | `crates/prof/src/raw.rs:3` | `block` | caller-contract slice access |\n";
+              | `crates/prof/src/raw.rs::f` | `block` | caller-contract slice access |\n";
     assert!(lint_workspace(&fs, None, Some(md)).is_empty());
 }
 
 #[test]
 fn stale_and_todo_safety_rows_are_findings() {
     let fs = files(&[("crates/prof/src/raw.rs", UNSAFE_SNIPPET)]);
-    let md = "| `crates/prof/src/raw.rs:3` | `block` | TODO |\n\
-              | `crates/prof/src/raw.rs:99` | `fn` | moved away |\n";
+    let md = "| `crates/prof/src/raw.rs::f` | `block` | TODO |\n\
+              | `crates/prof/src/raw.rs::gone` | `fn` | moved away |\n";
     let findings = lint_workspace(&fs, None, Some(md));
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings
@@ -743,7 +769,7 @@ fn clean_transitive_handler_vocabulary_stays_quiet() {
     ]);
     // The Ordering site needs a table row; keep the fixture focused on
     // signal-safety by supplying one.
-    let md = "| `crates/trace/src/stage.rs:1` | `Relaxed` | pure counter |\n";
+    let md = "| `crates/trace/src/stage.rs::note` | `Relaxed` | pure counter |\n";
     assert!(lint_workspace(&fs, Some(md), None).is_empty());
 }
 

@@ -217,6 +217,8 @@ fn wrapper() {
         ]
     );
     assert!(pf.unsafe_sites.iter().all(|s| !s.has_safety_comment));
+    let items: Vec<&str> = pf.unsafe_sites.iter().map(|s| s.item.as_str()).collect();
+    assert_eq!(items, ["raw", "impl Holder", "wrapper"]);
 }
 
 #[test]

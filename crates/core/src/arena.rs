@@ -1,12 +1,8 @@
 //! The corpus-owned scoring arena: every per-video cache the hot scoring
 //! paths need, laid out as contiguous structure-of-arrays buffers.
 //!
-//! Before this module existed, each [`crate::parallel::ParallelRecommender`]
-//! rebuilt a `Vec<SeriesCache>` — one heap-allocated cache per video, each
-//! holding its own `Vec`s — every time it was constructed, and the sequential
-//! [`crate::recommender::Recommender::recommend`] path had no caches at all:
-//! it re-sorted every signature's `(value, weight)` pairs inside every exact
-//! `κJ` evaluation. The arena moves all of that to *ingest time*:
+//! Everything a bound or an exact `κJ` evaluation reads about a video is
+//! derived once, at *ingest time*:
 //!
 //! * one flat `means` buffer (one entry per signature, videos own contiguous
 //!   ranges via `sig_off`);
@@ -20,19 +16,16 @@
 //! * per-video `mean_lo`/`mean_hi` columns — the signature-mean range the
 //!   O(1) separation rung and the flat certificate sweep read without
 //!   touching any per-signature buffer;
-//! * optional quantized lanes (`qvalues`/`qweights` plus a per-signature
-//!   error bound `qerr`) when the arena is built for
-//!   [`crate::config::EmdKernel::Quantized`];
 //! * a per-video `mean_order` permutation so bound rows can visit signatures
 //!   in centroid-gap order.
 //!
 //! The arena is built once in [`crate::recommender::Recommender::build`],
 //! *extended* (never rebuilt) when [`crate::maintenance`] ingests new videos,
-//! and borrowed by both the sequential pruned scan and the batch engine, so
-//! the two query paths literally share one cache.
+//! and borrowed — through [`ScoringArena::view`], the one view there is — by
+//! the sequential pruned scan, the gated engine and the batch engine alike.
 
 use crate::prune::{PruneBound, ANCHORS};
-use viderec_emd::{anchor_features, anchor_features_from_lanes, quantize_lanes};
+use viderec_emd::anchor_features;
 use viderec_signature::SignatureSeries;
 
 /// Structure-of-arrays scoring caches for a whole corpus (or, via
@@ -40,7 +33,6 @@ use viderec_signature::SignatureSeries;
 #[derive(Debug, Clone)]
 pub(crate) struct ScoringArena {
     bound: PruneBound,
-    quantize: bool,
     /// Cuboid count of the longest signature ingested so far, and the
     /// largest `|value|` of any cuboid — what the rounding allowance of the
     /// cached sums ([`viderec_emd::rounding_allowance`]) scales with.
@@ -71,26 +63,13 @@ pub(crate) struct ScoringArena {
     mean_lo: Vec<f64>,
     /// Largest signature mean of each video (`0.0` for an empty series).
     mean_hi: Vec<f64>,
-    /// Quantized value lanes (same offsets as `values`); empty unless
-    /// `quantize`.
-    qvalues: Vec<i32>,
-    /// Quantized weight lanes (same offsets as `weights`); empty unless
-    /// `quantize`.
-    qweights: Vec<u16>,
-    /// Per-signature weight-rounding error `δ`; `f64::INFINITY` marks a
-    /// signature whose values did not fit the integer grid (its quantized
-    /// lanes are zero-filled placeholders and the prefilter skips it).
-    qerr: Vec<f64>,
 }
 
 impl ScoringArena {
-    /// Empty arena for `bound`; extend it with [`Self::push_series`]. With
-    /// `quantize`, every ingested signature also gets u16/i32 quantized
-    /// lanes for the integer EMD prefilter.
-    pub(crate) fn new(bound: PruneBound, quantize: bool) -> Self {
+    /// Empty arena for `bound`; extend it with [`Self::push_series`].
+    pub(crate) fn new(bound: PruneBound) -> Self {
         Self {
             bound,
-            quantize,
             max_terms: 0,
             max_abs: 0.0,
             sig_off: vec![0],
@@ -102,16 +81,13 @@ impl ScoringArena {
             weights: Vec::new(),
             mean_lo: Vec::new(),
             mean_hi: Vec::new(),
-            qvalues: Vec::new(),
-            qweights: Vec::new(),
-            qerr: Vec::new(),
         }
     }
 
     /// Single-series arena — the query-side cache of a pruned scan. View it
     /// with `view(0)`.
-    pub(crate) fn for_series(series: &SignatureSeries, bound: PruneBound, quantize: bool) -> Self {
-        let mut arena = Self::new(bound, quantize);
+    pub(crate) fn for_series(series: &SignatureSeries, bound: PruneBound) -> Self {
+        let mut arena = Self::new(bound);
         arena.push_series(series);
         arena
     }
@@ -128,28 +104,11 @@ impl ScoringArena {
                 self.feats.extend(anchor_features(&pairs, lo, hi, ANCHORS));
             }
             pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
-            let lane_start = self.values.len();
             self.max_terms = self.max_terms.max(pairs.len());
             for &(v, w) in &pairs {
                 self.max_abs = self.max_abs.max(v.abs());
                 self.values.push(v);
                 self.weights.push(w);
-            }
-            if self.quantize {
-                match quantize_lanes(&self.values[lane_start..], &self.weights[lane_start..]) {
-                    Some(q) => {
-                        self.qvalues.extend_from_slice(&q.values);
-                        self.qweights.extend_from_slice(&q.weights);
-                        self.qerr.push(q.weight_l1_err);
-                    }
-                    None => {
-                        // Keep the lane offsets aligned; the infinite error
-                        // bound disables the prefilter for this signature.
-                        self.qvalues.extend(std::iter::repeat_n(0, pairs.len()));
-                        self.qweights.extend(std::iter::repeat_n(0, pairs.len()));
-                        self.qerr.push(f64::INFINITY);
-                    }
-                }
             }
             self.pair_off.push(self.values.len() as u32);
         }
@@ -185,37 +144,8 @@ impl ScoringArena {
         self.sig_off.len() - 1
     }
 
-    /// Anchor features for a *different* anchor domain than the arena's own,
-    /// recomputed from the stored lanes (`E[|X − c|]` is order-independent,
-    /// so the sorted buffers are a valid source). Returned flattened in the
-    /// arena's signature layout; view them via [`Self::view_with_feats`].
-    /// This is the overlay a [`crate::parallel::ParallelRecommender`] builds
-    /// when its configured bound disagrees with the arena's — everything
-    /// else (means, orders, presorted lanes) is still borrowed.
-    pub(crate) fn anchor_feats_for(&self, lo: f64, hi: f64) -> Vec<f64> {
-        let mut feats = Vec::with_capacity(self.means.len() * ANCHORS);
-        for s in 0..self.means.len() {
-            let range = self.pair_off[s] as usize..self.pair_off[s + 1] as usize;
-            feats.extend(anchor_features_from_lanes(
-                &self.values[range.clone()],
-                &self.weights[range],
-                lo,
-                hi,
-                ANCHORS,
-            ));
-        }
-        feats
-    }
-
     /// Borrowed view of one video's caches.
     pub(crate) fn view(&self, video: usize) -> SeriesView<'_> {
-        self.view_with_feats(video, &self.feats)
-    }
-
-    /// Like [`Self::view`] but reading anchor features from `feats` (an
-    /// [`Self::anchor_feats_for`] overlay in the arena's layout, or an empty
-    /// slice to view without features).
-    pub(crate) fn view_with_feats<'a>(&'a self, video: usize, feats: &'a [f64]) -> SeriesView<'a> {
         let (lo, hi) = (
             self.sig_off[video] as usize,
             self.sig_off[video + 1] as usize,
@@ -223,37 +153,17 @@ impl ScoringArena {
         SeriesView {
             means: &self.means[lo..hi],
             mean_order: &self.mean_order[lo..hi],
-            feats: if feats.is_empty() {
+            feats: if self.feats.is_empty() {
                 &[]
             } else {
-                &feats[lo * ANCHORS..hi * ANCHORS]
+                &self.feats[lo * ANCHORS..hi * ANCHORS]
             },
             pair_off: &self.pair_off[lo..=hi],
             values: &self.values,
             weights: &self.weights,
             rounding: self.rounding(),
-            quant: if self.quantize {
-                Some(QuantLanes {
-                    values: &self.qvalues,
-                    weights: &self.qweights,
-                    err: &self.qerr[lo..hi],
-                })
-            } else {
-                None
-            },
         }
     }
-}
-
-/// The quantized lane buffers a [`SeriesView`] exposes when its arena was
-/// built for the quantized kernel.
-#[derive(Clone, Copy)]
-struct QuantLanes<'a> {
-    values: &'a [i32],
-    weights: &'a [u16],
-    /// Per-signature weight error `δ`, local indexing; `∞` disables the
-    /// prefilter for that signature.
-    err: &'a [f64],
 }
 
 /// One video's (or one query's) slice of a [`ScoringArena`]: everything the
@@ -277,7 +187,6 @@ pub(crate) struct SeriesView<'a> {
     /// The arena's [`ScoringArena::rounding`] (arena-wide, not just this
     /// series).
     pub(crate) rounding: (usize, f64),
-    quant: Option<QuantLanes<'a>>,
 }
 
 impl SeriesView<'_> {
@@ -290,18 +199,6 @@ impl SeriesView<'_> {
     pub(crate) fn lanes(&self, i: usize) -> (&[f64], &[f64]) {
         let range = self.pair_off[i] as usize..self.pair_off[i + 1] as usize;
         (&self.values[range.clone()], &self.weights[range])
-    }
-
-    /// Signature `i`'s quantized lanes and weight error, when the arena was
-    /// built for the quantized kernel and this signature fit the grid.
-    pub(crate) fn quant_lanes(&self, i: usize) -> Option<(&[i32], &[u16], f64)> {
-        let q = self.quant?;
-        let err = q.err[i];
-        if !err.is_finite() {
-            return None;
-        }
-        let range = self.pair_off[i] as usize..self.pair_off[i + 1] as usize;
-        Some((&q.values[range.clone()], &q.weights[range], err))
     }
 }
 
@@ -332,7 +229,7 @@ mod tests {
     fn arena_layout_matches_per_video_views() {
         let a = series(&[&[3.0, 1.0], &[10.0]]);
         let b = series(&[&[-2.0, 4.0, 0.0]]);
-        let mut arena = ScoringArena::new(PruneBound::default(), false);
+        let mut arena = ScoringArena::new(PruneBound::default());
         arena.push_series(&a);
         arena.push_series(&b);
         assert_eq!(arena.len(), 2);
@@ -357,14 +254,14 @@ mod tests {
     #[test]
     fn centroid_arena_has_no_feats() {
         let a = series(&[&[1.0], &[2.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::Centroid, false);
+        let arena = ScoringArena::for_series(&a, PruneBound::Centroid);
         assert!(arena.view(0).feats.is_empty());
     }
 
     #[test]
     fn mean_order_sorts_locally_per_video() {
         let a = series(&[&[5.0], &[1.0], &[3.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::Centroid, false);
+        let arena = ScoringArena::for_series(&a, PruneBound::Centroid);
         assert_eq!(arena.view(0).mean_order, &[1, 2, 0]);
     }
 
@@ -372,7 +269,7 @@ mod tests {
     fn push_series_extends_without_disturbing_existing_views() {
         let a = series(&[&[2.0, 6.0]]);
         let b = series(&[&[-1.0]]);
-        let mut arena = ScoringArena::for_series(&a, PruneBound::default(), false);
+        let mut arena = ScoringArena::for_series(&a, PruneBound::default());
         let before: (Vec<f64>, Vec<f64>) = {
             let view = arena.view(0);
             let (v, w) = view.lanes(0);
@@ -384,56 +281,5 @@ mod tests {
         let (v, w) = view.lanes(0);
         assert_eq!((v, w), (before.0.as_slice(), before.1.as_slice()));
         assert_eq!(arena.view(1).lanes(0), (&[-1.0][..], &[1.0][..]));
-    }
-
-    #[test]
-    fn overlay_feats_match_a_fresh_arena_for_that_domain() {
-        let a = series(&[&[3.0, -7.0], &[12.0]]);
-        let base = ScoringArena::for_series(
-            &a,
-            PruneBound::Best {
-                lo: -16.0,
-                hi: 16.0,
-            },
-            false,
-        );
-        let overlay = base.anchor_feats_for(-64.0, 64.0);
-        let fresh = ScoringArena::for_series(
-            &a,
-            PruneBound::Best {
-                lo: -64.0,
-                hi: 64.0,
-            },
-            false,
-        );
-        assert_eq!(overlay, fresh.feats);
-        let view = base.view_with_feats(0, &overlay);
-        assert_eq!(view.feats, fresh.view(0).feats);
-    }
-
-    #[test]
-    fn quantized_arena_exposes_lanes_and_plain_arena_does_not() {
-        let a = series(&[&[3.0, 1.0], &[10.0]]);
-        let plain = ScoringArena::for_series(&a, PruneBound::default(), false);
-        assert!(plain.view(0).quant_lanes(0).is_none());
-
-        let quant = ScoringArena::for_series(&a, PruneBound::default(), true);
-        let view = quant.view(0);
-        let (qv, qw, err) = view.quant_lanes(0).expect("quantized");
-        assert_eq!(qv.len(), 2);
-        let sum: u64 = qw.iter().map(|&w| w as u64).sum();
-        assert_eq!(sum, viderec_emd::QUANT_WEIGHT_SCALE as u64);
-        assert!(err.is_finite() && err >= 0.0);
-        // Quantized values stay in value order.
-        assert!(qv.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn out_of_grid_values_disable_quant_for_that_signature_only() {
-        let a = series(&[&[5000.0], &[1.0, 2.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::default(), true);
-        let view = arena.view(0);
-        assert!(view.quant_lanes(0).is_none());
-        assert!(view.quant_lanes(1).is_some());
     }
 }

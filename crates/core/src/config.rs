@@ -13,8 +13,8 @@ use viderec_signature::SignatureConfig;
 /// truncated Fig. 6 indices while the social strategies enumerate the corpus,
 /// which keeps the Fig. 12 cost-model shapes intact. The `Gated*` modes make
 /// the inverted index and LSB forest the gatekeepers for *every* strategy so
-/// `scanned << corpus`; they differ only in what happens to videos the gather
-/// missed.
+/// `scanned << corpus`; they differ only in whether videos the gather missed
+/// are checked against the top-k floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Full-corpus scoring universe as in the paper's evaluation (default).
@@ -24,32 +24,10 @@ pub enum RetrievalMode {
     /// non-candidate whose score ceiling reaches the top-k floor is promoted
     /// and scored exactly, so results are bit-identical to the naive scan.
     GatedCertified,
-    /// Like [`Self::GatedCertified`], but before promoting violators the LSB
-    /// fan-out is doubled up to [`RecommenderConfig::max_widen_rounds`] times
-    /// so the certificate usually closes without touching the slow path.
-    GatedWiden,
     /// Index-gated gather with no certificate: pure approximate retrieval.
     /// Fastest, but recall is only probabilistic (see the recall regression
     /// gate in the scale bench).
     GatedApprox,
-}
-
-/// Which lanes the exact EMD kernel sweeps inside `κJ` refinement.
-///
-/// Either mode returns bit-identical recommendations: the quantized lanes
-/// are only ever used to *prove* a sweep would exceed the matching radius
-/// (with the rounding error band charged against the proof), never to
-/// decide a borderline pair — those always fall back to the f64 lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmdKernel {
-    /// f64 SoA lanes only (default).
-    #[default]
-    Exact,
-    /// u16/i32 quantized lanes screen each capped sweep before the f64
-    /// lanes run. Costs extra arena memory (6 bytes per cuboid plus one
-    /// error bound per signature); wins when most candidate pairs are far
-    /// outside the matching radius.
-    Quantized,
 }
 
 /// All knobs of the recommendation system.
@@ -75,19 +53,12 @@ pub struct RecommenderConfig {
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,
     /// Which EMD lower bound the corpus scoring arena caches anchor features
-    /// for. Every query path — the sequential pruned scan and (by default)
-    /// the batch engine — prunes against this bound; pruning is admissible
-    /// for any choice, so it affects latency only, never results.
+    /// for. Every query path — the sequential pruned scan and the batch
+    /// engine — prunes against this bound; pruning is admissible for any
+    /// choice, so it affects latency only, never results.
     pub prune_bound: PruneBound,
     /// Candidate-retrieval mode for all `recommend*` entry points.
     pub retrieval: RetrievalMode,
-    /// Which lane representation the exact EMD kernel runs on. Results are
-    /// bit-identical in both modes; see [`EmdKernel`].
-    pub kernel: EmdKernel,
-    /// Fan-out doubling rounds for [`RetrievalMode::GatedWiden`] before the
-    /// remaining certificate violators are promoted outright. Ignored by the
-    /// other modes.
-    pub max_widen_rounds: usize,
 }
 
 impl Default for RecommenderConfig {
@@ -103,8 +74,6 @@ impl Default for RecommenderConfig {
             hash_buckets: 1 << 12,
             prune_bound: PruneBound::default(),
             retrieval: RetrievalMode::Paper,
-            kernel: EmdKernel::Exact,
-            max_widen_rounds: 3,
         }
     }
 }
@@ -126,9 +95,6 @@ impl RecommenderConfig {
         }
         if self.hash_buckets == 0 {
             return Err("hash_buckets must be positive".into());
-        }
-        if self.retrieval == RetrievalMode::GatedWiden && self.max_widen_rounds == 0 {
-            return Err("max_widen_rounds must be positive in GatedWiden mode".into());
         }
         if let PruneBound::Best { lo, hi } = self.prune_bound {
             if lo >= hi || !lo.is_finite() || !hi.is_finite() {
@@ -163,12 +129,6 @@ impl RecommenderConfig {
         self.retrieval = retrieval;
         self
     }
-
-    /// A copy with a different EMD kernel mode.
-    pub fn with_kernel(mut self, kernel: EmdKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -180,12 +140,7 @@ mod tests {
         let c = RecommenderConfig::default();
         assert_eq!(c.omega, 0.7);
         assert_eq!(c.k_subcommunities, 60);
-        assert_eq!(
-            c.embed_dims,
-            viderec_emd::CDF_EMBED_DIMS,
-            "LSB embedding dims and the CDF-sample bound grid share one constant"
-        );
-        assert_eq!(c.kernel, EmdKernel::Exact, "quantized lanes stay opt-in");
+        assert_eq!(c.embed_dims, viderec_emd::CDF_EMBED_DIMS);
         assert_eq!(
             c.retrieval,
             RetrievalMode::Paper,
@@ -200,10 +155,10 @@ mod tests {
         let c = RecommenderConfig::default()
             .with_omega(0.3)
             .with_k(20)
-            .with_retrieval(RetrievalMode::GatedWiden);
+            .with_retrieval(RetrievalMode::GatedCertified);
         assert_eq!(c.omega, 0.3);
         assert_eq!(c.k_subcommunities, 20);
-        assert_eq!(c.retrieval, RetrievalMode::GatedWiden);
+        assert_eq!(c.retrieval, RetrievalMode::GatedCertified);
         assert!(c.validate().is_ok());
     }
 
@@ -226,12 +181,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = RecommenderConfig {
             prune_bound: PruneBound::Best { lo: 4.0, hi: -4.0 },
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = RecommenderConfig {
-            retrieval: RetrievalMode::GatedWiden,
-            max_widen_rounds: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

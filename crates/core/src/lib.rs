@@ -50,7 +50,7 @@ pub mod recommender;
 pub mod relevance;
 pub mod trace;
 
-pub use config::{EmdKernel, RecommenderConfig, RetrievalMode};
+pub use config::{RecommenderConfig, RetrievalMode};
 pub use corpus::{CorpusVideo, QueryVideo};
 pub use errors::RecError;
 pub use maintenance::{SocialUpdate, UpdateEvent, UpdateSummary};

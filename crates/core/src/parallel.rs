@@ -13,20 +13,17 @@
 //!
 //! The per-video scoring caches are **not** built here: the engine borrows
 //! the corpus-owned [`crate::arena::ScoringArena`] the recommender filled at
-//! ingest. Only when the engine is configured with an anchor-feature bound
-//! whose domain differs from the arena's does it materialise a feats-only
-//! overlay ([`ScoringArena::anchor_feats_for`]); means, centroid orders and
-//! presorted pairs are always shared.
+//! ingest, and prunes against the bound that arena was built for
+//! ([`crate::RecommenderConfig::prune_bound`]).
 
-use crate::arena::{ScoringArena, SeriesView};
-use crate::config::{EmdKernel, RetrievalMode};
+use crate::arena::ScoringArena;
+use crate::config::RetrievalMode;
 use crate::corpus::QueryVideo;
-use crate::prune::{kappa_exact_cached, Ladder, LadderQueue, PruneBound, PruneStats};
+use crate::prune::{Ladder, LadderQueue, PruneStats};
 use crate::recommender::{PreparedQuery, Recommender, Scored};
-use crate::relevance::{strategy_score, Strategy};
-use crate::topk::{floor_of, push_top_k, WorstFirst};
+use crate::relevance::Strategy;
+use crate::topk::{floor_of, top_k_heap};
 use crate::trace::{QueryTrace, ShardTrace, Stage, Tracer, MAX_SHARD_TRACES};
-use std::collections::BinaryHeap;
 use std::sync::atomic::AtomicU64;
 
 /// What one shard worker hands back: its top-k and a trace of its own —
@@ -40,11 +37,6 @@ type ShardResult = (Vec<Scored>, QueryTrace);
 pub struct ParallelConfig {
     /// Logical shards per query (≥ 1). `1` runs the pruned scan inline.
     pub workers: usize,
-    /// Whether to apply query-level pruning at all (off = pure sharding,
-    /// useful to isolate the two effects in benchmarks).
-    pub prune: bool,
-    /// Which EMD lower bound feeds the pruning ceilings.
-    pub bound: PruneBound,
     /// OS-thread cap for executing shards. `None` (the default) clamps to
     /// the host's available parallelism: the scan is CPU-bound, so threads
     /// beyond the hardware supply only add context-switch and cache-thrash
@@ -59,8 +51,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            prune: true,
-            bound: PruneBound::default(),
             max_threads: None,
         }
     }
@@ -69,18 +59,12 @@ impl Default for ParallelConfig {
 /// A batch-query façade over a built [`Recommender`].
 ///
 /// Borrows the recommender's scoring arena rather than deriving caches of its
-/// own, so construction is O(1) unless the configured [`ParallelConfig::bound`]
-/// needs anchor features over a different domain than the arena cached (then
-/// one feats overlay is computed; everything else is still borrowed). The
-/// arena is maintained by the recommender itself — including through
-/// [`crate::maintenance`] ingests — so the engine never goes stale with it.
+/// own, so construction is O(1). The arena is maintained by the recommender
+/// itself — including through [`crate::maintenance`] ingests — so the engine
+/// never goes stale with it.
 pub struct ParallelRecommender<'a> {
     rec: &'a Recommender,
     cfg: ParallelConfig,
-    /// Anchor features over `cfg.bound`'s domain when that differs from the
-    /// arena's cached domain; `None` means the arena's own feats (or none,
-    /// for centroid bounds) are the right ones.
-    feats_overlay: Option<Vec<f64>>,
 }
 
 impl<'a> ParallelRecommender<'a> {
@@ -95,17 +79,7 @@ impl<'a> ParallelRecommender<'a> {
     /// Panics if `cfg.workers == 0`.
     pub fn with_config(rec: &'a Recommender, cfg: ParallelConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
-        let feats_overlay = match cfg.bound {
-            // Centroid ceilings never read anchor features.
-            PruneBound::Centroid => None,
-            PruneBound::Best { .. } if cfg.bound == rec.arena().bound() => None,
-            PruneBound::Best { lo, hi } => Some(rec.arena().anchor_feats_for(lo, hi)),
-        };
-        Self {
-            rec,
-            cfg,
-            feats_overlay,
-        }
+        Self { rec, cfg }
     }
 
     /// The wrapped recommender.
@@ -116,21 +90,6 @@ impl<'a> ParallelRecommender<'a> {
     /// The engine configuration.
     pub fn config(&self) -> &ParallelConfig {
         &self.cfg
-    }
-
-    /// Whether this engine borrows the arena's anchor features directly
-    /// (`false` = it materialised a domain overlay). Test support.
-    pub fn shares_arena_feats(&self) -> bool {
-        self.feats_overlay.is_none()
-    }
-
-    /// The cached view of one video, with anchor features resolved against
-    /// the engine's bound.
-    fn video_view(&self, idx: usize) -> SeriesView<'_> {
-        match &self.feats_overlay {
-            Some(feats) => self.rec.arena().view_with_feats(idx, feats),
-            None => self.rec.arena().view(idx),
-        }
     }
 
     /// Top-`k` recommendations for each query, identical to calling
@@ -169,30 +128,6 @@ impl<'a> ParallelRecommender<'a> {
             .into_iter()
             .map(|(recs, trace)| (recs, trace.stats))
             .collect()
-    }
-
-    /// Like [`Self::recommend_batch`], also returning the batch-wide
-    /// *aggregate* pruning counters — what a serving batch endpoint reports
-    /// as one number. With `workers == 1` every query runs the sequential
-    /// engine's single-heap scan verbatim (shared helpers, same floor), so
-    /// the aggregate equals the sum of
-    /// [`Recommender::recommend_with_stats`] counters over the same queries.
-    pub fn recommend_batch_aggregate(
-        &self,
-        strategy: Strategy,
-        queries: &[QueryVideo],
-        k: usize,
-    ) -> (Vec<Vec<Scored>>, PruneStats) {
-        let mut total = PruneStats::default();
-        let recs = self
-            .recommend_batch_with_stats(strategy, queries, k)
-            .into_iter()
-            .map(|(recs, stats)| {
-                total.absorb(stats);
-                recs
-            })
-            .collect();
-        (recs, total)
     }
 
     /// [`Self::recommend_batch_with_stats`] with stage-level tracing: one
@@ -275,19 +210,10 @@ impl<'a> ParallelRecommender<'a> {
         if self.rec.config().retrieval != RetrievalMode::Paper {
             // Index-gated retrieval: the candidate set is a small fraction of
             // the corpus, so within-query sharding is not worth its merge
-            // cost — the whole query runs through the shared gated engine
-            // (with this engine's overlay-resolving views and bound; the
-            // certificate is admissible for any bound choice). Batch-level
-            // whole-query parallelism in `recommend_batch*` still applies.
-            return self.rec.gated_engine(
-                strategy,
-                query,
-                k,
-                &[],
-                &|i| self.video_view(i),
-                self.cfg.bound,
-                tracer,
-            );
+            // cost — the whole query runs through the shared gated engine.
+            // Batch-level whole-query parallelism in `recommend_batch*`
+            // still applies.
+            return self.rec.gated_engine(strategy, query, k, &[], tracer);
         }
         let total = tracer.start();
         let mut trace = QueryTrace::new(strategy, k);
@@ -305,24 +231,15 @@ impl<'a> ParallelRecommender<'a> {
         trace.gathered = candidates.len() as u64;
         trace.stats.scanned = candidates.len() as u64;
 
-        // The query-side scoring cache is query preparation too.
-        let sp = tracer.start();
-        let query_cache = ScoringArena::for_series(
-            &query.series,
-            self.cfg.bound,
-            self.rec.config().kernel == EmdKernel::Quantized,
-        );
-        let qv = query_cache.view(0);
-        trace.stop_span(sp, Stage::Prepare);
-
         let workers = workers.min(candidates.len()).max(1);
         trace.shards = workers as u64;
 
-        let mut merged = if self.cfg.prune && strategy.uses_content() {
-            let view_of = |i: usize| self.video_view(i);
-            let ladder = self
-                .rec
-                .ladder(strategy, &query_cache, &view_of, self.cfg.bound, k);
+        let mut merged = if strategy.uses_content() {
+            // The query-side scoring cache is query preparation too.
+            let sp = tracer.start();
+            let query_cache = ScoringArena::for_series(&query.series, self.rec.arena().bound());
+            trace.stop_span(sp, Stage::Prepare);
+            let ladder = self.rec.ladder(strategy, &query_cache, k);
             let queue = self.rec.enqueue(
                 strategy,
                 query,
@@ -339,7 +256,6 @@ impl<'a> ParallelRecommender<'a> {
                 strategy,
                 query,
                 &prep,
-                qv,
                 &candidates,
                 k,
                 workers,
@@ -360,16 +276,15 @@ impl<'a> ParallelRecommender<'a> {
         (merged, trace)
     }
 
-    /// Unpruned path: shard the candidate list into contiguous chunks and
-    /// heap-scan each (SR's and CR's scores are cheap and exact already; with
-    /// pruning disabled content strategies pay one exact `κJ` per candidate).
+    /// SR's path: shard the candidate list into contiguous chunks and
+    /// heap-scan each (the social score is cheap and exact already — nothing
+    /// to prune).
     #[allow(clippy::too_many_arguments)]
     fn run_plain(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
         prep: &PreparedQuery,
-        qv: SeriesView<'_>,
         candidates: &[u32],
         k: usize,
         workers: usize,
@@ -378,7 +293,7 @@ impl<'a> ParallelRecommender<'a> {
     ) -> Vec<Scored> {
         if workers == 1 {
             let results =
-                vec![self.score_plain_shard(strategy, query, prep, qv, candidates, k, tracer)];
+                vec![self.score_plain_shard(strategy, query, prep, candidates, k, tracer)];
             return merge_shards(results, trace);
         }
         let chunk = candidates.len().div_ceil(workers);
@@ -387,7 +302,7 @@ impl<'a> ParallelRecommender<'a> {
         let results = if threads == 1 {
             shards
                 .iter()
-                .map(|shard| self.score_plain_shard(strategy, query, prep, qv, shard, k, tracer))
+                .map(|shard| self.score_plain_shard(strategy, query, prep, shard, k, tracer))
                 .collect()
         } else {
             crossbeam::thread::scope(|scope| {
@@ -397,9 +312,7 @@ impl<'a> ParallelRecommender<'a> {
                         scope.spawn(move |_| {
                             mine.iter()
                                 .map(|shard| {
-                                    self.score_plain_shard(
-                                        strategy, query, prep, qv, shard, k, tracer,
-                                    )
+                                    self.score_plain_shard(strategy, query, prep, shard, k, tracer)
                                 })
                                 .collect::<Vec<_>>()
                         })
@@ -437,14 +350,14 @@ impl<'a> ParallelRecommender<'a> {
     /// *strictly* below it loses to all of them regardless of tie-breaking.
     fn run_pruned(
         &self,
-        ladder: Ladder<'_, '_>,
+        ladder: Ladder<'_>,
         mut queue: LadderQueue,
         workers: usize,
         tracer: Tracer,
         trace: &mut QueryTrace,
     ) -> Vec<Scored> {
         let k = ladder.top_k;
-        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+        let mut heap = top_k_heap(k, queue.len());
         if workers == 1 {
             ladder.run(&mut queue, &mut heap, trace, tracer);
             return heap.into_iter().map(|e| e.0).collect();
@@ -464,7 +377,7 @@ impl<'a> ParallelRecommender<'a> {
         let scan = |shard: &LadderQueue| -> ShardResult {
             let wall = tracer.start();
             let mut shard_trace = QueryTrace::new(ladder.strategy, k);
-            let mut own: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
+            let mut own = top_k_heap(k, shard.len());
             let mut pending = shard.clone();
             ladder.run(&mut pending, &mut own, &mut shard_trace, tracer);
             shard_trace.total_ns = wall.elapsed_ns().unwrap_or(0);
@@ -502,44 +415,23 @@ impl<'a> ParallelRecommender<'a> {
         merged
     }
 
-    /// Plain heap scan of a shard of candidate indices; exact scores only.
-    /// Returns the shard's top-k, counters, stage set and wall time.
-    #[allow(clippy::too_many_arguments)]
+    /// Plain heap scan of a shard of candidate indices; exact social scores
+    /// only. Returns the shard's top-k, counters, stage set and wall time.
     fn score_plain_shard(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
         prep: &PreparedQuery,
-        qv: SeriesView<'_>,
         shard: &[u32],
         k: usize,
         tracer: Tracer,
     ) -> ShardResult {
-        let omega = self.rec.config().omega;
-        let matching = self.rec.config().matching;
-        let ids = &self.rec.content.ids;
         let wall = tracer.start();
         let mut trace = QueryTrace::new(strategy, k);
-        let mut sp = tracer.start();
-        let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
-        for &idx in shard {
-            let idx = idx as usize;
-            trace.stats.exact_evals += 1;
-            let content = if strategy.uses_content() {
-                let kappa =
-                    kappa_exact_cached(qv, self.video_view(idx), matching, &mut trace.stats);
-                trace.lap_span(&mut sp, Stage::Emd);
-                kappa
-            } else {
-                0.0
-            };
-            let sj = self.rec.social_score(strategy, query, prep, idx);
-            let score = strategy_score(strategy, omega, content, sj);
-            trace.lap_span(&mut sp, Stage::Social);
-            let video = ids[idx];
-            push_top_k(&mut heap, WorstFirst(Scored { video, score }), k);
-            trace.lap_span(&mut sp, Stage::TopK);
-        }
+        let mut heap = top_k_heap(k, shard.len());
+        self.rec.scan_social_into(
+            strategy, query, prep, shard, k, &mut heap, tracer, &mut trace,
+        );
         trace.total_ns = wall.elapsed_ns().unwrap_or(0);
         (heap.into_iter().map(|e| e.0).collect(), trace)
     }
@@ -659,49 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn default_engine_borrows_arena_feats() {
-        let rec = build();
-        // The default engine bound equals the default arena bound, so no
-        // overlay is materialised — construction borrows everything.
-        let par = ParallelRecommender::new(&rec);
-        assert!(par.shares_arena_feats());
-        // A centroid engine reads no feats at all.
-        let centroid = ParallelRecommender::with_config(
-            &rec,
-            ParallelConfig {
-                bound: PruneBound::Centroid,
-                ..Default::default()
-            },
-        );
-        assert!(centroid.shares_arena_feats());
-    }
-
-    #[test]
-    fn overlay_engine_still_matches_sequential() {
-        let rec = build();
-        let par = ParallelRecommender::with_config(
-            &rec,
-            ParallelConfig {
-                bound: PruneBound::Best {
-                    lo: -64.0,
-                    hi: 64.0,
-                },
-                ..Default::default()
-            },
-        );
-        assert!(
-            !par.shares_arena_feats(),
-            "different domain must build an overlay"
-        );
-        let q = QueryVideo {
-            series: rec.series_of(VideoId(1)).unwrap().clone(),
-            users: rec.users_of(VideoId(1)).unwrap(),
-        };
-        let want = rec.recommend(Strategy::CsfSar, &q, 5);
-        assert_eq!(par.recommend_batch(Strategy::CsfSar, &[q], 5), vec![want]);
-    }
-
-    #[test]
     fn pruning_counters_are_consistent() {
         let rec = build();
         let q = QueryVideo {
@@ -723,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_aggregate_matches_the_sequential_engine() {
+    fn one_worker_counters_match_the_sequential_engine() {
         let rec = build();
         let queries: Vec<QueryVideo> = (0..4)
             .map(|i| QueryVideo {
@@ -745,23 +594,15 @@ mod tests {
             Strategy::CsfSar,
             Strategy::CsfSarH,
         ] {
-            let (recs, aggregate) = par.recommend_batch_aggregate(strategy, &queries, 5);
-            let mut want = PruneStats::default();
-            for (q, got) in queries.iter().zip(&recs) {
-                let (seq, stats) = rec.recommend_with_stats(strategy, q, 5, &[]);
-                assert_eq!(&seq, got, "{} diverged", strategy.label());
-                want.absorb(stats);
+            let batch = par.recommend_batch_with_stats(strategy, &queries, 5);
+            for (q, got) in queries.iter().zip(&batch) {
+                // On one worker the engine runs the sequential single-heap
+                // scan verbatim, so the counters match the sequential
+                // engine's exactly — not just the invariants.
+                let want = rec.recommend_with_stats(strategy, q, 5, &[]);
+                assert_eq!(&want, got, "{} diverged", strategy.label());
+                assert_eq!(got.1.pruned + got.1.exact_evals, got.1.scanned);
             }
-            // On one worker the engine runs the sequential single-heap scan
-            // verbatim, so the aggregate counters match the sequential
-            // engine's sum exactly — not just the invariants.
-            assert_eq!(aggregate, want, "{} counters diverged", strategy.label());
-            assert_eq!(
-                aggregate.pruned + aggregate.exact_evals,
-                aggregate.scanned,
-                "{}",
-                strategy.label()
-            );
         }
     }
 
@@ -777,7 +618,6 @@ mod tests {
             ParallelConfig {
                 workers: 3,
                 max_threads: Some(2),
-                ..Default::default()
             },
         );
         for strategy in [Strategy::Sr, Strategy::CsfSar] {

@@ -25,7 +25,7 @@
 //! score must still be evaluated because ranking ties break by `VideoId`, so
 //! the result set stays identical to the unpruned scan.
 //!
-//! Every scan — paper mode, each gated round (gathered candidates and
+//! Every scan — paper mode, the gated engine (gathered candidates and
 //! certificate survivors alike) and each shard of the batch engine — drives
 //! those ceilings through one lazy best-first [`Ladder`]: a max-queue keyed
 //! by each candidate's *current* score ceiling, refined one rung at a time
@@ -44,9 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use viderec_trace::Span;
 
 use viderec_emd::{
-    emd_1d_soa, emd_1d_soa_capped, emd_1d_soa_capped_x8, extended_jaccard, quant_area_exceeds,
-    quant_area_threshold, rounding_allowance, sim_c, sim_c_upper_bound, MatchingConfig, SweepJob,
-    SWEEP_LANES,
+    emd_1d_soa, emd_1d_soa_capped, extended_jaccard, rounding_allowance, sim_c, sim_c_upper_bound,
+    MatchingConfig,
 };
 
 /// Lipschitz anchors cached per signature for [`PruneBound::Best`]: the bound
@@ -83,8 +82,8 @@ pub struct PruneStats {
     /// Candidates that paid for an exact `κJ` evaluation.
     pub exact_evals: u64,
     /// Signature-pair sweeps inside exact evaluations that proved
-    /// `EMD > radius` without finishing — aborted by the quantized integer
-    /// prefilter or by the capped f64 sweep itself.
+    /// `EMD > radius` without finishing — screened out by the anchor bound
+    /// or aborted by the capped sweep itself.
     pub cap_aborted: u64,
     /// Signature-pair sweeps inside exact evaluations that ran to
     /// completion and returned an exact distance.
@@ -143,12 +142,10 @@ impl Default for PruneBound {
     }
 }
 
-/// Reusable buffers of [`kappa_exact_cached`]: the screen pass's survivor
-/// worklist, the eligible `(SimC, i, j)` triples the matcher sorts, and the
-/// matcher's row/column occupancy flags.
+/// Reusable buffers of [`kappa_exact_cached`]: the eligible `(SimC, i, j)`
+/// triples the matcher sorts, and the matcher's row/column occupancy flags.
 #[derive(Default)]
 struct SweepScratch {
-    pairs: Vec<(u32, u32)>,
     eligible: Vec<(f64, u32, u32)>,
     used1: Vec<bool>,
     used2: Vec<bool>,
@@ -168,26 +165,22 @@ thread_local! {
 /// which [`viderec_emd::emd_1d_soa_capped`] pins bit-identical to the
 /// pair-slice sweep), identical threshold test, identical greedy matching.
 ///
-/// The evaluation is staged so the sweeps run batched instead of one at a
-/// time from inside the matcher's closure:
+/// Each signature pair is classified exactly once, in row-major order:
 ///
-/// 1. **screen pass** — every signature pair goes through the admissible
-///    screens (centroid gap, Lipschitz anchor bound, quantized-area
-///    prefilter when both views carry integer lanes); pairs proven
-///    `EMD > radius` score `SimC = 0` without a sweep, survivors join a
-///    worklist;
-/// 2. **batched sweeps** — the worklist runs through
-///    [`emd_1d_soa_capped_x8`] in [`SWEEP_LANES`]-wide waves (scalar kernel
-///    for the remainder). Each lane's sweep is bit-identical to the scalar
-///    kernel, so batching changes neither values nor the abort/full
-///    classification. Sweeps that finish within the radius append their
-///    `(SimC, i, j)` to the eligible list;
-/// 3. **matching** — the greedy matcher of [`extended_jaccard`] runs
-///    directly over the eligible list instead of re-scanning a dense
-///    matrix. Screened and aborted pairs score `SimC = 0 < τ`, so the
-///    closure-driven form would drop them at its threshold test anyway; the
-///    survivors enter in the same row-major order, so the stable sort, the
-///    matching, and the accumulation order are unchanged bit for bit.
+/// 1. **screen** — the admissible screens (centroid gap, Lipschitz anchor
+///    bound) prove `EMD > radius` for most pairs, which score `SimC = 0`
+///    without a sweep;
+/// 2. **sweep** — a survivor runs [`emd_1d_soa_capped`] at the radius, which
+///    aborts (`SimC = 0` again) or returns the exact distance;
+/// 3. **record** — a sweep that finishes within the radius appends its
+///    `(SimC, i, j)` to the eligible list.
+///
+/// The greedy matcher of [`extended_jaccard`] then runs directly over the
+/// eligible list instead of re-scanning a dense matrix. Screened and aborted
+/// pairs score `SimC = 0 < τ`, so the closure-driven form would drop them at
+/// its threshold test anyway; the survivors enter in the same row-major
+/// order, so the stable sort, the matching, and the accumulation order are
+/// unchanged bit for bit.
 ///
 /// Screens only skip sweeps whose outcome (`SimC < τ`) is already proven —
 /// each bound has to clear the radius by its rounding allowance ([`Slack`])
@@ -227,12 +220,10 @@ pub(crate) fn kappa_exact_cached(
         let reach = radius + slack.give;
         SWEEP_SCRATCH.with(|scratch| {
             let SweepScratch {
-                pairs,
                 eligible,
                 used1,
                 used2,
             } = &mut *scratch.borrow_mut();
-            pairs.clear();
             eligible.clear();
             for i in 0..n1 {
                 for j in 0..n2 {
@@ -248,63 +239,26 @@ pub(crate) fn kappa_exact_cached(
                         cap_aborted += 1;
                         continue;
                     }
-                    if let (Some((qiv, qiw, err_q)), Some((viv, viw, err_v))) =
-                        (query.quant_lanes(i), video.quant_lanes(j))
-                    {
-                        let (qv, _) = query.lanes(i);
-                        let (vv, _) = video.lanes(j);
-                        // Union support width, for the weight-error term of
-                        // the quantization error band.
-                        let span = qv[qv.len() - 1].max(vv[vv.len() - 1]) - qv[0].min(vv[0]);
-                        let threshold = quant_area_threshold(reach, err_q, err_v, span);
-                        if threshold != u64::MAX
-                            && quant_area_exceeds(qiv, qiw, viv, viw, threshold)
-                        {
-                            // Proven over the radius on the integer lanes;
-                            // the f64 sweep would have returned ∞.
-                            cap_aborted += 1;
-                            continue;
-                        }
+                    // A pair is only eligible when its swept distance is
+                    // within the radius ([`MatchingConfig::radius`] covers
+                    // every distance whose `SimC` rounds to τ or above), so
+                    // the sweep may abort once its running total passes it:
+                    // `sim_c(∞) = 0` fails the τ test exactly like the
+                    // distance would, and distances within the radius come
+                    // back exact.
+                    let (qv, qw) = query.lanes(i);
+                    let (vv, vw) = video.lanes(j);
+                    let d = emd_1d_soa_capped(qv, qw, vv, vw, radius);
+                    if !d.is_finite() {
+                        cap_aborted += 1;
+                        continue;
                     }
-                    pairs.push((i as u32, j as u32));
-                }
-            }
-            // A pair is only eligible when its swept distance is within the
-            // radius ([`MatchingConfig::radius`] covers every distance whose
-            // `SimC` rounds to τ or above), so the sweeps may abort once
-            // their running total passes it: `sim_c(∞) = 0` fails the τ test
-            // exactly like the distance would, and distances within the
-            // radius come back exact.
-            let mut record = |i: u32, j: u32, d: f64| {
-                if d.is_finite() {
                     full_sweeps += 1;
                     let s = sim_c(d);
                     // Same threshold test as [`extended_jaccard`]: `d` at
                     // the radius can round to `SimC` a hair under τ.
                     if s >= cfg.min_similarity {
-                        eligible.push((s, i, j));
-                    }
-                } else {
-                    cap_aborted += 1;
-                }
-            };
-            for chunk in pairs.chunks(SWEEP_LANES) {
-                if let Ok(chunk8) = <&[(u32, u32); SWEEP_LANES]>::try_from(chunk) {
-                    let jobs: [SweepJob<'_>; SWEEP_LANES] = core::array::from_fn(|l| {
-                        let (i, j) = chunk8[l];
-                        let (av, aw) = query.lanes(i as usize);
-                        let (bv, bw) = video.lanes(j as usize);
-                        SweepJob { av, aw, bv, bw }
-                    });
-                    let ds = emd_1d_soa_capped_x8(&jobs, radius);
-                    for (l, &(i, j)) in chunk8.iter().enumerate() {
-                        record(i, j, ds[l]);
-                    }
-                } else {
-                    for &(i, j) in chunk {
-                        let (qv, qw) = query.lanes(i as usize);
-                        let (vv, vw) = video.lanes(j as usize);
-                        record(i, j, emd_1d_soa_capped(qv, qw, vv, vw, radius));
+                        eligible.push((s, i as u32, j as u32));
                     }
                 }
             }
@@ -515,9 +469,14 @@ impl LadderQueue {
         }
     }
 
+    /// How many candidates are queued.
+    pub(crate) fn len(&self) -> usize {
+        self.fresh.len() + self.refined.len()
+    }
+
     /// Empties the queue; returns how many candidates were left in it.
     fn clear(&mut self) -> usize {
-        let left = self.fresh.len() + self.refined.len();
+        let left = self.len();
         self.fresh.clear();
         self.refined.clear();
         left
@@ -575,7 +534,7 @@ impl LadderQueue {
 /// so nothing is refined whose previous-rung ceiling is below the *final*
 /// floor — `k` candidates with higher exact scores, hence higher keys, would
 /// have been popped and scored first.
-pub(crate) struct Ladder<'a, 'v> {
+pub(crate) struct Ladder<'a> {
     pub(crate) cfg: &'a RecommenderConfig,
     /// The corpus's content component, dereferenced once per query.
     pub(crate) content: &'a Content,
@@ -586,9 +545,6 @@ pub(crate) struct Ladder<'a, 'v> {
     /// What a mean-range gap must exceed to prove `κJ = 0` (see
     /// [`separated`]).
     pub(crate) reach: f64,
-    /// Per-video views (the arena's own, or the batch engine's overlay).
-    pub(crate) view_of: &'a (dyn Fn(usize) -> SeriesView<'v> + Sync),
-    pub(crate) bound: PruneBound,
     pub(crate) top_k: usize,
     /// A floor established outside this ladder's own heap: the batch
     /// engine's shards share the best k-th score any of them has reached
@@ -598,7 +554,7 @@ pub(crate) struct Ladder<'a, 'v> {
     pub(crate) shared_floor: Option<&'a AtomicU64>,
 }
 
-impl Ladder<'_, '_> {
+impl Ladder<'_> {
     /// Whether `key` is strictly below the k-th score reached so far, here
     /// or (through the shared floor) anywhere; publishes this heap's own
     /// k-th score when it leads.
@@ -664,13 +620,14 @@ impl Ladder<'_, '_> {
         }
         trace.lap_span(sp, Stage::TopK);
         let i = e.idx as usize;
+        let arena = &self.content.arena;
         if !e.refined {
             e.refined = true;
-            let (lo, hi) = self.content.arena.mean_ranges();
+            let (lo, hi) = arena.mean_ranges();
             let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
                 0.0
             } else {
-                kappa_upper_bound(self.qv, (self.view_of)(i), self.bound, cfg.matching)
+                kappa_upper_bound(self.qv, arena.view(i), arena.bound(), cfg.matching)
             };
             e.key = strategy_score(self.strategy, cfg.omega, kappa_ub, e.sj);
             trace.lap_span(sp, Stage::Bound);
@@ -694,8 +651,7 @@ impl Ladder<'_, '_> {
             e.key
         } else {
             trace.stats.exact_evals += 1;
-            let kappa =
-                kappa_exact_cached(self.qv, (self.view_of)(i), cfg.matching, &mut trace.stats);
+            let kappa = kappa_exact_cached(self.qv, arena.view(i), cfg.matching, &mut trace.stats);
             let score = strategy_score(self.strategy, cfg.omega, kappa, e.sj);
             trace.lap_span(sp, Stage::Emd);
             score
@@ -760,8 +716,8 @@ mod tests {
                         hi: 45.0,
                     },
                 ] {
-                    let qc = ScoringArena::for_series(&a, bound, false);
-                    let vc = ScoringArena::for_series(&b, bound, false);
+                    let qc = ScoringArena::for_series(&a, bound);
+                    let vc = ScoringArena::for_series(&b, bound);
                     let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
                     assert!(
                         ub >= exact - 1e-12,
@@ -782,8 +738,8 @@ mod tests {
                 let cfg = MatchingConfig {
                     min_similarity: tau,
                 };
-                let qc = ScoringArena::for_series(&a, PruneBound::Centroid, false);
-                let vc = ScoringArena::for_series(&b, PruneBound::Centroid, false);
+                let qc = ScoringArena::for_series(&a, PruneBound::Centroid);
+                let vc = ScoringArena::for_series(&b, PruneBound::Centroid);
                 // Bit-identical, not merely close: same sweep, same
                 // threshold test, same greedy matcher.
                 let mut stats = PruneStats::default();
@@ -797,39 +753,33 @@ mod tests {
     }
 
     #[test]
-    fn quantized_exact_kappa_is_bit_identical_to_plain() {
+    fn one_pass_exact_kappa_classifies_every_pair_exactly_once() {
         let mut rng = StdRng::seed_from_u64(95);
         for _ in 0..60 {
             let a = random_series(&mut rng, 6);
             let b = random_series(&mut rng, 6);
-            for tau in [0.0, 0.3, 0.5, 0.8] {
+            for tau in [0.3, 0.5, 0.8] {
                 let cfg = MatchingConfig {
                     min_similarity: tau,
                 };
-                let bound = PruneBound::default();
-                let qp = ScoringArena::for_series(&a, bound, false);
-                let vp = ScoringArena::for_series(&b, bound, false);
-                let qq = ScoringArena::for_series(&a, bound, true);
-                let vq = ScoringArena::for_series(&b, bound, true);
-                let mut sp = PruneStats::default();
-                let mut sq = PruneStats::default();
-                // The prefilter may only skip sweeps the capped f64 kernel
-                // would have aborted anyway — the κJ value must not move by
-                // a single bit.
-                assert_eq!(
-                    kappa_exact_cached(qp.view(0), vp.view(0), cfg, &mut sp),
-                    kappa_exact_cached(qq.view(0), vq.view(0), cfg, &mut sq),
-                    "τ={tau}"
-                );
-                // Sweep accounting covers the same pair set either way.
-                assert_eq!(
-                    sp.cap_aborted + sp.full_sweeps,
-                    sq.cap_aborted + sq.full_sweeps,
-                    "τ={tau}"
-                );
-                // Quantization can only convert full sweeps into aborts,
-                // never the other way around.
-                assert!(sq.full_sweeps <= sp.full_sweeps, "τ={tau}");
+                for bound in [PruneBound::Centroid, PruneBound::default()] {
+                    let qc = ScoringArena::for_series(&a, bound);
+                    let vc = ScoringArena::for_series(&b, bound);
+                    let (q, v) = (qc.view(0), vc.view(0));
+                    let reach = cfg.radius() + Slack::between(q.rounding, v.rounding).give;
+                    let gaps = q
+                        .means
+                        .iter()
+                        .flat_map(|x| v.means.iter().map(move |y| x - y));
+                    let screened = gaps.filter(|gap| gap.abs() > reach).count() as u64;
+                    let mut stats = PruneStats::default();
+                    kappa_exact_cached(q, v, cfg, &mut stats);
+                    assert_eq!(
+                        stats.cap_aborted + stats.full_sweeps + screened,
+                        (q.len() * v.len()) as u64,
+                        "{bound:?} τ={tau}"
+                    );
+                }
             }
         }
     }
@@ -856,7 +806,7 @@ mod tests {
     /// The cached evaluation must agree with the unscreened measure bit for
     /// bit, so must the screened series measure the naive scan scores with,
     /// and every ceiling must stay above them, for any anchor domain.
-    fn check_on_the_radius(shape: &[Vec<(f64, f64)>], tau: f64, hi: f64, quantize: bool) -> f64 {
+    fn check_on_the_radius(shape: &[Vec<(f64, f64)>], tau: f64, hi: f64) -> f64 {
         use viderec_signature::kappa_j_series_pruned;
         let cfg = MatchingConfig {
             min_similarity: tau,
@@ -868,8 +818,8 @@ mod tests {
         let want = kappa_j_series(&a, &b, cfg);
         assert_eq!(kappa_j_series_pruned(&a, &b, cfg).to_bits(), want.to_bits());
         for bound in [PruneBound::Centroid, PruneBound::Best { lo: -hi, hi }] {
-            let qc = ScoringArena::for_series(&a, bound, quantize);
-            let vc = ScoringArena::for_series(&b, bound, quantize);
+            let qc = ScoringArena::for_series(&a, bound);
+            let vc = ScoringArena::for_series(&b, bound);
             let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut PruneStats::default());
             assert_eq!(got.to_bits(), want.to_bits(), "{bound:?}");
             let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
@@ -893,7 +843,6 @@ mod tests {
             shape in prop::collection::vec(
                 prop::collection::vec((-120..120i32, 1..4u32), 1..5), 1..4),
             hi in 9.0..120.0f64,
-            quantize in 0..2u32,
         ) {
             let shape: Vec<Vec<(f64, f64)>> = shape
                 .iter()
@@ -905,7 +854,7 @@ mod tests {
                     sig
                 })
                 .collect();
-            let want = check_on_the_radius(&shape, 0.5, hi, quantize == 1);
+            let want = check_on_the_radius(&shape, 0.5, hi);
             prop_assert!(want > 0.0, "aligned pairs sit on the radius and match");
         }
 
@@ -919,9 +868,8 @@ mod tests {
                 prop::collection::vec((-45.0..45.0f64, 0.1..1.0f64), 1..5), 1..4),
             tau in 0..3usize,
             hi in 9.0..120.0f64,
-            quantize in 0..2u32,
         ) {
-            check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau], hi, quantize == 1);
+            check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau], hi);
         }
     }
 
@@ -983,7 +931,7 @@ mod tests {
         let floor = top[1].score;
         let bound = rec.arena().bound();
         let matching = rec.config().matching;
-        let qc = ScoringArena::for_series(&query.series, bound, false);
+        let qc = ScoringArena::for_series(&query.series, bound);
         let ceilings = (0..shapes.len()).map(|i| {
             let (lo, hi) = rec.arena().mean_ranges();
             if separated((0.0, 0.0), (lo[i], hi[i]), matching.radius()) {
@@ -1009,14 +957,14 @@ mod tests {
             let a = random_series(&mut rng, 5);
             let b = random_series(&mut rng, 5);
             let centroid_ub = kappa_upper_bound(
-                ScoringArena::for_series(&a, PruneBound::Centroid, false).view(0),
-                ScoringArena::for_series(&b, PruneBound::Centroid, false).view(0),
+                ScoringArena::for_series(&a, PruneBound::Centroid).view(0),
+                ScoringArena::for_series(&b, PruneBound::Centroid).view(0),
                 PruneBound::Centroid,
                 cfg,
             );
             let best_ub = kappa_upper_bound(
-                ScoringArena::for_series(&a, best, false).view(0),
-                ScoringArena::for_series(&b, best, false).view(0),
+                ScoringArena::for_series(&a, best).view(0),
+                ScoringArena::for_series(&b, best).view(0),
                 best,
                 cfg,
             );
@@ -1033,8 +981,8 @@ mod tests {
         let a = random_series(&mut rng, 4);
         let cfg = MatchingConfig::default();
         let bound = PruneBound::default();
-        let qc = ScoringArena::for_series(&a, bound, false);
-        let vc = ScoringArena::for_series(&a, bound, false);
+        let qc = ScoringArena::for_series(&a, bound);
+        let vc = ScoringArena::for_series(&a, bound);
         let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
         assert!(ub >= kappa_j_series(&a, &a, cfg) - 1e-12);
     }

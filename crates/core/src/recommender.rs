@@ -39,13 +39,13 @@
 //! reach the top-k floor onto the same ladder. The certified result is bit-identical
 //! to [`Recommender::recommend_naive_excluding`], the true full-corpus scan.
 
-use crate::arena::{ScoringArena, SeriesView};
-use crate::config::{EmdKernel, RecommenderConfig, RetrievalMode};
+use crate::arena::ScoringArena;
+use crate::config::{RecommenderConfig, RetrievalMode};
 use crate::corpus::{CorpusVideo, QueryVideo};
 use crate::errors::RecError;
-use crate::prune::{separated, Ladder, LadderQueue, PruneBound, PruneStats, Queued, Slack};
+use crate::prune::{separated, Ladder, LadderQueue, PruneStats, Queued, Slack};
 use crate::relevance::{strategy_score, Strategy};
-use crate::topk::{floor_of, push_top_k, sort_ranked, WorstFirst};
+use crate::topk::{floor_of, push_top_k, sort_ranked, top_k_heap, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -221,7 +221,7 @@ impl Recommender {
             ids: Vec::with_capacity(corpus.len()),
             by_id: HashMap::with_capacity(corpus.len()),
             series: Vec::with_capacity(corpus.len()),
-            arena: ScoringArena::new(cfg.prune_bound, cfg.kernel == EmdKernel::Quantized),
+            arena: ScoringArena::new(cfg.prune_bound),
             lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
             embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
         };
@@ -454,15 +454,7 @@ impl Recommender {
         tracer: Tracer,
     ) -> (Vec<Scored>, QueryTrace) {
         if self.cfg.retrieval != RetrievalMode::Paper {
-            return self.gated_engine(
-                strategy,
-                query,
-                top_k,
-                exclude,
-                &|i| self.content.arena.view(i),
-                self.content.arena.bound(),
-                tracer,
-            );
+            return self.gated_engine(strategy, query, top_k, exclude, tracer);
         }
         let total = tracer.start();
         let mut trace = QueryTrace::new(strategy, top_k);
@@ -499,16 +491,9 @@ impl Recommender {
         let mut top: Vec<Scored> = if strategy.uses_content() {
             // The query-side scoring cache is query preparation too.
             let sp = tracer.start();
-            let arena = &self.content.arena;
-            let bound = arena.bound();
-            let query_cache = ScoringArena::for_series(
-                &query.series,
-                bound,
-                self.cfg.kernel == EmdKernel::Quantized,
-            );
+            let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
             trace.stop_span(sp, Stage::Prepare);
-            let view_of = |i: usize| arena.view(i);
-            let ladder = self.ladder(strategy, &query_cache, &view_of, bound, top_k);
+            let ladder = self.ladder(strategy, &query_cache, top_k);
             let mut queue = self.enqueue(
                 strategy,
                 query,
@@ -519,13 +504,13 @@ impl Recommender {
                 tracer,
                 &mut trace,
             );
-            let mut heap = BinaryHeap::with_capacity(top_k + 1);
+            let mut heap = top_k_heap(top_k, candidates.len());
             ladder.run(&mut queue, &mut heap, &mut trace, tracer);
             heap.into_iter().map(|e| e.0).collect()
         } else {
             // SR: the social score is cheap and exact, so a plain bounded
             // heap scan is already optimal — nothing to prune.
-            let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(top_k + 1);
+            let mut heap = top_k_heap(top_k, candidates.len());
             self.scan_social_into(
                 strategy,
                 query,
@@ -549,14 +534,12 @@ impl Recommender {
 
     /// The bound ladder for one query over this corpus (see [`Ladder`]);
     /// `query_cache` is the query's single-series arena.
-    pub(crate) fn ladder<'a, 'v>(
+    pub(crate) fn ladder<'a>(
         &'a self,
         strategy: Strategy,
         query_cache: &'a ScoringArena,
-        view_of: &'a (dyn Fn(usize) -> SeriesView<'v> + Sync),
-        bound: PruneBound,
         top_k: usize,
-    ) -> Ladder<'a, 'v> {
+    ) -> Ladder<'a> {
         let (lo, hi) = query_cache.mean_ranges();
         let slack = Slack::between(query_cache.rounding(), self.content.arena.rounding());
         Ladder {
@@ -566,8 +549,6 @@ impl Recommender {
             qv: query_cache.view(0),
             q_range: (lo[0], hi[0]),
             reach: self.cfg.matching.radius() + slack.give,
-            view_of,
-            bound,
             top_k,
             shared_floor: None,
         }
@@ -718,8 +699,8 @@ impl Seen {
     }
 }
 
-/// Per-query scratch of the gather and the gated rounds, reused across
-/// queries on a thread so a round allocates nothing once warm.
+/// Per-query scratch of the gather and the gated engine, reused across
+/// queries on a thread so a query allocates nothing once warm.
 #[derive(Default)]
 struct Scratch {
     seen: Seen,
@@ -754,7 +735,6 @@ impl Recommender {
         strategy: Strategy,
         query: &QueryVideo,
         gather_vec: &[(u32, u32)],
-        fanout: usize,
         excluded: &[u32],
         scratch: &mut Scratch,
     ) -> (usize, u64) {
@@ -787,7 +767,7 @@ impl Recommender {
                 let point = content.embedder.embed(&sig.as_pairs());
                 content
                     .lsb
-                    .visit_monotone(&point, fanout, |&idx| offer(idx, out));
+                    .visit_monotone(&point, self.cfg.candidate_limit, |&idx| offer(idx, out));
             }
         }
         // Whether gathered or not, an excluded video is never a certificate
@@ -906,33 +886,34 @@ impl Recommender {
         }
     }
 
-    /// One gated round at the given LSB `fanout`: gather, score the
-    /// candidates on the ladder, then (unless `approx`) run the certificate
-    /// sweep and put its survivors on the same ladder. Returns the result
-    /// and `true` when the round is conclusive — approximate by fiat, clean
-    /// certificate, or survivors promoted (`promote`, the final round).
-    /// `false` means a survivor reached the floor and the caller should
-    /// widen the fan-out and retry; candidate sets are monotone in `fanout`,
-    /// so retries never lose ground.
-    #[allow(clippy::too_many_arguments)]
-    fn gated_round<'v>(
+    /// The index-gated query engine shared by the sequential path and the
+    /// batch engine: gather at the configured LSB fan-out, score the
+    /// candidates on the ladder, then (unless the mode is `GatedApprox`) run
+    /// the certificate sweep, put its survivors on the same ladder, complete
+    /// the certified-zero tail, and finish with the ranked sort. `gate` in
+    /// the returned trace records whether the result is certified exact.
+    pub(crate) fn gated_engine(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
         top_k: usize,
-        excluded: &[u32],
-        fanout: usize,
-        promote: bool,
-        approx: bool,
-        view_of: &(dyn Fn(usize) -> SeriesView<'v> + Sync),
-        bound: PruneBound,
+        exclude: &[VideoId],
         tracer: Tracer,
-    ) -> (Vec<Scored>, QueryTrace, bool) {
+    ) -> (Vec<Scored>, QueryTrace) {
+        let total = tracer.start();
         let mut trace = QueryTrace::new(strategy, top_k);
         // viderec-lint: allow(corpus-enumeration) — corpus-size trace
         // metadata; no video is visited.
         trace.corpus = self.videos.len() as u64;
+        if top_k == 0 {
+            return (Vec::new(), trace);
+        }
         trace.shards = 1;
+        let mut excluded: Vec<u32> = exclude
+            .iter()
+            .filter_map(|&id| self.index_of(id).map(|i| i as u32))
+            .collect();
+        excluded.sort_unstable();
 
         let sp = tracer.start();
         let prep = self.prepare_query(strategy, query);
@@ -947,19 +928,15 @@ impl Recommender {
             Strategy::CsfSar | Strategy::CsfSarH => prep.qvec.clone(),
         };
         // The query-side scoring cache doubles as the certificate's mean
-        // range source, so gated rounds build it for every strategy.
-        let query_cache = ScoringArena::for_series(
-            &query.series,
-            bound,
-            self.cfg.kernel == EmdKernel::Quantized,
-        );
-        let ladder = self.ladder(strategy, &query_cache, view_of, bound, top_k);
+        // range source, so the gated engine builds it for every strategy.
+        let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
+        let ladder = self.ladder(strategy, &query_cache, top_k);
         trace.stop_span(sp, Stage::Prepare);
 
-        SCRATCH.with_borrow_mut(|scratch| {
+        let mut top: Vec<Scored> = SCRATCH.with_borrow_mut(|scratch| {
             let sp = tracer.start();
             let (social, dropped) =
-                self.gated_candidates(strategy, query, &gather_vec, fanout, excluded, scratch);
+                self.gated_candidates(strategy, query, &gather_vec, &excluded, scratch);
             let Scratch {
                 seen,
                 candidates,
@@ -970,7 +947,7 @@ impl Recommender {
             trace.excluded = dropped;
             trace.stats.scanned = candidates.len() as u64;
 
-            let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(top_k + 1);
+            let mut heap = top_k_heap(top_k, candidates.len());
             let mut pending = LadderQueue::default();
             if strategy.uses_content() {
                 // A SAR candidate the posting union did not deliver shares no
@@ -992,8 +969,7 @@ impl Recommender {
                     strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
                 );
             }
-            let mut conclusive = true;
-            if approx {
+            if self.cfg.retrieval == RetrievalMode::GatedApprox {
                 trace.gate = 1;
             } else {
                 let sp = tracer.start();
@@ -1023,35 +999,34 @@ impl Recommender {
                         tracer,
                         &mut trace,
                     );
-                    // Before the final round a survivor that gets scored is
-                    // a certificate violation: widen instead of promoting.
                     let mut sp = tracer.start();
-                    while (promote || trace.promoted == 0)
-                        && ladder.step(&mut pending, &mut heap, true, &mut trace, &mut sp)
-                    {
-                    }
-                    conclusive = promote || trace.promoted == 0;
-                } else if promote || candidates.is_empty() {
+                    while ladder.step(&mut pending, &mut heap, true, &mut trace, &mut sp) {}
+                } else {
                     trace.promoted = candidates.len() as u64;
                     trace.stats.scanned += trace.promoted;
                     self.scan_social_into(
                         strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
                     );
-                } else {
-                    conclusive = false;
                 }
                 trace.gate = 2;
                 self.zero_fill_into(&mut heap, top_k, seen);
             }
             *queue = pending.into_storage();
-            (heap.into_iter().map(|e| e.0).collect(), trace, conclusive)
-        })
+            heap.into_iter().map(|e| e.0).collect()
+        });
+        let sp = tracer.start();
+        sort_ranked(&mut top);
+        trace.stop_span(sp, Stage::TopK);
+        if let Some(ns) = total.elapsed_ns() {
+            trace.total_ns = ns;
+        }
+        (top, trace)
     }
 
     /// The SR-style plain heap scan (social score only, nothing to prune)
     /// against a caller-owned heap.
     #[allow(clippy::too_many_arguments)]
-    fn scan_social_into(
+    pub(crate) fn scan_social_into(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
@@ -1072,70 +1047,6 @@ impl Recommender {
             push_top_k(heap, WorstFirst(Scored { video, score }), top_k);
             trace.lap_span(&mut sp, Stage::TopK);
         }
-    }
-
-    /// The index-gated query engine shared by the sequential path and the
-    /// batch engine (which passes its overlay-resolving view): runs
-    /// [`Self::gated_round`]s, doubling the LSB fan-out each retry in
-    /// `GatedWiden` mode, and finishes with the ranked sort. The returned
-    /// trace reflects the conclusive round only (so its counters stay
-    /// self-consistent), with `widen_rounds` recording how many retries it
-    /// took and `gate` whether the result is certified exact.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn gated_engine<'v>(
-        &self,
-        strategy: Strategy,
-        query: &QueryVideo,
-        top_k: usize,
-        exclude: &[VideoId],
-        view_of: &(dyn Fn(usize) -> SeriesView<'v> + Sync),
-        bound: PruneBound,
-        tracer: Tracer,
-    ) -> (Vec<Scored>, QueryTrace) {
-        let total = tracer.start();
-        if top_k == 0 {
-            let mut trace = QueryTrace::new(strategy, top_k);
-            // viderec-lint: allow(corpus-enumeration) — corpus-size trace
-            // metadata; no video is visited.
-            trace.corpus = self.videos.len() as u64;
-            return (Vec::new(), trace);
-        }
-        let approx = self.cfg.retrieval == RetrievalMode::GatedApprox;
-        let rounds = if self.cfg.retrieval == RetrievalMode::GatedWiden {
-            self.cfg.max_widen_rounds.max(1)
-        } else {
-            1
-        };
-        let mut excluded: Vec<u32> = exclude
-            .iter()
-            .filter_map(|&id| self.index_of(id).map(|i| i as u32))
-            .collect();
-        excluded.sort_unstable();
-        let mut outcome = None;
-        for round in 0..rounds {
-            let fanout = self.cfg.candidate_limit.saturating_mul(1 << round.min(20));
-            let promote = round + 1 == rounds;
-            let (top, mut trace, done) = self.gated_round(
-                strategy, query, top_k, &excluded, fanout, promote, approx, view_of, bound, tracer,
-            );
-            if done {
-                trace.widen_rounds = round as u64;
-                outcome = Some((top, trace));
-                break;
-            }
-        }
-        let (mut top, mut trace) =
-            // viderec-lint: allow(serve-no-panic) — the last widening round
-            // promotes every surviving candidate, so the loop always breaks
-            // with `Some`.
-            outcome.expect("the final round always promotes and thus concludes");
-        let sp = tracer.start();
-        sort_ranked(&mut top);
-        trace.stop_span(sp, Stage::TopK);
-        if let Some(ns) = total.elapsed_ns() {
-            trace.total_ns = ns;
-        }
-        (top, trace)
     }
 
     /// Full-scan `(video, κJ, exact sJ)` components for every corpus video —
@@ -1549,35 +1460,28 @@ mod tests {
     }
 
     #[test]
-    fn certified_gated_modes_match_the_full_scan_on_the_small_corpus() {
+    fn certified_gated_mode_matches_the_full_scan_on_the_small_corpus() {
         let (corpus, _) = small_corpus();
-        for mode in [RetrievalMode::GatedCertified, RetrievalMode::GatedWiden] {
-            let cfg = test_cfg().with_retrieval(mode);
-            let r = Recommender::build(cfg, corpus.clone()).unwrap();
-            for strategy in ALL {
-                for k in [1, 2, 4, 10] {
-                    for (query_idx, source) in corpus.iter().enumerate() {
-                        let q = QueryVideo::from_corpus(source);
-                        let (gated, trace) = r.recommend_traced(strategy, &q, k, &[], Tracer::OFF);
-                        let naive = r.recommend_naive_excluding(strategy, &q, k, &[]);
-                        assert_eq!(
-                            gated,
-                            naive,
-                            "{mode:?} {} k={k} q={query_idx}",
-                            strategy.label()
-                        );
-                        assert_eq!(trace.gate, 2, "result must be certified exact");
-                        assert_eq!(trace.corpus, 4);
-                        assert_eq!(
-                            trace.stats.scanned,
-                            trace.gathered - trace.excluded + trace.promoted,
-                            "scanned = surviving candidates + promotions"
-                        );
-                        assert_eq!(
-                            trace.stats.pruned + trace.stats.exact_evals,
-                            trace.stats.scanned
-                        );
-                    }
+        let cfg = test_cfg().with_retrieval(RetrievalMode::GatedCertified);
+        let r = Recommender::build(cfg, corpus.clone()).unwrap();
+        for strategy in ALL {
+            for k in [1, 2, 4, 10] {
+                for (query_idx, source) in corpus.iter().enumerate() {
+                    let q = QueryVideo::from_corpus(source);
+                    let (gated, trace) = r.recommend_traced(strategy, &q, k, &[], Tracer::OFF);
+                    let naive = r.recommend_naive_excluding(strategy, &q, k, &[]);
+                    assert_eq!(gated, naive, "{} k={k} q={query_idx}", strategy.label());
+                    assert_eq!(trace.gate, 2, "result must be certified exact");
+                    assert_eq!(trace.corpus, 4);
+                    assert_eq!(
+                        trace.stats.scanned,
+                        trace.gathered - trace.excluded + trace.promoted,
+                        "scanned = surviving candidates + promotions"
+                    );
+                    assert_eq!(
+                        trace.stats.pruned + trace.stats.exact_evals,
+                        trace.stats.scanned
+                    );
                 }
             }
         }
@@ -1600,15 +1504,14 @@ mod tests {
         let assigned =
             |n: &str| matches!(rec.chained.get(n), Some(&c) if c < rec.community_slots());
         let q_unassigned = names.iter().filter(|n| !assigned(n)).count();
-        let cache = ScoringArena::for_series(&query.series, arena.bound(), false);
+        let cache = ScoringArena::for_series(&query.series, arena.bound());
         let qv = cache.view(0);
-        let reach = rec
-            .ladder(strategy, &cache, &|i| arena.view(i), arena.bound(), 1)
-            .reach;
-        let range = |v: SeriesView<'_>| match (v.mean_order.first(), v.mean_order.last()) {
-            (Some(&lo), Some(&hi)) => (v.means[lo as usize], v.means[hi as usize]),
-            _ => (0.0, 0.0),
-        };
+        let reach = rec.ladder(strategy, &cache, 1).reach;
+        let range =
+            |v: crate::arena::SeriesView<'_>| match (v.mean_order.first(), v.mean_order.last()) {
+                (Some(&lo), Some(&hi)) => (v.means[lo as usize], v.means[hi as usize]),
+                _ => (0.0, 0.0),
+            };
         let mut out = Vec::new();
         // viderec-lint: allow(corpus-enumeration) — test oracle: the
         // per-video walk the flat sweep replaced.
@@ -1643,9 +1546,8 @@ mod tests {
             for source in &corpus {
                 let mut q = QueryVideo::from_corpus(source);
                 q.users.push("stranger".into());
-                let cache = ScoringArena::for_series(&q.series, r.arena().bound(), false);
-                let view_of = |i: usize| r.arena().view(i);
-                let ladder = r.ladder(strategy, &cache, &view_of, r.arena().bound(), 1);
+                let cache = ScoringArena::for_series(&q.series, r.arena().bound());
+                let ladder = r.ladder(strategy, &cache, 1);
                 for skip in [vec![], vec![1u32], vec![0, 3]] {
                     let mut seen = Seen::default();
                     seen.reset(r.num_videos());
@@ -1819,11 +1721,35 @@ mod tests {
 
     #[test]
     fn top_k_zero_and_oversized() {
+        use crate::parallel::{ParallelConfig, ParallelRecommender};
         let (corpus, _) = small_corpus();
-        let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
-        let q = QueryVideo::from_corpus(&corpus[0]);
-        assert!(r.recommend(Strategy::Csf, &q, 0).is_empty());
-        assert_eq!(r.recommend(Strategy::Csf, &q, 100).len(), 4);
+        for mode in [RetrievalMode::Paper, RetrievalMode::GatedCertified] {
+            let r = Recommender::build(test_cfg().with_retrieval(mode), corpus.clone()).unwrap();
+            let q = QueryVideo::from_corpus(&corpus[0]);
+            assert!(r.recommend(Strategy::Csf, &q, 0).is_empty());
+            for strategy in ALL {
+                // Heaps are sized by the candidates in hand, never by `k`.
+                let want = r.recommend(strategy, &q, corpus.len());
+                assert_eq!(want.len(), 4, "{mode:?} {}", strategy.label());
+                for k in [100, 1 << 40, usize::MAX - 1, usize::MAX] {
+                    let label = format!("{mode:?} {} k={k}", strategy.label());
+                    assert_eq!(r.recommend(strategy, &q, k), want, "{label}");
+                    for workers in [1, 4] {
+                        let cfg = ParallelConfig {
+                            workers,
+                            ..Default::default()
+                        };
+                        let par = ParallelRecommender::with_config(&r, cfg);
+                        let batch = par.recommend_batch(strategy, std::slice::from_ref(&q), k);
+                        assert_eq!(
+                            batch,
+                            std::slice::from_ref(&want),
+                            "{label} workers={workers}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,13 @@ pub(crate) fn push_top_k(heap: &mut BinaryHeap<WorstFirst>, entry: WorstFirst, k
     }
 }
 
+/// An empty `top_k`-bounded heap for a scan over `candidates` videos: it
+/// never holds more than either, and `top_k` is whatever the caller asked
+/// for — `usize::MAX` must not become an allocation.
+pub(crate) fn top_k_heap(top_k: usize, candidates: usize) -> BinaryHeap<WorstFirst> {
+    BinaryHeap::with_capacity(top_k.min(candidates).saturating_add(1))
+}
+
 /// The pruning floor of a `k`-bounded heap: its k-th best score once it holds
 /// `k` entries, `None` while it is short (nothing can be pruned yet).
 pub(crate) fn floor_of(heap: &BinaryHeap<WorstFirst>, k: usize) -> Option<f64> {

@@ -149,9 +149,6 @@ pub struct QueryTrace {
     /// admissible score ceiling reached the top-k floor, so they were scored
     /// exactly after all (index-gated retrieval only).
     pub promoted: u64,
-    /// Widen-and-retry rounds the gather ran beyond the first (0 unless the
-    /// mode is `GatedWiden` and the certificate failed to close).
-    pub widen_rounds: u64,
     /// Retrieval-gate outcome: 0 = no gate (paper-mode full universe),
     /// 1 = gated approximate, 2 = gated with a certified-exact result.
     pub gate: u64,
@@ -160,10 +157,10 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Words of the fixed-width ring record: 19 scalars, `{ns, count,
+    /// Words of the fixed-width ring record: 18 scalars, `{ns, count,
     /// alloc_count, alloc_bytes}` per stage, `{ns, exact_evals, pruned}`
     /// per recorded shard.
-    pub const WORDS: usize = 19 + 4 * NUM_STAGES + 3 * MAX_SHARD_TRACES;
+    pub const WORDS: usize = 18 + 4 * NUM_STAGES + 3 * MAX_SHARD_TRACES;
 
     /// A fresh trace for one query.
     pub fn new(strategy: Strategy, k: usize) -> Self {
@@ -182,7 +179,6 @@ impl QueryTrace {
             shards_recorded: 0,
             corpus: 0,
             promoted: 0,
-            widen_rounds: 0,
             gate: 0,
             shard: [ShardTrace::default(); MAX_SHARD_TRACES],
         }
@@ -249,12 +245,11 @@ impl QueryTrace {
         w[11] = self.shards_recorded;
         w[12] = self.corpus;
         w[13] = self.promoted;
-        w[14] = self.widen_rounds;
-        w[15] = self.gate;
-        w[16] = self.stats.pruned_embed;
-        w[17] = self.stats.cap_aborted;
-        w[18] = self.stats.full_sweeps;
-        let mut at = 19;
+        w[14] = self.gate;
+        w[15] = self.stats.pruned_embed;
+        w[16] = self.stats.cap_aborted;
+        w[17] = self.stats.full_sweeps;
+        let mut at = 18;
         for (i, cell) in self.stages.iter() {
             w[at] = cell.ns;
             w[at + 1] = cell.count;
@@ -285,17 +280,16 @@ impl QueryTrace {
             scanned: w[7],
             pruned: w[8],
             exact_evals: w[9],
-            pruned_embed: w[16],
-            cap_aborted: w[17],
-            full_sweeps: w[18],
+            pruned_embed: w[15],
+            cap_aborted: w[16],
+            full_sweeps: w[17],
         };
         t.shards = w[10];
         t.shards_recorded = w[11];
         t.corpus = w[12];
         t.promoted = w[13];
-        t.widen_rounds = w[14];
-        t.gate = w[15];
-        let mut at = 19;
+        t.gate = w[14];
+        let mut at = 18;
         for i in 0..NUM_STAGES {
             *t.stages.cell_mut(i) = StageCell {
                 ns: w[at],
@@ -384,7 +378,6 @@ mod tests {
         t.shards_recorded = 4;
         t.corpus = 1_000;
         t.promoted = 5;
-        t.widen_rounds = 2;
         t.gate = 2;
         t.shard[2] = ShardTrace {
             ns: 55,

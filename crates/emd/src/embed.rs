@@ -13,6 +13,9 @@
 //! The embedding never *overestimates* by more than the discretisation error
 //! bound returned by [`CdfEmbedder::error_bound`].
 
+/// Default dimensionality of the LSB-tree's [`CdfEmbedder`] embedding.
+pub const CDF_EMBED_DIMS: usize = 32;
+
 /// Embeds normalised scalar `(value, weight)` signatures into `dims`-point L1
 /// space by CDF sampling over a fixed value domain.
 #[derive(Debug, Clone)]
@@ -56,37 +59,19 @@ impl CdfEmbedder {
         // Sort values once; sweep the CDF over the sample grid.
         let mut pts: Vec<(f64, f64)> = sig.to_vec();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (values, weights): (Vec<f64>, Vec<f64>) = pts.into_iter().unzip();
-        let mut out = Vec::with_capacity(self.dims);
-        self.embed_sorted_into(&values, &weights, &mut out);
-        out
-    }
-
-    /// [`embed`](Self::embed) for a signature already split into
-    /// value-ascending lanes: appends the `dims` coordinates to `out` with
-    /// no sort and no allocation. This is what lets the arena embed every
-    /// corpus signature at ingest, reusing the sort it performs anyway.
-    pub fn embed_sorted_into(&self, values: &[f64], weights: &[f64], out: &mut Vec<f64>) {
-        assert!(!values.is_empty(), "cannot embed an empty signature");
-        assert_eq!(values.len(), weights.len(), "lane length mismatch");
-        debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "lanes unsorted");
         let step = self.step();
-        out.reserve(self.dims);
+        let mut out = Vec::with_capacity(self.dims);
         let mut cdf = 0.0;
         let mut k = 0;
         for i in 0..self.dims {
             let t = self.lo + step * i as f64;
-            while k < values.len() && values[k] <= t {
-                cdf += weights[k];
+            while k < pts.len() && pts[k].0 <= t {
+                cdf += pts[k].1;
                 k += 1;
             }
             out.push(cdf * step);
         }
-    }
-
-    /// The grid's lower endpoint.
-    pub fn lo(&self) -> f64 {
-        self.lo
+        out
     }
 
     /// Worst-case absolute error of `‖φ(a) − φ(b)‖₁` versus the true EMD for

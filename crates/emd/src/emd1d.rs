@@ -264,71 +264,6 @@ pub fn emd_1d_soa_capped(av: &[f64], aw: &[f64], bv: &[f64], bw: &[f64], cap: f6
     }
 }
 
-/// Number of capped sweeps [`emd_1d_soa_capped_x8`] retires per call, and
-/// the chunk width of [`emd_1d_soa_capped_batch`]. Eight keeps a batch's
-/// result array at one cache line and matches the lane count a 512-bit
-/// vector unit would want if the dispatcher ever moves off the scalar
-/// kernel (see the dispatch note on [`emd_1d_soa_capped_x8`]).
-pub const SWEEP_LANES: usize = 8;
-
-/// Borrowed SoA lanes for one sweep of a batch — the four slice arguments of
-/// [`emd_1d_soa_capped`] bundled per lane. Same contract: value lanes
-/// ascending, weight lanes matching.
-#[derive(Clone, Copy)]
-pub struct SweepJob<'a> {
-    /// First side's value lane, sorted ascending.
-    pub av: &'a [f64],
-    /// First side's weight lane, index-matched to `av`.
-    pub aw: &'a [f64],
-    /// Second side's value lane, sorted ascending.
-    pub bv: &'a [f64],
-    /// Second side's weight lane, index-matched to `bv`.
-    pub bw: &'a [f64],
-}
-
-/// [`SWEEP_LANES`] capped sweeps against the same `cap`. Per lane this
-/// returns exactly what `emd_1d_soa_capped(av, aw, bv, bw, cap)` returns,
-/// bit for bit (pinned by `batch_kernel_is_bit_identical`).
-///
-/// Dispatch note: this entry point fixes the *batch shape* of the hot path —
-/// callers hand over lane bundles and receive a result vector — while the
-/// executor behind it stays whatever measures fastest. Interleaved
-/// executors were tried and lost to the scalar kernel on current x86 cores:
-/// a branchy 8-lane round-robin ran at 0.8–1.1× scalar and a fully
-/// branchless masked-lane variant at 0.2–0.3× (0.3–0.65× at 4 and 2 lanes),
-/// because the sweep's bound is the serial load→compare→index-advance
-/// dependency chain (~10 cycles/step), which masking lengthens while its
-/// 6×-wider live state spills out of registers. Per-lane scalar dispatch
-/// therefore wins, and keeps bit-identity by construction.
-pub fn emd_1d_soa_capped_x8(jobs: &[SweepJob<'_>; SWEEP_LANES], cap: f64) -> [f64; SWEEP_LANES] {
-    core::array::from_fn(|l| {
-        let j = &jobs[l];
-        emd_1d_soa_capped(j.av, j.aw, j.bv, j.bw, cap)
-    })
-}
-
-/// Capped sweeps over an arbitrary number of jobs: full [`SWEEP_LANES`]
-/// chunks go through [`emd_1d_soa_capped_x8`], the remainder through the
-/// scalar [`emd_1d_soa_capped`] — both bit-identical to the scalar kernel,
-/// so `out[l]` never depends on where the chunk boundaries fall.
-///
-/// # Panics
-/// Panics if `out.len() != jobs.len()`.
-pub fn emd_1d_soa_capped_batch(jobs: &[SweepJob<'_>], cap: f64, out: &mut [f64]) {
-    assert_eq!(jobs.len(), out.len(), "output length mismatch");
-    let mut chunks = jobs.chunks_exact(SWEEP_LANES);
-    let mut k = 0usize;
-    for chunk in &mut chunks {
-        let jobs8: &[SweepJob<'_>; SWEEP_LANES] = chunk.try_into().expect("exact chunk");
-        out[k..k + SWEEP_LANES].copy_from_slice(&emd_1d_soa_capped_x8(jobs8, cap));
-        k += SWEEP_LANES;
-    }
-    for j in chunks.remainder() {
-        out[k] = emd_1d_soa_capped(j.av, j.aw, j.bv, j.bw, cap);
-        k += 1;
-    }
-}
-
 fn validate(side: &[(f64, f64)], which: &str) {
     assert!(!side.is_empty(), "{which} signature is empty");
     assert!(
@@ -563,157 +498,6 @@ mod tests {
                     emd_1d_presorted(&a, &b).to_bits(),
                     emd_1d_soa(&av, &aw, &bv, &bw).to_bits(),
                     "n={n} m={m}"
-                );
-            }
-        }
-    }
-
-    /// A signature as sorted `(value, weight)` pairs.
-    type PairSig = Vec<(f64, f64)>;
-    /// A signature split into its SoA value/weight lanes.
-    type SplitSig = (Vec<f64>, Vec<f64>);
-
-    #[test]
-    fn batch_kernel_is_bit_identical() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(53);
-        for round in 0..200 {
-            // Ragged lane lengths, occasional duplicate values across sides,
-            // and a cap that straddles typical distances so some lanes abort
-            // and some complete within one batch.
-            let mut sides: Vec<(PairSig, PairSig)> = (0..SWEEP_LANES)
-                .map(|_| {
-                    (
-                        random_sorted_signature(&mut rng, 40),
-                        random_sorted_signature(&mut rng, 40),
-                    )
-                })
-                .collect();
-            if round % 3 == 0 {
-                let (a, b) = &mut sides[round % SWEEP_LANES];
-                if a.len() > 1 {
-                    a[1].0 = a[0].0;
-                    b[0].0 = a[0].0;
-                    b.sort_by(|x, y| x.0.total_cmp(&y.0));
-                }
-            }
-            let lanes: Vec<(SplitSig, SplitSig)> = sides
-                .iter()
-                .map(|(a, b)| (split_lanes(a), split_lanes(b)))
-                .collect();
-            let jobs: Vec<SweepJob<'_>> = lanes
-                .iter()
-                .map(|((av, aw), (bv, bw))| SweepJob { av, aw, bv, bw })
-                .collect();
-            let jobs8: &[SweepJob<'_>; SWEEP_LANES] = jobs.as_slice().try_into().unwrap();
-            let cap = rng.gen_range(0.0..25.0);
-            let batch = emd_1d_soa_capped_x8(jobs8, cap);
-            for (l, j) in jobs.iter().enumerate() {
-                let scalar = emd_1d_soa_capped(j.av, j.aw, j.bv, j.bw, cap);
-                assert_eq!(
-                    scalar.to_bits(),
-                    batch[l].to_bits(),
-                    "round {round} lane {l} cap {cap}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_kernel_handles_empty_lanes() {
-        let a = [(0.0, 0.5), (2.0, 0.5)];
-        let (av, aw) = split_lanes(&a);
-        let empty: [f64; 0] = [];
-        // Every combination of empty sides alongside a live lane.
-        let jobs = [
-            SweepJob {
-                av: &av,
-                aw: &aw,
-                bv: &av,
-                bw: &aw,
-            },
-            SweepJob {
-                av: &empty,
-                aw: &empty,
-                bv: &av,
-                bw: &aw,
-            },
-            SweepJob {
-                av: &av,
-                aw: &aw,
-                bv: &empty,
-                bw: &empty,
-            },
-            SweepJob {
-                av: &empty,
-                aw: &empty,
-                bv: &empty,
-                bw: &empty,
-            },
-            SweepJob {
-                av: &av,
-                aw: &aw,
-                bv: &av,
-                bw: &aw,
-            },
-            SweepJob {
-                av: &empty,
-                aw: &empty,
-                bv: &empty,
-                bw: &empty,
-            },
-            SweepJob {
-                av: &av,
-                aw: &aw,
-                bv: &av,
-                bw: &aw,
-            },
-            SweepJob {
-                av: &empty,
-                aw: &empty,
-                bv: &av,
-                bw: &aw,
-            },
-        ];
-        let batch = emd_1d_soa_capped_x8(&jobs, 10.0);
-        for (l, j) in jobs.iter().enumerate() {
-            let scalar = emd_1d_soa_capped(j.av, j.aw, j.bv, j.bw, 10.0);
-            assert_eq!(scalar.to_bits(), batch[l].to_bits(), "lane {l}");
-        }
-    }
-
-    #[test]
-    fn batch_slice_entry_point_covers_remainders() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(59);
-        for n_jobs in [0usize, 1, 7, 8, 9, 16, 23] {
-            let sides: Vec<(PairSig, PairSig)> = (0..n_jobs)
-                .map(|_| {
-                    (
-                        random_sorted_signature(&mut rng, 24),
-                        random_sorted_signature(&mut rng, 24),
-                    )
-                })
-                .collect();
-            let lanes: Vec<(SplitSig, SplitSig)> = sides
-                .iter()
-                .map(|(a, b)| (split_lanes(a), split_lanes(b)))
-                .collect();
-            let jobs: Vec<SweepJob<'_>> = lanes
-                .iter()
-                .map(|((av, aw), (bv, bw))| SweepJob { av, aw, bv, bw })
-                .collect();
-            let cap = rng.gen_range(0.0..25.0);
-            let mut out = vec![0.0f64; n_jobs];
-            emd_1d_soa_capped_batch(&jobs, cap, &mut out);
-            for (l, j) in jobs.iter().enumerate() {
-                let scalar = emd_1d_soa_capped(j.av, j.aw, j.bv, j.bw, cap);
-                assert_eq!(
-                    scalar.to_bits(),
-                    out[l].to_bits(),
-                    "n_jobs {n_jobs} lane {l}"
                 );
             }
         }

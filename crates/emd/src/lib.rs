@@ -33,29 +33,19 @@ pub mod erp;
 pub mod lower_bounds;
 pub mod matrix;
 pub mod measures;
-pub mod quant;
 pub mod simplex;
 pub mod transport;
 
 pub use crate::emd::{emd_scalar, sim_c, Emd, EmdError};
 pub use dtw::dtw_distance;
-pub use embed::CdfEmbedder;
-pub use emd1d::{
-    emd_1d, emd_1d_presorted, emd_1d_presorted_capped, emd_1d_soa, emd_1d_soa_capped,
-    emd_1d_soa_capped_batch, emd_1d_soa_capped_x8, SweepJob, SWEEP_LANES,
-};
+pub use embed::{CdfEmbedder, CDF_EMBED_DIMS};
+pub use emd1d::{emd_1d, emd_1d_presorted, emd_1d_presorted_capped, emd_1d_soa, emd_1d_soa_capped};
 pub use erp::erp_distance;
 pub use lower_bounds::{
-    anchor_features, anchor_features_from_lanes, anchor_lower_bound_from_features,
-    best_lower_bound, best_lower_bound_from_embeddings, cdf_lower_bound_from_embeddings,
-    centroid_lower_bound, sim_c_upper_bound, CDF_EMBED_DIMS,
+    anchor_features, anchor_lower_bound_from_features, centroid_lower_bound, sim_c_upper_bound,
 };
 pub use matrix::DenseMatrix;
 pub use measures::{
     extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound, rounding_allowance,
     MatchingConfig,
-};
-pub use quant::{
-    quant_area_exceeds, quant_area_threshold, quantize_lanes, QuantSignature, QUANT_VALUE_SCALE,
-    QUANT_WEIGHT_SCALE,
 };

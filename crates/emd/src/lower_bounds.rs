@@ -7,9 +7,9 @@
 //!
 //! * [`centroid_lower_bound`] — Rubner's LB: for ground distance `|x − y|`
 //!   and equal total mass, `|mean(C₁) − mean(C₂)| ≤ EMD(C₁, C₂)` (Jensen).
-//! * [`cdf_sample_lower_bound`] — a Riemann lower sum of `∫|F₁ − F₂|`: the
-//!   minimum of `|F₁ − F₂|` on each sampled interval times its width never
-//!   exceeds the integral.
+//! * [`anchor_lower_bound_from_features`] — Kantorovich duality over the
+//!   1-Lipschitz maps `x ↦ |x − c|`: the gap between the two sides'
+//!   [`anchor_features`] at any anchor `c` never exceeds the EMD.
 
 /// Weighted mean of a normalised `(value, weight)` set.
 fn mean(sig: &[(f64, f64)]) -> f64 {
@@ -22,105 +22,6 @@ fn mean(sig: &[(f64, f64)]) -> f64 {
 /// masses (Definition 1's setting).
 pub fn centroid_lower_bound(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     (mean(a) - mean(b)).abs()
-}
-
-/// CDF-sample lower bound: samples both CDFs at `samples` uniform points over
-/// `[lo, hi]`, sums the interval minimum of the two endpoint gaps, and
-/// subtracts the total-variation correction `2·step`.
-///
-/// The correction is what makes the bound *sound*: `G = F₁ − F₂` may dip
-/// between two sample points (mass of one side entering and leaving), so the
-/// endpoint minimum alone can overshoot `∫|G|` on that interval. Writing
-/// `m_s` for the endpoint minimum and `TV_s` for the variation of `G` inside
-/// interval `s`, `|G(t)| ≥ m_s − TV_s` pointwise, hence
-///
-/// ```text
-/// ∫|G| ≥ Σ_s step·m_s − step·Σ_s TV_s ≥ Σ_s step·m_s − 2·step
-/// ```
-///
-/// because the total variation of `G` is at most `TV(F₁) + TV(F₂) = 2`. Mass
-/// outside `[lo, hi]` only adds non-negative area, so the bound stays valid
-/// (just looser). Tighter than the centroid bound when distributions cross
-/// and the grid is fine enough for the correction not to dominate.
-pub fn cdf_sample_lower_bound(
-    a: &[(f64, f64)],
-    b: &[(f64, f64)],
-    lo: f64,
-    hi: f64,
-    samples: usize,
-) -> f64 {
-    assert!(samples >= 2, "need at least two samples");
-    assert!(hi > lo, "empty sampling domain");
-    let cdf = |sig: &[(f64, f64)], t: f64| -> f64 {
-        sig.iter().filter(|&&(v, _)| v <= t).map(|&(_, w)| w).sum()
-    };
-    let step = (hi - lo) / (samples - 1) as f64;
-    let mut prev_gap = (cdf(a, lo) - cdf(b, lo)).abs();
-    let mut total = 0.0;
-    for s in 1..samples {
-        let t = lo + step * s as f64;
-        let gap = (cdf(a, t) - cdf(b, t)).abs();
-        total += prev_gap.min(gap) * step;
-        prev_gap = gap;
-    }
-    (total - 2.0 * step).max(0.0)
-}
-
-/// Sample count of the CDF grid behind [`best_lower_bound`], and the default
-/// dimensionality of the LSB-tree's [`crate::CdfEmbedder`] embedding — the
-/// two are the same discretisation of `∫|F₁ − F₂|`, so they share one
-/// constant instead of two magic 32s.
-pub const CDF_EMBED_DIMS: usize = 32;
-
-/// The best (largest) of the available lower bounds.
-///
-/// Recomputes a [`CDF_EMBED_DIMS`]-sample CDF embedding from the raw
-/// signatures on every call; bound-path callers that hold cached embeddings
-/// should use [`best_lower_bound_from_embeddings`] instead.
-pub fn best_lower_bound(a: &[(f64, f64)], b: &[(f64, f64)], lo: f64, hi: f64) -> f64 {
-    centroid_lower_bound(a, b).max(cdf_sample_lower_bound(a, b, lo, hi, CDF_EMBED_DIMS))
-}
-
-/// [`best_lower_bound`] for callers that already hold the two signatures'
-/// means and cached CDF embeddings (the arena caches both at ingest): the
-/// centroid bound from the means, the CDF-sample bound from the embeddings,
-/// no per-call sorting or sampling.
-pub fn best_lower_bound_from_embeddings(
-    mean_a: f64,
-    mean_b: f64,
-    ea: &[f64],
-    eb: &[f64],
-    step: f64,
-) -> f64 {
-    (mean_a - mean_b)
-        .abs()
-        .max(cdf_lower_bound_from_embeddings(ea, eb, step))
-}
-
-/// [`cdf_sample_lower_bound`] evaluated from two *cached*
-/// [`crate::CdfEmbedder`] embeddings instead of the raw signatures.
-///
-/// An embedding stores `F(tₛ)·Δ` per sample point, so each interval's lower
-/// sum term `min(|F₁ − F₂|ₛ₋₁, |F₁ − F₂|ₛ)·Δ` is `min(|e₁ − e₂|ₛ₋₁,
-/// |e₁ − e₂|ₛ)` — O(dims) per pair with no sorting. `step` must be the
-/// embedder's grid spacing ([`crate::CdfEmbedder::step`]); it feeds the same
-/// `2·step` total-variation correction that keeps
-/// [`cdf_sample_lower_bound`] sound. Returns exactly
-/// `cdf_sample_lower_bound(a, b, lo, hi, dims)` when both embeddings come
-/// from `CdfEmbedder::new(lo, hi, dims)`.
-///
-/// # Panics
-/// Panics if the embeddings have different lengths.
-pub fn cdf_lower_bound_from_embeddings(ea: &[f64], eb: &[f64], step: f64) -> f64 {
-    assert_eq!(ea.len(), eb.len(), "embedding dimension mismatch");
-    let mut prev_gap = (ea[0] - eb[0]).abs();
-    let mut total = 0.0;
-    for s in 1..ea.len() {
-        let gap = (ea[s] - eb[s]).abs();
-        total += prev_gap.min(gap);
-        prev_gap = gap;
-    }
-    (total - 2.0 * step).max(0.0)
 }
 
 /// Lipschitz anchor features of a signature: `E[|X − c|]` at `k` anchors `c`
@@ -138,31 +39,6 @@ pub fn anchor_features(sig: &[(f64, f64)], lo: f64, hi: f64, k: usize) -> Vec<f6
         .map(|i| {
             let c = anchor_position(lo, hi, k, i);
             sig.iter().map(|&(v, w)| w * (v - c).abs()).sum()
-        })
-        .collect()
-}
-
-/// [`anchor_features`] over flat value/weight lanes (the arena's SoA
-/// signature layout). Same anchors, same summation order as iterating the
-/// lanes as pairs.
-pub fn anchor_features_from_lanes(
-    values: &[f64],
-    weights: &[f64],
-    lo: f64,
-    hi: f64,
-    k: usize,
-) -> Vec<f64> {
-    assert!(k >= 1, "need at least one anchor");
-    assert!(hi >= lo, "empty anchor domain");
-    assert_eq!(values.len(), weights.len(), "lane length mismatch");
-    (0..k)
-        .map(|i| {
-            let c = anchor_position(lo, hi, k, i);
-            values
-                .iter()
-                .zip(weights)
-                .map(|(&v, &w)| w * (v - c).abs())
-                .sum()
         })
         .collect()
 }
@@ -233,77 +109,11 @@ mod tests {
     }
 
     #[test]
-    fn cdf_bound_never_exceeds_emd() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..200 {
-            let na = rng.gen_range(1..8);
-            let a = random_sig(&mut rng, na);
-            let nb = rng.gen_range(1..8);
-            let b = random_sig(&mut rng, nb);
-            let lb = cdf_sample_lower_bound(&a, &b, -25.0, 25.0, 64);
-            let d = emd_1d(&a, &b);
-            assert!(lb <= d + 1e-9, "lb {lb} > emd {d}");
-        }
-    }
-
-    #[test]
     fn centroid_bound_tight_for_point_masses() {
         let a = vec![(0.0, 1.0)];
         let b = vec![(4.0, 1.0)];
         assert!((centroid_lower_bound(&a, &b) - 4.0).abs() < 1e-12);
         assert!((emd_1d(&a, &b) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_bound_beats_centroid_when_means_coincide() {
-        // Symmetric distributions with equal means but different spread:
-        // centroid bound is 0, the CDF bound is strictly positive.
-        let a = vec![(-1.0, 0.5), (1.0, 0.5)];
-        let b = vec![(-5.0, 0.5), (5.0, 0.5)];
-        assert_eq!(centroid_lower_bound(&a, &b), 0.0);
-        let lb = cdf_sample_lower_bound(&a, &b, -6.0, 6.0, 128);
-        assert!(lb > 1.0, "got {lb}");
-        assert!(lb <= emd_1d(&a, &b) + 1e-9);
-    }
-
-    #[test]
-    fn cdf_bound_survives_interior_dips() {
-        // Regression: without the 2·step total-variation correction the
-        // endpoint-minimum sum overshoots wildly here. Both sides put half
-        // their mass near 0 and half near 10, offset by 0.001, so the CDF gap
-        // is 0.5 at every sample point of a coarse grid but the true EMD is
-        // 2 × 0.5 × 0.001.
-        let a = vec![(0.0, 0.5), (10.0, 0.5)];
-        let b = vec![(0.001, 0.5), (10.001, 0.5)];
-        let exact = emd_1d(&a, &b);
-        assert!((exact - 0.001).abs() < 1e-12);
-        for samples in [2, 3, 5, 9, 33] {
-            let lb = cdf_sample_lower_bound(&a, &b, 0.0005, 10.0005, samples);
-            assert!(
-                lb <= exact + 1e-9,
-                "samples={samples}: lb {lb} > emd {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn embedding_bound_equals_cdf_sample_bound() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let embedder = crate::CdfEmbedder::new(-25.0, 25.0, 48);
-        for _ in 0..100 {
-            let na = rng.gen_range(1..8);
-            let a = random_sig(&mut rng, na);
-            let nb = rng.gen_range(1..8);
-            let b = random_sig(&mut rng, nb);
-            let direct = cdf_sample_lower_bound(&a, &b, -25.0, 25.0, 48);
-            let cached = cdf_lower_bound_from_embeddings(
-                &embedder.embed(&a),
-                &embedder.embed(&b),
-                embedder.step(),
-            );
-            assert!((direct - cached).abs() < 1e-12, "{direct} vs {cached}");
-            assert!(cached <= emd_1d(&a, &b) + 1e-9);
-        }
     }
 
     #[test]
@@ -334,17 +144,5 @@ mod tests {
         let fa = anchor_features(&a, -6.0, 6.0, 5);
         let fb = anchor_features(&b, -6.0, 6.0, 5);
         assert!(anchor_lower_bound_from_features(&fa, &fb) >= 4.0 - 1e-12);
-    }
-
-    #[test]
-    fn best_bound_dominates_both() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..50 {
-            let a = random_sig(&mut rng, 4);
-            let b = random_sig(&mut rng, 4);
-            let best = best_lower_bound(&a, &b, -25.0, 25.0);
-            assert!(best >= centroid_lower_bound(&a, &b) - 1e-12);
-            assert!(best <= emd_1d(&a, &b) + 1e-9);
-        }
     }
 }

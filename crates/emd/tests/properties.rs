@@ -4,8 +4,7 @@ use proptest::prelude::*;
 use viderec_emd::dtw::dtw_distance;
 use viderec_emd::erp::erp_scalar;
 use viderec_emd::lower_bounds::{
-    best_lower_bound, best_lower_bound_from_embeddings, cdf_lower_bound_from_embeddings,
-    cdf_sample_lower_bound, centroid_lower_bound, sim_c_upper_bound, CDF_EMBED_DIMS,
+    anchor_features, anchor_lower_bound_from_features, centroid_lower_bound, sim_c_upper_bound,
 };
 use viderec_emd::{
     emd_1d, extended_jaccard, extended_jaccard_upper_bound, sim_c, CdfEmbedder, Emd, MatchingConfig,
@@ -50,30 +49,27 @@ proptest! {
         prop_assert!(ac <= ab + bc + 1e-9, "triangle: {} > {} + {}", ac, ab, bc);
     }
 
-    /// Every lower bound stays below the exact distance, for any sampling
-    /// resolution and even when the sampling window clips part of the mass
-    /// (the CDF lower sum only loses area, never gains it).
+    /// Both lower bounds stay below the exact distance — the anchor bound
+    /// for any anchor count and even when the anchor domain clips part of
+    /// the mass (every anchor map is 1-Lipschitz wherever the anchor sits) —
+    /// neither is positive on identical signatures, and the `SimC` ceiling
+    /// derived from either dominates the true `SimC`.
     #[test]
     fn lower_bounds_are_sound(
         a in signature(),
         b in signature(),
-        samples in 2..128usize,
+        anchors in 1..16usize,
         hi in 10.0..80.0f64,
     ) {
         let exact = emd_1d(&a, &b);
-        prop_assert!(centroid_lower_bound(&a, &b) <= exact + 1e-9);
-        prop_assert!(cdf_sample_lower_bound(&a, &b, -hi, hi, samples) <= exact + 1e-9);
-        prop_assert!(best_lower_bound(&a, &b, -65.0, 65.0) <= exact + 1e-9);
-    }
-
-    /// EMD of a signature with itself admits no positive lower bound, and the
-    /// `SimC` ceiling derived from any lower bound dominates the true `SimC`.
-    #[test]
-    fn sim_c_ceiling_is_admissible(a in signature(), b in signature()) {
-        prop_assert!(best_lower_bound(&a, &a, -65.0, 65.0).abs() < 1e-9);
-        let exact = emd_1d(&a, &b);
-        let lb = best_lower_bound(&a, &b, -65.0, 65.0);
-        prop_assert!(sim_c_upper_bound(lb) >= sim_c(exact) - 1e-12);
+        let centroid = centroid_lower_bound(&a, &b);
+        let features = |s: &[(f64, f64)]| anchor_features(s, -hi, hi, anchors);
+        let anchor = anchor_lower_bound_from_features(&features(&a), &features(&b));
+        prop_assert!(centroid <= exact + 1e-9);
+        prop_assert!(anchor <= exact + 1e-9, "anchor lb {} > exact {}", anchor, exact);
+        prop_assert!(centroid_lower_bound(&a, &a).abs() < 1e-9);
+        prop_assert!(anchor_lower_bound_from_features(&features(&a), &features(&a)) == 0.0);
+        prop_assert!(sim_c_upper_bound(centroid.max(anchor)) >= sim_c(exact) - 1e-12);
     }
 
     /// The `κJ` ceiling built from per-row similarity ceilings dominates the
@@ -102,48 +98,6 @@ proptest! {
             );
             prop_assert!(ub >= exact - 1e-12, "slack {}: ub {} < exact {}", slack, ub, exact);
         }
-    }
-
-    /// The prefilter tier's embedding-space bounds are admissible: evaluated
-    /// purely from cached embeddings (and means), they never exceed the exact
-    /// distance, at any resolution and even when the window clips mass.
-    #[test]
-    fn embedding_tier_bounds_are_admissible(
-        a in signature(),
-        b in signature(),
-        dims in 2..256usize,
-        hi in 10.0..80.0f64,
-    ) {
-        let exact = emd_1d(&a, &b);
-        let embedder = CdfEmbedder::new(-hi, hi, dims);
-        let ea = embedder.embed(&a);
-        let eb = embedder.embed(&b);
-        let from_embed = cdf_lower_bound_from_embeddings(&ea, &eb, embedder.step());
-        prop_assert!(from_embed >= 0.0);
-        prop_assert!(from_embed <= exact + 1e-9, "embed lb {} > exact {}", from_embed, exact);
-        // Exactly the sampled lower bound it replaces — same grid, same value.
-        let sampled = cdf_sample_lower_bound(&a, &b, -hi, hi, dims);
-        prop_assert!((from_embed - sampled).abs() < 1e-9,
-                     "embed lb {} != sampled lb {}", from_embed, sampled);
-        let mean = |s: &[(f64, f64)]| s.iter().map(|&(v, w)| v * w).sum::<f64>();
-        let best = best_lower_bound_from_embeddings(mean(&a), mean(&b), &ea, &eb, embedder.step());
-        prop_assert!(best <= exact + 1e-9, "best embed lb {} > exact {}", best, exact);
-        prop_assert!(best >= from_embed - 1e-12);
-    }
-
-    /// At the tier's production resolution the cached-embedding bound equals
-    /// [`best_lower_bound`] on the same window, so the prefilter tier can only
-    /// prune at least as much as the anchor formula it refines.
-    #[test]
-    fn embedding_tier_matches_best_lower_bound(a in signature(), b in signature()) {
-        let (lo, hi) = (-65.0, 65.0);
-        let embedder = CdfEmbedder::new(lo, hi, CDF_EMBED_DIMS);
-        let ea = embedder.embed(&a);
-        let eb = embedder.embed(&b);
-        let mean = |s: &[(f64, f64)]| s.iter().map(|&(v, w)| v * w).sum::<f64>();
-        let cached = best_lower_bound_from_embeddings(mean(&a), mean(&b), &ea, &eb, embedder.step());
-        let direct = best_lower_bound(&a, &b, lo, hi);
-        prop_assert!((cached - direct).abs() < 1e-9, "cached {} != direct {}", cached, direct);
     }
 
     /// The CDF embedding approximates EMD within its declared error bound.

@@ -144,7 +144,7 @@ pub fn trace_json(t: &QueryTrace) -> String {
          \"total_micros\":{},\"stage_sum_micros\":{},\"gathered\":{},\"excluded\":{},\
          \"scanned\":{scanned},\"pruned\":{},\"exact_evals\":{},\"prune_rate\":{prune_rate:.4},\
          \"pruned_embed\":{},\"cap_aborted\":{},\"full_sweeps\":{},\
-         \"corpus\":{},\"promoted\":{},\"widen_rounds\":{},\"gate\":{},\
+         \"corpus\":{},\"promoted\":{},\"gate\":{},\
          \"stages\":{{",
         t.id,
         t.epoch,
@@ -161,7 +161,6 @@ pub fn trace_json(t: &QueryTrace) -> String {
         t.stats.full_sweeps,
         t.corpus,
         t.promoted,
-        t.widen_rounds,
         t.gate,
     );
     for (i, stage) in Stage::ALL.into_iter().enumerate() {
@@ -224,7 +223,6 @@ mod tests {
         };
         t.corpus = 120;
         t.promoted = 5;
-        t.widen_rounds = 1;
         t.gate = 2;
         t.shards = 2;
         t.shards_recorded = 2;
@@ -300,7 +298,7 @@ mod tests {
             "{json}"
         );
         assert!(
-            json.contains("\"corpus\":120,\"promoted\":5,\"widen_rounds\":1,\"gate\":2"),
+            json.contains("\"corpus\":120,\"promoted\":5,\"gate\":2"),
             "{json}"
         );
         assert!(json.contains("\"shards\":2"), "{json}");

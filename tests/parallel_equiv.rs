@@ -17,14 +17,24 @@ const STRATEGIES: [Strategy; 5] = [
     Strategy::CsfSarH,
 ];
 
-fn build() -> (Community, Recommender) {
-    let community = Community::generate(CommunityConfig {
+const BOUNDS: [PruneBound; 2] = [
+    PruneBound::Centroid,
+    PruneBound::Best {
+        lo: -64.0,
+        hi: 64.0,
+    },
+];
+
+fn community() -> Community {
+    Community::generate(CommunityConfig {
         hours: 5.0,
         ..Default::default()
-    });
-    let cfg = RecommenderConfig::default();
-    let rec = Recommender::build(cfg, community.source_corpus()).expect("build");
-    (community, rec)
+    })
+}
+
+fn build(community: &Community, bound: PruneBound) -> Recommender {
+    let cfg = RecommenderConfig::default().with_prune_bound(bound);
+    Recommender::build(cfg, community.source_corpus()).expect("build")
 }
 
 fn queries_for(community: &Community, rec: &Recommender) -> Vec<QueryVideo> {
@@ -41,48 +51,34 @@ fn queries_for(community: &Community, rec: &Recommender) -> Vec<QueryVideo> {
 
 fn assert_equivalent(rec: &Recommender, queries: &[QueryVideo], k: usize, label: &str) {
     for workers in [1, 2, 4] {
-        for (prune, bound) in [
-            (false, PruneBound::Centroid),
-            (true, PruneBound::Centroid),
-            (
-                true,
-                PruneBound::Best {
-                    lo: -64.0,
-                    hi: 64.0,
+        // `Some(workers)` forces real OS threads even on a single-core
+        // host; `None` lets the engine clamp to available parallelism
+        // (possibly a fully serial drain). Both must agree with the
+        // sequential path.
+        for max_threads in [Some(workers), None] {
+            let par = ParallelRecommender::with_config(
+                rec,
+                ParallelConfig {
+                    workers,
+                    max_threads,
                 },
-            ),
-        ] {
-            // `Some(workers)` forces real OS threads even on a single-core
-            // host; `None` lets the engine clamp to available parallelism
-            // (possibly a fully serial drain). Both must agree with the
-            // sequential path.
-            for max_threads in [Some(workers), None] {
-                let par = ParallelRecommender::with_config(
-                    rec,
-                    ParallelConfig {
-                        workers,
-                        prune,
-                        bound,
-                        max_threads,
-                    },
-                );
-                // The full batch is at least as wide as the worker pool
-                // (inter-query sharding); the single-query slice is narrower
-                // (intra-query candidate sharding). Both paths must agree.
-                for batch_queries in [queries, &queries[..1]] {
-                    for strategy in STRATEGIES {
-                        let batch = par.recommend_batch(strategy, batch_queries, k);
-                        assert_eq!(batch.len(), batch_queries.len());
-                        for (q, got) in batch_queries.iter().zip(&batch) {
-                            let want = rec.recommend(strategy, q, k);
-                            assert_eq!(
-                                &want,
-                                got,
-                                "{label}: {} diverged at workers={workers} prune={prune} \
-                                 bound={bound:?} max_threads={max_threads:?}",
-                                strategy.label()
-                            );
-                        }
+            );
+            // The full batch is at least as wide as the worker pool
+            // (inter-query sharding); the single-query slice is narrower
+            // (intra-query candidate sharding). Both paths must agree.
+            for batch_queries in [queries, &queries[..1]] {
+                for strategy in STRATEGIES {
+                    let batch = par.recommend_batch(strategy, batch_queries, k);
+                    assert_eq!(batch.len(), batch_queries.len());
+                    for (q, got) in batch_queries.iter().zip(&batch) {
+                        let want = rec.recommend(strategy, q, k);
+                        assert_eq!(
+                            &want,
+                            got,
+                            "{label}: {} diverged at workers={workers} \
+                             max_threads={max_threads:?}",
+                            strategy.label()
+                        );
                     }
                 }
             }
@@ -92,42 +88,50 @@ fn assert_equivalent(rec: &Recommender, queries: &[QueryVideo], k: usize, label:
 
 #[test]
 fn batch_engine_matches_sequential_for_all_strategies() {
-    let (community, rec) = build();
-    let queries = queries_for(&community, &rec);
-    assert!(!queries.is_empty());
-    assert_equivalent(&rec, &queries, 10, "fresh corpus");
+    let community = community();
+    for bound in BOUNDS {
+        let rec = build(&community, bound);
+        let queries = queries_for(&community, &rec);
+        assert!(!queries.is_empty());
+        assert_equivalent(&rec, &queries, 10, &format!("fresh corpus {bound:?}"));
+    }
 }
 
 #[test]
 fn batch_engine_matches_sequential_after_maintenance_churn() {
-    let (community, mut rec) = build();
+    let community = community();
+    for bound in BOUNDS {
+        let mut rec = build(&community, bound);
 
-    // A round of cross-community comments heavy enough to trigger the Fig. 5
-    // merge/split machinery, then an aging pass: both rewrite descriptor
-    // vectors, inverted postings and chained-hash slots.
-    let targets: Vec<VideoId> = community.query_videos().into_iter().take(3).collect();
-    let mut churn = Vec::new();
-    for (i, &video) in targets.iter().enumerate() {
-        for user in 0..6 {
-            churn.push(SocialUpdate {
-                video,
-                user: format!("churn_user_{}", (user + i) % 8),
-            });
+        // A round of cross-community comments heavy enough to trigger the
+        // Fig. 5 merge/split machinery, then an aging pass: both rewrite
+        // descriptor vectors, inverted postings and chained-hash slots.
+        let targets: Vec<VideoId> = community.query_videos().into_iter().take(3).collect();
+        let mut churn = Vec::new();
+        for (i, &video) in targets.iter().enumerate() {
+            for user in 0..6 {
+                churn.push(SocialUpdate {
+                    video,
+                    user: format!("churn_user_{}", (user + i) % 8),
+                });
+            }
         }
-    }
-    let summary = rec.apply_social_updates(&churn);
-    assert!(summary.comments_applied > 0, "churn must actually land");
-    rec.age_social_connections(1);
+        let summary = rec.apply_social_updates(&churn);
+        assert!(summary.comments_applied > 0, "churn must actually land");
+        rec.age_social_connections(1);
 
-    // The engine caches per-video signature means, so it is rebuilt over the
-    // post-churn recommender — equivalence must still hold exactly.
-    let queries = queries_for(&community, &rec);
-    assert_equivalent(&rec, &queries, 10, "post-churn corpus");
+        // The engine borrows the recommender's own arena, so it is wrapped
+        // around the post-churn recommender — equivalence must still hold
+        // exactly.
+        let queries = queries_for(&community, &rec);
+        assert_equivalent(&rec, &queries, 10, &format!("post-churn corpus {bound:?}"));
+    }
 }
 
 #[test]
 fn oversized_k_and_stats_invariants() {
-    let (community, rec) = build();
+    let community = community();
+    let rec = build(&community, PruneBound::default());
     let queries = queries_for(&community, &rec);
     let par = ParallelRecommender::with_config(
         &rec,

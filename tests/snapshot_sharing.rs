@@ -218,5 +218,5 @@ fn retained_snapshots_never_move_under_the_paper_scan() {
 #[test]
 fn retained_snapshots_never_move_under_gated_retrieval() {
     run(0x5EED_0003, RetrievalMode::GatedCertified);
-    run(0x5EED_0004, RetrievalMode::GatedWiden);
+    run(0x5EED_0004, RetrievalMode::GatedCertified);
 }
