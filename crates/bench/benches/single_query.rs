@@ -340,9 +340,9 @@ fn write_json(
     json.push_str(
         "  \"notes\": \"Speedup exceeds the raw prune rate because the pruned path also \
          reads the arena's ingest-time caches (presorted EMD pairs, signature means, \
-         anchor features) while the naive reference re-derives per-signature state inside \
+         slice features) while the naive reference re-derives per-signature state inside \
          every exact kappa_J evaluation, as the pre-change sequential path did. \
-         The exact sweeps the matcher needs (every pair within the match radius, ~12.5k \
+         The exact sweeps the matcher needs (every pair within the match radius, ~8.5k \
          per query) run at the merge sweep's serial-dependency floor (~3-4 ns/step; \
          interleaved multi-lane executors measured 0.2-1.1x scalar, see DESIGN.md 12), so \
          the EMD stage's time is eligibility work, not kernel overhead. The profile \

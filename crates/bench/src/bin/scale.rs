@@ -29,7 +29,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use viderec_core::{
-    PruneBound, QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Scored, Strategy, Tracer,
+    QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Scored, Strategy, Tracer,
 };
 use viderec_eval::{StreamConfig, StreamingCommunity};
 
@@ -104,11 +104,7 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
     let users = stream.config().users;
     // Sub-communities scale with the corpus (the paper's k = 60 was tuned
     // for their crawl; on streamed corpora it leaves giant merged
-    // communities whose posting lists defeat the gather), and the anchor
-    // bound straddles the streamed cuboid value range (topic bands tile
-    // [-100, 100] plus jitter) — the default ±16 domain is tuned for the
-    // pixel pipeline's intensity deltas and leaves the certificate's κJ
-    // ceilings needlessly loose here.
+    // communities whose posting lists defeat the gather).
     let k_subcommunities = videos / 2;
     let cfg = RecommenderConfig {
         k_subcommunities,
@@ -119,10 +115,6 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         candidate_limit: 192,
         ..Default::default()
     }
-    .with_prune_bound(PruneBound::Best {
-        lo: -110.0,
-        hi: 110.0,
-    })
     .with_retrieval(RetrievalMode::GatedCertified);
 
     let t0 = Instant::now();

@@ -6,9 +6,9 @@
 //!
 //! * one flat `means` buffer (one entry per signature, videos own contiguous
 //!   ranges via `sig_off`);
-//! * one flat `feats` buffer of Lipschitz anchor features
-//!   ([`crate::prune::ANCHORS`] per signature) for the arena's configured
-//!   [`PruneBound`];
+//! * one flat `feats` buffer of quantile-slice partial means
+//!   ([`crate::prune::SLICES`] per signature; [`viderec_emd::slice_features`])
+//!   unless the arena's [`PruneBound`] is `Centroid`;
 //! * flat `values`/`weights` lanes (value-ascending, one pair of entries per
 //!   cuboid) with a per-signature `pair_off` table — the SoA layout the
 //!   branchless EMD kernel ([`viderec_emd::emd_1d_soa_capped`]) sweeps with
@@ -24,8 +24,8 @@
 //! and borrowed — through [`ScoringArena::view`], the one view there is — by
 //! the sequential pruned scan, the gated engine and the batch engine alike.
 
-use crate::prune::{PruneBound, ANCHORS};
-use viderec_emd::anchor_features;
+use crate::prune::{PruneBound, SLICES};
+use viderec_emd::slice_features;
 use viderec_signature::SignatureSeries;
 
 /// Structure-of-arrays scoring caches for a whole corpus (or, via
@@ -48,7 +48,7 @@ pub(crate) struct ScoringArena {
     /// Per-video permutation of *local* signature indices, ordered by mean
     /// ascending; laid out in the same per-video ranges as `means`.
     mean_order: Vec<u32>,
-    /// Anchor features, [`ANCHORS`] per signature, flattened; empty for
+    /// Slice features, [`SLICES`] per signature, flattened; empty for
     /// [`PruneBound::Centroid`].
     feats: Vec<f64>,
     /// Per-signature ranges into the lane buffers: signature `s` (global
@@ -100,17 +100,20 @@ impl ScoringArena {
         for sig in series.signatures() {
             let mut pairs = sig.as_pairs();
             self.means.push(pairs.iter().map(|&(v, w)| v * w).sum());
-            if let PruneBound::Best { lo, hi } = self.bound {
-                self.feats.extend(anchor_features(&pairs, lo, hi, ANCHORS));
-            }
             pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
             self.max_terms = self.max_terms.max(pairs.len());
+            let lanes = self.values.len();
             for &(v, w) in &pairs {
                 self.max_abs = self.max_abs.max(v.abs());
                 self.values.push(v);
                 self.weights.push(w);
             }
             self.pair_off.push(self.values.len() as u32);
+            if matches!(self.bound, PruneBound::Best { .. }) {
+                let mut feats = [0.0; SLICES];
+                slice_features(&self.values[lanes..], &self.weights[lanes..], &mut feats);
+                self.feats.extend(feats);
+            }
         }
         let n = self.means.len() - base;
         let means = &self.means;
@@ -134,7 +137,7 @@ impl ScoringArena {
         (self.max_terms, self.max_abs)
     }
 
-    /// The bound the arena's anchor features were computed for.
+    /// The bound the arena caches for (slice features or none).
     pub(crate) fn bound(&self) -> PruneBound {
         self.bound
     }
@@ -156,7 +159,7 @@ impl ScoringArena {
             feats: if self.feats.is_empty() {
                 &[]
             } else {
-                &self.feats[lo * ANCHORS..hi * ANCHORS]
+                &self.feats[lo * SLICES..hi * SLICES]
             },
             pair_off: &self.pair_off[lo..=hi],
             values: &self.values,
@@ -175,7 +178,7 @@ pub(crate) struct SeriesView<'a> {
     pub(crate) means: &'a [f64],
     /// Local signature indices ordered by mean ascending.
     pub(crate) mean_order: &'a [u32],
-    /// Anchor features, [`ANCHORS`] per signature, local indexing; empty when
+    /// Slice features, [`SLICES`] per signature, local indexing; empty when
     /// the view carries no features (centroid-only bounds never read them).
     pub(crate) feats: &'a [f64],
     /// Global lane offsets of this video's signatures (`len + 1` entries).
@@ -240,7 +243,12 @@ mod tests {
         assert!((va.means[1] - 10.0).abs() < 1e-12);
         assert_eq!(va.lanes(0), (&[1.0, 3.0][..], &[0.5, 0.5][..]));
         assert_eq!(va.mean_order, &[0, 1]);
-        assert_eq!(va.feats.len(), 2 * ANCHORS);
+        assert_eq!(va.feats.len(), 2 * SLICES);
+        // Halves of the mass at 1 and 3: four slices of 1/8 each.
+        assert_eq!(
+            va.feats[..SLICES],
+            [0.125, 0.125, 0.125, 0.125, 0.375, 0.375, 0.375, 0.375]
+        );
         let (lo, hi) = arena.mean_ranges();
         assert_eq!((lo[0], hi[0]), (va.means[0], va.means[1]));
         assert_eq!(lo[1], hi[1], "a one-signature video has a point range");

@@ -52,10 +52,11 @@ pub struct RecommenderConfig {
     pub candidate_limit: usize,
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,
-    /// Which EMD lower bound the corpus scoring arena caches anchor features
-    /// for. Every query path — the sequential pruned scan and the batch
-    /// engine — prunes against this bound; pruning is admissible for any
-    /// choice, so it affects latency only, never results.
+    /// Which EMD lower bound the corpus scoring arena caches features for.
+    /// Every query path — the sequential pruned scan and the batch engine —
+    /// prunes against this bound; pruning is admissible for either choice,
+    /// so it affects latency only, never results. The fields of
+    /// [`PruneBound::Best`] are inert.
     pub prune_bound: PruneBound,
     /// Candidate-retrieval mode for all `recommend*` entry points.
     pub retrieval: RetrievalMode,
@@ -95,13 +96,6 @@ impl RecommenderConfig {
         }
         if self.hash_buckets == 0 {
             return Err("hash_buckets must be positive".into());
-        }
-        if let PruneBound::Best { lo, hi } = self.prune_bound {
-            if lo >= hi || !lo.is_finite() || !hi.is_finite() {
-                return Err(format!(
-                    "prune_bound anchor domain [{lo}, {hi}] is not a finite interval"
-                ));
-            }
         }
         Ok(())
     }
@@ -176,11 +170,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = RecommenderConfig {
             candidate_limit: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = RecommenderConfig {
-            prune_bound: PruneBound::Best { lo: 4.0, hi: -4.0 },
             ..Default::default()
         };
         assert!(c.validate().is_err());

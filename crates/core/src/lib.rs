@@ -28,9 +28,10 @@
 //!
 //! Every query path is pruned against corpus-owned scoring caches: the
 //! recommender builds a structure-of-arrays arena at ingest (signature means,
-//! anchor features, presorted EMD pairs), extends it through maintenance, and
-//! both the sequential [`recommender::Recommender::recommend`] scan and the
-//! batch [`parallel::ParallelRecommender`] borrow it, skipping candidates via
+//! quantile-slice features, presorted EMD pairs), extends it through
+//! maintenance, and both the sequential
+//! [`recommender::Recommender::recommend`] scan and the batch
+//! [`parallel::ParallelRecommender`] borrow it, skipping candidates via
 //! admissible `κJ` ceilings ([`prune`]) while returning results bit-identical
 //! to the naive full scan.
 

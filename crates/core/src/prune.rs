@@ -16,10 +16,10 @@
 //!
 //! The per-pair bound is evaluated from two [`SeriesView`]s into the
 //! corpus-owned [`crate::arena::ScoringArena`] — signature means for Rubner's
-//! centroid bound, plus (for [`PruneBound::Best`]) cached Lipschitz anchor
-//! features that turn the bound into an O([`ANCHORS`]) component-wise max
-//! ([`viderec_emd::anchor_lower_bound_from_features`]) instead of a per-pair
-//! sort or sweep.
+//! centroid bound, plus (for [`PruneBound::Best`]) cached quantile-slice
+//! partial means whose L1 distance
+//! ([`viderec_emd::slice_lower_bound_from_features`]) is an O([`SLICES`])
+//! bound close to the distance itself, instead of a per-pair sort or sweep.
 //!
 //! The pruning test uses *strict* inequality: a candidate tying the k-th
 //! score must still be evaluated because ranking ties break by `VideoId`, so
@@ -45,24 +45,15 @@ use viderec_trace::Span;
 
 use viderec_emd::{
     emd_1d_soa, emd_1d_soa_capped, extended_jaccard, rounding_allowance, sim_c, sim_c_upper_bound,
-    MatchingConfig,
+    slice_lower_bound_from_features, MatchingConfig,
 };
 
-/// Lipschitz anchors cached per signature for [`PruneBound::Best`]: the bound
-/// compares `E[|X − c|]` at this many anchor points per pair, so the per-pair
-/// cost is O([`ANCHORS`]) — it has to pay for itself against exact
-/// evaluations that are themselves only a few microseconds.
-pub(crate) const ANCHORS: usize = 8;
-
-/// Row-scan give-up threshold: once a row's running minimum lower bound falls
-/// to this value its `SimC` ceiling is already ≥ `1/(1+0.25) = 0.8` — far
-/// above any useful matching threshold — so the scan stops and reports the
-/// trivially admissible ceiling `1.0` instead of grinding through the
-/// remaining pairs (which is exactly the case where the centroid-gap break
-/// cannot fire: every remaining gap is below `min_lb`). Loosening such rows
-/// from `≈0.8..1.0` to `1.0` costs almost no pruning power because they were
-/// never the rows that excluded a candidate.
-const ROW_GIVE_UP_LB: f64 = 0.25;
+/// Equal-mass quantile slices cached per signature for [`PruneBound::Best`]
+/// ([`viderec_emd::slice_features`]): the bound is an L1 distance over this
+/// many partial means per pair, so the per-pair cost is O([`SLICES`]) — it
+/// has to pay for itself against exact evaluations that are themselves only
+/// a few microseconds. A power of two, so the slice edges are exact.
+pub(crate) const SLICES: usize = 8;
 
 /// Per-query pruning counters, summed over a query's shards (or reported
 /// as-is by the sequential scan).
@@ -82,7 +73,7 @@ pub struct PruneStats {
     /// Candidates that paid for an exact `κJ` evaluation.
     pub exact_evals: u64,
     /// Signature-pair sweeps inside exact evaluations that proved
-    /// `EMD > radius` without finishing — screened out by the anchor bound
+    /// `EMD > radius` without finishing — screened out by the slice bound
     /// or aborted by the capped sweep itself.
     pub cap_aborted: u64,
     /// Signature-pair sweeps inside exact evaluations that ran to
@@ -116,25 +107,23 @@ pub enum PruneBound {
     /// Rubner's centroid bound — O(1) per pair from cached signature means.
     /// Cheapest, but collapses when signature means cluster.
     Centroid,
-    /// Centroid ∨ the Lipschitz anchor bound
-    /// ([`viderec_emd::anchor_lower_bound_from_features`]): `E[|X − c|]` at
-    /// [`ANCHORS`] points spread over `[lo, hi]`, cached per signature and
-    /// compared in O([`ANCHORS`]) per pair. Sound for any `[lo, hi]` (every
-    /// anchor map is 1-Lipschitz); tightest when the anchors straddle the
-    /// actual cuboid value range.
+    /// The quantile-slice bound
+    /// ([`viderec_emd::slice_lower_bound_from_features`]): the mean of each
+    /// of [`SLICES`] equal-mass slices, cached per signature and compared in
+    /// O([`SLICES`]) per pair. It dominates the centroid bound (the slice
+    /// means sum to the mean) and adapts to the data by construction.
     Best {
-        /// Lower edge of the anchor domain (intensity-delta units).
+        /// Inert: the slices need no value domain (the Lipschitz anchors
+        /// this variant replaced did). Read by nothing, any value accepted;
+        /// the fields go once the benchmark that sets them may be edited.
         lo: f64,
-        /// Upper edge of the anchor domain.
+        /// Inert, as `lo`.
         hi: f64,
     },
 }
 
 impl Default for PruneBound {
     fn default() -> Self {
-        // Cuboid values are mean temporal intensity deltas; after block
-        // merging they concentrate well within ±16 in practice, and anchors
-        // outside the data range would just be wasted.
         PruneBound::Best {
             lo: -16.0,
             hi: 16.0,
@@ -167,7 +156,7 @@ thread_local! {
 ///
 /// Each signature pair is classified exactly once, in row-major order:
 ///
-/// 1. **screen** — the admissible screens (centroid gap, Lipschitz anchor
+/// 1. **screen** — the admissible screens (centroid gap, quantile-slice
 ///    bound) prove `EMD > radius` for most pairs, which score `SimC = 0`
 ///    without a sweep;
 /// 2. **sweep** — a survivor runs [`emd_1d_soa_capped`] at the radius, which
@@ -183,8 +172,8 @@ thread_local! {
 /// unchanged bit for bit.
 ///
 /// Screens only skip sweeps whose outcome (`SimC < τ`) is already proven —
-/// each bound has to clear the radius by its rounding allowance ([`Slack`])
-/// — so the returned `κJ` is unchanged in every case.
+/// each bound has to clear the radius by its rounding allowance
+/// ([`rounding_give`]) — so the returned `κJ` is unchanged in every case.
 ///
 /// `stats` collects the per-pair sweep counters (`cap_aborted`,
 /// `full_sweeps`); candidate-level counters are the caller's business.
@@ -212,12 +201,11 @@ pub(crate) fn kappa_exact_cached(
         )
     } else {
         let radius = cfg.radius();
-        let anchors = !query.feats.is_empty() && !video.feats.is_empty();
-        let slack = Slack::between(query.rounding, video.rounding);
+        let slices = !query.feats.is_empty() && !video.feats.is_empty();
         // What a float lower bound has to exceed before it proves the swept
         // distance over the radius; a pair inside the band goes to the
         // sweep, which decides it exactly.
-        let reach = radius + slack.give;
+        let reach = radius + rounding_give(query.rounding, video.rounding);
         SWEEP_SCRATCH.with(|scratch| {
             let SweepScratch {
                 eligible,
@@ -232,10 +220,10 @@ pub(crate) fn kappa_exact_cached(
                         // radius; the pair scores `SimC = 0`.
                         continue;
                     }
-                    if anchors && anchor_lb(query, video, i, j, slack.unit) > reach {
-                        // The O(ANCHORS) Lipschitz bound already proves
-                        // EMD > radius: the capped sweep would have burned a
-                        // partial merge only to return ∞.
+                    if slices && slice_lb(query, video, i, j, reach) > reach {
+                        // The O(SLICES) bound already proves EMD > radius:
+                        // the capped sweep would have burned a partial
+                        // merge only to return ∞.
                         cap_aborted += 1;
                         continue;
                     }
@@ -294,49 +282,31 @@ pub(crate) fn kappa_exact_cached(
     kappa
 }
 
-/// The rounding allowances every float EMD lower bound gives away before it
+/// The rounding allowance every float EMD lower bound gives away before it
 /// is compared with the match radius or turned into a ceiling
-/// ([`rounding_allowance`] has the derivation). A pair that sits exactly on
-/// the radius — `EMD == 1/τ − 1` to the bit, as dyadic pixel-pipeline
-/// cuboids and shifted copies do — would otherwise be decided by which way
-/// the cached sums happened to round, not by the sweep the unpruned scan
-/// runs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Slack {
-    /// Per unit of the two anchor features a gap was taken between: the
-    /// rounding of the features themselves.
-    unit: f64,
-    /// Absolute, from the largest cuboid magnitudes either side holds: the
-    /// rounding of a centroid gap, and of the sweep any bound stands in for.
-    pub(crate) give: f64,
+/// ([`rounding_allowance`] has the derivation), from two arenas'
+/// ([`SeriesView::rounding`]) `(longest signature, largest |value|)`. It is
+/// absolute — the largest cuboid magnitudes bound every sum a centroid gap,
+/// a slice bound or the sweep they stand in for can form. A pair that sits
+/// exactly on the radius — `EMD == 1/τ − 1` to the bit, as dyadic
+/// pixel-pipeline cuboids and shifted copies do — would otherwise be decided
+/// by which way the cached sums happened to round, not by the sweep the
+/// unpruned scan runs.
+pub(crate) fn rounding_give(query: (usize, f64), video: (usize, f64)) -> f64 {
+    rounding_allowance(query.0 + video.0, query.1 + video.1)
 }
 
-impl Slack {
-    /// The allowances between two arenas' ([`SeriesView::rounding`])
-    /// `(longest signature, largest |value|)`.
-    pub(crate) fn between(query: (usize, f64), video: (usize, f64)) -> Self {
-        let terms = query.0 + video.0;
-        Self {
-            unit: rounding_allowance(terms, 1.0),
-            give: rounding_allowance(terms, query.1 + video.1),
-        }
-    }
-}
-
-/// The Lipschitz anchor bound of signature pair `(i, j)`
-/// ([`viderec_emd::anchor_lower_bound_from_features`]) with each anchor's
-/// gap reduced by `unit` of the two features it was taken between.
-fn anchor_lb(query: SeriesView<'_>, video: SeriesView<'_>, i: usize, j: usize, unit: f64) -> f64 {
-    let fq = &query.feats[i * ANCHORS..(i + 1) * ANCHORS];
-    let fv = &video.feats[j * ANCHORS..(j + 1) * ANCHORS];
-    fq.iter()
-        .zip(fv)
-        .map(|(x, y)| (x - y).abs() - unit * (x + y))
-        .fold(0.0, f64::max)
+/// The quantile-slice bound of signature pair `(i, j)`
+/// ([`slice_lower_bound_from_features`]); a partial sum once it is over
+/// `stop`, which is all a caller comparing it with `stop` needs.
+fn slice_lb(query: SeriesView<'_>, video: SeriesView<'_>, i: usize, j: usize, stop: f64) -> f64 {
+    let fq = &query.feats[i * SLICES..(i + 1) * SLICES];
+    let fv = &video.feats[j * SLICES..(j + 1) * SLICES];
+    slice_lower_bound_from_features(fq, fv, stop)
 }
 
 /// O(1) proof that `κJ = 0`: the two series' signature-mean ranges lie
-/// further apart than `reach` — the match radius plus [`Slack::give`] — so
+/// further apart than `reach` — the match radius plus [`rounding_give`] — so
 /// every pair fails the centroid screen of the exact evaluation (float
 /// subtraction is monotone: a range gap over `reach` puts every individual
 /// `|mean_q − mean_v|` over it too).
@@ -344,11 +314,10 @@ pub(crate) fn separated(q_range: (f64, f64), v_range: (f64, f64), reach: f64) ->
     (v_range.0 - q_range.1).max(q_range.0 - v_range.1) > reach
 }
 
-/// Admissible upper bound on `κJ(query, video)` from the two series' views,
-/// whose anchor features (when `bound` needs them) must have been computed
-/// over the same anchor domain: per query signature, `SimC` of the smallest
-/// per-pair EMD lower bound in its row — the centroid gap, maxed with the
-/// Lipschitz anchor bound when `bound` caches features.
+/// Admissible upper bound on `κJ(query, video)` from the two series' views:
+/// per query signature, `SimC` of the smallest per-pair EMD lower bound in
+/// its row — the centroid gap, maxed with the quantile-slice bound when
+/// `bound` caches features.
 pub(crate) fn kappa_upper_bound(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
@@ -356,7 +325,8 @@ pub(crate) fn kappa_upper_bound(
     cfg: MatchingConfig,
 ) -> f64 {
     let (n1, n2) = (query.len(), video.len());
-    let slack = Slack::between(query.rounding, video.rounding);
+    let give = rounding_give(query.rounding, video.rounding);
+    let radius = cfg.radius();
     let order = video.mean_order;
     viderec_emd::extended_jaccard_upper_bound(
         n1,
@@ -365,12 +335,12 @@ pub(crate) fn kappa_upper_bound(
             // Row ceiling: max_j SimC_ub(i, j) = SimC of the smallest lower
             // bound in the row. Visit the video's signatures in centroid-gap
             // order (two-pointer expansion around the query mean): each pair
-            // bound is ≥ its centroid gap, so the moment the smallest
-            // remaining gap reaches the running minimum, no remaining pair
-            // can lower it and the row is done. Exact, not a relaxation —
-            // typically only one or two anchor comparisons survive per row.
-            // Every bound gives `slack.give` away first, so the ceiling
-            // stays above the `SimC` of the swept distance.
+            // bound is ≥ its centroid gap, so once the smallest remaining gap
+            // reaches the running minimum no remaining pair can lower it, and
+            // once it passes the radius none can reach τ — a row left over
+            // the radius fails the matcher bound's `u ≥ τ` whatever its
+            // value. Exact, not a relaxation. Every bound gives `give` away
+            // first, so the ceiling stays above the swept distance's `SimC`.
             let q = query.means[i];
             let mut r = order.partition_point(|&j| video.means[j as usize] < q);
             let mut l = r;
@@ -394,20 +364,20 @@ pub(crate) fn kappa_upper_bound(
                     r += 1;
                     (j, gap_r)
                 };
-                if (gap - slack.give).max(0.0) >= min_lb {
+                let least = (gap - give).max(0.0);
+                if least >= min_lb || least > radius {
                     break;
                 }
                 let lb = match bound {
                     PruneBound::Centroid => gap,
-                    PruneBound::Best { .. } => gap.max(anchor_lb(query, video, i, j, slack.unit)),
+                    PruneBound::Best { .. } => {
+                        // Past this the pair neither lowers the minimum nor
+                        // stays within the radius.
+                        let stop = min_lb.min(radius) + give;
+                        gap.max(slice_lb(query, video, i, j, stop))
+                    }
                 };
-                min_lb = min_lb.min((lb - slack.give).max(0.0));
-                if min_lb <= ROW_GIVE_UP_LB {
-                    // Give up on an uninformative row (see [`ROW_GIVE_UP_LB`]);
-                    // `sim_c_upper_bound(0) = 1` dominates every true `SimC`.
-                    min_lb = 0.0;
-                    break;
-                }
+                min_lb = min_lb.min((lb - give).max(0.0));
             }
             sim_c_upper_bound(min_lb)
         },
@@ -522,8 +492,8 @@ impl LadderQueue {
 /// multi-step top-k): [`Self::step`] pops the candidate with the highest
 /// current score ceiling; if that ceiling is strictly below the k-th exact
 /// score the whole queue is pruned, otherwise the candidate climbs one rung
-/// — `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → anchor `κJ`
-/// ceiling → exact `κJ` — and is dropped, re-queued, or scored.
+/// — `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → slice-bound
+/// `κJ` ceiling → exact `κJ` — and is dropped, re-queued, or scored.
 ///
 /// Exactness: ceilings are admissible at every rung, so a candidate's key
 /// never undercuts its exact score; the floor is always the k-th best of `k`
@@ -709,13 +679,7 @@ mod tests {
                     min_similarity: tau,
                 };
                 let exact = kappa_j_series(&a, &b, cfg);
-                for bound in [
-                    PruneBound::Centroid,
-                    PruneBound::Best {
-                        lo: -45.0,
-                        hi: 45.0,
-                    },
-                ] {
+                for bound in [PruneBound::Centroid, PruneBound::default()] {
                     let qc = ScoringArena::for_series(&a, bound);
                     let vc = ScoringArena::for_series(&b, bound);
                     let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
@@ -766,7 +730,7 @@ mod tests {
                     let qc = ScoringArena::for_series(&a, bound);
                     let vc = ScoringArena::for_series(&b, bound);
                     let (q, v) = (qc.view(0), vc.view(0));
-                    let reach = cfg.radius() + Slack::between(q.rounding, v.rounding).give;
+                    let reach = cfg.radius() + rounding_give(q.rounding, v.rounding);
                     let gaps = q
                         .means
                         .iter()
@@ -805,8 +769,8 @@ mod tests {
     /// aligned pair at `EMD == radius` give or take the sweep's rounding.
     /// The cached evaluation must agree with the unscreened measure bit for
     /// bit, so must the screened series measure the naive scan scores with,
-    /// and every ceiling must stay above them, for any anchor domain.
-    fn check_on_the_radius(shape: &[Vec<(f64, f64)>], tau: f64, hi: f64) -> f64 {
+    /// and every ceiling must stay above them.
+    fn check_on_the_radius(shape: &[Vec<(f64, f64)>], tau: f64) -> f64 {
         use viderec_signature::kappa_j_series_pruned;
         let cfg = MatchingConfig {
             min_similarity: tau,
@@ -817,7 +781,7 @@ mod tests {
         );
         let want = kappa_j_series(&a, &b, cfg);
         assert_eq!(kappa_j_series_pruned(&a, &b, cfg).to_bits(), want.to_bits());
-        for bound in [PruneBound::Centroid, PruneBound::Best { lo: -hi, hi }] {
+        for bound in [PruneBound::Centroid, PruneBound::default()] {
             let qc = ScoringArena::for_series(&a, bound);
             let vc = ScoringArena::for_series(&b, bound);
             let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut PruneStats::default());
@@ -825,7 +789,7 @@ mod tests {
             let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
             assert!(ub >= want, "{bound:?}: ceiling {ub} under exact {want}");
             let (q, v) = (qc.mean_ranges(), vc.mean_ranges());
-            let reach = cfg.radius() + Slack::between(qc.rounding(), vc.rounding()).give;
+            let reach = cfg.radius() + rounding_give(qc.rounding(), vc.rounding());
             assert!(want == 0.0 || !separated((q.0[0], q.1[0]), (v.0[0], v.1[0]), reach));
         }
         want
@@ -838,23 +802,26 @@ mod tests {
         /// grid) and weights (sixteenths) put the aligned pairs on the
         /// radius to the bit, so `SimC == τ` and the pair matches — unless
         /// a screen whose cached sums rounded an ulp high throws it out.
+        /// `heavy` counts the mass in 128ths instead, which leaves each
+        /// signature's last cuboid over 7/8 of it: across every slice edge.
         #[test]
         fn dyadic_pairs_exactly_on_the_radius_are_never_screened_out(
             shape in prop::collection::vec(
                 prop::collection::vec((-120..120i32, 1..4u32), 1..5), 1..4),
-            hi in 9.0..120.0f64,
+            heavy in 0..2u32,
         ) {
+            let whole = if heavy == 1 { 128 } else { 16 };
             let shape: Vec<Vec<(f64, f64)>> = shape
                 .iter()
                 .map(|sig| {
-                    let spare = 16 - sig.iter().map(|&(_, w)| w).sum::<u32>();
+                    let spare = whole - sig.iter().map(|&(_, w)| w).sum::<u32>();
                     let mut sig: Vec<_> =
                         sig.iter().map(|&(v, w)| (v as f64 / 8.0, w as f64)).collect();
                     sig.last_mut().unwrap().1 += spare as f64;
                     sig
                 })
                 .collect();
-            let want = check_on_the_radius(&shape, 0.5, hi);
+            let want = check_on_the_radius(&shape, 0.5);
             prop_assert!(want > 0.0, "aligned pairs sit on the radius and match");
         }
 
@@ -862,20 +829,24 @@ mod tests {
         /// signs around a mean near zero, and radii that are not themselves
         /// representable — the swept distance lands an ulp or two either
         /// side of the radius and the matcher's own `SimC ≥ τ` decides.
+        /// `heavy` again puts over 7/8 of each signature in its last cuboid.
         #[test]
         fn shifted_copies_agree_with_the_unscreened_measure(
-            shape in prop::collection::vec(
+            mut shape in prop::collection::vec(
                 prop::collection::vec((-45.0..45.0f64, 0.1..1.0f64), 1..5), 1..4),
             tau in 0..3usize,
-            hi in 9.0..120.0f64,
+            heavy in 0..2u32,
         ) {
-            check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau], hi);
+            if heavy == 1 {
+                shape.iter_mut().for_each(|sig| sig.last_mut().unwrap().1 += 28.0);
+            }
+            check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau]);
         }
     }
 
     /// One signature per video: a point mass, or two half masses `±spread`
-    /// around the same mean (which the centroid and — inside the anchors'
-    /// spacing — the anchor bound cannot tell from the point mass).
+    /// around the same mean (which the centroid bound cannot tell from the
+    /// point mass; the slice bound reads the spread off the two halves).
     fn one_sig(mean: f64, spread: f64) -> SignatureSeries {
         let cuboids = if spread == 0.0 {
             vec![(mean, 1.0)]
@@ -896,11 +867,11 @@ mod tests {
         // `1 / (1 + EMD)` inside the radius and 0 outside. (mean, spread):
         let shapes = [
             (0.25, 0.0), // exact 0.8, tight ceiling
-            (0.0, 0.5),  // exact 2/3, ceiling 1: the loose one
+            (0.0, 0.5),  // exact 2/3, and so is the ceiling (centroid: 1)
             (0.5, 0.0),  // exact 2/3 again: a tie at the final floor
             (0.9, 0.0),  // exact 0.526, tight ceiling below the floor
             (5.0, 0.0),  // mean gap over the radius: separated, κJ = 0
-            (0.0, 3.0),  // ceiling 0.583 (anchors 2.29 off the mean), exact 0
+            (0.0, 3.0),  // slice bound 3, over the radius: ceiling 0, as exact
         ];
         let corpus = shapes
             .iter()
@@ -949,10 +920,7 @@ mod tests {
     fn best_bound_is_no_looser_than_centroid() {
         let mut rng = StdRng::seed_from_u64(92);
         let cfg = MatchingConfig::default();
-        let best = PruneBound::Best {
-            lo: -45.0,
-            hi: 45.0,
-        };
+        let best = PruneBound::default();
         for _ in 0..40 {
             let a = random_series(&mut rng, 5);
             let b = random_series(&mut rng, 5);

@@ -43,7 +43,7 @@ use crate::arena::ScoringArena;
 use crate::config::{RecommenderConfig, RetrievalMode};
 use crate::corpus::{CorpusVideo, QueryVideo};
 use crate::errors::RecError;
-use crate::prune::{separated, Ladder, LadderQueue, PruneStats, Queued, Slack};
+use crate::prune::{rounding_give, separated, Ladder, LadderQueue, PruneStats, Queued};
 use crate::relevance::{strategy_score, Strategy};
 use crate::topk::{floor_of, push_top_k, sort_ranked, top_k_heap, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
@@ -541,14 +541,14 @@ impl Recommender {
         top_k: usize,
     ) -> Ladder<'a> {
         let (lo, hi) = query_cache.mean_ranges();
-        let slack = Slack::between(query_cache.rounding(), self.content.arena.rounding());
+        let give = rounding_give(query_cache.rounding(), self.content.arena.rounding());
         Ladder {
             cfg: &self.cfg,
             content: &self.content,
             strategy,
             qv: query_cache.view(0),
             q_range: (lo[0], hi[0]),
-            reach: self.cfg.matching.radius() + slack.give,
+            reach: self.cfg.matching.radius() + give,
             top_k,
             shared_floor: None,
         }
@@ -781,7 +781,7 @@ impl Recommender {
     /// The exactness certificate, flat: sweep every video the gather missed
     /// (the unmarked bits of `seen`) and append to `out` those whose O(1)
     /// score ceiling reaches the top-k `floor` (`0.0` while the heap is not
-    /// full). Survivors go onto the ladder, whose anchor rung decides
+    /// full). Survivors go onto the ladder, whose slice-bound rung decides
     /// whether any of them is actually scored.
     ///
     /// The social ceiling of a non-candidate is where the gather earns its
@@ -1488,9 +1488,9 @@ mod tests {
     }
 
     /// The certificate as it was before the flat sweep — one walk over every
-    /// video, two hash probes each, the anchor ceiling inline — kept as the
-    /// oracle for [`Recommender::certificate_survivors`] plus the ladder's
-    /// anchor rung.
+    /// video, two hash probes each, the slice-bound ceiling inline — kept as
+    /// the oracle for [`Recommender::certificate_survivors`] plus the
+    /// ladder's slice-bound rung.
     fn certificate_oracle(
         rec: &Recommender,
         strategy: Strategy,

@@ -42,7 +42,7 @@ pub use embed::{CdfEmbedder, CDF_EMBED_DIMS};
 pub use emd1d::{emd_1d, emd_1d_presorted, emd_1d_presorted_capped, emd_1d_soa, emd_1d_soa_capped};
 pub use erp::erp_distance;
 pub use lower_bounds::{
-    anchor_features, anchor_lower_bound_from_features, centroid_lower_bound, sim_c_upper_bound,
+    centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
 pub use matrix::DenseMatrix;
 pub use measures::{

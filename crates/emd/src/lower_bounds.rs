@@ -1,15 +1,16 @@
 //! Cheap lower bounds on EMD for candidate filtering.
 //!
 //! The LSH pipeline of §4.4 prunes most signature pairs, but the refinement
-//! step still evaluates EMD on the survivors; these O(m + n) lower bounds let
-//! the refinement skip pairs whose bound already exceeds the current pruning
-//! radius. Both are classic:
+//! step still evaluates EMD on the survivors; these lower bounds let the
+//! refinement skip pairs whose bound already exceeds the current pruning
+//! radius.
 //!
 //! * [`centroid_lower_bound`] — Rubner's LB: for ground distance `|x − y|`
 //!   and equal total mass, `|mean(C₁) − mean(C₂)| ≤ EMD(C₁, C₂)` (Jensen).
-//! * [`anchor_lower_bound_from_features`] — Kantorovich duality over the
-//!   1-Lipschitz maps `x ↦ |x − c|`: the gap between the two sides'
-//!   [`anchor_features`] at any anchor `c` never exceeds the EMD.
+//! * [`slice_lower_bound_from_features`] — the same inequality on each
+//!   equal-mass slice of the two quantile functions ([`slice_features`]):
+//!   the L1 distance between partial means. It dominates the centroid
+//!   bound, needs no value domain, and is near the distance itself.
 
 /// Weighted mean of a normalised `(value, weight)` set.
 fn mean(sig: &[(f64, f64)]) -> f64 {
@@ -24,49 +25,60 @@ pub fn centroid_lower_bound(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     (mean(a) - mean(b)).abs()
 }
 
-/// Lipschitz anchor features of a signature: `E[|X − c|]` at `k` anchors `c`
-/// evenly spaced over `[lo, hi]` (endpoints included for `k ≥ 2`).
-///
-/// Each map `x ↦ |x − c|` is 1-Lipschitz, so by Kantorovich duality the
-/// difference of the two sides' expectations lower-bounds their EMD — see
-/// [`anchor_lower_bound_from_features`]. Computed once per signature and
-/// compared in O(k) per pair, these are the cheap sound screen the
-/// recommender's pruning ceilings are built from.
-pub fn anchor_features(sig: &[(f64, f64)], lo: f64, hi: f64, k: usize) -> Vec<f64> {
-    assert!(k >= 1, "need at least one anchor");
-    assert!(hi >= lo, "empty anchor domain");
-    (0..k)
-        .map(|i| {
-            let c = anchor_position(lo, hi, k, i);
-            sig.iter().map(|&(v, w)| w * (v - c).abs()).sum()
-        })
-        .collect()
-}
-
-fn anchor_position(lo: f64, hi: f64, k: usize, i: usize) -> f64 {
-    if k == 1 {
-        (lo + hi) / 2.0
-    } else {
-        lo + (hi - lo) * i as f64 / (k - 1) as f64
+/// Quantile-slice partial means of a signature given as value-ascending
+/// lanes: `out[k] = ∫ Q(t) dt` over the `k`-th of `out.len()` equal slices of
+/// `[0, 1]`, `Q` the quantile function — cuboid `i` holds the mass interval
+/// `(W_{i−1}, W_i]` of the running weight sum `W` and adds
+/// `v_i · |(W_{i−1}, W_i] ∩ slice|` to every slice it reaches into, so the
+/// features sum to the mean. `W` is accumulated exactly as the sweeps of
+/// [`crate::emd1d`] accumulate their CDF — the features describe the very
+/// staircase the float distance integrates — and a power-of-two slice count
+/// makes the edges exact too. Mass beyond 1 (a sum an ulp high) is dropped.
+pub fn slice_features(values: &[f64], weights: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(values.len(), weights.len(), "lane length mismatch");
+    debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "lanes unsorted");
+    out.fill(0.0);
+    let k = out.len();
+    let width = 1.0 / k as f64;
+    let (mut slice, mut from, mut cdf) = (0usize, 0.0f64, 0.0f64);
+    for (&v, &w) in values.iter().zip(weights) {
+        cdf += w;
+        while slice < k {
+            let edge = (slice + 1) as f64 * width;
+            let to = cdf.min(edge);
+            out[slice] += v * (to - from);
+            from = to;
+            if cdf <= edge {
+                break;
+            }
+            slice += 1;
+        }
     }
 }
 
-/// Lower bound on EMD from two signatures' [`anchor_features`]:
-/// `max_c |E_a[|X − c|] − E_b[|X − c|]| ≤ EMD(a, b)`.
+/// Lower bound on EMD from two signatures' [`slice_features`]:
+/// `Σ_k |φ_k(a) − φ_k(b)| ≤ EMD(a, b)`, summed in slice order and returned
+/// early — as the partial sum, itself a lower bound — once it exceeds `stop`
+/// (pass `f64::INFINITY` for the whole sum).
 ///
-/// Soundness: for any 1-Lipschitz `f`, `∫f dμ − ∫f dν ≤ EMD(μ, ν)`
-/// (Kantorovich–Rubinstein), and `x ↦ |x − c|` is 1-Lipschitz for every
-/// anchor `c`; taking the best anchor and either sign keeps the inequality.
+/// Soundness: `EMD(a, b) = ∫₀¹ |Q_a − Q_b| dt` for scalar ground distance,
+/// and on each slice `|∫ Q_a − ∫ Q_b| ≤ ∫ |Q_a − Q_b|`, for any partition of
+/// `[0, 1]`. One slice is the centroid bound; refining a partition can only
+/// raise the sum (triangle inequality).
 ///
 /// # Panics
 /// Panics if the feature vectors have different lengths.
 #[inline]
-pub fn anchor_lower_bound_from_features(fa: &[f64], fb: &[f64]) -> f64 {
-    assert_eq!(fa.len(), fb.len(), "anchor feature dimension mismatch");
-    fa.iter()
-        .zip(fb)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+pub fn slice_lower_bound_from_features(fa: &[f64], fb: &[f64], stop: f64) -> f64 {
+    assert_eq!(fa.len(), fb.len(), "slice feature dimension mismatch");
+    let mut sum = 0.0;
+    for (x, y) in fa.iter().zip(fb) {
+        sum += (x - y).abs();
+        if sum > stop {
+            break;
+        }
+    }
+    sum
 }
 
 /// Upper bound on `SimC` from a lower bound on EMD: `SimC = 1/(1 + EMD)` is
@@ -117,32 +129,40 @@ mod tests {
     }
 
     #[test]
-    fn anchor_bound_is_admissible_and_tight_for_shifted_supports() {
+    fn slice_bound_is_admissible_and_exact_on_aligned_slices() {
+        let feats = |sig: &[(f64, f64)], k: usize| {
+            let mut sig = sig.to_vec();
+            sig.sort_by(|x, y| x.0.total_cmp(&y.0));
+            let (v, w): (Vec<f64>, Vec<f64>) = sig.into_iter().unzip();
+            let mut out = vec![0.0; k];
+            slice_features(&v, &w, &mut out);
+            out
+        };
+        let lb = |a: &[(f64, f64)], b: &[(f64, f64)], k: usize| {
+            slice_lower_bound_from_features(&feats(a, k), &feats(b, k), f64::INFINITY)
+        };
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
             let na = rng.gen_range(1..8);
             let a = random_sig(&mut rng, na);
             let nb = rng.gen_range(1..8);
             let b = random_sig(&mut rng, nb);
-            let fa = anchor_features(&a, -25.0, 25.0, 8);
-            let fb = anchor_features(&b, -25.0, 25.0, 8);
-            let lb = anchor_lower_bound_from_features(&fa, &fb);
             let d = emd_1d(&a, &b);
-            assert!(lb <= d + 1e-9, "anchor lb {lb} > emd {d}");
+            let (one, eight) = (lb(&a, &b, 1), lb(&a, &b, 8));
+            assert!(eight <= d + 1e-9, "slice lb {eight} > emd {d}");
+            assert!((one - centroid_lower_bound(&a, &b)).abs() < 1e-9);
+            assert!(eight >= one - 1e-9, "refining the partition lowered it");
         }
-        // Separated point masses with an anchor at one support: the feature
-        // gap equals the full distance.
-        let a = vec![(0.0, 1.0)];
-        let b = vec![(10.0, 1.0)];
-        let fa = anchor_features(&a, 0.0, 10.0, 2);
-        let fb = anchor_features(&b, 0.0, 10.0, 2);
-        assert!((anchor_lower_bound_from_features(&fa, &fb) - 10.0).abs() < 1e-12);
-        // Equal means, different spread: anchors still separate what the
-        // centroid bound cannot.
+        // Equal means, different spread: the halves separate what the
+        // centroid bound cannot, and with every cuboid inside one slice the
+        // bound is the distance.
         let a = vec![(-1.0, 0.5), (1.0, 0.5)];
         let b = vec![(-5.0, 0.5), (5.0, 0.5)];
-        let fa = anchor_features(&a, -6.0, 6.0, 5);
-        let fb = anchor_features(&b, -6.0, 6.0, 5);
-        assert!(anchor_lower_bound_from_features(&fa, &fb) >= 4.0 - 1e-12);
+        assert_eq!(centroid_lower_bound(&a, &b), 0.0);
+        assert_eq!(lb(&a, &b, 8), 4.0);
+        assert_eq!(emd_1d(&a, &b), 4.0);
+        // A partial sum past `stop` comes back early and is still a bound.
+        let (fa, fb) = (feats(&a, 8), feats(&b, 8));
+        assert_eq!(slice_lower_bound_from_features(&fa, &fb, 1.0), 1.5);
     }
 }

@@ -51,17 +51,20 @@ impl MatchingConfig {
 /// cuboids between them and every summed magnitude is at most `scale` (the
 /// sum of the two signatures' largest `|value|`, mass being 1).
 ///
-/// A cached mean or anchor feature is a recursive sum of one product per
-/// cuboid, off by at most `(n + 1)·ε/2` of the summed magnitudes, and a
-/// bound is the difference of two of them: `(terms + 3)·ε/2 · scale`. The
-/// sweep adds one `|ΔF|·Δt` term per cuboid; its running CDFs are off by
-/// `terms·ε/2`, over a support no wider than `scale`, and the accumulation
-/// adds as much again: `(terms + 1.5)·ε · scale`. Together under
-/// `2·(terms + 2)·ε · scale`. A screen that skips a pair only when
-/// `bound − allowance > radius` therefore skips only pairs whose swept
-/// distance is over the radius too.
+/// Bound and sweep read the same staircase, the running float weight sum
+/// (the sweep's CDF, [`crate::slice_features`]' mass cursor). In units of
+/// `ε/2 · scale`: the sweep's thrice-rounded terms and recursive sum fall
+/// short of the staircase's integral by `terms + 3`; it stops at the last
+/// breakpoint, so where two weight sums — each within `n·ε` of 1 — end
+/// apart, a bound sees `2·terms` the sweep never crosses; a centroid gap,
+/// two recursive sums of `v·w` against the staircase's rounded steps, is
+/// off by `2·terms`; the slice bound, recursive sums of twice-rounded `v·Δ`
+/// and an L1 sum of eight rounded differences, by `terms + 10`. Either
+/// total is under `4·(terms + 2)·ε · scale` (DESIGN.md §7 has it line by
+/// line). A screen that skips a pair only when `bound − allowance > radius`
+/// therefore skips only pairs whose swept distance is over the radius too.
 pub fn rounding_allowance(terms: usize, scale: f64) -> f64 {
-    2.0 * (terms + 2) as f64 * f64::EPSILON * scale
+    4.0 * (terms + 2) as f64 * f64::EPSILON * scale
 }
 
 /// `κJ(S₁, S₂)` with greedy one-to-one matching (the system's measure).
@@ -109,6 +112,9 @@ pub fn extended_jaccard(
     total / (n1 + n2 - matched) as f64
 }
 
+/// Row ceilings [`extended_jaccard_upper_bound`] holds without allocating.
+const CEILINGS_ON_STACK: usize = 32;
+
 /// Admissible upper bound on [`extended_jaccard`] from per-row similarity
 /// ceilings.
 ///
@@ -132,15 +138,29 @@ pub fn extended_jaccard_upper_bound(
     if n1 == 0 || n2 == 0 {
         return 0.0;
     }
-    let mut ceilings: Vec<f64> = (0..n1)
-        .map(|i| row_upper(i).min(1.0))
-        .filter(|&u| u >= cfg.min_similarity)
-        .collect();
-    ceilings.sort_by(|a, b| b.total_cmp(a));
-    ceilings.truncate(n2);
+    // Row ceilings live on the stack; only a longer series spills.
+    let mut stack = [0.0f64; CEILINGS_ON_STACK];
+    let mut spill = vec![0.0; if n1 > CEILINGS_ON_STACK { n1 } else { 0 }];
+    let ceilings = if spill.is_empty() {
+        &mut stack[..n1]
+    } else {
+        &mut spill[..]
+    };
+    let mut kept = 0;
+    for i in 0..n1 {
+        let u = row_upper(i).min(1.0);
+        if u >= cfg.min_similarity {
+            ceilings[kept] = u;
+            kept += 1;
+        }
+    }
+    let ceilings = &mut ceilings[..kept];
+    // Values equal under `total_cmp` are the same bits, so the unstable
+    // sort (which never allocates) leaves the one possible sequence.
+    ceilings.sort_unstable_by(|a, b| b.total_cmp(a));
     let mut best = 0.0f64;
     let mut sum = 0.0;
-    for (t, u) in ceilings.iter().enumerate() {
+    for (t, u) in ceilings.iter().take(n2).enumerate() {
         sum += u;
         best = best.max(sum / (n1 + n2 - (t + 1)) as f64);
     }

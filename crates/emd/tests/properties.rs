@@ -4,10 +4,11 @@ use proptest::prelude::*;
 use viderec_emd::dtw::dtw_distance;
 use viderec_emd::erp::erp_scalar;
 use viderec_emd::lower_bounds::{
-    anchor_features, anchor_lower_bound_from_features, centroid_lower_bound, sim_c_upper_bound,
+    centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
 use viderec_emd::{
-    emd_1d, extended_jaccard, extended_jaccard_upper_bound, sim_c, CdfEmbedder, Emd, MatchingConfig,
+    emd_1d, extended_jaccard, extended_jaccard_upper_bound, rounding_allowance, sim_c, CdfEmbedder,
+    Emd, MatchingConfig,
 };
 
 /// A normalised scalar signature: 1..8 cuboids, values in ±60.
@@ -19,6 +20,47 @@ fn signature() -> impl Strategy<Value = Vec<(f64, f64)>> {
         }
         sig
     })
+}
+
+/// A signature for the slice bound: 1..=12 cuboids on a half-unit grid of
+/// mixed sign (so values repeat). The weights are counts over their total — dyadic when `dyadic` pads the total to a power of two,
+/// thirds and sevenths and worse otherwise — and `heavy` gives the first
+/// cuboid drawn at least 7/8 of the mass, wherever its value sorts.
+fn sliced_signature() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    let cuboids = prop::collection::vec((-40..40i32, 1..9u32), 1..13);
+    (cuboids, 0..2u32, 0..2u32).prop_map(|(mut raw, dyadic, heavy)| {
+        if heavy == 1 {
+            raw[0].1 += 7 * 8 * 11;
+        }
+        let total: u32 = raw.iter().map(|&(_, w)| w).sum();
+        if dyadic == 1 {
+            raw[0].1 += total.next_power_of_two() - total;
+        }
+        let total: u32 = raw.iter().map(|&(_, w)| w).sum();
+        raw.iter()
+            .map(|&(v, w)| (v as f64 / 2.0, w as f64 / total as f64))
+            .collect()
+    })
+}
+
+/// The eight [`slice_features`] of a signature, sorted by value as
+/// [`emd_1d`] sorts it.
+fn eight_slices(sig: &[(f64, f64)]) -> [f64; 8] {
+    let mut sig = sig.to_vec();
+    sig.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let (values, weights): (Vec<f64>, Vec<f64>) = sig.into_iter().unzip();
+    let mut out = [0.0; 8];
+    slice_features(&values, &weights, &mut out);
+    out
+}
+
+/// The slice bound of a pair and the rounding it is allowed.
+fn slice_bound(a: &[(f64, f64)], b: &[(f64, f64)]) -> (f64, f64) {
+    let largest = |s: &[(f64, f64)]| s.iter().map(|&(v, _)| v.abs()).fold(0.0, f64::max);
+    (
+        slice_lower_bound_from_features(&eight_slices(a), &eight_slices(b), f64::INFINITY),
+        rounding_allowance(a.len() + b.len(), largest(a) + largest(b)),
+    )
 }
 
 proptest! {
@@ -49,27 +91,49 @@ proptest! {
         prop_assert!(ac <= ab + bc + 1e-9, "triangle: {} > {} + {}", ac, ab, bc);
     }
 
-    /// Both lower bounds stay below the exact distance — the anchor bound
-    /// for any anchor count and even when the anchor domain clips part of
-    /// the mass (every anchor map is 1-Lipschitz wherever the anchor sits) —
-    /// neither is positive on identical signatures, and the `SimC` ceiling
-    /// derived from either dominates the true `SimC`.
+    /// Both lower bounds stay below the exact distance, neither is positive
+    /// on identical signatures, and the `SimC` ceiling derived from either
+    /// dominates the true `SimC`.
     #[test]
-    fn lower_bounds_are_sound(
-        a in signature(),
-        b in signature(),
-        anchors in 1..16usize,
-        hi in 10.0..80.0f64,
-    ) {
+    fn lower_bounds_are_sound(a in signature(), b in signature()) {
         let exact = emd_1d(&a, &b);
         let centroid = centroid_lower_bound(&a, &b);
-        let features = |s: &[(f64, f64)]| anchor_features(s, -hi, hi, anchors);
-        let anchor = anchor_lower_bound_from_features(&features(&a), &features(&b));
+        let (slices, _) = slice_bound(&a, &b);
         prop_assert!(centroid <= exact + 1e-9);
-        prop_assert!(anchor <= exact + 1e-9, "anchor lb {} > exact {}", anchor, exact);
+        prop_assert!(slices <= exact + 1e-9, "slice lb {} > exact {}", slices, exact);
         prop_assert!(centroid_lower_bound(&a, &a).abs() < 1e-9);
-        prop_assert!(anchor_lower_bound_from_features(&features(&a), &features(&a)) == 0.0);
-        prop_assert!(sim_c_upper_bound(centroid.max(anchor)) >= sim_c(exact) - 1e-12);
+        prop_assert!(sim_c_upper_bound(centroid.max(slices)) >= sim_c(exact) - 1e-12);
+    }
+
+    /// The slice bound, less its rounding allowance and nothing more, never
+    /// exceeds the float sweep; it never falls short of the centroid gap by
+    /// more than that allowance; and it vanishes on identical inputs —
+    /// whatever the cuboid counts, repeated values, a cuboid straddling
+    /// seven slice edges, and weights that do or do not sum to 1 exactly.
+    #[test]
+    fn slice_bound_is_admissible_to_the_allowance_and_dominates_the_centroid(
+        a in sliced_signature(),
+        b in sliced_signature(),
+    ) {
+        let (lb, give) = slice_bound(&a, &b);
+        let exact = emd_1d(&a, &b);
+        prop_assert!(lb - give <= exact, "slice lb {} > exact {} + {}", lb, exact, give);
+        prop_assert!(lb >= centroid_lower_bound(&a, &b) - give);
+        prop_assert!(slice_bound(&a, &a).0 == 0.0);
+    }
+
+    /// Eight cuboids of weight 1/8 a side put one cuboid in each slice: the
+    /// bound is the distance.
+    #[test]
+    fn slice_bound_is_the_distance_when_cuboids_and_slices_coincide(
+        a in prop::collection::vec(-400..400i32, 8),
+        b in prop::collection::vec(-400..400i32, 8),
+    ) {
+        let eighths =
+            |values: &[i32]| values.iter().map(|&v| (v as f64 / 8.0, 0.125)).collect::<Vec<_>>();
+        let (a, b) = (eighths(&a), eighths(&b));
+        let (lb, give) = slice_bound(&a, &b);
+        prop_assert!((lb - emd_1d(&a, &b)).abs() <= give);
     }
 
     /// The `κJ` ceiling built from per-row similarity ceilings dominates the

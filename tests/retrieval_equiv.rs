@@ -241,6 +241,33 @@ fn gated_retrieval_honours_exclusions_exactly() {
     }
 }
 
+/// What the slice bound is for: on a 2 000-video streamed corpus the
+/// certified gate answers CSF-SAR-H exactly under either bound, and the
+/// tighter ceilings of `Best` never send more candidates to an exact `κJ`
+/// than the centroid ceilings do.
+#[test]
+fn slice_bound_sweeps_no_more_than_the_centroid_bound_at_scale() {
+    let stream = StreamingCommunity::new(StreamConfig::at_scale(2_000, 0x51_1CE));
+    let corpus = stream.materialize();
+    let ids = stream.query_ids(32);
+    let [centroid, best] = BOUNDS.map(|bound| {
+        let rec = gated(RetrievalMode::GatedCertified, bound, &corpus);
+        let mut exact_evals = 0;
+        for &id in &ids {
+            let q = rec.query_for(id).expect("indexed");
+            let (got, stats) = rec.recommend_with_stats(Strategy::CsfSarH, &q, 20, &[id]);
+            let want = rec.recommend_naive_excluding(Strategy::CsfSarH, &q, 20, &[id]);
+            assert_eq!(got, want, "{bound:?} click {id:?}");
+            exact_evals += stats.exact_evals;
+        }
+        exact_evals
+    });
+    assert!(
+        best <= centroid,
+        "Best swept {best} candidates, Centroid {centroid}"
+    );
+}
+
 #[test]
 fn approx_mode_stays_within_the_gathered_set_on_streamed_corpora() {
     let (stream, corpus) = corpus();

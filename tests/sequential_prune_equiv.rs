@@ -85,7 +85,7 @@ fn pruned_scan_matches_unpruned_for_all_strategies_and_bounds() {
         if matches!(bound, PruneBound::Best { .. }) {
             assert!(
                 pruned > 0,
-                "anchor-feature ceilings should prune something across \
+                "slice-feature ceilings should prune something across \
                  {} strategies x {} queries",
                 STRATEGIES.len(),
                 queries.len()
