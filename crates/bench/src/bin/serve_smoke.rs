@@ -71,7 +71,6 @@ fn main() {
         "\"stages\":{\"queue\"",
         "\"emd\"",
         "\"prune_rate\"",
-        "\"shard_breakdown\"",
         "\"alloc_count\"",
         "\"alloc_bytes\"",
     ] {

@@ -12,7 +12,9 @@
 //!   SeqCst}` site in shipped code must have a row in `ATOMICS.md` matching
 //!   its `path::enclosing_item` key (`#n` for the n-th identical site in an
 //!   item) and ordering, with a non-empty justification. Stale rows (no
-//!   matching site anymore) fail too, so the table cannot rot.
+//!   matching site anymore) fail too, so the table cannot rot. Importing
+//!   `atomic::Ordering` under another name (`Ordering as X`) is itself a
+//!   finding: `X::Relaxed` is not a token run the audit can see.
 //! * **`serve-no-panic`** — no `.unwrap(` / `.expect(` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` on the serve request path
 //!   (`crates/serve/src`), excluding `#[cfg(test)]` regions.
@@ -23,8 +25,8 @@
 //! * **`vendor-drift`** — `vendored_crate::segment` references from workspace
 //!   code must name something actually declared in the vendored stub's
 //!   sources, catching silent API drift between stub and real crate.
-//! * **`corpus-enumeration`** — the recommend paths
-//!   (`crates/core/src/recommender.rs`, `crates/core/src/parallel.rs`) must
+//! * **`corpus-enumeration`** — the recommend path
+//!   (`crates/core/src/recommender.rs`) must
 //!   not enumerate the corpus: `all_video_indices` may appear only at its
 //!   definition or under a waiver, and `<x>.videos.len()` is flagged as an
 //!   enumeration seed. The sanctioned sites — the naive reference scan, the
@@ -201,12 +203,9 @@ const FS_WRITE_OPS: [&str; 10] = [
     "set_permissions",
 ];
 
-/// Recommend-path files where full-corpus enumeration is banned outside the
-/// waived, sanctioned sites.
-const ENUMERATION_SCOPE: [&str; 2] = [
-    "crates/core/src/recommender.rs",
-    "crates/core/src/parallel.rs",
-];
+/// The recommend-path file, where full-corpus enumeration is banned outside
+/// the waived, sanctioned sites.
+const ENUMERATION_SCOPE: &str = "crates/core/src/recommender.rs";
 
 /// Hot-path trees where the sorting `emd_1d(` entry point is banned in
 /// shipped code (the arena's presorted SoA lanes are the sanctioned route).
@@ -341,6 +340,38 @@ fn ordering_sites(toks: &[&Token]) -> Vec<(u32, String)> {
             && ident_at(toks, i + 3).is_some_and(|v| ATOMIC_ORDERINGS.contains(&v))
         {
             out.push((toks[i].line, toks[i + 3].text.clone()));
+        }
+    }
+    out
+}
+
+/// Every `Ordering as <alias>` import of `atomic::Ordering` in `toks` — as
+/// `atomic::Ordering as X` or inside an `atomic::{…}` group — as
+/// `(line, alias)`. (`cmp::Ordering as X` is the rename that keeps the
+/// atomic one visible, and does not match.)
+fn ordering_aliases(toks: &[&Token]) -> Vec<(u32, String)> {
+    // `atomic ::` ending right before `toks[end]`.
+    let atomic_path = |end: usize| {
+        end >= 3
+            && ident_at(toks, end - 3) == Some("atomic")
+            && is_punct(toks, end - 2, ":")
+            && is_punct(toks, end - 1, ":")
+    };
+    let mut out = Vec::new();
+    // One entry per open `{`: whether `atomic::` introduced it.
+    let mut groups = Vec::new();
+    for i in 0..toks.len() {
+        if is_punct(toks, i, "{") {
+            groups.push(atomic_path(i));
+        } else if is_punct(toks, i, "}") {
+            groups.pop();
+        } else if ident_at(toks, i) == Some("Ordering")
+            && ident_at(toks, i + 1) == Some("as")
+            && (atomic_path(i) || groups.last() == Some(&true))
+        {
+            if let Some(alias) = ident_at(toks, i + 2) {
+                out.push((toks[i].line, alias.to_string()));
+            }
         }
     }
     out
@@ -700,7 +731,22 @@ pub fn lint_workspace(
         waivers.get(path).is_some_and(|ws| waived(ws, rule, line))
     };
 
-    // atomics-audit: sites vs the checked-in table, both directions.
+    // atomics-audit: no renamed `atomic::Ordering`, then sites vs the
+    // checked-in table, both directions.
+    for (path, tokens) in lexed.iter().filter(|(p, _)| atomics_scope(p)) {
+        for (line, alias) in ordering_aliases(&significant(tokens)) {
+            findings.push(Finding {
+                path: path.to_string(),
+                line,
+                rule: "atomics-audit",
+                message: format!(
+                    "`atomic::Ordering` imported as `{alias}`: the audit matches \
+                     `Ordering::<variant>`, so every `{alias}::<variant>` site is hidden from \
+                     ATOMICS.md; import it under its own name (rename `cmp::Ordering` instead)"
+                ),
+            });
+        }
+    }
     audit(
         &atomics_sites(files),
         atomics_md,
@@ -784,7 +830,7 @@ pub fn lint_workspace(
         }
 
         // corpus-enumeration
-        if ENUMERATION_SCOPE.iter().any(|p| p == path) {
+        if *path == ENUMERATION_SCOPE {
             for i in 0..toks.len() {
                 let line = toks[i].line;
                 if ident_at(&toks, i) == Some("all_video_indices")

@@ -87,6 +87,33 @@ fn cmp_ordering_variants_do_not_match() {
 }
 
 #[test]
+fn renamed_atomic_ordering_is_a_finding() {
+    // `AtomicOrdering::Relaxed` is not an `Ordering::<variant>` token run:
+    // before the alias itself was flagged, this file audited clean.
+    let hidden = "use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};\n\
+                  fn f(x: &AtomicU64) -> u64 { x.load(AtomicOrdering::Relaxed) }\n";
+    let findings = lint_workspace(&files(&[("crates/core/src/prune.rs", hidden)]), None, None);
+    assert_eq!(rules_of(&findings), vec!["atomics-audit"]);
+    assert_eq!(findings[0].line, 1);
+    assert!(findings[0].message.contains("`AtomicOrdering`"));
+
+    let ungrouped = "use std::sync::atomic::Ordering as O;\n";
+    let findings = lint_workspace(
+        &files(&[("vendor/bytes/src/lib.rs", ungrouped)]),
+        None,
+        None,
+    );
+    assert_eq!(rules_of(&findings), vec!["atomics-audit"]);
+
+    // Renaming the *other* `Ordering` keeps every atomic site visible.
+    let visible = "use std::cmp::Ordering as CmpOrdering;\n\
+                   use std::{cmp::{Ordering as C}, sync::atomic::{AtomicU64, Ordering}};\n";
+    assert!(
+        lint_workspace(&files(&[("crates/core/src/prune.rs", visible)]), None, None).is_empty()
+    );
+}
+
+#[test]
 fn atomics_sites_are_keyed_by_item_and_ordinal_not_by_line() {
     let src = "impl Ring {\n\
                \x20   fn push(&self) {\n\
@@ -299,7 +326,7 @@ fn enumeration_definition_is_not_a_call_site() {
 #[test]
 fn videos_len_on_a_recommend_path_is_a_finding() {
     let fs = files(&[(
-        "crates/core/src/parallel.rs",
+        "crates/core/src/recommender.rs",
         "fn f(&self) -> usize { self.videos.len() }\n",
     )]);
     assert_eq!(

@@ -22,7 +22,7 @@
 //! The arena is built once in [`crate::recommender::Recommender::build`],
 //! *extended* (never rebuilt) when [`crate::maintenance`] ingests new videos,
 //! and borrowed — through [`ScoringArena::view`], the one view there is — by
-//! the sequential pruned scan, the gated engine and the batch engine alike.
+//! every query.
 
 use crate::prune::{PruneBound, SLICES};
 use viderec_emd::slice_features;

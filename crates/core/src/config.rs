@@ -53,10 +53,9 @@ pub struct RecommenderConfig {
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,
     /// Which EMD lower bound the corpus scoring arena caches features for.
-    /// Every query path — the sequential pruned scan and the batch engine —
-    /// prunes against this bound; pruning is admissible for either choice,
-    /// so it affects latency only, never results. The fields of
-    /// [`PruneBound::Best`] are inert.
+    /// Every query prunes against this bound; pruning is admissible for
+    /// either choice, so it affects latency only, never results. The fields
+    /// of [`PruneBound::Best`] are inert.
     pub prune_bound: PruneBound,
     /// Candidate-retrieval mode for all `recommend*` entry points.
     pub retrieval: RetrievalMode,

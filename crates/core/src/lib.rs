@@ -26,14 +26,12 @@
 //! features, and [`maintenance`] wires the Fig. 5 social-updates algorithm
 //! into the index structures.
 //!
-//! Every query path is pruned against corpus-owned scoring caches: the
-//! recommender builds a structure-of-arrays arena at ingest (signature means,
-//! quantile-slice features, presorted EMD pairs), extends it through
-//! maintenance, and both the sequential
-//! [`recommender::Recommender::recommend`] scan and the batch
-//! [`parallel::ParallelRecommender`] borrow it, skipping candidates via
-//! admissible `κJ` ceilings ([`prune`]) while returning results bit-identical
-//! to the naive full scan.
+//! There is one query engine, and it is pruned against corpus-owned scoring
+//! caches: the recommender builds a structure-of-arrays arena at ingest
+//! (signature means, quantile-slice features, presorted EMD pairs), extends
+//! it through maintenance, and [`recommender::Recommender::recommend`] scans
+//! against it, skipping candidates via admissible `κJ` ceilings ([`prune`])
+//! while returning results bit-identical to the unpruned reference.
 
 #![warn(missing_docs)]
 
@@ -45,7 +43,6 @@ pub mod config;
 pub mod corpus;
 pub mod errors;
 pub mod maintenance;
-pub mod parallel;
 pub mod prune;
 pub mod recommender;
 pub mod relevance;
@@ -55,8 +52,7 @@ pub use config::{RecommenderConfig, RetrievalMode};
 pub use corpus::{CorpusVideo, QueryVideo};
 pub use errors::RecError;
 pub use maintenance::{SocialUpdate, UpdateEvent, UpdateSummary};
-pub use parallel::{ParallelConfig, ParallelRecommender};
 pub use prune::{PruneBound, PruneStats};
 pub use recommender::{Recommender, Scored};
 pub use relevance::{fuse_fj, Strategy};
-pub use trace::{QueryTrace, ShardTrace, Stage, Tracer, MAX_SHARD_TRACES, NUM_STAGES};
+pub use trace::{QueryTrace, Stage, Tracer, NUM_STAGES};

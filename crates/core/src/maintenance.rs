@@ -567,7 +567,7 @@ mod tests {
         let summary = r.add_videos(fresh).unwrap();
         assert_eq!(summary.comments_applied, 4);
         assert_eq!(r.num_videos(), 6);
-        assert_eq!(r.arena().len(), 6, "arena extended, not rebuilt");
+        assert_eq!(r.content.arena.len(), 6, "arena extended, not rebuilt");
         assert_indexes_consistent(&r);
         // The new videos are reachable through every query path.
         let q = QueryVideo {

@@ -1,4 +1,4 @@
-//! Query-level pruning, shared by the sequential scan and the batch engine.
+//! Query-level pruning.
 //!
 //! The expensive part of refining a candidate is the exact `κJ`: every
 //! signature pair of the two series may need an EMD solve. Once a scan
@@ -25,9 +25,9 @@
 //! score must still be evaluated because ranking ties break by `VideoId`, so
 //! the result set stays identical to the unpruned scan.
 //!
-//! Every scan — paper mode, the gated engine (gathered candidates and
-//! certificate survivors alike) and each shard of the batch engine — drives
-//! those ceilings through one lazy best-first [`Ladder`]: a max-queue keyed
+//! Every content scan — gathered candidates and certificate survivors alike,
+//! in every retrieval mode — drives those ceilings through one lazy
+//! best-first [`Ladder`]: a max-queue keyed
 //! by each candidate's *current* score ceiling, refined one rung at a time
 //! and only while the ceiling still clears the top-k floor.
 
@@ -40,7 +40,6 @@ use crate::trace::{QueryTrace, Stage, Tracer};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use viderec_trace::Span;
 
 use viderec_emd::{
@@ -55,11 +54,10 @@ use viderec_emd::{
 /// a few microseconds. A power of two, so the slice edges are exact.
 pub(crate) const SLICES: usize = 8;
 
-/// Per-query pruning counters, summed over a query's shards (or reported
-/// as-is by the sequential scan).
+/// Per-query pruning counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Candidates considered (shard sizes summed).
+    /// Candidates considered.
     pub scanned: u64,
     /// Candidates that never paid for an exact `κJ` evaluation: their score
     /// ceiling fell strictly below the running k-th score, or a bound proved
@@ -82,7 +80,7 @@ pub struct PruneStats {
 }
 
 impl PruneStats {
-    /// Accumulates another shard's counters.
+    /// Accumulates another query's counters.
     pub fn absorb(&mut self, other: PruneStats) {
         self.scanned += other.scanned;
         self.pruned += other.pruned;
@@ -422,7 +420,7 @@ impl Ord for Queued {
 /// (One `BinaryHeap` over everything is the same queue and pays a
 /// thirteen-level sift per pop: +0.8 ms on a 5.7 ms `gated_scale` query,
 /// EXPERIMENTS.md, PR 14.)
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct LadderQueue {
     /// First-rung candidates, ceiling *ascending*: the best is at the back.
     fresh: Vec<Queued>,
@@ -440,7 +438,7 @@ impl LadderQueue {
     }
 
     /// How many candidates are queued.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.fresh.len() + self.refined.len()
     }
 
@@ -466,19 +464,6 @@ impl LadderQueue {
             (_, Some(_)) => self.refined.pop(),
             _ => self.fresh.pop(),
         }
-    }
-
-    /// Splits the queue round-robin into `ways` queues (a subsequence of a
-    /// sorted list is sorted).
-    pub(crate) fn deal(self, ways: usize) -> Vec<LadderQueue> {
-        let mut shards = vec![LadderQueue::default(); ways];
-        for (pos, e) in self.fresh.into_iter().enumerate() {
-            shards[pos % ways].fresh.push(e);
-        }
-        for (pos, e) in self.refined.into_iter().enumerate() {
-            shards[pos % ways].refined.push(e);
-        }
-        shards
     }
 
     /// The emptied first-tier storage, for the next query to reuse.
@@ -516,34 +501,12 @@ pub(crate) struct Ladder<'a> {
     /// [`separated`]).
     pub(crate) reach: f64,
     pub(crate) top_k: usize,
-    /// A floor established outside this ladder's own heap: the batch
-    /// engine's shards share the best k-th score any of them has reached
-    /// (monotone max over f64 bit patterns — scores are non-negative, so the
-    /// bit order is the numeric order). Every published value is the k-th
-    /// best of `k` exactly scored candidates, hence a sound global floor.
-    pub(crate) shared_floor: Option<&'a AtomicU64>,
 }
 
 impl Ladder<'_> {
-    /// Whether `key` is strictly below the k-th score reached so far, here
-    /// or (through the shared floor) anywhere; publishes this heap's own
-    /// k-th score when it leads.
+    /// Whether `key` is strictly below the k-th score reached so far.
     fn below_floor(&self, key: f64, heap: &BinaryHeap<WorstFirst>) -> bool {
-        let own = floor_of(heap, self.top_k);
-        let floor = match (own, self.shared_floor) {
-            (own, None) => own,
-            (own, Some(shared)) => {
-                let seen = f64::from_bits(shared.load(AtomicOrdering::Relaxed));
-                match own {
-                    Some(kth) if kth > seen => {
-                        shared.fetch_max(kth.to_bits(), AtomicOrdering::Relaxed);
-                        Some(kth)
-                    }
-                    _ => Some(seen),
-                }
-            }
-        };
-        floor.is_some_and(|f| key < f)
+        floor_of(heap, self.top_k).is_some_and(|floor| key < floor)
     }
 
     /// Drains a queue of gathered candidates into `heap`: [`Self::step`]
@@ -900,15 +863,15 @@ mod tests {
 
         // Refinement-optimality: swept ⟺ last ceiling ≥ final floor.
         let floor = top[1].score;
-        let bound = rec.arena().bound();
+        let bound = rec.content.arena.bound();
         let matching = rec.config().matching;
         let qc = ScoringArena::for_series(&query.series, bound);
         let ceilings = (0..shapes.len()).map(|i| {
-            let (lo, hi) = rec.arena().mean_ranges();
+            let (lo, hi) = rec.content.arena.mean_ranges();
             if separated((0.0, 0.0), (lo[i], hi[i]), matching.radius()) {
                 0.0
             } else {
-                kappa_upper_bound(qc.view(0), rec.arena().view(i), bound, matching)
+                kappa_upper_bound(qc.view(0), rec.content.arena.view(i), bound, matching)
             }
         });
         let reach = ceilings.filter(|&c| c >= floor).count() as u64;

@@ -20,11 +20,11 @@
 //! handful of users while `k` is 60+. The Fig. 5 update wiring in
 //! [`crate::maintenance`] rewrites only affected entries.
 //!
-//! Every query path is pruned: [`Recommender::recommend`] runs the same lazy
-//! best-first bound ladder as the batch engine (see [`crate::prune::Ladder`]
-//! and the corpus-owned caches in [`crate::arena`]), with results
-//! bit-identical to the unpruned reference over the same candidate universe
-//! ([`Recommender::recommend_unpruned_excluding`]).
+//! There is one query engine ([`Recommender::engine`]) and it is pruned:
+//! every content scan runs the lazy best-first bound ladder (see
+//! [`crate::prune::Ladder`] and the corpus-owned caches in [`crate::arena`]),
+//! with results bit-identical to the unpruned reference over the same
+//! candidate universe ([`Recommender::recommend_unpruned_excluding`]).
 //!
 //! # Index-gated retrieval
 //!
@@ -33,7 +33,7 @@
 //! Fig. 6 indices for CR/CSF-SAR-H. The `Gated*` modes instead make the
 //! *untruncated* inverted-file posting union plus a monotone LSB fan-out the
 //! candidate universe for every strategy, so `scanned << corpus`, and bolt an
-//! exactness certificate on top (see [`Recommender::gated_engine`] and
+//! exactness certificate on top (see [`Recommender::engine`] and
 //! DESIGN.md §11): after scoring the gathered candidates, a flat O(1)
 //! ceiling sweep over the *non*-candidates queues any video that could still
 //! reach the top-k floor onto the same ladder. The certified result is bit-identical
@@ -70,7 +70,7 @@ pub struct Scored {
 }
 
 /// Per-query state precomputed once and shared by every per-video scoring
-/// call (sequential and parallel), so both paths see identical inputs.
+/// call, in the engine and in the reference scans alike.
 pub(crate) struct PreparedQuery {
     /// Sparse SAR vector of the query users (sorted `(slot, count)` pairs);
     /// empty for strategies without a SAR social side.
@@ -88,8 +88,7 @@ pub(crate) struct Content {
     /// Signature series by corpus index.
     pub(crate) series: Vec<SignatureSeries>,
     /// Corpus-owned scoring caches (see [`crate::arena`]): built at ingest,
-    /// extended by [`crate::maintenance`], borrowed by both the sequential
-    /// pruned scan and the batch engine.
+    /// extended by [`crate::maintenance`], borrowed by every query.
     pub(crate) arena: ScoringArena,
     pub(crate) lsb: LsbForest<u32>,
     pub(crate) embedder: CdfEmbedder,
@@ -348,12 +347,6 @@ impl Recommender {
         self.registry.len()
     }
 
-    /// The corpus scoring arena (crate-internal: the batch engine borrows it
-    /// instead of deriving its own caches).
-    pub(crate) fn arena(&self) -> &ScoringArena {
-        &self.content.arena
-    }
-
     /// Corpus index of a video id.
     fn index_of(&self, id: VideoId) -> Option<usize> {
         self.content.by_id.get(&id).copied()
@@ -421,12 +414,11 @@ impl Recommender {
         self.recommend_with_stats(strategy, query, top_k, exclude).0
     }
 
-    /// The pruned single-query path, also returning its [`PruneStats`]: a
-    /// ceiling-sorted scan with a bounded top-k heap, exactly the admissible
-    /// pruning the batch engine applies per shard, so a single click pays
-    /// `κJ` only for candidates that can still enter the top-k. Results are
+    /// [`Self::recommend_excluding`], also returning the query's
+    /// [`PruneStats`]: a single click pays `κJ` only for candidates whose
+    /// admissible score ceiling can still enter the top-k. Results are
     /// bit-identical to [`Self::recommend_unpruned_excluding`] (and, in the
-    /// certified gated retrieval modes, to the full-corpus
+    /// certified gated retrieval mode, to the full-corpus
     /// [`Self::recommend_naive_excluding`]).
     pub fn recommend_with_stats(
         &self,
@@ -439,9 +431,8 @@ impl Recommender {
         (top, trace.stats)
     }
 
-    /// The pruned scan with stage-level tracing: the same arithmetic in the
-    /// same order as [`Self::recommend_with_stats`] (which *is* this path
-    /// under [`Tracer::OFF`]), with `tracer`-gated monotonic-clock spans
+    /// The query with stage-level tracing: [`Self::engine`] over this
+    /// thread's scratch, with `tracer`-gated monotonic-clock spans
     /// accumulated into a [`QueryTrace`] around every pipeline stage. A
     /// disabled tracer collapses each span to a single branch — no clock
     /// read, no store — so results are bit-identical with tracing on or off.
@@ -453,88 +444,14 @@ impl Recommender {
         exclude: &[VideoId],
         tracer: Tracer,
     ) -> (Vec<Scored>, QueryTrace) {
-        if self.cfg.retrieval != RetrievalMode::Paper {
-            return self.gated_engine(strategy, query, top_k, exclude, tracer);
-        }
-        let total = tracer.start();
-        let mut trace = QueryTrace::new(strategy, top_k);
-        // viderec-lint: allow(corpus-enumeration) — corpus-size trace
-        // metadata; no video is visited.
-        trace.corpus = self.videos.len() as u64;
-        if top_k == 0 {
-            return (Vec::new(), trace);
-        }
-        let sp = tracer.start();
-        let prep = self.prepare_query(strategy, query);
-        trace.stop_span(sp, Stage::Prepare);
-
-        let sp = tracer.start();
-        let mut candidates = self.candidate_indices(strategy, query, &prep);
-        trace.stop_span(sp, Stage::Gather);
-        trace.gathered = candidates.len() as u64;
-
-        // Exclusions drop out *before* any scoring: an excluded video never
-        // pays for `κJ` and never occupies the pruning floor.
-        let sp = tracer.start();
-        let excluded: HashSet<u32> = exclude
-            .iter()
-            .filter_map(|&id| self.index_of(id).map(|i| i as u32))
-            .collect();
-        if !excluded.is_empty() {
-            candidates.retain(|idx| !excluded.contains(idx));
-        }
-        trace.stop_span(sp, Stage::Filter);
-        trace.excluded = trace.gathered - candidates.len() as u64;
-        trace.stats.scanned = candidates.len() as u64;
-        trace.shards = 1;
-
-        let mut top: Vec<Scored> = if strategy.uses_content() {
-            // The query-side scoring cache is query preparation too.
-            let sp = tracer.start();
-            let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
-            trace.stop_span(sp, Stage::Prepare);
-            let ladder = self.ladder(strategy, &query_cache, top_k);
-            let mut queue = self.enqueue(
-                strategy,
-                query,
-                &prep,
-                &candidates,
-                candidates.len(),
-                Vec::new(),
-                tracer,
-                &mut trace,
-            );
-            let mut heap = top_k_heap(top_k, candidates.len());
-            ladder.run(&mut queue, &mut heap, &mut trace, tracer);
-            heap.into_iter().map(|e| e.0).collect()
-        } else {
-            // SR: the social score is cheap and exact, so a plain bounded
-            // heap scan is already optimal — nothing to prune.
-            let mut heap = top_k_heap(top_k, candidates.len());
-            self.scan_social_into(
-                strategy,
-                query,
-                &prep,
-                &candidates,
-                top_k,
-                &mut heap,
-                tracer,
-                &mut trace,
-            );
-            heap.into_iter().map(|e| e.0).collect()
-        };
-        let sp = tracer.start();
-        sort_ranked(&mut top);
-        trace.stop_span(sp, Stage::TopK);
-        if let Some(ns) = total.elapsed_ns() {
-            trace.total_ns = ns;
-        }
-        (top, trace)
+        SCRATCH.with_borrow_mut(|scratch| {
+            self.engine(strategy, query, top_k, exclude, tracer, scratch)
+        })
     }
 
     /// The bound ladder for one query over this corpus (see [`Ladder`]);
     /// `query_cache` is the query's single-series arena.
-    pub(crate) fn ladder<'a>(
+    fn ladder<'a>(
         &'a self,
         strategy: Strategy,
         query_cache: &'a ScoringArena,
@@ -550,7 +467,6 @@ impl Recommender {
             q_range: (lo[0], hi[0]),
             reach: self.cfg.matching.radius() + give,
             top_k,
-            shared_floor: None,
         }
     }
 
@@ -561,7 +477,7 @@ impl Recommender {
     /// score socially; the caller knows the rest score exactly 0. `entries`
     /// is recycled storage.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn enqueue(
+    fn enqueue(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
@@ -605,25 +521,11 @@ impl Recommender {
         top_k: usize,
         exclude: &[VideoId],
     ) -> Vec<Scored> {
-        if top_k == 0 {
-            return Vec::new();
-        }
-        let excluded: HashSet<VideoId> = exclude.iter().copied().collect();
         let prep = self.prepare_query(strategy, query);
-        let mut scored: Vec<Scored> = self
-            // viderec-lint: allow(corpus-enumeration) — the naive reference
-            // is a sanctioned full scan: it defines ground truth for the
-            // gated modes.
-            .all_video_indices()
-            .map(|idx| Scored {
-                video: self.content.ids[idx as usize],
-                score: self.score_video(strategy, query, &prep, idx as usize),
-            })
-            .collect();
-        scored.retain(|s| !excluded.contains(&s.video));
-        sort_ranked(&mut scored);
-        scored.truncate(top_k);
-        scored
+        // viderec-lint: allow(corpus-enumeration) — the naive reference is a
+        // sanctioned full scan: it defines ground truth for the gated modes.
+        let universe = self.all_video_indices();
+        self.reference_scan(universe, strategy, query, &prep, top_k, exclude)
     }
 
     /// The unpruned reference over the *paper-mode candidate universe* —
@@ -641,17 +543,33 @@ impl Recommender {
         top_k: usize,
         exclude: &[VideoId],
     ) -> Vec<Scored> {
+        let prep = self.prepare_query(strategy, query);
+        let universe = SCRATCH.with_borrow_mut(|scratch| {
+            self.candidate_indices(strategy, query, &prep, &[], scratch);
+            std::mem::take(&mut scratch.candidates)
+        });
+        self.reference_scan(universe.into_iter(), strategy, query, &prep, top_k, exclude)
+    }
+
+    /// The body of both references: score every video of `universe` with the
+    /// unscreened measures, drop the exclusions, sort fully, truncate.
+    fn reference_scan(
+        &self,
+        universe: impl Iterator<Item = u32>,
+        strategy: Strategy,
+        query: &QueryVideo,
+        prep: &PreparedQuery,
+        top_k: usize,
+        exclude: &[VideoId],
+    ) -> Vec<Scored> {
         if top_k == 0 {
             return Vec::new();
         }
         let excluded: HashSet<VideoId> = exclude.iter().copied().collect();
-        let prep = self.prepare_query(strategy, query);
-        let mut scored: Vec<Scored> = self
-            .candidate_indices(strategy, query, &prep)
-            .into_iter()
+        let mut scored: Vec<Scored> = universe
             .map(|idx| Scored {
                 video: self.content.ids[idx as usize],
-                score: self.score_video(strategy, query, &prep, idx as usize),
+                score: self.score_video(strategy, query, prep, idx as usize),
             })
             .collect();
         scored.retain(|s| !excluded.contains(&s.video));
@@ -659,8 +577,6 @@ impl Recommender {
         scored.truncate(top_k);
         scored
     }
-
-    // ---------- index-gated retrieval (Fig. 6 as the real gatekeeper) ----------
 }
 
 /// One bit per corpus video: gathered, excluded, or queued as a certificate
@@ -699,13 +615,39 @@ impl Seen {
     }
 }
 
-/// Per-query scratch of the gather and the gated engine, reused across
-/// queries on a thread so a query allocates nothing once warm.
+/// Per-query scratch of the engine, reused across queries on a thread so a
+/// query allocates nothing once warm.
 #[derive(Default)]
 struct Scratch {
     seen: Seen,
+    /// The gathered candidates, exclusions already dropped.
     candidates: Vec<u32>,
+    /// How many gathered videos the exclusion list kept out of `candidates`.
+    dropped: u64,
     queue: Vec<Queued>,
+}
+
+impl Scratch {
+    /// Starts a gather over a corpus of `n` videos.
+    fn begin(&mut self, n: usize) {
+        self.seen.reset(n);
+        self.candidates.clear();
+        self.dropped = 0;
+    }
+
+    /// Offers a gathered video: a candidate unless it was offered before or
+    /// is listed in `excluded` (sorted). Exclusions drop out *before* any
+    /// scoring: an excluded video never pays for `κJ` and never occupies the
+    /// pruning floor.
+    fn offer(&mut self, idx: u32, excluded: &[u32]) {
+        if self.seen.insert(idx) {
+            if excluded.binary_search(&idx).is_ok() {
+                self.dropped += 1;
+            } else {
+                self.candidates.push(idx);
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -723,59 +665,109 @@ impl Recommender {
         0..self.videos.len() as u32
     }
 
-    /// The index-gated candidate gather: the **untruncated** posting union of
-    /// the query's sub-community histogram (every video sharing a nonzero
-    /// slot — exactly the set whose SAR similarity or shared-assigned-user
-    /// count can be nonzero) plus, per query signature, the monotone LSB
-    /// fan-out, deduplicated through `scratch.seen` into `scratch.candidates`
-    /// — posting-union candidates first; their count is returned with the
-    /// number of gathered videos `excluded` (sorted) kept out.
+    /// The paper-mode gather, into `scratch.candidates`: every corpus video
+    /// for the full-scan strategies; for CR and CSF-SAR-H, the union of the
+    /// top-`candidate_limit` ranked inverted-file candidates (Fig. 6 line 3 —
+    /// the truncation happens inside the index) and, per query signature,
+    /// the longest-common-prefix LSB-forest entries (lines 5–6). In no
+    /// particular order: the ladder's queue and the ranked sort are total
+    /// orders. Returns how many leading candidates can score socially — here,
+    /// all of them.
+    fn candidate_indices(
+        &self,
+        strategy: Strategy,
+        query: &QueryVideo,
+        prep: &PreparedQuery,
+        excluded: &[u32],
+        scratch: &mut Scratch,
+    ) -> usize {
+        scratch.begin(self.num_videos());
+        match strategy {
+            Strategy::Sr | Strategy::Csf | Strategy::CsfSar => {
+                // viderec-lint: allow(corpus-enumeration) — the paper-mode
+                // universe for the unindexed strategies is the corpus by design.
+                for idx in self.all_video_indices() {
+                    scratch.offer(idx, excluded);
+                }
+            }
+            Strategy::Cr | Strategy::CsfSarH => {
+                let (content, limit) = (&*self.content, self.cfg.candidate_limit);
+                if strategy.uses_social() {
+                    for video in self.inverted.candidates_topn(&prep.qvec, limit) {
+                        if let Some(&idx) = content.by_id.get(&video) {
+                            scratch.offer(idx as u32, excluded);
+                        }
+                    }
+                }
+                for sig in query.series.signatures() {
+                    let point = content.embedder.embed(&sig.as_pairs());
+                    for cand in content.lsb.query(&point, limit) {
+                        scratch.offer(cand.payload, excluded);
+                    }
+                }
+            }
+        }
+        scratch.candidates.len()
+    }
+
+    /// The index-gated gather, into `scratch.candidates`: the **untruncated**
+    /// posting union of the query's sub-community histogram (every video
+    /// sharing a nonzero slot — exactly the set whose SAR similarity or
+    /// shared-assigned-user count can be nonzero) and then, per query
+    /// signature, the monotone LSB fan-out. Returns how many leading
+    /// candidates can score socially.
     fn gated_candidates(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
-        gather_vec: &[(u32, u32)],
+        prep: &PreparedQuery,
         excluded: &[u32],
         scratch: &mut Scratch,
-    ) -> (usize, u64) {
-        let (seen, out) = (&mut scratch.seen, &mut scratch.candidates);
+    ) -> usize {
+        scratch.begin(self.num_videos());
         let content = &*self.content;
-        // viderec-lint: allow(corpus-enumeration) — sizes the per-query
-        // bitset; no video is visited.
-        seen.reset(self.videos.len());
-        out.clear();
-        let mut dropped = 0;
-        let mut offer = |idx: u32, out: &mut Vec<u32>| {
-            if seen.insert(idx) {
-                if excluded.binary_search(&idx).is_ok() {
-                    dropped += 1;
-                } else {
-                    out.push(idx);
-                }
-            }
-        };
         if strategy.uses_social() {
-            for video in self.inverted.posting_union(gather_vec) {
+            // SAR strategies gather through their own query vector; SR/CSF
+            // score socially via exact string sJ but *gather* through the
+            // hash-mapped histogram, which covers every video sharing an
+            // assigned user with the query (the certificate bounds the rest).
+            let hashed;
+            let histogram = match strategy {
+                Strategy::Sr | Strategy::Csf => {
+                    hashed = self.vectorize_by_hash(&query.users);
+                    &hashed
+                }
+                _ => &prep.qvec,
+            };
+            for video in self.inverted.posting_union(histogram) {
                 if let Some(&idx) = content.by_id.get(&video) {
-                    offer(idx as u32, out);
+                    scratch.offer(idx as u32, excluded);
                 }
             }
         }
-        let social = out.len();
+        let social = scratch.candidates.len();
         if strategy.uses_content() {
             for sig in query.series.signatures() {
                 let point = content.embedder.embed(&sig.as_pairs());
                 content
                     .lsb
-                    .visit_monotone(&point, self.cfg.candidate_limit, |&idx| offer(idx, out));
+                    .visit_monotone(&point, self.cfg.candidate_limit, |&idx| {
+                        scratch.offer(idx, excluded)
+                    });
             }
         }
         // Whether gathered or not, an excluded video is never a certificate
         // survivor and never zero-filled.
         for &idx in excluded {
-            seen.insert(idx);
+            scratch.seen.insert(idx);
         }
-        (social, dropped)
+        if is_sar(strategy) {
+            // A SAR candidate the posting union did not deliver shares no
+            // slot with the query: its social score is exactly 0.
+            social
+        } else {
+            scratch.candidates.len()
+        }
     }
 
     /// The exactness certificate, flat: sweep every video the gather missed
@@ -886,19 +878,23 @@ impl Recommender {
         }
     }
 
-    /// The index-gated query engine shared by the sequential path and the
-    /// batch engine: gather at the configured LSB fan-out, score the
-    /// candidates on the ladder, then (unless the mode is `GatedApprox`) run
-    /// the certificate sweep, put its survivors on the same ladder, complete
-    /// the certified-zero tail, and finish with the ranked sort. `gate` in
-    /// the returned trace records whether the result is certified exact.
-    pub(crate) fn gated_engine(
+    /// The query engine. One line for every retrieval mode — prepare, resolve
+    /// the exclusions, gather, put the candidates on the ladder's first rung,
+    /// run the ladder (or, for SR, the plain social scan), ranked sort — in
+    /// which the mode decides two things: which gather fills
+    /// `scratch.candidates` ([`Self::candidate_indices`] for the paper
+    /// universe, [`Self::gated_candidates`] otherwise), and whether the
+    /// result is then certified: the certificate sweep, its survivors on the
+    /// same ladder, and the certified-zero tail. `gate` in the returned trace
+    /// records which: 0 paper, 1 gated approximate, 2 gated certified exact.
+    fn engine(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
         top_k: usize,
         exclude: &[VideoId],
         tracer: Tracer,
+        scratch: &mut Scratch,
     ) -> (Vec<Scored>, QueryTrace) {
         let total = tracer.start();
         let mut trace = QueryTrace::new(strategy, top_k);
@@ -908,112 +904,113 @@ impl Recommender {
         if top_k == 0 {
             return (Vec::new(), trace);
         }
-        trace.shards = 1;
+        trace.gate = match self.cfg.retrieval {
+            RetrievalMode::Paper => 0,
+            RetrievalMode::GatedApprox => 1,
+            RetrievalMode::GatedCertified => 2,
+        };
+
+        let sp = tracer.start();
+        let prep = self.prepare_query(strategy, query);
+        // The query-side scoring cache doubles as the certificate's mean
+        // range source, so it is built for every strategy.
+        let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
+        let ladder = self.ladder(strategy, &query_cache, top_k);
+        trace.stop_span(sp, Stage::Prepare);
+
+        let sp = tracer.start();
         let mut excluded: Vec<u32> = exclude
             .iter()
             .filter_map(|&id| self.index_of(id).map(|i| i as u32))
             .collect();
         excluded.sort_unstable();
+        trace.stop_span(sp, Stage::Filter);
 
         let sp = tracer.start();
-        let prep = self.prepare_query(strategy, query);
-        // The gather histogram: SAR strategies gather through their own query
-        // vector; SR/CSF score socially via exact string sJ but *gather*
-        // through the hash-mapped histogram, which covers every video sharing
-        // an assigned user with the query (the certificate bounds the rest).
-        let sar = matches!(strategy, Strategy::CsfSar | Strategy::CsfSarH);
-        let gather_vec: Vec<(u32, u32)> = match strategy {
-            Strategy::Cr => Vec::new(),
-            Strategy::Sr | Strategy::Csf => self.vectorize_by_hash(&query.users),
-            Strategy::CsfSar | Strategy::CsfSarH => prep.qvec.clone(),
+        let with_social = if trace.gate == 0 {
+            self.candidate_indices(strategy, query, &prep, &excluded, scratch)
+        } else {
+            self.gated_candidates(strategy, query, &prep, &excluded, scratch)
         };
-        // The query-side scoring cache doubles as the certificate's mean
-        // range source, so the gated engine builds it for every strategy.
-        let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
-        let ladder = self.ladder(strategy, &query_cache, top_k);
-        trace.stop_span(sp, Stage::Prepare);
+        trace.stop_span(sp, Stage::Gather);
+        let Scratch {
+            seen,
+            candidates,
+            dropped,
+            queue,
+        } = scratch;
+        trace.gathered = candidates.len() as u64 + *dropped;
+        trace.excluded = *dropped;
+        trace.stats.scanned = candidates.len() as u64;
 
-        let mut top: Vec<Scored> = SCRATCH.with_borrow_mut(|scratch| {
+        let mut heap = top_k_heap(top_k, candidates.len());
+        let mut pending = LadderQueue::default();
+        if strategy.uses_content() {
+            pending = self.enqueue(
+                strategy,
+                query,
+                &prep,
+                candidates,
+                with_social,
+                std::mem::take(queue),
+                tracer,
+                &mut trace,
+            );
+            ladder.run(&mut pending, &mut heap, &mut trace, tracer);
+        } else {
+            // SR: the social score is cheap and exact, so a plain bounded
+            // heap scan is already optimal — nothing to prune.
+            self.scan_social_into(
+                strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
+            );
+        }
+        if trace.gate == 2 {
             let sp = tracer.start();
-            let (social, dropped) =
-                self.gated_candidates(strategy, query, &gather_vec, &excluded, scratch);
-            let Scratch {
+            let floor = floor_of(&heap, top_k).unwrap_or(0.0);
+            candidates.clear();
+            self.certificate_survivors(
+                strategy,
+                query,
+                (ladder.q_range, ladder.reach),
+                floor,
                 seen,
                 candidates,
-                queue,
-            } = scratch;
-            trace.stop_span(sp, Stage::Gather);
-            trace.gathered = candidates.len() as u64 + dropped;
-            trace.excluded = dropped;
-            trace.stats.scanned = candidates.len() as u64;
-
-            let mut heap = top_k_heap(top_k, candidates.len());
-            let mut pending = LadderQueue::default();
+            );
+            for &idx in candidates.iter() {
+                seen.insert(idx);
+            }
+            trace.stop_span(sp, Stage::Bound);
             if strategy.uses_content() {
-                // A SAR candidate the posting union did not deliver shares no
-                // slot with the query: its social score is exactly 0.
-                let with_social = if sar { social } else { candidates.len() };
+                // A SAR survivor is a video the posting union missed.
+                let with_social = if is_sar(strategy) {
+                    0
+                } else {
+                    candidates.len()
+                };
                 pending = self.enqueue(
                     strategy,
                     query,
                     &prep,
                     candidates,
                     with_social,
-                    std::mem::take(queue),
+                    pending.into_storage(),
                     tracer,
                     &mut trace,
                 );
-                ladder.run(&mut pending, &mut heap, &mut trace, tracer);
+                let mut sp = tracer.start();
+                while ladder.step(&mut pending, &mut heap, true, &mut trace, &mut sp) {}
             } else {
+                trace.promoted = candidates.len() as u64;
+                trace.stats.scanned += trace.promoted;
                 self.scan_social_into(
                     strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
                 );
             }
-            if self.cfg.retrieval == RetrievalMode::GatedApprox {
-                trace.gate = 1;
-            } else {
-                let sp = tracer.start();
-                let floor = floor_of(&heap, top_k).unwrap_or(0.0);
-                candidates.clear();
-                self.certificate_survivors(
-                    strategy,
-                    query,
-                    (ladder.q_range, ladder.reach),
-                    floor,
-                    seen,
-                    candidates,
-                );
-                for &idx in candidates.iter() {
-                    seen.insert(idx);
-                }
-                trace.stop_span(sp, Stage::Bound);
-                if strategy.uses_content() {
-                    let with_social = if sar { 0 } else { candidates.len() };
-                    pending = self.enqueue(
-                        strategy,
-                        query,
-                        &prep,
-                        candidates,
-                        with_social,
-                        pending.into_storage(),
-                        tracer,
-                        &mut trace,
-                    );
-                    let mut sp = tracer.start();
-                    while ladder.step(&mut pending, &mut heap, true, &mut trace, &mut sp) {}
-                } else {
-                    trace.promoted = candidates.len() as u64;
-                    trace.stats.scanned += trace.promoted;
-                    self.scan_social_into(
-                        strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
-                    );
-                }
-                trace.gate = 2;
-                self.zero_fill_into(&mut heap, top_k, seen);
-            }
-            *queue = pending.into_storage();
-            heap.into_iter().map(|e| e.0).collect()
-        });
+            self.zero_fill_into(&mut heap, top_k, seen);
+        }
+        *queue = pending.into_storage();
+
+        let mut top: Vec<Scored> = heap.into_iter().map(|e| e.0).collect();
         let sp = tracer.start();
         sort_ranked(&mut top);
         trace.stop_span(sp, Stage::TopK);
@@ -1026,7 +1023,7 @@ impl Recommender {
     /// The SR-style plain heap scan (social score only, nothing to prune)
     /// against a caller-owned heap.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scan_social_into(
+    fn scan_social_into(
         &self,
         strategy: Strategy,
         query: &QueryVideo,
@@ -1079,76 +1076,23 @@ impl Recommender {
         self.components(query, |row| sar_similarity_sparse(&qvec, &row.vector))
     }
 
-    // ---------- shared scoring kernel ----------
+    // ---------- scoring kernel ----------
     //
-    // Sequential `recommend` and the sharded `parallel::ParallelRecommender`
-    // both go through `prepare_query` → `candidate_indices` → per-video
-    // scoring, so the two paths are bit-identical by construction. The cost
-    // model of each strategy (see the module docs) lives entirely in how the
-    // query is prepared and how `social_score` resolves users.
+    // The engine and both reference scans go through `prepare_query` and the
+    // per-video scores below. The cost model of each strategy (see the module
+    // docs) lives entirely in how the query is prepared and how
+    // `social_score` resolves users.
 
     /// Vectorises the query socially the way the strategy prescribes:
     /// CSF-SAR by registry *scan* (the cost the hash removes), CSF-SAR-H via
     /// the chained hash table (Fig. 6 lines 1–2), empty otherwise.
-    pub(crate) fn prepare_query(&self, strategy: Strategy, query: &QueryVideo) -> PreparedQuery {
+    fn prepare_query(&self, strategy: Strategy, query: &QueryVideo) -> PreparedQuery {
         let qvec = match strategy {
             Strategy::CsfSar => self.vectorize_by_scan(&query.users),
             Strategy::CsfSarH => self.vectorize_by_hash(&query.users),
             Strategy::Cr | Strategy::Sr | Strategy::Csf => Vec::new(),
         };
         PreparedQuery { qvec }
-    }
-
-    /// The candidate universe the strategy refines: every corpus video for
-    /// the full-scan strategies; for CR and CSF-SAR-H, the union of the
-    /// top-`candidate_limit` ranked inverted-file candidates (Fig. 6 line 3 —
-    /// the truncation happens inside the index) and, per query signature, the
-    /// longest-common-prefix LSB-forest entries (lines 5–6). Returned sorted
-    /// ascending so sharding the list is deterministic.
-    pub(crate) fn candidate_indices(
-        &self,
-        strategy: Strategy,
-        query: &QueryVideo,
-        prep: &PreparedQuery,
-    ) -> Vec<u32> {
-        match strategy {
-            Strategy::Sr | Strategy::Csf | Strategy::CsfSar => {
-                // viderec-lint: allow(corpus-enumeration) — the paper-mode
-                // universe for the unindexed strategies is the corpus by design.
-                self.all_video_indices().collect()
-            }
-            Strategy::Cr | Strategy::CsfSarH => SCRATCH.with_borrow_mut(|scratch| {
-                let content = &*self.content;
-                let seen = &mut scratch.seen;
-                // viderec-lint: allow(corpus-enumeration) — sizes the
-                // per-query bitset; no video is visited.
-                seen.reset(self.videos.len());
-                let mut candidates = Vec::new();
-                if strategy.uses_social() {
-                    for video in self
-                        .inverted
-                        .candidates_topn(&prep.qvec, self.cfg.candidate_limit)
-                    {
-                        match content.by_id.get(&video) {
-                            Some(&idx) if seen.insert(idx as u32) => candidates.push(idx as u32),
-                            _ => {}
-                        }
-                    }
-                }
-                if strategy.uses_content() {
-                    for sig in query.series.signatures() {
-                        let point = content.embedder.embed(&sig.as_pairs());
-                        for cand in content.lsb.query(&point, self.cfg.candidate_limit) {
-                            if seen.insert(cand.payload) {
-                                candidates.push(cand.payload);
-                            }
-                        }
-                    }
-                }
-                candidates.sort_unstable();
-                candidates
-            }),
-        }
     }
 
     /// The content side of the score: `κJ` for content strategies, 0 for SR.
@@ -1259,6 +1203,11 @@ pub(crate) fn vectorize_sparse(
 ) -> Vec<(u32, u32)> {
     let slot_of = |user: UserId| assignment.get(user.index()).map(|&c| c as u32);
     run_lengths(descriptor.iter().filter_map(slot_of).collect())
+}
+
+/// Whether `strategy` scores socially through SAR vectors.
+fn is_sar(strategy: Strategy) -> bool {
+    matches!(strategy, Strategy::CsfSar | Strategy::CsfSarH)
 }
 
 /// Sorts community slots and run-length encodes them into the sparse
@@ -1392,7 +1341,7 @@ mod tests {
         let sparse = r.sparse_vector_of(VideoId(0)).unwrap();
         assert_eq!(sparse.iter().map(|&(_, c)| c).sum::<u32>(), 3);
         assert_eq!(r.users_of(VideoId(0)).unwrap().len(), 3);
-        assert_eq!(r.arena().len(), 4, "arena holds one entry per video");
+        assert_eq!(r.content.arena.len(), 4, "arena holds one entry per video");
     }
 
     #[test]
@@ -1499,7 +1448,7 @@ mod tests {
         floor: f64,
     ) -> Vec<u32> {
         let (omega, matching) = (rec.cfg.omega, rec.cfg.matching);
-        let arena = rec.arena();
+        let arena = &rec.content.arena;
         let names: HashSet<&str> = query.users.iter().map(String::as_str).collect();
         let assigned =
             |n: &str| matches!(rec.chained.get(n), Some(&c) if c < rec.community_slots());
@@ -1546,7 +1495,7 @@ mod tests {
             for source in &corpus {
                 let mut q = QueryVideo::from_corpus(source);
                 q.users.push("stranger".into());
-                let cache = ScoringArena::for_series(&q.series, r.arena().bound());
+                let cache = ScoringArena::for_series(&q.series, r.content.arena.bound());
                 let ladder = r.ladder(strategy, &cache, 1);
                 for skip in [vec![], vec![1u32], vec![0, 3]] {
                     let mut seen = Seen::default();
@@ -1612,56 +1561,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tracing_never_changes_results() {
+    /// Each retrieval mode with the `gate` its traces must carry.
+    const MODES: [(RetrievalMode, u64); 3] = [
+        (RetrievalMode::Paper, 0),
+        (RetrievalMode::GatedCertified, 2),
+        (RetrievalMode::GatedApprox, 1),
+    ];
+
+    /// What `mode` must reproduce bit for bit: the unpruned scan of the
+    /// paper universe, the naive full scan once certified, nothing for the
+    /// approximate mode.
+    fn reference(
+        r: &Recommender,
+        mode: RetrievalMode,
+        strategy: Strategy,
+        q: &QueryVideo,
+        k: usize,
+        exclude: &[VideoId],
+    ) -> Option<Vec<Scored>> {
+        match mode {
+            RetrievalMode::Paper => Some(r.recommend_unpruned_excluding(strategy, q, k, exclude)),
+            RetrievalMode::GatedCertified => {
+                Some(r.recommend_naive_excluding(strategy, q, k, exclude))
+            }
+            RetrievalMode::GatedApprox => None,
+        }
+    }
+
+    /// Runs `check(recommender, mode, gate, strategy, query, exclusions)` for
+    /// every retrieval mode × strategy × clicked video × {no exclusion, the
+    /// full scan's top two}.
+    fn for_each_case(
+        mut check: impl FnMut(&Recommender, RetrievalMode, u64, Strategy, &QueryVideo, &[VideoId]),
+    ) {
         let (corpus, _) = small_corpus();
-        let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
-        for strategy in ALL {
-            for source in &corpus {
-                let q = QueryVideo::from_corpus(source);
-                let (off, off_trace) =
-                    r.recommend_traced(strategy, &q, 3, &[VideoId(1)], Tracer::OFF);
-                let (on, on_trace) = r.recommend_traced(strategy, &q, 3, &[VideoId(1)], Tracer::ON);
-                assert_eq!(off.len(), on.len(), "{}", strategy.label());
-                for (a, b) in off.iter().zip(&on) {
-                    assert_eq!(a.video, b.video);
-                    // Bit-identical scores, not just approximately equal.
-                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{}", strategy.label());
+        let mut r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
+        for (mode, gate) in MODES {
+            r.set_retrieval(mode);
+            for strategy in ALL {
+                for source in &corpus {
+                    let q = QueryVideo::from_corpus(source);
+                    let top2 = r.recommend_naive_excluding(strategy, &q, 2, &[]);
+                    let top2: Vec<VideoId> = top2.iter().map(|s| s.video).collect();
+                    check(&r, mode, gate, strategy, &q, &[]);
+                    check(&r, mode, gate, strategy, &q, &top2);
                 }
-                assert_eq!(off_trace.stats, on_trace.stats);
             }
         }
     }
 
     #[test]
+    fn tracing_never_changes_results() {
+        for_each_case(|r, mode, _, strategy, q, exclude| {
+            let label = format!("{mode:?} {} excluding {exclude:?}", strategy.label());
+            let (off, off_trace) = r.recommend_traced(strategy, q, 3, exclude, Tracer::OFF);
+            let (on, on_trace) = r.recommend_traced(strategy, q, 3, exclude, Tracer::ON);
+            assert_eq!(off.len(), on.len(), "{label}");
+            for (a, b) in off.iter().zip(&on) {
+                assert_eq!(a.video, b.video, "{label}");
+                // Bit-identical scores, not just approximately equal.
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "{label}");
+            }
+            assert_eq!(off_trace.stats, on_trace.stats, "{label}");
+            if let Some(want) = reference(r, mode, strategy, q, 3, exclude) {
+                assert_eq!(on, want, "{label}");
+            }
+        });
+    }
+
+    #[test]
     fn traces_account_for_the_scan() {
-        let (corpus, _) = small_corpus();
-        let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
-        let q = QueryVideo::from_corpus(&corpus[0]);
-        for strategy in ALL {
-            let (_, off) = r.recommend_traced(strategy, &q, 2, &[VideoId(0)], Tracer::OFF);
+        for_each_case(|r, mode, gate, strategy, q, exclude| {
+            let label = format!("{mode:?} {} excluding {exclude:?}", strategy.label());
+            let (_, off) = r.recommend_traced(strategy, q, 2, exclude, Tracer::OFF);
             // A disabled tracer records no time at all — the zero-cost path.
             assert_eq!(off.total_ns, 0);
             assert_eq!(off.stage_sum_ns(), 0);
 
-            let (_, on) = r.recommend_traced(strategy, &q, 2, &[VideoId(0)], Tracer::ON);
-            assert!(on.total_ns > 0, "{}", strategy.label());
+            let (top, on) = r.recommend_traced(strategy, q, 2, exclude, Tracer::ON);
+            assert!(on.total_ns > 0, "{label}");
             // Stages tile disjoint sub-intervals of the scan.
-            assert!(on.stage_sum_ns() <= on.total_ns, "{}", strategy.label());
-            assert_eq!(on.gathered - on.excluded, on.stats.scanned);
-            assert_eq!(on.shards, 1);
-            assert_eq!(on.stats.pruned + on.stats.exact_evals, on.stats.scanned);
+            assert!(on.stage_sum_ns() <= on.total_ns, "{label}");
+            assert_eq!(on.gate, gate, "{label}");
+            assert_eq!(on.corpus, 4);
+            if let Some(want) = reference(r, mode, strategy, q, 2, exclude) {
+                assert_eq!(top, want, "{label}");
+            }
+            assert!(top.iter().all(|s| !exclude.contains(&s.video)), "{label}");
+
+            // The gather is the same with or without exclusions, which only
+            // ever keep gathered videos out of the scan.
+            let (_, base) = r.recommend_traced(strategy, q, 2, &[], Tracer::OFF);
+            assert_eq!((base.gathered, base.excluded), (on.gathered, 0), "{label}");
+            assert!(on.excluded <= exclude.len() as u64, "{label}");
+            if gate == 0 && !matches!(strategy, Strategy::Cr | Strategy::CsfSarH) {
+                // The paper universe of the unindexed strategies is the corpus.
+                assert_eq!((on.gathered, on.excluded), (4, exclude.len() as u64));
+            }
+            if gate != 2 {
+                assert_eq!(on.promoted, 0, "{label}");
+            }
+            let scanned = on.gathered - on.excluded + on.promoted;
+            assert_eq!(on.stats.scanned, scanned, "{label}");
+            assert_eq!(on.stats.pruned + on.stats.exact_evals, scanned, "{label}");
             assert_eq!(on.stats.pruned_embed, 0, "the embedding tier is retired");
             if strategy.uses_content() {
-                // One `Emd` lap per sweep; `Bound` laps only for candidates
-                // whose first ceiling cleared the floor; one heapify.
+                // One `Emd` lap per sweep; one heapify per `enqueue` — the
+                // gathered candidates, then the certificate's survivors.
                 assert_eq!(on.stage(Stage::Emd).count, on.stats.exact_evals);
-                assert!(on.stage(Stage::Bound).count <= on.stats.scanned);
-                assert_eq!(on.stage(Stage::Sort).count, 1);
+                assert_eq!(on.stage(Stage::Sort).count, 1 + u64::from(gate == 2));
+                if gate != 2 {
+                    // `Bound` laps only for candidates whose first ceiling
+                    // cleared the floor.
+                    assert!(on.stage(Stage::Bound).count <= scanned, "{label}");
+                }
             }
             // The library path never sees an admission queue.
             assert_eq!(on.stage(Stage::Queue), viderec_trace::StageCell::default());
-        }
+        });
     }
 
     #[test]
@@ -1721,7 +1738,6 @@ mod tests {
 
     #[test]
     fn top_k_zero_and_oversized() {
-        use crate::parallel::{ParallelConfig, ParallelRecommender};
         let (corpus, _) = small_corpus();
         for mode in [RetrievalMode::Paper, RetrievalMode::GatedCertified] {
             let r = Recommender::build(test_cfg().with_retrieval(mode), corpus.clone()).unwrap();
@@ -1734,19 +1750,6 @@ mod tests {
                 for k in [100, 1 << 40, usize::MAX - 1, usize::MAX] {
                     let label = format!("{mode:?} {} k={k}", strategy.label());
                     assert_eq!(r.recommend(strategy, &q, k), want, "{label}");
-                    for workers in [1, 4] {
-                        let cfg = ParallelConfig {
-                            workers,
-                            ..Default::default()
-                        };
-                        let par = ParallelRecommender::with_config(&r, cfg);
-                        let batch = par.recommend_batch(strategy, std::slice::from_ref(&q), k);
-                        assert_eq!(
-                            batch,
-                            std::slice::from_ref(&want),
-                            "{label} workers={workers}"
-                        );
-                    }
                 }
             }
         }

@@ -1,6 +1,5 @@
 //! Bounded top-k selection under the recommender's ranking order
-//! (score descending, then `VideoId` ascending), shared by the sequential
-//! pruned scan and the batch engine's per-shard scans.
+//! (score descending, then `VideoId` ascending).
 
 use crate::recommender::Scored;
 use std::cmp::Ordering;

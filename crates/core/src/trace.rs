@@ -17,11 +17,6 @@ pub use viderec_trace::{next_trace_id, AllocCell, Span, StageCell, StageSet, Tra
 /// Number of pipeline stages a [`QueryTrace`] distinguishes.
 pub const NUM_STAGES: usize = 9;
 
-/// Shard-breakdown capacity of a trace record: the first this many shards of
-/// a parallel query get individual entries (the stage totals always cover
-/// every shard).
-pub const MAX_SHARD_TRACES: usize = 8;
-
 /// The stages of the query pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -43,7 +38,7 @@ pub enum Stage {
     Sort,
     /// Exact EMD evaluations (`κJ` refinement).
     Emd,
-    /// Top-k heap maintenance, shard merging and the final ranked sort.
+    /// Top-k heap maintenance and the final ranked sort.
     TopK,
 }
 
@@ -93,20 +88,9 @@ impl Stage {
     }
 }
 
-/// One shard's slice of a parallel query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTrace {
-    /// Wall time of the shard's scan.
-    pub ns: u64,
-    /// Exact `κJ` evaluations the shard paid for.
-    pub exact_evals: u64,
-    /// Candidates the shard pruned.
-    pub pruned: u64,
-}
-
-/// Everything one query left behind: stage timings, pruning counters and the
-/// per-shard breakdown, in a fixed-width record the serving layer's trace
-/// ring can store without allocating.
+/// Everything one query left behind: stage timings and pruning counters, in
+/// a fixed-width record the serving layer's trace ring can store without
+/// allocating.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryTrace {
     /// Trace id (0 until the serving layer assigns one).
@@ -118,10 +102,8 @@ pub struct QueryTrace {
     /// Requested `k`.
     pub k: u64,
     /// End-to-end wall time: the scan for library calls, overwritten with
-    /// admission-to-scored time by the serving layer. For single-threaded
-    /// scans this is ≥ the sum of the stage times (stages tile disjoint
-    /// sub-intervals); a multi-shard parallel scan accumulates per-shard
-    /// *CPU* time into the stages, so their sum may exceed the wall time.
+    /// admission-to-scored time by the serving layer. Always ≥ the sum of
+    /// the stage times (stages tile disjoint sub-intervals).
     pub total_ns: u64,
     /// Candidates gathered before exclusion filtering.
     pub gathered: u64,
@@ -130,18 +112,13 @@ pub struct QueryTrace {
     /// Scan counters (`scanned` = gathered − excluded; `pruned` +
     /// `exact_evals` = `scanned` for content strategies).
     pub stats: PruneStats,
-    /// Per-stage `{ns, count}` accumulators (shards merged in).
+    /// Per-stage `{ns, count}` accumulators.
     pub stages: StageSet<NUM_STAGES>,
     /// Per-stage `{alloc_count, alloc_bytes}` accumulators, recorded by the
     /// same spans that fill `stages`. All zeros unless the binary installs
     /// `viderec-prof`'s counting allocator (library callers see zeros, not
     /// errors).
     pub allocs: [AllocCell; NUM_STAGES],
-    /// Logical shards the scan used (1 = the sequential single-heap scan).
-    pub shards: u64,
-    /// How many entries of `shard` are populated
-    /// (`min(shards, MAX_SHARD_TRACES)`; 0 when the scan was not sharded).
-    pub shards_recorded: u64,
     /// Corpus size at query time — the denominator of the retrieved-vs-corpus
     /// ratio the gather stage reports (`stats.scanned / corpus`).
     pub corpus: u64,
@@ -152,15 +129,12 @@ pub struct QueryTrace {
     /// Retrieval-gate outcome: 0 = no gate (paper-mode full universe),
     /// 1 = gated approximate, 2 = gated with a certified-exact result.
     pub gate: u64,
-    /// The per-shard breakdown.
-    pub shard: [ShardTrace; MAX_SHARD_TRACES],
 }
 
 impl QueryTrace {
-    /// Words of the fixed-width ring record: 18 scalars, `{ns, count,
-    /// alloc_count, alloc_bytes}` per stage, `{ns, exact_evals, pruned}`
-    /// per recorded shard.
-    pub const WORDS: usize = 18 + 4 * NUM_STAGES + 3 * MAX_SHARD_TRACES;
+    /// Words of the fixed-width ring record: 16 scalars, then `{ns, count,
+    /// alloc_count, alloc_bytes}` per stage.
+    pub const WORDS: usize = 16 + 4 * NUM_STAGES;
 
     /// A fresh trace for one query.
     pub fn new(strategy: Strategy, k: usize) -> Self {
@@ -175,12 +149,9 @@ impl QueryTrace {
             stats: PruneStats::default(),
             stages: StageSet::default(),
             allocs: [AllocCell::default(); NUM_STAGES],
-            shards: 0,
-            shards_recorded: 0,
             corpus: 0,
             promoted: 0,
             gate: 0,
-            shard: [ShardTrace::default(); MAX_SHARD_TRACES],
         }
     }
 
@@ -241,27 +212,19 @@ impl QueryTrace {
         w[7] = self.stats.scanned;
         w[8] = self.stats.pruned;
         w[9] = self.stats.exact_evals;
-        w[10] = self.shards;
-        w[11] = self.shards_recorded;
-        w[12] = self.corpus;
-        w[13] = self.promoted;
-        w[14] = self.gate;
-        w[15] = self.stats.pruned_embed;
-        w[16] = self.stats.cap_aborted;
-        w[17] = self.stats.full_sweeps;
-        let mut at = 18;
+        w[10] = self.corpus;
+        w[11] = self.promoted;
+        w[12] = self.gate;
+        w[13] = self.stats.pruned_embed;
+        w[14] = self.stats.cap_aborted;
+        w[15] = self.stats.full_sweeps;
+        let mut at = 16;
         for (i, cell) in self.stages.iter() {
             w[at] = cell.ns;
             w[at + 1] = cell.count;
             w[at + 2] = self.allocs[i].count;
             w[at + 3] = self.allocs[i].bytes;
             at += 4;
-        }
-        for s in &self.shard {
-            w[at] = s.ns;
-            w[at + 1] = s.exact_evals;
-            w[at + 2] = s.pruned;
-            at += 3;
         }
         w
     }
@@ -280,16 +243,14 @@ impl QueryTrace {
             scanned: w[7],
             pruned: w[8],
             exact_evals: w[9],
-            pruned_embed: w[15],
-            cap_aborted: w[16],
-            full_sweeps: w[17],
+            pruned_embed: w[13],
+            cap_aborted: w[14],
+            full_sweeps: w[15],
         };
-        t.shards = w[10];
-        t.shards_recorded = w[11];
-        t.corpus = w[12];
-        t.promoted = w[13];
-        t.gate = w[14];
-        let mut at = 18;
+        t.corpus = w[10];
+        t.promoted = w[11];
+        t.gate = w[12];
+        let mut at = 16;
         for i in 0..NUM_STAGES {
             *t.stages.cell_mut(i) = StageCell {
                 ns: w[at],
@@ -300,14 +261,6 @@ impl QueryTrace {
                 bytes: w[at + 3],
             };
             at += 4;
-        }
-        for s in t.shard.iter_mut() {
-            *s = ShardTrace {
-                ns: w[at],
-                exact_evals: w[at + 1],
-                pruned: w[at + 2],
-            };
-            at += 3;
         }
         Some(t)
     }
@@ -337,6 +290,8 @@ fn strategy_from_index(i: u64) -> Option<Strategy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const _: () = assert!(QueryTrace::WORDS == 52);
 
     #[test]
     fn stage_indices_are_a_permutation() {
@@ -374,16 +329,9 @@ mod tests {
             count: 1,
             bytes: 64,
         };
-        t.shards = 4;
-        t.shards_recorded = 4;
         t.corpus = 1_000;
         t.promoted = 5;
         t.gate = 2;
-        t.shard[2] = ShardTrace {
-            ns: 55,
-            exact_evals: 9,
-            pruned: 100,
-        };
         let back = QueryTrace::from_words(&t.to_words()).unwrap();
         assert_eq!(back, t);
     }

@@ -126,10 +126,9 @@ impl TraceStore {
 }
 
 /// Renders one trace as the JSON document both debug endpoints use: totals,
-/// pruning counters, the per-stage
-/// `{micros, count, alloc_count, alloc_bytes}` breakdown and the per-shard
-/// breakdown of parallel scans. Alloc fields are zero unless the binary
-/// installs the counting allocator.
+/// pruning counters and the per-stage
+/// `{micros, count, alloc_count, alloc_bytes}` breakdown. Alloc fields are
+/// zero unless the binary installs the counting allocator.
 pub fn trace_json(t: &QueryTrace) -> String {
     let scanned = t.stats.scanned;
     let prune_rate = if scanned == 0 {
@@ -179,27 +178,14 @@ pub fn trace_json(t: &QueryTrace) -> String {
             alloc.bytes
         );
     }
-    let _ = write!(out, "}},\"shards\":{},\"shard_breakdown\":[", t.shards);
-    for (i, shard) in t.shard[..t.shards_recorded as usize].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"micros\":{},\"exact_evals\":{},\"pruned\":{}}}",
-            shard.ns / 1_000,
-            shard.exact_evals,
-            shard.pruned
-        );
-    }
-    out.push_str("]}");
+    out.push_str("}}");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use viderec_core::{PruneStats, ShardTrace, Strategy};
+    use viderec_core::{PruneStats, Strategy};
 
     fn trace(id: u64, total_ns: u64) -> QueryTrace {
         let mut t = QueryTrace::new(Strategy::CsfSarH, 10);
@@ -224,13 +210,6 @@ mod tests {
         t.corpus = 120;
         t.promoted = 5;
         t.gate = 2;
-        t.shards = 2;
-        t.shards_recorded = 2;
-        t.shard[0] = ShardTrace {
-            ns: 1000,
-            exact_evals: 9,
-            pruned: 40,
-        };
         t
     }
 
@@ -301,11 +280,8 @@ mod tests {
             json.contains("\"corpus\":120,\"promoted\":5,\"gate\":2"),
             "{json}"
         );
-        assert!(json.contains("\"shards\":2"), "{json}");
-        assert!(
-            json.contains("\"shard_breakdown\":[{\"micros\":1,\"exact_evals\":9,\"pruned\":40}"),
-            "{json}"
-        );
+        assert!(!json.contains("shard"), "{json}");
+        assert!(json.ends_with("\"alloc_bytes\":0}}}"), "{json}");
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl AllocCell {
         self.count = self.count.saturating_add(delta.count);
         self.bytes = self.bytes.saturating_add(delta.bytes);
     }
-
-    /// Folds another cell in (alias of [`AllocCell::add`], mirroring
-    /// [`crate::StageCell::merge`]).
-    pub fn merge(&mut self, other: AllocCell) {
-        self.add(other);
-    }
 }
 
 /// A point-in-time reading of the current thread's allocation counters,

@@ -18,16 +18,10 @@ impl StageCell {
         self.ns = self.ns.saturating_add(ns);
         self.count += 1;
     }
-
-    /// Folds another cell in (both its time and its count).
-    pub fn merge(&mut self, other: StageCell) {
-        self.ns = self.ns.saturating_add(other.ns);
-        self.count += other.count;
-    }
 }
 
-/// `N` stage cells owned by a single recorder (one query, one shard). Not
-/// thread-safe by design — per-shard sets are merged after the shards join.
+/// `N` stage cells owned by a single recorder (one query). Not thread-safe
+/// by design — a finished set is folded into an [`AtomicStageSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageSet<const N: usize> {
     cells: [StageCell; N],
@@ -57,13 +51,6 @@ impl<const N: usize> StageSet<N> {
     /// Panics if `i >= N`.
     pub fn get(&self, i: usize) -> StageCell {
         self.cells[i]
-    }
-
-    /// Folds another set in, cell by cell.
-    pub fn merge(&mut self, other: &StageSet<N>) {
-        for (mine, theirs) in self.cells.iter_mut().zip(other.cells.iter()) {
-            mine.merge(*theirs);
-        }
     }
 
     /// Sum of all stage times.
@@ -137,29 +124,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cells_accumulate_and_merge() {
-        let mut a = StageCell::default();
-        a.add(10);
-        a.add(5);
-        let mut b = StageCell::default();
-        b.add(1);
-        a.merge(b);
-        assert_eq!(a, StageCell { ns: 16, count: 3 });
-    }
-
-    #[test]
-    fn sets_merge_cellwise() {
+    fn cells_accumulate_and_sets_total_them() {
         let mut a: StageSet<3> = StageSet::default();
         a.cell_mut(0).add(7);
+        a.cell_mut(0).add(3);
         a.cell_mut(2).add(1);
-        let mut b: StageSet<3> = StageSet::default();
-        b.cell_mut(0).add(3);
-        b.cell_mut(1).add(9);
-        a.merge(&b);
         assert_eq!(a.get(0), StageCell { ns: 10, count: 2 });
-        assert_eq!(a.get(1), StageCell { ns: 9, count: 1 });
+        assert_eq!(a.get(1), StageCell::default());
         assert_eq!(a.get(2), StageCell { ns: 1, count: 1 });
-        assert_eq!(a.total_ns(), 20);
+        assert_eq!(a.total_ns(), 11);
     }
 
     #[test]

@@ -40,13 +40,6 @@
 //! };
 //! let recs = recommender.recommend_excluding(Strategy::CsfSarH, &query, 5, &[clicked]);
 //! assert!(!recs.is_empty());
-//!
-//! // Batch workloads: the sharded + pruned engine answers many queries at
-//! // once, with results identical to the sequential path per query.
-//! use viderec::core::ParallelRecommender;
-//! let parallel = ParallelRecommender::new(&recommender);
-//! let batch = parallel.recommend_batch(Strategy::CsfSarH, std::slice::from_ref(&query), 5);
-//! assert_eq!(batch[0], recommender.recommend(Strategy::CsfSarH, &query, 5));
 //! ```
 
 pub use viderec_core as core;
