@@ -4,7 +4,6 @@
 use crate::prune::PruneBound;
 use viderec_emd::MatchingConfig;
 use viderec_index::LsbConfig;
-use viderec_signature::SignatureConfig;
 
 /// How `recommend*` builds its candidate universe.
 ///
@@ -39,8 +38,6 @@ pub struct RecommenderConfig {
     /// Number of sub-communities `k` for SAR. §5.3.3 finds effectiveness
     /// saturating at 60.
     pub k_subcommunities: usize,
-    /// Signature extraction pipeline settings.
-    pub signature: SignatureConfig,
     /// `κJ` matching threshold.
     pub matching: MatchingConfig,
     /// LSB forest parameters for the content index.
@@ -66,7 +63,6 @@ impl Default for RecommenderConfig {
         Self {
             omega: 0.7,
             k_subcommunities: 60,
-            signature: SignatureConfig::default(),
             matching: MatchingConfig::default(),
             lsb: LsbConfig::default(),
             embed_dims: viderec_emd::CDF_EMBED_DIMS,

@@ -29,7 +29,9 @@
 //! in every retrieval mode — drives those ceilings through one lazy
 //! best-first [`Ladder`]: a max-queue keyed
 //! by each candidate's *current* score ceiling, refined one rung at a time
-//! and only while the ceiling still clears the top-k floor.
+//! and only while the ceiling still clears the top-k floor — in *runs*
+//! between scoring events, so a traced query reads the clock per scoring
+//! event, not per candidate.
 
 use crate::arena::SeriesView;
 use crate::config::RecommenderConfig;
@@ -40,7 +42,6 @@ use crate::trace::{QueryTrace, Stage, Tracer};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use viderec_trace::Span;
 
 use viderec_emd::{
     emd_1d_soa, emd_1d_soa_capped, extended_jaccard, rounding_allowance, sim_c, sim_c_upper_bound,
@@ -384,14 +385,13 @@ pub(crate) fn kappa_upper_bound(
 }
 
 /// A candidate in the ladder's queue: its exact social score and its
-/// current score ceiling — `FJ(κ=1, s)` until `refined`. Ordered best-first:
-/// ceiling descending, then index ascending.
+/// current score ceiling — `FJ(κ=1, s)` on the first rung. Ordered
+/// best-first: ceiling descending, then index ascending.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queued {
     pub(crate) key: f64,
     pub(crate) sj: f64,
     pub(crate) idx: u32,
-    pub(crate) refined: bool,
 }
 
 impl PartialEq for Queued {
@@ -456,14 +456,12 @@ impl LadderQueue {
         fronts.map(|e| e.key).reduce(f64::max)
     }
 
-    /// Removes the candidate with the highest ceiling (a refined one on a
-    /// tie: it is a rung closer to raising the floor).
-    fn pop(&mut self) -> Option<Queued> {
-        match (self.fresh.last(), self.refined.peek()) {
-            (Some(f), Some(r)) if f.key > r.key => self.fresh.pop(),
-            (_, Some(_)) => self.refined.pop(),
-            _ => self.fresh.pop(),
-        }
+    /// Removes the best first-rung candidate if its ceiling is strictly the
+    /// highest in the queue (a refined one wins a tie: it is a rung closer
+    /// to raising the floor).
+    fn pop_fresh(&mut self) -> Option<Queued> {
+        let refined = self.refined.peek();
+        self.fresh.pop_if(|f| refined.is_none_or(|r| f.key > r.key))
     }
 
     /// The emptied first-tier storage, for the next query to reuse.
@@ -474,11 +472,13 @@ impl LadderQueue {
 }
 
 /// The lazy best-first bound ladder every content scan runs on (optimal
-/// multi-step top-k): [`Self::step`] pops the candidate with the highest
-/// current score ceiling; if that ceiling is strictly below the k-th exact
-/// score the whole queue is pruned, otherwise the candidate climbs one rung
-/// — `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → slice-bound
-/// `κJ` ceiling → exact `κJ` — and is dropped, re-queued, or scored.
+/// multi-step top-k): the candidate with the highest current score ceiling
+/// moves next; if that ceiling is strictly below the k-th exact score the
+/// whole queue is pruned, otherwise the candidate climbs one rung —
+/// `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → slice-bound `κJ`
+/// ceiling → exact `κJ` — and is dropped, re-queued, or scored.
+/// [`Self::drain`] makes those moves in *runs*: everything between two
+/// scoring events happens under one floor and one span.
 ///
 /// Exactness: ceilings are admissible at every rung, so a candidate's key
 /// never undercuts its exact score; the floor is always the k-th best of `k`
@@ -488,7 +488,9 @@ impl LadderQueue {
 /// only refined while its key is the queue maximum and at least the floor,
 /// so nothing is refined whose previous-rung ceiling is below the *final*
 /// floor — `k` candidates with higher exact scores, hence higher keys, would
-/// have been popped and scored first.
+/// have been popped and scored first. Grouping the moves into runs changes
+/// neither: a run makes the same moves in the same order, and the floor it
+/// reads once is the floor every one of them would have read.
 pub(crate) struct Ladder<'a> {
     pub(crate) cfg: &'a RecommenderConfig,
     /// The corpus's content component, dereferenced once per query.
@@ -504,99 +506,105 @@ pub(crate) struct Ladder<'a> {
 }
 
 impl Ladder<'_> {
-    /// Whether `key` is strictly below the k-th score reached so far.
-    fn below_floor(&self, key: f64, heap: &BinaryHeap<WorstFirst>) -> bool {
-        floor_of(heap, self.top_k).is_some_and(|floor| key < floor)
-    }
-
-    /// Drains a queue of gathered candidates into `heap`: [`Self::step`]
-    /// until the queue is spent.
-    pub(crate) fn run(
-        &self,
-        queue: &mut LadderQueue,
-        heap: &mut BinaryHeap<WorstFirst>,
-        trace: &mut QueryTrace,
-        tracer: Tracer,
-    ) {
-        let mut sp = tracer.start();
-        while self.step(queue, heap, false, trace, &mut sp) {}
-    }
-
-    /// One move: pop the best candidate and carry it as far as it goes.
-    /// Returns `false` once the queue is spent — empty, or pruned wholesale
-    /// because its best ceiling fell below the floor.
+    /// Drains `queue` into `heap`, one *run* per scoring event.
+    ///
+    /// A **refine run** reads the floor once — nothing is scored inside a
+    /// run, so it cannot move — and pops first-rung candidates while the
+    /// best of them is strictly the best key in the queue. Each gets its
+    /// `κJ` ceiling and is dropped (ceiling below the floor), re-queued among
+    /// the refined (a strictly better key is waiting) or ends the run as the
+    /// candidate to score; so does the best refined candidate once no
+    /// first-rung key beats it, and a candidate below the floor, which ends
+    /// the ladder: best-first, every key left is at most its key. One span
+    /// closes the run into [`Stage::Bound`], credited with the run's
+    /// ceilings; the scoring event that follows is one [`Stage::Emd`] span
+    /// (if it needs the sweep) and one [`Stage::TopK`] span. Clock reads are
+    /// therefore ≤ 3 per scoring event + 2, whatever the queue held.
     ///
     /// With `promoting`, the queue holds certificate survivors rather than
     /// gathered candidates: one that drops below the floor was only ever a
     /// bound check and is not counted, one that gets scored is counted as
     /// promoted *and* scanned.
-    pub(crate) fn step(
+    pub(crate) fn drain(
         &self,
         queue: &mut LadderQueue,
         heap: &mut BinaryHeap<WorstFirst>,
         promoting: bool,
         trace: &mut QueryTrace,
-        sp: &mut Span,
-    ) -> bool {
-        let Some(mut e) = queue.pop() else {
-            return false;
-        };
-        let cfg = self.cfg;
-        if self.below_floor(e.key, heap) {
-            // Best-first: every key left in the queue is at most this one.
-            let left = queue.clear() as u64;
-            if !promoting {
-                trace.stats.pruned += 1 + left;
-            }
-            trace.lap_span(sp, Stage::TopK);
-            return false;
-        }
-        trace.lap_span(sp, Stage::TopK);
-        let i = e.idx as usize;
+        tracer: Tracer,
+    ) {
+        let (strategy, omega, matching) = (self.strategy, self.cfg.omega, self.cfg.matching);
         let arena = &self.content.arena;
-        if !e.refined {
-            e.refined = true;
-            let (lo, hi) = arena.mean_ranges();
-            let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
-                0.0
-            } else {
-                kappa_upper_bound(self.qv, arena.view(i), arena.bound(), cfg.matching)
-            };
-            e.key = strategy_score(self.strategy, cfg.omega, kappa_ub, e.sj);
-            trace.lap_span(sp, Stage::Bound);
-            let dropped = self.below_floor(e.key, heap);
-            if dropped || queue.best_key().is_some_and(|next| next > e.key) {
-                if !dropped {
-                    queue.refined.push(e);
-                } else if !promoting {
-                    trace.stats.pruned += 1;
+        let ((lo, hi), bound) = (arena.mean_ranges(), arena.bound());
+        let mut sp = tracer.start();
+        loop {
+            let floor = floor_of(heap, self.top_k);
+            let below_floor = |key: f64| floor.is_some_and(|floor| key < floor);
+            let mut ceilings = 0;
+            let next = loop {
+                let Some(mut e) = queue.pop_fresh() else {
+                    break queue.refined.pop();
+                };
+                if below_floor(e.key) {
+                    break Some(e);
                 }
-                trace.lap_span(sp, Stage::TopK);
-                return true;
+                let i = e.idx as usize;
+                let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
+                    0.0
+                } else {
+                    kappa_upper_bound(self.qv, arena.view(i), bound, matching)
+                };
+                e.key = strategy_score(strategy, omega, kappa_ub, e.sj);
+                ceilings += 1;
+                #[cfg(test)]
+                tests::note(tests::Move::Refined(e.idx));
+                if below_floor(e.key) {
+                    if !promoting {
+                        trace.stats.pruned += 1;
+                    }
+                } else if queue.best_key().is_some_and(|next| next > e.key) {
+                    queue.refined.push(e);
+                } else {
+                    break Some(e);
+                }
+            };
+            trace.lap_span_n(&mut sp, Stage::Bound, ceilings);
+            let Some(e) = next else {
+                return;
+            };
+            if below_floor(e.key) {
+                let left = queue.clear() as u64;
+                if !promoting {
+                    trace.stats.pruned += 1 + left;
+                }
+                trace.lap_span(&mut sp, Stage::TopK);
+                return;
             }
+            // The best ceiling in play: score it. A key equal to the score
+            // at `κJ = 0` already *is* the exact score (the score is monotone
+            // in `κJ` and the key bounds it from above), so only a key above
+            // it pays for the sweep.
+            #[cfg(test)]
+            tests::note(tests::Move::Scored(e.idx));
+            let i = e.idx as usize;
+            let score = if e.key == strategy_score(strategy, omega, 0.0, e.sj) {
+                trace.stats.pruned += 1;
+                e.key
+            } else {
+                trace.stats.exact_evals += 1;
+                let kappa = kappa_exact_cached(self.qv, arena.view(i), matching, &mut trace.stats);
+                let score = strategy_score(strategy, omega, kappa, e.sj);
+                trace.lap_span(&mut sp, Stage::Emd);
+                score
+            };
+            if promoting {
+                trace.promoted += 1;
+                trace.stats.scanned += 1;
+            }
+            let video = self.content.ids[i];
+            push_top_k(heap, WorstFirst(Scored { video, score }), self.top_k);
+            trace.lap_span(&mut sp, Stage::TopK);
         }
-        // Still the best ceiling in play: score it. A key equal to the score
-        // at `κJ = 0` already *is* the exact score (the score is monotone in
-        // `κJ` and the key bounds it from above), so only a key above it
-        // pays for the sweep.
-        let score = if e.key == strategy_score(self.strategy, cfg.omega, 0.0, e.sj) {
-            trace.stats.pruned += 1;
-            e.key
-        } else {
-            trace.stats.exact_evals += 1;
-            let kappa = kappa_exact_cached(self.qv, arena.view(i), cfg.matching, &mut trace.stats);
-            let score = strategy_score(self.strategy, cfg.omega, kappa, e.sj);
-            trace.lap_span(sp, Stage::Emd);
-            score
-        };
-        if promoting {
-            trace.promoted += 1;
-            trace.stats.scanned += 1;
-        }
-        let video = self.content.ids[i];
-        push_top_k(heap, WorstFirst(Scored { video, score }), self.top_k);
-        trace.lap_span(sp, Stage::TopK);
-        true
     }
 }
 
@@ -609,6 +617,112 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use viderec_signature::cuboid::{Cuboid, CuboidSignature};
     use viderec_signature::{kappa_j_series, SignatureSeries};
+    use viderec_trace::Span;
+
+    /// What a ladder did to a candidate, by corpus index.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Move {
+        Refined(u32),
+        Scored(u32),
+    }
+
+    thread_local! {
+        /// Every move a ladder made on this thread, in order.
+        static MOVES: RefCell<Vec<Move>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note(m: Move) {
+        MOVES.with_borrow_mut(|moves| moves.push(m));
+    }
+
+    impl LadderQueue {
+        /// Removes the candidate with the highest ceiling (a refined one on
+        /// a tie) and says whether it was refined: the queue as the one-move
+        /// oracle sees it.
+        fn pop(&mut self) -> Option<(Queued, bool)> {
+            match (self.fresh.last(), self.refined.peek()) {
+                (Some(f), Some(r)) if f.key > r.key => self.fresh.pop().map(|e| (e, false)),
+                (_, Some(_)) => self.refined.pop().map(|e| (e, true)),
+                _ => self.fresh.pop().map(|e| (e, false)),
+            }
+        }
+    }
+
+    impl Ladder<'_> {
+        fn below_floor(&self, key: f64, heap: &BinaryHeap<WorstFirst>) -> bool {
+            floor_of(heap, self.top_k).is_some_and(|floor| key < floor)
+        }
+
+        /// The oracle for [`Ladder::drain`] — the ladder as it ran before
+        /// the moves were grouped into runs. One move: pop the best
+        /// candidate, re-read the floor, carry the candidate as far as it
+        /// goes, three laps on the way. `false` once the queue is spent.
+        fn step(
+            &self,
+            queue: &mut LadderQueue,
+            heap: &mut BinaryHeap<WorstFirst>,
+            promoting: bool,
+            trace: &mut QueryTrace,
+            sp: &mut Span,
+        ) -> bool {
+            let Some((mut e, refined)) = queue.pop() else {
+                return false;
+            };
+            let cfg = self.cfg;
+            if self.below_floor(e.key, heap) {
+                let left = queue.clear() as u64;
+                if !promoting {
+                    trace.stats.pruned += 1 + left;
+                }
+                trace.lap_span(sp, Stage::TopK);
+                return false;
+            }
+            trace.lap_span(sp, Stage::TopK);
+            let i = e.idx as usize;
+            let arena = &self.content.arena;
+            if !refined {
+                let (lo, hi) = arena.mean_ranges();
+                let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
+                    0.0
+                } else {
+                    kappa_upper_bound(self.qv, arena.view(i), arena.bound(), cfg.matching)
+                };
+                e.key = strategy_score(self.strategy, cfg.omega, kappa_ub, e.sj);
+                note(Move::Refined(e.idx));
+                trace.lap_span(sp, Stage::Bound);
+                let dropped = self.below_floor(e.key, heap);
+                if dropped || queue.best_key().is_some_and(|next| next > e.key) {
+                    if !dropped {
+                        queue.refined.push(e);
+                    } else if !promoting {
+                        trace.stats.pruned += 1;
+                    }
+                    trace.lap_span(sp, Stage::TopK);
+                    return true;
+                }
+            }
+            note(Move::Scored(e.idx));
+            let score = if e.key == strategy_score(self.strategy, cfg.omega, 0.0, e.sj) {
+                trace.stats.pruned += 1;
+                e.key
+            } else {
+                trace.stats.exact_evals += 1;
+                let kappa =
+                    kappa_exact_cached(self.qv, arena.view(i), cfg.matching, &mut trace.stats);
+                let score = strategy_score(self.strategy, cfg.omega, kappa, e.sj);
+                trace.lap_span(sp, Stage::Emd);
+                score
+            };
+            if promoting {
+                trace.promoted += 1;
+                trace.stats.scanned += 1;
+            }
+            let video = self.content.ids[i];
+            push_top_k(heap, WorstFirst(Scored { video, score }), self.top_k);
+            trace.lap_span(sp, Stage::TopK);
+            true
+        }
+    }
 
     fn random_series(rng: &mut StdRng, max_sigs: usize) -> SignatureSeries {
         let n = rng.gen_range(1..=max_sigs);
@@ -877,6 +991,119 @@ mod tests {
         let reach = ceilings.filter(|&c| c >= floor).count() as u64;
         assert_eq!((reach, stats.exact_evals), (3, 3));
         assert_eq!(stats.pruned + stats.exact_evals, stats.scanned);
+    }
+
+    /// `series` with every value moved by `shift`.
+    fn shifted(series: &SignatureSeries, shift: f64) -> SignatureSeries {
+        let sigs = series.signatures().iter().map(|sig| {
+            let cuboids = sig.cuboids().iter().map(|c| Cuboid {
+                value: c.value + shift,
+                weight: c.weight,
+            });
+            CuboidSignature::new(cuboids.collect())
+        });
+        SignatureSeries::new(sigs.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// [`Ladder::drain`] against the one-move oracle on small corpora
+        /// built to tie: videos are shifted copies of three base series
+        /// (the query is the first), so first-rung keys, ceilings and exact
+        /// scores all repeat; social scores come from three shared values;
+        /// the heap starts empty or already holding scores, as it does when
+        /// certificate survivors are promoted. Same candidates refined and
+        /// scored in the same order, same counters, same heap — and the
+        /// run-structured ladder closes a span per scoring event, never per
+        /// candidate.
+        #[test]
+        fn drain_makes_the_moves_of_the_one_move_oracle(
+            seed in 0..u64::MAX,
+            videos in prop::collection::vec((0..3usize, 0..5usize, 0..3usize), 1..14),
+            held in prop::collection::vec(0..6u32, 0..5),
+            top_k in 1..6usize,
+            promoting in 0..2u32,
+            fused in 0..2u32,
+        ) {
+            use crate::{CorpusVideo, Recommender};
+            use viderec_video::VideoId;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bases: Vec<SignatureSeries> =
+                (0..3).map(|_| random_series(&mut rng, 3)).collect();
+            let shifts = [0.0, 0.125, 0.5, 0.875, 6.0];
+            let corpus = videos.iter().enumerate().map(|(n, &(base, shift, _))| CorpusVideo {
+                id: VideoId(n as u64),
+                series: shifted(&bases[base], shifts[shift]),
+                users: vec![format!("u{n}")],
+            });
+            let cfg = RecommenderConfig { k_subcommunities: 1, ..Default::default() };
+            let rec = Recommender::build(cfg, corpus.collect()).unwrap();
+            let strategy = if fused == 1 { Strategy::Csf } else { Strategy::Cr };
+            let promoting = promoting == 1;
+            let cache = ScoringArena::for_series(&bases[0], rec.content.arena.bound());
+            let ladder = rec.ladder(strategy, &cache, top_k);
+            let (omega, matching) = (rec.config().omega, rec.config().matching);
+            // Every third candidate enters on another one's *refined* key
+            // when that is still a ceiling for its own, so first-rung keys
+            // also tie keys already refined — where the refined one goes first.
+            let arena = &rec.content.arena;
+            let sj = |n: usize| [0.0, 0.25, 0.5][videos[n].2];
+            let refined_key = |n: usize, sj: f64| {
+                let video = arena.view(n);
+                let kappa_ub = kappa_upper_bound(cache.view(0), video, arena.bound(), matching);
+                strategy_score(strategy, omega, kappa_ub, sj)
+            };
+            let entries = (0..videos.len()).map(|n| {
+                let next = (n + 1) % videos.len();
+                let (sj, other) = (sj(n), refined_key(next, sj(next)));
+                let key = if n % 3 == 0 && other >= refined_key(n, sj) {
+                    other
+                } else {
+                    strategy_score(strategy, omega, 1.0, sj)
+                };
+                Queued { key, sj, idx: n as u32 }
+            });
+            let entries: Vec<Queued> = entries.collect();
+            let fill = |heap: &mut BinaryHeap<WorstFirst>| {
+                for (n, &sixths) in held.iter().take(top_k).enumerate() {
+                    let (video, score) = (VideoId(1000 + n as u64), sixths as f64 / 6.0);
+                    heap.push(WorstFirst(Scored { video, score }));
+                }
+            };
+            let ranked = |heap: BinaryHeap<WorstFirst>| -> Vec<(VideoId, u64)> {
+                let ranked = heap.into_sorted_vec();
+                ranked.iter().map(|w| (w.0.video, w.0.score.to_bits())).collect()
+            };
+
+            let (mut want_heap, mut want) = (BinaryHeap::new(), QueryTrace::new(strategy, top_k));
+            fill(&mut want_heap);
+            let mut queue = LadderQueue::new(entries.clone());
+            let mut sp = Span::off();
+            MOVES.take();
+            while ladder.step(&mut queue, &mut want_heap, promoting, &mut want, &mut sp) {}
+            let want_moves = MOVES.take();
+
+            let (mut heap, mut got) = (BinaryHeap::new(), QueryTrace::new(strategy, top_k));
+            fill(&mut heap);
+            let mut queue = LadderQueue::new(entries);
+            let closes = crate::trace::SPAN_CLOSES.get();
+            ladder.drain(&mut queue, &mut heap, promoting, &mut got, Tracer::ON);
+            let closes = crate::trace::SPAN_CLOSES.get() - closes;
+            let moves = MOVES.take();
+
+            prop_assert!(moves == want_moves, "{moves:?} != {want_moves:?}");
+            prop_assert!(got.stats == want.stats, "{:?} != {:?}", got.stats, want.stats);
+            prop_assert!(got.promoted == want.promoted);
+            prop_assert!(queue.len() == 0);
+            prop_assert!(ranked(heap) == ranked(want_heap));
+
+            let refined = moves.iter().filter(|m| matches!(m, Move::Refined(_))).count() as u64;
+            let scored = moves.len() as u64 - refined;
+            prop_assert!(closes <= 3 * scored + 2, "{closes} closes, {scored} scored");
+            prop_assert!(got.stage(Stage::Bound).count == refined);
+            prop_assert!(got.stage(Stage::Emd).count == got.stats.exact_evals);
+        }
     }
 
     #[test]

@@ -451,7 +451,7 @@ impl Recommender {
 
     /// The bound ladder for one query over this corpus (see [`Ladder`]);
     /// `query_cache` is the query's single-series arena.
-    fn ladder<'a>(
+    pub(crate) fn ladder<'a>(
         &'a self,
         strategy: Strategy,
         query_cache: &'a ScoringArena,
@@ -500,7 +500,6 @@ impl Recommender {
                 key: strategy_score(strategy, self.cfg.omega, 1.0, sj),
                 sj,
                 idx,
-                refined: false,
             }
         }));
         trace.stop_span(sp, Stage::Social);
@@ -956,7 +955,7 @@ impl Recommender {
                 tracer,
                 &mut trace,
             );
-            ladder.run(&mut pending, &mut heap, &mut trace, tracer);
+            ladder.drain(&mut pending, &mut heap, false, &mut trace, tracer);
         } else {
             // SR: the social score is cheap and exact, so a plain bounded
             // heap scan is already optimal — nothing to prune.
@@ -997,8 +996,7 @@ impl Recommender {
                     tracer,
                     &mut trace,
                 );
-                let mut sp = tracer.start();
-                while ladder.step(&mut pending, &mut heap, true, &mut trace, &mut sp) {}
+                ladder.drain(&mut pending, &mut heap, true, &mut trace, tracer);
             } else {
                 trace.promoted = candidates.len() as u64;
                 trace.stats.scanned += trace.promoted;
@@ -1021,7 +1019,8 @@ impl Recommender {
     }
 
     /// The SR-style plain heap scan (social score only, nothing to prune)
-    /// against a caller-owned heap.
+    /// against a caller-owned heap: one `Social` span over the whole scan,
+    /// credited with the candidates it scored.
     #[allow(clippy::too_many_arguments)]
     fn scan_social_into(
         &self,
@@ -1037,13 +1036,12 @@ impl Recommender {
         let mut sp = tracer.start();
         let ids = &self.content.ids;
         for &idx in candidates {
-            trace.stats.exact_evals += 1;
             let score = self.score_video(strategy, query, prep, idx as usize);
-            trace.lap_span(&mut sp, Stage::Social);
             let video = ids[idx as usize];
             push_top_k(heap, WorstFirst(Scored { video, score }), top_k);
-            trace.lap_span(&mut sp, Stage::TopK);
         }
+        trace.stats.exact_evals += candidates.len() as u64;
+        trace.lap_span_n(&mut sp, Stage::Social, candidates.len() as u64);
     }
 
     /// Full-scan `(video, κJ, exact sJ)` components for every corpus video —
@@ -1638,7 +1636,9 @@ mod tests {
             assert_eq!(off.total_ns, 0);
             assert_eq!(off.stage_sum_ns(), 0);
 
+            let closes = crate::trace::SPAN_CLOSES.get();
             let (top, on) = r.recommend_traced(strategy, q, 2, exclude, Tracer::ON);
+            let closes = crate::trace::SPAN_CLOSES.get() - closes;
             assert!(on.total_ns > 0, "{label}");
             // Stages tile disjoint sub-intervals of the scan.
             assert!(on.stage_sum_ns() <= on.total_ns, "{label}");
@@ -1665,16 +1665,26 @@ mod tests {
             assert_eq!(on.stats.scanned, scanned, "{label}");
             assert_eq!(on.stats.pruned + on.stats.exact_evals, scanned, "{label}");
             assert_eq!(on.stats.pruned_embed, 0, "the embedding tier is retired");
+            // A span closes per pipeline stage and per scoring event — an
+            // exact evaluation (SR has none: its scan is one span), or a push
+            // that needed none and is in the results unless a later one
+            // displaced it — never per scanned candidate.
+            let events = on.stage(Stage::Emd).count + top.len() as u64;
+            assert!(closes <= 3 * (events + 1) + 16, "{label}: {closes} closes");
             if strategy.uses_content() {
                 // One `Emd` lap per sweep; one heapify per `enqueue` — the
                 // gathered candidates, then the certificate's survivors.
                 assert_eq!(on.stage(Stage::Emd).count, on.stats.exact_evals);
                 assert_eq!(on.stage(Stage::Sort).count, 1 + u64::from(gate == 2));
-                if gate != 2 {
-                    // `Bound` laps only for candidates whose first ceiling
-                    // cleared the floor.
-                    assert!(on.stage(Stage::Bound).count <= scanned, "{label}");
-                }
+                // `Bound` is credited per ceiling: at most one per scanned
+                // candidate, plus — certified — one per survivor the ladder
+                // dropped unscored and one for the sweep that found them.
+                let bounded = if gate == 2 { on.corpus + 1 } else { scanned };
+                assert!(on.stage(Stage::Bound).count <= bounded, "{label}");
+            } else {
+                // SR: one span over each social scan, credited per candidate.
+                assert_eq!(on.stage(Stage::Social).count, scanned, "{label}");
+                assert_eq!(closes, 5 + 2 * u64::from(gate == 2), "{label}");
             }
             // The library path never sees an admission queue.
             assert_eq!(on.stage(Stage::Queue), viderec_trace::StageCell::default());

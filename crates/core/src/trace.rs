@@ -30,15 +30,23 @@ pub enum Stage {
     Gather,
     /// Exclusion filtering.
     Filter,
-    /// Social similarity (exact `sJ` or SAR) over the candidates.
+    /// Social similarity (exact `sJ` or SAR) over the candidates: one span
+    /// per first-rung fill, and one over the whole SR scan, whose `count` is
+    /// the candidates it scored.
     Social,
-    /// Admissible score ceilings (EMD lower bounds) over the candidates.
+    /// Admissible score ceilings (EMD lower bounds) over the candidates: the
+    /// ladder's refine runs — first-tier pops, the `κJ` ceilings and their
+    /// floor tests, re-queues — and the certificate sweep. One span per run;
+    /// `count` is the ceilings the runs computed (plus one per certificate
+    /// sweep), so `ns / count` is the per-ceiling cost, not clock reads.
     Bound,
     /// The ceiling-descending sort that enables one-step tail pruning.
     Sort,
-    /// Exact EMD evaluations (`κJ` refinement).
+    /// Exact EMD evaluations (`κJ` refinement), one span each.
     Emd,
-    /// Top-k heap maintenance and the final ranked sort.
+    /// Top-k heap pushes (one span per scored candidate; for SR the pushes
+    /// are inside the `Social` span), the wholesale prune that ends a ladder
+    /// and the final ranked sort.
     TopK,
 }
 
@@ -172,7 +180,7 @@ impl QueryTrace {
     }
 
     /// Split borrow of one stage's time and allocation cells, for
-    /// [`Span::stop_with_alloc`] / [`Span::lap_with_alloc`] (the two cells
+    /// [`Span::lap_n`] (the two cells
     /// live in different fields, so both `&mut`s coexist).
     #[inline]
     pub fn cells_mut(&mut self, stage: Stage) -> (&mut StageCell, &mut AllocCell) {
@@ -182,16 +190,24 @@ impl QueryTrace {
 
     /// Ends `span` into `stage`'s time and allocation cells.
     #[inline]
-    pub fn stop_span(&mut self, span: Span, stage: Stage) {
-        let (cell, alloc) = self.cells_mut(stage);
-        span.stop_with_alloc(cell, alloc);
+    pub fn stop_span(&mut self, mut span: Span, stage: Stage) {
+        self.lap_span(&mut span, stage);
     }
 
     /// Laps `span` into `stage`'s time and allocation cells.
     #[inline]
     pub fn lap_span(&mut self, span: &mut Span, stage: Stage) {
+        self.lap_span_n(span, stage, 1);
+    }
+
+    /// Laps `span` into `stage`'s cells as one span over `n` items — a run
+    /// of candidates closed by a single clock read ([`Span::lap_n`]).
+    #[inline]
+    pub fn lap_span_n(&mut self, span: &mut Span, stage: Stage, n: u64) {
+        #[cfg(test)]
+        SPAN_CLOSES.set(SPAN_CLOSES.get() + 1);
         let (cell, alloc) = self.cells_mut(stage);
-        span.lap_with_alloc(cell, alloc);
+        span.lap_n(cell, alloc, n);
     }
 
     /// Sum of all stage times — by construction ≤ [`Self::total_ns`].
@@ -264,6 +280,14 @@ impl QueryTrace {
         }
         Some(t)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Spans this thread closed into a [`QueryTrace`] (`stop_span`,
+    /// `lap_span`, `lap_span_n`), tracer on or off: each is one clock read
+    /// when tracing, so the tests bound a query's reads by counting them.
+    pub(crate) static SPAN_CLOSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn strategy_index(s: Strategy) -> u64 {

@@ -127,8 +127,12 @@ impl TraceStore {
 
 /// Renders one trace as the JSON document both debug endpoints use: totals,
 /// pruning counters and the per-stage
-/// `{micros, count, alloc_count, alloc_bytes}` breakdown. Alloc fields are
-/// zero unless the binary installs the counting allocator.
+/// `{micros, count, alloc_count, alloc_bytes}` breakdown. A stage's `count`
+/// is the items its spans were credited with — `bound`: score ceilings,
+/// `emd`: exact evaluations, `social` under SR: candidates — so
+/// `micros / count` is a per-item cost; it is not the number of clock reads,
+/// which follow scoring events. Alloc fields are zero unless the binary
+/// installs the counting allocator.
 pub fn trace_json(t: &QueryTrace) -> String {
     let scanned = t.stats.scanned;
     let prune_rate = if scanned == 0 {

@@ -86,7 +86,8 @@ pub struct ServeConfig {
     /// production; the load/robustness tests use it to make queueing and
     /// deadline behaviour deterministic.
     pub synthetic_delay: Duration,
-    /// Upper bound on the `k` a request may ask for (larger values clamp).
+    /// Upper bound on the `k` a request may ask for (larger values clamp)
+    /// and on the ids its `exclude=` list may name (longer lists get a 400).
     pub max_k: usize,
     /// Per-query tracing and update-pipeline spans. On, every `/recommend`
     /// response carries a trace id resolvable via `GET /debug/trace/<id>`,
@@ -496,6 +497,16 @@ fn recommend(
     let mut exclude = vec![VideoId(video)];
     if let Some(csv) = req.param("exclude") {
         for part in csv.split(',').filter(|p| !p.is_empty()) {
+            // Every id is resolved and then searched once per gathered
+            // candidate: the list is bounded like `k`. (`exclude` already
+            // holds the clicked video.)
+            if exclude.len() > ctx.cfg.max_k {
+                let limit = ctx.cfg.max_k;
+                return bad_request(
+                    adm,
+                    &format!("parameter 'exclude' may name at most {limit} ids"),
+                );
+            }
             match part.parse::<u64>() {
                 Ok(id) => exclude.push(VideoId(id)),
                 Err(_) => return bad_request(adm, "parameter 'exclude' must be a CSV of ids"),

@@ -94,8 +94,8 @@ impl Span {
 
     /// Accumulates the time since the (re)start into `cell` and restarts the
     /// span at the same clock read, so consecutive laps tile an interval with
-    /// no gap and no double count — the per-candidate `EMD → top-k` split
-    /// costs one clock read per lap.
+    /// no gap and no double count — the `bound → EMD → top-k` split of a
+    /// scoring event costs one clock read per lap.
     #[inline]
     pub fn lap(&mut self, cell: &mut StageCell) {
         if let Some(t) = self.t {
@@ -111,10 +111,18 @@ impl Span {
     /// nor double-count an allocation.
     #[inline]
     pub fn lap_with_alloc(&mut self, cell: &mut StageCell, alloc: &mut AllocCell) {
+        self.lap_n(cell, alloc, 1);
+    }
+
+    /// [`Span::lap_with_alloc`] for a lap that covered `n` items (a run of
+    /// candidates closed by one clock read): time and allocations tile
+    /// exactly as there, and `cell` is credited `n` ([`StageCell::add_many`]).
+    #[inline]
+    pub fn lap_n(&mut self, cell: &mut StageCell, alloc: &mut AllocCell, n: u64) {
         if let Some(t) = self.t {
             let now = Instant::now();
             let snap = AllocSnapshot::take();
-            cell.add(now.duration_since(t).as_nanos() as u64);
+            cell.add_many(now.duration_since(t).as_nanos() as u64, n);
             alloc.add(self.alloc.delta_to(snap));
             self.t = Some(now);
             self.alloc = snap;
@@ -134,6 +142,7 @@ mod tests {
         assert_eq!(span.elapsed_ns(), None);
         span.lap(&mut cell);
         span.lap_with_alloc(&mut cell, &mut acell);
+        span.lap_n(&mut cell, &mut acell, 9);
         span.stop_with_alloc(&mut cell, &mut acell);
         assert_eq!(cell, StageCell::default());
         assert_eq!(acell, AllocCell::default());
@@ -173,6 +182,33 @@ mod tests {
         // delta (no other allocations happen on this thread in between).
         assert_eq!(total.count, a.count + b.count);
         assert_eq!(total.bytes, a.bytes + b.bytes);
+    }
+
+    #[test]
+    fn run_laps_tile_like_single_laps_and_credit_their_items() {
+        let (mut run, mut run_allocs) = (StageCell::default(), AllocCell::default());
+        let (mut one, mut one_allocs) = (StageCell::default(), AllocCell::default());
+        let whole = Tracer::ON.start();
+        let mut span = Tracer::ON.start();
+        crate::alloc::note_alloc(64);
+        crate::alloc::note_alloc(32);
+        span.lap_n(&mut run, &mut run_allocs, 7);
+        crate::alloc::note_alloc(5);
+        span.lap_with_alloc(&mut one, &mut one_allocs);
+        span.lap_n(&mut run, &mut run_allocs, 0);
+        let (mut total, mut total_allocs) = (StageCell::default(), AllocCell::default());
+        whole.stop_with_alloc(&mut total, &mut total_allocs);
+        // One clock read per lap whatever it is credited with.
+        assert_eq!((run.count, one.count), (7, 1));
+        let run_want = AllocCell {
+            count: 2,
+            bytes: 96,
+        };
+        assert_eq!((run_allocs, one_allocs.bytes), (run_want, 5));
+        // The laps tile: nothing dropped, nothing counted twice.
+        assert_eq!(total_allocs.count, run_allocs.count + one_allocs.count);
+        assert_eq!(total_allocs.bytes, run_allocs.bytes + one_allocs.bytes);
+        assert!(run.ns + one.ns <= total.ns, "{run:?} {one:?} {total:?}");
     }
 
     #[test]

@@ -2,21 +2,31 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One stage's accumulated nanoseconds and occurrence count.
+/// One stage's accumulated nanoseconds and item count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCell {
     /// Accumulated nanoseconds.
     pub ns: u64,
-    /// Number of spans accumulated.
+    /// Number of items the accumulated spans were credited with — one per
+    /// span from [`Self::add`], as many as the span covered from
+    /// [`Self::add_many`]. Not the number of clock reads.
     pub count: u64,
 }
 
 impl StageCell {
-    /// Accumulates one span of `ns` nanoseconds.
+    /// Accumulates one span of `ns` nanoseconds covering one item.
     #[inline]
     pub fn add(&mut self, ns: u64) {
+        self.add_many(ns, 1);
+    }
+
+    /// Accumulates one span of `ns` nanoseconds that covered `n` items, so
+    /// `ns / count` stays the per-item cost when one clock read closes a
+    /// whole run of them.
+    #[inline]
+    pub fn add_many(&mut self, ns: u64, n: u64) {
         self.ns = self.ns.saturating_add(ns);
-        self.count += 1;
+        self.count += n;
     }
 }
 
@@ -133,6 +143,9 @@ mod tests {
         assert_eq!(a.get(1), StageCell::default());
         assert_eq!(a.get(2), StageCell { ns: 1, count: 1 });
         assert_eq!(a.total_ns(), 11);
+        a.cell_mut(1).add_many(20, 5);
+        a.cell_mut(1).add_many(4, 0);
+        assert_eq!(a.get(1), StageCell { ns: 24, count: 5 });
     }
 
     #[test]

@@ -142,7 +142,7 @@ fn served_results_are_bit_identical_to_direct_calls() {
 
 #[test]
 fn malformed_and_unknown_requests_get_400_and_404() {
-    let (_, r) = build_recommender();
+    let (community, r) = build_recommender();
     let handle = start(ServeConfig::default(), r).expect("server starts");
     let addr = handle.addr();
 
@@ -158,6 +158,19 @@ fn malformed_and_unknown_requests_get_400_and_404() {
         assert_eq!(resp.status, 400, "{target}: {}", resp.body);
         assert!(resp.body.contains("error"), "{target}");
     }
+
+    // `exclude` is bounded like `k`: `max_k` ids are served, one more is a
+    // 400 that names the limit — counted like every other response.
+    let max_k = ServeConfig::default().max_k;
+    let qid = community.query_videos()[0].0;
+    let ids = |n: usize| vec!["1"; n].join(",");
+    let target = format!("/recommend?video={qid}&exclude={}", ids(max_k));
+    let resp = get(addr, &target, TIMEOUT).expect("request succeeds");
+    assert_eq!(resp.status, 200, "{} ids: {}", max_k, resp.body);
+    let target = format!("/recommend?video={qid}&exclude={}", ids(max_k + 1));
+    let resp = get(addr, &target, TIMEOUT).expect("request succeeds");
+    assert_eq!(resp.status, 400, "{} ids: {}", max_k + 1, resp.body);
+    assert!(resp.body.contains(&max_k.to_string()), "{}", resp.body);
 
     let resp = post(addr, "/update", "frobnicate 1 2", TIMEOUT).unwrap();
     assert_eq!(resp.status, 400, "unknown verb: {}", resp.body);
@@ -176,6 +189,21 @@ fn malformed_and_unknown_requests_get_400_and_404() {
         let _ = s.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 400"), "got: {out}");
     }
+
+    // Every refusal above is inside the accounting identity (a worker counts
+    // a response after writing it, so the last one may take a moment).
+    let m = handle.metrics();
+    let count = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::SeqCst);
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while count(&m.submitted) != count(&m.served) + count(&m.rejected) + count(&m.deadline_expired)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a response went uncounted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(count(&m.submitted), 12);
 
     handle.shutdown();
 }
