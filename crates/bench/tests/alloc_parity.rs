@@ -6,7 +6,9 @@
 //! the only place the "populated when counted" half of the contract can be
 //! exercised.
 
-use viderec_core::{QueryVideo, Recommender, RecommenderConfig, Stage, Strategy, Tracer};
+use viderec_core::{
+    QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Stage, Strategy, Tracer,
+};
 use viderec_eval::community::{Community, CommunityConfig};
 
 #[global_allocator]
@@ -74,5 +76,40 @@ fn untraced_queries_record_no_alloc_cells() {
             viderec_trace::AllocCell::default(),
             "Tracer::OFF must not touch the alloc cells"
         );
+    }
+}
+
+/// Building the ladder's first rung — the social side list under `Social`,
+/// the tie-group bitset and the ordered queue under `Sort` — runs on this
+/// thread's scratch: once a query has sized it, no later query allocates in
+/// either stage, in the paper universe or gated (where the certificate's
+/// survivors are enqueued a second time).
+#[test]
+fn first_rung_allocates_nothing_once_warm() {
+    let community = Community::generate(CommunityConfig::tiny(47));
+    let corpus = community.source_corpus();
+    let queries: Vec<QueryVideo> = corpus.iter().map(QueryVideo::from_corpus).collect();
+    for mode in [RetrievalMode::Paper, RetrievalMode::GatedCertified] {
+        let cfg = RecommenderConfig::default().with_retrieval(mode);
+        let recommender = Recommender::build(cfg, corpus.clone()).expect("tiny corpus builds");
+        for strategy in [Strategy::Cr, Strategy::Csf, Strategy::CsfSarH] {
+            // The widest first rung there is sizes the scratch.
+            for q in &queries {
+                recommender.recommend_traced(strategy, q, 5, &[], Tracer::OFF);
+            }
+            for q in &queries {
+                let (_, trace) = recommender.recommend_traced(strategy, q, 5, &[], Tracer::ON);
+                for stage in [Stage::Social, Stage::Sort] {
+                    assert_eq!(
+                        trace.alloc(stage),
+                        viderec_trace::AllocCell::default(),
+                        "{mode:?} {} allocated in {}",
+                        strategy.label(),
+                        stage.label()
+                    );
+                }
+                assert!(trace.stage(Stage::Sort).count >= 1);
+            }
+        }
     }
 }

@@ -313,19 +313,114 @@ pub(crate) fn separated(q_range: (f64, f64), v_range: (f64, f64), reach: f64) ->
     (v_range.0 - q_range.1).max(q_range.0 - v_range.1) > reach
 }
 
+/// What is left of a pair's float EMD lower bound `lb` once the rounding
+/// allowance `give` ([`rounding_give`]) is taken off it: the form in which
+/// every bound becomes a ceiling or meets the radius.
+#[inline]
+fn conceded(lb: f64, give: f64) -> f64 {
+    (lb - give).max(0.0)
+}
+
+/// Whether a pair whose float EMD lower bound is `lb` can still match: the
+/// bound less `give` is within the match radius. The one form of the test,
+/// for the reach screen and the row scan alike — `lb − give ≤ radius` and
+/// `lb ≤ radius + give` part by an ulp on the radius.
+#[inline]
+fn within_reach(lb: f64, give: f64, radius: f64) -> bool {
+    conceded(lb, give) <= radius
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Signature pairs [`any_pair_within_reach`] tested on this thread.
+    static SCREEN_PAIRS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The reach screen: whether any signature pair's lower bound — the
+/// centroid gap, maxed with the *whole* slice L1 when `bound` caches features
+/// — is [`within_reach`]. Flat: per query row, every video signature straight
+/// off the `means` / `feats` columns in storage order, no branch inside the
+/// row. It answers per row, because a series that matches at all usually
+/// holds a pair within reach in its first row, and then the screen has cost
+/// one row, not `n1 · n2` pairs (long series: EXPERIMENTS.md, PR 24).
+///
+/// `false` proves `κJ = 0`: [`kappa_row_scan`] lowers a row's `min_lb` under
+/// the radius only through a pair whose slice sum it finished — the very
+/// value tested here — because a sum it cut short was already over
+/// `radius + give` and concedes to no less than the radius; and a row left
+/// at or over the radius is under `τ` ([`MatchingConfig::radius`] has the
+/// margin), so no row is kept.
+fn any_pair_within_reach(
+    query: SeriesView<'_>,
+    video: SeriesView<'_>,
+    bound: PruneBound,
+    give: f64,
+    radius: f64,
+) -> bool {
+    let q_feats = query.feats.as_chunks::<SLICES>().0;
+    let v_feats = video.feats.as_chunks::<SLICES>().0;
+    for (i, &q) in query.means.iter().enumerate() {
+        let mut hit = false;
+        match bound {
+            PruneBound::Centroid => {
+                for &v in video.means {
+                    hit |= within_reach((q - v).abs(), give, radius);
+                }
+            }
+            PruneBound::Best { .. } => {
+                // A view without features would zip to nothing and "prove"
+                // a zero.
+                assert_eq!(v_feats.len(), video.len(), "video view has no features");
+                let fq = &q_feats[i];
+                for (&v, fv) in video.means.iter().zip(v_feats) {
+                    let slices = slice_lower_bound_from_features(fq, fv, f64::INFINITY);
+                    hit |= within_reach((q - v).abs().max(slices), give, radius);
+                }
+            }
+        }
+        #[cfg(test)]
+        SCREEN_PAIRS.set(SCREEN_PAIRS.get() + video.len() as u64);
+        if hit {
+            return true;
+        }
+    }
+    false
+}
+
 /// Admissible upper bound on `κJ(query, video)` from the two series' views:
 /// per query signature, `SimC` of the smallest per-pair EMD lower bound in
 /// its row — the centroid gap, maxed with the quantile-slice bound when
-/// `bound` caches features.
+/// `bound` caches features. Most candidates of a gated gather hold no pair
+/// within reach at all, which [`any_pair_within_reach`] proves before
+/// [`kappa_row_scan`] walks a row.
 pub(crate) fn kappa_upper_bound(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
     bound: PruneBound,
     cfg: MatchingConfig,
 ) -> f64 {
-    let (n1, n2) = (query.len(), video.len());
+    if query.len() == 0 || video.len() == 0 {
+        return 0.0;
+    }
     let give = rounding_give(query.rounding, video.rounding);
     let radius = cfg.radius();
+    if !any_pair_within_reach(query, video, bound, give, radius) {
+        return 0.0;
+    }
+    kappa_row_scan(query, video, bound, cfg, give, radius)
+}
+
+/// The row scan of [`kappa_upper_bound`]: each row's smallest pair bound by
+/// centroid-gap order, then the matcher bound over the row ceilings.
+fn kappa_row_scan(
+    query: SeriesView<'_>,
+    video: SeriesView<'_>,
+    bound: PruneBound,
+    cfg: MatchingConfig,
+    give: f64,
+    radius: f64,
+) -> f64 {
+    let (n1, n2) = (query.len(), video.len());
     let order = video.mean_order;
     viderec_emd::extended_jaccard_upper_bound(
         n1,
@@ -363,8 +458,7 @@ pub(crate) fn kappa_upper_bound(
                     r += 1;
                     (j, gap_r)
                 };
-                let least = (gap - give).max(0.0);
-                if least >= min_lb || least > radius {
+                if conceded(gap, give) >= min_lb || !within_reach(gap, give, radius) {
                     break;
                 }
                 let lb = match bound {
@@ -376,7 +470,7 @@ pub(crate) fn kappa_upper_bound(
                         gap.max(slice_lb(query, video, i, j, stop))
                     }
                 };
-                min_lb = min_lb.min((lb - give).max(0.0));
+                min_lb = min_lb.min(conceded(lb, give));
             }
             sim_c_upper_bound(min_lb)
         },
@@ -415,8 +509,9 @@ impl Ord for Queued {
 
 /// The ladder's max-queue, in two tiers. Candidates enter on the first rung
 /// in bulk and most never leave it — in a gated gather nine in ten tie at
-/// `FJ(κ=1, s=0)` — so that tier is a list sorted once and consumed from the
-/// back; only refined candidates that fell behind the front wait in a heap.
+/// `FJ(κ=1, s=0)` — so that tier is a list built in order (not sorted into
+/// it) and consumed from the back; only refined candidates that fell behind
+/// the front wait in a heap.
 /// (One `BinaryHeap` over everything is the same queue and pays a
 /// thirteen-level sift per pop: +0.8 ms on a 5.7 ms `gated_scale` query,
 /// EXPERIMENTS.md, PR 14.)
@@ -428,9 +523,10 @@ pub(crate) struct LadderQueue {
 }
 
 impl LadderQueue {
-    /// Queues first-rung candidates.
-    pub(crate) fn new(mut fresh: Vec<Queued>) -> Self {
-        fresh.sort_unstable();
+    /// Queues first-rung candidates, already in ascending order (built that
+    /// way by `Recommender::enqueue`, not sorted into it).
+    pub(crate) fn new(fresh: Vec<Queued>) -> Self {
+        debug_assert!(fresh.is_sorted(), "first rung out of order");
         Self {
             fresh,
             refined: BinaryHeap::new(),
@@ -475,8 +571,9 @@ impl LadderQueue {
 /// multi-step top-k): the candidate with the highest current score ceiling
 /// moves next; if that ceiling is strictly below the k-th exact score the
 /// whole queue is pruned, otherwise the candidate climbs one rung —
-/// `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → slice-bound `κJ`
-/// ceiling → exact `κJ` — and is dropped, re-queued, or scored.
+/// `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → reach screen
+/// (`κJ = 0` again) and slice-bound `κJ` ceiling, both
+/// [`kappa_upper_bound`] → exact `κJ` — and is dropped, re-queued, or scored.
 /// [`Self::drain`] makes those moves in *runs*: everything between two
 /// scoring events happens under one floor and one span.
 ///
@@ -921,6 +1018,138 @@ mod tests {
         }
     }
 
+    /// `x` moved by `ulps` units in the last place (`x` positive).
+    fn nudged(x: f64, ulps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+    }
+
+    /// A signature of equal-weight cuboids at `values` (a power-of-two count,
+    /// so weights, slice edges and `v · w` are all exact).
+    fn level_sig(values: &[f64]) -> CuboidSignature {
+        let weight = 1.0 / values.len() as f64;
+        let cuboids = values.iter().map(|&value| Cuboid { value, weight });
+        CuboidSignature::new(cuboids.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reach screen against the scan it stands in front of, on the
+        /// boundary both compare with. The query is a point mass at 0 (and
+        /// one far away), the video eight equal cuboids (and one far away,
+        /// which pins `give`): its slice features are the cuboid values over
+        /// 8, so the first value puts one L1 term — and with the others at
+        /// 0 the centroid gap too — on an edge to the ulp, and the rest add
+        /// a few ulps more, nothing, or as much again. That covers a slice
+        /// sum the row scan cuts short right over `radius + give` while the
+        /// whole sum the screen reads is further out, and both orders of
+        /// subtracting `give`. Ceilings must agree bit for bit either way
+        /// round and under both bounds.
+        #[test]
+        fn reach_screen_agrees_with_the_row_scan_on_the_boundary(
+            tau in 0..3usize,
+            edge in 0..3usize,
+            first in -3..4i64,
+            rest in prop::collection::vec((0..3u32, -4..5i64), 7),
+        ) {
+            let cfg = MatchingConfig { min_similarity: [0.3, 0.5, 0.8][tau] };
+            let far = 1024.0;
+            let radius = cfg.radius();
+            let give = rounding_give((1, far), (8, far));
+            // Where the screen's verdict turns, the same less `give`, and
+            // where the row's `SimC` ceiling crosses τ — a few ulps inside
+            // the radius, which is what makes an ulp on it harmless.
+            let edge = [radius + give, radius, 1.0 / cfg.min_similarity - 1.0 + give][edge];
+            let ulp = nudged(edge, 1) - edge;
+            let mut values = vec![-8.0 * nudged(edge, first)];
+            values.extend(rest.iter().map(|&(kind, n)| match kind {
+                0 => 0.0,
+                1 => 8.0 * n as f64 * ulp,
+                _ => 8.0 * nudged(edge, n),
+            }));
+            let query = SignatureSeries::new(vec![level_sig(&[0.0]), level_sig(&[-far])]);
+            let video = SignatureSeries::new(vec![level_sig(&values), level_sig(&[far])]);
+            for bound in [PruneBound::Centroid, PruneBound::default()] {
+                let qc = ScoringArena::for_series(&query, bound);
+                let vc = ScoringArena::for_series(&video, bound);
+                prop_assert!(rounding_give(qc.rounding(), vc.rounding()) == give);
+                for (a, b) in [(qc.view(0), vc.view(0)), (vc.view(0), qc.view(0))] {
+                    let got = kappa_upper_bound(a, b, bound, cfg);
+                    let want = kappa_row_scan(a, b, bound, cfg, give, radius);
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "{bound:?} {values:?}: screened {got} != scanned {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The same boundary walked ulp by ulp with every other cuboid at 0, so
+    /// gap and slice sum are both exactly the nudged edge: the verdict flips
+    /// once, and the screen flips with the scan.
+    #[test]
+    fn reach_screen_flips_where_the_row_scan_does() {
+        let cfg = MatchingConfig::default();
+        let far = 1024.0;
+        let (radius, give) = (cfg.radius(), rounding_give((1, far), (8, far)));
+        let query = SignatureSeries::new(vec![level_sig(&[0.0]), level_sig(&[-far])]);
+        let bound = PruneBound::default();
+        let qc = ScoringArena::for_series(&query, bound);
+        let mut verdicts = Vec::new();
+        for ulps in -2_000_000..2_000_000i64 {
+            // `give` is some 10⁵ ulps of the radius: step coarsely, then
+            // ulp by ulp around both edges.
+            let near = |edge: f64| (nudged(radius, ulps) - edge).abs() < 8.0 * f64::EPSILON;
+            if ulps % 1000 != 0 && !near(radius) && !near(radius + give) {
+                continue;
+            }
+            let mut values = [0.0; 8];
+            values[0] = 8.0 * nudged(radius, ulps);
+            let video = SignatureSeries::new(vec![level_sig(&values), level_sig(&[far])]);
+            let vc = ScoringArena::for_series(&video, bound);
+            let got = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
+            let want = kappa_row_scan(qc.view(0), vc.view(0), bound, cfg, give, radius);
+            assert_eq!(got.to_bits(), want.to_bits(), "{ulps} ulps off the radius");
+            verdicts.push(got > 0.0);
+        }
+        assert!(verdicts[0] && !verdicts[verdicts.len() - 1]);
+        let flips = verdicts.windows(2).filter(|w| w[0] != w[1]).count();
+        assert_eq!(flips, 1, "ceilings fall to zero once and stay there");
+    }
+
+    #[test]
+    fn reach_screen_stops_at_the_first_row_with_a_pair_in_reach() {
+        let cfg = MatchingConfig::default();
+        let bound = PruneBound::default();
+        let points = |at: &[f64]| {
+            let sigs = at.iter().map(|&v| level_sig(&[v]));
+            ScoringArena::for_series(&SignatureSeries::new(sigs.collect()), bound)
+        };
+        let pairs_tested = |q: &ScoringArena, v: &ScoringArena| {
+            let before = SCREEN_PAIRS.get();
+            let ub = kappa_upper_bound(q.view(0), v.view(0), bound, cfg);
+            (ub, SCREEN_PAIRS.get() - before)
+        };
+        let video = points(&[40.0, 0.5, 41.0, 42.0, 43.0]);
+        // Row 0 holds a pair within the radius: one row of the video, however
+        // many rows follow.
+        let (ub, pairs) = pairs_tested(&points(&[0.0, 40.0, 41.0, 90.0]), &video);
+        assert!(ub > 0.0);
+        assert_eq!(pairs, 5);
+        // The only such pair is in the last row: every row before it in full.
+        let (ub, pairs) = pairs_tested(&points(&[90.0, 91.0, 92.0, 0.0]), &video);
+        assert!(ub > 0.0);
+        assert_eq!(pairs, 4 * 5);
+        // No pair anywhere: all of them, once, and a proven zero.
+        let (ub, pairs) = pairs_tested(&points(&[90.0, 91.0, 92.0, 93.0]), &video);
+        assert_eq!((ub.to_bits(), pairs), (0, 4 * 5));
+        // An empty series on either side: zero before any column is read.
+        let empty = points(&[]);
+        assert_eq!(pairs_tested(&empty, &video), (0.0, 0));
+        assert_eq!(pairs_tested(&video, &empty), (0.0, 0));
+    }
+
     /// One signature per video: a point mass, or two half masses `±spread`
     /// around the same mean (which the centroid bound cannot tell from the
     /// point mass; the slice bound reads the spread off the two halves).
@@ -1064,7 +1293,8 @@ mod tests {
                 };
                 Queued { key, sj, idx: n as u32 }
             });
-            let entries: Vec<Queued> = entries.collect();
+            let mut entries: Vec<Queued> = entries.collect();
+            entries.sort_unstable();
             let fill = |heap: &mut BinaryHeap<WorstFirst>| {
                 for (n, &sixths) in held.iter().take(top_k).enumerate() {
                     let (video, score) = (VideoId(1000 + n as u64), sixths as f64 / 6.0);

@@ -470,12 +470,12 @@ impl Recommender {
         }
     }
 
-    /// Puts `candidates` on the ladder's first rung — exact social score
-    /// (the `Social` stage) and the O(1) ceiling `FJ(κ=1, s)` — and orders
-    /// them (the `Sort` stage; the queue's order is what makes the first
-    /// prune a wholesale one). Only the first `with_social` candidates can
-    /// score socially; the caller knows the rest score exactly 0. `entries`
-    /// is recycled storage.
+    /// Puts `candidates` on the ladder's first rung: exact social score (the
+    /// `Social` stage, credited per `sJ` evaluation) and the O(1) ceiling
+    /// `FJ(κ=1, s)`, then the queue's order (the `Sort` stage; that order is
+    /// what makes the first prune a wholesale one) — by construction, see
+    /// [`FirstRung::order_into`]. Only the first `with_social` candidates can
+    /// score socially; the caller knows the rest score exactly 0.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &self,
@@ -484,28 +484,23 @@ impl Recommender {
         prep: &PreparedQuery,
         candidates: &[u32],
         with_social: usize,
-        mut entries: Vec<Queued>,
+        rung: &mut FirstRung,
         tracer: Tracer,
         trace: &mut QueryTrace,
     ) -> LadderQueue {
-        let sp = tracer.start();
-        entries.clear();
-        entries.extend(candidates.iter().enumerate().map(|(pos, &idx)| {
-            let sj = if pos < with_social {
-                self.social_score(strategy, query, prep, idx as usize)
-            } else {
-                0.0
-            };
-            Queued {
-                key: strategy_score(strategy, self.cfg.omega, 1.0, sj),
-                sj,
-                idx,
-            }
-        }));
-        trace.stop_span(sp, Stage::Social);
-        let sp = tracer.start();
+        let mut sp = tracer.start();
+        let omega = self.cfg.omega;
+        rung.social.clear();
+        for &idx in &candidates[..with_social] {
+            let sj = self.social_score(strategy, query, prep, idx as usize);
+            rung.offer_social(strategy_score(strategy, omega, 1.0, sj), sj, idx);
+        }
+        trace.lap_span_n(&mut sp, Stage::Social, with_social as u64);
+        let tie_key = strategy_score(strategy, omega, 1.0, 0.0);
+        let mut entries = std::mem::take(&mut rung.queue);
+        rung.order_into(tie_key, candidates, self.num_videos(), &mut entries);
         let queue = LadderQueue::new(entries);
-        trace.stop_span(sp, Stage::Sort);
+        trace.lap_span(&mut sp, Stage::Sort);
         queue
     }
 
@@ -598,6 +593,24 @@ impl Seen {
         fresh
     }
 
+    /// Unmarks `idx`.
+    fn unmark(&mut self, idx: u32) {
+        self.0[idx as usize / 64] &= !(1u64 << (idx % 64));
+    }
+
+    /// The marked indices, descending.
+    fn marked_descending(&self) -> impl Iterator<Item = u32> + '_ {
+        let words = self.0.iter().enumerate().rev();
+        words.flat_map(|(w, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                let bit = (left != 0).then(|| 63 - left.leading_zeros())?;
+                left ^= 1 << bit;
+                Some(w as u32 * 64 + bit)
+            })
+        })
+    }
+
     /// The unmarked indices below `n`, ascending.
     fn unseen(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
         let words = self.0.iter().enumerate();
@@ -614,6 +627,68 @@ impl Seen {
     }
 }
 
+/// What builds the ladder's first rung in queue order without sorting it.
+/// Nearly every candidate has no social signal: `sJ = 0`, so its key is
+/// `FJ(κ=1, s=0)` to the bit and the queue's order *within* that tie group is
+/// index order — which a bitset yields for one pass over its words. Only the
+/// candidates with a social score are sorted.
+#[derive(Default)]
+struct FirstRung {
+    /// The tie group: candidates whose `sJ` is `+0.0` to the bit.
+    ties: Seen,
+    /// The candidates whose `sJ` has any bit set, each with its own key.
+    social: Vec<Queued>,
+    /// The queue's first-tier storage, between queries.
+    queue: Vec<Queued>,
+}
+
+impl FirstRung {
+    /// Files a socially scored candidate: on the side list unless its `sJ`
+    /// is `+0.0` — by bits, not by value, so whatever `sJ` a candidate has
+    /// reaches the ladder with it.
+    fn offer_social(&mut self, key: f64, sj: f64, idx: u32) {
+        if sj.to_bits() != 0 {
+            self.social.push(Queued { key, sj, idx });
+        }
+    }
+
+    /// Writes the first rung of `candidates` (duplicate-free, below `n`)
+    /// into `fresh`, ascending in [`Queued`]'s order — element for element
+    /// what `sort_unstable` makes of the same entries. The side list is
+    /// sorted; everyone else enters at `tie_key` by descending index. Ties
+    /// go by key bits, so a side entry whose `sJ > 0` rounds away in
+    /// `FJ(1, sJ)` (or that ties on every key, as under CR) is merged into
+    /// the group where its index puts it, carrying its own `sJ`.
+    fn order_into(&mut self, tie_key: f64, candidates: &[u32], n: usize, fresh: &mut Vec<Queued>) {
+        let Self { ties, social, .. } = self;
+        ties.reset(n);
+        for &idx in candidates {
+            ties.insert(idx);
+        }
+        for e in social.iter() {
+            ties.unmark(e.idx);
+        }
+        social.sort_unstable();
+        let above = social.partition_point(|e| e.key.total_cmp(&tie_key).is_le());
+        let (level, above) = social.split_at(above);
+        let mut level = level.iter().peekable();
+        fresh.clear();
+        ties.marked_descending().for_each(|idx| {
+            let tie = Queued {
+                key: tie_key,
+                sj: 0.0,
+                idx,
+            };
+            while let Some(e) = level.next_if(|e| **e < tie) {
+                fresh.push(*e);
+            }
+            fresh.push(tie);
+        });
+        fresh.extend(level);
+        fresh.extend_from_slice(above);
+    }
+}
+
 /// Per-query scratch of the engine, reused across queries on a thread so a
 /// query allocates nothing once warm.
 #[derive(Default)]
@@ -623,7 +698,7 @@ struct Scratch {
     candidates: Vec<u32>,
     /// How many gathered videos the exclusion list kept out of `candidates`.
     dropped: u64,
-    queue: Vec<Queued>,
+    rung: FirstRung,
 }
 
 impl Scratch {
@@ -936,7 +1011,7 @@ impl Recommender {
             seen,
             candidates,
             dropped,
-            queue,
+            rung,
         } = scratch;
         trace.gathered = candidates.len() as u64 + *dropped;
         trace.excluded = *dropped;
@@ -951,7 +1026,7 @@ impl Recommender {
                 &prep,
                 candidates,
                 with_social,
-                std::mem::take(queue),
+                rung,
                 tracer,
                 &mut trace,
             );
@@ -986,13 +1061,14 @@ impl Recommender {
                 } else {
                     candidates.len()
                 };
+                rung.queue = pending.into_storage();
                 pending = self.enqueue(
                     strategy,
                     query,
                     &prep,
                     candidates,
                     with_social,
-                    pending.into_storage(),
+                    rung,
                     tracer,
                     &mut trace,
                 );
@@ -1006,7 +1082,7 @@ impl Recommender {
             }
             self.zero_fill_into(&mut heap, top_k, seen);
         }
-        *queue = pending.into_storage();
+        rung.queue = pending.into_storage();
 
         let mut top: Vec<Scored> = heap.into_iter().map(|e| e.0).collect();
         let sp = tracer.start();
@@ -1672,10 +1748,18 @@ mod tests {
             let events = on.stage(Stage::Emd).count + top.len() as u64;
             assert!(closes <= 3 * (events + 1) + 16, "{label}: {closes} closes");
             if strategy.uses_content() {
-                // One `Emd` lap per sweep; one heapify per `enqueue` — the
-                // gathered candidates, then the certificate's survivors.
+                // One `Emd` lap per sweep; one ordering per `enqueue` — the
+                // gathered candidates, then the certificate's survivors —
+                // and `Social` credited per `sJ` evaluation: in the paper
+                // universe every candidate has one, gated only those that
+                // can score socially.
                 assert_eq!(on.stage(Stage::Emd).count, on.stats.exact_evals);
                 assert_eq!(on.stage(Stage::Sort).count, 1 + u64::from(gate == 2));
+                let evaluated = on.stage(Stage::Social).count;
+                assert!(evaluated <= on.corpus, "{label}");
+                if gate == 0 {
+                    assert_eq!(evaluated, scanned, "{label}");
+                }
                 // `Bound` is credited per ceiling: at most one per scanned
                 // candidate, plus — certified — one per survivor the ladder
                 // dropped unscored and one for the sweep that found them.
@@ -1689,6 +1773,67 @@ mod tests {
             // The library path never sees an admission queue.
             assert_eq!(on.stage(Stage::Queue), viderec_trace::StageCell::default());
         });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The first rung as [`FirstRung`] builds it against `sort_unstable`
+        /// of the same entries, element for element — key bits, `sJ` bits
+        /// and index. Social scores come from a menu made to tie by key bits
+        /// without being zero: subnormals and values that round away in
+        /// `FJ(1, sJ)`, strategies whose every key ties (CR, or ω = 0), and
+        /// `−0.0`, which under SR is a key *below* the tie key. `survivors`
+        /// is the second enqueue: ascending indices, no social side. Each
+        /// case runs twice on one `FirstRung`, as queries do.
+        #[test]
+        fn first_rung_comes_out_as_sort_unstable_would_leave_it(
+            strategy in 0..5usize,
+            omega in 0..4usize,
+            picks in proptest::prelude::prop::collection::vec((0..400u32, 0..10usize), 0..80),
+            social_share in 0..5usize,
+            survivors in 0..2u32,
+        ) {
+            let (strategy, omega) = (ALL[strategy], [0.0, 0.3, 0.7, 1.0][omega]);
+            let menu = [
+                0.0, -0.0, f64::from_bits(1), 1e-310, 1e-300, 1e-17, 1e-3, 0.25, 0.5, 1.0,
+            ];
+            let mut seen = HashSet::new();
+            let mut picks: Vec<(u32, f64)> = picks
+                .into_iter()
+                .filter(|&(idx, _)| seen.insert(idx))
+                .map(|(idx, sj)| (idx, menu[sj]))
+                .collect();
+            let mut with_social = picks.len() * social_share / 4;
+            if survivors == 1 {
+                picks.sort_by_key(|&(idx, _)| idx);
+                with_social = 0;
+            }
+            let key = |sj: f64| strategy_score(strategy, omega, 1.0, sj);
+            let entries = picks.iter().enumerate().map(|(pos, &(idx, sj))| {
+                let sj = if pos < with_social { sj } else { 0.0 };
+                Queued { key: key(sj), sj, idx }
+            });
+            let mut want: Vec<Queued> = entries.collect();
+            want.sort_unstable();
+
+            let candidates: Vec<u32> = picks.iter().map(|&(idx, _)| idx).collect();
+            let mut rung = FirstRung::default();
+            for round in 0..2 {
+                rung.social.clear();
+                for &(idx, sj) in &picks[..with_social] {
+                    rung.offer_social(key(sj), sj, idx);
+                }
+                let mut got = std::mem::take(&mut rung.queue);
+                rung.order_into(key(0.0), &candidates, 400, &mut got);
+                let bits = |e: &Queued| (e.key.to_bits(), e.sj.to_bits(), e.idx);
+                proptest::prop_assert!(
+                    got.iter().map(bits).eq(want.iter().map(bits)),
+                    "round {round}: {got:?} != {want:?}"
+                );
+                rung.queue = got;
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub enum Stage {
     /// Exclusion filtering.
     Filter,
     /// Social similarity (exact `sJ` or SAR) over the candidates: one span
-    /// per first-rung fill, and one over the whole SR scan, whose `count` is
-    /// the candidates it scored.
+    /// per first-rung fill, and one over the whole SR scan; `count` is the
+    /// `sJ` evaluations (SR: the candidates it scored).
     Social,
     /// Admissible score ceilings (EMD lower bounds) over the candidates: the
     /// ladder's refine runs — first-tier pops, the `κJ` ceilings and their
@@ -40,7 +40,10 @@ pub enum Stage {
     /// `count` is the ceilings the runs computed (plus one per certificate
     /// sweep), so `ns / count` is the per-ceiling cost, not clock reads.
     Bound,
-    /// The ceiling-descending sort that enables one-step tail pruning.
+    /// Ordering the ladder's first rung, which is what enables one-step tail
+    /// pruning: all of it — the tie group's bitset, the sort of the few
+    /// candidates with a social score, the merged write-out. One span per
+    /// first-rung fill.
     Sort,
     /// Exact EMD evaluations (`κJ` refinement), one span each.
     Emd,

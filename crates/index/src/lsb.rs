@@ -48,6 +48,30 @@ pub struct LsbCandidate<P> {
     pub lcp: u32,
 }
 
+/// What the forest stores: a small unsigned integer — a corpus index — so a
+/// query keeps score in an array indexed by payload ([`LsbForest::query`])
+/// instead of sorting its pulls to find the duplicates.
+pub trait Slot: Copy + Ord {
+    /// The payload as an array index.
+    fn slot(self) -> usize;
+    /// The payload whose [`Self::slot`] is `slot`.
+    fn from_slot(slot: usize) -> Self;
+}
+
+macro_rules! impl_slot {
+    ($($t:ty),*) => {$(
+        impl Slot for $t {
+            fn slot(self) -> usize {
+                self as usize
+            }
+            fn from_slot(slot: usize) -> Self {
+                slot as $t
+            }
+        }
+    )*};
+}
+impl_slot!(u8, u16, u32, usize);
+
 /// `L` independent LSH → Z-order → B⁺-tree indexes.
 #[derive(Debug, Clone)]
 pub struct LsbForest<P> {
@@ -55,9 +79,11 @@ pub struct LsbForest<P> {
     dims: usize,
     trees: Vec<(CauchyLsh, BPlusTree<P>)>,
     len: usize,
+    /// One past the largest payload slot indexed: a query's scoreboard size.
+    slots: usize,
 }
 
-impl<P: Clone + Ord> LsbForest<P> {
+impl<P: Slot> LsbForest<P> {
     /// Empty forest for `dims`-dimensional points.
     ///
     /// # Panics
@@ -86,6 +112,7 @@ impl<P: Clone + Ord> LsbForest<P> {
             dims,
             trees,
             len: 0,
+            slots: 0,
         }
     }
 
@@ -133,9 +160,10 @@ impl<P: Clone + Ord> LsbForest<P> {
             if tree.get(key).is_some_and(|vs| vs.contains(&payload)) {
                 continue;
             }
-            tree.insert(key, payload.clone());
+            tree.insert(key, payload);
         }
         self.len += 1;
+        self.slots = self.slots.max(payload.slot() + 1);
     }
 
     /// Returns up to `limit` distinct candidates, best common-prefix first.
@@ -207,24 +235,28 @@ impl<P: Clone + Ord> LsbForest<P> {
     /// first and equal prefixes by payload ascending. The order is a function
     /// of the pulls alone — no hasher — so [`Self::query`]'s truncation keeps
     /// the same candidates on every call.
+    ///
+    /// A hot Z-cell holds thousands of payloads and every tree pulls much the
+    /// same ones, so the pulls outnumber the candidates several times over.
+    /// They are scored on a board indexed by payload slot — one byte each:
+    /// 1 + the best LCP so far (at most 128 bits), 0 while unpulled — which
+    /// makes the dedup O(1) a pull and leaves the candidates in payload
+    /// order for free; the stable sort on LCP alone then has few distinct keys
+    /// to tell apart. (Sorting the pulls by payload to find the duplicates
+    /// was 97 % of a probe: 340 → 40 µs at 50k videos, EXPERIMENTS.md PR 24.)
     fn expand(&self, point: &[f64], keep: impl FnMut(usize, u32) -> bool) -> Vec<LsbCandidate<P>> {
-        let mut out: Vec<LsbCandidate<P>> = Vec::new();
+        let mut best = vec![0u8; self.slots];
         self.pull(point, keep, |v, lcp| {
-            out.push(LsbCandidate {
-                payload: v.clone(),
-                lcp,
+            let mark = &mut best[v.slot()];
+            *mark = (*mark).max(lcp as u8 + 1);
+        });
+        let pulled = best.iter().enumerate().filter(|(_, &mark)| mark > 0);
+        let mut out: Vec<LsbCandidate<P>> = pulled
+            .map(|(slot, &mark)| LsbCandidate {
+                payload: P::from_slot(slot),
+                lcp: u32::from(mark) - 1,
             })
-        });
-        // Dedup by payload, keeping each one's best LCP; the stable sort on
-        // LCP alone then leaves equal prefixes in payload order.
-        out.sort_unstable_by(|a, b| a.payload.cmp(&b.payload));
-        out.dedup_by(|later, kept| {
-            let same = later.payload == kept.payload;
-            if same {
-                kept.lcp = kept.lcp.max(later.lcp);
-            }
-            same
-        });
+            .collect();
         out.sort_by_key(|c| std::cmp::Reverse(c.lcp));
         out
     }
@@ -359,6 +391,55 @@ mod tests {
             assert_eq!(first, f.clone().query(&points[0], limit), "limit {limit}");
             for w in first.windows(2) {
                 assert!((w[1].lcp, w[0].payload) < (w[0].lcp, w[1].payload));
+            }
+        }
+    }
+
+    /// The dedup the scoreboard replaced — sort the pulls by payload, keep
+    /// each payload's best LCP, stable-sort on LCP — kept as its oracle.
+    fn expand_by_sorting(
+        f: &LsbForest<u32>,
+        point: &[f64],
+        keep: impl FnMut(usize, u32) -> bool,
+    ) -> Vec<LsbCandidate<u32>> {
+        let mut out = Vec::new();
+        f.pull(point, keep, |&payload, lcp| {
+            out.push(LsbCandidate { payload, lcp })
+        });
+        out.sort_unstable_by_key(|c| c.payload);
+        out.dedup_by(|later, kept| {
+            let same = later.payload == kept.payload;
+            if same {
+                kept.lcp = kept.lcp.max(later.lcp);
+            }
+            same
+        });
+        out.sort_by_key(|c| std::cmp::Reverse(c.lcp));
+        out
+    }
+
+    #[test]
+    fn scoreboard_dedup_returns_what_sorting_the_pulls_did() {
+        // Few cells, many points a payload, payloads inserted in no order:
+        // every tree pulls the same payloads several times over.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut f: LsbForest<u32> = LsbForest::new(cfg(), 4);
+        for _ in 0..600 {
+            let payload = rng.gen_range(0..150);
+            f.insert(&random_point(&mut rng, 4, 6.0), payload);
+        }
+        for _ in 0..40 {
+            let q = random_point(&mut rng, 4, 8.0);
+            for limit in [1, 7, 64, 1000] {
+                let want = expand_by_sorting(&f, &q, |pulled, _| pulled < limit);
+                assert_eq!(f.query_monotone(&q, limit), want, "limit {limit}");
+                let mut top = want;
+                top.truncate(limit);
+                assert_eq!(f.query(&q, limit), top, "limit {limit}");
+            }
+            for min_lcp in [0, 3, 12] {
+                let want = expand_by_sorting(&f, &q, |_, lcp| lcp >= min_lcp);
+                assert_eq!(f.query_radius(&q, min_lcp), want, "radius {min_lcp}");
             }
         }
     }
