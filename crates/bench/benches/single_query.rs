@@ -342,10 +342,14 @@ fn write_json(
          reads the arena's ingest-time caches (presorted EMD pairs, signature means, \
          slice features) while the naive reference re-derives per-signature state inside \
          every exact kappa_J evaluation, as the pre-change sequential path did. \
-         The exact sweeps the matcher needs (every pair within the match radius, ~8.5k \
-         per query) run at the merge sweep's serial-dependency floor (~3-4 ns/step; \
-         interleaved multi-lane executors measured 0.2-1.1x scalar, see DESIGN.md 12), so \
-         the EMD stage's time is eligibility work, not kernel overhead. The profile \
+         The exact kappa_J matcher is lazy (DESIGN.md 12.2): it keys every pair within \
+         the match radius by its slice-bound SimC ceiling and sweeps a pair only when it \
+         reaches it best-first with its row and column still free, so full_exact_sweeps \
+         counts the distances the matching actually needed (the eager matcher swept \
+         every pair in reach, 68k per 8 CSF-SAR-H queries). Sweeps run at the merge \
+         sweep's serial-dependency floor (~3-4 ns/step; interleaved multi-lane executors \
+         measured 0.2-1.1x scalar, see DESIGN.md 12), so the EMD stage's time is pair \
+         keying, ordering and matching, not kernel overhead. The profile \
          section above attributes this at function level: the \
          kernel proper (emd_1d_soa_capped) is profiler_emd_kernel_sample_share of all \
          on-CPU samples, the rest of the emd stage being pair screens and sweep \

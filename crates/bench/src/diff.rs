@@ -381,6 +381,7 @@ pub const SPECS: &[Spec] = &[
     // -- machine-independent: counters, rates, exactness --
     spec("prune_rate", HI, 0.05, true),
     spec("exact_evals", LO, 0.05, true),
+    spec("full_exact_sweeps", LO, 0.05, true),
     spec("recall_at_20", HI, 0.0, true),
     spec("min_recall_at_20", HI, 0.0, true),
     spec("scanned_ratio", LO, 0.10, true),

@@ -7,9 +7,11 @@
 //! exercised.
 
 use viderec_core::{
-    QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Stage, Strategy, Tracer,
+    CorpusVideo, QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Stage, Strategy, Tracer,
 };
 use viderec_eval::community::{Community, CommunityConfig};
+use viderec_signature::SignatureSeries;
+use viderec_video::VideoId;
 
 #[global_allocator]
 static ALLOC: viderec_prof::CountingAlloc = viderec_prof::CountingAlloc::system();
@@ -109,6 +111,70 @@ fn first_rung_allocates_nothing_once_warm() {
                     );
                 }
                 assert!(trace.stage(Stage::Sort).count >= 1);
+            }
+        }
+    }
+}
+
+/// `n` signatures taken in turn from the corpus' series, so every one of
+/// them matches something in the corpus.
+fn long_series(corpus: &[CorpusVideo], n: usize) -> SignatureSeries {
+    let sigs = corpus.iter().flat_map(|v| v.series.signatures()).cycle();
+    SignatureSeries::new(sigs.take(n).cloned().collect())
+}
+
+/// The bound ladder's ceilings, its refined tier and the exact `κJ` matcher
+/// run on this thread's scratch too, and a query series longer than any
+/// fixed buffer grows it once: on a corpus holding series of 40 signatures,
+/// queried with them, no warm query allocates in `Bound` or `Emd`, in the
+/// paper universe or gated. (One exception, outside the ladder: a gated
+/// CSF query's certificate sweep, timed under `Bound`, collects the query's
+/// distinct user names in a set of its own.)
+#[test]
+fn ceilings_and_exact_matching_allocate_nothing_once_warm() {
+    let community = Community::generate(CommunityConfig::tiny(53));
+    let mut corpus = community.source_corpus();
+    let next_id = corpus.iter().map(|v| v.id.0).max().unwrap_or(0) + 1;
+    let long: Vec<CorpusVideo> = (0..2)
+        .map(|n| CorpusVideo {
+            id: VideoId(next_id + n as u64),
+            series: long_series(&corpus[n..], 40),
+            users: corpus[n].users.clone(),
+        })
+        .collect();
+    corpus.extend(long.iter().cloned());
+    let queries: Vec<QueryVideo> = long
+        .iter()
+        .chain(&corpus[..4])
+        .map(QueryVideo::from_corpus)
+        .collect();
+    assert!(queries[0].series.len() > 32);
+    for mode in [RetrievalMode::Paper, RetrievalMode::GatedCertified] {
+        let cfg = RecommenderConfig::default().with_retrieval(mode);
+        let recommender = Recommender::build(cfg, corpus.clone()).expect("tiny corpus builds");
+        for strategy in [Strategy::Cr, Strategy::Csf, Strategy::CsfSarH] {
+            for q in &queries {
+                recommender.recommend_traced(strategy, q, 5, &[], Tracer::OFF);
+            }
+            for q in &queries {
+                let (_, trace) = recommender.recommend_traced(strategy, q, 5, &[], Tracer::ON);
+                let names_set = mode == RetrievalMode::GatedCertified && strategy == Strategy::Csf;
+                let stages: &[Stage] = if names_set {
+                    &[Stage::Emd]
+                } else {
+                    &[Stage::Bound, Stage::Emd]
+                };
+                for &stage in stages {
+                    assert_eq!(
+                        trace.alloc(stage),
+                        viderec_trace::AllocCell::default(),
+                        "{mode:?} {} allocated in {} ({} signatures)",
+                        strategy.label(),
+                        stage.label(),
+                        q.series.len()
+                    );
+                }
+                assert!(trace.stage(Stage::Emd).count >= 1);
             }
         }
     }

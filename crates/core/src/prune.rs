@@ -44,8 +44,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use viderec_emd::{
-    emd_1d_soa, emd_1d_soa_capped, extended_jaccard, rounding_allowance, sim_c, sim_c_upper_bound,
-    slice_lower_bound_from_features, MatchingConfig,
+    emd_1d_soa_capped, extended_jaccard_upper_bound_in, rounding_allowance, sim_c,
+    sim_c_upper_bound, slice_lower_bound_from_features, MatchingConfig,
 };
 
 /// Equal-mass quantile slices cached per signature for [`PruneBound::Best`]
@@ -71,12 +71,15 @@ pub struct PruneStats {
     pub pruned_embed: u64,
     /// Candidates that paid for an exact `κJ` evaluation.
     pub exact_evals: u64,
-    /// Signature-pair sweeps inside exact evaluations that proved
-    /// `EMD > radius` without finishing — screened out by the slice bound
-    /// or aborted by the capped sweep itself.
+    /// Signature pairs inside exact evaluations that were proven under `τ`
+    /// without a finished sweep: within the centroid gap's reach but keyed
+    /// under `τ` by their `SimC` ceiling, or aborted by the capped sweep once
+    /// the matcher reached them. A pair the matcher never reached counts
+    /// here no more than in `full_sweeps`, and neither counts a pair the
+    /// centroid gap screened.
     pub cap_aborted: u64,
-    /// Signature-pair sweeps inside exact evaluations that ran to
-    /// completion and returned an exact distance.
+    /// Signature pairs inside exact evaluations whose sweep the matcher ran
+    /// to completion: the exact distances it had to price.
     pub full_sweeps: u64,
 }
 
@@ -130,11 +133,15 @@ impl Default for PruneBound {
     }
 }
 
-/// Reusable buffers of [`kappa_exact_cached`]: the eligible `(SimC, i, j)`
-/// triples the matcher sorts, and the matcher's row/column occupancy flags.
+/// Reusable buffers of [`kappa_exact_cached`]: the matcher's two tiers of
+/// [`PairKey`]s and its row/column occupancy flags.
 #[derive(Default)]
 struct SweepScratch {
-    eligible: Vec<(f64, u32, u32)>,
+    /// Pairs not yet swept, keyed by their `SimC` ceiling, sorted ascending:
+    /// the best at the back.
+    unswept: Vec<PairKey>,
+    /// Swept pairs, keyed by their exact `SimC`.
+    swept: BinaryHeap<PairKey>,
     used1: Vec<bool>,
     used2: Vec<bool>,
 }
@@ -147,35 +154,73 @@ thread_local! {
     static SWEEP_SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::default());
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Signature pairs [`kappa_exact_cached`] keyed on this thread but never
+    /// examined: dropped for a used row or column, or left when it stopped.
+    static NEVER_EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A signature pair `(i, j)` under a non-negative `SimC` key, packed so that
+/// integer order is the matcher's order reversed into a max-order: key
+/// ascending (a non-negative `f64`'s bits order as the value does), then
+/// `(i, j)` *descending* — the greatest `PairKey` is the highest key, and
+/// among equal keys the row-major first pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct PairKey(u128);
+
+impl PairKey {
+    fn new(key: f64, i: usize, j: usize) -> Self {
+        debug_assert!(key.is_sign_positive(), "pair key {key} is negative");
+        let ij = ((i as u64) << 32) | j as u64;
+        Self((u128::from(key.to_bits()) << 64) | u128::from(!ij))
+    }
+
+    fn key(self) -> f64 {
+        f64::from_bits((self.0 >> 64) as u64)
+    }
+
+    fn pair(self) -> (usize, usize) {
+        let ij = !(self.0 as u64);
+        ((ij >> 32) as usize, ij as u32 as usize)
+    }
+}
+
 /// Exact `κJ(query, video)` from cached state — the same value (bit for bit)
 /// as the unscreened [`viderec_signature::kappa_j_series`] on the underlying
 /// series: identical EMD sweep (over the arena's value-sorted SoA lanes,
 /// which [`viderec_emd::emd_1d_soa_capped`] pins bit-identical to the
-/// pair-slice sweep), identical threshold test, identical greedy matching.
+/// pair-slice sweep), identical threshold test, identical greedy matching —
+/// pairs accepted in decreasing `SimC` order, ties by `(i, j)`, each while
+/// its row and column are both free.
 ///
-/// Each signature pair is classified exactly once, in row-major order:
+/// The matcher prices pairs lazily, best first:
 ///
-/// 1. **screen** — the admissible screens (centroid gap, quantile-slice
-///    bound) prove `EMD > radius` for most pairs, which score `SimC = 0`
-///    without a sweep;
-/// 2. **sweep** — a survivor runs [`emd_1d_soa_capped`] at the radius, which
-///    aborts (`SimC = 0` again) or returns the exact distance;
-/// 3. **record** — a sweep that finishes within the radius appends its
-///    `(SimC, i, j)` to the eligible list.
+/// 1. **key** — each pair whose centroid gap is within `reach` (the match
+///    radius plus [`rounding_give`]) gets the `SimC` ceiling the row scan
+///    uses, `SimC` of its conceded lower bound (the quantile-slice bound
+///    when the views cache features); a ceiling under `τ` screens it;
+/// 2. **match** — two tiers, as the [`LadderQueue`] has: the keyed pairs,
+///    sorted by ceiling, and a heap of swept pairs by exact `SimC`; both
+///    ordered key descending, then `(i, j)` ascending. The best entry of
+///    either goes next. With its row or column used it is dropped, never
+///    swept; unswept, it runs [`emd_1d_soa_capped`] at the radius and goes
+///    back as its exact `SimC` if that is `≥ τ`; swept, it is accepted. The
+///    matcher stops at `min(n1, n2)` matches or with both tiers empty.
 ///
-/// The greedy matcher of [`extended_jaccard`] then runs directly over the
-/// eligible list instead of re-scanning a dense matrix. Screened and aborted
-/// pairs score `SimC = 0 < τ`, so the closure-driven form would drop them at
-/// its threshold test anyway; the survivors enter in the same row-major
-/// order, so the stable sort, the matching, and the accumulation order are
-/// unchanged bit for bit.
+/// Exactness, against the eager matcher that sweeps every keyed pair, sorts
+/// the eligible ones and matches: every ceiling is at least its pair's float
+/// `SimC` (each bound gives [`rounding_give`] away first), and used flags
+/// only grow, so no pair is accepted before a pair the eager sort puts ahead
+/// of it, and none is dropped that the eager matcher would take — the
+/// matches, their order, and the float sum are the eager matcher's bit for
+/// bit. With `τ ≤ 0` the radius and `reach` are infinite, every pair is
+/// keyed, and the capped sweep is the uncapped one.
 ///
-/// Screens only skip sweeps whose outcome (`SimC < τ`) is already proven —
-/// each bound has to clear the radius by its rounding allowance
-/// ([`rounding_give`]) — so the returned `κJ` is unchanged in every case.
-///
-/// `stats` collects the per-pair sweep counters (`cap_aborted`,
-/// `full_sweeps`); candidate-level counters are the caller's business.
+/// `stats` collects the per-pair sweep counters of the pairs the matcher
+/// examined (`cap_aborted`: keyed under `τ`, or aborted by the capped sweep;
+/// `full_sweeps`); a pair it never needed counts in neither, and
+/// candidate-level counters are the caller's business.
 pub(crate) fn kappa_exact_cached(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
@@ -183,99 +228,106 @@ pub(crate) fn kappa_exact_cached(
     stats: &mut PruneStats,
 ) -> f64 {
     let (n1, n2) = (query.len(), video.len());
+    if n1 == 0 || n2 == 0 {
+        return 0.0;
+    }
+    let tau = cfg.min_similarity;
+    let radius = cfg.radius();
+    let give = rounding_give(query.rounding, video.rounding);
+    // What a float lower bound has to exceed before it proves the swept
+    // distance over the radius; a pair inside the band gets a key.
+    let reach = radius + give;
+    let slices = !query.feats.is_empty() && !video.feats.is_empty();
     let (mut cap_aborted, mut full_sweeps) = (0u64, 0u64);
-    let kappa = if cfg.min_similarity <= 0.0 {
-        // No eligibility radius → nothing to screen or cap; every pair needs
-        // its exact distance, straight from the uncapped kernel.
-        extended_jaccard(
-            n1,
-            n2,
-            |i, j| {
-                let (qv, qw) = query.lanes(i);
-                let (vv, vw) = video.lanes(j);
-                full_sweeps += 1;
-                sim_c(emd_1d_soa(qv, qw, vv, vw))
-            },
-            cfg,
-        )
-    } else {
-        let radius = cfg.radius();
-        let slices = !query.feats.is_empty() && !video.feats.is_empty();
-        // What a float lower bound has to exceed before it proves the swept
-        // distance over the radius; a pair inside the band goes to the
-        // sweep, which decides it exactly.
-        let reach = radius + rounding_give(query.rounding, video.rounding);
-        SWEEP_SCRATCH.with(|scratch| {
-            let SweepScratch {
-                eligible,
-                used1,
-                used2,
-            } = &mut *scratch.borrow_mut();
-            eligible.clear();
-            for i in 0..n1 {
-                for j in 0..n2 {
-                    if (query.means[i] - video.means[j]).abs() > reach {
-                        // Centroid lower bound already exceeds the match
-                        // radius; the pair scores `SimC = 0`.
-                        continue;
-                    }
-                    if slices && slice_lb(query, video, i, j, reach) > reach {
-                        // The O(SLICES) bound already proves EMD > radius:
-                        // the capped sweep would have burned a partial
-                        // merge only to return ∞.
-                        cap_aborted += 1;
-                        continue;
-                    }
-                    // A pair is only eligible when its swept distance is
-                    // within the radius ([`MatchingConfig::radius`] covers
-                    // every distance whose `SimC` rounds to τ or above), so
-                    // the sweep may abort once its running total passes it:
-                    // `sim_c(∞) = 0` fails the τ test exactly like the
-                    // distance would, and distances within the radius come
-                    // back exact.
-                    let (qv, qw) = query.lanes(i);
-                    let (vv, vw) = video.lanes(j);
-                    let d = emd_1d_soa_capped(qv, qw, vv, vw, radius);
-                    if !d.is_finite() {
-                        cap_aborted += 1;
-                        continue;
-                    }
-                    full_sweeps += 1;
-                    let s = sim_c(d);
-                    // Same threshold test as [`extended_jaccard`]: `d` at
-                    // the radius can round to `SimC` a hair under τ.
-                    if s >= cfg.min_similarity {
-                        eligible.push((s, i as u32, j as u32));
-                    }
+    let kappa = SWEEP_SCRATCH.with_borrow_mut(|scratch| {
+        let SweepScratch {
+            unswept,
+            swept,
+            used1,
+            used2,
+        } = scratch;
+        unswept.clear();
+        swept.clear();
+        for i in 0..n1 {
+            for j in 0..n2 {
+                let gap = (query.means[i] - video.means[j]).abs();
+                if gap > reach {
+                    // Centroid lower bound already exceeds the match
+                    // radius; the pair scores `SimC = 0`.
+                    continue;
                 }
-            }
-            // The greedy matcher of [`extended_jaccard`], run over the
-            // eligible triples. Its stable best-first sort ties off by
-            // insertion order, which both here and there is row-major —
-            // so an unstable sort with an explicit `(i, j)` tie-break is
-            // the same permutation without the stable sort's scratch
-            // allocation.
-            eligible.sort_unstable_by(|a, b| {
-                b.0.total_cmp(&a.0)
-                    .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-            });
-            used1.clear();
-            used1.resize(n1, false);
-            used2.clear();
-            used2.resize(n2, false);
-            let mut matched = 0usize;
-            let mut total = 0.0;
-            for &(s, i, j) in eligible.iter() {
-                if !used1[i as usize] && !used2[j as usize] {
-                    used1[i as usize] = true;
-                    used2[j as usize] = true;
-                    matched += 1;
-                    total += s;
+                let lb = if slices {
+                    gap.max(slice_lb(query, video, i, j, reach))
+                } else {
+                    gap
+                };
+                let key = sim_c_upper_bound(conceded(lb, give));
+                if key < tau {
+                    // The bound proves `SimC < τ`: a sweep would burn a
+                    // partial merge only to fail the threshold test.
+                    cap_aborted += 1;
+                    continue;
                 }
+                unswept.push(PairKey::new(key, i, j));
             }
-            total / (n1 + n2 - matched) as f64
-        })
-    };
+        }
+        unswept.sort_unstable();
+        used1.clear();
+        used1.resize(n1, false);
+        used2.clear();
+        used2.resize(n2, false);
+        let mut matched = 0usize;
+        let mut total = 0.0;
+        while matched < n1.min(n2) {
+            let Some(&best) = unswept.last().max(swept.peek()) else {
+                break;
+            };
+            // A pair sits in one tier at a time, so equal entries are one.
+            let is_swept = swept.peek() == Some(&best);
+            if is_swept {
+                swept.pop();
+            } else {
+                unswept.pop();
+            }
+            let (i, j) = best.pair();
+            if used1[i] || used2[j] {
+                #[cfg(test)]
+                if !is_swept {
+                    NEVER_EXAMINED.set(NEVER_EXAMINED.get() + 1);
+                }
+                continue;
+            }
+            if is_swept {
+                used1[i] = true;
+                used2[j] = true;
+                matched += 1;
+                total += best.key();
+                continue;
+            }
+            // A pair is only eligible when its swept distance is within the
+            // radius ([`MatchingConfig::radius`] covers every distance whose
+            // `SimC` rounds to τ or above), so the sweep may abort once its
+            // running total passes it: distances within the radius come back
+            // exact.
+            let (qv, qw) = query.lanes(i);
+            let (vv, vw) = video.lanes(j);
+            let d = emd_1d_soa_capped(qv, qw, vv, vw, radius);
+            if !d.is_finite() {
+                cap_aborted += 1;
+                continue;
+            }
+            full_sweeps += 1;
+            let s = sim_c(d);
+            // The matcher's threshold test: `d` at the radius can round to
+            // `SimC` a hair under τ.
+            if s >= tau {
+                swept.push(PairKey::new(s, i, j));
+            }
+        }
+        #[cfg(test)]
+        NEVER_EXAMINED.set(NEVER_EXAMINED.get() + unswept.len() as u64);
+        total / (n1 + n2 - matched) as f64
+    });
     stats.cap_aborted += cap_aborted;
     stats.full_sweeps += full_sweeps;
     kappa
@@ -410,6 +462,12 @@ pub(crate) fn kappa_upper_bound(
     kappa_row_scan(query, video, bound, cfg, give, radius)
 }
 
+thread_local! {
+    /// The row ceilings of [`kappa_row_scan`], reused across calls on this
+    /// thread: grown once to the longest query series, then never again.
+    static ROW_CEILINGS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// The row scan of [`kappa_upper_bound`]: each row's smallest pair bound by
 /// centroid-gap order, then the matcher bound over the row ceilings.
 fn kappa_row_scan(
@@ -422,7 +480,9 @@ fn kappa_row_scan(
 ) -> f64 {
     let (n1, n2) = (query.len(), video.len());
     let order = video.mean_order;
-    viderec_emd::extended_jaccard_upper_bound(
+    let mut ceilings = ROW_CEILINGS.take();
+    let kappa_ub = extended_jaccard_upper_bound_in(
+        &mut ceilings,
         n1,
         n2,
         |i| {
@@ -475,7 +535,9 @@ fn kappa_row_scan(
             sim_c_upper_bound(min_lb)
         },
         cfg,
-    )
+    );
+    ROW_CEILINGS.set(ceilings);
+    kappa_ub
 }
 
 /// A candidate in the ladder's queue: its exact social score and its
@@ -524,13 +586,12 @@ pub(crate) struct LadderQueue {
 
 impl LadderQueue {
     /// Queues first-rung candidates, already in ascending order (built that
-    /// way by `Recommender::enqueue`, not sorted into it).
-    pub(crate) fn new(fresh: Vec<Queued>) -> Self {
+    /// way by `Recommender::enqueue`, not sorted into it), with `refined`
+    /// (empty) as the second tier's storage.
+    pub(crate) fn new(fresh: Vec<Queued>, refined: BinaryHeap<Queued>) -> Self {
         debug_assert!(fresh.is_sorted(), "first rung out of order");
-        Self {
-            fresh,
-            refined: BinaryHeap::new(),
-        }
+        debug_assert!(refined.is_empty(), "refined tier not empty");
+        Self { fresh, refined }
     }
 
     /// How many candidates are queued.
@@ -560,10 +621,10 @@ impl LadderQueue {
         self.fresh.pop_if(|f| refined.is_none_or(|r| f.key > r.key))
     }
 
-    /// The emptied first-tier storage, for the next query to reuse.
-    pub(crate) fn into_storage(mut self) -> Vec<Queued> {
-        self.fresh.clear();
-        self.fresh
+    /// The emptied storage of both tiers, for the next query to reuse.
+    pub(crate) fn into_storage(mut self) -> (Vec<Queued>, BinaryHeap<Queued>) {
+        self.clear();
+        (self.fresh, self.refined)
     }
 }
 
@@ -890,13 +951,69 @@ mod tests {
         }
     }
 
+    /// The eager matcher [`kappa_exact_cached`] replaced, kept as its oracle:
+    /// sweep every pair the centroid and slice screens leave, in row-major
+    /// order, collect those with `SimC ≥ τ`, stable-sort them by `SimC`
+    /// (ties stay row-major, as in [`viderec_emd::extended_jaccard`]) and
+    /// match greedily.
+    fn kappa_exact_eager(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        cfg: MatchingConfig,
+        stats: &mut PruneStats,
+    ) -> f64 {
+        let (n1, n2) = (query.len(), video.len());
+        if n1 == 0 || n2 == 0 {
+            return 0.0;
+        }
+        let radius = cfg.radius();
+        let reach = radius + rounding_give(query.rounding, video.rounding);
+        let slices = !query.feats.is_empty() && !video.feats.is_empty();
+        let mut eligible = Vec::new();
+        for i in 0..n1 {
+            for j in 0..n2 {
+                if (query.means[i] - video.means[j]).abs() > reach {
+                    continue;
+                }
+                if slices && slice_lb(query, video, i, j, reach) > reach {
+                    stats.cap_aborted += 1;
+                    continue;
+                }
+                let (qv, qw) = query.lanes(i);
+                let (vv, vw) = video.lanes(j);
+                let d = emd_1d_soa_capped(qv, qw, vv, vw, radius);
+                if !d.is_finite() {
+                    stats.cap_aborted += 1;
+                    continue;
+                }
+                stats.full_sweeps += 1;
+                let s = sim_c(d);
+                if s >= cfg.min_similarity {
+                    eligible.push((s, i, j));
+                }
+            }
+        }
+        eligible.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let (mut used1, mut used2) = (vec![false; n1], vec![false; n2]);
+        let (mut matched, mut total) = (0usize, 0.0);
+        for (s, i, j) in eligible {
+            if !used1[i] && !used2[j] {
+                used1[i] = true;
+                used2[j] = true;
+                matched += 1;
+                total += s;
+            }
+        }
+        total / (n1 + n2 - matched) as f64
+    }
+
     #[test]
-    fn one_pass_exact_kappa_classifies_every_pair_exactly_once() {
+    fn exact_kappa_examines_every_pair_at_most_once() {
         let mut rng = StdRng::seed_from_u64(95);
         for _ in 0..60 {
             let a = random_series(&mut rng, 6);
             let b = random_series(&mut rng, 6);
-            for tau in [0.3, 0.5, 0.8] {
+            for tau in [0.0, 0.3, 0.5, 0.8] {
                 let cfg = MatchingConfig {
                     min_similarity: tau,
                 };
@@ -911,12 +1028,41 @@ mod tests {
                         .flat_map(|x| v.means.iter().map(move |y| x - y));
                     let screened = gaps.filter(|gap| gap.abs() > reach).count() as u64;
                     let mut stats = PruneStats::default();
+                    let before = NEVER_EXAMINED.get();
                     kappa_exact_cached(q, v, cfg, &mut stats);
+                    let never = NEVER_EXAMINED.get() - before;
                     assert_eq!(
-                        stats.cap_aborted + stats.full_sweeps + screened,
+                        stats.cap_aborted + stats.full_sweeps + screened + never,
                         (q.len() * v.len()) as u64,
                         "{bound:?} τ={tau}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A series against itself, its signatures point masses `spacing`
+    /// apart: each row's own pair keys at 1 and sweeps to `SimC = 1`, ahead
+    /// of every other pair in its row and column, so the lazy matcher
+    /// sweeps the `n` matches and nothing else — whether the other pairs
+    /// are out of reach (10 apart) or all keyed under 1 (a quarter apart,
+    /// where the eager matcher swept them all).
+    #[test]
+    fn identical_series_take_one_full_sweep_per_signature() {
+        let cfg = MatchingConfig::default();
+        let n = 6;
+        for spacing in [10.0, 0.25] {
+            let sigs = (0..n).map(|k| level_sig(&[k as f64 * spacing]));
+            let series = SignatureSeries::new(sigs.collect());
+            for bound in [PruneBound::Centroid, PruneBound::default()] {
+                let arena = ScoringArena::for_series(&series, bound);
+                let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
+                let kappa = kappa_exact_cached(arena.view(0), arena.view(0), cfg, &mut lazy);
+                kappa_exact_eager(arena.view(0), arena.view(0), cfg, &mut eager);
+                assert_eq!(kappa, 1.0);
+                assert_eq!((lazy.full_sweeps, lazy.cap_aborted), (n as u64, 0));
+                if spacing < 1.0 {
+                    assert!(eager.full_sweeps > n as u64, "{bound:?}: {eager:?}");
                 }
             }
         }
@@ -1015,6 +1161,94 @@ mod tests {
                 shape.iter_mut().for_each(|sig| sig.last_mut().unwrap().1 += 28.0);
             }
             check_on_the_radius(&shape, [0.3, 0.5, 0.8][tau]);
+        }
+    }
+
+    /// A random series on the dyadic grid of
+    /// `dyadic_pairs_exactly_on_the_radius_are_never_screened_out`: values
+    /// in eighths, weights in sixteenths.
+    fn dyadic_shape(rng: &mut StdRng, max_sigs: usize) -> Vec<Vec<(f64, f64)>> {
+        let n = rng.gen_range(1..=max_sigs);
+        let sig = |rng: &mut StdRng| {
+            let parts = rng.gen_range(1..5);
+            let mut sig: Vec<(f64, f64)> = (0..parts)
+                .map(|_| {
+                    (
+                        rng.gen_range(-120..120) as f64 / 8.0,
+                        rng.gen_range(1..4) as f64,
+                    )
+                })
+                .collect();
+            let spare = 16.0 - sig.iter().map(|&(_, w)| w).sum::<f64>();
+            sig.last_mut().unwrap().1 += spare;
+            sig
+        };
+        (0..n).map(|_| sig(rng)).collect()
+    }
+
+    /// Two series drawn from a few dyadic base signatures and their copies
+    /// shifted by `0, δ, −δ, 2δ` (δ an eighth, a quarter or a half), each
+    /// picked many times over: identical signatures put many pairs at
+    /// `SimC = 1`, and a copy sits at exactly the same distance from the
+    /// copies either side of it, so keys and exact `SimC`s tie within and
+    /// across the matcher's two tiers — and which of two tied pairs is taken
+    /// decides what the next row can still match.
+    fn tie_heavy_pair(rng: &mut StdRng) -> (SignatureSeries, SignatureSeries) {
+        let bases = shaped_series(&dyadic_shape(rng, 3), 0.0);
+        let delta = [0.125, 0.25, 0.5][rng.gen_range(0..3)];
+        let copies: Vec<SignatureSeries> = [0.0, delta, -delta, 2.0 * delta]
+            .iter()
+            .map(|&shift| shifted(&bases, shift))
+            .collect();
+        let pool: Vec<&CuboidSignature> = copies.iter().flat_map(|c| c.signatures()).collect();
+        let pick = |rng: &mut StdRng| {
+            let n = rng.gen_range(1..=9);
+            let sigs = (0..n).map(|_| pool[rng.gen_range(0..pool.len())].clone());
+            SignatureSeries::new(sigs.collect())
+        };
+        (pick(rng), pick(rng))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The lazy matcher against the eager one it replaced: the same
+        /// `κJ` to the bit and never more full sweeps, under both bounds and
+        /// every τ, on random series, on dyadic series against their copy
+        /// shifted onto the match radius, and on tie-heavy series.
+        #[test]
+        fn lazy_matcher_agrees_with_the_eager_one_and_sweeps_no_more(
+            seed in 0..u64::MAX,
+            kind in 0..3usize,
+            tau in 0..4usize,
+        ) {
+            let tau = [0.0, 0.3, 0.5, 0.8][tau];
+            let cfg = MatchingConfig { min_similarity: tau };
+            let radius = if tau > 0.0 { 1.0 / tau - 1.0 } else { 1.0 };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = match kind {
+                0 => (random_series(&mut rng, 8), random_series(&mut rng, 8)),
+                1 => {
+                    let shape = dyadic_shape(&mut rng, 6);
+                    (shaped_series(&shape, 0.0), shaped_series(&shape, radius))
+                }
+                _ => tie_heavy_pair(&mut rng),
+            };
+            for bound in [PruneBound::Centroid, PruneBound::default()] {
+                let qc = ScoringArena::for_series(&a, bound);
+                let vc = ScoringArena::for_series(&b, bound);
+                let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
+                let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut lazy);
+                let want = kappa_exact_eager(qc.view(0), vc.view(0), cfg, &mut eager);
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{bound:?} τ={tau}: lazy {got} != eager {want}"
+                );
+                prop_assert!(
+                    lazy.full_sweeps <= eager.full_sweeps,
+                    "{bound:?} τ={tau}: {lazy:?} against {eager:?}"
+                );
+            }
         }
     }
 
@@ -1308,7 +1542,7 @@ mod tests {
 
             let (mut want_heap, mut want) = (BinaryHeap::new(), QueryTrace::new(strategy, top_k));
             fill(&mut want_heap);
-            let mut queue = LadderQueue::new(entries.clone());
+            let mut queue = LadderQueue::new(entries.clone(), BinaryHeap::new());
             let mut sp = Span::off();
             MOVES.take();
             while ladder.step(&mut queue, &mut want_heap, promoting, &mut want, &mut sp) {}
@@ -1316,7 +1550,7 @@ mod tests {
 
             let (mut heap, mut got) = (BinaryHeap::new(), QueryTrace::new(strategy, top_k));
             fill(&mut heap);
-            let mut queue = LadderQueue::new(entries);
+            let mut queue = LadderQueue::new(entries, BinaryHeap::new());
             let closes = crate::trace::SPAN_CLOSES.get();
             ladder.drain(&mut queue, &mut heap, promoting, &mut got, Tracer::ON);
             let closes = crate::trace::SPAN_CLOSES.get() - closes;

@@ -499,7 +499,7 @@ impl Recommender {
         let tie_key = strategy_score(strategy, omega, 1.0, 0.0);
         let mut entries = std::mem::take(&mut rung.queue);
         rung.order_into(tie_key, candidates, self.num_videos(), &mut entries);
-        let queue = LadderQueue::new(entries);
+        let queue = LadderQueue::new(entries, std::mem::take(&mut rung.refined));
         trace.lap_span(&mut sp, Stage::Sort);
         queue
     }
@@ -640,6 +640,8 @@ struct FirstRung {
     social: Vec<Queued>,
     /// The queue's first-tier storage, between queries.
     queue: Vec<Queued>,
+    /// The queue's refined-tier storage, between queries.
+    refined: BinaryHeap<Queued>,
 }
 
 impl FirstRung {
@@ -1061,7 +1063,7 @@ impl Recommender {
                 } else {
                     candidates.len()
                 };
-                rung.queue = pending.into_storage();
+                (rung.queue, rung.refined) = pending.into_storage();
                 pending = self.enqueue(
                     strategy,
                     query,
@@ -1082,7 +1084,7 @@ impl Recommender {
             }
             self.zero_fill_into(&mut heap, top_k, seen);
         }
-        rung.queue = pending.into_storage();
+        (rung.queue, rung.refined) = pending.into_storage();
 
         let mut top: Vec<Scored> = heap.into_iter().map(|e| e.0).collect();
         let sp = tracer.start();

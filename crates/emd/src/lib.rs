@@ -46,6 +46,6 @@ pub use lower_bounds::{
 };
 pub use matrix::DenseMatrix;
 pub use measures::{
-    extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound, rounding_allowance,
-    MatchingConfig,
+    extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound,
+    extended_jaccard_upper_bound_in, rounding_allowance, MatchingConfig,
 };

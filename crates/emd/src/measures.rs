@@ -112,9 +112,6 @@ pub fn extended_jaccard(
     total / (n1 + n2 - matched) as f64
 }
 
-/// Row ceilings [`extended_jaccard_upper_bound`] holds without allocating.
-const CEILINGS_ON_STACK: usize = 32;
-
 /// Admissible upper bound on [`extended_jaccard`] from per-row similarity
 /// ceilings.
 ///
@@ -132,29 +129,32 @@ const CEILINGS_ON_STACK: usize = 32;
 pub fn extended_jaccard_upper_bound(
     n1: usize,
     n2: usize,
+    row_upper: impl FnMut(usize) -> f64,
+    cfg: MatchingConfig,
+) -> f64 {
+    extended_jaccard_upper_bound_in(&mut Vec::new(), n1, n2, row_upper, cfg)
+}
+
+/// [`extended_jaccard_upper_bound`] with the row ceilings kept in
+/// `ceilings`, a caller-owned buffer (cleared first): a caller that reuses
+/// it allocates nothing once it has grown to the longest series.
+pub fn extended_jaccard_upper_bound_in(
+    ceilings: &mut Vec<f64>,
+    n1: usize,
+    n2: usize,
     mut row_upper: impl FnMut(usize) -> f64,
     cfg: MatchingConfig,
 ) -> f64 {
+    ceilings.clear();
     if n1 == 0 || n2 == 0 {
         return 0.0;
     }
-    // Row ceilings live on the stack; only a longer series spills.
-    let mut stack = [0.0f64; CEILINGS_ON_STACK];
-    let mut spill = vec![0.0; if n1 > CEILINGS_ON_STACK { n1 } else { 0 }];
-    let ceilings = if spill.is_empty() {
-        &mut stack[..n1]
-    } else {
-        &mut spill[..]
-    };
-    let mut kept = 0;
     for i in 0..n1 {
         let u = row_upper(i).min(1.0);
         if u >= cfg.min_similarity {
-            ceilings[kept] = u;
-            kept += 1;
+            ceilings.push(u);
         }
     }
-    let ceilings = &mut ceilings[..kept];
     // Values equal under `total_cmp` are the same bits, so the unstable
     // sort (which never allocates) leaves the one possible sequence.
     ceilings.sort_unstable_by(|a, b| b.total_cmp(a));
@@ -326,6 +326,18 @@ mod tests {
                     "τ={tau}: upper bound {ub} below exact {exact}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn upper_bound_in_a_reused_buffer_matches_a_fresh_one() {
+        let cfg = MatchingConfig::default();
+        let rows = [0.9, 0.6, 1.0, 0.55, 0.7, 0.3, 0.8];
+        let mut buffer = Vec::new();
+        for n1 in [7, 2, 5, 0, 3] {
+            let fresh = extended_jaccard_upper_bound(n1, 4, |i| rows[i], cfg);
+            let reused = extended_jaccard_upper_bound_in(&mut buffer, n1, 4, |i| rows[i], cfg);
+            assert_eq!(reused.to_bits(), fresh.to_bits(), "n1 = {n1}");
         }
     }
 
