@@ -5,7 +5,12 @@
 //!
 //! * certified-exact gated latency (ms/query) and the scanned/corpus ratio;
 //! * bit-identity of the certified gated top-k against the naive full scan;
-//! * approximate-mode recall@20 against the same naive reference.
+//! * approximate-mode recall@20 against the same naive reference;
+//! * the write path after the queries: one 8-comment batch, one
+//!   single-video ingest and one `age 1` on the same recommender, each with
+//!   its wall time and Fig. 5's decisions (`merges`, `splits`,
+//!   `videos_rewritten` — seed-deterministic, so `bench_diff --quick` gates
+//!   them to the unit).
 //!
 //! Writes `BENCH_scale.json` and **fails** (exit 1) when a lock-down
 //! regression trips: certified results diverging from the naive scan, a
@@ -29,7 +34,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use viderec_core::{
-    QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Scored, Strategy, Tracer,
+    QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Scored, SocialUpdate, Strategy,
+    Tracer, UpdateEvent,
 };
 use viderec_eval::{StreamConfig, StreamingCommunity};
 
@@ -74,12 +80,22 @@ struct StrategyRow {
     naive_identical: bool,
 }
 
+/// One write-path event applied after the query phase.
+struct WriteRow {
+    event: &'static str,
+    apply_ms: f64,
+    merges: usize,
+    splits: usize,
+    videos_rewritten: usize,
+}
+
 struct Point {
     videos: usize,
     users: usize,
     k_subcommunities: usize,
     build_ms: u128,
     rows: Vec<StrategyRow>,
+    writes: Vec<WriteRow>,
 }
 
 impl Point {
@@ -187,13 +203,58 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         });
     }
 
+    let writes = write_path(&mut rec, &stream);
     Point {
         videos,
         users,
         k_subcommunities,
         build_ms,
         rows,
+        writes,
     }
+}
+
+/// Applies one 8-comment batch, one single-video ingest and one `age 1` to
+/// `rec`, timing each. The comments put a user of each of eight spread
+/// videos on the next one; the ingested video is the one a stream a video
+/// longer would have generated next.
+fn write_path(rec: &mut Recommender, stream: &StreamingCommunity) -> Vec<WriteRow> {
+    let videos = stream.num_videos();
+    let spread = stream.query_ids(8);
+    let comments = (0..spread.len())
+        .map(|j| SocialUpdate {
+            video: spread[j],
+            user: rec
+                .users_of(spread[(j + 1) % spread.len()])
+                .expect("indexed")[0]
+                .clone(),
+        })
+        .collect();
+    let next = StreamingCommunity::new(StreamConfig::at_scale(videos + 1, SEED)).video(videos);
+    let events = [
+        ("comments", UpdateEvent::Comments(comments)),
+        ("ingest", UpdateEvent::Ingest(vec![next])),
+        ("age", UpdateEvent::Age(1)),
+    ];
+    events
+        .into_iter()
+        .map(|(event, update)| {
+            let t0 = Instant::now();
+            let summary = rec.apply_event(update).expect("a fresh video id");
+            let row = WriteRow {
+                event,
+                apply_ms: t0.elapsed().as_secs_f64() * 1e3,
+                merges: summary.report.merges.len(),
+                splits: summary.report.splits,
+                videos_rewritten: summary.videos_rewritten,
+            };
+            eprintln!(
+                "[scale] {videos} videos: {event} in {:.3} ms ({} merges, {} splits, {} videos rewritten)",
+                row.apply_ms, row.merges, row.splits, row.videos_rewritten
+            );
+            row
+        })
+        .collect()
 }
 
 fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
@@ -202,7 +263,9 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
     out.push_str(
         "\"description\": \"Index-gated retrieval at scale: certified-exact gated latency \
          and scanned/corpus ratio per strategy on streamed corpora, with bit-identity \
-         against the naive full scan and approximate-mode recall@20.\",\n",
+         against the naive full scan and approximate-mode recall@20; then one \
+         8-comment batch, one single-video ingest and one age 1 on the same \
+         recommender, timed, with Fig. 5's merges, splits and videos rewritten.\",\n",
     );
     out.push_str("\"command\": \"cargo run --release -p viderec-bench --bin scale\",\n");
     let _ = writeln!(
@@ -235,6 +298,18 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
                 "\"{}\": {{\"ms_per_query\": {:.3}, \"scanned_ratio\": {:.4}, \
                  \"recall_at_20\": {:.4}, \"naive_identical\": {}}}",
                 r.label, r.ms_per_query, r.scanned_ratio, r.recall_at_20, r.naive_identical
+            );
+        }
+        out.push_str("}, \"write_path\": {");
+        for (j, w) in p.writes.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(
+                out,
+                "\"{}\": {{\"apply_ms\": {:.3}, \"merges\": {}, \"splits\": {}, \
+                 \"videos_rewritten\": {}}}",
+                w.event, w.apply_ms, w.merges, w.splits, w.videos_rewritten
             );
         }
         out.push_str("}}");

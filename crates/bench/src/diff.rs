@@ -387,11 +387,16 @@ pub const SPECS: &[Spec] = &[
     spec("scanned_ratio", LO, 0.10, true),
     spec("max_scanned_ratio", LO, 0.10, true),
     spec("naive_identical", HI, 0.0, true),
+    // Fig. 5's decisions on the `scale` bin's write path.
+    spec("merges", LO, 0.0, true),
+    spec("splits", LO, 0.0, true),
+    spec("videos_rewritten", LO, 0.0, true),
     // -- wall-clock: same-host comparisons only --
     spec("speedup", HI, 0.25, false),
     spec("pruned_ms_per_query", LO, 0.30, false),
     spec("ms_per_query", LO, 0.40, false),
     spec("mean_ms_per_query", LO, 0.40, false),
+    spec("apply_ms", LO, 0.40, false),
     spec("throughput_rps", HI, 0.30, false),
     spec("p50_micros", LO, 0.50, false),
     spec("p99_micros", LO, 0.75, false),

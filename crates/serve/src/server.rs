@@ -86,8 +86,8 @@ pub struct ServeConfig {
     /// production; the load/robustness tests use it to make queueing and
     /// deadline behaviour deterministic.
     pub synthetic_delay: Duration,
-    /// Upper bound on the `k` a request may ask for (larger values clamp)
-    /// and on the ids its `exclude=` list may name (longer lists get a 400).
+    /// Upper bound on the `k` a request may ask for and on the ids its
+    /// `exclude=` list may name; a request over either gets a 400.
     pub max_k: usize,
     /// Per-query tracing and update-pipeline spans. On, every `/recommend`
     /// response carries a trace id resolvable via `GET /debug/trace/<id>`,
@@ -478,7 +478,11 @@ fn recommend(
     let k = match req.param("k") {
         None => 10usize,
         Some(s) => match s.parse::<usize>() {
-            Ok(k) => k.min(ctx.cfg.max_k),
+            Ok(k) if k > ctx.cfg.max_k => {
+                let limit = ctx.cfg.max_k;
+                return bad_request(adm, &format!("parameter 'k' may be at most {limit}"));
+            }
+            Ok(k) => k,
             Err(_) => return bad_request(adm, "parameter 'k' must be an unsigned integer"),
         },
     };

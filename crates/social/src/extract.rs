@@ -109,22 +109,23 @@ impl Partition {
     }
 }
 
-/// Union-find over dense indices.
+/// Union-find over dense indices — the one the extraction, its literal
+/// oracle and the maintenance algorithm's splits all use.
 #[derive(Debug, Clone)]
-struct Dsu {
+pub(crate) struct Dsu {
     parent: Vec<usize>,
     size: Vec<usize>,
 }
 
 impl Dsu {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             parent: (0..n).collect(),
             size: vec![1; n],
         }
     }
 
-    fn find(&mut self, mut x: usize) -> usize {
+    pub(crate) fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
             x = self.parent[x];
@@ -132,7 +133,7 @@ impl Dsu {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) -> bool {
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -146,6 +147,52 @@ impl Dsu {
         self.size[big] += self.size[small];
         true
     }
+
+    /// Dense set labels `0..sets`, numbered in order of each set's lowest
+    /// element.
+    pub(crate) fn labels(&mut self) -> Vec<usize> {
+        let n = self.parent.len();
+        let mut label_of_root = vec![usize::MAX; n];
+        let mut next = 0;
+        (0..n)
+            .map(|i| {
+                let r = self.find(i);
+                if label_of_root[r] == usize::MAX {
+                    label_of_root[r] = next;
+                    next += 1;
+                }
+                label_of_root[r]
+            })
+            .collect()
+    }
+}
+
+/// The maximum spanning forest of `edges` over nodes `0..n`, cut at its
+/// lightest edges. Edges are `(w, a, b)` with `a < b`; Kruskal takes them in
+/// `(w, a, b)` descending order — the exact reverse of Fig. 3's removal
+/// order, so ties fall as in the literal algorithm — and `cuts(forest_len)`
+/// of the forest's lightest edges are then left out. Returns the union-find
+/// over what remains.
+pub(crate) fn cut_spanning_forest(
+    n: usize,
+    mut edges: Vec<(u32, u32, u32)>,
+    cuts: impl FnOnce(usize) -> usize,
+) -> Dsu {
+    edges.sort_unstable();
+    let mut dsu = Dsu::new(n);
+    // Built heaviest first, so the lightest forest edges are its tail.
+    let mut forest = Vec::new();
+    for &(_, a, b) in edges.iter().rev() {
+        if dsu.union(a as usize, b as usize) {
+            forest.push((a, b));
+        }
+    }
+    let keep = forest.len().saturating_sub(cuts(forest.len()));
+    let mut dsu = Dsu::new(n);
+    for &(a, b) in &forest[..keep] {
+        dsu.union(a as usize, b as usize);
+    }
+    dsu
 }
 
 /// Fast `SubgraphExtraction`: maximum-spanning-forest duality.
@@ -159,25 +206,10 @@ pub fn extract_subcommunities(graph: &UserInterestGraph, k: usize) -> Partition 
     assert!(n > 0, "empty user space");
     let target = k.min(n);
 
-    // Removal order: (weight, a, b) ascending. Kruskal processes the exact
-    // reverse, so tie behaviour matches the literal algorithm.
-    let ascending = graph.edges_sorted_ascending();
-    let mut dsu = Dsu::new(n);
-    let mut msf: Vec<(UserId, UserId, u32)> = Vec::new();
-    for &(a, b, w) in ascending.iter().rev() {
-        if dsu.union(a.index(), b.index()) {
-            msf.push((a, b, w));
-        }
-    }
-    let p0 = n - msf.len(); // components = nodes − forest edges
-    let cuts = target.saturating_sub(p0);
-    // Cut the `cuts` lightest MSF edges (ascending (w, a, b) order).
-    msf.sort_by_key(|&(a, b, w)| (w, a, b));
-    let mut dsu = Dsu::new(n);
-    for &(a, b, _) in msf.iter().skip(cuts) {
-        dsu.union(a.index(), b.index());
-    }
-    partition_from_dsu(&mut dsu, n)
+    let edges = graph.edges().map(|(a, b, w)| (w, a.0, b.0)).collect();
+    // Components = nodes − forest edges; cut until `target` remain.
+    let mut dsu = cut_spanning_forest(n, edges, |forest| target.saturating_sub(n - forest));
+    Partition::from_assignment(dsu.labels())
 }
 
 /// The literal Fig. 3 algorithm: repeatedly delete the globally lightest
@@ -205,7 +237,7 @@ pub fn extract_subcommunities_literal(graph: &UserInterestGraph, k: usize) -> Pa
     for &(a, b, _) in &edges[next..] {
         dsu.union(a.index(), b.index());
     }
-    partition_from_dsu(&mut dsu, n)
+    Partition::from_assignment(dsu.labels())
 }
 
 fn count_components(n: usize, edges: &[(UserId, UserId, u32)]) -> usize {
@@ -225,19 +257,6 @@ fn connected_without(n: usize, remaining: &[(UserId, UserId, u32)], a: UserId, b
         dsu.union(x.index(), y.index());
     }
     dsu.find(a.index()) == dsu.find(b.index())
-}
-
-fn partition_from_dsu(dsu: &mut Dsu, n: usize) -> Partition {
-    let mut root_to_comm: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut assignment = Vec::with_capacity(n);
-    for i in 0..n {
-        let r = dsu.find(i);
-        let next = root_to_comm.len();
-        let c = *root_to_comm.entry(r).or_insert(next);
-        assignment.push(c);
-    }
-    Partition::from_assignment(assignment)
 }
 
 #[cfg(test)]

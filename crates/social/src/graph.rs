@@ -5,56 +5,54 @@
 //! them". The graph is built incrementally from (video → engaged users)
 //! records, so the maintenance algorithm of Fig. 5 can keep extending it with
 //! new comment connections.
+//!
+//! Each user owns its neighbour list, ascending by id, and every edge is
+//! stored at both ends: a lookup or an update is a binary search of one list,
+//! and the maintenance algorithm reads a community's intra edges off its
+//! members' lists — their degrees, not |E|.
 
 use crate::user::UserId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// Canonical (small, large) ordering of an undirected edge key.
-#[inline]
-fn key(a: UserId, b: UserId) -> (UserId, UserId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
 
 /// Weighted undirected user interest graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UserInterestGraph {
-    /// Number of user slots (ids `0..num_users` are valid nodes; isolated
-    /// users are legitimate singleton components).
-    num_users: usize,
-    edges: HashMap<(UserId, UserId), u32>,
+    /// `adj[u]`: `u`'s neighbours ascending by id, each with the edge weight
+    /// (always ≥ 1). Ids `0..adj.len()` are the valid nodes; isolated users
+    /// are legitimate singleton components.
+    adj: Vec<Vec<(UserId, u32)>>,
+    /// Number of edges (each is stored twice in `adj`).
+    num_edges: usize,
+}
+
+/// Adds `w` to `v`'s entry in the ascending list, inserting it if absent.
+/// Returns the entry's new weight and whether the entry is new.
+fn bump(list: &mut Vec<(UserId, u32)>, v: UserId, w: u32) -> (u32, bool) {
+    match list.binary_search_by_key(&v, |&(n, _)| n) {
+        Ok(i) => {
+            list[i].1 += w;
+            (list[i].1, false)
+        }
+        Err(i) => {
+            list.insert(i, (v, w));
+            (w, true)
+        }
+    }
 }
 
 impl UserInterestGraph {
     /// Empty graph over `num_users` user slots.
     pub fn new(num_users: usize) -> Self {
         Self {
-            num_users,
-            edges: HashMap::new(),
+            adj: vec![Vec::new(); num_users],
+            num_edges: 0,
         }
-    }
-
-    /// Builds the UIG from video engagement records: every pair of users who
-    /// both engaged with one video gains +1 edge weight.
-    pub fn from_videos<'a>(
-        num_users: usize,
-        videos: impl IntoIterator<Item = &'a [UserId]>,
-    ) -> Self {
-        let mut g = Self::new(num_users);
-        for users in videos {
-            g.add_video(users);
-        }
-        g
     }
 
     /// Registers one video's engaged users: all pairs gain +1.
     pub fn add_video(&mut self, users: &[UserId]) {
         for (i, &a) in users.iter().enumerate() {
-            debug_assert!(a.index() < self.num_users, "user {a} out of range");
+            debug_assert!(a.index() < self.num_users(), "user {a} out of range");
             for &b in &users[i + 1..] {
                 if a != b {
                     self.add_edge_weight(a, b, 1);
@@ -63,14 +61,24 @@ impl UserInterestGraph {
         }
     }
 
-    /// Adds `w` to the weight of edge `(a, b)` (creating it if absent).
-    pub fn add_edge_weight(&mut self, a: UserId, b: UserId, w: u32) {
+    /// Adds `w` to the weight of edge `(a, b)` (creating it if absent) and
+    /// returns the edge's new weight.
+    ///
+    /// # Panics
+    /// On a self-loop, an endpoint out of range, or `w == 0`: a stored
+    /// weight is never 0, which is what lets a search for the lightest edge
+    /// stop at the first weight 1.
+    pub fn add_edge_weight(&mut self, a: UserId, b: UserId, w: u32) -> u32 {
         assert!(a != b, "self-loops are not part of the UIG");
+        assert!(w > 0, "zero-weight edges are not part of the UIG");
         assert!(
-            a.index() < self.num_users && b.index() < self.num_users,
+            a.index() < self.num_users() && b.index() < self.num_users(),
             "edge endpoint out of range"
         );
-        *self.edges.entry(key(a, b)).or_insert(0) += w;
+        let (weight, new) = bump(&mut self.adj[a.index()], b, w);
+        self.num_edges += usize::from(new);
+        bump(&mut self.adj[b.index()], a, w);
+        weight
     }
 
     /// Ages every connection by `amount`: weights decrease, edges reaching
@@ -78,38 +86,63 @@ impl UserInterestGraph {
     /// time … existing user connections may become invalid"). Returns the
     /// number of edges removed.
     pub fn decay_all(&mut self, amount: u32) -> usize {
-        let before = self.edges.len();
-        self.edges.retain(|_, w| {
-            *w = w.saturating_sub(amount);
-            *w > 0
-        });
-        before - self.edges.len()
+        let before = self.num_edges;
+        let mut ends = 0;
+        for list in &mut self.adj {
+            list.retain_mut(|(_, w)| {
+                *w = w.saturating_sub(amount);
+                *w > 0
+            });
+            ends += list.len();
+        }
+        self.num_edges = ends / 2;
+        before - self.num_edges
     }
 
     /// Grows the node slot count (new users joined the community).
     pub fn grow_users(&mut self, num_users: usize) {
-        assert!(num_users >= self.num_users, "cannot shrink the user space");
-        self.num_users = num_users;
+        assert!(
+            num_users >= self.num_users(),
+            "cannot shrink the user space"
+        );
+        self.adj.resize_with(num_users, Vec::new);
     }
 
     /// Number of user slots.
     pub fn num_users(&self) -> usize {
-        self.num_users
+        self.adj.len()
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.num_edges
     }
 
     /// Weight of edge `(a, b)`, 0 if absent.
     pub fn weight(&self, a: UserId, b: UserId) -> u32 {
-        self.edges.get(&key(a, b)).copied().unwrap_or(0)
+        let Some(list) = self.adj.get(a.index()) else {
+            return 0;
+        };
+        list.binary_search_by_key(&b, |&(n, _)| n)
+            .map_or(0, |i| list[i].1)
     }
 
-    /// Iterates `(a, b, weight)` over all edges (unspecified order).
+    /// `u`'s neighbours ascending by id, each with the edge weight.
+    ///
+    /// # Panics
+    /// Panics if `u` is outside the user space.
+    pub fn neighbours(&self, u: UserId) -> &[(UserId, u32)] {
+        &self.adj[u.index()]
+    }
+
+    /// Iterates `(a, b, weight)` over all edges, each once with `a < b`,
+    /// ascending by `(a, b)`.
     pub fn edges(&self) -> impl Iterator<Item = (UserId, UserId, u32)> + '_ {
-        self.edges.iter().map(|(&(a, b), &w)| (a, b, w))
+        self.adj.iter().enumerate().flat_map(|(a, list)| {
+            let a = UserId(a as u32);
+            let above = list.partition_point(|&(b, _)| b < a);
+            list[above..].iter().map(move |&(b, w)| (a, b, w))
+        })
     }
 
     /// All edges sorted by `(weight, a, b)` ascending — the deterministic
@@ -118,53 +151,6 @@ impl UserInterestGraph {
         let mut v: Vec<_> = self.edges().collect();
         v.sort_by_key(|&(a, b, w)| (w, a, b));
         v
-    }
-
-    /// Adjacency lists `user → [(neighbour, weight)]`.
-    pub fn adjacency(&self) -> Vec<Vec<(UserId, u32)>> {
-        let mut adj = vec![Vec::new(); self.num_users];
-        for (&(a, b), &w) in &self.edges {
-            adj[a.index()].push((b, w));
-            adj[b.index()].push((a, w));
-        }
-        adj
-    }
-
-    /// Connected components (each a sorted user list), including singleton
-    /// isolated users. Deterministic order: by smallest member id.
-    pub fn components(&self) -> Vec<Vec<UserId>> {
-        let adj = self.adjacency();
-        let mut seen = vec![false; self.num_users];
-        let mut comps = Vec::new();
-        for start in 0..self.num_users {
-            if seen[start] {
-                continue;
-            }
-            let mut comp = vec![UserId(start as u32)];
-            seen[start] = true;
-            let mut head = 0;
-            while head < comp.len() {
-                let u = comp[head];
-                head += 1;
-                for &(v, _) in &adj[u.index()] {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        comp.push(v);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            comps.push(comp);
-        }
-        comps
-    }
-
-    /// The subgraph induced by `users` (edges with both endpoints inside).
-    pub fn induced_edges(&self, users: &[UserId]) -> Vec<(UserId, UserId, u32)> {
-        let inside: std::collections::HashSet<UserId> = users.iter().copied().collect();
-        self.edges()
-            .filter(|(a, b, _)| inside.contains(a) && inside.contains(b))
-            .collect()
     }
 }
 
@@ -190,7 +176,11 @@ mod tests {
             vec![u(4)],             // V7
             vec![u(0), u(1)],       // V8: u1, u2
         ];
-        UserInterestGraph::from_videos(5, videos.iter().map(|v| v.as_slice()))
+        let mut g = UserInterestGraph::new(5);
+        for users in &videos {
+            g.add_video(users);
+        }
+        g
     }
 
     #[test]
@@ -206,17 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn components_and_isolated_users() {
-        let mut g = UserInterestGraph::new(4);
-        g.add_edge_weight(u(0), u(1), 1);
-        let comps = g.components();
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![u(0), u(1)]);
-        assert_eq!(comps[1], vec![u(2)]);
-        assert_eq!(comps[2], vec![u(3)]);
-    }
-
-    #[test]
     fn add_video_is_pairwise() {
         let mut g = UserInterestGraph::new(3);
         g.add_video(&[u(0), u(1), u(2)]);
@@ -224,6 +203,26 @@ mod tests {
         g.add_video(&[u(0), u(1)]);
         assert_eq!(g.weight(u(0), u(1)), 2);
         assert_eq!(g.weight(u(0), u(2)), 1);
+    }
+
+    #[test]
+    fn edges_are_listed_once_ascending_and_stored_at_both_ends() {
+        let g = paper_example();
+        let e: Vec<_> = g.edges().collect();
+        assert_eq!(
+            e,
+            vec![
+                (u(0), u(1), 2),
+                (u(0), u(3), 1),
+                (u(2), u(3), 2),
+                (u(2), u(4), 2),
+                (u(3), u(4), 2),
+            ]
+        );
+        for &(a, b, w) in &e {
+            assert_eq!(g.weight(b, a), w);
+        }
+        assert_eq!(g.neighbours(u(3)), &[(u(0), 1), (u(2), 2), (u(4), 2)]);
     }
 
     #[test]
@@ -237,14 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_edges_filter() {
-        let g = paper_example();
-        let sub = g.induced_edges(&[u(2), u(3), u(4)]);
-        assert_eq!(sub.len(), 3);
-        assert!(sub.iter().all(|&(_, _, w)| w == 2));
-    }
-
-    #[test]
     fn decay_all_ages_and_prunes() {
         let mut g = paper_example();
         let removed = g.decay_all(1);
@@ -252,9 +243,11 @@ mod tests {
         // to 1.
         assert_eq!(removed, 1);
         assert_eq!(g.weight(u(0), u(3)), 0);
+        assert_eq!(g.weight(u(3), u(0)), 0);
         assert_eq!(g.weight(u(0), u(1)), 1);
         assert_eq!(g.decay_all(5), 4, "everything else dies");
         assert_eq!(g.num_edges(), 0);
+        assert!(g.neighbours(u(4)).is_empty());
     }
 
     #[test]
@@ -264,12 +257,19 @@ mod tests {
         assert_eq!(g.num_users(), 5);
         g.add_edge_weight(u(3), u(4), 2);
         assert_eq!(g.weight(u(3), u(4)), 2);
-        assert_eq!(g.components().len(), 4);
+        assert!(g.neighbours(u(2)).is_empty());
+        assert_eq!(g.weight(u(9), u(3)), 0, "outside the user space");
     }
 
     #[test]
     #[should_panic(expected = "self-loops")]
     fn self_loop_rejected() {
         UserInterestGraph::new(2).add_edge_weight(u(1), u(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-weight")]
+    fn zero_weight_rejected() {
+        UserInterestGraph::new(2).add_edge_weight(u(0), u(1), 0);
     }
 }

@@ -16,7 +16,7 @@
 //!    of the inverted index and descriptor vectors can update exactly the
 //!    affected dimensions (lines 9–10, 19–20).
 
-use crate::extract::{extract_subcommunities, Partition};
+use crate::extract::{cut_spanning_forest, extract_subcommunities, Dsu, Partition};
 use crate::graph::UserInterestGraph;
 use crate::user::UserId;
 
@@ -53,11 +53,28 @@ pub struct SocialUpdatesMaintenance {
     graph: UserInterestGraph,
     /// Dense user → community assignment.
     assignment: Vec<usize>,
-    /// Members per community (parallel to live community indices; merged-away
-    /// communities become empty and are compacted on [`Self::partition`]).
+    /// Members per community, each list ascending by id (parallel to live
+    /// community indices; merged-away communities become empty and are
+    /// compacted on [`Self::partition`]). Ascending is what makes a member's
+    /// position — its dense index inside the community — a binary search.
     members: Vec<Vec<UserId>>,
     /// Target community count `k`.
     k: usize,
+}
+
+/// The smallest of `weights`. It stops at the first 1: a stored UIG weight
+/// is never 0 ([`UserInterestGraph::add_edge_weight`] rejects it and
+/// [`UserInterestGraph::decay_all`] drops edges that reach it), so nothing
+/// lighter can follow.
+fn lightest(weights: impl Iterator<Item = u32>) -> Option<u32> {
+    let mut min = None;
+    for w in weights {
+        if w == 1 {
+            return Some(1);
+        }
+        min = Some(min.map_or(w, |m: u32| m.min(w)));
+    }
+    min
 }
 
 impl SocialUpdatesMaintenance {
@@ -117,20 +134,35 @@ impl SocialUpdatesMaintenance {
         self.members.len()
     }
 
-    /// Members of a community slot (empty for merged-away slots).
-    pub fn slot_members(&self, slot: usize) -> &[UserId] {
-        &self.members[slot]
-    }
-
     /// `w` — the lightest edge weight that is *internal* to some current
     /// sub-community (Fig. 5's merge/split threshold). `None` when no
     /// community has an internal edge.
     pub fn lightest_intra_edge_weight(&self) -> Option<u32> {
-        self.graph
-            .edges()
-            .filter(|&(a, b, _)| self.assignment[a.index()] == self.assignment[b.index()])
-            .map(|(_, _, w)| w)
-            .min()
+        lightest(
+            self.graph
+                .edges()
+                .filter(|&(a, b, _)| self.assignment[a.index()] == self.assignment[b.index()])
+                .map(|(_, _, w)| w),
+        )
+    }
+
+    /// Community `c`'s intra edges as `(w, i, j)` over member positions
+    /// `i < j`, read off the members' neighbour lists: the cost is their
+    /// degrees. Positions order like ids, so `(w, i, j)` order is
+    /// `(w, a, b)` order.
+    fn intra_edges(&self, c: usize) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        let members = &self.members[c];
+        members.iter().enumerate().flat_map(move |(i, &a)| {
+            self.graph
+                .neighbours(a)
+                .iter()
+                .filter(move |&&(b, _)| a < b && self.assignment[b.index()] == c)
+                // Assigned to `c` is a member of `c`: the search finds it.
+                .filter_map(move |&(b, w)| {
+                    let j = members.binary_search(&b).ok()?;
+                    Some((w, i as u32, j as u32))
+                })
+        })
     }
 
     /// Applies one period's new connections (Fig. 5).
@@ -154,11 +186,10 @@ impl SocialUpdatesMaintenance {
             }
             self.admit(a, b, &mut report);
             self.admit(b, a, &mut report);
-            self.graph.add_edge_weight(a, b, weight);
+            let edge_weight = self.graph.add_edge_weight(a, b, weight);
             // Lines 4–5: map both endpoints to their sub-communities.
             report.counters.hash_mappings += 2;
             let (ca, cb) = (self.assignment[a.index()], self.assignment[b.index()]);
-            let edge_weight = self.graph.weight(a, b);
             if edge_weight > w {
                 if ca != cb {
                     // Lines 7–11: union, update index/descriptors, flag.
@@ -184,6 +215,7 @@ impl SocialUpdatesMaintenance {
         }
 
         report.counters.communities_touched = touched.iter().filter(|&&t| t).count();
+        debug_assert!(self.members.iter().all(|m| m.is_sorted()));
         report
     }
 
@@ -197,23 +229,17 @@ impl SocialUpdatesMaintenance {
         self.graph.decay_all(amount);
         // Fragmented communities split into their connected components: the
         // component holding the first member keeps the slot, the rest move
-        // to fresh slots.
-        let live: Vec<usize> = (0..self.members.len())
-            .filter(|&c| self.members[c].len() >= 2)
-            .collect();
-        for c in live {
-            let members = self.members[c].clone();
-            report.counters.partition_checks += members.len();
-            let components = self.components_of(&members);
+        // to fresh slots (already connected, so not revisited).
+        for c in 0..self.members.len() {
+            if self.members[c].len() < 2 {
+                continue;
+            }
+            report.counters.partition_checks += self.members[c].len();
+            let mut components = self.components_of(c);
             if components.len() <= 1 {
                 continue;
             }
-            let mut keep = Vec::new();
-            for (i, comp) in components.into_iter().enumerate() {
-                if i == 0 {
-                    keep = comp;
-                    continue;
-                }
+            for comp in components.drain(1..) {
                 let fresh = self.members.len();
                 report.counters.index_updates += comp.len();
                 for &u in &comp {
@@ -223,49 +249,34 @@ impl SocialUpdatesMaintenance {
                 self.members.push(comp);
                 report.splits += 1;
             }
-            self.members[c] = keep;
+            self.members[c] = components.swap_remove(0);
         }
         report.counters.communities_touched = report.splits + usize::from(report.splits > 0);
+        debug_assert!(self.members.iter().all(|m| m.is_sorted()));
         report
     }
 
-    /// Connected components of the induced subgraph over `members`, the
-    /// component containing `members[0]` first.
-    fn components_of(&self, members: &[UserId]) -> Vec<Vec<UserId>> {
-        let local: std::collections::HashMap<UserId, usize> =
-            members.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); members.len()];
-        for (a, b, _) in self.graph.induced_edges(members) {
-            let (ia, ib) = (local[&a], local[&b]);
-            adj[ia].push(ib);
-            adj[ib].push(ia);
+    /// The connected components of community `c`'s intra-edge subgraph,
+    /// each ascending, ordered by their smallest member.
+    fn components_of(&self, c: usize) -> Vec<Vec<UserId>> {
+        let members = &self.members[c];
+        let mut dsu = Dsu::new(members.len());
+        for (_, i, j) in self.intra_edges(c) {
+            dsu.union(i as usize, j as usize);
         }
-        let mut seen = vec![false; members.len()];
-        let mut out = Vec::new();
-        for start in 0..members.len() {
-            if seen[start] {
-                continue;
+        let mut out: Vec<Vec<UserId>> = Vec::new();
+        for (&u, label) in members.iter().zip(dsu.labels()) {
+            if label == out.len() {
+                out.push(Vec::new());
             }
-            seen[start] = true;
-            let mut comp = vec![start];
-            let mut head = 0;
-            while head < comp.len() {
-                let u = comp[head];
-                head += 1;
-                for &v in &adj[u] {
-                    if !seen[v] {
-                        seen[v] = true;
-                        comp.push(v);
-                    }
-                }
-            }
-            out.push(comp.into_iter().map(|i| members[i]).collect());
+            out[label].push(u);
         }
         out
     }
 
     /// Admits `user` into the community of `partner` if it is new to the
-    /// system.
+    /// system. New ids exceed every existing one, so member lists stay
+    /// ascending.
     fn admit(&mut self, user: UserId, partner: UserId, report: &mut MaintenanceReport) {
         if user.index() < self.assignment.len() {
             return;
@@ -322,12 +333,7 @@ impl SocialUpdatesMaintenance {
             if !flags.get(c).copied().unwrap_or(false) || members.len() < 2 {
                 continue;
             }
-            let lightest = self
-                .graph
-                .induced_edges(members)
-                .into_iter()
-                .map(|(_, _, w)| w)
-                .min();
+            let lightest = lightest(self.intra_edges(c).map(|(w, _, _)| w));
             match (lightest, best) {
                 (Some(w), None) => best = Some((w, c)),
                 (Some(w), Some((bw, _))) if w < bw => best = Some((w, c)),
@@ -346,50 +352,19 @@ impl SocialUpdatesMaintenance {
     }
 
     /// Splits community `c` at its weakest link: cut the lightest edge of its
-    /// maximum spanning forest; one side keeps index `c`, the other becomes a
-    /// fresh community.
+    /// maximum spanning forest — in the extraction's `(w, a, b)` order, so
+    /// ties fall alike; the side holding the first member keeps index `c`,
+    /// the other becomes a fresh community.
     fn split(&mut self, c: usize, report: &mut MaintenanceReport, touched: &mut Vec<bool>) {
-        let members = self.members[c].clone();
+        let members = &self.members[c];
         debug_assert!(members.len() >= 2);
         report.counters.partition_checks += members.len();
-
-        // Maximum spanning forest of the induced subgraph, same deterministic
-        // order as the extraction algorithm.
-        let mut edges = self.graph.induced_edges(&members);
-        edges.sort_by_key(|&(a, b, w)| (w, a, b));
-        let mut local: std::collections::HashMap<UserId, usize> =
-            members.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let mut parent: Vec<usize> = (0..members.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut msf: Vec<(UserId, UserId, u32)> = Vec::new();
-        for &(a, b, w) in edges.iter().rev() {
-            let (ra, rb) = (find(&mut parent, local[&a]), find(&mut parent, local[&b]));
-            if ra != rb {
-                parent[ra] = rb;
-                msf.push((a, b, w));
-            }
-        }
-        // Cut the lightest MSF edge; re-union the rest.
-        msf.sort_by_key(|&(a, b, w)| (w, a, b));
-        let mut parent: Vec<usize> = (0..members.len()).collect();
-        for &(a, b, _) in msf.iter().skip(1) {
-            let (ra, rb) = (find(&mut parent, local[&a]), find(&mut parent, local[&b]));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-        // Component containing the first member keeps index c.
-        let anchor = find(&mut parent, 0);
+        let mut dsu = cut_spanning_forest(members.len(), self.intra_edges(c).collect(), |_| 1);
+        let anchor = dsu.find(0);
         let mut keep = Vec::new();
         let mut moved = Vec::new();
         for (i, &u) in members.iter().enumerate() {
-            if find(&mut parent, i) == anchor {
+            if dsu.find(i) == anchor {
                 keep.push(u);
             } else {
                 moved.push(u);
@@ -407,7 +382,6 @@ impl SocialUpdatesMaintenance {
         touched.push(true);
         touched[c] = true;
         report.splits += 1;
-        local.clear();
     }
 }
 
@@ -561,6 +535,43 @@ mod tests {
         assert_eq!(p.k(), 6, "every user isolated");
         assert!(p.is_valid());
         assert!(r.splits >= 4);
+    }
+
+    #[test]
+    fn two_replays_of_one_stream_number_slots_alike() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut g = UserInterestGraph::new(24);
+        let mut rng = StdRng::seed_from_u64(26);
+        for _ in 0..60 {
+            let (a, b) = (rng.gen_range(0..24u32), rng.gen_range(0..24u32));
+            if a != b {
+                g.add_edge_weight(u(a), u(b), rng.gen_range(1..4));
+            }
+        }
+        let mut one = SocialUpdatesMaintenance::new(g.clone(), 6);
+        let mut two = SocialUpdatesMaintenance::new(g, 6);
+        for round in 0..30 {
+            let batch: Vec<(UserId, UserId, u32)> = (0..rng.gen_range(1..8))
+                .map(|_| {
+                    (
+                        u(rng.gen_range(0..30)),
+                        u(rng.gen_range(0..30)),
+                        rng.gen_range(1..5),
+                    )
+                })
+                .collect();
+            one.apply_connections(&batch);
+            two.apply_connections(&batch);
+            if round % 3 == 2 {
+                let amount = rng.gen_range(1..3);
+                one.age_connections(amount);
+                two.age_connections(amount);
+            }
+            assert_eq!(one.assignment_raw(), two.assignment_raw(), "round {round}");
+            assert_eq!(one.members, two.members, "round {round}");
+            assert!(one.members.iter().all(|m| m.is_sorted()), "round {round}");
+        }
     }
 
     #[test]

@@ -95,14 +95,17 @@ proptest! {
         prop_assert!((s - exact).abs() < 1e-12);
     }
 
-    /// Maintenance keeps a valid partition under arbitrary update batches
-    /// and never loses users.
+    /// Maintenance keeps a valid partition under arbitrary connection
+    /// batches interleaved with aging, never loses users, and after every
+    /// event agrees with a brute-force reading of `edges()` and
+    /// `partition()`. (That every member list stays ascending is a
+    /// `debug_assert!` at the end of each event, so it runs here too.)
     #[test]
     fn maintenance_invariants(
         (n, edges) in graph_strategy(),
-        batches in prop::collection::vec(
-            prop::collection::vec((0..20u32, 0..20u32, 1..6u32), 1..8),
-            1..5,
+        steps in prop::collection::vec(
+            (prop::collection::vec((0..20u32, 0..20u32, 1..6u32), 1..8), 0..3u32),
+            1..6,
         ),
         k in 1..6usize,
     ) {
@@ -110,17 +113,72 @@ proptest! {
         let mut m = SocialUpdatesMaintenance::new(g, k);
         let users_before = m.partition().num_users();
         prop_assert!(users_before == n);
-        for batch in &batches {
+        check_against_brute_force(&m, false)?;
+        for (batch, age) in &steps {
             let conns: Vec<(UserId, UserId, u32)> = batch
                 .iter()
                 .filter(|&&(a, b, _)| a != b)
                 .map(|&(a, b, w)| (UserId(a), UserId(b), w))
                 .collect();
             m.apply_connections(&conns);
+            check_against_brute_force(&m, false)?;
+            if *age > 0 {
+                m.age_connections(*age);
+                check_against_brute_force(&m, true)?;
+            }
             let p = m.partition();
-            prop_assert!(p.is_valid());
             prop_assert!(p.num_users() >= users_before);
             prop_assert!(p.k() >= 1);
         }
     }
+}
+
+/// The maintenance state read the slow way: the graph's edge listing, the
+/// lightest intra-community edge and (after an age) each community's
+/// connectivity, all from `edges()` and `partition()` alone.
+fn check_against_brute_force(
+    m: &SocialUpdatesMaintenance,
+    after_age: bool,
+) -> Result<(), TestCaseError> {
+    let g = m.graph();
+    let p = m.partition();
+    prop_assert!(p.is_valid());
+    let edges: Vec<(UserId, UserId, u32)> = g.edges().collect();
+    prop_assert_eq!(edges.len(), g.num_edges());
+    for pair in edges.windows(2) {
+        prop_assert!(
+            (pair[0].0, pair[0].1) < (pair[1].0, pair[1].1),
+            "{:?}",
+            pair
+        );
+    }
+    for &(a, b, w) in &edges {
+        prop_assert!(a < b && w >= 1);
+        prop_assert_eq!(g.weight(a, b), w);
+        prop_assert_eq!(g.weight(b, a), w);
+    }
+    let intra = |&&(a, b, _): &&(UserId, UserId, u32)| p.community_of(a) == p.community_of(b);
+    let lightest = edges.iter().filter(intra).map(|&(_, _, w)| w).min();
+    prop_assert_eq!(m.lightest_intra_edge_weight(), lightest);
+    if after_age {
+        // DESIGN §5: communities always remain internally connected.
+        let mut root: Vec<usize> = (0..p.num_users()).collect();
+        fn find(root: &[usize], mut x: usize) -> usize {
+            while root[x] != x {
+                x = root[x];
+            }
+            x
+        }
+        for &(a, b, _) in edges.iter().filter(intra) {
+            let (ra, rb) = (find(&root, a.index()), find(&root, b.index()));
+            root[ra] = rb;
+        }
+        for members in p.communities() {
+            let r = find(&root, members[0].index());
+            for &u in members {
+                prop_assert_eq!(find(&root, u.index()), r, "community {:?}", members);
+            }
+        }
+    }
+    Ok(())
 }

@@ -159,10 +159,17 @@ fn malformed_and_unknown_requests_get_400_and_404() {
         assert!(resp.body.contains("error"), "{target}");
     }
 
-    // `exclude` is bounded like `k`: `max_k` ids are served, one more is a
-    // 400 that names the limit — counted like every other response.
+    // `k` and `exclude` are bounded by `max_k`: at the limit a request is
+    // served, one over is a 400 that names the limit — counted like every
+    // other response.
     let max_k = ServeConfig::default().max_k;
     let qid = community.query_videos()[0].0;
+    let resp = get(addr, &format!("/recommend?video={qid}&k={max_k}"), TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "k = {max_k}: {}", resp.body);
+    let target = format!("/recommend?video={qid}&k={}", max_k + 1);
+    let resp = get(addr, &target, TIMEOUT).expect("request succeeds");
+    assert_eq!(resp.status, 400, "k = {}: {}", max_k + 1, resp.body);
+    assert!(resp.body.contains(&max_k.to_string()), "{}", resp.body);
     let ids = |n: usize| vec!["1"; n].join(",");
     let target = format!("/recommend?video={qid}&exclude={}", ids(max_k));
     let resp = get(addr, &target, TIMEOUT).expect("request succeeds");
@@ -203,7 +210,7 @@ fn malformed_and_unknown_requests_get_400_and_404() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(count(&m.submitted), 12);
+    assert_eq!(count(&m.submitted), 14);
 
     handle.shutdown();
 }

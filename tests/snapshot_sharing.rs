@@ -194,9 +194,6 @@ fn run(seed: u64, retrieval: RetrievalMode) {
         }
     }
 
-    // Rows are compared by users only: two replays of one stream number the
-    // community slots that splits append differently (hash-order dependent),
-    // a permutation no score can see.
     let mut oracle = Recommender::build(cfg, boot).expect("valid corpus");
     for event in replay {
         oracle
@@ -206,6 +203,11 @@ fn run(seed: u64, retrieval: RetrievalMode) {
     assert_eq!(answers(&master, &clicks), answers(&oracle, &clicks));
     for &id in &ids {
         assert_eq!(master.users_of(id), oracle.users_of(id), "video {id}");
+        assert_eq!(
+            master.sparse_vector_of(id),
+            oracle.sparse_vector_of(id),
+            "video {id}"
+        );
     }
 }
 
