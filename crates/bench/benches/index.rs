@@ -44,8 +44,12 @@ fn bench_btree(c: &mut Criterion) {
     for &k in &keys {
         t.insert(k, ());
     }
-    c.bench_function("bptree_get_10k", |bench| {
-        bench.iter(|| keys.iter().filter(|&&k| t.get(k).is_some()).count())
+    c.bench_function("bptree_seek_10k", |bench| {
+        bench.iter(|| {
+            keys.iter()
+                .filter(|&&k| t.cursor_forward(k).peek_key() == Some(k))
+                .count()
+        })
     });
 }
 
@@ -59,7 +63,11 @@ fn bench_zorder_and_lsb(c: &mut Criterion) {
     let lsh = CauchyLsh::new(8, 32, 4.0, 10);
     let point: Vec<f64> = (0..32).map(|_| rng.gen_range(-10.0..10.0)).collect();
     c.bench_function("cauchy_lsh_hash_32d", |bench| {
-        bench.iter(|| lsh.hash(&point))
+        let mut coords = [0u64; 8];
+        bench.iter(|| {
+            lsh.hash_unsigned_into(&point, 12, &mut coords);
+            coords[0]
+        })
     });
 
     let mut forest: LsbForest<u32> = LsbForest::new(LsbConfig::default(), 32);

@@ -6,6 +6,11 @@
 //! * certified-exact gated latency (ms/query) and the scanned/corpus ratio;
 //! * bit-identity of the certified gated top-k against the naive full scan;
 //! * approximate-mode recall@20 against the same naive reference;
+//! * what the built content index holds: the LSB forest's distinct Z-values
+//!   and stored `(Z-value, video)` pairs, summed over its trees
+//!   (`lsb_distinct_keys`, `lsb_stored_pairs` — seed-deterministic, so
+//!   `bench_diff --quick` gates them to the unit and any change to hashing
+//!   or to the forest's dedup fails it);
 //! * the write path after the queries: one 8-comment batch, one
 //!   single-video ingest and one `age 1` on the same recommender, each with
 //!   its wall time and Fig. 5's decisions (`merges`, `splits`,
@@ -94,6 +99,8 @@ struct Point {
     users: usize,
     k_subcommunities: usize,
     build_ms: u128,
+    lsb_distinct_keys: usize,
+    lsb_stored_pairs: usize,
     rows: Vec<StrategyRow>,
     writes: Vec<WriteRow>,
 }
@@ -136,7 +143,11 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
     let t0 = Instant::now();
     let mut rec = Recommender::build(cfg, stream.materialize()).expect("build");
     let build_ms = t0.elapsed().as_millis();
-    eprintln!("[scale] {videos} videos: built in {build_ms} ms");
+    let (lsb_distinct_keys, lsb_stored_pairs) = rec.lsb_entries();
+    eprintln!(
+        "[scale] {videos} videos: built in {build_ms} ms \
+         ({lsb_distinct_keys} LSB keys, {lsb_stored_pairs} stored pairs)"
+    );
 
     let queries: Vec<QueryVideo> = stream
         .query_ids(queries_n)
@@ -209,6 +220,8 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         users,
         k_subcommunities,
         build_ms,
+        lsb_distinct_keys,
+        lsb_stored_pairs,
         rows,
         writes,
     }
@@ -263,7 +276,8 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
     out.push_str(
         "\"description\": \"Index-gated retrieval at scale: certified-exact gated latency \
          and scanned/corpus ratio per strategy on streamed corpora, with bit-identity \
-         against the naive full scan and approximate-mode recall@20; then one \
+         against the naive full scan and approximate-mode recall@20; the LSB \
+         forest's distinct keys and stored pairs after the build; then one \
          8-comment batch, one single-video ingest and one age 1 on the same \
          recommender, timed, with Fig. 5's merges, splits and videos rewritten.\",\n",
     );
@@ -279,12 +293,15 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
         let _ = write!(
             out,
             "{{\"videos\": {}, \"users\": {}, \"k_subcommunities\": {}, \"build_ms\": {}, \
+             \"lsb_distinct_keys\": {}, \"lsb_stored_pairs\": {}, \
              \"mean_ms_per_query\": {:.3}, \"max_scanned_ratio\": {:.4}, \
              \"min_recall_at_20\": {:.4}, \"strategies\": {{",
             p.videos,
             p.users,
             p.k_subcommunities,
             p.build_ms,
+            p.lsb_distinct_keys,
+            p.lsb_stored_pairs,
             p.mean_ms(),
             p.max_ratio(),
             p.min_recall(),

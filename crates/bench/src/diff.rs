@@ -391,6 +391,9 @@ pub const SPECS: &[Spec] = &[
     spec("merges", LO, 0.0, true),
     spec("splits", LO, 0.0, true),
     spec("videos_rewritten", LO, 0.0, true),
+    // What the `scale` bin's built LSB forest holds.
+    spec("lsb_distinct_keys", LO, 0.0, true),
+    spec("lsb_stored_pairs", LO, 0.0, true),
     // -- wall-clock: same-host comparisons only --
     spec("speedup", HI, 0.25, false),
     spec("pruned_ms_per_query", LO, 0.30, false),

@@ -92,7 +92,7 @@ impl RecommenderConfig {
         if self.hash_buckets == 0 {
             return Err("hash_buckets must be positive".into());
         }
-        Ok(())
+        self.lsb.validate().map_err(|why| format!("lsb: {why}"))
     }
 
     /// A copy with a different fusion weight (the Fig. 8 sweep).
@@ -168,5 +168,59 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_an_lsb_config_the_forest_would_panic_on() {
+        let with_lsb = |lsb: LsbConfig| RecommenderConfig {
+            lsb,
+            ..Default::default()
+        };
+        let base = LsbConfig::default();
+        for (lsb, why) in [
+            (LsbConfig { bits: 1, ..base }, "bits 1"),
+            (
+                LsbConfig {
+                    bits: 64,
+                    hashes_per_tree: 1,
+                    ..base
+                },
+                "bits 64",
+            ),
+            (
+                LsbConfig {
+                    hashes_per_tree: 0,
+                    ..base
+                },
+                "hash function",
+            ),
+            (
+                LsbConfig {
+                    bucket_width: 0.0,
+                    ..base
+                },
+                "bucket width",
+            ),
+            (LsbConfig { trees: 0, ..base }, "tree"),
+            (
+                LsbConfig {
+                    hashes_per_tree: 16,
+                    bits: 9,
+                    ..base
+                },
+                "bit budget",
+            ),
+        ] {
+            let err = with_lsb(lsb).validate().unwrap_err();
+            assert!(err.starts_with("lsb: ") && err.contains(why), "{err}");
+        }
+        let edges = [(1, 63), (64, 2)].map(|(hashes_per_tree, bits)| LsbConfig {
+            hashes_per_tree,
+            bits,
+            ..base
+        });
+        for lsb in edges {
+            assert!(with_lsb(lsb).validate().is_ok(), "{lsb:?}");
+        }
     }
 }

@@ -342,6 +342,15 @@ impl Recommender {
         self.maintenance.num_slots()
     }
 
+    /// What the content index holds: distinct Z-values and stored
+    /// `(Z-value, video)` pairs, each summed over the LSB forest's trees.
+    /// Seed-deterministic, so a change to hashing or to the forest's dedup
+    /// shows in them.
+    pub fn lsb_entries(&self) -> (usize, usize) {
+        let lsb = &self.content.lsb;
+        (lsb.distinct_keys(), lsb.stored_pairs())
+    }
+
     /// Number of registered users.
     pub fn num_users(&self) -> usize {
         self.registry.len()
@@ -1399,9 +1408,20 @@ mod tests {
         );
         let bad = test_cfg().with_omega(2.0);
         assert!(matches!(
-            Recommender::build(bad, corpus).err(),
+            Recommender::build(bad, corpus.clone()).err(),
             Some(RecError::BadConfig(_))
         ));
+        // An LSB grid the forest cannot hash on is refused before the build
+        // starts, not by a panic halfway through it.
+        for bits in [1, 64] {
+            let mut bad = test_cfg();
+            bad.lsb.bits = bits;
+            bad.lsb.hashes_per_tree = 1;
+            assert!(matches!(
+                Recommender::build(bad, corpus.clone()).err(),
+                Some(RecError::BadConfig(why)) if why.starts_with("lsb: ")
+            ));
+        }
     }
 
     #[test]
@@ -1418,6 +1438,13 @@ mod tests {
         assert_eq!(sparse.iter().map(|&(_, c)| c).sum::<u32>(), 3);
         assert_eq!(r.users_of(VideoId(0)).unwrap().len(), 3);
         assert_eq!(r.content.arena.len(), 4, "arena holds one entry per video");
+        // Every video is in every tree at least once, under some key.
+        let (keys, pairs) = r.lsb_entries();
+        let trees = test_cfg().lsb.trees;
+        assert!(
+            keys > 0 && keys <= pairs && pairs >= 4 * trees,
+            "{keys} {pairs}"
+        );
     }
 
     #[test]

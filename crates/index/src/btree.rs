@@ -8,34 +8,48 @@
 //! linked leaves.
 //!
 //! Duplicate Z-values are common (collisions of the LSH grid), so each key
-//! maps to a bag of values. Deletion is not needed: the content index is
-//! append-only and rebuilt offline, like the paper's.
+//! maps to a *set* of values, kept ascending: inserting a pair already
+//! present is a no-op, found by binary search, and a value above everything
+//! in its bag — every corpus index `build` and ingest hand the forest — is a
+//! push. Deletion is not needed: the content index is append-only and
+//! rebuilt offline, like the paper's. So no leaf of a non-empty tree is ever
+//! empty, and the cursors step between leaves without looking for one.
+//!
+//! Internal nodes and leaves live in separate arenas. The tree's height says
+//! at which level a child index names a leaf, so no node has to be asked
+//! what kind it is.
 
 /// Maximum entries per node before splitting.
 const MAX_ENTRIES: usize = 16;
 
 #[derive(Debug, Clone)]
-enum Node<V> {
-    Internal {
-        /// Separator keys; `children[i]` holds keys `< keys[i]`,
-        /// `children[i+1]` holds keys `>= keys[i]`.
-        keys: Vec<u128>,
-        children: Vec<usize>,
-    },
-    Leaf {
-        /// Sorted by key; keys are unique within and across leaves.
-        entries: Vec<(u128, Vec<V>)>,
-        prev: Option<usize>,
-        next: Option<usize>,
-    },
+struct Inner {
+    /// Separator keys; `children[i]` holds keys `< keys[i]`,
+    /// `children[i+1]` holds keys `>= keys[i]`.
+    keys: Vec<u128>,
+    /// Indices one level down: into the internal arena above the lowest
+    /// internal level, into the leaf arena at it.
+    children: Vec<usize>,
 }
 
-/// B⁺-tree mapping `u128` keys to bags of values.
+#[derive(Debug, Clone)]
+struct Leaf<V> {
+    /// Sorted by key; keys are unique within and across leaves, and each
+    /// bag is ascending without repeats.
+    entries: Vec<(u128, Vec<V>)>,
+    prev: Option<usize>,
+    next: Option<usize>,
+}
+
+/// B⁺-tree mapping `u128` keys to ascending sets of values.
 #[derive(Debug, Clone)]
 pub struct BPlusTree<V> {
-    nodes: Vec<Node<V>>,
+    inner: Vec<Inner>,
+    leaves: Vec<Leaf<V>>,
     root: usize,
-    /// Total number of stored values (not distinct keys).
+    /// Internal levels above the leaves: 0 while the root is a leaf.
+    height: usize,
+    /// Total number of stored `(key, value)` pairs (not distinct keys).
     len: usize,
     /// Number of distinct keys.
     distinct: usize,
@@ -51,18 +65,20 @@ impl<V> BPlusTree<V> {
     /// Empty tree.
     pub fn new() -> Self {
         Self {
-            nodes: vec![Node::Leaf {
+            inner: Vec::new(),
+            leaves: vec![Leaf {
                 entries: Vec::new(),
                 prev: None,
                 next: None,
             }],
             root: 0,
+            height: 0,
             len: 0,
             distinct: 0,
         }
     }
 
-    /// Total stored values.
+    /// Total stored `(key, value)` pairs.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -79,204 +95,136 @@ impl<V> BPlusTree<V> {
 
     /// Tree height (1 = root is a leaf).
     pub fn depth(&self) -> usize {
-        let mut d = 1;
-        let mut n = self.root;
-        loop {
-            match &self.nodes[n] {
-                Node::Leaf { .. } => return d,
-                Node::Internal { children, .. } => {
-                    n = children[0];
-                    d += 1;
-                }
-            }
-        }
+        self.height + 1
     }
 
     /// Descends to the leaf that would contain `key`.
     fn find_leaf(&self, key: u128) -> usize {
         let mut n = self.root;
-        loop {
-            match &self.nodes[n] {
-                Node::Leaf { .. } => return n,
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    n = children[idx];
-                }
-            }
+        for _ in 0..self.height {
+            let Inner { keys, children } = &self.inner[n];
+            n = children[keys.partition_point(|&k| k <= key)];
         }
+        n
     }
 
-    /// The values stored under `key`.
-    // viderec-lint: allow(serve-no-panic) — `find_leaf` descends to a
-    // leaf by construction; the `unreachable!` documents the node-kind
-    // invariant, it is not input-reachable.
-    pub fn get(&self, key: u128) -> Option<&[V]> {
-        let leaf = self.find_leaf(key);
-        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
-        entries
-            .binary_search_by_key(&key, |e| e.0)
-            .ok()
-            .map(|i| entries[i].1.as_slice())
-    }
-
-    /// Inserts `value` under `key`.
-    pub fn insert(&mut self, key: u128, value: V) {
-        self.len += 1;
-        if let Some((sep, right)) = self.insert_rec(self.root, key, value) {
+    /// Adds `value` to `key`'s set in one descent; `false`, with nothing
+    /// changed, when the pair is already stored.
+    pub fn insert(&mut self, key: u128, value: V) -> bool
+    where
+        V: Ord,
+    {
+        let (added, split) = self.insert_rec(self.root, self.height, key, value);
+        if let Some((sep, right)) = split {
             // Root split: grow the tree by one level.
-            let old_root = self.root;
-            self.nodes.push(Node::Internal {
+            self.inner.push(Inner {
                 keys: vec![sep],
-                children: vec![old_root, right],
+                children: vec![self.root, right],
             });
-            self.root = self.nodes.len() - 1;
+            self.root = self.inner.len() - 1;
+            self.height += 1;
         }
+        added
     }
 
-    /// Recursive insert; returns `Some((separator, new_right_node))` when the
-    /// child split.
-    // viderec-lint: allow(serve-no-panic) — node indices come from the
-    // tree's own child pointers, so the re-borrowed node has the kind
-    // the match already proved.
-    fn insert_rec(&mut self, node: usize, key: u128, value: V) -> Option<(u128, usize)> {
-        match &mut self.nodes[node] {
-            Node::Leaf { entries, .. } => match entries.binary_search_by_key(&key, |e| e.0) {
-                Ok(i) => {
-                    entries[i].1.push(value);
-                    None
-                }
-                Err(i) => {
-                    entries.insert(i, (key, vec![value]));
-                    self.distinct += 1;
-                    if entries.len() > MAX_ENTRIES {
-                        Some(self.split_leaf(node))
-                    } else {
-                        None
-                    }
-                }
-            },
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                let child = children[idx];
-                let split = self.insert_rec(child, key, value)?;
-                let Node::Internal { keys, children } = &mut self.nodes[node] else {
-                    unreachable!()
-                };
-                keys.insert(idx, split.0);
-                children.insert(idx + 1, split.1);
-                if keys.len() > MAX_ENTRIES {
-                    Some(self.split_internal(node))
-                } else {
-                    None
-                }
+    /// Recursive insert below `node`, which sits `level` internal levels
+    /// above the leaves; returns whether the pair was new and, when `node`
+    /// split, `(separator, new_right_node)`.
+    fn insert_rec(
+        &mut self,
+        node: usize,
+        level: usize,
+        key: u128,
+        value: V,
+    ) -> (bool, Option<(u128, usize)>)
+    where
+        V: Ord,
+    {
+        if level == 0 {
+            return self.insert_into_leaf(node, key, value);
+        }
+        let Inner { keys, children } = &self.inner[node];
+        let idx = keys.partition_point(|&k| k <= key);
+        let child = children[idx];
+        let (added, split) = self.insert_rec(child, level - 1, key, value);
+        let Some((sep, right)) = split else {
+            return (added, None);
+        };
+        let Inner { keys, children } = &mut self.inner[node];
+        keys.insert(idx, sep);
+        children.insert(idx + 1, right);
+        let full = keys.len() > MAX_ENTRIES;
+        (added, full.then(|| self.split_inner(node)))
+    }
+
+    fn insert_into_leaf(
+        &mut self,
+        leaf: usize,
+        key: u128,
+        value: V,
+    ) -> (bool, Option<(u128, usize)>)
+    where
+        V: Ord,
+    {
+        let entries = &mut self.leaves[leaf].entries;
+        match entries.binary_search_by_key(&key, |e| e.0) {
+            Ok(i) => {
+                let added = insert_into_set(&mut entries[i].1, value);
+                self.len += usize::from(added);
+                (added, None)
+            }
+            Err(i) => {
+                entries.insert(i, (key, vec![value]));
+                let full = entries.len() > MAX_ENTRIES;
+                self.len += 1;
+                self.distinct += 1;
+                (true, full.then(|| self.split_leaf(leaf)))
             }
         }
     }
 
-    // viderec-lint: allow(serve-no-panic) — only called on leaf nodes,
-    // and a leaf's `next` pointer names another leaf by the sibling-chain
-    // invariant.
-    fn split_leaf(&mut self, node: usize) -> (u128, usize) {
-        let new_idx = self.nodes.len();
-        let Node::Leaf { entries, next, .. } = &mut self.nodes[node] else {
-            unreachable!()
-        };
-        let mid = entries.len() / 2;
-        let right_entries = entries.split_off(mid);
+    fn split_leaf(&mut self, leaf: usize) -> (u128, usize) {
+        let new_idx = self.leaves.len();
+        let Leaf { entries, next, .. } = &mut self.leaves[leaf];
+        let right_entries = entries.split_off(entries.len() / 2);
         let sep = right_entries[0].0;
-        let old_next = *next;
-        *next = Some(new_idx);
-        self.nodes.push(Node::Leaf {
+        let old_next = next.replace(new_idx);
+        self.leaves.push(Leaf {
             entries: right_entries,
-            prev: Some(node),
+            prev: Some(leaf),
             next: old_next,
         });
         if let Some(on) = old_next {
-            let Node::Leaf { prev, .. } = &mut self.nodes[on] else {
-                unreachable!()
-            };
-            *prev = Some(new_idx);
+            self.leaves[on].prev = Some(new_idx);
         }
         (sep, new_idx)
     }
 
-    // viderec-lint: allow(serve-no-panic) — only called on internal
-    // nodes (the caller just matched the kind).
-    fn split_internal(&mut self, node: usize) -> (u128, usize) {
-        let new_idx = self.nodes.len();
-        let Node::Internal { keys, children } = &mut self.nodes[node] else {
-            unreachable!()
-        };
+    fn split_inner(&mut self, node: usize) -> (u128, usize) {
+        let new_idx = self.inner.len();
+        let Inner { keys, children } = &mut self.inner[node];
         let mid = keys.len() / 2;
         let sep = keys[mid];
         let right_keys = keys.split_off(mid + 1);
         keys.pop(); // the separator moves up
         let right_children = children.split_off(mid + 1);
-        self.nodes.push(Node::Internal {
+        self.inner.push(Inner {
             keys: right_keys,
             children: right_children,
         });
         (sep, new_idx)
     }
 
-    /// Removes one occurrence of `value` under `key`. Returns whether a
-    /// value was removed.
-    ///
-    /// Deletion is *lazy*: emptied key bags leave their leaf, but leaves are
-    /// never rebalanced or merged (cursors skip empty leaves). This matches
-    /// the index's usage — the content index is append-heavy with occasional
-    /// retractions and is rebuilt offline — and keeps every read-path
-    /// invariant intact, which `check_invariants` still verifies.
-    pub fn remove(&mut self, key: u128, value: &V) -> bool
-    where
-        V: PartialEq,
-    {
-        let leaf = self.find_leaf(key);
-        let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
-            unreachable!()
-        };
-        let Ok(idx) = entries.binary_search_by_key(&key, |e| e.0) else {
-            return false;
-        };
-        let bag = &mut entries[idx].1;
-        let Some(pos) = bag.iter().position(|v| v == value) else {
-            return false;
-        };
-        bag.remove(pos);
-        self.len -= 1;
-        if bag.is_empty() {
-            entries.remove(idx);
-            self.distinct -= 1;
-        }
-        true
-    }
-
     /// Position of the first entry with key `>= key`; `None` past the end.
-    /// Walks past leaves emptied by lazy deletion.
-    // viderec-lint: allow(serve-no-panic) — `find_leaf` and the leaf
-    // sibling chain only yield leaf indices.
     fn lower_bound_pos(&self, key: u128) -> Option<(usize, usize)> {
         let leaf = self.find_leaf(key);
-        let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
+        let Leaf { entries, next, .. } = &self.leaves[leaf];
         let idx = entries.partition_point(|e| e.0 < key);
         if idx < entries.len() {
-            return Some((leaf, idx));
+            Some((leaf, idx))
+        } else {
+            next.map(|n| (n, 0))
         }
-        let mut n = *next;
-        while let Some(nl) = n {
-            let Node::Leaf { entries, next, .. } = &self.nodes[nl] else {
-                unreachable!()
-            };
-            if !entries.is_empty() {
-                return Some((nl, 0));
-            }
-            n = *next;
-        }
-        None
     }
 
     /// Forward cursor from the first key `>= key`.
@@ -297,86 +245,36 @@ impl<V> BPlusTree<V> {
         BackwardCursor { tree: self, pos }
     }
 
-    // viderec-lint: allow(serve-no-panic) — cursor positions and the
-    // `prev` chain only name leaves.
     fn step_left(&self, (leaf, idx): (usize, usize)) -> Option<(usize, usize)> {
         if idx > 0 {
             return Some((leaf, idx - 1));
         }
-        let Node::Leaf { prev, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
-        let mut p = *prev;
-        while let Some(pl) = p {
-            let Node::Leaf { entries, prev, .. } = &self.nodes[pl] else {
-                unreachable!()
-            };
-            if !entries.is_empty() {
-                return Some((pl, entries.len() - 1));
-            }
-            p = *prev;
-        }
-        None
+        let p = self.leaves[leaf].prev?;
+        Some((p, self.leaves[p].entries.len() - 1))
     }
 
-    // viderec-lint: allow(serve-no-panic) — cursor positions and the
-    // `next` chain only name leaves.
     fn step_right(&self, (leaf, idx): (usize, usize)) -> Option<(usize, usize)> {
-        let Node::Leaf { entries, next, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
+        let Leaf { entries, next, .. } = &self.leaves[leaf];
         if idx + 1 < entries.len() {
-            return Some((leaf, idx + 1));
+            Some((leaf, idx + 1))
+        } else {
+            next.map(|n| (n, 0))
         }
-        let mut n = *next;
-        while let Some(nl) = n {
-            let Node::Leaf { entries, next, .. } = &self.nodes[nl] else {
-                unreachable!()
-            };
-            if !entries.is_empty() {
-                return Some((nl, 0));
-            }
-            n = *next;
-        }
-        None
     }
 
-    // viderec-lint: allow(serve-no-panic) — an internal node has at
-    // least one child and the `prev` chain only names leaves; both are
-    // construction invariants.
+    /// Position of the last entry; `None` for the empty tree.
     fn last_pos(&self) -> Option<(usize, usize)> {
         let mut n = self.root;
-        loop {
-            match &self.nodes[n] {
-                Node::Internal { children, .. } => n = *children.last().expect("non-empty"),
-                Node::Leaf { entries, prev, .. } => {
-                    if entries.is_empty() {
-                        // Only possible for an empty tree (single root leaf).
-                        let mut p = *prev;
-                        while let Some(pl) = p {
-                            let Node::Leaf { entries, prev, .. } = &self.nodes[pl] else {
-                                unreachable!()
-                            };
-                            if !entries.is_empty() {
-                                return Some((pl, entries.len() - 1));
-                            }
-                            p = *prev;
-                        }
-                        return None;
-                    }
-                    return Some((n, entries.len() - 1));
-                }
-            }
+        for _ in 0..self.height {
+            n = *self.inner[n].children.last()?;
         }
+        let last = self.leaves[n].entries.len().checked_sub(1)?;
+        Some((n, last))
     }
 
-    // viderec-lint: allow(serve-no-panic) — cursor positions are
-    // produced by this tree's own walkers and always name a leaf.
     fn entry_at(&self, (leaf, idx): (usize, usize)) -> (u128, &[V]) {
-        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
-        (entries[idx].0, entries[idx].1.as_slice())
+        let (key, values) = &self.leaves[leaf].entries[idx];
+        (*key, values.as_slice())
     }
 
     /// Iterates all `(key, values)` in ascending key order.
@@ -386,20 +284,25 @@ impl<V> BPlusTree<V> {
     }
 
     /// Checks structural invariants (test support): keys sorted globally,
-    /// uniform leaf depth, separator consistency.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// every bag ascending without repeats, no empty leaf in a non-empty
+    /// tree, uniform leaf depth, separator arity.
+    pub fn check_invariants(&self) -> Result<(), String>
+    where
+        V: Ord,
+    {
         // Global ordering via iteration.
         let mut prev: Option<u128> = None;
         let mut count = 0usize;
         let mut distinct = 0usize;
         for (k, vs) in self.iter() {
-            if let Some(p) = prev {
-                if k <= p {
-                    return Err(format!("keys out of order: {p} then {k}"));
-                }
+            if prev.is_some_and(|p| k <= p) {
+                return Err(format!("keys out of order: {prev:?} then {k}"));
             }
             if vs.is_empty() {
                 return Err(format!("empty value bag at {k}"));
+            }
+            if vs.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("bag at {k} is not an ascending set"));
             }
             prev = Some(k);
             distinct += 1;
@@ -414,25 +317,47 @@ impl<V> BPlusTree<V> {
                 self.distinct
             ));
         }
-        // Uniform depth.
-        fn depth_of<V>(nodes: &[Node<V>], n: usize) -> Result<usize, String> {
-            match &nodes[n] {
-                Node::Leaf { .. } => Ok(1),
-                Node::Internal { children, keys } => {
-                    if children.len() != keys.len() + 1 {
-                        return Err("child/key arity mismatch".into());
-                    }
-                    let d0 = depth_of(nodes, children[0])?;
-                    for &c in &children[1..] {
-                        if depth_of(nodes, c)? != d0 {
-                            return Err("ragged leaf depth".into());
-                        }
-                    }
-                    Ok(d0 + 1)
-                }
-            }
+        if self.len > 0 && self.leaves.iter().any(|l| l.entries.is_empty()) {
+            return Err("empty leaf in a non-empty tree".into());
         }
-        depth_of(&self.nodes, self.root).map(|_| ())
+        // Uniform depth: every leaf is reached exactly once, at level 0.
+        fn leaves_below(t: &[Inner], n: usize, level: usize) -> Result<usize, String> {
+            if level == 0 {
+                return Ok(1);
+            }
+            let Inner { keys, children } = &t[n];
+            if children.len() != keys.len() + 1 {
+                return Err("child/key arity mismatch".into());
+            }
+            children
+                .iter()
+                .map(|&c| leaves_below(t, c, level - 1))
+                .sum()
+        }
+        let reached = leaves_below(&self.inner, self.root, self.height)?;
+        if reached != self.leaves.len() {
+            return Err(format!(
+                "{reached} leaves at depth {} of {}",
+                self.depth(),
+                self.leaves.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Inserts `value` into an ascending set; `false` when already present.
+fn insert_into_set<V: Ord>(bag: &mut Vec<V>, value: V) -> bool {
+    if bag.last().is_none_or(|last| *last < value) {
+        bag.push(value);
+        return true;
+    }
+    match bag.binary_search(&value) {
+        Ok(_) => false,
+        Err(i) => {
+            bag.insert(i, value);
+            true
+        }
     }
 }
 
@@ -485,28 +410,55 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn flat<V: Clone>(t: &BPlusTree<V>) -> Vec<(u128, Vec<V>)> {
+        t.iter().map(|(k, vs)| (k, vs.to_vec())).collect()
+    }
+
+    fn flat_model<V: Clone>(model: &BTreeMap<u128, BTreeSet<V>>) -> Vec<(u128, Vec<V>)> {
+        model
+            .iter()
+            .map(|(&k, vs)| (k, vs.iter().cloned().collect()))
+            .collect()
+    }
 
     #[test]
     fn empty_tree_behaviour() {
         let t: BPlusTree<u32> = BPlusTree::new();
         assert!(t.is_empty());
-        assert_eq!(t.get(5), None);
+        assert_eq!(t.cursor_forward(5).peek_key(), None);
+        assert_eq!(t.cursor_backward(5).peek_key(), None);
         assert_eq!(t.iter().count(), 0);
         assert_eq!(t.depth(), 1);
         t.check_invariants().unwrap();
     }
 
     #[test]
-    fn insert_and_get() {
+    fn insert_keeps_each_bag_a_set() {
         let mut t = BPlusTree::new();
-        t.insert(10, "a");
-        t.insert(5, "b");
-        t.insert(10, "c");
+        assert!(t.insert(10, "c"));
+        assert!(t.insert(5, "b"));
+        assert!(t.insert(10, "a"));
+        assert!(!t.insert(10, "c"), "already stored");
         assert_eq!(t.len(), 3);
         assert_eq!(t.distinct_keys(), 2);
-        assert_eq!(t.get(10), Some(&["a", "c"][..]));
-        assert_eq!(t.get(5), Some(&["b"][..]));
-        assert_eq!(t.get(7), None);
+        assert_eq!(flat(&t), vec![(5, vec!["b"]), (10, vec!["a", "c"])]);
+        assert_eq!(t.cursor_forward(7).peek_key(), Some(10));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ascending_values_append_and_out_of_order_ones_slot_in() {
+        let mut t = BPlusTree::new();
+        for v in [1u32, 2, 3, 7, 9] {
+            assert!(t.insert(42, v));
+        }
+        for v in [0u32, 5, 8, 3, 9] {
+            t.insert(42, v);
+        }
+        assert_eq!(flat(&t), vec![(42, vec![0, 1, 2, 3, 5, 7, 8, 9])]);
+        assert_eq!(t.len(), 8);
         t.check_invariants().unwrap();
     }
 
@@ -528,20 +480,16 @@ mod tests {
     fn matches_std_btreemap_model() {
         let mut rng = StdRng::seed_from_u64(77);
         let mut ours = BPlusTree::new();
-        let mut model: std::collections::BTreeMap<u128, Vec<u32>> = Default::default();
+        let mut model: BTreeMap<u128, BTreeSet<u32>> = Default::default();
         for _ in 0..2000 {
             let k = rng.gen_range(0..300u128);
-            let v: u32 = rng.gen();
-            ours.insert(k, v);
-            model.entry(k).or_default().push(v);
+            let v: u32 = rng.gen_range(0..20);
+            assert_eq!(ours.insert(k, v), model.entry(k).or_default().insert(v));
         }
         ours.check_invariants().unwrap();
-        for (k, vs) in &model {
-            assert_eq!(ours.get(*k), Some(vs.as_slice()));
-        }
-        let flat_ours: Vec<(u128, Vec<u32>)> = ours.iter().map(|(k, v)| (k, v.to_vec())).collect();
-        let flat_model: Vec<(u128, Vec<u32>)> = model.into_iter().collect();
-        assert_eq!(flat_ours, flat_model);
+        assert_eq!(ours.len(), model.values().map(BTreeSet::len).sum::<usize>());
+        assert_eq!(ours.distinct_keys(), model.len());
+        assert_eq!(flat(&ours), flat_model(&model));
     }
 
     #[test]
@@ -586,6 +534,21 @@ mod tests {
     }
 
     #[test]
+    fn cursors_cross_every_leaf_boundary() {
+        let mut t = BPlusTree::new();
+        for k in (0..400u128).rev() {
+            t.insert(2 * k, ());
+        }
+        assert!(t.depth() > 2);
+        for probe in 0..801u128 {
+            let up = probe.next_multiple_of(2);
+            assert_eq!(t.cursor_forward(probe).peek_key(), (up < 800).then_some(up));
+            let down = probe.checked_sub(1).map(|p| p - p % 2);
+            assert_eq!(t.cursor_backward(probe).peek_key(), down);
+        }
+    }
+
+    #[test]
     fn cursor_on_boundary_key() {
         let mut t = BPlusTree::new();
         for k in [10u128, 20] {
@@ -594,71 +557,6 @@ mod tests {
         // Forward from an existing key includes it; backward excludes it.
         assert_eq!(t.cursor_forward(10).peek_key(), Some(10));
         assert_eq!(t.cursor_backward(10).peek_key(), None);
-    }
-
-    #[test]
-    fn remove_single_values_and_whole_bags() {
-        let mut t = BPlusTree::new();
-        t.insert(5, "a");
-        t.insert(5, "b");
-        t.insert(9, "c");
-        assert!(t.remove(5, &"a"));
-        assert_eq!(t.get(5), Some(&["b"][..]));
-        assert!(!t.remove(5, &"a"), "already removed");
-        assert!(t.remove(5, &"b"));
-        assert_eq!(t.get(5), None);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.distinct_keys(), 1);
-        assert!(!t.remove(7, &"x"), "missing key");
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_interleaved_matches_model() {
-        let mut rng = StdRng::seed_from_u64(123);
-        let mut ours = BPlusTree::new();
-        let mut model: std::collections::BTreeMap<u128, Vec<u32>> = Default::default();
-        for _ in 0..3000 {
-            let k = rng.gen_range(0..150u128);
-            if rng.gen_bool(0.6) {
-                let v: u32 = rng.gen_range(0..5);
-                ours.insert(k, v);
-                model.entry(k).or_default().push(v);
-            } else {
-                let v: u32 = rng.gen_range(0..5);
-                let in_model = model.get_mut(&k).and_then(|bag| {
-                    bag.iter().position(|x| *x == v).map(|i| {
-                        bag.remove(i);
-                    })
-                });
-                let removed = ours.remove(k, &v);
-                assert_eq!(removed, in_model.is_some());
-                if model.get(&k).is_some_and(|b| b.is_empty()) {
-                    model.remove(&k);
-                }
-            }
-        }
-        ours.check_invariants().unwrap();
-        let flat_ours: Vec<(u128, Vec<u32>)> = ours.iter().map(|(k, v)| (k, v.to_vec())).collect();
-        let flat_model: Vec<(u128, Vec<u32>)> = model.into_iter().collect();
-        assert_eq!(flat_ours, flat_model);
-    }
-
-    #[test]
-    fn cursors_skip_emptied_leaves() {
-        let mut t = BPlusTree::new();
-        for k in 0..200u128 {
-            t.insert(k, ());
-        }
-        // Hollow out a middle band spanning several leaves.
-        for k in 40..160u128 {
-            assert!(t.remove(k, &()));
-        }
-        let mut f = t.cursor_forward(40);
-        assert_eq!(f.next().map(|(k, _)| k), Some(160));
-        let mut b = t.cursor_backward(160);
-        assert_eq!(b.next().map(|(k, _)| k), Some(39));
-        t.check_invariants().unwrap();
     }
 
     #[test]

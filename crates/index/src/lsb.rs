@@ -9,7 +9,7 @@
 //! of the LSH grid and therefore (w.h.p.) a closer point in L1.
 
 use crate::btree::BPlusTree;
-use crate::lsh::CauchyLsh;
+use crate::lsh::{CauchyLsh, MAX_HASHES};
 use crate::zorder::{common_prefix_len, zorder_encode};
 
 /// LSB ensemble parameters.
@@ -36,6 +36,38 @@ impl Default for LsbConfig {
             bucket_width: 4.0,
             seed: 0x15b,
         }
+    }
+}
+
+impl LsbConfig {
+    /// Why [`LsbForest::new`] would refuse this config, if it would: no
+    /// trees or hash functions, a coordinate width outside `2..=63` bits (the
+    /// grid centre's quarter-span shift needs 2, the clamp's `2^bits − 1`
+    /// allows 63), more than 128 Z-order bits a key, or a bucket width that
+    /// is not positive and finite.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.trees == 0 {
+            return Err("need at least one tree".into());
+        }
+        if self.hashes_per_tree == 0 {
+            return Err("need at least one hash function per tree".into());
+        }
+        if !(2..=63).contains(&self.bits) {
+            return Err(format!("bits {} outside 2..=63", self.bits));
+        }
+        if self.hashes_per_tree as u64 * u64::from(self.bits) > 128 {
+            return Err(format!(
+                "Z-order bit budget {} × {} exceeds u128",
+                self.hashes_per_tree, self.bits
+            ));
+        }
+        if !(self.bucket_width > 0.0 && self.bucket_width.is_finite()) {
+            return Err(format!(
+                "bucket width {} is not positive and finite",
+                self.bucket_width
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -87,13 +119,11 @@ impl<P: Slot> LsbForest<P> {
     /// Empty forest for `dims`-dimensional points.
     ///
     /// # Panics
-    /// Panics on a zero-tree config or a Z-order bit budget above 128.
+    /// Panics on a config [`LsbConfig::validate`] refuses.
     pub fn new(cfg: LsbConfig, dims: usize) -> Self {
-        assert!(cfg.trees > 0, "need at least one tree");
-        assert!(
-            cfg.hashes_per_tree as u32 * cfg.bits <= 128,
-            "Z-order bit budget exceeds u128"
-        );
+        if let Err(why) = cfg.validate() {
+            panic!("{why}");
+        }
         let trees = (0..cfg.trees)
             .map(|t| {
                 (
@@ -136,31 +166,34 @@ impl<P: Slot> LsbForest<P> {
         self.cfg.hashes_per_tree as u32 * self.cfg.bits
     }
 
-    fn zvalue(&self, lsh: &CauchyLsh, point: &[f64]) -> u128 {
-        let coords = lsh.hash_unsigned(point, self.cfg.bits);
-        zorder_encode(&coords, self.cfg.bits)
+    /// Distinct Z-values stored, summed over the trees.
+    pub fn distinct_keys(&self) -> usize {
+        self.trees
+            .iter()
+            .map(|(_, tree)| tree.distinct_keys())
+            .sum()
+    }
+
+    /// Stored `(Z-value, payload)` pairs, summed over the trees: what
+    /// [`Self::insert`]'s dedup kept of `trees × len()`.
+    pub fn stored_pairs(&self) -> usize {
+        self.trees.iter().map(|(_, tree)| tree.len()).sum()
     }
 
     /// Indexes `point` under `payload` in every tree.
     ///
-    /// A `(key, payload)` pair already present in a tree is not re-inserted:
-    /// queries dedup payloads anyway (keeping the best LCP, and within one
-    /// Z-value the LCP is identical), so a duplicate only bloats the bag.
-    /// Without this, a payload indexed under many near-identical points — a
-    /// video contributing dozens of similar signatures — piles thousands of
-    /// copies into one hot Z-cell, and every query pays to re-dedup them.
+    /// Each tree keeps a key's payloads as a set, so a `(key, payload)` pair
+    /// already present is not stored twice: queries dedup payloads anyway
+    /// (keeping the best LCP, and within one Z-value the LCP is identical),
+    /// so a duplicate would only bloat the bag. Without this, a payload
+    /// indexed under many near-identical points — a video contributing
+    /// dozens of similar signatures — piles thousands of copies into one hot
+    /// Z-cell, and every query pays to re-dedup them.
     pub fn insert(&mut self, point: &[f64], payload: P) {
         assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
-        let keys: Vec<u128> = self
-            .trees
-            .iter()
-            .map(|(lsh, _)| self.zvalue(lsh, point))
-            .collect();
-        for ((_, tree), key) in self.trees.iter_mut().zip(keys) {
-            if tree.get(key).is_some_and(|vs| vs.contains(&payload)) {
-                continue;
-            }
-            tree.insert(key, payload);
+        let bits = self.cfg.bits;
+        for (lsh, tree) in &mut self.trees {
+            tree.insert(zvalue(lsh, bits, point), payload);
         }
         self.len += 1;
         self.slots = self.slots.max(payload.slot() + 1);
@@ -263,9 +296,6 @@ impl<P: Slot> LsbForest<P> {
 
     /// Per tree, pulls the side with the longer common prefix while
     /// `keep(pulled_so_far, next_lcp)` holds, visiting every `(payload, lcp)`.
-    // viderec-lint: allow(serve-no-panic) — every `.expect("peeked")`
-    // is dominated by the `peek_key()` match that just proved that
-    // cursor side non-empty.
     fn pull(
         &self,
         point: &[f64],
@@ -275,38 +305,43 @@ impl<P: Slot> LsbForest<P> {
         assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
         let total_bits = self.total_bits();
         for (lsh, tree) in &self.trees {
-            let q = self.zvalue(lsh, point);
+            let q = zvalue(lsh, self.cfg.bits, point);
             let mut fwd = tree.cursor_forward(q);
             let mut bwd = tree.cursor_backward(q);
             let mut pulled = 0usize;
             loop {
                 let flcp = fwd.peek_key().map(|k| common_prefix_len(q, k, total_bits));
                 let blcp = bwd.peek_key().map(|k| common_prefix_len(q, k, total_bits));
+                // The longer prefix wins, forward on a tie; with both sides
+                // exhausted there is no prefix to take.
                 let take_forward = match (flcp, blcp) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
                     (Some(f), Some(b)) => f >= b,
+                    (f, _) => f.is_some(),
                 };
-                let next_lcp = if take_forward {
-                    flcp.expect("peeked")
-                } else {
-                    blcp.expect("peeked")
+                let Some(lcp) = (if take_forward { flcp } else { blcp }) else {
+                    break;
                 };
-                if !keep(pulled, next_lcp) {
+                if !keep(pulled, lcp) {
                     break;
                 }
-                let (key, values) = if take_forward {
-                    fwd.next().expect("peeked")
-                } else {
-                    bwd.next().expect("peeked")
+                let pulled_entry = if take_forward { fwd.next() } else { bwd.next() };
+                let Some((_, values)) = pulled_entry else {
+                    break;
                 };
-                let lcp = common_prefix_len(q, key, total_bits);
                 values.iter().for_each(|v| visit(v, lcp));
                 pulled += values.len();
             }
         }
     }
+}
+
+/// `point`'s Z-value under one tree's hash bundle, hashed into a stack
+/// buffer: no allocation on the insert or the query path.
+fn zvalue(lsh: &CauchyLsh, bits: u32, point: &[f64]) -> u128 {
+    let mut coords = [0u64; MAX_HASHES];
+    let coords = &mut coords[..lsh.m()];
+    lsh.hash_unsigned_into(point, bits, coords);
+    zorder_encode(coords, bits)
 }
 
 #[cfg(test)]
@@ -483,6 +518,92 @@ mod tests {
             ..Default::default()
         };
         let _f: LsbForest<u8> = LsbForest::new(cfg, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits 1 outside 2..=63")]
+    fn one_bit_coordinates_rejected() {
+        let cfg = LsbConfig {
+            bits: 1,
+            ..Default::default()
+        };
+        let _f: LsbForest<u8> = LsbForest::new(cfg, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits 64 outside 2..=63")]
+    fn sixty_four_bit_coordinates_rejected() {
+        let cfg = LsbConfig {
+            hashes_per_tree: 1,
+            bits: 64,
+            ..Default::default()
+        };
+        let _f: LsbForest<u8> = LsbForest::new(cfg, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one hash function")]
+    fn zero_hash_functions_rejected() {
+        let cfg = LsbConfig {
+            hashes_per_tree: 0,
+            ..Default::default()
+        };
+        let _f: LsbForest<u8> = LsbForest::new(cfg, 2);
+    }
+
+    #[test]
+    fn bucket_width_must_be_positive_and_finite() {
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = LsbConfig {
+                bucket_width: w,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "width {w}");
+            let built = std::panic::catch_unwind(|| LsbForest::<u8>::new(cfg, 2));
+            assert!(built.is_err(), "width {w} built a forest");
+        }
+    }
+
+    #[test]
+    fn edge_of_range_configs_build_and_hash() {
+        for (m, bits) in [(1, 63), (64, 2), (2, 2)] {
+            let cfg = LsbConfig {
+                hashes_per_tree: m,
+                bits,
+                ..Default::default()
+            };
+            let mut f: LsbForest<u8> = LsbForest::new(cfg, 3);
+            f.insert(&[1e9, -1e9, 0.5], 1);
+            assert_eq!(f.query(&[1e9, -1e9, 0.5], 1)[0].lcp, f.total_bits());
+        }
+    }
+
+    #[test]
+    fn counters_count_keys_and_deduped_pairs() {
+        let mut f: LsbForest<u32> = LsbForest::new(cfg(), 4);
+        assert_eq!((f.distinct_keys(), f.stored_pairs()), (0, 0));
+        let p = [1.0, 2.0, 3.0, 4.0];
+        f.insert(&p, 3);
+        f.insert(&p, 3);
+        assert_eq!((f.distinct_keys(), f.stored_pairs()), (4, 4), "deduped");
+        f.insert(&p, 1);
+        assert_eq!((f.distinct_keys(), f.stored_pairs()), (4, 8));
+        assert_eq!(f.len(), 3, "len counts inserted points");
+        let mut rng = StdRng::seed_from_u64(5);
+        for i in 0..200 {
+            f.insert(&random_point(&mut rng, 4, 40.0), i);
+        }
+        let trees: Vec<_> = f.trees.iter().map(|(_, t)| t).collect();
+        for t in &trees {
+            t.check_invariants().unwrap();
+        }
+        let keys: usize = trees.iter().map(|t| t.iter().count()).sum();
+        let pairs: usize = trees
+            .iter()
+            .flat_map(|t| t.iter())
+            .map(|(_, vs)| vs.len())
+            .sum();
+        assert_eq!((f.distinct_keys(), f.stored_pairs()), (keys, pairs));
     }
 
     fn payload_set(candidates: &[LsbCandidate<usize>]) -> std::collections::BTreeSet<usize> {

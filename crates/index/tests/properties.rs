@@ -2,30 +2,31 @@
 //! Z-order roundtrips, chained-hash model equivalence, LSB sanity.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use viderec_index::zorder::zorder_decode;
 use viderec_index::{common_prefix_len, zorder_encode, BPlusTree, ChainedHashTable};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The B⁺-tree matches a BTreeMap model under random inserts, for
-    /// lookups and full ordered iteration, and keeps its invariants.
+    /// The B⁺-tree matches a map-of-sets model under random inserts, for
+    /// each insert's verdict, the counts and full ordered iteration, and
+    /// keeps its invariants.
     #[test]
     fn btree_matches_model(entries in prop::collection::vec((0..500u128, 0..100u32), 0..300)) {
         let mut ours = BPlusTree::new();
-        let mut model: std::collections::BTreeMap<u128, Vec<u32>> = Default::default();
+        let mut model: BTreeMap<u128, BTreeSet<u32>> = Default::default();
         for &(k, v) in &entries {
-            ours.insert(k, v);
-            model.entry(k).or_default().push(v);
+            prop_assert_eq!(ours.insert(k, v), model.entry(k).or_default().insert(v));
         }
         ours.check_invariants().map_err(TestCaseError::fail)?;
-        prop_assert_eq!(ours.len(), entries.len());
+        prop_assert_eq!(ours.len(), model.values().map(BTreeSet::len).sum::<usize>());
         prop_assert_eq!(ours.distinct_keys(), model.len());
-        for (k, vs) in &model {
-            prop_assert_eq!(ours.get(*k), Some(vs.as_slice()));
-        }
-        let flat: Vec<u128> = ours.iter().map(|(k, _)| k).collect();
-        let expect: Vec<u128> = model.keys().copied().collect();
+        let flat: Vec<(u128, Vec<u32>)> = ours.iter().map(|(k, vs)| (k, vs.to_vec())).collect();
+        let expect: Vec<(u128, Vec<u32>)> = model
+            .iter()
+            .map(|(&k, vs)| (k, vs.iter().copied().collect()))
+            .collect();
         prop_assert_eq!(flat, expect);
     }
 
@@ -37,11 +38,11 @@ proptest! {
         probe in 0..200u128,
     ) {
         let mut ours = BPlusTree::new();
-        let mut model: std::collections::BTreeSet<u128> = Default::default();
+        let mut model: BTreeMap<u128, BTreeSet<()>> = Default::default();
         for &k in &keys {
-            ours.insert(k, ());
-            model.insert(k);
+            prop_assert_eq!(ours.insert(k, ()), model.entry(k).or_default().insert(()));
         }
+        let model: BTreeSet<u128> = model.into_keys().collect();
         let mut fwd = ours.cursor_forward(probe);
         let expected_fwd: Vec<u128> = model.range(probe..).copied().collect();
         let got_fwd: Vec<u128> =

@@ -139,3 +139,91 @@ fn capture_works_with_the_counting_allocator_installed() {
     let profile = profile.expect("capture with counting allocator installed");
     assert!(profile.samples > 0);
 }
+
+/// Held by the tests below that read deltas of the process-global counters,
+/// so they do not read each other's events. (The tests above may still run
+/// beside them; their events can only add to a delta.)
+static GLOBAL_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[test]
+fn heap_stats_is_exact_for_the_calling_thread() {
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    // A sibling test's flush can land inside a window and add to it, but
+    // never take from it: every window holds at least this thread's three
+    // blocks, and some window holds exactly them.
+    let exact = (0..200).any(|_| {
+        let before = viderec_prof::heap_stats();
+        let blocks = [alloc_exactly(40), alloc_exactly(24), alloc_exactly(100)];
+        let mid = viderec_prof::heap_stats();
+        drop(blocks);
+        let after = viderec_prof::heap_stats();
+        let allocs = mid.total_allocs - before.total_allocs;
+        let bytes = mid.total_bytes - before.total_bytes;
+        assert!(
+            allocs >= 3 && bytes >= 164,
+            "this thread's own blocks are missing: {before:?} -> {mid:?}"
+        );
+        let live = |h: viderec_prof::HeapStats| (h.live_allocs as i64, h.live_bytes as i64);
+        let grew = (live(mid).0 - live(before).0, live(mid).1 - live(before).1);
+        let shrank = (live(mid).0 - live(after).0, live(mid).1 - live(after).1);
+        (allocs, bytes, grew, shrank) == (3, 164, (3, 164), (3, 164))
+    });
+    assert!(exact, "no window read exactly this thread's three blocks");
+}
+
+#[test]
+fn other_threads_lag_by_fewer_than_one_batch() {
+    use std::sync::mpsc;
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    const N: u64 = 1000;
+    let (filled_tx, filled_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let before = viderec_prof::heap_stats();
+    let worker = std::thread::spawn(move || {
+        // N blocks and the vector holding them: N + 1 allocations.
+        let blocks: Vec<Vec<u8>> = (0..N).map(|_| alloc_exactly(32)).collect();
+        filled_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
+        let own = viderec_prof::heap_stats();
+        drop(blocks);
+        own
+    });
+    filled_rx.recv().unwrap();
+    // The worker is parked with its last batch unflushed: fewer than 64
+    // events.
+    let seen = viderec_prof::heap_stats();
+    assert!(
+        seen.total_allocs - before.total_allocs + 63 > N,
+        "more than 63 of the worker's {} allocations unseen: {before:?} -> {seen:?}",
+        N + 1
+    );
+    release_tx.send(()).unwrap();
+    let own = worker.join().unwrap();
+    assert!(
+        own.total_allocs - before.total_allocs > N,
+        "the worker's own reading misses its batch: {before:?} -> {own:?}"
+    );
+}
+
+#[test]
+fn freeing_another_threads_unflushed_blocks_never_wraps_the_live_gauges() {
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    let sane = |h: viderec_prof::HeapStats| {
+        assert!(
+            h.live_allocs < 1 << 40 && h.live_bytes < 1 << 50,
+            "a live gauge wrapped: {h:?}"
+        );
+    };
+    viderec_prof::heap_stats();
+    // Forty small blocks: far fewer events than a batch, so this thread has
+    // flushed none of them when the other frees them all and flushes.
+    let blocks: [Vec<u8>; 40] = std::array::from_fn(|i| alloc_exactly(16 + i));
+    let freed = std::thread::spawn(move || {
+        drop(blocks);
+        viderec_prof::heap_stats()
+    })
+    .join()
+    .unwrap();
+    sane(freed);
+    sane(viderec_prof::heap_stats());
+}

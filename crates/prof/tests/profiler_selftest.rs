@@ -1,11 +1,18 @@
 //! Profiler end-to-end self-test: profile a known CPU-burning function and
 //! find it at the top of the folded output.
 //!
-//! Lives in its own integration-test binary so no sibling test burns CPU
-//! during the capture window — ITIMER_PROF charges ticks process-wide.
+//! Lives in its own integration-test binary so no test of another file
+//! burns CPU during the capture window — ITIMER_PROF charges ticks
+//! process-wide. The two tests here would still run in parallel and race for
+//! the one process-wide capture (the loser gets `CaptureError::Busy`), so
+//! each holds [`CAPTURE`] throughout.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Serialises the tests of this file: one capture at a time.
+static CAPTURE: Mutex<()> = Mutex::new(());
 
 /// `#[no_mangle]` pins the symbol name the folded stacks must show;
 /// `#[inline(never)]` guarantees the function owns a physical frame.
@@ -29,6 +36,9 @@ extern "C" fn prof_selftest_spin(stop: &AtomicBool) -> u64 {
 
 #[test]
 fn spin_function_dominates_the_profile() {
+    let _serial = CAPTURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     static STOP: AtomicBool = AtomicBool::new(false);
     let spinner = std::thread::spawn(|| prof_selftest_spin(&STOP));
 
@@ -62,6 +72,9 @@ fn spin_function_dominates_the_profile() {
 
 #[test]
 fn concurrent_captures_are_refused() {
+    let _serial = CAPTURE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     static STOP: AtomicBool = AtomicBool::new(false);
     let spinner = std::thread::spawn(|| prof_selftest_spin(&STOP));
 
