@@ -15,7 +15,12 @@
 //!   single-video ingest and one `age 1` on the same recommender, each with
 //!   its wall time and Fig. 5's decisions (`merges`, `splits`,
 //!   `videos_rewritten` — seed-deterministic, so `bench_diff --quick` gates
-//!   them to the unit).
+//!   them to the unit);
+//! * the durable boot of the same corpus: one `start_durable` bootstrap into
+//!   a fresh scratch dir (`durable_boot_ms`: encode, build, snapshot write
+//!   and fsync) and one `recover` from it (`recover_ms`: read, CRC, decode,
+//!   build), and the snapshot's size (`snapshot_bytes` — seed-deterministic,
+//!   so `bench_diff --quick` fails on any drift of the on-disk format).
 //!
 //! Writes `BENCH_scale.json` and **fails** (exit 1) when a lock-down
 //! regression trips: certified results diverging from the naive scan, a
@@ -37,12 +42,15 @@
 //! | `SCALE_OUT` | BENCH_scale.json | output path |
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 use viderec_core::{
     QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Scored, SocialUpdate, Strategy,
     Tracer, UpdateEvent,
 };
 use viderec_eval::{StreamConfig, StreamingCommunity};
+use viderec_serve::durability::recover;
+use viderec_serve::{start_durable, DurabilityConfig, ServeConfig};
 
 const SEED: u64 = 0x5CA1E;
 
@@ -94,6 +102,13 @@ struct WriteRow {
     videos_rewritten: usize,
 }
 
+/// The durable boot of a point's corpus.
+struct DurableRow {
+    snapshot_bytes: u64,
+    durable_boot_ms: f64,
+    recover_ms: f64,
+}
+
 struct Point {
     videos: usize,
     users: usize,
@@ -103,6 +118,7 @@ struct Point {
     lsb_stored_pairs: usize,
     rows: Vec<StrategyRow>,
     writes: Vec<WriteRow>,
+    durable: DurableRow,
 }
 
 impl Point {
@@ -141,7 +157,7 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
     .with_retrieval(RetrievalMode::GatedCertified);
 
     let t0 = Instant::now();
-    let mut rec = Recommender::build(cfg, stream.materialize()).expect("build");
+    let mut rec = Recommender::build(cfg.clone(), stream.materialize()).expect("build");
     let build_ms = t0.elapsed().as_millis();
     let (lsb_distinct_keys, lsb_stored_pairs) = rec.lsb_entries();
     eprintln!(
@@ -215,6 +231,8 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
     }
 
     let writes = write_path(&mut rec, &stream);
+    drop(rec);
+    let durable = durable_boot(&stream, &cfg);
     Point {
         videos,
         users,
@@ -224,6 +242,53 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         lsb_stored_pairs,
         rows,
         writes,
+        durable,
+    }
+}
+
+/// Removes `dir` and everything in it, if it exists.
+fn clear(dir: &Path) {
+    // viderec-lint: allow(durable-writes) — the bench's own scratch data
+    // dir, emptied before its bootstrap and removed after its recovery.
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Boots a durable server on the stream's corpus in a fresh scratch dir,
+/// stops it, then recovers a recommender from what it wrote; times both and
+/// sizes the seed snapshot.
+fn durable_boot(stream: &StreamingCommunity, cfg: &RecommenderConfig) -> DurableRow {
+    let videos = stream.num_videos();
+    let dir = std::env::temp_dir().join(format!("viderec-scale-{}-{videos}", std::process::id()));
+    clear(&dir);
+    let dur = DurabilityConfig::new(&dir);
+    let corpus = stream.materialize();
+    let t0 = Instant::now();
+    let (handle, report) = start_durable(ServeConfig::default(), dur.clone(), cfg.clone(), corpus)
+        .expect("durable bootstrap");
+    let durable_boot_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert!(report.bootstrapped, "the scratch dir was not fresh");
+    handle.shutdown();
+    let snapshot_bytes = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "snap"))
+        .map(|e| e.metadata().map_or(0, |m| m.len()))
+        .sum();
+    let t0 = Instant::now();
+    let (recovered, _, report) = recover(&dur, cfg.clone(), Vec::new()).expect("recovery");
+    let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(recovered.num_videos(), videos);
+    assert!(!report.bootstrapped);
+    drop(recovered);
+    clear(&dir);
+    eprintln!(
+        "[scale] {videos} videos: durable boot in {durable_boot_ms:.1} ms \
+         ({snapshot_bytes} snapshot bytes), recovered in {recover_ms:.1} ms"
+    );
+    DurableRow {
+        snapshot_bytes,
+        durable_boot_ms,
+        recover_ms,
     }
 }
 
@@ -279,7 +344,9 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
          against the naive full scan and approximate-mode recall@20; the LSB \
          forest's distinct keys and stored pairs after the build; then one \
          8-comment batch, one single-video ingest and one age 1 on the same \
-         recommender, timed, with Fig. 5's merges, splits and videos rewritten.\",\n",
+         recommender, timed, with Fig. 5's merges, splits and videos rewritten; \
+         then a durable bootstrap of the same corpus into a fresh data dir and \
+         a recovery from it, timed, with the seed snapshot's size.\",\n",
     );
     out.push_str("\"command\": \"cargo run --release -p viderec-bench --bin scale\",\n");
     let _ = writeln!(
@@ -329,7 +396,13 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
                 w.event, w.apply_ms, w.merges, w.splits, w.videos_rewritten
             );
         }
-        out.push_str("}}");
+        let d = &p.durable;
+        let _ = write!(
+            out,
+            "}}, \"durable\": {{\"snapshot_bytes\": {}, \"durable_boot_ms\": {:.3}, \
+             \"recover_ms\": {:.3}}}}}",
+            d.snapshot_bytes, d.durable_boot_ms, d.recover_ms
+        );
     }
     out.push_str("\n]\n}\n");
     out

@@ -559,10 +559,9 @@ fn main() {
             Some(policy) => {
                 let dir = std::path::Path::new(&wal_dir).join(mode);
                 // viderec-lint: allow(durable-writes) — scratch data dir for the
-                // WAL-mode measurement, recreated fresh every run.
+                // WAL-mode measurement, recreated fresh every run (by
+                // `start_durable`, which creates a missing data dir).
                 let _ = std::fs::remove_dir_all(&dir);
-                // viderec-lint: allow(durable-writes) — same scratch dir.
-                std::fs::create_dir_all(&dir).expect("scratch dir");
                 let mut dur = DurabilityConfig::new(&dir);
                 dur.fsync = policy;
                 start_durable(

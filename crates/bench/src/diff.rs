@@ -394,12 +394,16 @@ pub const SPECS: &[Spec] = &[
     // What the `scale` bin's built LSB forest holds.
     spec("lsb_distinct_keys", LO, 0.0, true),
     spec("lsb_stored_pairs", LO, 0.0, true),
+    // The `scale` bin's seed snapshot: the on-disk format, to the byte.
+    spec("snapshot_bytes", LO, 0.0, true),
     // -- wall-clock: same-host comparisons only --
     spec("speedup", HI, 0.25, false),
     spec("pruned_ms_per_query", LO, 0.30, false),
     spec("ms_per_query", LO, 0.40, false),
     spec("mean_ms_per_query", LO, 0.40, false),
     spec("apply_ms", LO, 0.40, false),
+    spec("durable_boot_ms", LO, 0.40, false),
+    spec("recover_ms", LO, 0.40, false),
     spec("throughput_rps", HI, 0.30, false),
     spec("p50_micros", LO, 0.50, false),
     spec("p99_micros", LO, 0.75, false),

@@ -10,7 +10,10 @@ use viderec_core::{
     CorpusVideo, QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Stage, Strategy, Tracer,
 };
 use viderec_eval::community::{Community, CommunityConfig};
+use viderec_eval::{StreamConfig, StreamingCommunity};
+use viderec_serve::wire::encode_ingest_into;
 use viderec_signature::SignatureSeries;
+use viderec_trace::alloc::AllocSnapshot;
 use viderec_video::VideoId;
 
 #[global_allocator]
@@ -127,9 +130,8 @@ fn long_series(corpus: &[CorpusVideo], n: usize) -> SignatureSeries {
 /// run on this thread's scratch too, and a query series longer than any
 /// fixed buffer grows it once: on a corpus holding series of 40 signatures,
 /// queried with them, no warm query allocates in `Bound` or `Emd`, in the
-/// paper universe or gated. (One exception, outside the ladder: a gated
-/// CSF query's certificate sweep, timed under `Bound`, collects the query's
-/// distinct user names in a set of its own.)
+/// paper universe or gated — the gated certificate sweep, timed under
+/// `Bound`, counts the query's distinct names on the same scratch.
 #[test]
 fn ceilings_and_exact_matching_allocate_nothing_once_warm() {
     let community = Community::generate(CommunityConfig::tiny(53));
@@ -158,13 +160,7 @@ fn ceilings_and_exact_matching_allocate_nothing_once_warm() {
             }
             for q in &queries {
                 let (_, trace) = recommender.recommend_traced(strategy, q, 5, &[], Tracer::ON);
-                let names_set = mode == RetrievalMode::GatedCertified && strategy == Strategy::Csf;
-                let stages: &[Stage] = if names_set {
-                    &[Stage::Emd]
-                } else {
-                    &[Stage::Bound, Stage::Emd]
-                };
-                for &stage in stages {
+                for stage in [Stage::Bound, Stage::Emd] {
                     assert_eq!(
                         trace.alloc(stage),
                         viderec_trace::AllocCell::default(),
@@ -178,4 +174,41 @@ fn ceilings_and_exact_matching_allocate_nothing_once_warm() {
             }
         }
     }
+}
+
+/// Encodes `corpus` as a boot snapshot's `ingest` lines into `out`; returns
+/// the allocations this thread made doing it.
+fn encode_lines(corpus: &[CorpusVideo], out: &mut String) -> viderec_trace::AllocCell {
+    let before = AllocSnapshot::take();
+    for video in corpus {
+        encode_ingest_into(video, out);
+        out.push('\n');
+    }
+    before.delta()
+}
+
+/// The wire encoder writes a whole corpus into the caller's buffer: no
+/// per-video, per-field or per-`f64` string. Into a buffer already big
+/// enough, a 1 000-video corpus allocates nothing; into an empty one, only
+/// the buffer's own growth — at most one allocation per doubling.
+#[test]
+fn encoding_a_corpus_allocates_only_its_buffer() {
+    let corpus = StreamingCommunity::new(StreamConfig::at_scale(1_000, 0x5CA1E)).materialize();
+    assert_eq!(corpus.len(), 1_000);
+
+    let mut grown = String::new();
+    let spent = encode_lines(&corpus, &mut grown);
+    let doublings = u64::from(usize::BITS - grown.capacity().leading_zeros());
+    assert!(spent.count >= 1, "the buffer must have grown");
+    assert!(
+        spent.count <= doublings,
+        "{} allocations for a {}-byte buffer ({doublings} doublings)",
+        spent.count,
+        grown.capacity()
+    );
+
+    let mut sized = String::with_capacity(grown.len());
+    let spent = encode_lines(&corpus, &mut sized);
+    assert_eq!(spent, viderec_trace::AllocCell::default());
+    assert_eq!(sized, grown);
 }

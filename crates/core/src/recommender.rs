@@ -710,6 +710,9 @@ struct Scratch {
     /// How many gathered videos the exclusion list kept out of `candidates`.
     dropped: u64,
     rung: FirstRung,
+    /// The certificate's distinct query names (indices into the query's
+    /// users).
+    names: Vec<u32>,
 }
 
 impl Scratch {
@@ -888,6 +891,7 @@ impl Recommender {
     /// score is `0.0` (scores are non-negative and the bound is admissible),
     /// and the naive scan ranks zero-score videos purely by id — a tail
     /// [`Self::zero_fill_into`] synthesizes without scoring anything.
+    #[allow(clippy::too_many_arguments)]
     fn certificate_survivors(
         &self,
         strategy: Strategy,
@@ -895,25 +899,16 @@ impl Recommender {
         (q_range, reach): ((f64, f64), f64),
         floor: f64,
         seen: &Seen,
+        names: &mut Vec<u32>,
         out: &mut Vec<u32>,
     ) {
         let omega = self.cfg.omega;
-        // Distinct query names, and how many of them have no live community
-        // slot — the only names a non-candidate's user set can share with
-        // the query (only the exact-`sJ` strategies need them).
-        let mut names: HashSet<&str> = HashSet::new();
-        let mut q_unassigned = 0usize;
-        if matches!(strategy, Strategy::Sr | Strategy::Csf) {
-            let (chained, slots) = (&*self.chained, self.community_slots());
-            for name in &query.users {
-                if names.insert(name.as_str())
-                    && !matches!(chained.get(name), Some(&c) if c < slots)
-                {
-                    q_unassigned += 1;
-                }
-            }
-        }
-        let qn = names.len();
+        // Only the exact-`sJ` strategies need the query's names.
+        let (qn, q_unassigned) = if matches!(strategy, Strategy::Sr | Strategy::Csf) {
+            self.distinct_name_counts(&query.users, names)
+        } else {
+            (0, 0)
+        };
         let s_ub = |vn: usize| q_unassigned as f64 / qn.max(vn).max(1) as f64;
         let reaches = |kappa_ub: f64, s_ub: f64| {
             let ceiling = strategy_score(strategy, omega, kappa_ub, s_ub);
@@ -942,6 +937,24 @@ impl Recommender {
                 out.push(idx);
             }
         }
+    }
+
+    /// How many distinct names `users` holds, and how many of those have no
+    /// live community slot — the only names a non-candidate's user set can
+    /// share with the query. `names` is scratch, left holding one index
+    /// into `users` per distinct name, in name order: nothing is allocated
+    /// once it has grown to the longest user list.
+    fn distinct_name_counts(&self, users: &[String], names: &mut Vec<u32>) -> (usize, usize) {
+        let (chained, slots) = (&*self.chained, self.community_slots());
+        names.clear();
+        names.extend(0..users.len() as u32);
+        names.sort_unstable_by(|&a, &b| users[a as usize].cmp(&users[b as usize]));
+        names.dedup_by(|a, b| users[*a as usize] == users[*b as usize]);
+        let unassigned = names
+            .iter()
+            .filter(|&&i| !matches!(chained.get(&users[i as usize]), Some(&c) if c < slots))
+            .count();
+        (names.len(), unassigned)
     }
 
     /// Completes a gated result with the certified-zero id-order tail the
@@ -1023,6 +1036,7 @@ impl Recommender {
             candidates,
             dropped,
             rung,
+            names,
         } = scratch;
         trace.gathered = candidates.len() as u64 + *dropped;
         trace.excluded = *dropped;
@@ -1059,6 +1073,7 @@ impl Recommender {
                 (ladder.q_range, ladder.reach),
                 floor,
                 seen,
+                names,
                 candidates,
             );
             for &idx in candidates.iter() {
@@ -1590,6 +1605,29 @@ mod tests {
     }
 
     #[test]
+    fn distinct_name_counts_agree_with_a_set() {
+        let (corpus, _) = small_corpus();
+        let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
+        let assigned = |n: &str| matches!(r.chained.get(n), Some(&c) if c < r.community_slots());
+        let (mut names, mut some_assigned) = (Vec::new(), false);
+        for source in &corpus {
+            // Every name twice, in both orders, plus a repeated stranger.
+            let mut users = source.users.clone();
+            users.extend(source.users.iter().rev().cloned());
+            users.extend(["stranger".to_string(), "stranger".to_string()]);
+            let set: HashSet<&str> = users.iter().map(String::as_str).collect();
+            let want = (set.len(), set.iter().filter(|n| !assigned(n)).count());
+            assert_eq!(r.distinct_name_counts(&users, &mut names), want);
+            assert_eq!(names.len(), want.0);
+            some_assigned |= want.1 < want.0;
+        }
+        assert!(
+            some_assigned,
+            "no query name is assigned: the test is vacuous"
+        );
+    }
+
+    #[test]
     fn flat_certificate_agrees_with_the_per_video_oracle() {
         let (corpus, _) = small_corpus();
         let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
@@ -1614,6 +1652,7 @@ mod tests {
                             (ladder.q_range, ladder.reach),
                             floor,
                             &seen,
+                            &mut Vec::new(),
                             &mut survivors,
                         );
                         let want = certificate_oracle(

@@ -60,22 +60,36 @@ impl DurabilityConfig {
     }
 }
 
-/// Encodes one event as a WAL record payload (wire lines; one event may span
-/// several lines — e.g. a comments batch — but one record is one event).
-pub fn encode_event(event: &UpdateEvent) -> String {
+/// Appends one event's WAL record payload to `out` (wire lines, `\n`
+/// between them; one event may span several lines — e.g. a comments batch
+/// — but one record is one event).
+fn encode_event_into(event: &UpdateEvent, out: &mut String) {
     match event {
-        UpdateEvent::Comments(batch) => batch
-            .iter()
-            .map(|u| wire::encode_comment(u.video, &u.user))
-            .collect::<Vec<_>>()
-            .join("\n"),
-        UpdateEvent::Ingest(videos) => videos
-            .iter()
-            .map(wire::encode_ingest)
-            .collect::<Vec<_>>()
-            .join("\n"),
-        UpdateEvent::Age(amount) => wire::encode_age(*amount),
+        UpdateEvent::Comments(batch) => {
+            for (i, u) in batch.iter().enumerate() {
+                if i > 0 {
+                    out.push('\n');
+                }
+                wire::encode_comment_into(u.video, &u.user, out);
+            }
+        }
+        UpdateEvent::Ingest(videos) => {
+            for (i, video) in videos.iter().enumerate() {
+                if i > 0 {
+                    out.push('\n');
+                }
+                wire::encode_ingest_into(video, out);
+            }
+        }
+        UpdateEvent::Age(amount) => wire::encode_age_into(*amount, out),
     }
+}
+
+/// Encodes one event as a WAL record payload (see [`encode_event_into`]).
+pub fn encode_event(event: &UpdateEvent) -> String {
+    let mut out = String::new();
+    encode_event_into(event, &mut out);
+    out
 }
 
 /// Decodes a WAL record payload back into the single event it framed.
@@ -107,14 +121,27 @@ pub fn decode_event(payload: &[u8]) -> Result<UpdateEvent, String> {
     }
 }
 
-/// Serializes the boot corpus as the snapshot's corpus section.
+/// First line of a snapshot's corpus section.
+const CORPUS_HEADER: &str = "# viderec boot corpus\n";
+
+/// An upper bound on the corpus section's bytes: the header, and each
+/// video's `ingest` line with its newline.
+fn corpus_bound(corpus: &[CorpusVideo]) -> usize {
+    let lines: usize = corpus.iter().map(|v| wire::ingest_line_bound(v) + 1).sum();
+    CORPUS_HEADER.len() + lines
+}
+
+/// Serializes the boot corpus as the snapshot's corpus section, into one
+/// buffer sized before the first line is written.
 fn encode_corpus(corpus: &[CorpusVideo]) -> Vec<u8> {
-    let mut out = String::with_capacity(corpus.len() * 64);
-    out.push_str("# viderec boot corpus\n");
+    let bound = corpus_bound(corpus);
+    let mut out = String::with_capacity(bound);
+    out.push_str(CORPUS_HEADER);
     for video in corpus {
-        out.push_str(&wire::encode_ingest(video));
+        wire::encode_ingest_into(video, &mut out);
         out.push('\n');
     }
+    debug_assert!(out.len() <= bound, "ingest_line_bound is not a bound");
     out.into_bytes()
 }
 
@@ -220,6 +247,8 @@ pub struct DurableLog {
     cfg: DurabilityConfig,
     status: Arc<DurabilityStatus>,
     snapshot_lsn: u64,
+    /// The record payload being encoded, reused from event to event.
+    payload: String,
 }
 
 impl DurableLog {
@@ -238,16 +267,17 @@ impl DurableLog {
     ) -> Result<u64, WalError> {
         let mut last = self.wal.last_lsn();
         for event in events {
-            let payload = encode_event(event);
+            self.payload.clear();
+            encode_event_into(event, &mut self.payload);
             let start = Instant::now();
-            last = self.wal.append(payload.as_bytes())?;
+            last = self.wal.append(self.payload.as_bytes())?;
             metrics
                 .wal_append_micros
                 .record(start.elapsed().as_micros() as u64);
             metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
             metrics
                 .wal_bytes
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
+                .fetch_add(self.payload.len() as u64, Ordering::Relaxed);
         }
         let start = Instant::now();
         if self.wal.commit()? {
@@ -368,12 +398,16 @@ pub fn recover(
 
     let (mut master, covered) = match store.load_latest().map_err(|e| e.to_string())? {
         None => {
-            let master = Recommender::build(rec_cfg, boot_corpus.clone())
+            // Encode while the corpus is borrowed, then move it into the
+            // build: no copy of it is ever made. The seed snapshot is
+            // published only once the build accepted the corpus.
+            let corpus = encode_corpus(&boot_corpus);
+            let master = Recommender::build(rec_cfg, boot_corpus)
                 .map_err(|e| format!("boot corpus rejected: {e:?}"))?;
             store
                 .write(&Snapshot {
                     covered_lsn: 0,
-                    corpus: encode_corpus(&boot_corpus),
+                    corpus,
                     events: Vec::new(),
                 })
                 .map_err(|e| e.to_string())?;
@@ -441,6 +475,7 @@ pub fn recover(
         cfg: cfg.clone(),
         status,
         snapshot_lsn: covered,
+        payload: String::new(),
     };
     Ok((master, log, report))
 }
@@ -514,6 +549,54 @@ mod tests {
         ];
         let decoded = decode_corpus(&encode_corpus(&corpus)).unwrap();
         assert_eq!(format!("{decoded:?}"), format!("{corpus:?}"));
+    }
+
+    #[test]
+    fn corpus_section_bound_holds_and_sizes_the_buffer_once() {
+        let videos = [
+            CorpusVideo {
+                id: VideoId(u64::MAX),
+                series: series(),
+                users: vec!["a".into(), "bc".into()],
+            },
+            CorpusVideo {
+                id: VideoId(0),
+                series: SignatureSeries::default(),
+                users: Vec::new(),
+            },
+        ];
+        for video in &videos {
+            let line = wire::encode_ingest(video);
+            assert!(line.len() <= wire::ingest_line_bound(video), "{line}");
+        }
+        let bytes = encode_corpus(&videos);
+        assert!(bytes.len() <= corpus_bound(&videos));
+        assert_eq!(bytes.capacity(), corpus_bound(&videos));
+    }
+
+    #[test]
+    fn a_rejected_boot_corpus_publishes_no_snapshot() {
+        let dir = std::env::temp_dir().join(format!("viderec-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let video = CorpusVideo {
+            id: VideoId(4),
+            series: series(),
+            users: vec!["x".into()],
+        };
+        let cfg = DurabilityConfig::new(&dir);
+        let rec_cfg = RecommenderConfig {
+            k_subcommunities: 1,
+            ..Default::default()
+        };
+        let twice = vec![video.clone(), video.clone()];
+        let err = recover(&cfg, rec_cfg.clone(), twice).err().unwrap();
+        assert!(err.contains("boot corpus rejected"), "{err}");
+        let store = SnapshotStore::open(&dir).unwrap();
+        assert!(store.load_latest().unwrap().is_none());
+        // The directory is still fresh: a valid corpus bootstraps it.
+        let (_, _, report) = recover(&cfg, rec_cfg, vec![video]).unwrap();
+        assert!(report.bootstrapped);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -108,6 +108,24 @@ proptest! {
     }
 
     #[test]
+    fn any_16_hex_digits_in_either_case_decode_like_from_str_radix(
+        picks in prop::collection::vec(0..22usize, 16),
+    ) {
+        const DIGITS: &[u8; 22] = b"0123456789abcdefABCDEF";
+        let hex: String = picks.iter().map(|&i| DIGITS[i] as char).collect();
+        let bits = u64::from_str_radix(&hex, 16).expect("16 hex digits");
+        // Weight 1.0: the value is the only thing under test.
+        let decoded = decode_series(&format!("{hex}:3ff0000000000000"));
+        if f64::from_bits(bits).is_finite() {
+            let series = decoded
+                .map_err(|e| TestCaseError::fail(format!("rejected {hex}: {e}")))?;
+            prop_assert_eq!(series.signatures()[0].cuboids()[0].value.to_bits(), bits);
+        } else {
+            prop_assert!(decoded.is_err(), "accepted non-finite {hex}");
+        }
+    }
+
+    #[test]
     fn event_bodies_round_trip_through_the_parser(
         specs in prop::collection::vec(
             (0..3u8, 1..50_000u64, user(), 1..5u32, series()),

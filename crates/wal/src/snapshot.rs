@@ -59,6 +59,13 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// The next `len` bytes of `f`, in a buffer of exactly that size.
+fn read_section(f: &mut File, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; len];
+    f.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
 impl SnapshotStore {
     /// A store over `dir` (created if missing).
     pub fn open(dir: &Path) -> Result<Self, WalError> {
@@ -69,20 +76,19 @@ impl SnapshotStore {
     }
 
     /// Serializes and crash-atomically publishes `snapshot`, then prunes all
-    /// but the newest [`RETAIN`] snapshots. Returns the published path.
+    /// but the newest [`RETAIN`] snapshots. Returns the published path. The
+    /// header goes out first and the two sections after it straight from
+    /// `snapshot`'s buffers: nothing is concatenated.
     pub fn write(&self, snapshot: &Snapshot) -> Result<PathBuf, WalError> {
         let mut crc = Crc32::new();
         crc.update(&snapshot.corpus);
         crc.update(&snapshot.events);
-        let mut bytes =
-            Vec::with_capacity(HEADER_LEN + snapshot.corpus.len() + snapshot.events.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&snapshot.covered_lsn.to_le_bytes());
-        bytes.extend_from_slice(&(snapshot.corpus.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(snapshot.events.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc.finish().to_le_bytes());
-        bytes.extend_from_slice(&snapshot.corpus);
-        bytes.extend_from_slice(&snapshot.events);
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(MAGIC);
+        header[8..16].copy_from_slice(&snapshot.covered_lsn.to_le_bytes());
+        header[16..24].copy_from_slice(&(snapshot.corpus.len() as u64).to_le_bytes());
+        header[24..32].copy_from_slice(&(snapshot.events.len() as u64).to_le_bytes());
+        header[32..36].copy_from_slice(&crc.finish().to_le_bytes());
 
         let final_path = snap_path(&self.dir, snapshot.covered_lsn);
         let tmp_path = final_path.with_extension("tmp");
@@ -91,7 +97,9 @@ impl SnapshotStore {
             .write(true)
             .truncate(true)
             .open(&tmp_path)?;
-        f.write_all(&bytes)?;
+        f.write_all(&header)?;
+        f.write_all(&snapshot.corpus)?;
+        f.write_all(&snapshot.events)?;
         f.sync_all()?;
         drop(f);
         fs::rename(&tmp_path, &final_path)?;
@@ -143,45 +151,54 @@ impl SnapshotStore {
         Ok(())
     }
 
+    /// Reads and verifies one snapshot. The header is checked against the
+    /// file's size before anything else is read, then each section is read
+    /// straight into the buffer the returned [`Snapshot`] owns: every byte
+    /// is read once and neither section is copied.
     fn load_at(&self, lsn: u64) -> Result<Snapshot, WalError> {
         let path = snap_path(&self.dir, lsn);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
+        let mut f = File::open(&path)?;
+        let file_len = f.metadata()?.len();
         let fail = |msg: &str| WalError::Corrupt(format!("snapshot {}: {msg}", path.display()));
-        if bytes.len() < HEADER_LEN {
+        if file_len < HEADER_LEN as u64 {
             return Err(fail("shorter than its header"));
         }
-        if &bytes[0..8] != MAGIC {
+        let mut header = [0u8; HEADER_LEN];
+        f.read_exact(&mut header)?;
+        if &header[0..8] != MAGIC {
             return Err(fail("bad magic"));
         }
-        let covered_lsn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let corpus_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let events_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        let want_crc = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
+        let field = |at: usize| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(&header[at..at + 8]);
+            u64::from_le_bytes(le)
+        };
+        let (covered_lsn, corpus_len, events_len) = (field(8), field(16), field(24));
+        let want_crc = u32::from_le_bytes([header[32], header[33], header[34], header[35]]);
         if covered_lsn != lsn {
             return Err(fail("stamped lsn disagrees with the file name"));
         }
         let Some(total) = corpus_len
             .checked_add(events_len)
-            .and_then(|n| n.checked_add(HEADER_LEN))
+            .and_then(|n| n.checked_add(HEADER_LEN as u64))
         else {
             return Err(fail("section lengths overflow"));
         };
-        if bytes.len() != total {
+        if file_len != total {
             return Err(fail("section lengths disagree with the file size"));
         }
-        let corpus = &bytes[HEADER_LEN..HEADER_LEN + corpus_len];
-        let events = &bytes[HEADER_LEN + corpus_len..];
+        let corpus = read_section(&mut f, corpus_len as usize)?;
+        let events = read_section(&mut f, events_len as usize)?;
         let mut crc = Crc32::new();
-        crc.update(corpus);
-        crc.update(events);
+        crc.update(&corpus);
+        crc.update(&events);
         if crc.finish() != want_crc {
             return Err(fail("crc mismatch"));
         }
         Ok(Snapshot {
             covered_lsn,
-            corpus: corpus.to_vec(),
-            events: events.to_vec(),
+            corpus,
+            events,
         })
     }
 
