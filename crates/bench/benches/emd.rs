@@ -1,11 +1,11 @@
-//! EMD solver ablation (DESIGN.md): the 1-D closed form vs the
-//! transportation simplex vs successive shortest paths, plus the κJ matching
-//! variants and the CDF embedding.
+//! EMD solver ablation (DESIGN.md): the 1-D closed form vs its
+//! successive-shortest-paths oracle, plus the κJ matcher and the CDF
+//! embedding.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use viderec_emd::emd::Emd;
-use viderec_emd::{extended_jaccard, extended_jaccard_all_pairs, CdfEmbedder, MatchingConfig};
+use viderec_emd::transport::{solve_ssp, TransportProblem};
+use viderec_emd::{emd_1d, extended_jaccard, CdfEmbedder, DenseMatrix, MatchingConfig};
 
 fn random_sig(rng: &mut StdRng, n: usize) -> Vec<(f64, f64)> {
     let mut ws: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
@@ -23,13 +23,14 @@ fn bench_solvers(c: &mut Criterion) {
         let a = random_sig(&mut rng, n);
         let b = random_sig(&mut rng, n);
         group.bench_with_input(BenchmarkId::new("one_dimensional", n), &n, |bench, _| {
-            bench.iter(|| Emd::OneDimensional.distance(&a, &b).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("simplex", n), &n, |bench, _| {
-            bench.iter(|| Emd::Simplex.distance(&a, &b).unwrap())
+            bench.iter(|| emd_1d(&a, &b))
         });
         group.bench_with_input(BenchmarkId::new("shortest_paths", n), &n, |bench, _| {
-            bench.iter(|| Emd::ShortestPaths.distance(&a, &b).unwrap())
+            bench.iter(|| {
+                let cost = DenseMatrix::from_fn(n, n, |i, j| (a[i].0 - b[j].0).abs());
+                let weights = |s: &[(f64, f64)]| s.iter().map(|&(_, w)| w).collect();
+                solve_ssp(&TransportProblem::new(weights(&a), weights(&b), cost)).1
+            })
         });
     }
     group.finish();
@@ -44,9 +45,6 @@ fn bench_kappa_variants(c: &mut Criterion) {
         .collect();
     group.bench_function("greedy_matching", |bench| {
         bench.iter(|| extended_jaccard(n, n, |i, j| sims[i][j], MatchingConfig::default()))
-    });
-    group.bench_function("all_pairs_literal", |bench| {
-        bench.iter(|| extended_jaccard_all_pairs(n, n, |i, j| sims[i][j]))
     });
     group.finish();
 }

@@ -4,9 +4,9 @@
 //!
 //! Two gates pin the PR's perf claims so they cannot silently rot:
 //!
-//! 1. **Kernel**: the flat-lane SoA sweep ([`viderec_emd::emd_1d_soa`]) must
-//!    be at least 1.5x the throughput of the pair-slice reference sweep
-//!    ([`viderec_emd::emd_1d_presorted`]) on 64-point signatures — the
+//! 1. **Kernel**: the flat-lane SoA sweep ([`viderec_emd::emd_1d_soa_capped`])
+//!    must be at least 1.5x the throughput of the pair-slice reference sweep
+//!    ([`viderec_emd::emd_1d_presorted_capped`]) on 64-point signatures — the
 //!    shape where the branchless merge and lane loads pay for themselves.
 //! 2. **Bound ladder**: a traced pass over a small community must show the
 //!    ladder actually pruning (`pruned > 0`); a wiring regression that
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use viderec_core::{PruneStats, QueryVideo, Recommender, RecommenderConfig, Strategy, Tracer};
-use viderec_emd::{emd_1d_presorted, emd_1d_presorted_capped, emd_1d_soa, emd_1d_soa_capped};
+use viderec_emd::{emd_1d_presorted_capped, emd_1d_soa_capped};
 use viderec_eval::community::{Community, CommunityConfig};
 
 /// One presorted signature in both layouts, built from the same draw.
@@ -71,16 +71,12 @@ fn best_of_3(mut run: impl FnMut() -> f64, reps: usize) -> f64 {
 }
 
 /// Pair-slice vs SoA sweep over every ordered pair of `sigs`; returns
-/// `(pair_slice_s, soa_s)`.
+/// `(pair_slice_s, soa_s)`; no `cap` is the uncapped sweep (`f64::INFINITY`).
 fn time_kernels(sigs: &[Sig], reps: usize, cap: Option<f64>) -> (f64, f64) {
-    let sweep_pairs = |a: &Sig, b: &Sig| match cap {
-        None => emd_1d_presorted(&a.pairs, &b.pairs),
-        Some(c) => emd_1d_presorted_capped(&a.pairs, &b.pairs, c),
-    };
-    let sweep_soa = |a: &Sig, b: &Sig| match cap {
-        None => emd_1d_soa(&a.values, &a.weights, &b.values, &b.weights),
-        Some(c) => emd_1d_soa_capped(&a.values, &a.weights, &b.values, &b.weights, c),
-    };
+    let cap = cap.unwrap_or(f64::INFINITY);
+    let sweep_pairs = |a: &Sig, b: &Sig| emd_1d_presorted_capped(&a.pairs, &b.pairs, cap);
+    let sweep_soa =
+        |a: &Sig, b: &Sig| emd_1d_soa_capped(&a.values, &a.weights, &b.values, &b.weights, cap);
     let all = |sweep: &dyn Fn(&Sig, &Sig) -> f64| {
         let mut acc = 0.0;
         for a in sigs {

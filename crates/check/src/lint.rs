@@ -35,7 +35,7 @@
 //! * **`emd-direct-call`** — the hot paths (`crates/core/src`,
 //!   `crates/serve/src`) must not call the sorting `emd_1d(` entry point:
 //!   scoring goes through the arena's presorted SoA lanes
-//!   (`emd_1d_soa[_capped]` via `kappa_exact_cached`), which skip the
+//!   (`emd_1d_soa_capped` via `kappa_exact_cached`), which skip the
 //!   per-call sort and allocation. `#[cfg(test)]` regions are exempt —
 //!   tests may use `emd_1d` as a reference oracle.
 //! * **`durable-writes`** — mutating `std::fs` calls (`fs::write`,
@@ -884,7 +884,7 @@ pub fn lint_workspace(
                         rule: "emd-direct-call",
                         message: "direct `emd_1d(` call on a hot path; it sorts and \
                                   allocates per call — score through the arena's presorted \
-                                  SoA lanes (`emd_1d_soa[_capped]` via `kappa_exact_cached`), \
+                                  SoA lanes (`emd_1d_soa_capped` via `kappa_exact_cached`), \
                                   or waive the site with the reason it is sanctioned"
                             .into(),
                     });

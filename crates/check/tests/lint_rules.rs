@@ -367,14 +367,14 @@ fn direct_emd_1d_call_on_a_hot_path_is_a_finding() {
     )]);
     let findings = lint_workspace(&fs, None, None);
     assert_eq!(rules_of(&findings), vec!["emd-direct-call"]);
-    assert!(findings[0].message.contains("emd_1d_soa"));
+    assert!(findings[0].message.contains("emd_1d_soa_capped"));
 }
 
 #[test]
 fn soa_kernel_calls_are_not_direct_emd_1d_calls() {
     let fs = files(&[(
         "crates/serve/src/server.rs",
-        "fn f(av: &[f64], aw: &[f64]) -> f64 { emd_1d_soa(av, aw, av, aw) }\n",
+        "fn f(av: &[f64], aw: &[f64]) -> f64 { emd_1d_soa_capped(av, aw, av, aw, 1.0) }\n",
     )]);
     assert!(lint_workspace(&fs, None, None).is_empty());
 }

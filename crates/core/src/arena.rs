@@ -7,8 +7,8 @@
 //! * one flat `means` buffer (one entry per signature, videos own contiguous
 //!   ranges via `sig_off`);
 //! * one flat `feats` buffer of quantile-slice partial means
-//!   ([`crate::prune::SLICES`] per signature; [`viderec_emd::slice_features`])
-//!   unless the arena's [`PruneBound`] is `Centroid`;
+//!   ([`crate::prune::SLICES`] per signature; [`viderec_emd::slice_features`]),
+//!   the quantile-slice bound's input, indexed like `means`;
 //! * flat `values`/`weights` lanes (value-ascending, one pair of entries per
 //!   cuboid) with a per-signature `pair_off` table — the SoA layout the
 //!   branchless EMD kernel ([`viderec_emd::emd_1d_soa_capped`]) sweeps with
@@ -24,7 +24,7 @@
 //! and borrowed — through [`ScoringArena::view`], the one view there is — by
 //! every query.
 
-use crate::prune::{PruneBound, SLICES};
+use crate::prune::SLICES;
 use viderec_emd::slice_features;
 use viderec_signature::SignatureSeries;
 
@@ -32,7 +32,6 @@ use viderec_signature::SignatureSeries;
 /// [`ScoringArena::for_series`], a single query series).
 #[derive(Debug, Clone)]
 pub(crate) struct ScoringArena {
-    bound: PruneBound,
     /// Cuboid count of the longest signature ingested so far, and the
     /// largest `|value|` of any cuboid — what the rounding allowance of the
     /// cached sums ([`viderec_emd::rounding_allowance`]) scales with.
@@ -48,9 +47,9 @@ pub(crate) struct ScoringArena {
     /// Per-video permutation of *local* signature indices, ordered by mean
     /// ascending; laid out in the same per-video ranges as `means`.
     mean_order: Vec<u32>,
-    /// Slice features, [`SLICES`] per signature, flattened; empty for
-    /// [`PruneBound::Centroid`].
-    feats: Vec<f64>,
+    /// Slice features, [`SLICES`] per signature, one entry per global
+    /// signature index.
+    feats: Vec<[f64; SLICES]>,
     /// Per-signature ranges into the lane buffers: signature `s` (global
     /// index) owns `pair_off[s]..pair_off[s + 1]`. Length
     /// `total_signatures + 1`.
@@ -66,10 +65,9 @@ pub(crate) struct ScoringArena {
 }
 
 impl ScoringArena {
-    /// Empty arena for `bound`; extend it with [`Self::push_series`].
-    pub(crate) fn new(bound: PruneBound) -> Self {
+    /// Empty arena; extend it with [`Self::push_series`].
+    pub(crate) fn new() -> Self {
         Self {
-            bound,
             max_terms: 0,
             max_abs: 0.0,
             sig_off: vec![0],
@@ -86,8 +84,8 @@ impl ScoringArena {
 
     /// Single-series arena — the query-side cache of a pruned scan. View it
     /// with `view(0)`.
-    pub(crate) fn for_series(series: &SignatureSeries, bound: PruneBound) -> Self {
-        let mut arena = Self::new(bound);
+    pub(crate) fn for_series(series: &SignatureSeries) -> Self {
+        let mut arena = Self::new();
         arena.push_series(series);
         arena
     }
@@ -109,11 +107,9 @@ impl ScoringArena {
                 self.weights.push(w);
             }
             self.pair_off.push(self.values.len() as u32);
-            if matches!(self.bound, PruneBound::Best { .. }) {
-                let mut feats = [0.0; SLICES];
-                slice_features(&self.values[lanes..], &self.weights[lanes..], &mut feats);
-                self.feats.extend(feats);
-            }
+            let mut feats = [0.0; SLICES];
+            slice_features(&self.values[lanes..], &self.weights[lanes..], &mut feats);
+            self.feats.push(feats);
         }
         let n = self.means.len() - base;
         let means = &self.means;
@@ -137,11 +133,6 @@ impl ScoringArena {
         (self.max_terms, self.max_abs)
     }
 
-    /// The bound the arena caches for (slice features or none).
-    pub(crate) fn bound(&self) -> PruneBound {
-        self.bound
-    }
-
     /// Number of videos in the arena.
     pub(crate) fn len(&self) -> usize {
         self.sig_off.len() - 1
@@ -156,11 +147,7 @@ impl ScoringArena {
         SeriesView {
             means: &self.means[lo..hi],
             mean_order: &self.mean_order[lo..hi],
-            feats: if self.feats.is_empty() {
-                &[]
-            } else {
-                &self.feats[lo * SLICES..hi * SLICES]
-            },
+            feats: &self.feats[lo..hi],
             pair_off: &self.pair_off[lo..=hi],
             values: &self.values,
             weights: &self.weights,
@@ -178,9 +165,10 @@ pub(crate) struct SeriesView<'a> {
     pub(crate) means: &'a [f64],
     /// Local signature indices ordered by mean ascending.
     pub(crate) mean_order: &'a [u32],
-    /// Slice features, [`SLICES`] per signature, local indexing; empty when
-    /// the view carries no features (centroid-only bounds never read them).
-    pub(crate) feats: &'a [f64],
+    /// Slice features, [`SLICES`] per signature, local indexing: as long as
+    /// `means` by construction ([`ScoringArena::view`] is the only way to
+    /// build a view, and the arena pushes one entry to each per signature).
+    pub(crate) feats: &'a [[f64; SLICES]],
     /// Global lane offsets of this video's signatures (`len + 1` entries).
     pair_off: &'a [u32],
     /// The arena-wide value lane the offsets index into.
@@ -232,7 +220,7 @@ mod tests {
     fn arena_layout_matches_per_video_views() {
         let a = series(&[&[3.0, 1.0], &[10.0]]);
         let b = series(&[&[-2.0, 4.0, 0.0]]);
-        let mut arena = ScoringArena::new(PruneBound::default());
+        let mut arena = ScoringArena::new();
         arena.push_series(&a);
         arena.push_series(&b);
         assert_eq!(arena.len(), 2);
@@ -243,10 +231,10 @@ mod tests {
         assert!((va.means[1] - 10.0).abs() < 1e-12);
         assert_eq!(va.lanes(0), (&[1.0, 3.0][..], &[0.5, 0.5][..]));
         assert_eq!(va.mean_order, &[0, 1]);
-        assert_eq!(va.feats.len(), 2 * SLICES);
+        assert_eq!(va.feats.len(), 2);
         // Halves of the mass at 1 and 3: four slices of 1/8 each.
         assert_eq!(
-            va.feats[..SLICES],
+            va.feats[0],
             [0.125, 0.125, 0.125, 0.125, 0.375, 0.375, 0.375, 0.375]
         );
         let (lo, hi) = arena.mean_ranges();
@@ -260,16 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn centroid_arena_has_no_feats() {
-        let a = series(&[&[1.0], &[2.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::Centroid);
-        assert!(arena.view(0).feats.is_empty());
-    }
-
-    #[test]
     fn mean_order_sorts_locally_per_video() {
         let a = series(&[&[5.0], &[1.0], &[3.0]]);
-        let arena = ScoringArena::for_series(&a, PruneBound::Centroid);
+        let arena = ScoringArena::for_series(&a);
         assert_eq!(arena.view(0).mean_order, &[1, 2, 0]);
     }
 
@@ -277,7 +258,7 @@ mod tests {
     fn push_series_extends_without_disturbing_existing_views() {
         let a = series(&[&[2.0, 6.0]]);
         let b = series(&[&[-1.0]]);
-        let mut arena = ScoringArena::for_series(&a, PruneBound::default());
+        let mut arena = ScoringArena::for_series(&a);
         let before: (Vec<f64>, Vec<f64>) = {
             let view = arena.view(0);
             let (v, w) = view.lanes(0);

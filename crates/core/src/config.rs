@@ -49,10 +49,9 @@ pub struct RecommenderConfig {
     pub candidate_limit: usize,
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,
-    /// Which EMD lower bound the corpus scoring arena caches features for.
-    /// Every query prunes against this bound; pruning is admissible for
-    /// either choice, so it affects latency only, never results. The fields
-    /// of [`PruneBound::Best`] are inert.
+    /// The EMD lower bound queries prune against. Inert: there is one
+    /// bound, the quantile-slice bound the scoring arena always caches, and
+    /// the engine reads neither this field nor [`PruneBound::Best`]'s.
     pub prune_bound: PruneBound,
     /// Candidate-retrieval mode for all `recommend*` entry points.
     pub retrieval: RetrievalMode,
@@ -107,7 +106,7 @@ impl RecommenderConfig {
         self
     }
 
-    /// A copy with a different pruning bound for the scoring arena.
+    /// A copy with `prune_bound` set (inert: see the field).
     pub fn with_prune_bound(mut self, bound: PruneBound) -> Self {
         self.prune_bound = bound;
         self

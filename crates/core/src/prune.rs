@@ -15,11 +15,13 @@
 //!    ceiling to test against the running k-th score.
 //!
 //! The per-pair bound is evaluated from two [`SeriesView`]s into the
-//! corpus-owned [`crate::arena::ScoringArena`] — signature means for Rubner's
-//! centroid bound, plus (for [`PruneBound::Best`]) cached quantile-slice
-//! partial means whose L1 distance
+//! corpus-owned [`crate::arena::ScoringArena`] — signature means, whose gap
+//! (Rubner's centroid bound) orders and screens a row, and cached
+//! quantile-slice partial means whose L1 distance
 //! ([`viderec_emd::slice_lower_bound_from_features`]) is an O([`SLICES`])
 //! bound close to the distance itself, instead of a per-pair sort or sweep.
+//! The slice bound dominates the centroid gap (one slice *is* the centroid
+//! bound), so it is the only bound there is.
 //!
 //! The pruning test uses *strict* inequality: a candidate tying the k-th
 //! score must still be evaluated because ranking ties break by `VideoId`, so
@@ -48,7 +50,7 @@ use viderec_emd::{
     sim_c_upper_bound, slice_lower_bound_from_features, MatchingConfig,
 };
 
-/// Equal-mass quantile slices cached per signature for [`PruneBound::Best`]
+/// Equal-mass quantile slices cached per signature
 /// ([`viderec_emd::slice_features`]): the bound is an L1 distance over this
 /// many partial means per pair, so the per-pair cost is O([`SLICES`]) — it
 /// has to pay for itself against exact evaluations that are themselves only
@@ -103,17 +105,16 @@ impl PruneStats {
     }
 }
 
-/// Which EMD lower bound feeds the `SimC` ceilings.
+/// The EMD lower bound that feeds the `SimC` ceilings. There is one: the
+/// quantile-slice bound ([`viderec_emd::slice_lower_bound_from_features`]),
+/// the mean of each of [`SLICES`] equal-mass slices, cached per signature in
+/// the scoring arena and compared in O([`SLICES`]) per pair. It dominates
+/// the centroid bound (the slice means sum to the mean) and adapts to the
+/// data by construction. The type selects nothing; it stays because
+/// [`crate::RecommenderConfig::with_prune_bound`] takes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruneBound {
-    /// Rubner's centroid bound — O(1) per pair from cached signature means.
-    /// Cheapest, but collapses when signature means cluster.
-    Centroid,
-    /// The quantile-slice bound
-    /// ([`viderec_emd::slice_lower_bound_from_features`]): the mean of each
-    /// of [`SLICES`] equal-mass slices, cached per signature and compared in
-    /// O([`SLICES`]) per pair. It dominates the centroid bound (the slice
-    /// means sum to the mean) and adapts to the data by construction.
+    /// The quantile-slice bound.
     Best {
         /// Inert: the slices need no value domain (the Lipschitz anchors
         /// this variant replaced did). Read by nothing, any value accepted;
@@ -198,8 +199,8 @@ impl PairKey {
 ///
 /// 1. **key** — each pair whose centroid gap is within `reach` (the match
 ///    radius plus [`rounding_give`]) gets the `SimC` ceiling the row scan
-///    uses, `SimC` of its conceded lower bound (the quantile-slice bound
-///    when the views cache features); a ceiling under `τ` screens it;
+///    uses, `SimC` of its conceded lower bound (the quantile-slice bound);
+///    a ceiling under `τ` screens it;
 /// 2. **match** — two tiers, as the [`LadderQueue`] has: the keyed pairs,
 ///    sorted by ceiling, and a heap of swept pairs by exact `SimC`; both
 ///    ordered key descending, then `(i, j)` ascending. The best entry of
@@ -237,7 +238,6 @@ pub(crate) fn kappa_exact_cached(
     // What a float lower bound has to exceed before it proves the swept
     // distance over the radius; a pair inside the band gets a key.
     let reach = radius + give;
-    let slices = !query.feats.is_empty() && !video.feats.is_empty();
     let (mut cap_aborted, mut full_sweeps) = (0u64, 0u64);
     let kappa = SWEEP_SCRATCH.with_borrow_mut(|scratch| {
         let SweepScratch {
@@ -256,11 +256,7 @@ pub(crate) fn kappa_exact_cached(
                     // radius; the pair scores `SimC = 0`.
                     continue;
                 }
-                let lb = if slices {
-                    gap.max(slice_lb(query, video, i, j, reach))
-                } else {
-                    gap
-                };
+                let lb = gap.max(slice_lb(query, video, i, j, reach));
                 let key = sim_c_upper_bound(conceded(lb, give));
                 if key < tau {
                     // The bound proves `SimC < τ`: a sweep would burn a
@@ -351,9 +347,7 @@ pub(crate) fn rounding_give(query: (usize, f64), video: (usize, f64)) -> f64 {
 /// ([`slice_lower_bound_from_features`]); a partial sum once it is over
 /// `stop`, which is all a caller comparing it with `stop` needs.
 fn slice_lb(query: SeriesView<'_>, video: SeriesView<'_>, i: usize, j: usize, stop: f64) -> f64 {
-    let fq = &query.feats[i * SLICES..(i + 1) * SLICES];
-    let fv = &video.feats[j * SLICES..(j + 1) * SLICES];
-    slice_lower_bound_from_features(fq, fv, stop)
+    slice_lower_bound_from_features(&query.feats[i], &video.feats[j], stop)
 }
 
 /// O(1) proof that `κJ = 0`: the two series' signature-mean ranges lie
@@ -389,10 +383,9 @@ thread_local! {
 }
 
 /// The reach screen: whether any signature pair's lower bound — the
-/// centroid gap, maxed with the *whole* slice L1 when `bound` caches features
-/// — is [`within_reach`]. Flat: per query row, every video signature straight
-/// off the `means` / `feats` columns in storage order, no branch inside the
-/// row. It answers per row, because a series that matches at all usually
+/// centroid gap, maxed with the *whole* slice L1 — is [`within_reach`].
+/// Flat: per query row, every video signature straight off the `means` /
+/// `feats` columns in storage order, no branch inside the row. It answers per row, because a series that matches at all usually
 /// holds a pair within reach in its first row, and then the screen has cost
 /// one row, not `n1 · n2` pairs (long series: EXPERIMENTS.md, PR 24).
 ///
@@ -405,30 +398,14 @@ thread_local! {
 fn any_pair_within_reach(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
-    bound: PruneBound,
     give: f64,
     radius: f64,
 ) -> bool {
-    let q_feats = query.feats.as_chunks::<SLICES>().0;
-    let v_feats = video.feats.as_chunks::<SLICES>().0;
-    for (i, &q) in query.means.iter().enumerate() {
+    for (&q, fq) in query.means.iter().zip(query.feats) {
         let mut hit = false;
-        match bound {
-            PruneBound::Centroid => {
-                for &v in video.means {
-                    hit |= within_reach((q - v).abs(), give, radius);
-                }
-            }
-            PruneBound::Best { .. } => {
-                // A view without features would zip to nothing and "prove"
-                // a zero.
-                assert_eq!(v_feats.len(), video.len(), "video view has no features");
-                let fq = &q_feats[i];
-                for (&v, fv) in video.means.iter().zip(v_feats) {
-                    let slices = slice_lower_bound_from_features(fq, fv, f64::INFINITY);
-                    hit |= within_reach((q - v).abs().max(slices), give, radius);
-                }
-            }
+        for (&v, fv) in video.means.iter().zip(video.feats) {
+            let slices = slice_lower_bound_from_features(fq, fv, f64::INFINITY);
+            hit |= within_reach((q - v).abs().max(slices), give, radius);
         }
         #[cfg(test)]
         SCREEN_PAIRS.set(SCREEN_PAIRS.get() + video.len() as u64);
@@ -441,14 +418,12 @@ fn any_pair_within_reach(
 
 /// Admissible upper bound on `κJ(query, video)` from the two series' views:
 /// per query signature, `SimC` of the smallest per-pair EMD lower bound in
-/// its row — the centroid gap, maxed with the quantile-slice bound when
-/// `bound` caches features. Most candidates of a gated gather hold no pair
-/// within reach at all, which [`any_pair_within_reach`] proves before
-/// [`kappa_row_scan`] walks a row.
+/// its row — the centroid gap, maxed with the quantile-slice bound. Most
+/// candidates of a gated gather hold no pair within reach at all, which
+/// [`any_pair_within_reach`] proves before [`kappa_row_scan`] walks a row.
 pub(crate) fn kappa_upper_bound(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
-    bound: PruneBound,
     cfg: MatchingConfig,
 ) -> f64 {
     if query.len() == 0 || video.len() == 0 {
@@ -456,10 +431,10 @@ pub(crate) fn kappa_upper_bound(
     }
     let give = rounding_give(query.rounding, video.rounding);
     let radius = cfg.radius();
-    if !any_pair_within_reach(query, video, bound, give, radius) {
+    if !any_pair_within_reach(query, video, give, radius) {
         return 0.0;
     }
-    kappa_row_scan(query, video, bound, cfg, give, radius)
+    kappa_row_scan(query, video, cfg, give, radius)
 }
 
 thread_local! {
@@ -473,7 +448,6 @@ thread_local! {
 fn kappa_row_scan(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
-    bound: PruneBound,
     cfg: MatchingConfig,
     give: f64,
     radius: f64,
@@ -521,15 +495,10 @@ fn kappa_row_scan(
                 if conceded(gap, give) >= min_lb || !within_reach(gap, give, radius) {
                     break;
                 }
-                let lb = match bound {
-                    PruneBound::Centroid => gap,
-                    PruneBound::Best { .. } => {
-                        // Past this the pair neither lowers the minimum nor
-                        // stays within the radius.
-                        let stop = min_lb.min(radius) + give;
-                        gap.max(slice_lb(query, video, i, j, stop))
-                    }
-                };
+                // Past `stop` the pair neither lowers the minimum nor stays
+                // within the radius.
+                let stop = min_lb.min(radius) + give;
+                let lb = gap.max(slice_lb(query, video, i, j, stop));
                 min_lb = min_lb.min(conceded(lb, give));
             }
             sim_c_upper_bound(min_lb)
@@ -693,7 +662,7 @@ impl Ladder<'_> {
     ) {
         let (strategy, omega, matching) = (self.strategy, self.cfg.omega, self.cfg.matching);
         let arena = &self.content.arena;
-        let ((lo, hi), bound) = (arena.mean_ranges(), arena.bound());
+        let (lo, hi) = arena.mean_ranges();
         let mut sp = tracer.start();
         loop {
             let floor = floor_of(heap, self.top_k);
@@ -710,7 +679,7 @@ impl Ladder<'_> {
                 let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
                     0.0
                 } else {
-                    kappa_upper_bound(self.qv, arena.view(i), bound, matching)
+                    kappa_upper_bound(self.qv, arena.view(i), matching)
                 };
                 e.key = strategy_score(strategy, omega, kappa_ub, e.sj);
                 ceilings += 1;
@@ -843,7 +812,7 @@ mod tests {
                 let kappa_ub = if separated(self.q_range, (lo[i], hi[i]), self.reach) {
                     0.0
                 } else {
-                    kappa_upper_bound(self.qv, arena.view(i), arena.bound(), cfg.matching)
+                    kappa_upper_bound(self.qv, arena.view(i), cfg.matching)
                 };
                 e.key = strategy_score(self.strategy, cfg.omega, kappa_ub, e.sj);
                 note(Move::Refined(e.idx));
@@ -904,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn kappa_bound_dominates_exact_for_both_bound_kinds() {
+    fn kappa_bound_dominates_exact() {
         let mut rng = StdRng::seed_from_u64(91);
         for _ in 0..60 {
             let a = random_series(&mut rng, 6);
@@ -914,15 +883,13 @@ mod tests {
                     min_similarity: tau,
                 };
                 let exact = kappa_j_series(&a, &b, cfg);
-                for bound in [PruneBound::Centroid, PruneBound::default()] {
-                    let qc = ScoringArena::for_series(&a, bound);
-                    let vc = ScoringArena::for_series(&b, bound);
-                    let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
-                    assert!(
-                        ub >= exact - 1e-12,
-                        "{bound:?} τ={tau}: ub {ub} below exact κJ {exact}"
-                    );
-                }
+                let qc = ScoringArena::for_series(&a);
+                let vc = ScoringArena::for_series(&b);
+                let ub = kappa_upper_bound(qc.view(0), vc.view(0), cfg);
+                assert!(
+                    ub >= exact - 1e-12,
+                    "τ={tau}: ub {ub} below exact κJ {exact}"
+                );
             }
         }
     }
@@ -937,8 +904,8 @@ mod tests {
                 let cfg = MatchingConfig {
                     min_similarity: tau,
                 };
-                let qc = ScoringArena::for_series(&a, PruneBound::Centroid);
-                let vc = ScoringArena::for_series(&b, PruneBound::Centroid);
+                let qc = ScoringArena::for_series(&a);
+                let vc = ScoringArena::for_series(&b);
                 // Bit-identical, not merely close: same sweep, same
                 // threshold test, same greedy matcher.
                 let mut stats = PruneStats::default();
@@ -968,14 +935,13 @@ mod tests {
         }
         let radius = cfg.radius();
         let reach = radius + rounding_give(query.rounding, video.rounding);
-        let slices = !query.feats.is_empty() && !video.feats.is_empty();
         let mut eligible = Vec::new();
         for i in 0..n1 {
             for j in 0..n2 {
                 if (query.means[i] - video.means[j]).abs() > reach {
                     continue;
                 }
-                if slices && slice_lb(query, video, i, j, reach) > reach {
+                if slice_lb(query, video, i, j, reach) > reach {
                     stats.cap_aborted += 1;
                     continue;
                 }
@@ -1017,26 +983,24 @@ mod tests {
                 let cfg = MatchingConfig {
                     min_similarity: tau,
                 };
-                for bound in [PruneBound::Centroid, PruneBound::default()] {
-                    let qc = ScoringArena::for_series(&a, bound);
-                    let vc = ScoringArena::for_series(&b, bound);
-                    let (q, v) = (qc.view(0), vc.view(0));
-                    let reach = cfg.radius() + rounding_give(q.rounding, v.rounding);
-                    let gaps = q
-                        .means
-                        .iter()
-                        .flat_map(|x| v.means.iter().map(move |y| x - y));
-                    let screened = gaps.filter(|gap| gap.abs() > reach).count() as u64;
-                    let mut stats = PruneStats::default();
-                    let before = NEVER_EXAMINED.get();
-                    kappa_exact_cached(q, v, cfg, &mut stats);
-                    let never = NEVER_EXAMINED.get() - before;
-                    assert_eq!(
-                        stats.cap_aborted + stats.full_sweeps + screened + never,
-                        (q.len() * v.len()) as u64,
-                        "{bound:?} τ={tau}"
-                    );
-                }
+                let qc = ScoringArena::for_series(&a);
+                let vc = ScoringArena::for_series(&b);
+                let (q, v) = (qc.view(0), vc.view(0));
+                let reach = cfg.radius() + rounding_give(q.rounding, v.rounding);
+                let gaps = q
+                    .means
+                    .iter()
+                    .flat_map(|x| v.means.iter().map(move |y| x - y));
+                let screened = gaps.filter(|gap| gap.abs() > reach).count() as u64;
+                let mut stats = PruneStats::default();
+                let before = NEVER_EXAMINED.get();
+                kappa_exact_cached(q, v, cfg, &mut stats);
+                let never = NEVER_EXAMINED.get() - before;
+                assert_eq!(
+                    stats.cap_aborted + stats.full_sweeps + screened + never,
+                    (q.len() * v.len()) as u64,
+                    "τ={tau}"
+                );
             }
         }
     }
@@ -1054,16 +1018,14 @@ mod tests {
         for spacing in [10.0, 0.25] {
             let sigs = (0..n).map(|k| level_sig(&[k as f64 * spacing]));
             let series = SignatureSeries::new(sigs.collect());
-            for bound in [PruneBound::Centroid, PruneBound::default()] {
-                let arena = ScoringArena::for_series(&series, bound);
-                let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
-                let kappa = kappa_exact_cached(arena.view(0), arena.view(0), cfg, &mut lazy);
-                kappa_exact_eager(arena.view(0), arena.view(0), cfg, &mut eager);
-                assert_eq!(kappa, 1.0);
-                assert_eq!((lazy.full_sweeps, lazy.cap_aborted), (n as u64, 0));
-                if spacing < 1.0 {
-                    assert!(eager.full_sweeps > n as u64, "{bound:?}: {eager:?}");
-                }
+            let arena = ScoringArena::for_series(&series);
+            let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
+            let kappa = kappa_exact_cached(arena.view(0), arena.view(0), cfg, &mut lazy);
+            kappa_exact_eager(arena.view(0), arena.view(0), cfg, &mut eager);
+            assert_eq!(kappa, 1.0);
+            assert_eq!((lazy.full_sweeps, lazy.cap_aborted), (n as u64, 0));
+            if spacing < 1.0 {
+                assert!(eager.full_sweeps > n as u64, "{eager:?}");
             }
         }
     }
@@ -1101,17 +1063,15 @@ mod tests {
         );
         let want = kappa_j_series(&a, &b, cfg);
         assert_eq!(kappa_j_series_pruned(&a, &b, cfg).to_bits(), want.to_bits());
-        for bound in [PruneBound::Centroid, PruneBound::default()] {
-            let qc = ScoringArena::for_series(&a, bound);
-            let vc = ScoringArena::for_series(&b, bound);
-            let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut PruneStats::default());
-            assert_eq!(got.to_bits(), want.to_bits(), "{bound:?}");
-            let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
-            assert!(ub >= want, "{bound:?}: ceiling {ub} under exact {want}");
-            let (q, v) = (qc.mean_ranges(), vc.mean_ranges());
-            let reach = cfg.radius() + rounding_give(qc.rounding(), vc.rounding());
-            assert!(want == 0.0 || !separated((q.0[0], q.1[0]), (v.0[0], v.1[0]), reach));
-        }
+        let qc = ScoringArena::for_series(&a);
+        let vc = ScoringArena::for_series(&b);
+        let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut PruneStats::default());
+        assert_eq!(got.to_bits(), want.to_bits());
+        let ub = kappa_upper_bound(qc.view(0), vc.view(0), cfg);
+        assert!(ub >= want, "ceiling {ub} under exact {want}");
+        let (q, v) = (qc.mean_ranges(), vc.mean_ranges());
+        let reach = cfg.radius() + rounding_give(qc.rounding(), vc.rounding());
+        assert!(want == 0.0 || !separated((q.0[0], q.1[0]), (v.0[0], v.1[0]), reach));
         want
     }
 
@@ -1234,21 +1194,19 @@ mod tests {
                 }
                 _ => tie_heavy_pair(&mut rng),
             };
-            for bound in [PruneBound::Centroid, PruneBound::default()] {
-                let qc = ScoringArena::for_series(&a, bound);
-                let vc = ScoringArena::for_series(&b, bound);
-                let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
-                let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut lazy);
-                let want = kappa_exact_eager(qc.view(0), vc.view(0), cfg, &mut eager);
-                prop_assert!(
-                    got.to_bits() == want.to_bits(),
-                    "{bound:?} τ={tau}: lazy {got} != eager {want}"
-                );
-                prop_assert!(
-                    lazy.full_sweeps <= eager.full_sweeps,
-                    "{bound:?} τ={tau}: {lazy:?} against {eager:?}"
-                );
-            }
+            let qc = ScoringArena::for_series(&a);
+            let vc = ScoringArena::for_series(&b);
+            let (mut lazy, mut eager) = (PruneStats::default(), PruneStats::default());
+            let got = kappa_exact_cached(qc.view(0), vc.view(0), cfg, &mut lazy);
+            let want = kappa_exact_eager(qc.view(0), vc.view(0), cfg, &mut eager);
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "τ={tau}: lazy {got} != eager {want}"
+            );
+            prop_assert!(
+                lazy.full_sweeps <= eager.full_sweeps,
+                "τ={tau}: {lazy:?} against {eager:?}"
+            );
         }
     }
 
@@ -1303,18 +1261,16 @@ mod tests {
             }));
             let query = SignatureSeries::new(vec![level_sig(&[0.0]), level_sig(&[-far])]);
             let video = SignatureSeries::new(vec![level_sig(&values), level_sig(&[far])]);
-            for bound in [PruneBound::Centroid, PruneBound::default()] {
-                let qc = ScoringArena::for_series(&query, bound);
-                let vc = ScoringArena::for_series(&video, bound);
-                prop_assert!(rounding_give(qc.rounding(), vc.rounding()) == give);
-                for (a, b) in [(qc.view(0), vc.view(0)), (vc.view(0), qc.view(0))] {
-                    let got = kappa_upper_bound(a, b, bound, cfg);
-                    let want = kappa_row_scan(a, b, bound, cfg, give, radius);
-                    prop_assert!(
-                        got.to_bits() == want.to_bits(),
-                        "{bound:?} {values:?}: screened {got} != scanned {want}"
-                    );
-                }
+            let qc = ScoringArena::for_series(&query);
+            let vc = ScoringArena::for_series(&video);
+            prop_assert!(rounding_give(qc.rounding(), vc.rounding()) == give);
+            for (a, b) in [(qc.view(0), vc.view(0)), (vc.view(0), qc.view(0))] {
+                let got = kappa_upper_bound(a, b, cfg);
+                let want = kappa_row_scan(a, b, cfg, give, radius);
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{values:?}: screened {got} != scanned {want}"
+                );
             }
         }
     }
@@ -1328,8 +1284,7 @@ mod tests {
         let far = 1024.0;
         let (radius, give) = (cfg.radius(), rounding_give((1, far), (8, far)));
         let query = SignatureSeries::new(vec![level_sig(&[0.0]), level_sig(&[-far])]);
-        let bound = PruneBound::default();
-        let qc = ScoringArena::for_series(&query, bound);
+        let qc = ScoringArena::for_series(&query);
         let mut verdicts = Vec::new();
         for ulps in -2_000_000..2_000_000i64 {
             // `give` is some 10⁵ ulps of the radius: step coarsely, then
@@ -1341,9 +1296,9 @@ mod tests {
             let mut values = [0.0; 8];
             values[0] = 8.0 * nudged(radius, ulps);
             let video = SignatureSeries::new(vec![level_sig(&values), level_sig(&[far])]);
-            let vc = ScoringArena::for_series(&video, bound);
-            let got = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
-            let want = kappa_row_scan(qc.view(0), vc.view(0), bound, cfg, give, radius);
+            let vc = ScoringArena::for_series(&video);
+            let got = kappa_upper_bound(qc.view(0), vc.view(0), cfg);
+            let want = kappa_row_scan(qc.view(0), vc.view(0), cfg, give, radius);
             assert_eq!(got.to_bits(), want.to_bits(), "{ulps} ulps off the radius");
             verdicts.push(got > 0.0);
         }
@@ -1355,14 +1310,13 @@ mod tests {
     #[test]
     fn reach_screen_stops_at_the_first_row_with_a_pair_in_reach() {
         let cfg = MatchingConfig::default();
-        let bound = PruneBound::default();
         let points = |at: &[f64]| {
             let sigs = at.iter().map(|&v| level_sig(&[v]));
-            ScoringArena::for_series(&SignatureSeries::new(sigs.collect()), bound)
+            ScoringArena::for_series(&SignatureSeries::new(sigs.collect()))
         };
         let pairs_tested = |q: &ScoringArena, v: &ScoringArena| {
             let before = SCREEN_PAIRS.get();
-            let ub = kappa_upper_bound(q.view(0), v.view(0), bound, cfg);
+            let ub = kappa_upper_bound(q.view(0), v.view(0), cfg);
             (ub, SCREEN_PAIRS.get() - before)
         };
         let video = points(&[40.0, 0.5, 41.0, 42.0, 43.0]);
@@ -1440,15 +1394,14 @@ mod tests {
 
         // Refinement-optimality: swept ⟺ last ceiling ≥ final floor.
         let floor = top[1].score;
-        let bound = rec.content.arena.bound();
         let matching = rec.config().matching;
-        let qc = ScoringArena::for_series(&query.series, bound);
+        let qc = ScoringArena::for_series(&query.series);
         let ceilings = (0..shapes.len()).map(|i| {
             let (lo, hi) = rec.content.arena.mean_ranges();
             if separated((0.0, 0.0), (lo[i], hi[i]), matching.radius()) {
                 0.0
             } else {
-                kappa_upper_bound(qc.view(0), rec.content.arena.view(i), bound, matching)
+                kappa_upper_bound(qc.view(0), rec.content.arena.view(i), matching)
             }
         });
         let reach = ceilings.filter(|&c| c >= floor).count() as u64;
@@ -1504,7 +1457,7 @@ mod tests {
             let rec = Recommender::build(cfg, corpus.collect()).unwrap();
             let strategy = if fused == 1 { Strategy::Csf } else { Strategy::Cr };
             let promoting = promoting == 1;
-            let cache = ScoringArena::for_series(&bases[0], rec.content.arena.bound());
+            let cache = ScoringArena::for_series(&bases[0]);
             let ladder = rec.ladder(strategy, &cache, top_k);
             let (omega, matching) = (rec.config().omega, rec.config().matching);
             // Every third candidate enters on another one's *refined* key
@@ -1514,7 +1467,7 @@ mod tests {
             let sj = |n: usize| [0.0, 0.25, 0.5][videos[n].2];
             let refined_key = |n: usize, sj: f64| {
                 let video = arena.view(n);
-                let kappa_ub = kappa_upper_bound(cache.view(0), video, arena.bound(), matching);
+                let kappa_ub = kappa_upper_bound(cache.view(0), video, matching);
                 strategy_score(strategy, omega, kappa_ub, sj)
             };
             let entries = (0..videos.len()).map(|n| {
@@ -1570,24 +1523,40 @@ mod tests {
         }
     }
 
+    /// The `κJ` ceiling Rubner's centroid bound alone gives — per query row,
+    /// `SimC` of the smallest conceded `|mean gap|` — computed from the pure
+    /// [`viderec_emd::centroid_lower_bound`], off the arena: the one-slice
+    /// partition the slice bound refines.
+    fn centroid_ceiling(a: &SignatureSeries, b: &SignatureSeries, cfg: MatchingConfig) -> f64 {
+        use viderec_emd::{centroid_lower_bound, extended_jaccard_upper_bound};
+        let give = rounding_give(
+            ScoringArena::for_series(a).rounding(),
+            ScoringArena::for_series(b).rounding(),
+        );
+        let (sa, sb) = (a.signatures(), b.signatures());
+        let row = |i: usize| {
+            let gaps = sb
+                .iter()
+                .map(|y| centroid_lower_bound(&sa[i].as_pairs(), &y.as_pairs()));
+            sim_c_upper_bound(
+                gaps.map(|gap| conceded(gap, give))
+                    .fold(f64::INFINITY, f64::min),
+            )
+        };
+        extended_jaccard_upper_bound(sa.len(), sb.len(), row, cfg)
+    }
+
     #[test]
     fn best_bound_is_no_looser_than_centroid() {
         let mut rng = StdRng::seed_from_u64(92);
         let cfg = MatchingConfig::default();
-        let best = PruneBound::default();
         for _ in 0..40 {
             let a = random_series(&mut rng, 5);
             let b = random_series(&mut rng, 5);
-            let centroid_ub = kappa_upper_bound(
-                ScoringArena::for_series(&a, PruneBound::Centroid).view(0),
-                ScoringArena::for_series(&b, PruneBound::Centroid).view(0),
-                PruneBound::Centroid,
-                cfg,
-            );
+            let centroid_ub = centroid_ceiling(&a, &b, cfg);
             let best_ub = kappa_upper_bound(
-                ScoringArena::for_series(&a, best).view(0),
-                ScoringArena::for_series(&b, best).view(0),
-                best,
+                ScoringArena::for_series(&a).view(0),
+                ScoringArena::for_series(&b).view(0),
                 cfg,
             );
             assert!(
@@ -1602,10 +1571,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(93);
         let a = random_series(&mut rng, 4);
         let cfg = MatchingConfig::default();
-        let bound = PruneBound::default();
-        let qc = ScoringArena::for_series(&a, bound);
-        let vc = ScoringArena::for_series(&a, bound);
-        let ub = kappa_upper_bound(qc.view(0), vc.view(0), bound, cfg);
+        let qc = ScoringArena::for_series(&a);
+        let vc = ScoringArena::for_series(&a);
+        let ub = kappa_upper_bound(qc.view(0), vc.view(0), cfg);
         assert!(ub >= kappa_j_series(&a, &a, cfg) - 1e-12);
     }
 

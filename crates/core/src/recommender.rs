@@ -220,7 +220,7 @@ impl Recommender {
             ids: Vec::with_capacity(corpus.len()),
             by_id: HashMap::with_capacity(corpus.len()),
             series: Vec::with_capacity(corpus.len()),
-            arena: ScoringArena::new(cfg.prune_bound),
+            arena: ScoringArena::new(),
             lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
             embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
         };
@@ -1012,7 +1012,7 @@ impl Recommender {
         let prep = self.prepare_query(strategy, query);
         // The query-side scoring cache doubles as the certificate's mean
         // range source, so it is built for every strategy.
-        let query_cache = ScoringArena::for_series(&query.series, self.content.arena.bound());
+        let query_cache = ScoringArena::for_series(&query.series);
         let ladder = self.ladder(strategy, &query_cache, top_k);
         trace.stop_span(sp, Stage::Prepare);
 
@@ -1571,7 +1571,7 @@ mod tests {
         let assigned =
             |n: &str| matches!(rec.chained.get(n), Some(&c) if c < rec.community_slots());
         let q_unassigned = names.iter().filter(|n| !assigned(n)).count();
-        let cache = ScoringArena::for_series(&query.series, arena.bound());
+        let cache = ScoringArena::for_series(&query.series);
         let qv = cache.view(0);
         let reach = rec.ladder(strategy, &cache, 1).reach;
         let range =
@@ -1594,7 +1594,7 @@ mod tests {
             let kappa_ub = if !strategy.uses_content() || separated(range(qv), range(vv), reach) {
                 0.0
             } else {
-                crate::prune::kappa_upper_bound(qv, vv, arena.bound(), matching)
+                crate::prune::kappa_upper_bound(qv, vv, matching)
             };
             let ceiling = strategy_score(strategy, omega, kappa_ub, s_ub);
             if !skip.contains(&idx) && ceiling > 0.0 && ceiling >= floor {
@@ -1636,7 +1636,7 @@ mod tests {
             for source in &corpus {
                 let mut q = QueryVideo::from_corpus(source);
                 q.users.push("stranger".into());
-                let cache = ScoringArena::for_series(&q.series, r.content.arena.bound());
+                let cache = ScoringArena::for_series(&q.series);
                 let ladder = r.ladder(strategy, &cache, 1);
                 for skip in [vec![], vec![1u32], vec![0, 3]] {
                     let mut seen = Seen::default();

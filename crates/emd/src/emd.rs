@@ -1,137 +1,5 @@
-//! User-facing EMD entry points and `SimC` (Eq. 3).
-//!
-//! [`Emd`] selects among the three solvers in this crate; [`emd_scalar`] is
-//! the configuration the paper runs (scalar cuboid values, `|x − y|` ground
-//! distance, 1-D closed form), and [`sim_c`] converts a distance into the
-//! similarity `SimC = 1 / (1 + EMD)`.
-
-use crate::emd1d::emd_1d;
-use crate::matrix::DenseMatrix;
-use crate::simplex::solve_simplex;
-use crate::transport::{solve_ssp, TransportProblem};
-
-/// EMD evaluation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Emd {
-    /// Closed-form 1-D sweep — exact for scalar ground distance `|x − y|`,
-    /// and the hot path of the system.
-    #[default]
-    OneDimensional,
-    /// Transportation simplex (Vogel + MODI) — exact for any ground
-    /// distance.
-    Simplex,
-    /// Successive shortest paths — exact for any ground distance; the
-    /// correctness reference.
-    ShortestPaths,
-}
-
-/// Errors from the checked EMD entry points.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EmdError {
-    /// A signature is empty.
-    EmptySignature,
-    /// A weight is non-positive or non-finite.
-    BadWeight(f64),
-    /// A side's total mass differs from 1 beyond tolerance.
-    NotNormalised {
-        /// The offending total mass.
-        mass: f64,
-    },
-}
-
-impl std::fmt::Display for EmdError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EmdError::EmptySignature => write!(f, "signature has no cuboids"),
-            EmdError::BadWeight(w) => write!(f, "bad cuboid weight {w}"),
-            EmdError::NotNormalised { mass } => {
-                write!(f, "total mass {mass} is not 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EmdError {}
-
-fn check(side: &[(f64, f64)]) -> Result<(), EmdError> {
-    if side.is_empty() {
-        return Err(EmdError::EmptySignature);
-    }
-    for &(v, w) in side {
-        if !(v.is_finite() && w.is_finite() && w > 0.0) {
-            return Err(EmdError::BadWeight(w));
-        }
-    }
-    let mass: f64 = side.iter().map(|&(_, w)| w).sum();
-    if (mass - 1.0).abs() > 1e-6 {
-        return Err(EmdError::NotNormalised { mass });
-    }
-    Ok(())
-}
-
-impl Emd {
-    /// Computes EMD between two normalised scalar-valued weighted sets under
-    /// ground distance `|x − y|`.
-    pub fn distance(&self, a: &[(f64, f64)], b: &[(f64, f64)]) -> Result<f64, EmdError> {
-        check(a)?;
-        check(b)?;
-        Ok(match self {
-            Emd::OneDimensional => emd_1d(a, b),
-            Emd::Simplex | Emd::ShortestPaths => {
-                let supply: Vec<f64> = a.iter().map(|&(_, w)| w).collect();
-                let demand: Vec<f64> = b.iter().map(|&(_, w)| w).collect();
-                // Renormalise away accumulated float error so the problem is
-                // balanced to machine precision.
-                let (s, d): (f64, f64) = (supply.iter().sum(), demand.iter().sum());
-                let supply: Vec<f64> = supply.iter().map(|w| w / s).collect();
-                let demand: Vec<f64> = demand.iter().map(|w| w / d).collect();
-                let cost = DenseMatrix::from_fn(a.len(), b.len(), |i, j| (a[i].0 - b[j].0).abs());
-                let p = TransportProblem::new(supply, demand, cost);
-                match self {
-                    Emd::Simplex => solve_simplex(&p).objective,
-                    _ => solve_ssp(&p).1,
-                }
-            }
-        })
-    }
-
-    /// EMD under an arbitrary ground-distance table (`cost[i][j]` between
-    /// `a`'s i-th and `b`'s j-th cuboid). Uses the general solvers; the 1-D
-    /// strategy falls back to the simplex since the closed form does not
-    /// apply.
-    pub fn distance_with_cost(
-        &self,
-        a_weights: &[f64],
-        b_weights: &[f64],
-        cost: DenseMatrix,
-    ) -> Result<f64, EmdError> {
-        let wrap = |w: &f64| (0.0, *w);
-        check(&a_weights.iter().map(wrap).collect::<Vec<_>>())?;
-        check(&b_weights.iter().map(wrap).collect::<Vec<_>>())?;
-        let (s, d): (f64, f64) = (a_weights.iter().sum(), b_weights.iter().sum());
-        let supply: Vec<f64> = a_weights.iter().map(|w| w / s).collect();
-        let demand: Vec<f64> = b_weights.iter().map(|w| w / d).collect();
-        let p = TransportProblem::new(supply, demand, cost);
-        Ok(match self {
-            Emd::ShortestPaths => solve_ssp(&p).1,
-            _ => solve_simplex(&p).objective,
-        })
-    }
-}
-
-/// Exact EMD between two normalised scalar cuboid sets — the system's default
-/// configuration (1-D closed form).
-///
-/// # Panics
-/// Panics on invalid signatures; use [`Emd::distance`] for checked errors.
-pub fn emd_scalar(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    Emd::OneDimensional
-        .distance(a, b)
-        // viderec-lint: allow(serve-no-panic) — serve-path signatures are
-        // normalised at ingest; the documented panic covers only malformed
-        // direct calls, and `Emd::distance` is the checked variant.
-        .expect("invalid signature passed to emd_scalar")
-}
+//! `SimC` (Eq. 3): the similarity a distance from [`crate::emd_1d`] turns
+//! into.
 
 /// `SimC(C₁, C₂) = 1 / (1 + EMD(C₁, C₂))` — Eq. 3.
 #[inline]
@@ -143,79 +11,11 @@ pub fn sim_c(emd: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_sig(rng: &mut StdRng, n: usize) -> Vec<(f64, f64)> {
-        let mut weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
-        let total: f64 = weights.iter().sum();
-        weights.iter_mut().for_each(|w| *w /= total);
-        weights
-            .into_iter()
-            .map(|w| (rng.gen_range(-50.0..50.0), w))
-            .collect()
-    }
-
-    #[test]
-    fn all_three_strategies_agree() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..40 {
-            let na = rng.gen_range(1..10);
-            let a = random_sig(&mut rng, na);
-            let nb = rng.gen_range(1..10);
-            let b = random_sig(&mut rng, nb);
-            let d1 = Emd::OneDimensional.distance(&a, &b).unwrap();
-            let ds = Emd::Simplex.distance(&a, &b).unwrap();
-            let dp = Emd::ShortestPaths.distance(&a, &b).unwrap();
-            assert!(
-                (d1 - ds).abs() < 1e-6 * (1.0 + d1),
-                "1d {d1} vs simplex {ds}"
-            );
-            assert!((d1 - dp).abs() < 1e-6 * (1.0 + d1), "1d {d1} vs ssp {dp}");
-        }
-    }
-
-    #[test]
-    fn checked_errors() {
-        assert_eq!(
-            Emd::default().distance(&[], &[(0.0, 1.0)]),
-            Err(EmdError::EmptySignature)
-        );
-        assert!(matches!(
-            Emd::default().distance(&[(0.0, -1.0), (1.0, 2.0)], &[(0.0, 1.0)]),
-            Err(EmdError::BadWeight(_))
-        ));
-        assert!(matches!(
-            Emd::default().distance(&[(0.0, 0.5)], &[(0.0, 1.0)]),
-            Err(EmdError::NotNormalised { .. })
-        ));
-        assert!(EmdError::NotNormalised { mass: 0.5 }
-            .to_string()
-            .contains("0.5"));
-    }
 
     #[test]
     fn sim_c_maps_distance_to_unit_interval() {
         assert_eq!(sim_c(0.0), 1.0);
         assert_eq!(sim_c(1.0), 0.5);
         assert!(sim_c(1e9) < 1e-8);
-    }
-
-    #[test]
-    fn distance_with_custom_cost() {
-        // Cost table that prefers the cross pairing.
-        let cost = DenseMatrix::from_fn(2, 2, |i, j| if i == j { 5.0 } else { 1.0 });
-        let d = Emd::Simplex
-            .distance_with_cost(&[0.5, 0.5], &[0.5, 0.5], cost)
-            .unwrap();
-        assert!((d - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn emd_scalar_is_symmetric_metricish() {
-        let a = vec![(0.0, 0.4), (10.0, 0.6)];
-        let b = vec![(5.0, 1.0)];
-        assert_eq!(emd_scalar(&a, &b), emd_scalar(&b, &a));
-        assert_eq!(emd_scalar(&a, &a), 0.0);
     }
 }

@@ -10,8 +10,15 @@
 //!
 //! where `F₁`, `F₂` are the cumulative mass functions — computable with one
 //! merge sweep over the sorted cuboids in `O((m+n) log(m+n))`, against the
-//! simplex's polynomial pivoting. The agreement of the two is property-tested
-//! in `tests/emd_agreement.rs`.
+//! polynomial augmentations of a general transportation solver. Its
+//! agreement with [`crate::transport::solve_ssp`] is property-tested in
+//! `tests/properties.rs`.
+//!
+//! Three entry points, one sweep each: [`emd_1d`] (validating, sorting — the
+//! reference), [`emd_1d_presorted_capped`] (the same sweep over presorted
+//! pairs, with an early abort) and [`emd_1d_soa_capped`] (the branchless
+//! lane kernel every query runs, bit-identical to the pair sweep). A cap of
+//! `f64::INFINITY` is the uncapped distance.
 
 use crate::transport::EPS;
 
@@ -34,30 +41,23 @@ pub fn emd_1d(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     let mut sb: Vec<(f64, f64)> = b.to_vec();
     sa.sort_by(|x, y| x.0.total_cmp(&y.0));
     sb.sort_by(|x, y| x.0.total_cmp(&y.0));
-    emd_1d_presorted(&sa, &sb)
+    emd_1d_presorted_capped(&sa, &sb, f64::INFINITY)
 }
 
-/// [`emd_1d`] for inputs already sorted by value ascending — skips the
-/// validation and the per-call sort, which is what makes cached hot paths
-/// (e.g. the recommender's batch engine, which pre-sorts every signature
-/// once) cheap. Returns exactly the same value as [`emd_1d`] on the same
-/// multiset of pairs.
-///
-/// Sortedness is only debug-asserted; unsorted input silently yields a wrong
-/// (but finite) result in release builds.
-pub fn emd_1d_presorted(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    emd_1d_presorted_capped(a, b, f64::INFINITY)
-}
-
-/// [`emd_1d_presorted`] with an early abort: the sweep accumulates
-/// non-negative interval terms, so the running total only grows — the moment
-/// it exceeds `cap` the function returns `f64::INFINITY` without finishing.
+/// [`emd_1d`]'s sweep for inputs already sorted by value ascending — no
+/// validation and no per-call sort — with an early abort: the sweep
+/// accumulates non-negative interval terms, so the running total only grows,
+/// and the moment it exceeds `cap` the function returns `f64::INFINITY`
+/// without finishing. With `cap = f64::INFINITY` it returns exactly
+/// [`emd_1d`]'s value on the same multiset of pairs.
 ///
 /// Callers that only need to distinguish "distance ≤ cap (and its exact
 /// value)" from "distance > cap" — e.g. the κJ matcher, whose `SimC ≥ τ`
 /// eligibility test is `EMD ≤ 1/τ − 1` — get the exact distance in the first
-/// case and skip most of the sweep in the second. With `cap = ∞` this is
-/// exactly [`emd_1d_presorted`].
+/// case and skip most of the sweep in the second.
+///
+/// Sortedness is only debug-asserted; unsorted input silently yields a wrong
+/// (but finite) result in release builds.
 pub fn emd_1d_presorted_capped(a: &[(f64, f64)], b: &[(f64, f64)], cap: f64) -> f64 {
     debug_assert!(
         a.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -106,10 +106,13 @@ pub fn emd_1d_presorted_capped(a: &[(f64, f64)], b: &[(f64, f64)], cap: f64) -> 
 /// soon an over-cap sweep aborts.
 const CAP_CHECK_BLOCK: usize = 8;
 
-/// Exact EMD over flat structure-of-arrays lanes: `av`/`bv` are the value
-/// lanes (ascending), `aw`/`bw` the matching weight lanes. Same contract as
-/// [`emd_1d_presorted`], and bit-identical to it on the same multiset of
-/// pairs (pinned by `soa_kernel_is_bit_identical_to_pair_sweep`).
+/// Exact EMD over flat structure-of-arrays lanes, with the early-abort
+/// contract of [`emd_1d_presorted_capped`]: `av`/`bv` are the value lanes
+/// (ascending), `aw`/`bw` the matching weight lanes. The total comes back
+/// exact when it is `<= cap`, and `f64::INFINITY` as soon as a block-boundary
+/// check sees the monotone total exceed `cap`. Bit-identical to the pair
+/// sweep on the same multiset of pairs and the same cap (pinned by
+/// `soa_kernel_is_bit_identical_to_pair_sweep`).
 ///
 /// This is the hot-path kernel: the merge select is branchless (the
 /// not-taken side contributes `+0.0`, which cannot move a non-negative sum),
@@ -117,15 +120,6 @@ const CAP_CHECK_BLOCK: usize = 8;
 /// shape the backend turns into cmov/select code with no bounds checks in
 /// the blocked body. The pair-slice sweep above is kept as the reference
 /// implementation the lane kernel is pinned against.
-#[inline]
-pub fn emd_1d_soa(av: &[f64], aw: &[f64], bv: &[f64], bw: &[f64]) -> f64 {
-    emd_1d_soa_capped(av, aw, bv, bw, f64::INFINITY)
-}
-
-/// [`emd_1d_soa`] with the early-abort contract of
-/// [`emd_1d_presorted_capped`]: exact total when it is `<= cap`,
-/// `f64::INFINITY` as soon as a block-boundary check sees the monotone total
-/// exceed `cap`.
 ///
 /// `inline(never)`: this is the hot kernel the sampling profiler must be
 /// able to attribute — a physical frame here costs one call per sweep
@@ -365,7 +359,7 @@ mod tests {
             sb.sort_by(|x, y| x.0.total_cmp(&y.0));
             // Bit-identical, not merely close: same sweep over the same
             // sorted sequence.
-            assert_eq!(full, emd_1d_presorted(&sa, &sb));
+            assert_eq!(full, emd_1d_presorted_capped(&sa, &sb, f64::INFINITY));
         }
     }
 
@@ -389,7 +383,7 @@ mod tests {
             };
             let a = mk(&mut rng);
             let b = mk(&mut rng);
-            let exact = emd_1d_presorted(&a, &b);
+            let exact = emd_1d_presorted_capped(&a, &b, f64::INFINITY);
             let cap = rng.gen_range(0.0..20.0);
             let capped = emd_1d_presorted_capped(&a, &b, cap);
             if exact <= cap {
@@ -434,8 +428,8 @@ mod tests {
             }
             let (av, aw) = split_lanes(&a);
             let (bv, bw) = split_lanes(&b);
-            let reference = emd_1d_presorted(&a, &b);
-            let soa = emd_1d_soa(&av, &aw, &bv, &bw);
+            let reference = emd_1d_presorted_capped(&a, &b, f64::INFINITY);
+            let soa = emd_1d_soa_capped(&av, &aw, &bv, &bw, f64::INFINITY);
             assert_eq!(reference.to_bits(), soa.to_bits(), "round {round}");
         }
     }
@@ -467,8 +461,8 @@ mod tests {
         let (av, aw) = split_lanes(&a);
         let (bv, bw) = split_lanes(&b);
         assert_eq!(
-            emd_1d_presorted(&a, &b).to_bits(),
-            emd_1d_soa(&av, &aw, &bv, &bw).to_bits()
+            emd_1d_presorted_capped(&a, &b, f64::INFINITY).to_bits(),
+            emd_1d_soa_capped(&av, &aw, &bv, &bw, f64::INFINITY).to_bits()
         );
     }
 
@@ -495,8 +489,8 @@ mod tests {
                 let (av, aw) = split_lanes(&a);
                 let (bv, bw) = split_lanes(&b);
                 assert_eq!(
-                    emd_1d_presorted(&a, &b).to_bits(),
-                    emd_1d_soa(&av, &aw, &bv, &bw).to_bits(),
+                    emd_1d_presorted_capped(&a, &b, f64::INFINITY).to_bits(),
+                    emd_1d_soa_capped(&av, &aw, &bv, &bw, f64::INFINITY).to_bits(),
                     "n={n} m={m}"
                 );
             }

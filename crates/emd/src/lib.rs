@@ -4,17 +4,16 @@
 //! implemented from scratch (`repro_why`: EMD crates immature).
 //!
 //! * [`matrix::DenseMatrix`] — minimal dense matrix used for cost tables.
-//! * [`transport`] — the balanced transportation problem: north-west-corner
-//!   and Vogel initial solutions, plus an exact successive-shortest-paths
-//!   solver (the correctness reference).
-//! * [`simplex`] — the transportation simplex (MODI / u-v method), the
-//!   classic EMD solver of Rubner et al.; cross-validated against
-//!   [`transport::solve_ssp`] by property tests.
 //! * [`emd1d`] — the closed-form exact EMD for scalar ground distance
 //!   `|x − y|` (the paper simplifies cuboids to single values, so this is the
-//!   hot path).
-//! * [`emd`] — the user-facing [`emd::Emd`] entry points, Definition 1's
-//!   constraint checking, and `SimC = 1/(1+EMD)` (Eq. 3).
+//!   only EMD the system computes): [`emd_1d`] (the validating reference),
+//!   [`emd_1d_presorted_capped`] (its sweep over presorted pairs) and
+//!   [`emd_1d_soa_capped`] (the lane kernel every query runs).
+//! * [`transport`] — the balanced transportation problem and an exact
+//!   successive-shortest-paths solver ([`transport::solve_ssp`]): the
+//!   general-distance oracle the 1-D closed form is cross-validated against
+//!   by property tests.
+//! * [`emd`] — `SimC = 1/(1+EMD)` (Eq. 3).
 //! * [`lower_bounds`] — cheap lower bounds used for filtering before exact
 //!   evaluation.
 //! * [`embed`] — the CDF embedding of 1-D EMD into L1, the vectorisation the
@@ -33,19 +32,18 @@ pub mod erp;
 pub mod lower_bounds;
 pub mod matrix;
 pub mod measures;
-pub mod simplex;
 pub mod transport;
 
-pub use crate::emd::{emd_scalar, sim_c, Emd, EmdError};
+pub use crate::emd::sim_c;
 pub use dtw::dtw_distance;
 pub use embed::{CdfEmbedder, CDF_EMBED_DIMS};
-pub use emd1d::{emd_1d, emd_1d_presorted, emd_1d_presorted_capped, emd_1d_soa, emd_1d_soa_capped};
+pub use emd1d::{emd_1d, emd_1d_presorted_capped, emd_1d_soa_capped};
 pub use erp::erp_distance;
 pub use lower_bounds::{
     centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
 pub use matrix::DenseMatrix;
 pub use measures::{
-    extended_jaccard, extended_jaccard_all_pairs, extended_jaccard_upper_bound,
-    extended_jaccard_upper_bound_in, rounding_allowance, MatchingConfig,
+    extended_jaccard, extended_jaccard_upper_bound, extended_jaccard_upper_bound_in,
+    rounding_allowance, MatchingConfig,
 };

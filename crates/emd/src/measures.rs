@@ -4,12 +4,10 @@
 //! `|S₁ ∪ S₂|`. Following the source model of [35] (Zhou & Chen, MM'10), a
 //! "match" is a greedy one-to-one assignment of signature pairs in decreasing
 //! `SimC` order, keeping only pairs above a match threshold; the union size
-//! is then `|S₁| + |S₂| − matched`. The literal all-pairs reading of the
-//! formula is also provided ([`extended_jaccard_all_pairs`]) and compared in
-//! the ablation bench.
+//! is then `|S₁| + |S₂| − matched`.
 //!
-//! Both functions are generic over the pairwise similarity, so they work for
-//! any signature representation.
+//! The measure and its upper bound are generic over the pairwise similarity,
+//! so they work for any signature representation.
 
 /// Configuration of the greedy matcher.
 #[derive(Debug, Clone, Copy)]
@@ -167,26 +165,6 @@ pub fn extended_jaccard_upper_bound_in(
     best
 }
 
-/// The literal all-pairs reading of Eq. 4: `Σ_{i,j} SimC(Cᵢ, Cⱼ) / (|S₁| +
-/// |S₂|)`. Kept for the measure ablation; over-counts when one signature
-/// resembles many.
-pub fn extended_jaccard_all_pairs(
-    n1: usize,
-    n2: usize,
-    mut sim: impl FnMut(usize, usize) -> f64,
-) -> f64 {
-    if n1 == 0 || n2 == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for i in 0..n1 {
-        for j in 0..n2 {
-            total += sim(i, j);
-        }
-    }
-    total / (n1 + n2) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,18 +263,10 @@ mod tests {
             extended_jaccard(0, 3, |_, _| 1.0, MatchingConfig::default()),
             0.0
         );
-        assert_eq!(extended_jaccard_all_pairs(3, 0, |_, _| 1.0), 0.0);
-    }
-
-    #[test]
-    fn all_pairs_variant_overcounts() {
-        let sim = |_: usize, _: usize| 1.0;
-        let greedy = extended_jaccard(3, 3, sim, MatchingConfig::default());
-        let literal = extended_jaccard_all_pairs(3, 3, sim);
-        // Greedy: 3 matches / 3 union = 1.0; literal: 9 / 6 = 1.5.
-        assert!((greedy - 1.0).abs() < 1e-12);
-        assert!((literal - 1.5).abs() < 1e-12);
-        assert!(literal > greedy);
+        assert_eq!(
+            extended_jaccard(3, 0, |_, _| 1.0, MatchingConfig::default()),
+            0.0
+        );
     }
 
     #[test]

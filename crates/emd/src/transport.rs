@@ -5,10 +5,9 @@
 //! EMD (Definition 1) *is* a balanced transportation problem: sources are the
 //! cuboids of one signature with supplies `μ1i`, sinks the cuboids of the
 //! other with demands `μ2j`, and the cost table is the ground distance. This
-//! module provides the problem type, two classic initial-solution heuristics
-//! (north-west corner and Vogel's approximation) used to warm-start the
-//! simplex in [`crate::simplex`], and an exact successive-shortest-paths
-//! solver used as the correctness reference.
+//! module provides the problem type and an exact successive-shortest-paths
+//! solver: the general-distance oracle the 1-D closed form
+//! ([`crate::emd1d`]) is cross-validated against.
 
 use crate::matrix::DenseMatrix;
 
@@ -114,196 +113,12 @@ impl TransportProblem {
     }
 }
 
-/// A basic feasible solution: a flow plus the set of basic cells, which form
-/// a spanning tree over the `m + n` bipartite nodes and therefore number
-/// exactly `m + n − 1` (zero-flow cells are kept for degenerate bases).
-#[derive(Debug, Clone)]
-pub struct BasicSolution {
-    /// Basic cells `(source, sink)`, spanning-tree edges.
-    pub basis: Vec<(usize, usize)>,
-    /// The flow matrix.
-    pub flow: DenseMatrix,
-}
-
-/// North-west-corner initial solution. Always yields exactly `m + n − 1`
-/// basic cells (inserting degenerate zero cells on ties).
-pub fn northwest_corner(p: &TransportProblem) -> BasicSolution {
-    let (m, n) = (p.m(), p.n());
-    let mut s = p.supply().to_vec();
-    let mut d = p.demand().to_vec();
-    let mut flow = DenseMatrix::zeros(m, n);
-    let mut basis = Vec::with_capacity(m + n - 1);
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let x = s[i].min(d[j]);
-        flow.set(i, j, x);
-        basis.push((i, j));
-        s[i] -= x;
-        d[j] -= x;
-        if i == m - 1 && j == n - 1 {
-            break;
-        }
-        // On a tie advance only one index; the other direction contributes a
-        // degenerate zero-flow basic cell on the next iteration.
-        if s[i] <= EPS && i < m - 1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    debug_assert_eq!(basis.len(), m + n - 1);
-    BasicSolution { basis, flow }
-}
-
-/// Vogel's approximation: repeatedly allocate in the cell with the smallest
-/// cost of the row/column with the largest penalty (difference between its
-/// two smallest remaining costs). Usually much closer to optimal than the
-/// north-west corner. The returned basis is completed to a spanning tree with
-/// degenerate cells if necessary.
-pub fn vogel(p: &TransportProblem) -> BasicSolution {
-    let (m, n) = (p.m(), p.n());
-    let mut s = p.supply().to_vec();
-    let mut d = p.demand().to_vec();
-    let mut row_done = vec![false; m];
-    let mut col_done = vec![false; n];
-    let mut flow = DenseMatrix::zeros(m, n);
-    let mut basis: Vec<(usize, usize)> = Vec::with_capacity(m + n - 1);
-    let mut rows_left = m;
-    let mut cols_left = n;
-
-    // Two smallest costs of a live row/column. (Index loops kept: the loop
-    // variable simultaneously indexes the cost table and the done flags.)
-    #[allow(clippy::needless_range_loop)]
-    let two_min_row = |i: usize, col_done: &[bool]| -> (f64, f64, usize) {
-        let (mut a, mut b, mut aj) = (f64::INFINITY, f64::INFINITY, usize::MAX);
-        for j in 0..n {
-            if col_done[j] {
-                continue;
-            }
-            let c = p.cost().get(i, j);
-            if c < a {
-                b = a;
-                a = c;
-                aj = j;
-            } else if c < b {
-                b = c;
-            }
-        }
-        (a, b, aj)
-    };
-    #[allow(clippy::needless_range_loop)]
-    let two_min_col = |j: usize, row_done: &[bool]| -> (f64, f64, usize) {
-        let (mut a, mut b, mut ai) = (f64::INFINITY, f64::INFINITY, usize::MAX);
-        for i in 0..m {
-            if row_done[i] {
-                continue;
-            }
-            let c = p.cost().get(i, j);
-            if c < a {
-                b = a;
-                a = c;
-                ai = i;
-            } else if c < b {
-                b = c;
-            }
-        }
-        (a, b, ai)
-    };
-
-    while rows_left > 0 && cols_left > 0 {
-        // Pick the live row or column with the largest penalty.
-        let mut best_penalty = -1.0;
-        let mut pick: Option<(usize, usize)> = None; // (i, j) of allocation
-        for i in 0..m {
-            if row_done[i] {
-                continue;
-            }
-            let (a, b, aj) = two_min_row(i, &col_done);
-            let pen = if b.is_finite() { b - a } else { a };
-            if pen > best_penalty {
-                best_penalty = pen;
-                pick = Some((i, aj));
-            }
-        }
-        for j in 0..n {
-            if col_done[j] {
-                continue;
-            }
-            let (a, b, ai) = two_min_col(j, &row_done);
-            let pen = if b.is_finite() { b - a } else { a };
-            if pen > best_penalty {
-                best_penalty = pen;
-                pick = Some((ai, j));
-            }
-        }
-        // viderec-lint: allow(serve-no-panic) — the outer loop runs while
-        // undone rows and columns remain, so a penalty pick always exists.
-        let (i, j) = pick.expect("live rows and columns remain");
-        let x = s[i].min(d[j]);
-        flow.set(i, j, x);
-        basis.push((i, j));
-        s[i] -= x;
-        d[j] -= x;
-        // Close at most one of the two (close both only when it's the last).
-        if s[i] <= EPS && (d[j] > EPS || rows_left > 1) {
-            row_done[i] = true;
-            rows_left -= 1;
-        } else if d[j] <= EPS {
-            col_done[j] = true;
-            cols_left -= 1;
-        }
-        if rows_left == 0 || cols_left == 0 {
-            break;
-        }
-    }
-    complete_basis(m, n, &mut basis);
-    BasicSolution { basis, flow }
-}
-
-/// Completes a cycle-free cell set into a spanning tree over the bipartite
-/// node set by adding zero-flow cells, so the simplex always starts from a
-/// valid basis of `m + n − 1` cells.
-pub fn complete_basis(m: usize, n: usize, basis: &mut Vec<(usize, usize)>) {
-    let mut parent: Vec<usize> = (0..m + n).collect();
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        if parent[x] != x {
-            let r = find(parent, parent[x]);
-            parent[x] = r;
-        }
-        parent[x]
-    }
-    basis.retain(|&(i, j)| {
-        // Drop any cell that would close a cycle (shouldn't happen for the
-        // built-in heuristics, but keeps the invariant under all inputs).
-        let (a, b) = (find(&mut parent, i), find(&mut parent, m + j));
-        if a == b {
-            false
-        } else {
-            parent[a] = b;
-            true
-        }
-    });
-    'outer: for i in 0..m {
-        for j in 0..n {
-            if basis.len() == m + n - 1 {
-                break 'outer;
-            }
-            let (a, b) = (find(&mut parent, i), find(&mut parent, m + j));
-            if a != b {
-                parent[a] = b;
-                basis.push((i, j));
-            }
-        }
-    }
-    debug_assert_eq!(basis.len(), m + n - 1);
-}
-
 /// Exact solver via successive shortest paths with Dijkstra + potentials.
 ///
 /// Each augmentation saturates a source or a sink, so there are at most
 /// `m + n` augmentations of an `O((m+n)²)` dense Dijkstra each — entirely
 /// adequate for signature-sized instances, and simple enough to trust as the
-/// ground truth the simplex is validated against.
+/// ground truth the 1-D closed form is validated against.
 ///
 /// Returns `(flow, objective)`.
 pub fn solve_ssp(p: &TransportProblem) -> (DenseMatrix, f64) {
@@ -439,24 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn nw_corner_is_feasible_with_full_basis() {
-        let p = classic();
-        let bs = northwest_corner(&p);
-        assert!(p.is_feasible(&bs.flow, 1e-9));
-        assert_eq!(bs.basis.len(), p.m() + p.n() - 1);
-    }
-
-    #[test]
-    fn vogel_is_feasible_and_no_worse_than_nw() {
-        let p = classic();
-        let nw = northwest_corner(&p);
-        let vg = vogel(&p);
-        assert!(p.is_feasible(&vg.flow, 1e-9));
-        assert_eq!(vg.basis.len(), p.m() + p.n() - 1);
-        assert!(p.objective(&vg.flow) <= p.objective(&nw.flow) + 1e-9);
-    }
-
-    #[test]
     fn ssp_solves_classic_instance_optimally() {
         let p = classic();
         let (flow, obj) = solve_ssp(&p);
@@ -481,15 +278,6 @@ mod tests {
         let (flow, obj) = solve_ssp(&p);
         assert!((flow.get(0, 0) - 1.0).abs() < 1e-12);
         assert!((obj - 4.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complete_basis_fills_degenerate_forest() {
-        let mut basis = vec![(0, 0)];
-        complete_basis(2, 2, &mut basis);
-        assert_eq!(basis.len(), 3);
-        // Must form a spanning tree: 4 nodes, 3 edges, no cycles — checked
-        // implicitly by complete_basis's union-find retain.
     }
 
     #[test]

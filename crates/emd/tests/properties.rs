@@ -1,4 +1,5 @@
-//! Property tests for the EMD solvers and sequence measures.
+//! Property tests for the EMD closed form, its oracle, the bounds and the
+//! sequence measures.
 
 use proptest::prelude::*;
 use viderec_emd::dtw::dtw_distance;
@@ -6,9 +7,10 @@ use viderec_emd::erp::erp_scalar;
 use viderec_emd::lower_bounds::{
     centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
+use viderec_emd::transport::{solve_ssp, TransportProblem};
 use viderec_emd::{
     emd_1d, extended_jaccard, extended_jaccard_upper_bound, rounding_allowance, sim_c, CdfEmbedder,
-    Emd, MatchingConfig,
+    DenseMatrix, MatchingConfig,
 };
 
 /// A normalised scalar signature: 1..8 cuboids, values in ±60.
@@ -66,13 +68,14 @@ fn slice_bound(a: &[(f64, f64)], b: &[(f64, f64)]) -> (f64, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three exact solvers agree on every instance.
+    /// The 1-D closed form agrees with the general transportation solver
+    /// under the `|x − y|` cost table on every instance.
     #[test]
     fn solvers_agree(a in signature(), b in signature()) {
-        let d1 = Emd::OneDimensional.distance(&a, &b).unwrap();
-        let ds = Emd::Simplex.distance(&a, &b).unwrap();
-        let dp = Emd::ShortestPaths.distance(&a, &b).unwrap();
-        prop_assert!((d1 - ds).abs() < 1e-6 * (1.0 + d1), "1d {} vs simplex {}", d1, ds);
+        let d1 = emd_1d(&a, &b);
+        let cost = DenseMatrix::from_fn(a.len(), b.len(), |i, j| (a[i].0 - b[j].0).abs());
+        let weights = |s: &[(f64, f64)]| s.iter().map(|&(_, w)| w).collect::<Vec<f64>>();
+        let (_, dp) = solve_ssp(&TransportProblem::new(weights(&a), weights(&b), cost));
         prop_assert!((d1 - dp).abs() < 1e-6 * (1.0 + d1), "1d {} vs ssp {}", d1, dp);
     }
 

@@ -142,23 +142,8 @@ pub fn decode_series(s: &str) -> Result<SignatureSeries, String> {
                 weight: f64_from_hex(w)?,
             });
         }
-        // Re-validate before the panicking constructor.
-        if cuboids.is_empty() {
-            return Err(format!("signature {i} has no cuboids"));
-        }
-        if !cuboids
-            .iter()
-            .all(|c| c.weight > 0.0 && c.weight.is_finite() && c.value.is_finite())
-        {
-            return Err(format!(
-                "signature {i}: weights must be positive and finite"
-            ));
-        }
-        let mass: f64 = cuboids.iter().map(|c| c.weight).sum();
-        if (mass - 1.0).abs() >= 1e-6 {
-            return Err(format!("signature {i}: mass {mass} != 1"));
-        }
-        signatures.push(CuboidSignature::new(cuboids));
+        let sig = CuboidSignature::try_new(cuboids).map_err(|e| format!("signature {i}: {e}"))?;
+        signatures.push(sig);
     }
     Ok(SignatureSeries::new(signatures))
 }
@@ -340,8 +325,10 @@ mod tests {
             .join("|")
     }
 
-    /// A Definition-1 signature over arbitrary finite value bits (non-finite
-    /// draws lose their exponent: ±0.0 and subnormals).
+    /// A Definition-1 signature over arbitrary value bits within
+    /// ±`f64::MAX / 4` (non-finite draws lose their exponent: ±0.0 and
+    /// subnormals; finite draws past the bound lose their top exponent bit:
+    /// magnitudes near 1).
     fn signature() -> impl Strategy<Value = CuboidSignature> {
         prop::collection::vec((0..=u64::MAX, 0.05..1.0f64), 1..7).prop_map(|raw| {
             let total: f64 = raw.iter().map(|(_, w)| w).sum();
@@ -350,8 +337,10 @@ mod tests {
                     .map(|&(bits, w)| {
                         let v = f64::from_bits(bits);
                         Cuboid {
-                            value: if v.is_finite() {
+                            value: if v.abs() <= f64::MAX / 4.0 {
                                 v
+                            } else if v.is_finite() {
+                                f64::from_bits(bits & !(1 << 62))
                             } else {
                                 f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF)
                             },
@@ -557,5 +546,21 @@ mod tests {
             .unwrap_err()
             .contains("line 1"));
         assert!(parse_update_body("").unwrap().is_empty());
+    }
+
+    /// A cuboid value past ±f64::MAX/4 — here 0x7fe0… ≈ 8.99e307 — would
+    /// overflow the EMD sweep (`t − prev_t`) into a NaN distance, so it is a
+    /// parse error naming the line, not an accepted ingest.
+    #[test]
+    fn ingest_values_past_a_quarter_of_f64_max_are_rejected_by_line() {
+        let hostile = "7fe0000000000000:3ff0000000000000";
+        let err = parse_update_body(&format!("age 1\ningest 5 u1 {hostile}"))
+            .expect_err("accepted a value the EMD sweep overflows on");
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("f64::MAX/4"), "{err}");
+        // Negative too, and the bound itself is still admitted.
+        assert!(decode_series("ffe0000000000000:3ff0000000000000").is_err());
+        let quarter = format!("{:016x}:3ff0000000000000", (f64::MAX / 4.0).to_bits());
+        assert!(decode_series(&quarter).is_ok());
     }
 }

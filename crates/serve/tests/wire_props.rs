@@ -14,14 +14,18 @@ use viderec_serve::wire::{
 use viderec_signature::{Cuboid, CuboidSignature, SignatureSeries};
 use viderec_video::VideoId;
 
-/// Arbitrary finite `f64` from raw bits: non-finite draws keep their sign
-/// and mantissa but drop the exponent, landing on ±0.0 and subnormals — the
-/// exact values a decimal codec would mangle.
+/// Arbitrary Definition-1 value (`|v| ≤ f64::MAX / 4`) from raw bits:
+/// non-finite draws keep their sign and mantissa but drop the exponent,
+/// landing on ±0.0 and subnormals — the exact values a decimal codec would
+/// mangle — and finite draws past the bound lose their top exponent bit,
+/// landing near 1.
 fn finite_value() -> impl Strategy<Value = f64> {
     (0..=u64::MAX).prop_map(|bits| {
         let v = f64::from_bits(bits);
-        if v.is_finite() {
+        if v.abs() <= f64::MAX / 4.0 {
             v
+        } else if v.is_finite() {
+            f64::from_bits(bits & !(1 << 62))
         } else {
             f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF)
         }

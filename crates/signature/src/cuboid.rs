@@ -10,7 +10,7 @@
 use crate::block::BlockGrid;
 use crate::merge::{merge_blocks, Region};
 use serde::{Deserialize, Serialize};
-use viderec_emd::{emd_scalar, sim_c};
+use viderec_emd::{emd_1d, sim_c};
 use viderec_video::QGram;
 
 /// One video cuboid: average temporal intensity change `v` with normalised
@@ -30,22 +30,40 @@ pub struct CuboidSignature {
 }
 
 impl CuboidSignature {
-    /// Creates a signature, validating positivity and normalisation.
+    /// Creates a signature, validating Definition 1: at least one cuboid,
+    /// every weight positive and finite, total mass 1 within 1e-6, and every
+    /// value finite with `|v| ≤ f64::MAX / 4` (so that no EMD difference or
+    /// sweep total overflows).
+    pub fn try_new(cuboids: Vec<Cuboid>) -> Result<Self, String> {
+        if cuboids.is_empty() {
+            return Err("signature needs at least one cuboid".into());
+        }
+        if !cuboids
+            .iter()
+            .all(|c| c.weight > 0.0 && c.weight.is_finite())
+        {
+            return Err("weights must be positive and finite".into());
+        }
+        // Within a quarter of `f64::MAX`, every difference of two values and
+        // every EMD sweep total (at most the largest difference, mass being
+        // 1) stays finite.
+        let out_of_range = |v: f64| !v.is_finite() || v.abs() > f64::MAX / 4.0;
+        if let Some(c) = cuboids.iter().find(|c| out_of_range(c.value)) {
+            return Err(format!("value {:e} is outside ±f64::MAX/4", c.value));
+        }
+        let mass: f64 = cuboids.iter().map(|c| c.weight).sum();
+        if (mass - 1.0).abs() >= 1e-6 {
+            return Err(format!("mass {mass} != 1"));
+        }
+        Ok(Self { cuboids })
+    }
+
+    /// [`Self::try_new`] for cuboids known to be valid.
     ///
     /// # Panics
-    /// Panics if empty, any weight is non-positive, or the mass is not 1
-    /// within 1e-6.
+    /// Panics where [`Self::try_new`] returns an error.
     pub fn new(cuboids: Vec<Cuboid>) -> Self {
-        assert!(!cuboids.is_empty(), "signature needs at least one cuboid");
-        assert!(
-            cuboids
-                .iter()
-                .all(|c| c.weight > 0.0 && c.value.is_finite()),
-            "cuboids must have positive weight and finite value"
-        );
-        let mass: f64 = cuboids.iter().map(|c| c.weight).sum();
-        assert!((mass - 1.0).abs() < 1e-6, "signature mass {mass} != 1");
-        Self { cuboids }
+        Self::try_new(cuboids).expect("invalid cuboid signature")
     }
 
     /// Builds the signature of a q-gram:
@@ -106,7 +124,7 @@ impl CuboidSignature {
 
     /// Exact EMD to another signature (Definition 1, scalar ground distance).
     pub fn emd(&self, other: &CuboidSignature) -> f64 {
-        emd_scalar(&self.as_pairs(), &other.as_pairs())
+        emd_1d(&self.as_pairs(), &other.as_pairs())
     }
 
     /// `SimC(self, other) = 1 / (1 + EMD)` — Eq. 3.

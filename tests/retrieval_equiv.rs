@@ -4,15 +4,14 @@
 //! longest-common-prefix KNN instead of enumerating the corpus, and its
 //! certificate (DESIGN.md §11) claims the result is *bit-identical* to the
 //! naive full-corpus scan. This suite pins that claim on streamed corpora:
-//! every strategy, top-k of 1 / 3 / corpus + 10, both prune bounds, with
-//! exclusions, and again after social churn plus an
+//! every strategy, top-k of 1 / 3 / corpus + 10, with exclusions, and again after social churn plus an
 //! incremental ingest. On every gated query it also checks the point of the
 //! whole exercise: for small k the scanned set stays strictly below the
 //! corpus (at k > corpus exactness forces a full sweep, so only `<=` holds).
 
 use viderec::core::{
-    CorpusVideo, PruneBound, QueryVideo, Recommender, RecommenderConfig, RetrievalMode,
-    SocialUpdate, Strategy, Tracer,
+    CorpusVideo, QueryVideo, Recommender, RecommenderConfig, RetrievalMode, SocialUpdate, Strategy,
+    Tracer,
 };
 use viderec::eval::stream::{stream_user_name, StreamConfig, StreamingCommunity};
 use viderec::video::VideoId;
@@ -23,14 +22,6 @@ const STRATEGIES: [Strategy; 5] = [
     Strategy::Csf,
     Strategy::CsfSar,
     Strategy::CsfSarH,
-];
-
-const BOUNDS: [PruneBound; 2] = [
-    PruneBound::Centroid,
-    PruneBound::Best {
-        lo: -16.0,
-        hi: 16.0,
-    },
 ];
 
 const GATED: [RetrievalMode; 1] = [RetrievalMode::GatedCertified];
@@ -55,10 +46,8 @@ fn harness_cfg(corpus: &[CorpusVideo]) -> RecommenderConfig {
     }
 }
 
-fn gated(mode: RetrievalMode, bound: PruneBound, corpus: &[CorpusVideo]) -> Recommender {
-    let cfg = harness_cfg(corpus)
-        .with_prune_bound(bound)
-        .with_retrieval(mode);
+fn gated(mode: RetrievalMode, corpus: &[CorpusVideo]) -> Recommender {
+    let cfg = harness_cfg(corpus).with_retrieval(mode);
     Recommender::build(cfg, corpus.to_vec()).expect("build")
 }
 
@@ -87,7 +76,7 @@ fn queries_for(stream: &StreamingCommunity, rec: &Recommender) -> Vec<QueryVideo
 /// assert aggregate sub-linearity.
 fn assert_gated_matches_naive(
     naive_rec: &Recommender,
-    gated_recs: &[(RetrievalMode, PruneBound, Recommender)],
+    gated_recs: &[(RetrievalMode, Recommender)],
     queries: &[QueryVideo],
     label: &str,
 ) -> u64 {
@@ -97,12 +86,9 @@ fn assert_gated_matches_naive(
         for k in [1usize, 3, corpus + 10] {
             for (qi, q) in queries.iter().enumerate() {
                 let naive = naive_rec.recommend_naive_excluding(strategy, q, k, &[]);
-                for (mode, bound, rec) in gated_recs {
+                for (mode, rec) in gated_recs {
                     let (got, trace) = rec.recommend_traced(strategy, q, k, &[], Tracer::OFF);
-                    let ctx = format!(
-                        "{label}: {} {mode:?} {bound:?} k={k} query={qi}",
-                        strategy.label()
-                    );
+                    let ctx = format!("{label}: {} {mode:?} k={k} query={qi}", strategy.label());
                     assert_eq!(got, naive, "{ctx}: gated result diverged from full scan");
                     assert_eq!(trace.gate, 2, "{ctx}: must certify exactness");
                     assert_eq!(trace.corpus, corpus as u64, "{ctx}: corpus miscounted");
@@ -141,9 +127,7 @@ fn gated_retrieval_matches_the_full_scan_on_a_fresh_streamed_corpus() {
     assert_eq!(queries.len(), 3);
     let mut gated_recs = Vec::new();
     for mode in GATED {
-        for bound in BOUNDS {
-            gated_recs.push((mode, bound, gated(mode, bound, &corpus)));
-        }
+        gated_recs.push((mode, gated(mode, &corpus)));
     }
     let scanned = assert_gated_matches_naive(&naive_rec, &gated_recs, &queries, "fresh");
     // Aggregate sub-linearity over the small-k slices (k = 1 and k = 3):
@@ -202,11 +186,9 @@ fn gated_retrieval_survives_churn_and_incremental_ingest() {
 
     let mut gated_recs = Vec::new();
     for mode in GATED {
-        for bound in BOUNDS {
-            let mut rec = gated(mode, bound, &corpus);
-            mutate(&mut rec);
-            gated_recs.push((mode, bound, rec));
-        }
+        let mut rec = gated(mode, &corpus);
+        mutate(&mut rec);
+        gated_recs.push((mode, rec));
     }
 
     let queries = queries_for(&stream, &naive_rec);
@@ -220,7 +202,7 @@ fn gated_retrieval_honours_exclusions_exactly() {
     let queries = queries_for(&stream, &naive_rec);
     let q = &queries[0];
     for &mode in &GATED {
-        let rec = gated(mode, PruneBound::default(), &corpus);
+        let rec = gated(mode, &corpus);
         for strategy in STRATEGIES {
             // Exclude the naive top pair: the gated engine must return the
             // naive ranking recomputed without them — an excluded video may
@@ -241,37 +223,10 @@ fn gated_retrieval_honours_exclusions_exactly() {
     }
 }
 
-/// What the slice bound is for: on a 2 000-video streamed corpus the
-/// certified gate answers CSF-SAR-H exactly under either bound, and the
-/// tighter ceilings of `Best` never send more candidates to an exact `κJ`
-/// than the centroid ceilings do.
-#[test]
-fn slice_bound_sweeps_no_more_than_the_centroid_bound_at_scale() {
-    let stream = StreamingCommunity::new(StreamConfig::at_scale(2_000, 0x51_1CE));
-    let corpus = stream.materialize();
-    let ids = stream.query_ids(32);
-    let [centroid, best] = BOUNDS.map(|bound| {
-        let rec = gated(RetrievalMode::GatedCertified, bound, &corpus);
-        let mut exact_evals = 0;
-        for &id in &ids {
-            let q = rec.query_for(id).expect("indexed");
-            let (got, stats) = rec.recommend_with_stats(Strategy::CsfSarH, &q, 20, &[id]);
-            let want = rec.recommend_naive_excluding(Strategy::CsfSarH, &q, 20, &[id]);
-            assert_eq!(got, want, "{bound:?} click {id:?}");
-            exact_evals += stats.exact_evals;
-        }
-        exact_evals
-    });
-    assert!(
-        best <= centroid,
-        "Best swept {best} candidates, Centroid {centroid}"
-    );
-}
-
 #[test]
 fn approx_mode_stays_within_the_gathered_set_on_streamed_corpora() {
     let (stream, corpus) = corpus();
-    let rec = gated(RetrievalMode::GatedApprox, PruneBound::default(), &corpus);
+    let rec = gated(RetrievalMode::GatedApprox, &corpus);
     let queries = queries_for(&stream, &rec);
     for strategy in STRATEGIES {
         for q in &queries {

@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use viderec::core::{
-    PruneBound, QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Strategy, Tracer,
-};
+use viderec::core::{QueryVideo, Recommender, RecommenderConfig, RetrievalMode, Strategy, Tracer};
 use viderec::eval::stream::{StreamConfig, StreamingCommunity};
 use viderec::index::{InvertedIndex, LsbConfig, LsbForest};
 use viderec::video::VideoId;
@@ -137,8 +135,7 @@ proptest! {
         let naive_rec =
             Recommender::build(cfg.clone(), corpus.clone()).expect("build");
         let gated_rec = Recommender::build(
-            cfg.with_prune_bound(PruneBound::Centroid)
-                .with_retrieval(RetrievalMode::GatedCertified),
+            cfg.with_retrieval(RetrievalMode::GatedCertified),
             corpus,
         )
         .expect("build");

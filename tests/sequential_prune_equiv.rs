@@ -1,11 +1,9 @@
 //! Equivalence of the pruned sequential recommender with the unpruned
-//! reference scan over the same candidate universe: every strategy, top-k of 1 / 3 / the whole corpus, both
-//! arena pruning bounds, with exclusions, and again after Fig. 5 maintenance
-//! churn plus an incremental corpus ingest.
+//! reference scan over the same candidate universe: every strategy, top-k of
+//! 1 / 3 / the whole corpus, with exclusions, and again after Fig. 5
+//! maintenance churn plus an incremental corpus ingest.
 
-use viderec::core::{
-    PruneBound, QueryVideo, RecError, Recommender, RecommenderConfig, SocialUpdate, Strategy,
-};
+use viderec::core::{QueryVideo, RecError, Recommender, RecommenderConfig, SocialUpdate, Strategy};
 use viderec::eval::community::{Community, CommunityConfig};
 use viderec::video::VideoId;
 
@@ -17,21 +15,13 @@ const STRATEGIES: [Strategy; 5] = [
     Strategy::CsfSarH,
 ];
 
-const BOUNDS: [PruneBound; 2] = [
-    PruneBound::Centroid,
-    PruneBound::Best {
-        lo: -16.0,
-        hi: 16.0,
-    },
-];
-
-fn build(bound: PruneBound) -> (Community, Recommender) {
+fn build() -> (Community, Recommender) {
     let community = Community::generate(CommunityConfig {
         hours: 5.0,
         ..Default::default()
     });
-    let cfg = RecommenderConfig::default().with_prune_bound(bound);
-    let rec = Recommender::build(cfg, community.source_corpus()).expect("build");
+    let rec =
+        Recommender::build(RecommenderConfig::default(), community.source_corpus()).expect("build");
     (community, rec)
 }
 
@@ -77,71 +67,65 @@ fn assert_equivalent(rec: &Recommender, queries: &[QueryVideo], label: &str) -> 
 
 #[test]
 fn pruned_scan_matches_unpruned_for_all_strategies_and_bounds() {
-    for bound in BOUNDS {
-        let (community, rec) = build(bound);
-        let queries = queries_for(&community, &rec);
-        assert!(!queries.is_empty());
-        let pruned = assert_equivalent(&rec, &queries, &format!("fresh {bound:?}"));
-        if matches!(bound, PruneBound::Best { .. }) {
-            assert!(
-                pruned > 0,
-                "slice-feature ceilings should prune something across \
-                 {} strategies x {} queries",
-                STRATEGIES.len(),
-                queries.len()
-            );
-        }
-    }
+    let (community, rec) = build();
+    let queries = queries_for(&community, &rec);
+    assert!(!queries.is_empty());
+    let pruned = assert_equivalent(&rec, &queries, "fresh");
+    assert!(
+        pruned > 0,
+        "slice-feature ceilings should prune something across \
+         {} strategies x {} queries",
+        STRATEGIES.len(),
+        queries.len()
+    );
 }
 
 #[test]
 fn pruned_scan_matches_unpruned_after_maintenance_churn() {
-    for bound in BOUNDS {
-        let (community, mut rec) = build(bound);
+    let (community, mut rec) = build();
 
-        // Cross-community comments heavy enough to trigger the Fig. 5
-        // merge/split machinery, an aging pass, and an incremental corpus
-        // ingest: descriptor vectors, inverted postings, chained-hash slots
-        // and the scoring arena all change under the pruned path's feet.
-        let targets: Vec<VideoId> = community.query_videos().into_iter().take(3).collect();
-        let mut churn = Vec::new();
-        for (i, &video) in targets.iter().enumerate() {
-            for user in 0..6 {
-                churn.push(SocialUpdate {
-                    video,
-                    user: format!("churn_user_{}", (user + i) % 8),
-                });
-            }
+    // Cross-community comments heavy enough to trigger the Fig. 5
+    // merge/split machinery, an aging pass, and an incremental corpus
+    // ingest: descriptor vectors, inverted postings, chained-hash slots
+    // and the scoring arena all change under the pruned path's feet.
+    let targets: Vec<VideoId> = community.query_videos().into_iter().take(3).collect();
+    let mut churn = Vec::new();
+    for (i, &video) in targets.iter().enumerate() {
+        for user in 0..6 {
+            churn.push(SocialUpdate {
+                video,
+                user: format!("churn_user_{}", (user + i) % 8),
+            });
         }
-        let summary = rec.apply_social_updates(&churn);
-        assert!(summary.comments_applied > 0, "churn must actually land");
-        rec.age_social_connections(1);
-
-        // Re-ingest copies of a few source videos under fresh ids: same
-        // signatures and engaged users, so every index path gets exercised.
-        let base = rec.num_videos() as u64;
-        let additions: Vec<_> = community
-            .source_corpus()
-            .into_iter()
-            .take(4)
-            .enumerate()
-            .map(|(i, mut v)| {
-                v.id = VideoId(base + 1000 + i as u64);
-                v
-            })
-            .collect();
-        let added = additions.len();
-        rec.add_videos(additions).expect("incremental ingest");
-        assert_eq!(rec.num_videos(), base as usize + added);
-
-        let queries = queries_for(&community, &rec);
-        assert_equivalent(&rec, &queries, &format!("post-churn {bound:?}"));
     }
+    let summary = rec.apply_social_updates(&churn);
+    assert!(summary.comments_applied > 0, "churn must actually land");
+    rec.age_social_connections(1);
+
+    // Re-ingest copies of a few source videos under fresh ids: same
+    // signatures and engaged users, so every index path gets exercised.
+    let base = rec.num_videos() as u64;
+    let additions: Vec<_> = community
+        .source_corpus()
+        .into_iter()
+        .take(4)
+        .enumerate()
+        .map(|(i, mut v)| {
+            v.id = VideoId(base + 1000 + i as u64);
+            v
+        })
+        .collect();
+    let added = additions.len();
+    rec.add_videos(additions).expect("incremental ingest");
+    assert_eq!(rec.num_videos(), base as usize + added);
+
+    let queries = queries_for(&community, &rec);
+    assert_equivalent(&rec, &queries, "post-churn");
 }
 
 #[test]
 fn exclusions_never_surface_and_never_occupy_the_floor() {
-    let (community, rec) = build(PruneBound::default());
+    let (community, rec) = build();
     let queries = queries_for(&community, &rec);
     let q = &queries[0];
     for strategy in STRATEGIES {
@@ -162,7 +146,7 @@ fn exclusions_never_surface_and_never_occupy_the_floor() {
 
 #[test]
 fn duplicate_ingest_is_rejected() {
-    let (community, mut rec) = build(PruneBound::default());
+    let (community, mut rec) = build();
     let dup = community
         .source_corpus()
         .into_iter()
