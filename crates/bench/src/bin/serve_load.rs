@@ -609,7 +609,7 @@ fn main() {
     json.push_str(
         "  \"description\": \"Closed-loop HTTP load against the serving subsystem \
          (in-process server, epoch-swapped snapshots). Client-observed latency per \
-         GET /recommend over a real TCP socket, one request per connection.\",\n",
+         GET /recommend over a real TCP socket, one kept connection per client.\",\n",
     );
     json.push_str("  \"command\": \"cargo run --release -p viderec-bench --bin serve_load\",\n");
     json.push_str(&format!(

@@ -5,7 +5,9 @@
 //! then scrapes `/metrics`, `/debug/queries` and `/debug/trace/<id>` and
 //! asserts every family and field the tracing work added is present and
 //! coherent (stage sum bounded by the total, accounting identity, update
-//! histograms populated). Also smokes the profiling surface: a
+//! histograms populated). Keep-alive: sequential requests from one thread
+//! arrive on one connection, and a third client is served while two kept
+//! connections sit idle. Also smokes the profiling surface: a
 //! `/debug/profile` capture under live load must return collapsed stacks
 //! that include the EMD kernel, and `/debug/heap` must see the counting
 //! allocator. Exits nonzero on any failure.
@@ -19,6 +21,7 @@ use std::time::{Duration, Instant};
 use viderec_core::{Recommender, RecommenderConfig};
 use viderec_eval::community::{Community, CommunityConfig};
 use viderec_serve::client::{get, json_str, json_u64, post};
+use viderec_serve::http::KEEPALIVE_IDLE;
 use viderec_serve::wire::{encode_age, encode_comment};
 use viderec_serve::{start, ServeConfig};
 
@@ -77,6 +80,58 @@ fn main() {
         assert!(resp.body.contains(field), "trace misses {field}");
     }
     println!("debug trace ok: total {total} µs, stage sum {stage_sum} µs");
+
+    // Keep-alive: one thread's sequential requests ride one connection.
+    let accepted = || handle.metrics().connections_accepted.load(Ordering::SeqCst);
+    let before = accepted();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for target in ["/healthz", "/debug/queries?n=1&slow=1", "/healthz"] {
+                let resp = get(addr, target, TIMEOUT).expect("sequential request");
+                assert_eq!(resp.status, 200, "{target}: {}", resp.body);
+            }
+        });
+    });
+    assert_eq!(
+        accepted() - before,
+        1,
+        "three sequential requests from one thread took more than one connection"
+    );
+    // A third client is served while two kept connections sit idle: a kept
+    // connection holds a worker for at most KEEPALIVE_IDLE. Earlier kept
+    // connections idle out first, and the holders connect one at a time, so
+    // neither is told to close (the yield rule) and both stay kept.
+    std::thread::sleep(KEEPALIVE_IDLE + Duration::from_millis(50));
+    let kept = std::sync::Barrier::new(2);
+    let release = std::sync::Barrier::new(3);
+    let waited = std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let resp = get(addr, "/healthz", TIMEOUT).expect("holder request");
+                assert_eq!(resp.status, 200);
+                kept.wait();
+                release.wait(); // the connection stays kept while the thread lives
+            });
+            kept.wait();
+        }
+        let asked = Instant::now();
+        let resp = s
+            .spawn(|| get(addr, "/healthz", TIMEOUT).expect("third client"))
+            .join()
+            .expect("third client thread");
+        let waited = asked.elapsed();
+        release.wait();
+        assert_eq!(resp.status, 200, "third client: {}", resp.body);
+        waited
+    });
+    assert!(
+        waited < KEEPALIVE_IDLE + Duration::from_millis(200),
+        "third client waited {waited:?} behind two idle kept connections"
+    );
+    println!(
+        "keep-alive ok: 3 sequential requests on 1 connection, third client served in {} µs",
+        waited.as_micros()
+    );
 
     // Profile the server under live load: closed-loop drivers keep the EMD
     // path on-CPU while `/debug/profile` samples it over SIGPROF. The folded
@@ -179,6 +234,9 @@ fn main() {
     let page = get(addr, "/metrics", TIMEOUT).expect("metrics").body;
     for needle in [
         "# TYPE serve_requests_submitted_total counter",
+        "# TYPE serve_connections_accepted_total counter",
+        "# TYPE serve_connection_closes_total counter",
+        "serve_connection_closes_total{reason=\"idle\"}",
         "# TYPE serve_latency_micros summary",
         "# TYPE serve_query_stage_micros histogram",
         "# TYPE serve_update_queue_wait_micros histogram",

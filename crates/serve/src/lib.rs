@@ -44,7 +44,7 @@ pub mod wire;
 
 pub use debug::TraceStore;
 pub use durability::{DurabilityConfig, RecoveryReport};
-pub use metrics::{Endpoint, Gauges, Histogram, Metrics};
+pub use metrics::{CloseReason, Endpoint, Gauges, Histogram, Metrics};
 pub use server::{parse_strategy, start, start_durable, ServeConfig, ServerHandle};
 pub use snapshot::{CachedSnapshot, SnapshotCell};
 pub use viderec_wal::FsyncPolicy;

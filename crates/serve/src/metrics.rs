@@ -19,13 +19,21 @@
 //! requests_submitted == requests_served + requests_rejected + requests_deadline_expired
 //! ```
 //!
-//! * `submitted` — counted by the acceptor for every accepted connection;
+//! * `submitted` — counted per request: by the acceptor for a connection's
+//!   first request (every accepted connection carries one, even if it sends
+//!   nothing), by the worker for each later request on a kept connection
+//!   when its first byte arrives;
 //! * `rejected` — fast-fail 503s written by the acceptor when the admission
 //!   queue is full (backpressure);
 //! * `deadline_expired` — 504s written by a worker whose request aged past
 //!   its deadline before scoring started;
 //! * `served` — every other worker-written response, including error
-//!   responses (400/404/update-queue 503s).
+//!   responses (400/404/update-queue 503s), and 499 for a fresh connection
+//!   the client gave up on before a response could be written.
+//!
+//! A kept connection that closes between requests carries no request and is
+//! counted only in `serve_connection_closes_total`; requests per connection
+//! read off a scrape as `requests_submitted / connections_accepted`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use viderec_core::{Stage, NUM_STAGES};
@@ -182,6 +190,51 @@ impl Endpoint {
     }
 }
 
+/// Why the server ended a connection, the label of
+/// `serve_connection_closes_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseReason {
+    /// The client closed between requests, asked for `Connection: close`,
+    /// or gave up before sending a request.
+    Client,
+    /// No request began within the keep-alive idle window.
+    Idle,
+    /// The server announced `Connection: close` to free the worker: other
+    /// connections were waiting for one (or the admission queue was full),
+    /// or the server is shutting down.
+    Yield,
+    /// A malformed request, or a socket error mid-request or mid-response.
+    Error,
+}
+
+impl CloseReason {
+    const ALL: [CloseReason; 4] = [
+        CloseReason::Client,
+        CloseReason::Idle,
+        CloseReason::Yield,
+        CloseReason::Error,
+    ];
+
+    fn index(self) -> usize {
+        match self {
+            CloseReason::Client => 0,
+            CloseReason::Idle => 1,
+            CloseReason::Yield => 2,
+            CloseReason::Error => 3,
+        }
+    }
+
+    /// The metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            CloseReason::Client => "client",
+            CloseReason::Idle => "idle",
+            CloseReason::Yield => "yield",
+            CloseReason::Error => "error",
+        }
+    }
+}
+
 /// Per-endpoint hit/error counters and a latency histogram.
 #[derive(Debug, Default)]
 pub struct EndpointMetrics {
@@ -189,7 +242,9 @@ pub struct EndpointMetrics {
     pub hits: AtomicU64,
     /// Of which carried a 4xx/5xx status.
     pub errors: AtomicU64,
-    /// Admission-to-response latency.
+    /// Request latency: from admission (a connection's first request) or
+    /// from the first byte (a later one) until the response is handed to
+    /// the socket.
     pub latency: Histogram,
 }
 
@@ -272,8 +327,11 @@ pub struct Gauges {
 /// The server-wide metrics registry. All members are lock-free.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Connections accepted by the acceptor.
+    /// Requests submitted: a connection's first by the acceptor, each later
+    /// one on a kept connection by its worker.
     pub submitted: AtomicU64,
+    /// Connections accepted by the acceptor.
+    pub connections_accepted: AtomicU64,
     /// Responses written by workers (any status except 503-at-admission and
     /// 504-deadline).
     pub served: AtomicU64,
@@ -343,9 +401,20 @@ pub struct Metrics {
     /// Full checkpoint (sync + merge + publish + retire) latency.
     pub wal_checkpoint_micros: Histogram,
     endpoints: [EndpointMetrics; 6],
+    connection_closes: [AtomicU64; 4],
 }
 
 impl Metrics {
+    /// Counts one ended connection.
+    pub fn record_close(&self, reason: CloseReason) {
+        self.connection_closes[reason.index()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Connections ended for `reason` so far.
+    pub fn connection_closes(&self, reason: CloseReason) -> u64 {
+        self.connection_closes[reason.index()].load(Ordering::Relaxed)
+    }
+
     /// Records a worker-written response.
     pub fn record_response(&self, endpoint: Endpoint, status: u16, micros: u64) {
         let ep = &self.endpoints[endpoint.index()];
@@ -367,10 +436,15 @@ impl Metrics {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(8192);
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let counters: [(&str, u64, &str); 20] = [
+        let counters: [(&str, u64, &str); 21] = [
             (
                 "serve_requests_submitted_total",
                 c(&self.submitted),
+                "Requests submitted (a connection's first, and each later one it carries).",
+            ),
+            (
+                "serve_connections_accepted_total",
+                c(&self.connections_accepted),
                 "Connections accepted by the acceptor.",
             ),
             (
@@ -472,6 +546,20 @@ impl Metrics {
         for (name, value, help) in counters {
             meta(&mut out, name, help, "counter");
             let _ = writeln!(out, "{name} {value}");
+        }
+        meta(
+            &mut out,
+            "serve_connection_closes_total",
+            "Connections ended, by reason (client|idle|yield|error).",
+            "counter",
+        );
+        for reason in CloseReason::ALL {
+            let _ = writeln!(
+                out,
+                "serve_connection_closes_total{{reason=\"{}\"}} {}",
+                reason.label(),
+                self.connection_closes(reason)
+            );
         }
         meta(
             &mut out,
@@ -681,7 +769,7 @@ impl Metrics {
         meta(
             &mut out,
             "serve_latency_micros",
-            "Admission-to-response latency, by endpoint.",
+            "Request latency (from admission, or a kept connection's first byte), by endpoint.",
             "summary",
         );
         for ep in Endpoint::ALL {
@@ -708,7 +796,7 @@ impl Metrics {
         meta(
             &mut out,
             "serve_latency_max_micros",
-            "Maximum observed admission-to-response latency, by endpoint.",
+            "Maximum observed request latency, by endpoint.",
             "gauge",
         );
         for ep in Endpoint::ALL {
@@ -1002,6 +1090,10 @@ mod tests {
     fn populated() -> Metrics {
         let m = Metrics::default();
         m.submitted.fetch_add(3, Ordering::Relaxed);
+        m.connections_accepted.fetch_add(2, Ordering::Relaxed);
+        m.record_close(CloseReason::Idle);
+        m.record_close(CloseReason::Yield);
+        m.record_close(CloseReason::Yield);
         m.served.fetch_add(2, Ordering::Relaxed);
         m.rejected.fetch_add(1, Ordering::Relaxed);
         m.record_response(Endpoint::Recommend, 200, 840);
@@ -1072,6 +1164,11 @@ mod tests {
         assert!(page.contains("serve_requests_submitted_total 3"));
         assert!(page.contains("serve_requests_served_total 2"));
         assert!(page.contains("serve_requests_rejected_total 1"));
+        assert!(page.contains("serve_connections_accepted_total 2"));
+        assert!(page.contains("serve_connection_closes_total{reason=\"client\"} 0"));
+        assert!(page.contains("serve_connection_closes_total{reason=\"idle\"} 1"));
+        assert!(page.contains("serve_connection_closes_total{reason=\"yield\"} 2"));
+        assert!(page.contains("serve_connection_closes_total{reason=\"error\"} 0"));
         assert!(page.contains("serve_snapshot_epoch 7"));
         assert!(page.contains("serve_corpus_videos 42"));
         assert!(page.contains("serve_tracing_enabled 1"));
@@ -1173,6 +1270,20 @@ mod tests {
             }
             let value = line.rsplit(' ').next().unwrap();
             assert!(value.parse::<f64>().is_ok(), "unparsable value: {line}");
+        }
+        // The connection families are typed counters with every reason.
+        for family in [
+            "serve_connections_accepted_total",
+            "serve_connection_closes_total",
+        ] {
+            assert_eq!(typed.get(family).map(String::as_str), Some("counter"));
+        }
+        for reason in CloseReason::ALL {
+            let label = format!(
+                "serve_connection_closes_total{{reason=\"{}\"}} ",
+                reason.label()
+            );
+            assert!(page.contains(&label), "missing {label}");
         }
         // Histogram internals: cumulative buckets are monotone and +Inf
         // equals _count, for an unlabelled and a labelled family.

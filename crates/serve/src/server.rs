@@ -3,17 +3,32 @@
 //! [`UpdateEvent`]s into freshly published snapshots.
 //!
 //! ```text
-//!                    ┌────────────── 503 (queue full, fast-fail)
+//!                    ┌────────────── 503 + close (queue full, fast-fail)
 //! accept ── submit ──┤
 //!                    └─ admission queue ─ worker ──┬─ 504 (deadline expired
-//!                        (bounded MPMC)            │      before scoring)
-//!                                                  └─ 200/202/400/404/503
+//!                        (bounded MPMC)     ▲      │      before scoring)
+//!                                           │      └─ 200/202/400/404/409/503
+//!                                           │            │
+//!                                           │   keep-alive? ── no ─ close
+//!                                           │            │ (client asked,
+//!                                           │           yes  malformed, queue
+//!                                           │            │   non-empty, stop)
+//!                                           │   next request's first byte
+//!                                           │   within KEEPALIVE_IDLE?
+//!                                           │            │
+//!                                           └─ no: close ┴─ yes: same worker
 //!   POST /update ── update queue ── maintenance thread
 //!                    (bounded)       WAL append → apply events → ack
 //!                                    → master.clone()   (pointer bumps)
 //!                                    → SnapshotCell::publish (epoch++)
 //!                                    → master.reprivatise()
 //! ```
+//!
+//! A worker owns a connection from pickup to close and serves its requests
+//! one after another (HTTP/1.1 keep-alive). It announces `Connection: close`
+//! whenever the admission queue is non-empty, so a kept connection never
+//! holds a worker another connection is queued for; an idle kept connection
+//! holds one for at most [`KEEPALIVE_IDLE`].
 //!
 //! The master and every published snapshot are handles over shared
 //! components (see [`Recommender`]'s `Clone`): a write copies the component
@@ -27,24 +42,27 @@
 //! * **Consistency** — a worker pins one snapshot per request; results are
 //!   bit-identical to calling [`Recommender::recommend_excluding`] on that
 //!   snapshot directly (the e2e suite asserts this across live updates).
-//! * **Accounting** — every accepted connection is counted exactly once:
-//!   `submitted == served + rejected + deadline_expired`.
+//! * **Accounting** — every request is counted exactly once:
+//!   `submitted == served + rejected + deadline_expired`. A connection's
+//!   first request is submitted at accept (and answered 499 if it never
+//!   arrives), a later one when its first byte does.
 //! * **Bounded memory** — both queues are bounded; overload answers 503
 //!   without buffering, so a burst can never grow memory without limit.
 //! * **Graceful shutdown** — the acceptor stops submitting, workers drain
-//!   every admitted request, and only then does the maintenance thread
-//!   retire.
+//!   every admitted request (closing kept connections after the request in
+//!   hand, or after at most [`KEEPALIVE_IDLE`] of idleness), and only then
+//!   does the maintenance thread retire.
 
 use crate::debug::{trace_json, TraceStore};
 use crate::durability::{recover, DurabilityConfig, DurabilityStatus, DurableLog, RecoveryReport};
-use crate::http::{
-    escape_json, read_request, write_response, write_response_with_headers, HttpError, Request,
-};
-use crate::metrics::{DurabilitySample, Endpoint, Gauges, Metrics, ProcessSample};
+use crate::http::{encode_response, escape_json, Conn, HttpError, Request, Status, KEEPALIVE_IDLE};
+use crate::metrics::{CloseReason, DurabilitySample, Endpoint, Gauges, Metrics, ProcessSample};
 use crate::snapshot::{CachedSnapshot, SnapshotCell};
 use crate::wire::{event_kind_index, parse_update_body};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,11 +98,13 @@ pub struct ServeConfig {
     /// `deadline_ms=`); expiry is checked after queueing and parsing,
     /// *before* scoring starts, and answered 504.
     pub default_deadline: Duration,
-    /// Socket read/write timeout.
+    /// Socket read/write timeout within a request, and the wait for a fresh
+    /// connection's first byte (a kept connection waits
+    /// [`KEEPALIVE_IDLE`] between requests).
     pub io_timeout: Duration,
-    /// Artificial pre-handling stall applied by every worker — zero in
-    /// production; the load/robustness tests use it to make queueing and
-    /// deadline behaviour deterministic.
+    /// Artificial pre-handling stall applied by every worker to every
+    /// request — zero in production; the load/robustness tests use it to
+    /// make queueing and deadline behaviour deterministic.
     pub synthetic_delay: Duration,
     /// Upper bound on the `k` a request may ask for and on the ids its
     /// `exclude=` list may name; a request over either gets a 400.
@@ -117,7 +137,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted connection, stamped at admission for deadline accounting.
+/// One admitted connection, stamped at admission: its first request ages
+/// from here.
 struct Admitted {
     stream: TcpStream,
     at: Instant,
@@ -145,6 +166,9 @@ struct Ctx {
     traces: Arc<TraceStore>,
     /// Shared durability status (None on a non-durable server).
     durability: Option<Arc<DurabilityStatus>>,
+    /// Set once shutdown begins: kept connections are closed after their
+    /// current request.
+    stopping: Arc<AtomicBool>,
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::shutdown`])
@@ -278,6 +302,7 @@ fn start_inner(
         tracer,
         traces: Arc::clone(&traces),
         durability: durable.as_ref().map(|d| d.status()),
+        stopping: Arc::clone(&stop_flag),
     });
 
     // --- maintenance thread (the single writer) ---
@@ -335,6 +360,11 @@ fn acceptor_loop(
             break; // the waking connection is dropped, never admitted
         }
         let Ok(stream) = conn else { continue };
+        ctx.metrics
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
+        // The connection's first request; later ones on a kept connection
+        // are counted by the worker.
         ctx.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let admitted = Admitted {
             stream,
@@ -345,6 +375,7 @@ fn acceptor_loop(
             Err(TrySendError::Full(adm)) => {
                 ctx.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 reject_503(adm.stream);
+                ctx.metrics.record_close(CloseReason::Yield);
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -352,138 +383,233 @@ fn acceptor_loop(
     // Dropping `admission_tx` here lets workers drain and exit.
 }
 
-/// Backpressure fast-fail: answer 503 without waiting for a worker. The
-/// single short read drains the (typically one-segment) request so closing
-/// the socket does not RST the response away before the client reads it.
+/// Backpressure fast-fail: answer 503 without waiting for a worker, and
+/// close. The single short read drains the (typically one-segment) request
+/// so closing the socket does not RST the response away before the client
+/// reads it.
 fn reject_503(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let mut drain = [0u8; 4096];
     let _ = std::io::Read::read(&mut stream, &mut drain);
-    let _ = write_response(
-        &mut stream,
-        503,
+    let mut out = Vec::with_capacity(160);
+    encode_response(
+        &mut out,
+        Status::ServiceUnavailable,
         "application/json",
+        &[],
         b"{\"error\":\"admission queue full\"}",
+        false,
     );
+    let _ = std::io::Write::write_all(&mut stream, &out);
 }
 
 fn worker_loop(ctx: &Ctx, rx: &Receiver<Admitted>) {
     let mut cache = CachedSnapshot::new(&ctx.cell);
     while let Ok(admitted) = rx.recv() {
-        handle_connection(ctx, &mut cache, admitted);
+        let reason = serve_connection(ctx, &mut cache, admitted);
+        ctx.metrics.record_close(reason);
     }
 }
 
-/// Outcome classes for the accounting identity.
-enum Outcome {
-    /// A response was written (or attempted) by this worker: `served`.
-    Served(u16),
-    /// The request aged past its deadline before scoring: `deadline_expired`.
-    Expired,
+/// One response, built by a route and written by [`serve_connection`].
+struct Reply {
+    status: Status,
+    content_type: &'static str,
+    body: Cow<'static, str>,
+    /// Echoed as `X-Trace-Id` by a traced `/recommend`.
+    trace_id: Option<u64>,
 }
 
-fn handle_connection(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>, mut adm: Admitted) {
-    // Admission-to-pickup wait, credited to the Queue stage of a traced
-    // request (the synthetic delay below models worker-side work, not
-    // queueing).
-    let queued_ns = adm.at.elapsed().as_nanos() as u64;
-    let _ = adm.stream.set_read_timeout(Some(ctx.cfg.io_timeout));
-    let _ = adm.stream.set_write_timeout(Some(ctx.cfg.io_timeout));
-    if !ctx.cfg.synthetic_delay.is_zero() {
-        // Simulated downstream latency; sits before the deadline check so
-        // deadline behaviour under load is reproducible.
-        std::thread::sleep(ctx.cfg.synthetic_delay);
-    }
-
-    let (endpoint, outcome) = match read_request(&mut adm.stream) {
-        Ok(req) => route(ctx, cache, &mut adm, &req, queued_ns),
-        Err(HttpError::Malformed(msg)) => {
-            let body = format!("{{\"error\":\"{}\"}}", escape_json(msg));
-            let _ = write_response(&mut adm.stream, 400, "application/json", body.as_bytes());
-            (Endpoint::Other, Outcome::Served(400))
+impl Reply {
+    fn new(status: Status, content_type: &'static str, body: impl Into<Cow<'static, str>>) -> Self {
+        Self {
+            status,
+            content_type,
+            body: body.into(),
+            trace_id: None,
         }
-        // The socket died before a request arrived; nothing can be written,
-        // but the admission must still be accounted (nginx's 499).
-        Err(HttpError::Io(_)) => (Endpoint::Other, Outcome::Served(499)),
+    }
+
+    fn json(status: Status, body: impl Into<Cow<'static, str>>) -> Self {
+        Self::new(status, "application/json", body)
+    }
+
+    fn bad_request(msg: &str) -> Self {
+        Self::json(
+            Status::BadRequest,
+            format!("{{\"error\":\"{}\"}}", escape_json(msg)),
+        )
+    }
+}
+
+/// Serves requests on one connection until it ends, and returns why it
+/// ended. The worker waits at most [`KEEPALIVE_IDLE`] for a later request's
+/// first byte, and announces `Connection: close` whenever another connection
+/// waits in the admission queue, so a kept connection never holds a worker
+/// someone else is queued for. It closes a connection only after announcing
+/// that, after the idle window, or when the peer or the socket is gone — so
+/// no request is ever written into a connection it is closing.
+fn serve_connection(
+    ctx: &Ctx,
+    cache: &mut CachedSnapshot<Recommender>,
+    adm: Admitted,
+) -> CloseReason {
+    // The first request was submitted at accept and ages from admission,
+    // its queue stage the pickup wait; a later one is submitted, and ages,
+    // from its first byte, and waited in no queue.
+    let mut at = adm.at;
+    let mut queued_ns = at.elapsed().as_nanos() as u64;
+    let mut conn = Conn::new(adm.stream, ctx.cfg.io_timeout);
+    let mut first = true;
+    loop {
+        let wait = if first {
+            ctx.cfg.io_timeout
+        } else {
+            KEEPALIVE_IDLE
+        };
+        let ended = match conn.await_request(wait) {
+            Ok(true) => None,
+            Ok(false) => Some(CloseReason::Client),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Some(CloseReason::Idle)
+            }
+            Err(_) => Some(CloseReason::Error),
+        };
+        if let Some(reason) = ended {
+            if first {
+                // Submitted at accept, but the client left (or stalled)
+                // before a request arrived: nothing can be written, and the
+                // request is accounted as nginx's 499. Between requests on a
+                // kept connection no request exists to account.
+                account(ctx, Endpoint::Other, 499, at);
+            }
+            return reason;
+        }
+        if !first {
+            ctx.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+            at = Instant::now();
+            queued_ns = 0;
+        }
+        first = false;
+        if !ctx.cfg.synthetic_delay.is_zero() {
+            // Simulated downstream latency; sits before the deadline check so
+            // deadline behaviour under load is reproducible.
+            std::thread::sleep(ctx.cfg.synthetic_delay);
+        }
+
+        let (endpoint, reply, mut close) = match conn.read_request() {
+            Ok(req) => {
+                let (endpoint, reply) = route(ctx, cache, &req, at, queued_ns);
+                (endpoint, reply, req.close.then_some(CloseReason::Client))
+            }
+            // Past a framing error the next request's start is unknown.
+            Err(HttpError::Malformed(msg)) => (
+                Endpoint::Other,
+                Reply::bad_request(msg),
+                Some(CloseReason::Error),
+            ),
+            // The socket died mid-request; nothing can be written.
+            Err(HttpError::Io(_)) => {
+                account(ctx, Endpoint::Other, 499, at);
+                return CloseReason::Error;
+            }
+        };
+        if close.is_none()
+            && (!ctx.admission_probe.is_empty() || ctx.stopping.load(Ordering::Relaxed))
+        {
+            close = Some(CloseReason::Yield);
+        }
+        // Counted before the write: a client holding its response finds it
+        // counted, though the connection stays open.
+        account(ctx, endpoint, reply.status.code(), at);
+        let trace_hex = reply.trace_id.map(|id| format!("{id:016x}"));
+        let trace_header = trace_hex.as_deref().map(|hex| ("X-Trace-Id", hex));
+        let written = conn.write_response(
+            reply.status,
+            reply.content_type,
+            trace_header.as_slice(),
+            reply.body.as_bytes(),
+            close.is_none(),
+        );
+        match (written, close) {
+            (Err(_), _) => return CloseReason::Error,
+            (Ok(()), Some(reason)) => {
+                conn.close();
+                return reason;
+            }
+            (Ok(()), None) => {}
+        }
+    }
+}
+
+/// Counts one request's outcome for the accounting identity, with its
+/// latency from `at` to now.
+fn account(ctx: &Ctx, endpoint: Endpoint, status: u16, at: Instant) {
+    let micros = at.elapsed().as_micros() as u64;
+    // 504 is written only by the deadline gate, before scoring.
+    let counter = if status == Status::GatewayTimeout.code() {
+        &ctx.metrics.deadline_expired
+    } else {
+        &ctx.metrics.served
     };
-
-    let micros = adm.at.elapsed().as_micros() as u64;
-    match outcome {
-        Outcome::Served(status) => {
-            ctx.metrics.served.fetch_add(1, Ordering::Relaxed);
-            ctx.metrics.record_response(endpoint, status, micros);
-        }
-        Outcome::Expired => {
-            ctx.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            ctx.metrics.record_response(endpoint, 504, micros);
-        }
-    }
+    counter.fetch_add(1, Ordering::Relaxed);
+    ctx.metrics.record_response(endpoint, status, micros);
 }
 
 fn route(
     ctx: &Ctx,
     cache: &mut CachedSnapshot<Recommender>,
-    adm: &mut Admitted,
     req: &Request,
+    at: Instant,
     queued_ns: u64,
-) -> (Endpoint, Outcome) {
+) -> (Endpoint, Reply) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/recommend") => (
             Endpoint::Recommend,
-            recommend(ctx, cache, adm, req, queued_ns),
+            recommend(ctx, cache, req, at, queued_ns),
         ),
-        ("POST", "/update") => (Endpoint::Update, update(ctx, adm, req)),
-        ("GET", "/healthz") => (Endpoint::Healthz, healthz(ctx, cache, adm)),
-        ("GET", "/metrics") => (Endpoint::Metrics, metrics_page(ctx, cache, adm)),
-        ("GET", "/debug/queries") => (Endpoint::Debug, debug_queries(ctx, adm, req)),
-        ("GET", "/debug/durability") => (Endpoint::Debug, debug_durability(ctx, adm)),
-        ("GET", "/debug/profile") => (Endpoint::Debug, debug_profile(adm, req)),
-        ("GET", "/debug/heap") => (Endpoint::Debug, debug_heap(adm)),
+        ("POST", "/update") => (Endpoint::Update, update(ctx, req)),
+        ("GET", "/healthz") => (Endpoint::Healthz, healthz(ctx, cache)),
+        ("GET", "/metrics") => (Endpoint::Metrics, metrics_page(ctx, cache)),
+        ("GET", "/debug/queries") => (Endpoint::Debug, debug_queries(ctx, req)),
+        ("GET", "/debug/durability") => (Endpoint::Debug, debug_durability(ctx)),
+        ("GET", "/debug/profile") => (Endpoint::Debug, debug_profile(req)),
+        ("GET", "/debug/heap") => (Endpoint::Debug, debug_heap()),
         ("GET", path) if path.starts_with("/debug/trace/") => {
-            (Endpoint::Debug, debug_trace(ctx, adm, path))
+            (Endpoint::Debug, debug_trace(ctx, path))
         }
-        _ => {
-            let outcome = respond(adm, 404, "application/json", b"{\"error\":\"not found\"}");
-            (Endpoint::Other, outcome)
-        }
+        _ => (
+            Endpoint::Other,
+            Reply::json(Status::NotFound, "{\"error\":\"not found\"}"),
+        ),
     }
-}
-
-fn respond(adm: &mut Admitted, status: u16, content_type: &str, body: &[u8]) -> Outcome {
-    let _ = write_response(&mut adm.stream, status, content_type, body);
-    Outcome::Served(status)
-}
-
-fn bad_request(adm: &mut Admitted, msg: &str) -> Outcome {
-    let body = format!("{{\"error\":\"{}\"}}", escape_json(msg));
-    respond(adm, 400, "application/json", body.as_bytes())
 }
 
 fn recommend(
     ctx: &Ctx,
     cache: &mut CachedSnapshot<Recommender>,
-    adm: &mut Admitted,
     req: &Request,
+    at: Instant,
     queued_ns: u64,
-) -> Outcome {
+) -> Reply {
     // --- parse everything before the deadline check: parsing is part of
     // the request's age, scoring is not allowed to start past-deadline ---
     let Some(video_str) = req.param("video") else {
-        return bad_request(adm, "missing required parameter 'video'");
+        return Reply::bad_request("missing required parameter 'video'");
     };
     let Ok(video) = video_str.parse::<u64>() else {
-        return bad_request(adm, "parameter 'video' must be an unsigned integer");
+        return Reply::bad_request("parameter 'video' must be an unsigned integer");
     };
     let k = match req.param("k") {
         None => 10usize,
         Some(s) => match s.parse::<usize>() {
             Ok(k) if k > ctx.cfg.max_k => {
                 let limit = ctx.cfg.max_k;
-                return bad_request(adm, &format!("parameter 'k' may be at most {limit}"));
+                return Reply::bad_request(&format!("parameter 'k' may be at most {limit}"));
             }
             Ok(k) => k,
-            Err(_) => return bad_request(adm, "parameter 'k' must be an unsigned integer"),
+            Err(_) => return Reply::bad_request("parameter 'k' must be an unsigned integer"),
         },
     };
     let strategy = match req.param("strategy") {
@@ -491,8 +617,7 @@ fn recommend(
         Some(s) => match parse_strategy(s) {
             Some(st) => st,
             None => {
-                return bad_request(
-                    adm,
+                return Reply::bad_request(
                     "unknown strategy (expected cr|sr|csf|csf-sar|csf-sar-h)",
                 )
             }
@@ -506,14 +631,13 @@ fn recommend(
             // holds the clicked video.)
             if exclude.len() > ctx.cfg.max_k {
                 let limit = ctx.cfg.max_k;
-                return bad_request(
-                    adm,
-                    &format!("parameter 'exclude' may name at most {limit} ids"),
-                );
+                return Reply::bad_request(&format!(
+                    "parameter 'exclude' may name at most {limit} ids"
+                ));
             }
             match part.parse::<u64>() {
                 Ok(id) => exclude.push(VideoId(id)),
-                Err(_) => return bad_request(adm, "parameter 'exclude' must be a CSV of ids"),
+                Err(_) => return Reply::bad_request("parameter 'exclude' must be a CSV of ids"),
             }
         }
     }
@@ -521,27 +645,26 @@ fn recommend(
         None => ctx.cfg.default_deadline,
         Some(s) => match s.parse::<u64>() {
             Ok(ms) => Duration::from_millis(ms),
-            Err(_) => return bad_request(adm, "parameter 'deadline_ms' must be milliseconds"),
+            Err(_) => return Reply::bad_request("parameter 'deadline_ms' must be milliseconds"),
         },
     };
 
     // --- deadline gate: queue wait + parse time, measured before scoring ---
-    if adm.at.elapsed() > budget {
-        let _ = write_response(
-            &mut adm.stream,
-            504,
-            "application/json",
-            b"{\"error\":\"deadline expired before scoring\"}",
+    if at.elapsed() > budget {
+        return Reply::json(
+            Status::GatewayTimeout,
+            "{\"error\":\"deadline expired before scoring\"}",
         );
-        return Outcome::Expired;
     }
 
     // --- score against one pinned snapshot ---
     let snapshot = cache.get(&ctx.cell);
     let epoch = cache.epoch();
     let Some(query) = snapshot.query_for(VideoId(video)) else {
-        let body = format!("{{\"error\":\"unknown video {video}\"}}");
-        return respond(adm, 404, "application/json", body.as_bytes());
+        return Reply::json(
+            Status::NotFound,
+            format!("{{\"error\":\"unknown video {video}\"}}"),
+        );
     };
     let (results, mut trace) = snapshot.recommend_traced(strategy, &query, k, &exclude, ctx.tracer);
 
@@ -553,7 +676,7 @@ fn recommend(
         trace.id = next_trace_id();
         trace.epoch = epoch;
         trace.cell_mut(Stage::Queue).add(queued_ns);
-        trace.total_ns = adm.at.elapsed().as_nanos() as u64;
+        trace.total_ns = at.elapsed().as_nanos() as u64;
         for stage in Stage::ALL {
             let cell = trace.stage(stage);
             if cell.count > 0 {
@@ -598,68 +721,54 @@ fn recommend(
         );
     }
     body.push_str("]}");
-    match trace_id {
-        Some(id) => {
-            let hex = format!("{id:016x}");
-            let _ = write_response_with_headers(
-                &mut adm.stream,
-                200,
-                "application/json",
-                &[("X-Trace-Id", &hex)],
-                body.as_bytes(),
-            );
-            Outcome::Served(200)
-        }
-        None => respond(adm, 200, "application/json", body.as_bytes()),
+    Reply {
+        trace_id,
+        ..Reply::json(Status::Ok, body)
     }
 }
 
-fn debug_queries(ctx: &Ctx, adm: &mut Admitted, req: &Request) -> Outcome {
+fn debug_queries(ctx: &Ctx, req: &Request) -> Reply {
     let recent_n = match req.param("n") {
         None => 16usize,
         Some(s) => match s.parse::<usize>() {
             Ok(n) => n,
-            Err(_) => return bad_request(adm, "parameter 'n' must be an unsigned integer"),
+            Err(_) => return Reply::bad_request("parameter 'n' must be an unsigned integer"),
         },
     };
     let slowest_n = match req.param("slow") {
         None => 8usize,
         Some(s) => match s.parse::<usize>() {
             Ok(n) => n,
-            Err(_) => return bad_request(adm, "parameter 'slow' must be an unsigned integer"),
+            Err(_) => return Reply::bad_request("parameter 'slow' must be an unsigned integer"),
         },
     };
     let body = ctx
         .traces
         .queries_page(recent_n, slowest_n, ctx.tracer.enabled());
-    respond(adm, 200, "application/json", body.as_bytes())
+    Reply::json(Status::Ok, body)
 }
 
-fn debug_trace(ctx: &Ctx, adm: &mut Admitted, path: &str) -> Outcome {
+fn debug_trace(ctx: &Ctx, path: &str) -> Reply {
     let id_str = &path["/debug/trace/".len()..];
     let Ok(id) = u64::from_str_radix(id_str, 16) else {
-        return bad_request(
-            adm,
-            "trace id must be the hex id a /recommend response echoed",
-        );
+        return Reply::bad_request("trace id must be the hex id a /recommend response echoed");
     };
     match ctx.traces.find(id) {
-        Some(trace) => respond(adm, 200, "application/json", trace_json(&trace).as_bytes()),
-        None => {
-            let body = format!(
+        Some(trace) => Reply::json(Status::Ok, trace_json(&trace)),
+        None => Reply::json(
+            Status::NotFound,
+            format!(
                 "{{\"error\":\"trace {id:016x} not found (expired from the ring, or tracing disabled)\"}}"
-            );
-            respond(adm, 404, "application/json", body.as_bytes())
-        }
+            ),
+        ),
     }
 }
 
-fn debug_durability(ctx: &Ctx, adm: &mut Admitted) -> Outcome {
-    let body = match &ctx.durability {
-        Some(status) => status.debug_json(),
-        None => "{\"enabled\":false}".to_string(),
-    };
-    respond(adm, 200, "application/json", body.as_bytes())
+fn debug_durability(ctx: &Ctx) -> Reply {
+    match &ctx.durability {
+        Some(status) => Reply::json(Status::Ok, status.debug_json()),
+        None => Reply::json(Status::Ok, "{\"enabled\":false}"),
+    }
 }
 
 /// `GET /debug/profile?seconds=&hz=` — on-demand sampling CPU profile of
@@ -669,19 +778,19 @@ fn debug_durability(ctx: &Ctx, adm: &mut Admitted) -> Outcome {
 /// (clamped to [`viderec_prof::MAX_SECONDS`]/[`viderec_prof::MAX_HZ`])
 /// while sibling workers keep serving; a second concurrent capture is
 /// refused with 409 so SIGPROF timer ownership stays unambiguous.
-fn debug_profile(adm: &mut Admitted, req: &Request) -> Outcome {
+fn debug_profile(req: &Request) -> Reply {
     let seconds = match req.param("seconds") {
         None => 2u64,
         Some(s) => match s.parse::<u64>() {
             Ok(n) if n >= 1 => n,
-            _ => return bad_request(adm, "parameter 'seconds' must be a positive integer"),
+            _ => return Reply::bad_request("parameter 'seconds' must be a positive integer"),
         },
     };
     let hz = match req.param("hz") {
         None => viderec_prof::DEFAULT_HZ,
         Some(s) => match s.parse::<u32>() {
             Ok(n) if n >= 1 => n,
-            _ => return bad_request(adm, "parameter 'hz' must be a positive integer"),
+            _ => return Reply::bad_request("parameter 'hz' must be a positive integer"),
         },
     };
     match viderec_prof::capture(Duration::from_secs(seconds), hz) {
@@ -693,18 +802,16 @@ fn debug_profile(adm: &mut Admitted, req: &Request) -> Outcome {
                 profile.samples, profile.dropped, profile.hz, profile.window_ms
             );
             body.push_str(&profile.render_collapsed());
-            respond(adm, 200, "text/plain; charset=utf-8", body.as_bytes())
+            Reply::new(Status::Ok, "text/plain; charset=utf-8", body)
         }
-        Err(viderec_prof::CaptureError::Busy) => respond(
-            adm,
-            409,
-            "application/json",
-            b"{\"error\":\"a profile capture is already running\"}",
+        Err(viderec_prof::CaptureError::Busy) => Reply::json(
+            Status::Conflict,
+            "{\"error\":\"a profile capture is already running\"}",
         ),
-        Err(e) => {
-            let body = format!("{{\"error\":\"{}\"}}", escape_json(&e.to_string()));
-            respond(adm, 503, "application/json", body.as_bytes())
-        }
+        Err(e) => Reply::json(
+            Status::ServiceUnavailable,
+            format!("{{\"error\":\"{}\"}}", escape_json(&e.to_string())),
+        ),
     }
 }
 
@@ -712,30 +819,23 @@ fn debug_profile(adm: &mut Admitted, req: &Request) -> Outcome {
 /// `"counting_allocator_installed":false` unless the binary installs
 /// [`viderec_prof::CountingAlloc`] as its `#[global_allocator]` (the
 /// shipped `viderec-serve` binary does).
-fn debug_heap(adm: &mut Admitted) -> Outcome {
-    respond(
-        adm,
-        200,
-        "application/json",
-        viderec_prof::heap_json().as_bytes(),
-    )
+fn debug_heap() -> Reply {
+    Reply::json(Status::Ok, viderec_prof::heap_json())
 }
 
-fn update(ctx: &Ctx, adm: &mut Admitted, req: &Request) -> Outcome {
+fn update(ctx: &Ctx, req: &Request) -> Reply {
     let Ok(body_str) = std::str::from_utf8(&req.body) else {
-        return bad_request(adm, "update body must be UTF-8");
+        return Reply::bad_request("update body must be UTF-8");
     };
     let events = match parse_update_body(body_str) {
         Ok(events) => events,
-        Err(msg) => return bad_request(adm, &msg),
+        Err(msg) => return Reply::bad_request(&msg),
     };
     let accepted = events.len();
     if accepted == 0 {
-        return respond(
-            adm,
-            202,
-            "application/json",
-            b"{\"accepted\":0,\"note\":\"empty batch\"}",
+        return Reply::json(
+            Status::Accepted,
+            "{\"accepted\":0,\"note\":\"empty batch\"}",
         );
     }
     // On a durable server the 202 is a *durable* ack: the worker parks on a
@@ -761,7 +861,7 @@ fn update(ctx: &Ctx, adm: &mut Admitted, req: &Request) -> Outcome {
                     "{{\"accepted\":{accepted},\"epoch_at_enqueue\":{}}}",
                     ctx.cell.epoch()
                 );
-                return respond(adm, 202, "application/json", body.as_bytes());
+                return Reply::json(Status::Accepted, body);
             };
             match rx.recv_timeout(DURABLE_ACK_TIMEOUT) {
                 Ok(lsn) => {
@@ -769,7 +869,7 @@ fn update(ctx: &Ctx, adm: &mut Admitted, req: &Request) -> Outcome {
                         "{{\"accepted\":{accepted},\"durable_lsn\":{lsn},\"epoch_at_enqueue\":{}}}",
                         ctx.cell.epoch()
                     );
-                    respond(adm, 202, "application/json", body.as_bytes())
+                    Reply::json(Status::Accepted, body)
                 }
                 // Timeout, or the maintainer dropped the ack after a WAL
                 // write failure: the batch may still apply, but durability
@@ -777,28 +877,24 @@ fn update(ctx: &Ctx, adm: &mut Admitted, req: &Request) -> Outcome {
                 // acknowledged.
                 Err(_) => {
                     ctx.metrics.wal_ack_failures.fetch_add(1, Ordering::Relaxed);
-                    respond(
-                        adm,
-                        503,
-                        "application/json",
-                        b"{\"error\":\"durable ack unavailable\"}",
+                    Reply::json(
+                        Status::ServiceUnavailable,
+                        "{\"error\":\"durable ack unavailable\"}",
                     )
                 }
             }
         }
         Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
             ctx.metrics.updates_rejected.fetch_add(1, Ordering::Relaxed);
-            respond(
-                adm,
-                503,
-                "application/json",
-                b"{\"error\":\"update queue full\"}",
+            Reply::json(
+                Status::ServiceUnavailable,
+                "{\"error\":\"update queue full\"}",
             )
         }
     }
 }
 
-fn healthz(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>, adm: &mut Admitted) -> Outcome {
+fn healthz(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>) -> Reply {
     let snapshot = cache.get(&ctx.cell);
     let body = format!(
         "{{\"status\":\"ok\",\"epoch\":{},\"videos\":{},\"users\":{},\"admission_queue_depth\":{},\"update_queue_depth\":{}}}",
@@ -808,10 +904,10 @@ fn healthz(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>, adm: &mut Admitte
         ctx.admission_probe.len(),
         ctx.update_tx.len(),
     );
-    respond(adm, 200, "application/json", body.as_bytes())
+    Reply::json(Status::Ok, body)
 }
 
-fn metrics_page(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>, adm: &mut Admitted) -> Outcome {
+fn metrics_page(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>) -> Reply {
     let videos = cache.get(&ctx.cell).num_videos();
     let proc = viderec_prof::read_self();
     let heap = viderec_prof::heap_stats();
@@ -846,7 +942,7 @@ fn metrics_page(ctx: &Ctx, cache: &mut CachedSnapshot<Recommender>, adm: &mut Ad
             heap_counting: viderec_prof::counting_installed(),
         },
     });
-    respond(adm, 200, "text/plain; version=0.0.4", page.as_bytes())
+    Reply::new(Status::Ok, "text/plain; version=0.0.4", page)
 }
 
 fn maintainer_loop(
