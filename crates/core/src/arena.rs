@@ -20,13 +20,70 @@
 //!   in centroid-gap order.
 //!
 //! The arena is built once in [`crate::recommender::Recommender::build`],
-//! *extended* (never rebuilt) when [`crate::maintenance`] ingests new videos,
-//! and borrowed — through [`ScoringArena::view`], the one view there is — by
-//! every query.
+//! its columns sized up front from the corpus [`Totals`]
+//! ([`ScoringArena::reserve`]), *extended* (never rebuilt) when
+//! [`crate::maintenance`] ingests new videos, and borrowed — through
+//! [`ScoringArena::view`], the one view there is — by every query.
+//!
+//! The offset columns (`sig_off`, `pair_off`, `mean_order`) hold counts as
+//! `u32`, and so do the video indices the LSB forest and the engagement
+//! lists store: [`Totals::check`] refuses a corpus any of whose counts would
+//! not fit, before anything is built or extended.
 
+use crate::errors::RecError;
 use crate::prune::SLICES;
 use viderec_emd::slice_features;
 use viderec_signature::SignatureSeries;
+
+/// How many videos, signatures and cuboids a corpus (or a batch of
+/// additions, or an arena) holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Totals {
+    pub(crate) videos: usize,
+    pub(crate) signatures: usize,
+    pub(crate) cuboids: usize,
+}
+
+impl Totals {
+    /// The totals of a run of series, one per video.
+    pub(crate) fn of<'a>(series: impl IntoIterator<Item = &'a SignatureSeries>) -> Self {
+        let mut totals = Self::default();
+        for series in series {
+            totals.videos += 1;
+            totals.signatures += series.len();
+            totals.cuboids += series.signatures().iter().map(|s| s.len()).sum::<usize>();
+        }
+        totals
+    }
+
+    /// Both totals together (saturating, so an absurd sum still fails
+    /// [`Self::check`]).
+    pub(crate) fn plus(self, more: Self) -> Self {
+        Self {
+            videos: self.videos.saturating_add(more.videos),
+            signatures: self.signatures.saturating_add(more.signatures),
+            cuboids: self.cuboids.saturating_add(more.cuboids),
+        }
+    }
+
+    /// A [`RecError::BadConfig`] naming the first count past `u32::MAX`:
+    /// the largest video index, signature offset and lane offset the
+    /// `u32` columns can hold.
+    pub(crate) fn check(self) -> Result<(), RecError> {
+        let counts = [
+            (self.videos, "videos"),
+            (self.signatures, "signatures"),
+            (self.cuboids, "cuboids"),
+        ];
+        match counts.into_iter().find(|&(n, _)| n > u32::MAX as usize) {
+            Some((n, what)) => Err(RecError::BadConfig(format!(
+                "the corpus holds {n} {what}; the index counts {what} in u32 (at most {})",
+                u32::MAX
+            ))),
+            None => Ok(()),
+        }
+    }
+}
 
 /// Structure-of-arrays scoring caches for a whole corpus (or, via
 /// [`ScoringArena::for_series`], a single query series).
@@ -86,22 +143,66 @@ impl ScoringArena {
     /// with `view(0)`.
     pub(crate) fn for_series(series: &SignatureSeries) -> Self {
         let mut arena = Self::new();
-        arena.push_series(series);
+        arena.push_series(series, &mut Vec::new());
         arena
+    }
+
+    /// What the arena holds.
+    pub(crate) fn totals(&self) -> Totals {
+        Totals {
+            videos: self.len(),
+            signatures: self.means.len(),
+            cuboids: self.values.len(),
+        }
+    }
+
+    /// Reserves room in every column for `more` videos, signatures and
+    /// cuboids, in one allocation per column: the capacity pushing them one
+    /// by one would have doubled its way up to (the next power of two), so
+    /// a build that knows its corpus leaves no outgrown copies behind, and
+    /// the next ingest still finds the room it did.
+    pub(crate) fn reserve(&mut self, more: Totals) {
+        fn room<T>(column: &mut Vec<T>, more: usize) {
+            let doubled = (column.len() + more).next_power_of_two();
+            column.reserve_exact(doubled - column.len());
+        }
+        let Totals {
+            videos,
+            signatures,
+            cuboids,
+        } = more;
+        room(&mut self.sig_off, videos);
+        room(&mut self.mean_lo, videos);
+        room(&mut self.mean_hi, videos);
+        room(&mut self.means, signatures);
+        room(&mut self.mean_order, signatures);
+        room(&mut self.feats, signatures);
+        room(&mut self.pair_off, signatures);
+        room(&mut self.values, cuboids);
+        room(&mut self.weights, cuboids);
     }
 
     /// Appends one video's caches. This is the ingest-time (and
     /// maintenance-time) extension point: adding a video to the corpus costs
-    /// one pass over its signatures, never a rebuild of the arena.
-    pub(crate) fn push_series(&mut self, series: &SignatureSeries) {
+    /// one pass over its signatures, never a rebuild of the arena. `pairs`
+    /// is scratch, reused across signatures (and across calls by a caller
+    /// that keeps it): each signature's cuboids are sorted there once, then
+    /// written to the lanes.
+    ///
+    /// Offsets are stored as `u32`: a caller growing a corpus has
+    /// [`Totals::check`]ed what the arena will hold after the push.
+    pub(crate) fn push_series(&mut self, series: &SignatureSeries, pairs: &mut Vec<(f64, f64)>) {
         let base = self.means.len();
         for sig in series.signatures() {
-            let mut pairs = sig.as_pairs();
-            self.means.push(pairs.iter().map(|&(v, w)| v * w).sum());
+            let cuboids = sig.cuboids();
+            self.means
+                .push(cuboids.iter().map(|c| c.value * c.weight).sum());
+            pairs.clear();
+            pairs.extend(cuboids.iter().map(|c| (c.value, c.weight)));
             pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
             self.max_terms = self.max_terms.max(pairs.len());
             let lanes = self.values.len();
-            for &(v, w) in &pairs {
+            for &(v, w) in pairs.iter() {
                 self.max_abs = self.max_abs.max(v.abs());
                 self.values.push(v);
                 self.weights.push(w);
@@ -112,14 +213,63 @@ impl ScoringArena {
             self.feats.push(feats);
         }
         let n = self.means.len() - base;
-        let means = &self.means;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&x, &y| means[base + x as usize].total_cmp(&means[base + y as usize]));
-        let mean_at = |o: Option<&u32>| o.map_or(0.0, |&x| means[base + x as usize]);
+        self.mean_order.extend(0..n as u32);
+        let (means, order) = (&self.means[base..], &mut self.mean_order[base..]);
+        // Ties by local index: the order a stable sort by mean leaves, with
+        // no merge buffer.
+        order.sort_unstable_by(|&x, &y| {
+            means[x as usize]
+                .total_cmp(&means[y as usize])
+                .then(x.cmp(&y))
+        });
+        let mean_at = |o: Option<&u32>| o.map_or(0.0, |&x| means[x as usize]);
         self.mean_lo.push(mean_at(order.first()));
         self.mean_hi.push(mean_at(order.last()));
-        self.mean_order.extend_from_slice(&order);
         self.sig_off.push(self.means.len() as u32);
+    }
+
+    /// Whether every column of `self` and `other` holds the same bits.
+    pub(crate) fn same_bits(&self, other: &Self) -> bool {
+        fn bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
+            xs.iter().map(|x| x.to_bits())
+        }
+        let feats = |a: &Self| {
+            a.feats
+                .iter()
+                .flatten()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        self.max_terms == other.max_terms
+            && self.max_abs.to_bits() == other.max_abs.to_bits()
+            && self.sig_off == other.sig_off
+            && self.mean_order == other.mean_order
+            && self.pair_off == other.pair_off
+            && bits(&self.means).eq(bits(&other.means))
+            && bits(&self.values).eq(bits(&other.values))
+            && bits(&self.weights).eq(bits(&other.weights))
+            && bits(&self.mean_lo).eq(bits(&other.mean_lo))
+            && bits(&self.mean_hi).eq(bits(&other.mean_hi))
+            && feats(self) == feats(other)
+    }
+
+    /// Every column's `(len, capacity)`.
+    #[cfg(test)]
+    pub(crate) fn column_sizes(&self) -> [(usize, usize); 9] {
+        fn size<T>(column: &Vec<T>) -> (usize, usize) {
+            (column.len(), column.capacity())
+        }
+        [
+            size(&self.sig_off),
+            size(&self.means),
+            size(&self.mean_order),
+            size(&self.feats),
+            size(&self.pair_off),
+            size(&self.values),
+            size(&self.weights),
+            size(&self.mean_lo),
+            size(&self.mean_hi),
+        ]
     }
 
     /// The per-video `[min, max]` signature-mean columns, indexed by video.
@@ -221,8 +371,8 @@ mod tests {
         let a = series(&[&[3.0, 1.0], &[10.0]]);
         let b = series(&[&[-2.0, 4.0, 0.0]]);
         let mut arena = ScoringArena::new();
-        arena.push_series(&a);
-        arena.push_series(&b);
+        arena.push_series(&a, &mut Vec::new());
+        arena.push_series(&b, &mut Vec::new());
         assert_eq!(arena.len(), 2);
 
         let va = arena.view(0);
@@ -248,6 +398,88 @@ mod tests {
     }
 
     #[test]
+    fn totals_count_videos_signatures_and_cuboids() {
+        let (a, b) = (
+            series(&[&[3.0, 1.0], &[10.0]]),
+            series(&[&[-2.0, 4.0, 0.0]]),
+        );
+        let totals = Totals::of([&a, &b]);
+        let want = Totals {
+            videos: 2,
+            signatures: 3,
+            cuboids: 6,
+        };
+        assert_eq!(totals, want);
+        let mut arena = ScoringArena::new();
+        arena.reserve(totals);
+        arena.push_series(&a, &mut Vec::new());
+        arena.push_series(&b, &mut Vec::new());
+        assert_eq!(arena.totals(), want);
+    }
+
+    #[test]
+    fn counts_past_u32_are_refused_by_name() {
+        let max = u32::MAX as usize;
+        let at_max = Totals {
+            videos: max,
+            signatures: max,
+            cuboids: max,
+        };
+        assert_eq!(at_max.check(), Ok(()));
+        let over = [
+            (
+                Totals {
+                    videos: max + 1,
+                    ..Totals::default()
+                },
+                "videos",
+            ),
+            (
+                Totals {
+                    signatures: max + 1,
+                    ..Totals::default()
+                },
+                "signatures",
+            ),
+            (
+                Totals {
+                    cuboids: max + 1,
+                    ..at_max
+                },
+                "cuboids",
+            ),
+        ];
+        for (totals, what) in over {
+            let Err(RecError::BadConfig(why)) = totals.check() else {
+                panic!("{totals:?} passed");
+            };
+            assert!(why.contains(&format!("{} {what}", max + 1)), "{why}");
+        }
+        // What `add_videos` checks: the arena's totals plus the batch's.
+        let arena = Totals {
+            signatures: max - 2,
+            ..Totals::default()
+        };
+        let batch = Totals {
+            videos: 1,
+            signatures: 2,
+            cuboids: 9,
+        };
+        assert_eq!(arena.plus(batch).check(), Ok(()));
+        let batch = Totals {
+            signatures: 3,
+            ..batch
+        };
+        assert!(arena.plus(batch).check().is_err());
+        let huge = Totals {
+            cuboids: usize::MAX,
+            ..Totals::default()
+        };
+        assert_eq!(huge.plus(huge).cuboids, usize::MAX, "saturates");
+        assert!(huge.plus(huge).check().is_err());
+    }
+
+    #[test]
     fn mean_order_sorts_locally_per_video() {
         let a = series(&[&[5.0], &[1.0], &[3.0]]);
         let arena = ScoringArena::for_series(&a);
@@ -264,7 +496,7 @@ mod tests {
             let (v, w) = view.lanes(0);
             (v.to_vec(), w.to_vec())
         };
-        arena.push_series(&b);
+        arena.push_series(&b, &mut Vec::new());
         assert_eq!(arena.len(), 2);
         let view = arena.view(0);
         let (v, w) = view.lanes(0);

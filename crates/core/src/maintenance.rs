@@ -30,6 +30,7 @@
 //! *extended* per video ([`crate::arena::ScoringArena::push_series`]), never
 //! rebuilt.
 
+use crate::arena::Totals;
 use crate::corpus::CorpusVideo;
 use crate::errors::RecError;
 use crate::recommender::{intern_users, part, vectorize_sparse, write, Recommender, SocialRow};
@@ -178,8 +179,9 @@ impl Recommender {
     /// `apply_connections`' admission rule; their count simply does not
     /// surface in any descriptor vector yet.
     ///
-    /// Duplicate ids (against the corpus or within the batch) are rejected
-    /// before any state changes.
+    /// Duplicate ids (against the corpus or within the batch), and a batch
+    /// that would take the corpus past the `u32` columns' counts
+    /// ([`Totals::check`]), are rejected before any state changes.
     pub fn add_videos(&mut self, additions: Vec<CorpusVideo>) -> Result<UpdateSummary, RecError> {
         {
             let mut seen = std::collections::HashSet::new();
@@ -189,6 +191,8 @@ impl Recommender {
                 }
             }
         }
+        let added = Totals::of(additions.iter().map(|video| &video.series));
+        self.content.arena.totals().plus(added).check()?;
 
         // Intern users, build descriptors, collect the pairwise connections
         // the new engagements imply (the UIG edge weight is the common-video
@@ -227,6 +231,7 @@ impl Recommender {
         while inverted.k() < maintenance.num_slots() {
             inverted.push_community();
         }
+        let mut fresh = Vec::with_capacity(additions.len());
         for (video, (descriptor, user_names)) in additions.into_iter().zip(socials) {
             let idx = self.videos.len() as u32;
             let vector = vectorize_sparse(assignment, &descriptor);
@@ -239,14 +244,15 @@ impl Recommender {
                     chained.insert(registry.name(user), slot);
                 }
             }
-            let fresh = content.push(video.id, video.series);
-            debug_assert!(fresh, "duplicate ids were rejected above");
+            fresh.push((video.id, video.series));
             self.videos.push(Arc::new(SocialRow {
                 descriptor,
                 user_names,
                 vector,
             }));
         }
+        let appended = content.extend(fresh);
+        debug_assert!(appended.is_ok(), "duplicate ids were rejected above");
 
         // Existing videos touched by reassignments sync like any other
         // maintenance run (the fresh videos diff to zero changes).

@@ -39,7 +39,7 @@
 //! reach the top-k floor onto the same ladder. The certified result is bit-identical
 //! to [`Recommender::recommend_naive_excluding`], the true full-corpus scan.
 
-use crate::arena::ScoringArena;
+use crate::arena::{ScoringArena, Totals};
 use crate::config::{RecommenderConfig, RetrievalMode};
 use crate::corpus::{CorpusVideo, QueryVideo};
 use crate::errors::RecError;
@@ -180,81 +180,59 @@ impl Clone for Recommender {
 }
 
 impl Recommender {
-    /// Builds the recommender over a corpus: interns users, builds the UIG,
-    /// extracts `k` sub-communities, vectorises every descriptor, populates
-    /// the chained hash table, inverted files and LSB forest, and fills the
-    /// scoring arena.
-    pub fn build(cfg: RecommenderConfig, corpus: Vec<CorpusVideo>) -> Result<Self, RecError> {
+    /// Builds the recommender over a corpus in two halves that share no
+    /// input, side by side on two threads (DESIGN.md §5):
+    ///
+    /// * the **content half**, on a spawned thread, appends every video in
+    ///   corpus order to the ids, the scoring arena (its columns sized once
+    ///   from the corpus totals) and the LSB forest;
+    /// * the **social half**, on the calling thread, interns users, builds
+    ///   the UIG, extracts `k` sub-communities, populates the chained hash
+    ///   table, and vectorises every descriptor into its row, the inverted
+    ///   files and the engagement lists.
+    ///
+    /// Each half is sequential in corpus order, so the result does not
+    /// depend on how the two interleave. A repeated id is a
+    /// [`RecError::DuplicateVideo`] naming the first id seen twice, and a
+    /// corpus whose counts overflow the `u32` columns a
+    /// [`RecError::BadConfig`].
+    pub fn build(cfg: RecommenderConfig, mut corpus: Vec<CorpusVideo>) -> Result<Self, RecError> {
         cfg.validate().map_err(RecError::BadConfig)?;
         if corpus.is_empty() {
             return Err(RecError::EmptyCorpus);
         }
+        let totals = Totals::of(corpus.iter().map(|video| &video.series));
+        totals.check()?;
 
-        // --- social side: registry, descriptors, UIG ---
-        let mut registry = UserRegistry::new();
-        let mut socials = Vec::with_capacity(corpus.len());
-        for video in &corpus {
-            socials.push(intern_users(&mut registry, &video.users));
-        }
-        let mut graph = UserInterestGraph::new(registry.len().max(1));
-        for (desc, _) in &socials {
-            let ids: Vec<_> = desc.iter().collect();
-            graph.add_video(&ids);
-        }
-        let maintenance = SocialUpdatesMaintenance::new(graph, cfg.k_subcommunities);
-        let slots = maintenance.num_slots();
+        let ids: Vec<VideoId> = corpus.iter().map(|video| video.id).collect();
+        let users: Vec<Vec<String>> = corpus
+            .iter_mut()
+            .map(|video| std::mem::take(&mut video.users))
+            .collect();
+        let (content, social) = std::thread::scope(|scope| {
+            let content = scope.spawn(|| Content::build(&cfg, totals, corpus));
+            let social = Social::build(&cfg, &ids, users);
+            (content.join(), social)
+        });
+        let content = content
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .map_err(|id| RecError::DuplicateVideo(id.0))?;
+        Ok(Self::from_halves(cfg, content, social))
+    }
 
-        // Chained hash table: user name → community slot (Fig. 4).
-        let mut chained = ChainedHashTable::new(cfg.hash_buckets);
-        for (id, name) in registry.iter() {
-            if let Some(&c) = maintenance.assignment_raw().get(id.index()) {
-                chained.insert(name, c);
-            }
-        }
-
-        // --- per-video records + inverted files + LSB forest + arena ---
-        let mut inverted = InvertedIndex::new(slots);
-        let mut videos_of_user: HashMap<UserId, Vec<u32>> = HashMap::new();
-        let mut videos = Vec::with_capacity(corpus.len());
-        let mut content = Content {
-            ids: Vec::with_capacity(corpus.len()),
-            by_id: HashMap::with_capacity(corpus.len()),
-            series: Vec::with_capacity(corpus.len()),
-            arena: ScoringArena::new(),
-            lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
-            embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
-        };
-
-        for (idx, (video, (descriptor, user_names))) in corpus.into_iter().zip(socials).enumerate()
-        {
-            if !content.push(video.id, video.series) {
-                return Err(RecError::DuplicateVideo(video.id.0));
-            }
-            let vector = vectorize_sparse(maintenance.assignment_raw(), &descriptor);
-            for &(slot, _) in &vector {
-                inverted.add_posting(slot as usize, video.id);
-            }
-            for user in descriptor.iter() {
-                videos_of_user.entry(user).or_default().push(idx as u32);
-            }
-            videos.push(Arc::new(SocialRow {
-                descriptor,
-                user_names,
-                vector,
-            }));
-        }
-
-        Ok(Self {
+    /// A recommender over the two halves [`Self::build`] built.
+    fn from_halves(cfg: RecommenderConfig, content: Content, social: Social) -> Self {
+        Self {
             cfg,
             content: Arc::new(content),
-            videos,
-            registry: Arc::new(registry),
-            videos_of_user: Arc::new(videos_of_user),
-            maintenance: Arc::new(maintenance),
-            chained: Arc::new(chained),
-            inverted: Arc::new(inverted),
+            videos: social.videos,
+            registry: Arc::new(social.registry),
+            videos_of_user: Arc::new(social.videos_of_user),
+            maintenance: Arc::new(social.maintenance),
+            chained: Arc::new(social.chained),
+            inverted: Arc::new(social.inverted),
             written: 0,
-        })
+        }
     }
 
     /// Copies, now, every component written since the last call that a
@@ -308,6 +286,105 @@ impl Recommender {
             | same(&self.inverted, &other.inverted, part::INVERTED);
         let rows = self.videos.iter().zip(&other.videos);
         (parts, rows.filter(|(a, b)| Arc::ptr_eq(a, b)).count())
+    }
+
+    /// Test probe: the first component in which `self` and `other` differ,
+    /// compared part by part and bit for bit in build order — ids, series,
+    /// arena columns, LSB forest entries, registry, UIG, partition, chained
+    /// hash, rows, engagement lists, inverted files — or `None` when they
+    /// hold the same index.
+    #[doc(hidden)]
+    pub fn differing_part(&self, other: &Self) -> Option<&'static str> {
+        fn eq<T: PartialEq>(
+            a: &Recommender,
+            b: &Recommender,
+            part: impl Fn(&Recommender) -> T,
+        ) -> bool {
+            part(a) == part(b)
+        }
+        let (a, b) = (self, other);
+        let checks = [
+            (
+                "ids",
+                eq(a, b, |r| (r.content.ids.clone(), r.content.by_id.clone())),
+            ),
+            ("series", eq(a, b, |r| r.content.series.clone())),
+            ("arena", a.content.arena.same_bits(&b.content.arena)),
+            (
+                "lsb",
+                eq(a, b, |r| {
+                    let lsb = &r.content.lsb;
+                    let trees = lsb.listings().map(|tree| {
+                        tree.map(|(key, bag)| (key, bag.to_vec()))
+                            .collect::<Vec<_>>()
+                    });
+                    (
+                        lsb.len(),
+                        lsb.distinct_keys(),
+                        lsb.stored_pairs(),
+                        trees.collect::<Vec<_>>(),
+                    )
+                }),
+            ),
+            (
+                "registry",
+                eq(a, b, |r| {
+                    r.registry
+                        .iter()
+                        .map(|(id, name)| (id, name.to_owned()))
+                        .collect::<Vec<_>>()
+                }),
+            ),
+            (
+                "graph",
+                eq(a, b, |r| {
+                    let graph = r.maintenance.graph();
+                    (graph.num_users(), graph.edges().collect::<Vec<_>>())
+                }),
+            ),
+            (
+                "partition",
+                eq(a, b, |r| {
+                    let m = &r.maintenance;
+                    (m.partition(), m.assignment_raw().to_vec(), m.num_slots())
+                }),
+            ),
+            (
+                "chained",
+                eq(a, b, |r| {
+                    let entries = r
+                        .chained
+                        .iter()
+                        .map(|(name, &slot)| (name.to_owned(), slot));
+                    let lookups = r
+                        .registry
+                        .iter()
+                        .map(|(_, name)| r.chained.get(name).copied());
+                    (entries.collect::<Vec<_>>(), lookups.collect::<Vec<_>>())
+                }),
+            ),
+            (
+                "rows",
+                eq(a, b, |r| {
+                    let row = |v: &Arc<SocialRow>| {
+                        (v.descriptor.clone(), v.user_names.clone(), v.vector.clone())
+                    };
+                    r.videos.iter().map(row).collect::<Vec<_>>()
+                }),
+            ),
+            ("videos_of_user", a.videos_of_user == b.videos_of_user),
+            (
+                "inverted",
+                eq(a, b, |r| {
+                    let postings = (0..r.inverted.k()).map(|c| r.inverted.postings(c).to_vec());
+                    postings.collect::<Vec<_>>()
+                }),
+            ),
+        ];
+        checks
+            .into_iter()
+            .find(|&(_, same)| !same)
+            .map(|(part, _)| part)
     }
 
     /// Configuration in force.
@@ -1264,23 +1341,123 @@ impl Recommender {
 }
 
 impl Content {
-    /// Appends one video to every content structure; `false`, with nothing
-    /// appended, when `id` is already indexed.
-    pub(crate) fn push(&mut self, id: VideoId, series: SignatureSeries) -> bool {
-        let idx = self.ids.len();
-        match self.by_id.entry(id) {
-            Entry::Occupied(_) => return false,
-            Entry::Vacant(slot) => slot.insert(idx),
+    /// The content half of [`Recommender::build`]: every video of `corpus`
+    /// in order, into columns sized from its `totals`. `Err` carries the
+    /// first id seen twice.
+    fn build(
+        cfg: &RecommenderConfig,
+        totals: Totals,
+        corpus: Vec<CorpusVideo>,
+    ) -> Result<Self, VideoId> {
+        let mut content = Self {
+            ids: Vec::with_capacity(totals.videos),
+            by_id: HashMap::with_capacity(totals.videos),
+            series: Vec::with_capacity(totals.videos),
+            arena: ScoringArena::new(),
+            lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
+            embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
         };
-        for sig in series.signatures() {
-            self.lsb
-                .insert(&self.embedder.embed(&sig.as_pairs()), idx as u32);
+        content.arena.reserve(totals);
+        content.extend(corpus.into_iter().map(|video| (video.id, video.series)))?;
+        Ok(content)
+    }
+
+    /// Appends videos, in order, to every content structure. Stops at the
+    /// first id already indexed — before it or earlier in `videos` — and
+    /// returns it, with nothing of that video appended.
+    ///
+    /// Each signature is embedded for the LSB forest off the value-ascending
+    /// lanes the arena has just written, into one point buffer reused for
+    /// the whole run.
+    pub(crate) fn extend(
+        &mut self,
+        videos: impl IntoIterator<Item = (VideoId, SignatureSeries)>,
+    ) -> Result<(), VideoId> {
+        let (mut pairs, mut point) = (Vec::new(), Vec::with_capacity(self.embedder.dims()));
+        for (id, series) in videos {
+            let idx = self.ids.len();
+            match self.by_id.entry(id) {
+                Entry::Occupied(_) => return Err(id),
+                Entry::Vacant(slot) => slot.insert(idx),
+            };
+            self.arena.push_series(&series, &mut pairs);
+            debug_assert_eq!(self.arena.len(), idx + 1, "arena tracks the corpus 1:1");
+            let view = self.arena.view(idx);
+            for sig in 0..view.len() {
+                let (values, weights) = view.lanes(sig);
+                self.embedder.embed_sorted_into(values, weights, &mut point);
+                self.lsb.insert(&point, idx as u32);
+            }
+            self.ids.push(id);
+            self.series.push(series);
         }
-        self.arena.push_series(&series);
-        debug_assert_eq!(self.arena.len(), idx + 1, "arena tracks the corpus 1:1");
-        self.ids.push(id);
-        self.series.push(series);
-        true
+        Ok(())
+    }
+}
+
+/// The social half of [`Recommender::build`]: everything derived from who
+/// engaged with which video.
+struct Social {
+    registry: UserRegistry,
+    videos: Vec<Arc<SocialRow>>,
+    videos_of_user: HashMap<UserId, Vec<u32>>,
+    maintenance: SocialUpdatesMaintenance,
+    chained: ChainedHashTable<usize>,
+    inverted: InvertedIndex,
+}
+
+impl Social {
+    /// Builds the social half over each video's id and user names, in
+    /// corpus order: intern → UIG → sub-community extraction (Fig. 3) →
+    /// chained hash (Fig. 4) → per-video rows, inverted postings and
+    /// engagement lists.
+    fn build(cfg: &RecommenderConfig, ids: &[VideoId], users: Vec<Vec<String>>) -> Self {
+        let mut registry = UserRegistry::new();
+        let socials: Vec<_> = users
+            .iter()
+            .map(|names| intern_users(&mut registry, names))
+            .collect();
+        drop(users);
+        let mut graph = UserInterestGraph::new(registry.len().max(1));
+        for (desc, _) in &socials {
+            let ids: Vec<_> = desc.iter().collect();
+            graph.add_video(&ids);
+        }
+        let maintenance = SocialUpdatesMaintenance::new(graph, cfg.k_subcommunities);
+
+        // Chained hash table: user name → community slot (Fig. 4).
+        let mut chained = ChainedHashTable::new(cfg.hash_buckets);
+        for (id, name) in registry.iter() {
+            if let Some(&c) = maintenance.assignment_raw().get(id.index()) {
+                chained.insert(name, c);
+            }
+        }
+
+        let mut inverted = InvertedIndex::new(maintenance.num_slots());
+        let mut videos_of_user: HashMap<UserId, Vec<u32>> = HashMap::new();
+        let mut videos = Vec::with_capacity(ids.len());
+        for (idx, (&id, (descriptor, user_names))) in ids.iter().zip(socials).enumerate() {
+            let vector = vectorize_sparse(maintenance.assignment_raw(), &descriptor);
+            for &(slot, _) in &vector {
+                inverted.add_posting(slot as usize, id);
+            }
+            for user in descriptor.iter() {
+                videos_of_user.entry(user).or_default().push(idx as u32);
+            }
+            videos.push(Arc::new(SocialRow {
+                descriptor,
+                user_names,
+                vector,
+            }));
+        }
+        Self {
+            registry,
+            videos,
+            videos_of_user,
+            maintenance,
+            chained,
+            inverted,
+        }
     }
 }
 
@@ -1437,6 +1614,111 @@ mod tests {
                 Some(RecError::BadConfig(why)) if why.starts_with("lsb: ")
             ));
         }
+    }
+
+    /// A seeded corpus that stresses both halves' orders: signatures of
+    /// 1..=12 cuboids on a coarse value grid reaching past the embedder's
+    /// ±255 (tied values, repeated and identical signatures), and 0–5 users
+    /// a video named `u0`..`u87`, small numbers likelier (shared names,
+    /// repeats within a video, user-less videos).
+    fn tangled_corpus(videos: usize, seed: u64) -> Vec<CorpusVideo> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use viderec_signature::cuboid::{Cuboid, CuboidSignature};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let signature = |rng: &mut StdRng| {
+            let n = rng.gen_range(1..=12usize);
+            let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(1..=4)).collect();
+            let total: u32 = counts.iter().sum();
+            let cuboids = counts.iter().map(|&c| Cuboid {
+                value: rng.gen_range(-12..=12i32) as f64 * 25.0,
+                weight: c as f64 / total as f64,
+            });
+            CuboidSignature::new(cuboids.collect())
+        };
+        (0..videos as u64)
+            .map(|id| {
+                let first = signature(&mut rng);
+                let mut sigs = vec![first.clone()];
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let next = if rng.gen_bool(0.3) {
+                        first.clone()
+                    } else {
+                        signature(&mut rng)
+                    };
+                    sigs.push(next);
+                }
+                let users = (0..rng.gen_range(0..6usize))
+                    .map(|_| format!("u{}", rng.gen_range(0..30u32) * rng.gen_range(1..=3u32)))
+                    .collect();
+                CorpusVideo {
+                    id: VideoId(id * 7 + 3),
+                    series: SignatureSeries::new(sigs),
+                    users,
+                }
+            })
+            .collect()
+    }
+
+    /// [`Recommender::build`]'s two halves run one after the other on this
+    /// thread, social first: the order of the sequential build.
+    fn build_on_one_thread(cfg: RecommenderConfig, mut corpus: Vec<CorpusVideo>) -> Recommender {
+        let totals = Totals::of(corpus.iter().map(|video| &video.series));
+        let ids: Vec<VideoId> = corpus.iter().map(|video| video.id).collect();
+        let users = corpus
+            .iter_mut()
+            .map(|video| std::mem::take(&mut video.users));
+        let social = Social::build(&cfg, &ids, users.collect());
+        let content = Content::build(&cfg, totals, corpus).unwrap();
+        Recommender::from_halves(cfg, content, social)
+    }
+
+    #[test]
+    fn the_threaded_build_equals_its_halves_run_on_one_thread() {
+        let cfg = RecommenderConfig {
+            k_subcommunities: 12,
+            ..Default::default()
+        };
+        for seed in [1, 2, 3] {
+            let corpus = tangled_corpus(400, seed);
+            let threaded = Recommender::build(cfg.clone(), corpus.clone()).unwrap();
+            let one_thread = build_on_one_thread(cfg.clone(), corpus);
+            assert_eq!(threaded.differing_part(&one_thread), None, "seed {seed}");
+            let (keys, pairs) = threaded.lsb_entries();
+            assert!(keys > 0 && keys < pairs, "{keys} {pairs}");
+        }
+        // Each half alone moves the probe.
+        let corpus = tangled_corpus(400, 1);
+        let threaded = Recommender::build(cfg.clone(), corpus.clone()).unwrap();
+        let mut lsb = cfg.clone();
+        lsb.lsb.seed += 1;
+        let other = build_on_one_thread(lsb, corpus.clone());
+        assert_eq!(threaded.differing_part(&other), Some("lsb"));
+        let k = RecommenderConfig {
+            k_subcommunities: 5,
+            ..cfg
+        };
+        let other = build_on_one_thread(k, corpus);
+        assert_eq!(threaded.differing_part(&other), Some("partition"));
+    }
+
+    /// `build` sizes each arena column once, to what pushing the corpus
+    /// video by video would have doubled it to; an ingest then grows it as
+    /// before.
+    #[test]
+    fn the_built_arena_is_sized_as_doubling_would_leave_it() {
+        let corpus = tangled_corpus(300, 9);
+        let mut r = Recommender::build(test_cfg(), corpus[..200].to_vec()).unwrap();
+        let mut pushed = ScoringArena::new();
+        for video in &corpus[..200] {
+            pushed.push_series(&video.series, &mut Vec::new());
+        }
+        assert_eq!(r.content.arena.column_sizes(), pushed.column_sizes());
+        r.add_videos(corpus[200..].to_vec()).unwrap();
+        for video in &corpus[200..] {
+            pushed.push_series(&video.series, &mut Vec::new());
+        }
+        assert_eq!(r.content.arena.column_sizes(), pushed.column_sizes());
     }
 
     #[test]

@@ -56,22 +56,44 @@ impl CdfEmbedder {
     /// Embeds one signature.
     pub fn embed(&self, sig: &[(f64, f64)]) -> Vec<f64> {
         assert!(!sig.is_empty(), "cannot embed an empty signature");
-        // Sort values once; sweep the CDF over the sample grid.
+        // Sort values once (stably, so tied values keep their weights'
+        // order); sweep the CDF over the sample grid.
         let mut pts: Vec<(f64, f64)> = sig.to_vec();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let step = self.step();
         let mut out = Vec::with_capacity(self.dims);
+        self.sweep_into(pts.into_iter(), &mut out);
+        out
+    }
+
+    /// Embeds one signature given as value-ascending lanes — the order
+    /// [`Self::embed`]'s stable sort leaves a signature in — into `out`,
+    /// which is cleared first. Bit-identical to [`Self::embed`] over the
+    /// same signature, with no allocation once `out` holds
+    /// [`Self::dims`] entries.
+    ///
+    /// # Panics
+    /// Panics if the lanes are empty or of different lengths.
+    pub fn embed_sorted_into(&self, values: &[f64], weights: &[f64], out: &mut Vec<f64>) {
+        assert!(!values.is_empty(), "cannot embed an empty signature");
+        assert_eq!(values.len(), weights.len(), "lane length mismatch");
+        debug_assert!(values.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        out.clear();
+        self.sweep_into(values.iter().copied().zip(weights.iter().copied()), out);
+    }
+
+    /// The CDF sweep over the sample grid, pushing [`Self::dims`] entries
+    /// onto `out`: `sorted` yields `(value, weight)` pairs value-ascending.
+    fn sweep_into(&self, sorted: impl Iterator<Item = (f64, f64)>, out: &mut Vec<f64>) {
+        let step = self.step();
+        let mut pts = sorted.peekable();
         let mut cdf = 0.0;
-        let mut k = 0;
         for i in 0..self.dims {
             let t = self.lo + step * i as f64;
-            while k < pts.len() && pts[k].0 <= t {
-                cdf += pts[k].1;
-                k += 1;
+            while let Some((_, w)) = pts.next_if(|&(v, _)| v <= t) {
+                cdf += w;
             }
             out.push(cdf * step);
         }
-        out
     }
 
     /// Worst-case absolute error of `‖φ(a) − φ(b)‖₁` versus the true EMD for

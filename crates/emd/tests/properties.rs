@@ -45,6 +45,18 @@ fn sliced_signature() -> impl Strategy<Value = Vec<(f64, f64)>> {
     })
 }
 
+/// A signature for the sorted-lane embedding: 1..=12 cuboids on a
+/// quarter-unit grid in ±12 (so values repeat, tie with sample points, and
+/// fall outside an embedder domain of ±8), weights counts over their total.
+fn lane_signature() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    prop::collection::vec((-48..48i32, 1..9u32), 1..13).prop_map(|raw| {
+        let total: u32 = raw.iter().map(|&(_, w)| w).sum();
+        raw.iter()
+            .map(|&(v, w)| (v as f64 / 4.0, w as f64 / total as f64))
+            .collect()
+    })
+}
+
 /// The eight [`slice_features`] of a signature, sorted by value as
 /// [`emd_1d`] sorts it.
 fn eight_slices(sig: &[(f64, f64)]) -> [f64; 8] {
@@ -176,6 +188,22 @@ proptest! {
         let approx: f64 = ea.iter().zip(&eb).map(|(x, y)| (x - y).abs()).sum();
         let exact = emd_1d(&a, &b);
         prop_assert!((approx - exact).abs() <= embedder.error_bound() + 1e-9);
+    }
+
+    /// The embedding over value-ascending lanes is [`CdfEmbedder::embed`]
+    /// bit for bit: tied values keep their weights' order in both, and
+    /// values outside the domain land in the first or no sample.
+    #[test]
+    fn sorted_lane_embedding_is_embed_bit_for_bit(sig in lane_signature(), dims in 2..40usize) {
+        let embedder = CdfEmbedder::new(-8.0, 8.0, dims);
+        let mut sorted = sig.clone();
+        sorted.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let (values, weights): (Vec<f64>, Vec<f64>) = sorted.into_iter().unzip();
+        // A reused buffer holding another point's entries.
+        let mut out = vec![f64::NAN; dims + 3];
+        embedder.embed_sorted_into(&values, &weights, &mut out);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&out), bits(&embedder.embed(&sig)));
     }
 
     /// SimC is a similarity in (0, 1] and decreasing in distance.

@@ -180,6 +180,13 @@ impl<P: Slot> LsbForest<P> {
         self.trees.iter().map(|(_, tree)| tree.len()).sum()
     }
 
+    /// Each tree's `(Z-value, payloads)` entries in ascending key order:
+    /// what two forests fed the same points in the same order agree on
+    /// entry for entry.
+    pub fn listings(&self) -> impl Iterator<Item = impl Iterator<Item = (u128, &[P])>> {
+        self.trees.iter().map(|(_, tree)| tree.iter())
+    }
+
     /// Indexes `point` under `payload` in every tree.
     ///
     /// Each tree keeps a key's payloads as a set, so a `(key, payload)` pair
