@@ -30,15 +30,42 @@
 //! | same theme, different story | 0.70 |
 //! | same topic, different theme | 0.45 |
 //! | unrelated | 0.05 |
+//!
+//! ## Content ingest in two stages
+//!
+//! Each upload goes through the paper's content pipeline (§4.1): edit (for
+//! a derived upload), the `VRC1` codec round trip, then shots, keyframes,
+//! q-grams and cuboid signatures. [`Community::generate`] splits that work
+//! in two:
+//!
+//! * **Draw stage, on the calling thread, in one fixed order.** Every random
+//!   draw happens here: a master's duration and each derived upload's edit
+//!   pipeline and AFFRF features from the generator's RNG, a master's pixels
+//!   from the synthesizer's own RNG. The comment section after it reads the
+//!   RNG in the state this order leaves.
+//! * **Extraction stage, on every core.** Edit → transcode → signatures draws
+//!   nothing: its result depends on the master and the pipeline alone. Each
+//!   upload is one job, handed to a scoped helper thread (one per spare core)
+//!   if one is waiting for work, else run inline on the calling thread, which
+//!   keeps at most one job per thread in flight. A story's jobs share one
+//!   master.
+//!
+//! Each job's result lands in its upload's slot, so the corpus is the same
+//! bit for bit whatever the thread count or the order jobs finish in — on one
+//! core every job simply runs inline. `tests/generator_digest.rs` pins it
+//! against digests taken from the one-thread generator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use viderec_core::baselines::MultimodalFeatures;
 use viderec_core::{CorpusVideo, SocialUpdate};
 use viderec_signature::{SignatureBuilder, SignatureSeries};
 use viderec_video::codec::transcode;
-use viderec_video::{SynthConfig, Transform, VideoId, VideoSynthesizer};
+use viderec_video::{SynthConfig, Transform, Video, VideoId, VideoSynthesizer};
 
 /// Table 2's five query topics.
 pub const TABLE2_TOPICS: [&str; 5] = [
@@ -306,47 +333,61 @@ impl Community {
         }
 
         // --- content: masters + derived uploads, through the codec ---
+        // Every random draw happens here, on the calling thread, in one fixed
+        // order; extraction (edit → transcode → signatures) draws nothing and
+        // runs on whichever core is free (see the module doc).
         let mut synth =
             VideoSynthesizer::new(SynthConfig::default(), cfg.num_topics, cfg.seed ^ 0xf00d);
-        let builder = SignatureBuilder::default();
         let mut videos: Vec<SimVideo> = Vec::with_capacity(num_videos);
+        let series: Vec<OnceLock<SignatureSeries>> = std::iter::repeat_with(OnceLock::new)
+            .take(num_videos)
+            .collect();
         let feature_seeds: Vec<u64> = (0..num_stories).map(|_| rng.gen()).collect();
-        let mut next_id = 0u64;
-        'outer: for story in 0..num_stories {
-            let topic = story_topic[story];
-            let secs = rng.gen_range(cfg.master_secs.0..=cfg.master_secs.1);
-            let master = synth.generate(VideoId(next_id), topic, secs);
-            // Everything is ingested through the codec, like a real pipeline.
-            let decoded = transcode(&master);
-            videos.push(SimVideo {
-                id: VideoId(next_id),
-                topic,
-                story,
-                derived: false,
-                series: builder.build(&decoded),
-                features: story_features(feature_seeds[story], topic, false, &mut rng),
-            });
-            next_id += 1;
-            if videos.len() >= num_videos {
-                break 'outer;
-            }
-            for _ in 0..cfg.derived_per_story {
-                let pipeline = Transform::random_edit_pipeline(&mut rng, master.len());
-                let edited = Transform::apply_all(&pipeline, &master).with_id(VideoId(next_id));
-                let decoded = transcode(&edited);
+        extract_while_drawing(&series, spare_cores(), |extract| {
+            'outer: for story in 0..num_stories {
+                let topic = story_topic[story];
+                let secs = rng.gen_range(cfg.master_secs.0..=cfg.master_secs.1);
+                let id = VideoId(videos.len() as u64);
+                let master = Arc::new(synth.generate(id, topic, secs));
+                let frames = master.len();
+                extract(Job {
+                    slot: videos.len(),
+                    master: Arc::clone(&master),
+                    edits: Vec::new(),
+                });
                 videos.push(SimVideo {
-                    id: VideoId(next_id),
+                    id,
                     topic,
                     story,
-                    derived: true,
-                    series: builder.build(&decoded),
-                    features: story_features(feature_seeds[story], topic, true, &mut rng),
+                    derived: false,
+                    series: SignatureSeries::default(),
+                    features: story_features(feature_seeds[story], topic, false, &mut rng),
                 });
-                next_id += 1;
                 if videos.len() >= num_videos {
                     break 'outer;
                 }
+                for _ in 0..cfg.derived_per_story {
+                    extract(Job {
+                        slot: videos.len(),
+                        master: Arc::clone(&master),
+                        edits: Transform::random_edit_pipeline(&mut rng, frames),
+                    });
+                    videos.push(SimVideo {
+                        id: VideoId(videos.len() as u64),
+                        topic,
+                        story,
+                        derived: true,
+                        series: SignatureSeries::default(),
+                        features: story_features(feature_seeds[story], topic, true, &mut rng),
+                    });
+                    if videos.len() >= num_videos {
+                        break 'outer;
+                    }
+                }
             }
+        });
+        for (video, slot) in videos.iter_mut().zip(series) {
+            video.series = slot.into_inner().expect("every upload was extracted");
         }
 
         // --- comments ---
@@ -608,6 +649,77 @@ impl Community {
     }
 }
 
+/// One upload's extraction: the story master it starts from (shared with
+/// the story's other jobs) and the edit pipeline that derives it from the
+/// master (empty for the master itself).
+#[derive(Clone)]
+struct Job {
+    slot: usize,
+    master: Arc<Video>,
+    edits: Vec<Transform>,
+}
+
+impl Job {
+    /// Edit → transcode → cuboid signatures. Draws nothing, so the result
+    /// depends on the job alone, not on the thread that runs it or when.
+    fn extract(self, builder: &SignatureBuilder) -> SignatureSeries {
+        let decoded = if self.edits.is_empty() {
+            transcode(&self.master)
+        } else {
+            // Ids are dense: an upload's id is its slot.
+            let edited =
+                Transform::apply_all(&self.edits, &self.master).with_id(VideoId(self.slot as u64));
+            transcode(&edited)
+        };
+        // The edited copy is already gone; release the master too before
+        // the signature pass, so the story's last job frees its pixels.
+        drop(self.master);
+        builder.build(&decoded)
+    }
+}
+
+/// Cores beyond the calling thread's: one extraction helper each.
+fn spare_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1
+}
+
+/// Runs `draw` on the calling thread and extracts every job it hands over:
+/// on one of `helpers` scoped threads if one is waiting for work, otherwise
+/// inline on the calling thread before it draws on. The hand-off is a
+/// rendezvous, so at most one job per thread is in flight. Each result
+/// lands in its upload's slot of `series`, whoever ran it.
+fn extract_while_drawing(
+    series: &[OnceLock<SignatureSeries>],
+    helpers: usize,
+    draw: impl FnOnce(&mut dyn FnMut(Job)),
+) {
+    let builder = SignatureBuilder::default();
+    let run = |job: Job| {
+        let slot = job.slot;
+        let out = job.extract(&builder);
+        assert!(series[slot].set(out).is_ok(), "slot {slot} extracted twice");
+    };
+    let (handoff, jobs) = mpsc::sync_channel::<Job>(0);
+    let jobs = Mutex::new(jobs);
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(|| loop {
+                let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                match next {
+                    Ok(job) => run(job),
+                    // Drawing is over and the hand-off is dropped.
+                    Err(_) => break,
+                }
+            });
+        }
+        let handoff = handoff;
+        draw(&mut |job| match handoff.try_send(job) {
+            Ok(()) => {}
+            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => run(job),
+        });
+    });
+}
+
 /// Canonical registered user name for a user index.
 pub fn user_name(index: usize) -> String {
     format!("user_{index:05}")
@@ -828,6 +940,50 @@ mod tests {
         let f = c.affrf_features();
         assert_eq!(f.len(), c.videos.len());
         assert_eq!(f[0].1.text.len(), 24);
+    }
+
+    #[test]
+    fn extraction_does_not_depend_on_the_helper_count() {
+        let mut synth = VideoSynthesizer::new(SynthConfig::default(), 2, 3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let masters: Vec<Arc<Video>> = (0..3)
+            .map(|s| Arc::new(synth.generate(VideoId(s), s as usize % 2, 6.0)))
+            .collect();
+        // Per master: itself, then three edited copies.
+        let jobs: Vec<Job> = masters
+            .iter()
+            .flat_map(|m| {
+                let edits: Vec<Vec<Transform>> = std::iter::once(Vec::new())
+                    .chain((0..3).map(|_| Transform::random_edit_pipeline(&mut rng, m.len())))
+                    .collect();
+                edits.into_iter().map(move |edits| (Arc::clone(m), edits))
+            })
+            .enumerate()
+            .map(|(slot, (master, edits))| Job {
+                slot,
+                master,
+                edits,
+            })
+            .collect();
+        let builder = SignatureBuilder::default();
+        let expected: Vec<SignatureSeries> =
+            jobs.iter().map(|j| j.clone().extract(&builder)).collect();
+        assert!(expected.iter().all(|s| !s.is_empty()));
+        for helpers in [0, 1, 3] {
+            let series: Vec<OnceLock<SignatureSeries>> = std::iter::repeat_with(OnceLock::new)
+                .take(jobs.len())
+                .collect();
+            extract_while_drawing(&series, helpers, |extract| {
+                for j in &jobs {
+                    extract(j.clone());
+                }
+            });
+            let got: Vec<SignatureSeries> = series
+                .into_iter()
+                .map(|s| s.into_inner().expect("every slot filled"))
+                .collect();
+            assert_eq!(got, expected, "{helpers} helpers");
+        }
     }
 
     #[test]

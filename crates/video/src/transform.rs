@@ -220,9 +220,13 @@ impl Transform {
         }
     }
 
-    /// Applies a pipeline of transforms left to right.
+    /// Applies a pipeline of transforms left to right. The first transform
+    /// reads `video` itself; only an empty pipeline clones it.
     pub fn apply_all(transforms: &[Transform], video: &Video) -> Video {
-        transforms.iter().fold(video.clone(), |v, t| t.apply(&v))
+        match transforms.split_first() {
+            None => video.clone(),
+            Some((first, rest)) => rest.iter().fold(first.apply(video), |v, t| t.apply(&v)),
+        }
     }
 
     /// Samples a random realistic edit pipeline (1–3 operations) of the kinds
@@ -411,6 +415,34 @@ mod tests {
             let w = Transform::apply_all(&pipe, &v);
             assert!(w.len() >= 2);
         }
+    }
+
+    #[test]
+    fn a_one_step_pipeline_is_that_step() {
+        let v = ramp_video(9);
+        for t in [
+            Transform::BrightnessShift(-12),
+            Transform::SubClip { start: 1, len: 6 },
+            Transform::Noise { amp: 4, seed: 3 },
+        ] {
+            let w = Transform::apply_all(std::slice::from_ref(&t), &v);
+            assert_eq!(w.frames(), t.apply(&v).frames(), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn a_three_step_pipeline_applies_its_steps_left_to_right() {
+        let v = ramp_video(12);
+        let pipe = [
+            Transform::ContrastScale(1.2),
+            Transform::SubClip { start: 2, len: 8 },
+            Transform::ReorderChunks { chunks: 3 },
+        ];
+        let by_hand = pipe[2].apply(&pipe[1].apply(&pipe[0].apply(&v)));
+        let w = Transform::apply_all(&pipe, &v);
+        assert_eq!((w.id(), w.fps()), (v.id(), v.fps()));
+        assert_eq!(w.frames(), by_hand.frames());
+        assert_eq!(Transform::apply_all(&[], &v).frames(), v.frames());
     }
 
     #[test]

@@ -21,8 +21,47 @@ fn video_strategy() -> impl Strategy<Value = Video> {
     })
 }
 
+/// Videos that reach the codec's edges: one frame or several, any
+/// dimensions from 1 (odd ones included), and three kinds of content —
+/// random pixels (runs of ~1), a static scene (runs capped at 256, then
+/// resumed) and a flat scene with sparse changes (long inter runs broken by
+/// single deltas).
+fn codec_edge_strategy() -> impl Strategy<Value = Video> {
+    (1..6usize, 1..41usize, 1..41usize, 0..3u8, 0..u64::MAX).prop_map(|(n, w, h, kind, seed)| {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base: u8 = rng.gen();
+        let frames = (0..n)
+            .map(|_| {
+                let data = (0..w * h)
+                    .map(|_| match kind {
+                        0 => rng.gen(),
+                        1 => base,
+                        _ if rng.gen_bool(0.02) => rng.gen(),
+                        _ => base,
+                    })
+                    .collect();
+                Frame::from_data(w, h, data)
+            })
+            .collect();
+        Video::new(VideoId(seed), 12.5, frames)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The frame-wise round trip is the whole-stream one: `transcode(v)`
+    /// equals `decode(encode(v))` frame for frame, id and fps included.
+    #[test]
+    fn transcode_is_decode_of_encode(v in codec_edge_strategy()) {
+        let whole = decode(encode(&v)).expect("own bitstream decodes");
+        let framewise = transcode(&v);
+        prop_assert_eq!(framewise.id(), whole.id());
+        prop_assert_eq!(framewise.fps().to_bits(), whole.fps().to_bits());
+        prop_assert_eq!(framewise.frames(), whole.frames());
+    }
 
     /// Codec roundtrip: metadata preserved, per-pixel error ≤ quantisation
     /// bound, second transcode lossless.
