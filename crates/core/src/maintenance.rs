@@ -107,16 +107,15 @@ impl Recommender {
                 None => write(&mut self.registry, &mut self.written, part::REGISTRY)
                     .intern(&update.user),
             };
-            if self.videos[vidx].descriptor.contains(user) {
+            let Err(at) = self.videos[vidx].users.binary_search(&user) else {
                 continue; // repeat comment: no new interest connection
-            }
+            };
             let video = Arc::make_mut(&mut self.videos[vidx]);
-            video.descriptor.insert(user);
+            let (before, after) = video.users.split_at(at);
+            let users = [before, std::slice::from_ref(&user), after].concat();
+            video.users = users.into_boxed_slice();
             comments_applied += 1;
-            video
-                .user_names
-                .push(Arc::clone(self.registry.shared_name(user)));
-            for other in video.descriptor.iter() {
+            for &other in video.users.iter() {
                 if other != user {
                     connections.push((user, other, 1));
                 }
@@ -202,15 +201,14 @@ impl Recommender {
         let mut connections: Vec<(UserId, UserId, u32)> = Vec::new();
         let mut comments_applied = 0usize;
         for video in &additions {
-            let (desc, user_names) = intern_users(registry, &video.users);
-            comments_applied += desc.len();
-            let ids: Vec<UserId> = desc.iter().collect();
-            for (i, &a) in ids.iter().enumerate() {
-                for &b in &ids[i + 1..] {
+            let users = intern_users(registry, &video.users);
+            comments_applied += users.len();
+            for (i, &a) in users.iter().enumerate() {
+                for &b in &users[i + 1..] {
                     connections.push((a, b, 1));
                 }
             }
-            socials.push((desc, user_names));
+            socials.push(users);
         }
 
         let maintenance = write(&mut self.maintenance, &mut self.written, part::MAINTENANCE);
@@ -232,24 +230,20 @@ impl Recommender {
             inverted.push_community();
         }
         let mut fresh = Vec::with_capacity(additions.len());
-        for (video, (descriptor, user_names)) in additions.into_iter().zip(socials) {
+        for (video, users) in additions.into_iter().zip(socials) {
             let idx = self.videos.len() as u32;
-            let vector = vectorize_sparse(assignment, &descriptor);
+            let vector = vectorize_sparse(assignment, &users);
             for &(slot, _) in &vector {
                 inverted.add_posting(slot as usize, video.id);
             }
-            for user in descriptor.iter() {
+            for &user in &users {
                 videos_of_user.entry(user).or_default().push(idx);
                 if let Some(&slot) = assignment.get(user.index()) {
                     chained.insert(registry.name(user), slot);
                 }
             }
             fresh.push((video.id, video.series));
-            self.videos.push(Arc::new(SocialRow {
-                descriptor,
-                user_names,
-                vector,
-            }));
+            self.videos.push(Arc::new(SocialRow { users, vector }));
         }
         let appended = content.extend(fresh);
         debug_assert!(appended.is_ok(), "duplicate ids were rejected above");
@@ -310,7 +304,7 @@ impl Recommender {
         let mut descriptor_dim_updates = 0usize;
         for &vidx in &affected {
             let row = &self.videos[vidx as usize];
-            let fresh = vectorize_sparse(assignment, &row.descriptor);
+            let fresh = vectorize_sparse(assignment, &row.users);
             if fresh == row.vector {
                 continue;
             }
@@ -400,7 +394,7 @@ mod tests {
     /// descriptor, and the inverted postings must match the supports.
     fn assert_indexes_consistent(r: &Recommender) {
         for (video, id) in r.videos.iter().zip(&r.content.ids) {
-            let fresh = vectorize_sparse(r.maintenance.assignment_raw(), &video.descriptor);
+            let fresh = vectorize_sparse(r.maintenance.assignment_raw(), &video.users);
             assert_eq!(video.vector, fresh, "video {id} vector stale");
             for &(slot, _) in &video.vector {
                 assert!(

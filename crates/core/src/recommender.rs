@@ -3,9 +3,12 @@
 //!
 //! Cost-model fidelity matters here because Fig. 12 measures wall time:
 //!
-//! * **CSF** computes exact `sJ` the way the paper's unoptimised baseline
-//!   does — nested string comparisons over the raw user-name sets (§4.2.1
-//!   calls this "prohibitively expensive"), plus a full `κJ` scan;
+//! * **CSF** computes exact `sJ` over the raw user sets plus a full `κJ`
+//!   scan. §4.2.1 calls exact `sJ` "prohibitively expensive" for the
+//!   paper's descriptors of thousands of users; here it is a linear
+//!   two-pointer merge over interned ids (each row's users are a sorted id
+//!   slice, the query's names are resolved once per query), so the SAR
+//!   strategies' edge over it is whatever a merge of ≈ 70 ids leaves;
 //! * **CSF-SAR** replaces `sJ` with the linear `s̃J` over vectors, but maps
 //!   each query user to its sub-community by scanning the user dictionary;
 //! * **CSF-SAR-H** maps user names through the chained hash table and pulls
@@ -55,8 +58,7 @@ use viderec_emd::CdfEmbedder;
 use viderec_index::{ChainedHashTable, InvertedIndex, LsbForest};
 use viderec_signature::{kappa_j_series_pruned as kappa_j_series, SignatureSeries};
 use viderec_social::{
-    sar_similarity_sparse, SocialDescriptor, SocialUpdatesMaintenance, UserId, UserInterestGraph,
-    UserRegistry,
+    sar_similarity_sparse, SocialUpdatesMaintenance, UserId, UserInterestGraph, UserRegistry,
 };
 use viderec_video::VideoId;
 
@@ -75,6 +77,45 @@ pub(crate) struct PreparedQuery {
     /// Sparse SAR vector of the query users (sorted `(slot, count)` pairs);
     /// empty for strategies without a SAR social side.
     pub(crate) qvec: Vec<(u32, u32)>,
+    /// The query users as exact `sJ` sees them; empty for strategies
+    /// without an exact social side.
+    pub(crate) users: QueryUsers,
+}
+
+/// A query's user names resolved against the registry, once per query:
+/// what exact `sJ` (Eq. 5) and the certificate's social ceiling need.
+#[derive(Default)]
+pub(crate) struct QueryUsers {
+    /// The names the registry knows, as distinct ids, ascending.
+    known: Vec<UserId>,
+    /// `|A|`: how many distinct names the query holds. A name the registry
+    /// has never seen counts here and matches no video.
+    distinct: usize,
+    /// How many of those distinct names have no live community slot,
+    /// unknown names included: the only names a video outside the posting
+    /// union can share with the query.
+    unassigned: usize,
+}
+
+impl QueryUsers {
+    /// Exact `sJ = |A ∩ B| / |A ∪ B|` against a row's users (distinct ids,
+    /// ascending): a two-pointer merge counts `|A ∩ B|`, and the union is
+    /// `|A| + |B| − |A ∩ B|`. Two empty sets score 0.
+    fn jaccard(&self, row: &[UserId]) -> f64 {
+        let sizes = self.distinct + row.len();
+        if sizes == 0 {
+            return 0.0;
+        }
+        let (a, b) = (&self.known[..], row);
+        let (mut i, mut j, mut inter) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+            inter += usize::from(x == y);
+        }
+        inter as f64 / (sizes - inter) as f64
+    }
 }
 
 /// What only an ingest writes: identity, content signatures and everything
@@ -99,10 +140,10 @@ pub(crate) struct Content {
 /// user.
 #[derive(Clone)]
 pub(crate) struct SocialRow {
-    pub(crate) descriptor: SocialDescriptor,
-    /// User names in engagement order (the registry's own allocations),
-    /// kept for the unoptimised exact-`sJ` path.
-    pub(crate) user_names: Vec<Arc<str>>,
+    /// The social descriptor (owner and commenters): distinct ids,
+    /// ascending. A name is resolved only at the edges — when a query or an
+    /// update arrives, and when [`Recommender::users_of`] hands names out.
+    pub(crate) users: Box<[UserId]>,
     /// Sparse SAR histogram over the community slots: sorted `(slot, count)`
     /// pairs, zero slots omitted. Slots beyond the last entry are implicit
     /// zeros, so community splits never need to touch it.
@@ -366,9 +407,7 @@ impl Recommender {
             (
                 "rows",
                 eq(a, b, |r| {
-                    let row = |v: &Arc<SocialRow>| {
-                        (v.descriptor.clone(), v.user_names.clone(), v.vector.clone())
-                    };
+                    let row = |v: &Arc<SocialRow>| (v.users.clone(), v.vector.clone());
                     r.videos.iter().map(row).collect::<Vec<_>>()
                 }),
             ),
@@ -463,8 +502,8 @@ impl Recommender {
     }
 
     /// The query "click" on an indexed video: its signature series and
-    /// engaged users, exactly as [`QueryVideo::from_corpus`] would build it.
-    /// This is what a served `GET /recommend?video=<id>` resolves to.
+    /// engaged users, as [`Self::users_of`] lists them. This is what a
+    /// served `GET /recommend?video=<id>` resolves to.
     pub fn query_for(&self, id: VideoId) -> Option<QueryVideo> {
         self.index_of(id).map(|i| QueryVideo {
             series: self.content.series[i].clone(),
@@ -472,15 +511,16 @@ impl Recommender {
         })
     }
 
-    /// The engaged user names of an indexed video, in engagement order
-    /// (test/eval support).
+    /// The engaged user names of an indexed video: each distinct user
+    /// once, in user-id order (the order the registry first saw them), not
+    /// in engagement order (test/eval support).
     pub fn users_of(&self, id: VideoId) -> Option<Vec<String>> {
         self.index_of(id).map(|i| self.names_at(i))
     }
 
     fn names_at(&self, idx: usize) -> Vec<String> {
-        let names = self.videos[idx].user_names.iter();
-        names.map(|name| name.to_string()).collect()
+        let users = self.videos[idx].users.iter();
+        users.map(|&id| self.registry.name(id).to_owned()).collect()
     }
 
     /// Top-`top_k` recommendations for a clicked video under `strategy`.
@@ -566,7 +606,6 @@ impl Recommender {
     fn enqueue(
         &self,
         strategy: Strategy,
-        query: &QueryVideo,
         prep: &PreparedQuery,
         candidates: &[u32],
         with_social: usize,
@@ -578,7 +617,7 @@ impl Recommender {
         let omega = self.cfg.omega;
         rung.social.clear();
         for &idx in &candidates[..with_social] {
-            let sj = self.social_score(strategy, query, prep, idx as usize);
+            let sj = self.social_score(strategy, prep, idx as usize);
             rung.offer_social(strategy_score(strategy, omega, 1.0, sj), sj, idx);
         }
         trace.lap_span_n(&mut sp, Stage::Social, with_social as u64);
@@ -787,9 +826,6 @@ struct Scratch {
     /// How many gathered videos the exclusion list kept out of `candidates`.
     dropped: u64,
     rung: FirstRung,
-    /// The certificate's distinct query names (indices into the query's
-    /// users).
-    names: Vec<u32>,
 }
 
 impl Scratch {
@@ -893,7 +929,7 @@ impl Recommender {
         let content = &*self.content;
         if strategy.uses_social() {
             // SAR strategies gather through their own query vector; SR/CSF
-            // score socially via exact string sJ but *gather* through the
+            // score socially via exact sJ but *gather* through the
             // hash-mapped histogram, which covers every video sharing an
             // assigned user with the query (the certificate bounds the rest).
             let hashed;
@@ -942,11 +978,12 @@ impl Recommender {
     /// whether any of them is actually scored.
     ///
     /// The social ceiling of a non-candidate is where the gather earns its
-    /// keep. Any user shared between the query and a video that is *assigned*
-    /// to a live community slot puts the video into the posting union (the
-    /// chained hash, the raw assignment, the descriptor vectors and the
-    /// posting lists are kept mutually consistent by `crate::maintenance`),
-    /// so a non-candidate can share only *unassigned* names:
+    /// keep. Any user shared between the query and a video that the chained
+    /// hash maps to a live community slot puts the video into the posting
+    /// union (`crate::maintenance` keeps every hashed slot equal to the raw
+    /// assignment the descriptor vectors and posting lists are built from),
+    /// so a non-candidate can share only *unassigned* names, counted once
+    /// per query by [`Self::resolve_users`]:
     ///
     /// * SAR strategies: the histograms have disjoint support, so `s̃J` is
     ///   exactly 0 ([`sar_similarity_sparse`] returns 0.0 for disjoint
@@ -968,24 +1005,18 @@ impl Recommender {
     /// score is `0.0` (scores are non-negative and the bound is admissible),
     /// and the naive scan ranks zero-score videos purely by id — a tail
     /// [`Self::zero_fill_into`] synthesizes without scoring anything.
-    #[allow(clippy::too_many_arguments)]
     fn certificate_survivors(
         &self,
         strategy: Strategy,
-        query: &QueryVideo,
+        prep: &PreparedQuery,
         (q_range, reach): ((f64, f64), f64),
         floor: f64,
         seen: &Seen,
-        names: &mut Vec<u32>,
         out: &mut Vec<u32>,
     ) {
         let omega = self.cfg.omega;
-        // Only the exact-`sJ` strategies need the query's names.
-        let (qn, q_unassigned) = if matches!(strategy, Strategy::Sr | Strategy::Csf) {
-            self.distinct_name_counts(&query.users, names)
-        } else {
-            (0, 0)
-        };
+        // Zero for the strategies without an exact social side.
+        let (qn, q_unassigned) = (prep.users.distinct, prep.users.unassigned);
         let s_ub = |vn: usize| q_unassigned as f64 / qn.max(vn).max(1) as f64;
         let reaches = |kappa_ub: f64, s_ub: f64| {
             let ceiling = strategy_score(strategy, omega, kappa_ub, s_ub);
@@ -1008,30 +1039,12 @@ impl Recommender {
             let s_ub = if q_unassigned == 0 {
                 0.0
             } else {
-                s_ub(self.videos[i].descriptor.len())
+                s_ub(self.videos[i].users.len())
             };
             if reaches(kappa_ub, s_ub) {
                 out.push(idx);
             }
         }
-    }
-
-    /// How many distinct names `users` holds, and how many of those have no
-    /// live community slot — the only names a non-candidate's user set can
-    /// share with the query. `names` is scratch, left holding one index
-    /// into `users` per distinct name, in name order: nothing is allocated
-    /// once it has grown to the longest user list.
-    fn distinct_name_counts(&self, users: &[String], names: &mut Vec<u32>) -> (usize, usize) {
-        let (chained, slots) = (&*self.chained, self.community_slots());
-        names.clear();
-        names.extend(0..users.len() as u32);
-        names.sort_unstable_by(|&a, &b| users[a as usize].cmp(&users[b as usize]));
-        names.dedup_by(|a, b| users[*a as usize] == users[*b as usize]);
-        let unassigned = names
-            .iter()
-            .filter(|&&i| !matches!(chained.get(&users[i as usize]), Some(&c) if c < slots))
-            .count();
-        (names.len(), unassigned)
     }
 
     /// Completes a gated result with the certified-zero id-order tail the
@@ -1113,7 +1126,6 @@ impl Recommender {
             candidates,
             dropped,
             rung,
-            names,
         } = scratch;
         trace.gathered = candidates.len() as u64 + *dropped;
         trace.excluded = *dropped;
@@ -1124,7 +1136,6 @@ impl Recommender {
         if strategy.uses_content() {
             pending = self.enqueue(
                 strategy,
-                query,
                 &prep,
                 candidates,
                 with_social,
@@ -1146,11 +1157,10 @@ impl Recommender {
             candidates.clear();
             self.certificate_survivors(
                 strategy,
-                query,
+                &prep,
                 (ladder.q_range, ladder.reach),
                 floor,
                 seen,
-                names,
                 candidates,
             );
             for &idx in candidates.iter() {
@@ -1167,7 +1177,6 @@ impl Recommender {
                 (rung.queue, rung.refined) = pending.into_storage();
                 pending = self.enqueue(
                     strategy,
-                    query,
                     &prep,
                     candidates,
                     with_social,
@@ -1228,7 +1237,8 @@ impl Recommender {
     /// comparison (Fig. 10), which refuse all strategies from one component
     /// table.
     pub fn score_components(&self, query: &QueryVideo) -> Vec<(VideoId, f64, f64)> {
-        self.components(query, |row| exact_sj_strings(&query.users, &row.user_names))
+        let users = self.resolve_users(&query.users);
+        self.components(query, |row| users.jaccard(&row.users))
     }
 
     /// `(video, κJ, social(row))` for every corpus video.
@@ -1260,16 +1270,50 @@ impl Recommender {
     // docs) lives entirely in how the query is prepared and how
     // `social_score` resolves users.
 
-    /// Vectorises the query socially the way the strategy prescribes:
-    /// CSF-SAR by registry *scan* (the cost the hash removes), CSF-SAR-H via
-    /// the chained hash table (Fig. 6 lines 1–2), empty otherwise.
+    /// Prepares the query socially the way the strategy prescribes: SR and
+    /// CSF resolve the names to ids once, CSF-SAR vectorises by registry
+    /// *scan* (the cost the hash removes), CSF-SAR-H via the chained hash
+    /// table (Fig. 6 lines 1–2); CR needs nothing.
     fn prepare_query(&self, strategy: Strategy, query: &QueryVideo) -> PreparedQuery {
-        let qvec = match strategy {
-            Strategy::CsfSar => self.vectorize_by_scan(&query.users),
-            Strategy::CsfSarH => self.vectorize_by_hash(&query.users),
-            Strategy::Cr | Strategy::Sr | Strategy::Csf => Vec::new(),
-        };
-        PreparedQuery { qvec }
+        let (mut qvec, mut users) = (Vec::new(), QueryUsers::default());
+        match strategy {
+            Strategy::Sr | Strategy::Csf => users = self.resolve_users(&query.users),
+            Strategy::CsfSar => qvec = self.vectorize_by_scan(&query.users),
+            Strategy::CsfSarH => qvec = self.vectorize_by_hash(&query.users),
+            Strategy::Cr => {}
+        }
+        PreparedQuery { qvec, users }
+    }
+
+    /// Resolves query names through the registry: the distinct known ids,
+    /// ascending, and the distinct-name counts. Unknown names are told apart
+    /// by string, among themselves only. A known name is assigned when the
+    /// chained hash — what the gated gather maps names through — gives it a
+    /// live slot. The raw assignment is not asked: after a build over a
+    /// corpus with no users it also places the first user interned later,
+    /// whom the hash never sees.
+    fn resolve_users(&self, names: &[String]) -> QueryUsers {
+        let (registry, chained) = (&*self.registry, &*self.chained);
+        let mut known = Vec::with_capacity(names.len());
+        let mut unknown: Vec<&str> = Vec::new();
+        for name in names {
+            match registry.get(name) {
+                Some(id) => known.push(id),
+                None => unknown.push(name),
+            }
+        }
+        known.sort_unstable();
+        known.dedup();
+        unknown.sort_unstable();
+        unknown.dedup();
+        let slots = self.community_slots();
+        let assigned =
+            |&&id: &&UserId| matches!(chained.get(registry.name(id)), Some(&c) if c < slots);
+        QueryUsers {
+            distinct: known.len() + unknown.len(),
+            unassigned: known.iter().filter(|id| !assigned(id)).count() + unknown.len(),
+            known,
+        }
     }
 
     /// The content side of the score: `κJ` for content strategies, 0 for SR.
@@ -1281,21 +1325,14 @@ impl Recommender {
         }
     }
 
-    /// The social side of the score: exact string-set `sJ` for SR/CSF (the
-    /// quadratic cost of §4.2.1), sparse SAR vector similarity for the SAR
-    /// strategies, 0 for CR.
-    pub(crate) fn social_score(
-        &self,
-        strategy: Strategy,
-        query: &QueryVideo,
-        prep: &PreparedQuery,
-        idx: usize,
-    ) -> f64 {
+    /// The social side of the score: exact `sJ` for SR/CSF — §4.2.1's
+    /// "prohibitively expensive" measure, here one linear merge of the
+    /// query's resolved ids against the row's ([`QueryUsers::jaccard`]) —
+    /// sparse SAR vector similarity for the SAR strategies, 0 for CR.
+    pub(crate) fn social_score(&self, strategy: Strategy, prep: &PreparedQuery, idx: usize) -> f64 {
         match strategy {
             Strategy::Cr => 0.0,
-            Strategy::Sr | Strategy::Csf => {
-                exact_sj_strings(&query.users, &self.videos[idx].user_names)
-            }
+            Strategy::Sr | Strategy::Csf => prep.users.jaccard(&self.videos[idx].users),
             Strategy::CsfSar | Strategy::CsfSarH => {
                 sar_similarity_sparse(&prep.qvec, &self.videos[idx].vector)
             }
@@ -1314,7 +1351,7 @@ impl Recommender {
             strategy,
             self.cfg.omega,
             self.content_score(strategy, query, idx),
-            self.social_score(strategy, query, prep, idx),
+            self.social_score(strategy, prep, idx),
         )
     }
 
@@ -1419,9 +1456,8 @@ impl Social {
             .collect();
         drop(users);
         let mut graph = UserInterestGraph::new(registry.len().max(1));
-        for (desc, _) in &socials {
-            let ids: Vec<_> = desc.iter().collect();
-            graph.add_video(&ids);
+        for users in &socials {
+            graph.add_video(users);
         }
         let maintenance = SocialUpdatesMaintenance::new(graph, cfg.k_subcommunities);
 
@@ -1436,19 +1472,15 @@ impl Social {
         let mut inverted = InvertedIndex::new(maintenance.num_slots());
         let mut videos_of_user: HashMap<UserId, Vec<u32>> = HashMap::new();
         let mut videos = Vec::with_capacity(ids.len());
-        for (idx, (&id, (descriptor, user_names))) in ids.iter().zip(socials).enumerate() {
-            let vector = vectorize_sparse(maintenance.assignment_raw(), &descriptor);
+        for (idx, (&id, users)) in ids.iter().zip(socials).enumerate() {
+            let vector = vectorize_sparse(maintenance.assignment_raw(), &users);
             for &(slot, _) in &vector {
                 inverted.add_posting(slot as usize, id);
             }
-            for user in descriptor.iter() {
+            for &user in &users {
                 videos_of_user.entry(user).or_default().push(idx as u32);
             }
-            videos.push(Arc::new(SocialRow {
-                descriptor,
-                user_names,
-                vector,
-            }));
+            videos.push(Arc::new(SocialRow { users, vector }));
         }
         Self {
             registry,
@@ -1461,25 +1493,20 @@ impl Social {
     }
 }
 
-/// Interns a video's user names: its descriptor, and the names as the
-/// registry's own allocations in the order given.
-pub(crate) fn intern_users(
-    registry: &mut UserRegistry,
-    names: &[String],
-) -> (SocialDescriptor, Vec<Arc<str>>) {
-    let ids: Vec<UserId> = names.iter().map(|name| registry.intern(name)).collect();
-    let shared = ids.iter().map(|&id| Arc::clone(registry.shared_name(id)));
-    (ids.iter().copied().collect(), shared.collect())
+/// Interns a video's user names into its social descriptor: distinct ids,
+/// ascending.
+pub(crate) fn intern_users(registry: &mut UserRegistry, names: &[String]) -> Box<[UserId]> {
+    let mut ids: Vec<UserId> = names.iter().map(|name| registry.intern(name)).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_boxed_slice()
 }
 
 /// Vectorises a descriptor against a raw slot assignment into the sparse
 /// sorted `(slot, count)` form.
-pub(crate) fn vectorize_sparse(
-    assignment: &[usize],
-    descriptor: &SocialDescriptor,
-) -> Vec<(u32, u32)> {
-    let slot_of = |user: UserId| assignment.get(user.index()).map(|&c| c as u32);
-    run_lengths(descriptor.iter().filter_map(slot_of).collect())
+pub(crate) fn vectorize_sparse(assignment: &[usize], users: &[UserId]) -> Vec<(u32, u32)> {
+    let slot_of = |user: &UserId| assignment.get(user.index()).map(|&c| c as u32);
+    run_lengths(users.iter().filter_map(slot_of).collect())
 }
 
 /// Whether `strategy` scores socially through SAR vectors.
@@ -1501,30 +1528,30 @@ fn run_lengths(mut slots: Vec<u32>) -> Vec<(u32, u32)> {
     sparse
 }
 
-/// Exact `sJ` over raw user-name sets with nested string comparison — the
-/// quadratic cost §4.2.1 attributes to the unoptimised measure. Duplicate
-/// names in either list are counted once (set semantics).
-pub(crate) fn exact_sj_strings<A: AsRef<str>, B: AsRef<str>>(a: &[A], b: &[B]) -> f64 {
+/// Exact `sJ` over raw user-name sets with nested string comparison: the
+/// test oracle of [`QueryUsers::jaccard`]. Duplicate names in either list
+/// are counted once (set semantics).
+#[cfg(test)]
+pub(crate) fn exact_sj_strings(a: &[String], b: &[String]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
-    fn holds<T: AsRef<str>>(list: &[T], name: &str) -> bool {
-        list.iter().any(|other| other.as_ref() == name)
+    fn holds(list: &[String], name: &str) -> bool {
+        list.iter().any(|other| other == name)
     }
-    // Set-ify by skipping earlier duplicates (still via string comparison to
-    // keep the cost model honest).
+    // Set-ify by skipping earlier duplicates.
     let mut size_a = 0usize;
     let mut inter = 0usize;
     for (i, name) in a.iter().enumerate() {
-        if holds(&a[..i], name.as_ref()) {
+        if holds(&a[..i], name) {
             continue;
         }
         size_a += 1;
-        if holds(b, name.as_ref()) {
+        if holds(b, name) {
             inter += 1;
         }
     }
-    let first_in_b = |(j, name): (usize, &B)| !holds(&b[..j], name.as_ref());
+    let first_in_b = |(j, name): (usize, &String)| !holds(&b[..j], name);
     let size_b = b.iter().enumerate().filter(|&e| first_in_b(e)).count();
     let union = size_a + size_b - inter;
     if union == 0 {
@@ -1869,7 +1896,7 @@ mod tests {
             let s_ub = match strategy {
                 Strategy::Cr | Strategy::CsfSar | Strategy::CsfSarH => 0.0,
                 Strategy::Sr | Strategy::Csf => {
-                    let vn = rec.videos[idx as usize].descriptor.len();
+                    let vn = rec.videos[idx as usize].users.len();
                     q_unassigned as f64 / names.len().max(vn).max(1) as f64
                 }
             };
@@ -1886,21 +1913,32 @@ mod tests {
         out
     }
 
+    /// The certificate's `(qn, q_unassigned)` and the resolved ids against
+    /// a `HashSet` of the names and the chained hash the gather maps them
+    /// through.
+    fn assert_counts_agree_with_a_set(r: &Recommender, users: &[String]) -> (usize, usize) {
+        let assigned = |n: &str| matches!(r.chained.get(n), Some(&c) if c < r.community_slots());
+        let set: HashSet<&str> = users.iter().map(String::as_str).collect();
+        let want = (set.len(), set.iter().filter(|n| !assigned(n)).count());
+        let got = r.resolve_users(users);
+        assert_eq!((got.distinct, got.unassigned), want, "{users:?}");
+        let mut known: Vec<UserId> = set.iter().filter_map(|n| r.registry.get(n)).collect();
+        known.sort_unstable();
+        assert_eq!(got.known, known, "{users:?}");
+        want
+    }
+
     #[test]
     fn distinct_name_counts_agree_with_a_set() {
         let (corpus, _) = small_corpus();
         let r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
-        let assigned = |n: &str| matches!(r.chained.get(n), Some(&c) if c < r.community_slots());
-        let (mut names, mut some_assigned) = (Vec::new(), false);
+        let mut some_assigned = false;
         for source in &corpus {
             // Every name twice, in both orders, plus a repeated stranger.
             let mut users = source.users.clone();
             users.extend(source.users.iter().rev().cloned());
             users.extend(["stranger".to_string(), "stranger".to_string()]);
-            let set: HashSet<&str> = users.iter().map(String::as_str).collect();
-            let want = (set.len(), set.iter().filter(|n| !assigned(n)).count());
-            assert_eq!(r.distinct_name_counts(&users, &mut names), want);
-            assert_eq!(names.len(), want.0);
+            let want = assert_counts_agree_with_a_set(&r, &users);
             some_assigned |= want.1 < want.0;
         }
         assert!(
@@ -1930,11 +1968,10 @@ mod tests {
                         let mut survivors = Vec::new();
                         r.certificate_survivors(
                             strategy,
-                            &q,
+                            &r.prepare_query(strategy, &q),
                             (ladder.q_range, ladder.reach),
                             floor,
                             &seen,
-                            &mut Vec::new(),
                             &mut survivors,
                         );
                         let want = certificate_oracle(
@@ -2260,14 +2297,87 @@ mod tests {
         }
     }
 
+    /// A name of the proptest's pools: `u0..u29` may be registered (by the
+    /// corpus or by a comment), `x…` never is.
+    fn pool_name(n: u32) -> String {
+        if n < 30 {
+            format!("u{n}")
+        } else {
+            format!("x{n}")
+        }
+    }
+
+    use proptest::prelude::prop::collection::vec as vec_of;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Exact `sJ` by merging resolved ids equals the string oracle bit
+        /// for bit, and the certificate's `(qn, q_unassigned)` equals a
+        /// `HashSet`'s count. The registry is whatever a random corpus
+        /// (duplicate names, user-less videos) and then a random comment
+        /// batch (repeats, new users) intern; each row's oracle is its raw
+        /// names, corpus list then comments. Every row is checked against
+        /// the drawn query, the empty query, an all-unknown query, the
+        /// drawn query with every name repeated, and each row's own names.
+        /// The last row is never commented on, so one row is always empty.
+        #[test]
+        fn sj_merge_equals_the_string_oracle_bit_for_bit(
+            rows in vec_of(vec_of(0..24u32, 0..8), 1..10),
+            comments in vec_of((0..10usize, 0..30u32), 0..12),
+            query in vec_of(0..34u32, 0..10),
+        ) {
+            use viderec_signature::cuboid::{Cuboid, CuboidSignature};
+            let mut raw: Vec<Vec<String>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&n| pool_name(n)).collect())
+                .collect();
+            raw.push(Vec::new());
+            let corpus = raw.iter().enumerate().map(|(i, users)| {
+                let cuboid = Cuboid { value: i as f64, weight: 1.0 };
+                CorpusVideo {
+                    id: VideoId(i as u64),
+                    series: SignatureSeries::new(vec![CuboidSignature::new(vec![cuboid])]),
+                    users: users.clone(),
+                }
+            });
+            let mut r = Recommender::build(test_cfg(), corpus.collect()).unwrap();
+            let updates: Vec<_> = comments
+                .iter()
+                .map(|&(video, n)| crate::maintenance::SocialUpdate {
+                    video: VideoId((video % rows.len()) as u64),
+                    user: pool_name(n),
+                })
+                .collect();
+            r.apply_social_updates(&updates);
+            for update in &updates {
+                raw[update.video.0 as usize].push(update.user.clone());
+            }
+
+            let query: Vec<String> = query.iter().map(|&n| pool_name(n)).collect();
+            let doubled: Vec<String> = query.iter().chain(query.iter().rev()).cloned().collect();
+            let strangers = vec!["x30".to_string(), "x31".into(), "x30".into()];
+            let mut queries = vec![query, doubled, Vec::new(), strangers];
+            queries.extend(raw.iter().cloned());
+            for q in &queries {
+                assert_counts_agree_with_a_set(&r, q);
+                let users = r.resolve_users(q);
+                for (idx, names) in raw.iter().enumerate() {
+                    let (got, want) = (users.jaccard(&r.videos[idx].users), exact_sj_strings(q, names));
+                    proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} vs {:?}", q, names);
+                }
+            }
+        }
+    }
+
     #[test]
     fn exact_sj_strings_behaviour() {
         let a = vec!["x".to_string(), "y".into(), "x".into()];
-        let b: Vec<Arc<str>> = vec!["y".into(), "z".into()];
+        let b = vec!["y".to_string(), "z".into()];
         // sets {x, y} and {y, z}: 1 / 3.
         assert!((exact_sj_strings(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(exact_sj_strings::<String, String>(&[], &[]), 0.0);
-        assert_eq!(exact_sj_strings::<_, String>(&a, &[]), 0.0);
+        assert_eq!(exact_sj_strings(&[], &[]), 0.0);
+        assert_eq!(exact_sj_strings(&a, &[]), 0.0);
         assert_eq!(exact_sj_strings(&a, &a), 1.0);
     }
 

@@ -4,9 +4,7 @@
 //! user *names* with the shift-add-xor family), but every hot path works on
 //! dense integer ids. [`UserRegistry`] interns names to dense [`UserId`]s and
 //! keeps the reverse mapping. Each name is stored once, as an `Arc<str>`
-//! both directions share and [`UserRegistry::shared_name`] hands out, so a
-//! holder of many names (the recommender's per-video user lists) pays a
-//! pointer per name, not a second copy of the string.
+//! both directions share.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -70,15 +68,6 @@ impl UserRegistry {
         &self.names[id.index()]
     }
 
-    /// The registry's own allocation of a user's name, for holders that
-    /// keep many names alive without copying them.
-    ///
-    /// # Panics
-    /// Panics if the id was not issued by this registry.
-    pub fn shared_name(&self, id: UserId) -> &Arc<str> {
-        &self.names[id.index()]
-    }
-
     /// Number of registered users.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -122,7 +111,6 @@ mod tests {
         assert_eq!(r.get("carol"), Some(id));
         assert_eq!(r.get("dave"), None);
         assert_eq!(r.name(id), "carol");
-        assert_eq!(&**r.shared_name(id), "carol");
         assert_eq!(id.to_string(), "u0");
     }
 
