@@ -8,16 +8,18 @@
 //!   ranges via `sig_off`);
 //! * one flat `feats` buffer of quantile-slice partial means
 //!   ([`crate::prune::SLICES`] per signature; [`viderec_emd::slice_features`]),
-//!   the quantile-slice bound's input, indexed like `means`;
+//!   the quantile-slice bound's input, stored as one **slice-major block**
+//!   per video: slice `k` of local signature `j` of an `n`-signature video
+//!   sits at `k·n + j` of its block, so the bound's row pass
+//!   ([`crate::prune::kappa_upper_bound`]) reads each slice of a whole video
+//!   as one contiguous run;
 //! * flat `values`/`weights` lanes (value-ascending, one pair of entries per
 //!   cuboid) with a per-signature `pair_off` table — the SoA layout the
 //!   branchless EMD kernel ([`viderec_emd::emd_1d_soa_capped`]) sweeps with
 //!   no sorting, no allocation, and no `(f64, f64)` interleaving;
 //! * per-video `mean_lo`/`mean_hi` columns — the signature-mean range the
 //!   O(1) separation rung and the flat certificate sweep read without
-//!   touching any per-signature buffer;
-//! * a per-video `mean_order` permutation so bound rows can visit signatures
-//!   in centroid-gap order.
+//!   touching any per-signature buffer.
 //!
 //! The arena is built once in [`crate::recommender::Recommender::build`],
 //! its columns sized up front from the corpus [`Totals`]
@@ -25,10 +27,10 @@
 //! [`crate::maintenance`] ingests new videos, and borrowed — through
 //! [`ScoringArena::view`], the one view there is — by every query.
 //!
-//! The offset columns (`sig_off`, `pair_off`, `mean_order`) hold counts as
-//! `u32`, and so do the video indices the LSB forest and the engagement
-//! lists store: [`Totals::check`] refuses a corpus any of whose counts would
-//! not fit, before anything is built or extended.
+//! The offset columns (`sig_off`, `pair_off`) hold counts as `u32`, and so
+//! do the video indices the LSB forest and the engagement lists store:
+//! [`Totals::check`] refuses a corpus any of whose counts would not fit,
+//! before anything is built or extended.
 
 use crate::errors::RecError;
 use crate::prune::SLICES;
@@ -101,12 +103,11 @@ pub(crate) struct ScoringArena {
     /// Definition 1, so the weighted value sum *is* the mean). One entry per
     /// global signature index.
     means: Vec<f64>,
-    /// Per-video permutation of *local* signature indices, ordered by mean
-    /// ascending; laid out in the same per-video ranges as `means`.
-    mean_order: Vec<u32>,
-    /// Slice features, [`SLICES`] per signature, one entry per global
-    /// signature index.
-    feats: Vec<[f64; SLICES]>,
+    /// Slice features, [`SLICES`] per signature: video `v` owns the
+    /// slice-major block `SLICES·sig_off[v]..SLICES·sig_off[v + 1]`, in
+    /// which slice `k` of local signature `j` sits at `k·n + j` (`n` the
+    /// video's signature count).
+    feats: Vec<f64>,
     /// Per-signature ranges into the lane buffers: signature `s` (global
     /// index) owns `pair_off[s]..pair_off[s + 1]`. Length
     /// `total_signatures + 1`.
@@ -129,7 +130,6 @@ impl ScoringArena {
             max_abs: 0.0,
             sig_off: vec![0],
             means: Vec::new(),
-            mean_order: Vec::new(),
             feats: Vec::new(),
             pair_off: vec![0],
             values: Vec::new(),
@@ -175,8 +175,7 @@ impl ScoringArena {
         room(&mut self.mean_lo, videos);
         room(&mut self.mean_hi, videos);
         room(&mut self.means, signatures);
-        room(&mut self.mean_order, signatures);
-        room(&mut self.feats, signatures);
+        room(&mut self.feats, SLICES * signatures);
         room(&mut self.pair_off, signatures);
         room(&mut self.values, cuboids);
         room(&mut self.weights, cuboids);
@@ -192,8 +191,10 @@ impl ScoringArena {
     /// Offsets are stored as `u32`: a caller growing a corpus has
     /// [`Totals::check`]ed what the arena will hold after the push.
     pub(crate) fn push_series(&mut self, series: &SignatureSeries, pairs: &mut Vec<(f64, f64)>) {
-        let base = self.means.len();
-        for sig in series.signatures() {
+        let n = series.len();
+        let block = self.feats.len();
+        self.feats.resize(block + SLICES * n, 0.0);
+        for (j, sig) in series.signatures().iter().enumerate() {
             let cuboids = sig.cuboids();
             self.means
                 .push(cuboids.iter().map(|c| c.value * c.weight).sum());
@@ -210,21 +211,15 @@ impl ScoringArena {
             self.pair_off.push(self.values.len() as u32);
             let mut feats = [0.0; SLICES];
             slice_features(&self.values[lanes..], &self.weights[lanes..], &mut feats);
-            self.feats.push(feats);
+            for (k, f) in feats.into_iter().enumerate() {
+                self.feats[block + k * n + j] = f;
+            }
         }
-        let n = self.means.len() - base;
-        self.mean_order.extend(0..n as u32);
-        let (means, order) = (&self.means[base..], &mut self.mean_order[base..]);
-        // Ties by local index: the order a stable sort by mean leaves, with
-        // no merge buffer.
-        order.sort_unstable_by(|&x, &y| {
-            means[x as usize]
-                .total_cmp(&means[y as usize])
-                .then(x.cmp(&y))
-        });
-        let mean_at = |o: Option<&u32>| o.map_or(0.0, |&x| means[x as usize]);
-        self.mean_lo.push(mean_at(order.first()));
-        self.mean_hi.push(mean_at(order.last()));
+        let means = self.means[self.means.len() - n..].iter().copied();
+        self.mean_lo
+            .push(means.clone().min_by(f64::total_cmp).unwrap_or(0.0));
+        self.mean_hi
+            .push(means.max_by(f64::total_cmp).unwrap_or(0.0));
         self.sig_off.push(self.means.len() as u32);
     }
 
@@ -233,36 +228,27 @@ impl ScoringArena {
         fn bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
             xs.iter().map(|x| x.to_bits())
         }
-        let feats = |a: &Self| {
-            a.feats
-                .iter()
-                .flatten()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        };
         self.max_terms == other.max_terms
             && self.max_abs.to_bits() == other.max_abs.to_bits()
             && self.sig_off == other.sig_off
-            && self.mean_order == other.mean_order
             && self.pair_off == other.pair_off
             && bits(&self.means).eq(bits(&other.means))
             && bits(&self.values).eq(bits(&other.values))
             && bits(&self.weights).eq(bits(&other.weights))
             && bits(&self.mean_lo).eq(bits(&other.mean_lo))
             && bits(&self.mean_hi).eq(bits(&other.mean_hi))
-            && feats(self) == feats(other)
+            && bits(&self.feats).eq(bits(&other.feats))
     }
 
     /// Every column's `(len, capacity)`.
     #[cfg(test)]
-    pub(crate) fn column_sizes(&self) -> [(usize, usize); 9] {
+    pub(crate) fn column_sizes(&self) -> [(usize, usize); 8] {
         fn size<T>(column: &Vec<T>) -> (usize, usize) {
             (column.len(), column.capacity())
         }
         [
             size(&self.sig_off),
             size(&self.means),
-            size(&self.mean_order),
             size(&self.feats),
             size(&self.pair_off),
             size(&self.values),
@@ -296,8 +282,7 @@ impl ScoringArena {
         );
         SeriesView {
             means: &self.means[lo..hi],
-            mean_order: &self.mean_order[lo..hi],
-            feats: &self.feats[lo..hi],
+            feats: &self.feats[SLICES * lo..SLICES * hi],
             pair_off: &self.pair_off[lo..=hi],
             values: &self.values,
             weights: &self.weights,
@@ -313,12 +298,11 @@ impl ScoringArena {
 pub(crate) struct SeriesView<'a> {
     /// Signature means, local indexing.
     pub(crate) means: &'a [f64],
-    /// Local signature indices ordered by mean ascending.
-    pub(crate) mean_order: &'a [u32],
-    /// Slice features, [`SLICES`] per signature, local indexing: as long as
-    /// `means` by construction ([`ScoringArena::view`] is the only way to
-    /// build a view, and the arena pushes one entry to each per signature).
-    pub(crate) feats: &'a [[f64; SLICES]],
+    /// The video's slice-major block of slice features: slice `k` of
+    /// signature `j` at `k·len + j`, [`SLICES`] times as long as `means` by
+    /// construction ([`ScoringArena::view`] is the only way to build a view,
+    /// and the arena pushes [`SLICES`] entries per signature).
+    feats: &'a [f64],
     /// Global lane offsets of this video's signatures (`len + 1` entries).
     pair_off: &'a [u32],
     /// The arena-wide value lane the offsets index into.
@@ -334,6 +318,17 @@ impl SeriesView<'_> {
     /// Number of signatures in the series.
     pub(crate) fn len(&self) -> usize {
         self.means.len()
+    }
+
+    /// Slice `k` of every signature, in local order.
+    pub(crate) fn slice(&self, k: usize) -> &[f64] {
+        let n = self.len();
+        &self.feats[k * n..(k + 1) * n]
+    }
+
+    /// Signature `j`'s [`SLICES`] slice features, in slice order.
+    pub(crate) fn features(&self, j: usize) -> [f64; SLICES] {
+        std::array::from_fn(|k| self.feats[k * self.len() + j])
     }
 
     /// Signature `i`'s value/weight lanes, values ascending.
@@ -380,13 +375,17 @@ mod tests {
         assert!((va.means[0] - 2.0).abs() < 1e-12);
         assert!((va.means[1] - 10.0).abs() < 1e-12);
         assert_eq!(va.lanes(0), (&[1.0, 3.0][..], &[0.5, 0.5][..]));
-        assert_eq!(va.mean_order, &[0, 1]);
-        assert_eq!(va.feats.len(), 2);
+        assert_eq!(va.feats.len(), 2 * SLICES);
         // Halves of the mass at 1 and 3: four slices of 1/8 each.
         assert_eq!(
-            va.feats[0],
+            va.features(0),
             [0.125, 0.125, 0.125, 0.125, 0.375, 0.375, 0.375, 0.375]
         );
+        // A point mass at 10: every slice holds 10/8.
+        assert_eq!(va.features(1), [1.25; SLICES]);
+        // Slice-major: slice `k` of both signatures side by side.
+        assert_eq!(va.slice(0), &[0.125, 1.25]);
+        assert_eq!(va.slice(7), &[0.375, 1.25]);
         let (lo, hi) = arena.mean_ranges();
         assert_eq!((lo[0], hi[0]), (va.means[0], va.means[1]));
         assert_eq!(lo[1], hi[1], "a one-signature video has a point range");
@@ -480,10 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_order_sorts_locally_per_video() {
-        let a = series(&[&[5.0], &[1.0], &[3.0]]);
-        let arena = ScoringArena::for_series(&a);
-        assert_eq!(arena.view(0).mean_order, &[1, 2, 0]);
+    fn mean_ranges_are_each_videos_smallest_and_largest_mean() {
+        let mut arena = ScoringArena::for_series(&series(&[&[5.0], &[1.0], &[3.0]]));
+        arena.push_series(&SignatureSeries::new(Vec::new()), &mut Vec::new());
+        assert_eq!(arena.mean_ranges(), (&[1.0, 0.0][..], &[5.0, 0.0][..]));
+        assert_eq!(arena.view(1).len(), 0);
+        assert!(arena.view(1).feats.is_empty());
     }
 
     #[test]

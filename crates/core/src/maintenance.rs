@@ -347,9 +347,23 @@ impl Recommender {
             Arc::make_mut(&mut self.videos[vidx as usize]).vector = fresh;
         }
 
+        debug_assert!(
+            self.chained_matches_assignment(),
+            "the chained hash and the raw assignment disagree"
+        );
         let estimated_seconds =
             CostModel::default().estimate(&report.counters, descriptor_dim_updates);
         (affected.len(), estimated_seconds)
+    }
+
+    /// Whether the chained hash gives every user the UIG holds its raw
+    /// slot, and no other user any: what the gather and the certificate
+    /// read of a name is what the rows were vectorised against.
+    fn chained_matches_assignment(&self) -> bool {
+        let assignment = self.maintenance.assignment_raw();
+        self.registry
+            .iter()
+            .all(|(id, name)| self.chained.get(name) == assignment.get(id.index()))
     }
 }
 

@@ -15,13 +15,16 @@
 //!    ceiling to test against the running k-th score.
 //!
 //! The per-pair bound is evaluated from two [`SeriesView`]s into the
-//! corpus-owned [`crate::arena::ScoringArena`] — signature means, whose gap
-//! (Rubner's centroid bound) orders and screens a row, and cached
-//! quantile-slice partial means whose L1 distance
-//! ([`viderec_emd::slice_lower_bound_from_features`]) is an O([`SLICES`])
-//! bound close to the distance itself, instead of a per-pair sort or sweep.
-//! The slice bound dominates the centroid gap (one slice *is* the centroid
-//! bound), so it is the only bound there is.
+//! corpus-owned [`crate::arena::ScoringArena`] — signature means (Rubner's
+//! centroid bound) and cached quantile-slice partial means, whose L1
+//! distance ([`viderec_emd::slice_lower_bound_from_features`]) is an
+//! O([`SLICES`]) bound close to the distance itself, instead of a per-pair
+//! sort or sweep. The slice bound dominates the centroid gap (one slice *is*
+//! the centroid bound), so it is the only bound there is, and one kernel
+//! ([`row_bounds`]) prices it: a query row against every signature of the
+//! video at once, off the video's slice-major feature block. The `κJ`
+//! ceiling ([`kappa_upper_bound`]) and the exact matcher's keys
+//! ([`kappa_exact_cached`]) both read its rows.
 //!
 //! The pruning test uses *strict* inequality: a candidate tying the k-th
 //! score must still be evaluated because ranking ties break by `VideoId`, so
@@ -47,7 +50,7 @@ use std::collections::BinaryHeap;
 
 use viderec_emd::{
     emd_1d_soa_capped, extended_jaccard_upper_bound_in, rounding_allowance, sim_c,
-    sim_c_upper_bound, slice_lower_bound_from_features, MatchingConfig,
+    sim_c_upper_bound, MatchingConfig,
 };
 
 /// Equal-mass quantile slices cached per signature
@@ -134,10 +137,15 @@ impl Default for PruneBound {
     }
 }
 
-/// Reusable buffers of [`kappa_exact_cached`]: the matcher's two tiers of
+/// Reusable buffers of [`kappa_upper_bound`] and [`kappa_exact_cached`]:
+/// the pair-bound row, the row ceilings, the matcher's two tiers of
 /// [`PairKey`]s and its row/column occupancy flags.
 #[derive(Default)]
-struct SweepScratch {
+struct Scratch {
+    /// One query row's pair bounds ([`row_bounds`]).
+    lbs: Vec<f64>,
+    /// The row ceilings of [`kappa_upper_bound`].
+    ceilings: Vec<f64>,
     /// Pairs not yet swept, keyed by their `SimC` ceiling, sorted ascending:
     /// the best at the back.
     unswept: Vec<PairKey>,
@@ -148,11 +156,11 @@ struct SweepScratch {
 }
 
 thread_local! {
-    /// Scratch reused across [`kappa_exact_cached`] calls on this thread.
-    /// One refinement runs per thread at a time, and the buffers regrow to
-    /// the largest series pair seen, so the hot path allocates nothing after
-    /// warm-up.
-    static SWEEP_SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::default());
+    /// Scratch reused across [`kappa_upper_bound`] and
+    /// [`kappa_exact_cached`] calls on this thread. One bound or refinement
+    /// runs per thread at a time, and the buffers regrow to the largest
+    /// series pair seen, so the hot path allocates nothing after warm-up.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 #[cfg(test)]
@@ -160,6 +168,8 @@ thread_local! {
     /// Signature pairs [`kappa_exact_cached`] keyed on this thread but never
     /// examined: dropped for a used row or column, or left when it stopped.
     static NEVER_EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Signature pairs [`row_bounds`] bounded on this thread.
+    static PAIRS_BOUNDED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A signature pair `(i, j)` under a non-negative `SimC` key, packed so that
@@ -187,6 +197,112 @@ impl PairKey {
     }
 }
 
+/// How many video signatures [`row_bounds`] prices side by side: one
+/// 256-bit vector of `f64`s.
+const LANES: usize = 4;
+
+/// The pair-bound pass's one kernel: row `i` of the `n1 × n2` matrix of
+/// per-pair EMD lower bounds, into `lbs` (resized to the row) —
+/// `lbs[j] = max(|q_i − m_j|, Σ_k |fq_ik − f_jk|)`, the centroid gap maxed
+/// with the whole quantile-slice L1 — and the row's smallest bound.
+///
+/// The slices are summed in slice order from `0`, so every pair's sum is
+/// the one [`viderec_emd::slice_lower_bound_from_features`] forms, bit for
+/// bit; the video's slice-major block makes each slice of [`LANES`]
+/// neighbouring signatures one contiguous run, which the compiler turns
+/// into vector arithmetic across `j`.
+fn row_bounds(query: SeriesView<'_>, i: usize, video: SeriesView<'_>, lbs: &mut Vec<f64>) -> f64 {
+    let (q, fq) = (query.means[i], query.features(i));
+    let cols: [&[f64]; SLICES] = std::array::from_fn(|k| video.slice(k));
+    let n = video.len();
+    lbs.resize(n, 0.0);
+    let full = n - n % LANES;
+    let mut mins = [f64::INFINITY; LANES];
+    for j in (0..full).step_by(LANES) {
+        let block = pair_bounds::<LANES>(q, &fq, &cols, video.means, j);
+        lbs[j..j + LANES].copy_from_slice(&block);
+        for (min, lb) in mins.iter_mut().zip(block) {
+            *min = min.min(lb);
+        }
+    }
+    for (j, lb) in lbs.iter_mut().enumerate().skip(full) {
+        [*lb] = pair_bounds::<1>(q, &fq, &cols, video.means, j);
+        mins[0] = mins[0].min(*lb);
+    }
+    #[cfg(test)]
+    PAIRS_BOUNDED.set(PAIRS_BOUNDED.get() + n as u64);
+    mins.into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// The pair bounds of [`row_bounds`] for the `W` video signatures from `j`
+/// on: the query row's mean `q` and slice features `fq` against the video's
+/// slice columns `cols` and its `means`.
+#[inline(always)]
+fn pair_bounds<const W: usize>(
+    q: f64,
+    fq: &[f64; SLICES],
+    cols: &[&[f64]; SLICES],
+    means: &[f64],
+    j: usize,
+) -> [f64; W] {
+    let mut sums = [0.0; W];
+    for (col, &x) in cols.iter().zip(fq) {
+        for (sum, &f) in sums.iter_mut().zip(&col[j..j + W]) {
+            *sum += (x - f).abs();
+        }
+    }
+    for (sum, &m) in sums.iter_mut().zip(&means[j..j + W]) {
+        *sum = (q - m).abs().max(*sum);
+    }
+    sums
+}
+
+/// What [`kappa_exact_cached`]'s keying step compares a pair's bounds with.
+#[derive(Debug, Clone, Copy)]
+struct Keying {
+    /// The match threshold.
+    tau: f64,
+    /// The rounding allowance ([`rounding_give`]).
+    give: f64,
+    /// The match radius plus `give`: what a float lower bound has to exceed
+    /// before it proves the swept distance over the radius.
+    reach: f64,
+}
+
+/// The keying step of [`kappa_exact_cached`], off the rows of
+/// [`row_bounds`]: every pair whose centroid gap is within `reach` gets the
+/// `SimC` ceiling of its conceded lower bound — the ceiling
+/// [`kappa_upper_bound`] takes the row's best of — pushed to `unswept`, or,
+/// when that ceiling is under `τ`, is counted in the returned total.
+fn key_pairs(
+    query: SeriesView<'_>,
+    video: SeriesView<'_>,
+    at: Keying,
+    lbs: &mut Vec<f64>,
+    unswept: &mut Vec<PairKey>,
+) -> u64 {
+    let mut under = 0;
+    for (i, &q) in query.means.iter().enumerate() {
+        row_bounds(query, i, video, lbs);
+        for (j, (&lb, &m)) in lbs.iter().zip(video.means).enumerate() {
+            if (q - m).abs() > at.reach {
+                // Centroid lower bound already exceeds the match radius; the
+                // pair scores `SimC = 0`.
+                continue;
+            }
+            let key = sim_c_upper_bound(conceded(lb, at.give));
+            if key < at.tau {
+                // The bound proves `SimC < τ`: a sweep would burn a partial
+                // merge only to fail the threshold test.
+                under += 1;
+                continue;
+            }
+            unswept.push(PairKey::new(key, i, j));
+        }
+    }
+    under
+}
+
 /// Exact `κJ(query, video)` from cached state — the same value (bit for bit)
 /// as the unscreened [`viderec_signature::kappa_j_series`] on the underlying
 /// series: identical EMD sweep (over the arena's value-sorted SoA lanes,
@@ -197,10 +313,10 @@ impl PairKey {
 ///
 /// The matcher prices pairs lazily, best first:
 ///
-/// 1. **key** — each pair whose centroid gap is within `reach` (the match
-///    radius plus [`rounding_give`]) gets the `SimC` ceiling the row scan
-///    uses, `SimC` of its conceded lower bound (the quantile-slice bound);
-///    a ceiling under `τ` screens it;
+/// 1. **key** ([`key_pairs`]) — each pair whose centroid gap is within
+///    `reach` (the match radius plus [`rounding_give`]) gets the `SimC`
+///    ceiling of its conceded lower bound, from the same row pass
+///    [`kappa_upper_bound`] reads; a ceiling under `τ` screens it;
 /// 2. **match** — two tiers, as the [`LadderQueue`] has: the keyed pairs,
 ///    sorted by ceiling, and a heap of swept pairs by exact `SimC`; both
 ///    ordered key descending, then `(i, j)` ascending. The best entry of
@@ -228,6 +344,17 @@ pub(crate) fn kappa_exact_cached(
     cfg: MatchingConfig,
     stats: &mut PruneStats,
 ) -> f64 {
+    kappa_exact_keyed(query, video, cfg, stats, key_pairs)
+}
+
+/// [`kappa_exact_cached`] with its keying step as a parameter.
+fn kappa_exact_keyed(
+    query: SeriesView<'_>,
+    video: SeriesView<'_>,
+    cfg: MatchingConfig,
+    stats: &mut PruneStats,
+    key: impl FnOnce(SeriesView<'_>, SeriesView<'_>, Keying, &mut Vec<f64>, &mut Vec<PairKey>) -> u64,
+) -> f64 {
     let (n1, n2) = (query.len(), video.len());
     if n1 == 0 || n2 == 0 {
         return 0.0;
@@ -235,38 +362,24 @@ pub(crate) fn kappa_exact_cached(
     let tau = cfg.min_similarity;
     let radius = cfg.radius();
     let give = rounding_give(query.rounding, video.rounding);
-    // What a float lower bound has to exceed before it proves the swept
-    // distance over the radius; a pair inside the band gets a key.
-    let reach = radius + give;
+    let at = Keying {
+        tau,
+        give,
+        reach: radius + give,
+    };
     let (mut cap_aborted, mut full_sweeps) = (0u64, 0u64);
-    let kappa = SWEEP_SCRATCH.with_borrow_mut(|scratch| {
-        let SweepScratch {
+    let kappa = SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch {
+            lbs,
             unswept,
             swept,
             used1,
             used2,
+            ..
         } = scratch;
         unswept.clear();
         swept.clear();
-        for i in 0..n1 {
-            for j in 0..n2 {
-                let gap = (query.means[i] - video.means[j]).abs();
-                if gap > reach {
-                    // Centroid lower bound already exceeds the match
-                    // radius; the pair scores `SimC = 0`.
-                    continue;
-                }
-                let lb = gap.max(slice_lb(query, video, i, j, reach));
-                let key = sim_c_upper_bound(conceded(lb, give));
-                if key < tau {
-                    // The bound proves `SimC < τ`: a sweep would burn a
-                    // partial merge only to fail the threshold test.
-                    cap_aborted += 1;
-                    continue;
-                }
-                unswept.push(PairKey::new(key, i, j));
-            }
-        }
+        cap_aborted += key(query, video, at, lbs, unswept);
         unswept.sort_unstable();
         used1.clear();
         used1.resize(n1, false);
@@ -343,13 +456,6 @@ pub(crate) fn rounding_give(query: (usize, f64), video: (usize, f64)) -> f64 {
     rounding_allowance(query.0 + video.0, query.1 + video.1)
 }
 
-/// The quantile-slice bound of signature pair `(i, j)`
-/// ([`slice_lower_bound_from_features`]); a partial sum once it is over
-/// `stop`, which is all a caller comparing it with `stop` needs.
-fn slice_lb(query: SeriesView<'_>, video: SeriesView<'_>, i: usize, j: usize, stop: f64) -> f64 {
-    slice_lower_bound_from_features(&query.feats[i], &video.feats[j], stop)
-}
-
 /// O(1) proof that `κJ = 0`: the two series' signature-mean ranges lie
 /// further apart than `reach` — the match radius plus [`rounding_give`] — so
 /// every pair fails the centroid screen of the exact evaluation (float
@@ -367,146 +473,33 @@ fn conceded(lb: f64, give: f64) -> f64 {
     (lb - give).max(0.0)
 }
 
-/// Whether a pair whose float EMD lower bound is `lb` can still match: the
-/// bound less `give` is within the match radius. The one form of the test,
-/// for the reach screen and the row scan alike — `lb − give ≤ radius` and
-/// `lb ≤ radius + give` part by an ulp on the radius.
-#[inline]
-fn within_reach(lb: f64, give: f64, radius: f64) -> bool {
-    conceded(lb, give) <= radius
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Signature pairs [`any_pair_within_reach`] tested on this thread.
-    static SCREEN_PAIRS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The reach screen: whether any signature pair's lower bound — the
-/// centroid gap, maxed with the *whole* slice L1 — is [`within_reach`].
-/// Flat: per query row, every video signature straight off the `means` /
-/// `feats` columns in storage order, no branch inside the row. It answers per row, because a series that matches at all usually
-/// holds a pair within reach in its first row, and then the screen has cost
-/// one row, not `n1 · n2` pairs (long series: EXPERIMENTS.md, PR 24).
-///
-/// `false` proves `κJ = 0`: [`kappa_row_scan`] lowers a row's `min_lb` under
-/// the radius only through a pair whose slice sum it finished — the very
-/// value tested here — because a sum it cut short was already over
-/// `radius + give` and concedes to no less than the radius; and a row left
-/// at or over the radius is under `τ` ([`MatchingConfig::radius`] has the
-/// margin), so no row is kept.
-fn any_pair_within_reach(
-    query: SeriesView<'_>,
-    video: SeriesView<'_>,
-    give: f64,
-    radius: f64,
-) -> bool {
-    for (&q, fq) in query.means.iter().zip(query.feats) {
-        let mut hit = false;
-        for (&v, fv) in video.means.iter().zip(video.feats) {
-            let slices = slice_lower_bound_from_features(fq, fv, f64::INFINITY);
-            hit |= within_reach((q - v).abs().max(slices), give, radius);
-        }
-        #[cfg(test)]
-        SCREEN_PAIRS.set(SCREEN_PAIRS.get() + video.len() as u64);
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
 /// Admissible upper bound on `κJ(query, video)` from the two series' views:
-/// per query signature, `SimC` of the smallest per-pair EMD lower bound in
-/// its row — the centroid gap, maxed with the quantile-slice bound. Most
-/// candidates of a gated gather hold no pair within reach at all, which
-/// [`any_pair_within_reach`] proves before [`kappa_row_scan`] walks a row.
+/// per query signature, `SimC` of the smallest conceded pair bound in its
+/// [`row_bounds`] row, then the matcher bound over those row ceilings
+/// ([`extended_jaccard_upper_bound_in`]). `conceded` is monotone, so the
+/// row's smallest conceded bound is its smallest bound conceded.
+///
+/// A row whose minimum is over the radius has a ceiling under `τ`
+/// ([`MatchingConfig::radius`] has the margin) and fails the matcher
+/// bound's `u ≥ τ`; so when no row is at or under the radius — most
+/// candidates of a gated gather — no ceiling is kept and the bound is a
+/// proven `κJ = 0`. Every pair is bounded once, and an empty series on
+/// either side returns 0 before any column is read.
 pub(crate) fn kappa_upper_bound(
     query: SeriesView<'_>,
     video: SeriesView<'_>,
     cfg: MatchingConfig,
 ) -> f64 {
-    if query.len() == 0 || video.len() == 0 {
+    let (n1, n2) = (query.len(), video.len());
+    if n1 == 0 || n2 == 0 {
         return 0.0;
     }
     let give = rounding_give(query.rounding, video.rounding);
-    let radius = cfg.radius();
-    if !any_pair_within_reach(query, video, give, radius) {
-        return 0.0;
-    }
-    kappa_row_scan(query, video, cfg, give, radius)
-}
-
-thread_local! {
-    /// The row ceilings of [`kappa_row_scan`], reused across calls on this
-    /// thread: grown once to the longest query series, then never again.
-    static ROW_CEILINGS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The row scan of [`kappa_upper_bound`]: each row's smallest pair bound by
-/// centroid-gap order, then the matcher bound over the row ceilings.
-fn kappa_row_scan(
-    query: SeriesView<'_>,
-    video: SeriesView<'_>,
-    cfg: MatchingConfig,
-    give: f64,
-    radius: f64,
-) -> f64 {
-    let (n1, n2) = (query.len(), video.len());
-    let order = video.mean_order;
-    let mut ceilings = ROW_CEILINGS.take();
-    let kappa_ub = extended_jaccard_upper_bound_in(
-        &mut ceilings,
-        n1,
-        n2,
-        |i| {
-            // Row ceiling: max_j SimC_ub(i, j) = SimC of the smallest lower
-            // bound in the row. Visit the video's signatures in centroid-gap
-            // order (two-pointer expansion around the query mean): each pair
-            // bound is ≥ its centroid gap, so once the smallest remaining gap
-            // reaches the running minimum no remaining pair can lower it, and
-            // once it passes the radius none can reach τ — a row left over
-            // the radius fails the matcher bound's `u ≥ τ` whatever its
-            // value. Exact, not a relaxation. Every bound gives `give` away
-            // first, so the ceiling stays above the swept distance's `SimC`.
-            let q = query.means[i];
-            let mut r = order.partition_point(|&j| video.means[j as usize] < q);
-            let mut l = r;
-            let mut min_lb = f64::INFINITY;
-            while l > 0 || r < n2 {
-                let gap_l = if l > 0 {
-                    (q - video.means[order[l - 1] as usize]).abs()
-                } else {
-                    f64::INFINITY
-                };
-                let gap_r = if r < n2 {
-                    (video.means[order[r] as usize] - q).abs()
-                } else {
-                    f64::INFINITY
-                };
-                let (j, gap) = if gap_l <= gap_r {
-                    l -= 1;
-                    (order[l] as usize, gap_l)
-                } else {
-                    let j = order[r] as usize;
-                    r += 1;
-                    (j, gap_r)
-                };
-                if conceded(gap, give) >= min_lb || !within_reach(gap, give, radius) {
-                    break;
-                }
-                // Past `stop` the pair neither lowers the minimum nor stays
-                // within the radius.
-                let stop = min_lb.min(radius) + give;
-                let lb = gap.max(slice_lb(query, video, i, j, stop));
-                min_lb = min_lb.min(conceded(lb, give));
-            }
-            sim_c_upper_bound(min_lb)
-        },
-        cfg,
-    );
-    ROW_CEILINGS.set(ceilings);
-    kappa_ub
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch { lbs, ceilings, .. } = scratch;
+        let row_ceiling = |i| sim_c_upper_bound(conceded(row_bounds(query, i, video, lbs), give));
+        extended_jaccard_upper_bound_in(ceilings, n1, n2, row_ceiling, cfg)
+    })
 }
 
 /// A candidate in the ladder's queue: its exact social score and its
@@ -601,9 +594,10 @@ impl LadderQueue {
 /// multi-step top-k): the candidate with the highest current score ceiling
 /// moves next; if that ceiling is strictly below the k-th exact score the
 /// whole queue is pruned, otherwise the candidate climbs one rung —
-/// `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → reach screen
-/// (`κJ = 0` again) and slice-bound `κJ` ceiling, both
-/// [`kappa_upper_bound`] → exact `κJ` — and is dropped, re-queued, or scored.
+/// `FJ(κ=1, s)` → O(1) mean-range separation (`κJ = 0`) → slice-bound `κJ`
+/// ceiling, a proven `κJ = 0` when no pair is within reach
+/// ([`kappa_upper_bound`]) → exact `κJ` — and is dropped, re-queued, or
+/// scored.
 /// [`Self::drain`] makes those moves in *runs*: everything between two
 /// scoring events happens under one floor and one span.
 ///
@@ -742,6 +736,7 @@ mod tests {
     use proptest::prelude::{prop, prop_assert, proptest, ProptestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use viderec_emd::slice_lower_bound_from_features;
     use viderec_signature::cuboid::{Cuboid, CuboidSignature};
     use viderec_signature::{kappa_j_series, SignatureSeries};
     use viderec_trace::Span;
@@ -971,6 +966,144 @@ mod tests {
             }
         }
         total / (n1 + n2 - matched) as f64
+    }
+
+    /// The quantile-slice bound of signature pair `(i, j)`
+    /// ([`slice_lower_bound_from_features`]); a partial sum once it is over
+    /// `stop`, which is all a caller comparing it with `stop` needs. The
+    /// cut-short form the bound and keying loops read before the row pass.
+    fn slice_lb(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        i: usize,
+        j: usize,
+        stop: f64,
+    ) -> f64 {
+        slice_lower_bound_from_features(&query.features(i), &video.features(j), stop)
+    }
+
+    /// Whether a pair whose float EMD lower bound is `lb` can still match:
+    /// the bound less `give` is within the match radius.
+    fn within_reach(lb: f64, give: f64, radius: f64) -> bool {
+        conceded(lb, give) <= radius
+    }
+
+    /// The reach screen [`row_bounds`] replaced: whether any signature
+    /// pair's lower bound — the centroid gap, maxed with the *whole* slice
+    /// L1 — is [`within_reach`], answered at the first query row holding
+    /// one. `false` proves `κJ = 0`.
+    fn any_pair_within_reach(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        give: f64,
+        radius: f64,
+    ) -> bool {
+        (0..query.len()).any(|i| {
+            let (q, fq) = (query.means[i], query.features(i));
+            (0..video.len()).any(|j| {
+                let slices =
+                    slice_lower_bound_from_features(&fq, &video.features(j), f64::INFINITY);
+                within_reach((q - video.means[j]).abs().max(slices), give, radius)
+            })
+        })
+    }
+
+    /// The centroid-ordered row scan [`row_bounds`] replaced: each row's
+    /// smallest pair bound, visiting the video's signatures by centroid gap
+    /// (a two-pointer walk from the query mean over a mean order it sorts
+    /// here, ties by index) and cutting slice sums short once they can
+    /// neither lower the row's minimum nor stay within the radius, then the
+    /// matcher bound over the row ceilings.
+    fn kappa_row_scan(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        cfg: MatchingConfig,
+        give: f64,
+        radius: f64,
+    ) -> f64 {
+        use viderec_emd::extended_jaccard_upper_bound;
+        let (n1, n2) = (query.len(), video.len());
+        let mut order: Vec<usize> = (0..n2).collect();
+        order.sort_unstable_by(|&x, &y| video.means[x].total_cmp(&video.means[y]).then(x.cmp(&y)));
+        let row = |i: usize| {
+            let q = query.means[i];
+            let mut r = order.partition_point(|&j| video.means[j] < q);
+            let mut l = r;
+            let mut min_lb = f64::INFINITY;
+            while l > 0 || r < n2 {
+                let gap_l = if l > 0 {
+                    (q - video.means[order[l - 1]]).abs()
+                } else {
+                    f64::INFINITY
+                };
+                let gap_r = if r < n2 {
+                    (video.means[order[r]] - q).abs()
+                } else {
+                    f64::INFINITY
+                };
+                let (j, gap) = if gap_l <= gap_r {
+                    l -= 1;
+                    (order[l], gap_l)
+                } else {
+                    r += 1;
+                    (order[r - 1], gap_r)
+                };
+                if conceded(gap, give) >= min_lb || !within_reach(gap, give, radius) {
+                    break;
+                }
+                let stop = min_lb.min(radius) + give;
+                let lb = gap.max(slice_lb(query, video, i, j, stop));
+                min_lb = min_lb.min(conceded(lb, give));
+            }
+            sim_c_upper_bound(min_lb)
+        };
+        extended_jaccard_upper_bound(n1, n2, row, cfg)
+    }
+
+    /// [`kappa_upper_bound`] before the row pass: the reach screen, then the
+    /// row scan.
+    fn kappa_upper_bound_oracle(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        cfg: MatchingConfig,
+    ) -> f64 {
+        if query.len() == 0 || video.len() == 0 {
+            return 0.0;
+        }
+        let give = rounding_give(query.rounding, video.rounding);
+        let radius = cfg.radius();
+        if !any_pair_within_reach(query, video, give, radius) {
+            return 0.0;
+        }
+        kappa_row_scan(query, video, cfg, give, radius)
+    }
+
+    /// [`key_pairs`] before the row pass: pair by pair, the centroid screen
+    /// first, then the slice sum cut short at `reach`.
+    fn key_pairs_cut_short(
+        query: SeriesView<'_>,
+        video: SeriesView<'_>,
+        at: Keying,
+        _lbs: &mut Vec<f64>,
+        unswept: &mut Vec<PairKey>,
+    ) -> u64 {
+        let mut under = 0;
+        for i in 0..query.len() {
+            for j in 0..video.len() {
+                let gap = (query.means[i] - video.means[j]).abs();
+                if gap > at.reach {
+                    continue;
+                }
+                let lb = gap.max(slice_lb(query, video, i, j, at.reach));
+                let key = sim_c_upper_bound(conceded(lb, at.give));
+                if key < at.tau {
+                    under += 1;
+                    continue;
+                }
+                unswept.push(PairKey::new(key, i, j));
+            }
+        }
+        under
     }
 
     #[test]
@@ -1210,6 +1343,102 @@ mod tests {
         }
     }
 
+    /// A shape of 1–40 signatures of 1–16 cuboids each, as
+    /// [`shaped_series`] takes it: values in eighths and weights in 128ths
+    /// (the last cuboid takes the spare mass) when `dyadic`, else arbitrary.
+    fn long_shape(rng: &mut StdRng, dyadic: bool) -> Vec<Vec<(f64, f64)>> {
+        let n = rng.gen_range(1..=40);
+        let sig = |rng: &mut StdRng| {
+            let parts = rng.gen_range(1..=16);
+            let mut sig: Vec<(f64, f64)> = (0..parts)
+                .map(|_| match dyadic {
+                    true => (
+                        rng.gen_range(-120..120) as f64 / 8.0,
+                        rng.gen_range(1..8) as f64,
+                    ),
+                    false => (rng.gen_range(-45.0..45.0), rng.gen_range(0.1..1.0)),
+                })
+                .collect();
+            if dyadic {
+                let spare = 128.0 - sig.iter().map(|&(_, w)| w).sum::<f64>();
+                sig.last_mut().unwrap().1 += spare;
+            }
+            sig
+        };
+        (0..n).map(|_| sig(rng)).collect()
+    }
+
+    /// `shape` with every signature shifted by its own draw from
+    /// `±spread`, in a random order and with some signatures dropped: a
+    /// long series whose rows hold pairs near, in and out of reach.
+    fn jittered(rng: &mut StdRng, shape: &[Vec<(f64, f64)>], spread: f64) -> SignatureSeries {
+        let mut sigs: Vec<Vec<(f64, f64)>> = shape
+            .iter()
+            .filter_map(|sig| {
+                let shift = rng.gen_range(-spread..=spread);
+                let kept = rng.gen_range(0..4) > 0;
+                kept.then(|| sig.iter().map(|&(v, w)| (v + shift, w)).collect())
+            })
+            .collect();
+        if sigs.is_empty() {
+            sigs.push(shape[0].clone());
+        }
+        for n in (1..sigs.len()).rev() {
+            sigs.swap(n, rng.gen_range(0..=n));
+        }
+        shaped_series(&sigs, 0.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The row pass against the code it replaced, on long series:
+        /// independent random series, a series against a jittered,
+        /// reordered subset of itself, and dyadic shapes against their copy
+        /// shifted onto the match radius (or an eighth either side of it).
+        /// The `κJ` ceiling is the reach screen then the row scan bit for
+        /// bit, and the exact `κJ`, `cap_aborted` and `full_sweeps` are
+        /// those of the cut-short keying loop.
+        #[test]
+        fn the_row_pass_agrees_with_the_screen_the_row_scan_and_the_old_keys(
+            seed in 0..u64::MAX,
+            kind in 0..3usize,
+            tau in 0..4usize,
+        ) {
+            let tau = [0.0, 0.3, 0.5, 0.8][tau];
+            let cfg = MatchingConfig { min_similarity: tau };
+            let radius = if tau > 0.0 { 1.0 / tau - 1.0 } else { 1.0 };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (a, b) = match kind {
+                0 => (
+                    shaped_series(&long_shape(&mut rng, false), 0.0),
+                    shaped_series(&long_shape(&mut rng, false), 0.0),
+                ),
+                1 => {
+                    let shape = long_shape(&mut rng, false);
+                    (shaped_series(&shape, 0.0), jittered(&mut rng, &shape, 2.0 * radius))
+                }
+                _ => {
+                    let shape = long_shape(&mut rng, true);
+                    let off = [0.0, 0.125, -0.125][rng.gen_range(0..3)];
+                    (shaped_series(&shape, 0.0), shaped_series(&shape, radius + off))
+                }
+            };
+            let qc = ScoringArena::for_series(&a);
+            let vc = ScoringArena::for_series(&b);
+            for (q, v) in [(qc.view(0), vc.view(0)), (vc.view(0), qc.view(0))] {
+                let got = kappa_upper_bound(q, v, cfg);
+                let want = kappa_upper_bound_oracle(q, v, cfg);
+                prop_assert!(got.to_bits() == want.to_bits(), "τ={tau}: {got} != {want}");
+                let (mut new, mut old) = (PruneStats::default(), PruneStats::default());
+                let got = kappa_exact_cached(q, v, cfg, &mut new);
+                let want = kappa_exact_keyed(q, v, cfg, &mut old, key_pairs_cut_short);
+                prop_assert!(got.to_bits() == want.to_bits(), "τ={tau}: {got} != {want}");
+                prop_assert!(new == old, "τ={tau}: {new:?} != {old:?}");
+            }
+        }
+    }
+
     /// `x` moved by `ulps` units in the last place (`x` positive).
     fn nudged(x: f64, ulps: i64) -> f64 {
         f64::from_bits((x.to_bits() as i64 + ulps) as u64)
@@ -1307,35 +1536,41 @@ mod tests {
         assert_eq!(flips, 1, "ceilings fall to zero once and stay there");
     }
 
+    /// The pass prices every pair once, whatever the rows hold — no row
+    /// returns early, and none is walked twice — and an empty series on
+    /// either side is a zero before any column is read.
     #[test]
-    fn reach_screen_stops_at_the_first_row_with_a_pair_in_reach() {
+    fn the_bound_pass_prices_every_pair_once() {
         let cfg = MatchingConfig::default();
         let points = |at: &[f64]| {
             let sigs = at.iter().map(|&v| level_sig(&[v]));
             ScoringArena::for_series(&SignatureSeries::new(sigs.collect()))
         };
-        let pairs_tested = |q: &ScoringArena, v: &ScoringArena| {
-            let before = SCREEN_PAIRS.get();
+        let pairs_bounded = |q: &ScoringArena, v: &ScoringArena| {
+            let before = PAIRS_BOUNDED.get();
             let ub = kappa_upper_bound(q.view(0), v.view(0), cfg);
-            (ub, SCREEN_PAIRS.get() - before)
+            assert_eq!(
+                ub.to_bits(),
+                kappa_upper_bound_oracle(q.view(0), v.view(0), cfg).to_bits()
+            );
+            (ub, PAIRS_BOUNDED.get() - before)
         };
         let video = points(&[40.0, 0.5, 41.0, 42.0, 43.0]);
-        // Row 0 holds a pair within the radius: one row of the video, however
-        // many rows follow.
-        let (ub, pairs) = pairs_tested(&points(&[0.0, 40.0, 41.0, 90.0]), &video);
+        // Row 0 holds a pair within the radius: still every row, once.
+        let (ub, pairs) = pairs_bounded(&points(&[0.0, 40.0, 41.0, 90.0]), &video);
         assert!(ub > 0.0);
-        assert_eq!(pairs, 5);
-        // The only such pair is in the last row: every row before it in full.
-        let (ub, pairs) = pairs_tested(&points(&[90.0, 91.0, 92.0, 0.0]), &video);
+        assert_eq!(pairs, 4 * 5);
+        // The only such pair is in the last row.
+        let (ub, pairs) = pairs_bounded(&points(&[90.0, 91.0, 92.0, 0.0]), &video);
         assert!(ub > 0.0);
         assert_eq!(pairs, 4 * 5);
         // No pair anywhere: all of them, once, and a proven zero.
-        let (ub, pairs) = pairs_tested(&points(&[90.0, 91.0, 92.0, 93.0]), &video);
+        let (ub, pairs) = pairs_bounded(&points(&[90.0, 91.0, 92.0, 93.0]), &video);
         assert_eq!((ub.to_bits(), pairs), (0, 4 * 5));
         // An empty series on either side: zero before any column is read.
         let empty = points(&[]);
-        assert_eq!(pairs_tested(&empty, &video), (0.0, 0));
-        assert_eq!(pairs_tested(&video, &empty), (0.0, 0));
+        assert_eq!(pairs_bounded(&empty, &video), (0.0, 0));
+        assert_eq!(pairs_bounded(&video, &empty), (0.0, 0));
     }
 
     /// One signature per video: a point mass, or two half masses `±spread`

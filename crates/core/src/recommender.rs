@@ -511,6 +511,18 @@ impl Recommender {
         })
     }
 
+    /// A user name's community slot as the chained hash gives it and as the
+    /// raw assignment does (`None`: not in the hash; not in the UIG). The two
+    /// agree after every build and maintenance round (test support).
+    #[doc(hidden)]
+    pub fn slots_of_user(&self, name: &str) -> (Option<usize>, Option<usize>) {
+        let raw = self.registry.get(name).and_then(|id| {
+            let assignment = self.maintenance.assignment_raw();
+            assignment.get(id.index()).copied()
+        });
+        (self.chained.get(name).copied(), raw)
+    }
+
     /// The engaged user names of an indexed video: each distinct user
     /// once, in user-id order (the order the registry first saw them), not
     /// in engagement order (test/eval support).
@@ -1455,7 +1467,7 @@ impl Social {
             .map(|names| intern_users(&mut registry, names))
             .collect();
         drop(users);
-        let mut graph = UserInterestGraph::new(registry.len().max(1));
+        let mut graph = UserInterestGraph::new(registry.len());
         for users in &socials {
             graph.add_video(users);
         }
@@ -1883,11 +1895,16 @@ mod tests {
         let cache = ScoringArena::for_series(&query.series);
         let qv = cache.view(0);
         let reach = rec.ladder(strategy, &cache, 1).reach;
-        let range =
-            |v: crate::arena::SeriesView<'_>| match (v.mean_order.first(), v.mean_order.last()) {
-                (Some(&lo), Some(&hi)) => (v.means[lo as usize], v.means[hi as usize]),
+        let range = |v: crate::arena::SeriesView<'_>| {
+            let means = v.means.iter().copied();
+            match (
+                means.clone().min_by(f64::total_cmp),
+                means.max_by(f64::total_cmp),
+            ) {
+                (Some(lo), Some(hi)) => (lo, hi),
                 _ => (0.0, 0.0),
-            };
+            }
+        };
         let mut out = Vec::new();
         // viderec-lint: allow(corpus-enumeration) — test oracle: the
         // per-video walk the flat sweep replaced.

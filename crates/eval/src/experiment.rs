@@ -177,7 +177,7 @@ pub fn omega_sweep(community: &Community, omegas: &[f64], seed: u64) -> Vec<(f64
 
 /// Fig. 9: the sub-community count sweep (SAR at the optimal ω). Each `k`
 /// rebuilds the recommender from scratch, so the sweep fans out across
-/// threads (crossbeam scope — the community is only borrowed).
+/// threads (`std::thread::scope` — the community is only borrowed).
 pub fn k_sweep(community: &Community, ks: &[usize], seed: u64) -> Vec<(usize, EffTriple)> {
     let panel = RatingPanel::paper_panel(seed);
     let run_one = |&k: &usize| {
@@ -197,17 +197,13 @@ pub fn k_sweep(community: &Community, ks: &[usize], seed: u64) -> Vec<(usize, Ef
             .collect();
         (k, EffTriple::from_lists(&lists))
     };
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ks
-            .iter()
-            .map(|k| scope.spawn(move |_| run_one(k)))
-            .collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ks.iter().map(|k| scope.spawn(|| run_one(k))).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("sweep thread"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 // ---------------------------------------------------------------- Fig. 10

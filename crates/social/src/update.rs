@@ -79,8 +79,17 @@ fn lightest(weights: impl Iterator<Item = u32>) -> Option<u32> {
 
 impl SocialUpdatesMaintenance {
     /// Bootstraps maintenance state with a fresh extraction at `k`
-    /// sub-communities.
+    /// sub-communities. A graph with no user yet gets one empty community
+    /// slot, which the first admitted users join.
     pub fn new(graph: UserInterestGraph, k: usize) -> Self {
+        if graph.num_users() == 0 {
+            return Self {
+                graph,
+                assignment: Vec::new(),
+                members: vec![Vec::new()],
+                k,
+            };
+        }
         let partition = extract_subcommunities(&graph, k);
         let assignment = partition.assignment().to_vec();
         let members = partition.communities().to_vec();
@@ -409,6 +418,23 @@ mod tests {
         assert_eq!(p.k(), 2);
         assert_eq!(p.communities()[0], vec![u(0), u(1), u(2)]);
         assert_eq!(m.lightest_intra_edge_weight(), Some(5));
+    }
+
+    /// No user yet: one empty slot, and the first connection admits both
+    /// its users — id 0 too, which no placeholder holds — reporting each
+    /// as reassigned; `k = 2` then splits them at their one edge.
+    #[test]
+    fn an_empty_graph_admits_its_first_users_like_any_others() {
+        let mut m = SocialUpdatesMaintenance::new(UserInterestGraph::new(0), 2);
+        assert_eq!((m.num_slots(), m.live_communities()), (1, 0));
+        assert!(m.assignment_raw().is_empty());
+        let r = m.apply_connections(&[(u(0), u(1), 1)]);
+        assert_eq!(r.reassigned_users[..2], [u(0), u(1)]);
+        assert_eq!(r.splits, 1);
+        assert_eq!(m.graph().num_users(), 2);
+        let p = m.partition();
+        assert_eq!(p.k(), 2);
+        assert_ne!(p.community_of(u(0)), p.community_of(u(1)));
     }
 
     #[test]

@@ -92,6 +92,18 @@ fn click(v: &CorpusVideo) -> QueryVideo {
 /// `k` ∈ {1, 3, corpus + 5} over each `(query, exclusions)` and compares the
 /// engine with its reference scan by `(id, score bits)`.
 fn check(label: &str, corpus: &[CorpusVideo], queries: &[(QueryVideo, Vec<VideoId>)]) {
+    let build = |cfg| Recommender::build(cfg, corpus.to_vec()).expect("build");
+    check_built(label, build, corpus.len(), queries);
+}
+
+/// [`check`] over the recommender `build` makes from each configuration,
+/// for a corpus of `videos` videos.
+fn check_built(
+    label: &str,
+    build: impl Fn(RecommenderConfig) -> Recommender,
+    videos: usize,
+    queries: &[(QueryVideo, Vec<VideoId>)],
+) {
     for k_sub in [1, 60] {
         for mode in [RetrievalMode::Paper, RetrievalMode::GatedCertified] {
             let cfg = RecommenderConfig {
@@ -99,10 +111,10 @@ fn check(label: &str, corpus: &[CorpusVideo], queries: &[(QueryVideo, Vec<VideoI
                 ..Default::default()
             }
             .with_retrieval(mode);
-            let rec = Recommender::build(cfg, corpus.to_vec()).expect("build");
+            let rec = build(cfg);
             for strategy in STRATEGIES {
                 for (qi, (q, exclude)) in queries.iter().enumerate() {
-                    for k in [1, 3, corpus.len() + 5] {
+                    for k in [1, 3, videos + 5] {
                         let got = rec.recommend_excluding(strategy, q, k, exclude);
                         let want = match mode {
                             RetrievalMode::Paper => {
@@ -235,6 +247,68 @@ fn a_corpus_with_zero_comments_matches_the_reference() {
         .map(|&i| (click(&corpus[i]), vec![corpus[i].id]))
         .collect();
     check("zero comments", &corpus, &queries);
+}
+
+/// A corpus with no users, then a batch of comments from users it never
+/// saw: the UIG starts empty, so the first user interned is admitted like
+/// every later one — the chained hash gives each user the slot the raw
+/// assignment (and so every row's SAR vector) does — and every strategy
+/// still answers as its reference scan.
+#[test]
+fn comments_from_new_users_on_a_user_less_corpus_hash_every_user_to_its_raw_slot() {
+    use viderec::core::SocialUpdate;
+    let mut rng = StdRng::seed_from_u64(0xD7);
+    let corpus: Vec<_> = (0..10u64)
+        .map(|i| video(i, random_series(&mut rng), &[]))
+        .collect();
+    let comments = [
+        (0, "ann"),
+        (0, "bob"),
+        (1, "cal"),
+        (1, "ann"),
+        (3, "bob"),
+        (3, "eve"),
+        (3, "ann"),
+        (2, "dee"),
+    ];
+    let updates: Vec<SocialUpdate> = comments
+        .iter()
+        .map(|&(video, user)| SocialUpdate {
+            video: VideoId(video),
+            user: user.to_string(),
+        })
+        .collect();
+    let build = |cfg| {
+        let mut rec = Recommender::build(cfg, corpus.clone()).expect("build");
+        rec.apply_social_updates(&updates);
+        for name in ["ann", "bob", "cal", "dee", "eve"] {
+            let (chained, raw) = rec.slots_of_user(name);
+            assert_eq!(chained, raw, "{name}: chained hash against raw assignment");
+        }
+        // Co-commenters are in the UIG; a lone commenter interned last is
+        // not yet.
+        assert!(rec.slots_of_user("ann").1.is_some());
+        assert_eq!(rec.slots_of_user("dee"), (None, None));
+        rec
+    };
+    let rec = build(RecommenderConfig::default());
+    let mut queries: Vec<_> = [0, 1, 3, 5]
+        .iter()
+        .map(|&i| (rec.query_for(VideoId(i)).expect("indexed"), vec![]))
+        .collect();
+    queries.push((
+        QueryVideo {
+            series: corpus[4].series.clone(),
+            users: vec!["ann".into(), "eve".into(), "zed".into()],
+        },
+        vec![VideoId(4)],
+    ));
+    check_built(
+        "comments on a user-less corpus",
+        build,
+        corpus.len(),
+        &queries,
+    );
 }
 
 /// Cuboid values at the edge of Definition 1 (`±f64::MAX / 4`): every EMD
