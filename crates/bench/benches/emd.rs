@@ -1,11 +1,9 @@
-//! EMD solver ablation (DESIGN.md): the 1-D closed form vs its
-//! successive-shortest-paths oracle, plus the κJ matcher and the CDF
+//! EMD microbenchmarks: the 1-D closed form, the κJ matcher and the CDF
 //! embedding.
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use viderec_emd::transport::{solve_ssp, TransportProblem};
-use viderec_emd::{emd_1d, extended_jaccard, CdfEmbedder, DenseMatrix, MatchingConfig};
+use viderec_emd::{emd_1d, extended_jaccard, CdfEmbedder, MatchingConfig};
 
 fn random_sig(rng: &mut StdRng, n: usize) -> Vec<(f64, f64)> {
     let mut ws: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
@@ -24,13 +22,6 @@ fn bench_solvers(c: &mut Criterion) {
         let b = random_sig(&mut rng, n);
         group.bench_with_input(BenchmarkId::new("one_dimensional", n), &n, |bench, _| {
             bench.iter(|| emd_1d(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("shortest_paths", n), &n, |bench, _| {
-            bench.iter(|| {
-                let cost = DenseMatrix::from_fn(n, n, |i, j| (a[i].0 - b[j].0).abs());
-                let weights = |s: &[(f64, f64)]| s.iter().map(|&(_, w)| w).collect();
-                solve_ssp(&TransportProblem::new(weights(&a), weights(&b), cost)).1
-            })
         });
     }
     group.finish();

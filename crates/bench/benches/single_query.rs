@@ -220,7 +220,7 @@ fn write_json(
     profile: Option<&viderec_prof::Profile>,
 ) {
     // `cargo bench` runs with the package dir as cwd; anchor the default to
-    // the workspace root so the artifact lands next to BENCH_serve.json.
+    // the workspace root so the artifact lands next to BENCH_scale.json.
     let out_path = std::env::var("SINGLE_QUERY_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_single_query.json").into()
     });

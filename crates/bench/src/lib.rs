@@ -20,7 +20,12 @@
 //! | `fig12b_vs_cr` | Fig. 12b (CSF-SAR-H vs CR time) |
 //! | `fig12c_update_cost` | Fig. 12c (social update cost) |
 //! | `reproduce_all` | everything above in sequence |
-//! | `calibrate` / `probe` | generator-diagnostics tools (not paper artefacts) |
+//!
+//! Beyond the paper: `scale` (index-gated retrieval and the write path on
+//! streamed corpora, → `BENCH_scale.json`), `bench_diff` (the perf-regression
+//! gate over the committed `BENCH_*.json`), `serve_node` (the killable
+//! durable node the crash-recovery e2e drives) and `serve_smoke` (the
+//! observability end-to-end check).
 //!
 //! Microbenchmarks (criterion, `cargo bench`) cover the hot substrate paths
 //! and the DESIGN.md ablations: EMD solvers, κJ matching variants, social

@@ -22,9 +22,6 @@
 //!   belongs to the tracer (and `eval`'s experiment harness, under waiver).
 //! * **`reader-locks`** — no `Mutex`/`RwLock` identifiers in reader-side
 //!   crates; readers stay lock-free (atomics and epoch snapshots).
-//! * **`vendor-drift`** — `vendored_crate::segment` references from workspace
-//!   code must name something actually declared in the vendored stub's
-//!   sources, catching silent API drift between stub and real crate.
 //! * **`corpus-enumeration`** — the recommend path
 //!   (`crates/core/src/recommender.rs`) must
 //!   not enumerate the corpus: `all_video_indices` may appear only at its
@@ -120,11 +117,10 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 
 /// Rules a `// viderec-lint: allow(...)` comment may waive.
-const WAIVABLE: [&str; 8] = [
+const WAIVABLE: [&str; 7] = [
     "serve-no-panic",
     "wallclock",
     "reader-locks",
-    "vendor-drift",
     "corpus-enumeration",
     "emd-direct-call",
     "durable-writes",
@@ -677,42 +673,6 @@ fn cfg_test_regions(toks: &[&Token]) -> Vec<(u32, u32)> {
     out
 }
 
-const ITEM_KEYWORDS: [&str; 9] = [
-    "fn", "struct", "enum", "mod", "trait", "type", "const", "static", "union",
-];
-
-/// Names a vendored stub declares (items, `use` path segments, macros) —
-/// deliberately a superset: drift detection must not false-positive.
-fn collect_declared(toks: &[&Token], set: &mut HashSet<String>) {
-    let mut i = 0;
-    while i < toks.len() {
-        match ident_at(toks, i) {
-            Some("macro_rules") if is_punct(toks, i + 1, "!") => {
-                if let Some(name) = ident_at(toks, i + 2) {
-                    set.insert(name.to_string());
-                }
-            }
-            Some("use") => {
-                let mut j = i + 1;
-                while j < toks.len() && !is_punct(toks, j, ";") {
-                    if let Some(name) = ident_at(toks, j) {
-                        set.insert(name.to_string());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            Some(kw) if ITEM_KEYWORDS.contains(&kw) => {
-                if let Some(name) = ident_at(toks, i + 1) {
-                    set.insert(name.to_string());
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
 /// Run every rule over `files` (workspace-relative `(path, contents)` pairs)
 /// against the `ATOMICS.md` and `SAFETY.md` texts, returning findings
 /// sorted by path/line.
@@ -981,48 +941,6 @@ pub fn lint_workspace(
                             t.text
                         ),
                     });
-                }
-            }
-        }
-    }
-
-    // vendor-drift: collect each stub's declared names, then check every
-    // `stub_crate::segment` reference from non-vendor code.
-    let mut declared: HashMap<String, HashSet<String>> = HashMap::new();
-    for (path, tokens) in &lexed {
-        if let Some(vc) = vendor_src(path) {
-            collect_declared(
-                &significant(tokens),
-                declared.entry(vc.replace('-', "_")).or_default(),
-            );
-        }
-    }
-    for (path, tokens) in &lexed {
-        if vendor_src(path).is_some() {
-            continue;
-        }
-        let toks = significant(tokens);
-        for i in 0..toks.len() {
-            let Some(c) = ident_at(&toks, i) else {
-                continue;
-            };
-            let Some(names) = declared.get(c) else {
-                continue;
-            };
-            if is_punct(&toks, i + 1, ":") && is_punct(&toks, i + 2, ":") {
-                if let Some(seg) = ident_at(&toks, i + 3) {
-                    let line = toks[i].line;
-                    if !names.contains(seg) && !allow(&waivers, path, "vendor-drift", line) {
-                        findings.push(Finding {
-                            path: path.to_string(),
-                            line,
-                            rule: "vendor-drift",
-                            message: format!(
-                                "`{c}::{seg}` is not declared anywhere in `vendor/{c}/src`; \
-                                 the vendored stub has drifted from this usage"
-                            ),
-                        });
-                    }
                 }
             }
         }

@@ -262,43 +262,6 @@ fn mutex_in_serve_or_trace_is_allowed() {
     assert!(lint_workspace(&fs, None, None).is_empty());
 }
 
-// --- vendor-drift ---
-
-const CROSSBEAM_STUB: &str = "pub mod channel;\npub fn scope() {}\n";
-
-#[test]
-fn reference_to_a_declared_vendor_item_is_clean() {
-    let fs = files(&[
-        ("vendor/crossbeam/src/lib.rs", CROSSBEAM_STUB),
-        (
-            "crates/serve/src/pipeline.rs",
-            "use crossbeam::channel;\nfn f() { crossbeam::scope(); }\n",
-        ),
-    ]);
-    assert!(lint_workspace(&fs, None, None).is_empty());
-}
-
-#[test]
-fn reference_to_a_missing_vendor_item_is_a_finding() {
-    let fs = files(&[
-        ("vendor/crossbeam/src/lib.rs", CROSSBEAM_STUB),
-        ("crates/serve/src/pipeline.rs", "use crossbeam::epoch;\n"),
-    ]);
-    let findings = lint_workspace(&fs, None, None);
-    assert_eq!(rules_of(&findings), vec!["vendor-drift"]);
-    assert!(findings[0].message.contains("crossbeam::epoch"));
-}
-
-#[test]
-fn vendor_internal_references_are_not_checked() {
-    // The stub referencing itself is its own business.
-    let fs = files(&[(
-        "vendor/crossbeam/src/lib.rs",
-        "pub mod channel;\nfn f() { crossbeam::whatever(); }\n",
-    )]);
-    assert!(lint_workspace(&fs, None, None).is_empty());
-}
-
 // --- corpus-enumeration ---
 
 #[test]

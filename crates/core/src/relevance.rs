@@ -1,9 +1,7 @@
 //! Relevance fusion — Eq. 9 — and the strategy taxonomy of §5.2.
 
-use serde::{Deserialize, Serialize};
-
 /// The recommendation strategies compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// CR — content relevance only (Zhou & Chen [35]).
     Cr,

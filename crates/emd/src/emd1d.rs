@@ -11,7 +11,8 @@
 //! where `F₁`, `F₂` are the cumulative mass functions — computable with one
 //! merge sweep over the sorted cuboids in `O((m+n) log(m+n))`, against the
 //! polynomial augmentations of a general transportation solver. Its
-//! agreement with [`crate::transport::solve_ssp`] is property-tested in
+//! agreement with a successive-shortest-paths transportation solver (test
+//! support, `tests/support/transport.rs`) is property-tested in
 //! `tests/properties.rs`.
 //!
 //! Three entry points, one sweep each: [`emd_1d`] (validating, sorting — the
@@ -19,8 +20,6 @@
 //! pairs, with an early abort) and [`emd_1d_soa_capped`] (the branchless
 //! lane kernel every query runs, bit-identical to the pair sweep). A cap of
 //! `f64::INFINITY` is the uncapped distance.
-
-use crate::transport::EPS;
 
 /// Exact EMD between two normalised 1-D weighted point sets under ground
 /// distance `|x − y|`.
@@ -267,7 +266,7 @@ fn validate(side: &[(f64, f64)], which: &str) {
     );
     let mass: f64 = side.iter().map(|&(_, w)| w).sum();
     assert!(
-        (mass - 1.0).abs() <= 1e-6_f64.max(EPS),
+        (mass - 1.0).abs() <= 1e-6,
         "{which} signature mass {mass} is not normalised"
     );
 }

@@ -3,16 +3,14 @@
 //! Earth Mover's Distance and the content-similarity measures of the paper,
 //! implemented from scratch (`repro_why`: EMD crates immature).
 //!
-//! * [`matrix::DenseMatrix`] — minimal dense matrix used for cost tables.
 //! * [`emd1d`] — the closed-form exact EMD for scalar ground distance
 //!   `|x − y|` (the paper simplifies cuboids to single values, so this is the
 //!   only EMD the system computes): [`emd_1d`] (the validating reference),
 //!   [`emd_1d_presorted_capped`] (its sweep over presorted pairs) and
-//!   [`emd_1d_soa_capped`] (the lane kernel every query runs).
-//! * [`transport`] — the balanced transportation problem and an exact
-//!   successive-shortest-paths solver ([`transport::solve_ssp`]): the
-//!   general-distance oracle the 1-D closed form is cross-validated against
-//!   by property tests.
+//!   [`emd_1d_soa_capped`] (the lane kernel every query runs). Its oracle,
+//!   the balanced transportation problem and an exact successive-shortest-
+//!   paths solver, is test support (`tests/support/`): property tests
+//!   cross-validate the 1-D closed form against it.
 //! * [`emd`] — `SimC = 1/(1+EMD)` (Eq. 3).
 //! * [`lower_bounds`] — cheap lower bounds used for filtering before exact
 //!   evaluation.
@@ -30,9 +28,7 @@ pub mod emd;
 pub mod emd1d;
 pub mod erp;
 pub mod lower_bounds;
-pub mod matrix;
 pub mod measures;
-pub mod transport;
 
 pub use crate::emd::sim_c;
 pub use dtw::dtw_distance;
@@ -42,7 +38,6 @@ pub use erp::erp_distance;
 pub use lower_bounds::{
     centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
-pub use matrix::DenseMatrix;
 pub use measures::{
     extended_jaccard, extended_jaccard_upper_bound, extended_jaccard_upper_bound_in,
     rounding_allowance, MatchingConfig,

@@ -1,16 +1,19 @@
 //! Property tests for the EMD closed form, its oracle, the bounds and the
 //! sequence measures.
 
+mod support;
+
 use proptest::prelude::*;
+use support::matrix::DenseMatrix;
+use support::transport::{solve_ssp, TransportProblem};
 use viderec_emd::dtw::dtw_distance;
 use viderec_emd::erp::erp_scalar;
 use viderec_emd::lower_bounds::{
     centroid_lower_bound, sim_c_upper_bound, slice_features, slice_lower_bound_from_features,
 };
-use viderec_emd::transport::{solve_ssp, TransportProblem};
 use viderec_emd::{
     emd_1d, extended_jaccard, extended_jaccard_upper_bound, rounding_allowance, sim_c, CdfEmbedder,
-    DenseMatrix, MatchingConfig,
+    MatchingConfig,
 };
 
 /// A normalised scalar signature: 1..8 cuboids, values in ±60.

@@ -11,11 +11,10 @@
 //! sub-community id.
 
 use crate::hasher::ShiftAddXor;
-use serde::{Deserialize, Serialize};
 
 /// One `<key, cno, nextptr>` triad; `next` is an index into the node arena
 /// (the Rust rendering of the figure's pointer).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Triad<V> {
     key: String,
     cno: V,
@@ -23,7 +22,7 @@ struct Triad<V> {
 }
 
 /// Chained hash table with head insertion and shift-add-xor bucket hashing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainedHashTable<V> {
     hasher: ShiftAddXor,
     buckets: Vec<Option<usize>>,

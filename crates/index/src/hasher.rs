@@ -11,10 +11,8 @@
 //! applicability and efficiency (§4.2.3). Different seeds `v` give different
 //! family members; the classic shift amounts are `L = 5`, `R = 2`.
 
-use serde::{Deserialize, Serialize};
-
 /// One member of the shift-add-xor family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShiftAddXor {
     seed: u64,
     left: u32,

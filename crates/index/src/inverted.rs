@@ -6,11 +6,10 @@
 //! its engaged users maps to that sub-community (its descriptor vector has a
 //! non-zero count there).
 
-use serde::{Deserialize, Serialize};
 use viderec_video::VideoId;
 
 /// `k` sorted posting lists: sub-community → videos.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvertedIndex {
     lists: Vec<Vec<VideoId>>,
 }

@@ -131,7 +131,7 @@ fn corpus_bound(corpus: &[CorpusVideo]) -> usize {
     CORPUS_HEADER.len() + lines
 }
 
-/// Serializes the boot corpus as the snapshot's corpus section, into one
+/// Encodes the boot corpus as the snapshot's corpus section, into one
 /// buffer sized before the first line is written.
 fn encode_corpus(corpus: &[CorpusVideo]) -> Vec<u8> {
     let bound = corpus_bound(corpus);

@@ -3,12 +3,11 @@
 
 use crate::cuboid::CuboidSignature;
 use crate::series::SignatureSeries;
-use serde::{Deserialize, Serialize};
 use viderec_video::gram::qgrams;
 use viderec_video::{CutDetector, Video};
 
 /// Configuration of the signature pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignatureConfig {
     /// Block grid columns per keyframe.
     pub grid_cols: usize,

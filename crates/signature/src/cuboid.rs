@@ -9,13 +9,12 @@
 
 use crate::block::BlockGrid;
 use crate::merge::{merge_blocks, Region};
-use serde::{Deserialize, Serialize};
 use viderec_emd::{emd_1d, sim_c};
 use viderec_video::QGram;
 
 /// One video cuboid: average temporal intensity change `v` with normalised
 /// spatial mass `μ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cuboid {
     /// Average intensity change between temporally adjacent blocks.
     pub value: f64,
@@ -24,7 +23,7 @@ pub struct Cuboid {
 }
 
 /// The cuboid signature of one q-gram: a normalised weighted point set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CuboidSignature {
     cuboids: Vec<Cuboid>,
 }

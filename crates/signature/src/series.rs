@@ -6,13 +6,12 @@
 //! compares against in §5.3.1.
 
 use crate::cuboid::CuboidSignature;
-use serde::{Deserialize, Serialize};
 use viderec_emd::dtw::dtw_similarity;
 use viderec_emd::erp::erp_similarity;
 use viderec_emd::{extended_jaccard, rounding_allowance, MatchingConfig};
 
 /// The ordered cuboid signatures of one video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SignatureSeries {
     signatures: Vec<CuboidSignature>,
 }

@@ -6,11 +6,10 @@
 //! descriptors.
 
 use crate::user::UserId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The set of users (owner + commenters) attached to one video.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SocialDescriptor {
     users: BTreeSet<UserId>,
 }

@@ -9,10 +9,9 @@
 use crate::descriptor::SocialDescriptor;
 use crate::extract::Partition;
 use crate::user::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Maps users to sub-community ids and vectorises social descriptors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UserDictionary {
     /// `community[user.index()]` — the user's sub-community.
     community: Vec<usize>,

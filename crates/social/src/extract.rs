@@ -20,10 +20,9 @@
 
 use crate::graph::UserInterestGraph;
 use crate::user::UserId;
-use serde::{Deserialize, Serialize};
 
 /// A partition of the user space into sub-communities.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `assignment[user.index()]` = community index.
     assignment: Vec<usize>,

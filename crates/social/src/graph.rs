@@ -12,10 +12,9 @@
 //! members' lists — their degrees, not |E|.
 
 use crate::user::UserId;
-use serde::{Deserialize, Serialize};
 
 /// Weighted undirected user interest graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UserInterestGraph {
     /// `adj[u]`: `u`'s neighbours ascending by id, each with the edge weight
     /// (always ≥ 1). Ids `0..adj.len()` are the valid nodes; isolated users

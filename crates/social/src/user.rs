@@ -6,14 +6,11 @@
 //! keeps the reverse mapping. Each name is stored once, as an `Arc<str>`
 //! both directions share.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Dense identifier of a registered social user.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(pub u32);
 
 impl UserId {
@@ -31,7 +28,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// Bidirectional interner between user names and dense [`UserId`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UserRegistry {
     by_name: HashMap<Arc<str>, UserId>,
     names: Vec<Arc<str>>,

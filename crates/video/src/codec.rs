@@ -35,7 +35,6 @@
 
 use crate::frame::Frame;
 use crate::video::{Video, VideoId};
-use bytes::Bytes;
 
 const MAGIC: &[u8; 4] = b"VRC1";
 
@@ -297,19 +296,18 @@ impl FrameDecoder {
 }
 
 /// Encodes a video into a `VRC1` bitstream.
-pub fn encode(video: &Video) -> Bytes {
+pub fn encode(video: &Video) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + video.len() * 32);
     put_header(video, &mut out);
     let mut frames = FrameEncoder::default();
     for frame in video.frames() {
         frames.put(frame.data(), &mut out);
     }
-    Bytes::from(out)
+    out
 }
 
 /// Decodes a `VRC1` bitstream back into a video.
-pub fn decode(buf: Bytes) -> Result<Video, CodecError> {
-    let mut buf: &[u8] = &buf;
+pub fn decode(mut buf: &[u8]) -> Result<Video, CodecError> {
     let header = read_header(&mut buf)?;
     if header.nframes > buf.len() / MIN_FRAME_BYTES {
         return Err(CodecError::Truncated);
@@ -399,13 +397,13 @@ mod tests {
         // 50 frames × 1024 pixels = 51200 raw bytes; static content must
         // collapse to a tiny fraction via inter-frame RLE.
         assert!(bits.len() < 1200, "compressed to {} bytes", bits.len());
-        let d = decode(bits).unwrap();
+        let d = decode(&bits).unwrap();
         assert_eq!(d.len(), 50);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = decode(Bytes::from_static(b"NOPE....")).unwrap_err();
+        let err = decode(b"NOPE....").unwrap_err();
         assert_eq!(err, CodecError::BadMagic);
     }
 
@@ -413,8 +411,7 @@ mod tests {
     fn truncated_stream_rejected() {
         let v = random_video(4, 3, 8, 8);
         let bits = encode(&v);
-        let cut = bits.slice(0..bits.len() - 5);
-        let err = decode(cut).unwrap_err();
+        let err = decode(&bits[..bits.len() - 5]).unwrap_err();
         assert!(matches!(
             err,
             CodecError::Truncated | CodecError::RunOverflow
@@ -422,7 +419,7 @@ mod tests {
     }
 
     /// A header with the given dimensions and frame count, then `payload`.
-    fn crafted(width: u32, height: u32, nframes: u32, payload: &[u8]) -> Bytes {
+    fn crafted(width: u32, height: u32, nframes: u32, payload: &[u8]) -> Vec<u8> {
         let mut bits = MAGIC.to_vec();
         bits.extend_from_slice(&9u64.to_le_bytes());
         bits.extend_from_slice(&10.0f64.to_le_bytes());
@@ -430,7 +427,7 @@ mod tests {
         bits.extend_from_slice(&height.to_le_bytes());
         bits.extend_from_slice(&nframes.to_le_bytes());
         bits.extend_from_slice(payload);
-        Bytes::from(bits)
+        bits
     }
 
     #[test]
@@ -439,7 +436,7 @@ mod tests {
         // `Vec::with_capacity` for ~172 GB of frames, an abort.
         let bits = crafted(8, 8, u32::MAX, &[0, 63, 0]);
         assert_eq!(bits.len(), 35);
-        assert_eq!(decode(bits).unwrap_err(), CodecError::Truncated);
+        assert_eq!(decode(&bits).unwrap_err(), CodecError::Truncated);
     }
 
     #[test]
@@ -447,7 +444,7 @@ mod tests {
         // u32::MAX × u32::MAX pixels: trusting it would overflow the RLE
         // buffer's capacity. On 64-bit targets the product fits `usize` and
         // the 3 payload bytes cannot cover it; on 32-bit it overflows.
-        let err = decode(crafted(u32::MAX, u32::MAX, 1, &[0, 255, 0])).unwrap_err();
+        let err = decode(&crafted(u32::MAX, u32::MAX, 1, &[0, 255, 0])).unwrap_err();
         if usize::BITS >= 64 {
             assert_eq!(err, CodecError::Truncated);
         } else {
@@ -458,15 +455,15 @@ mod tests {
     #[test]
     fn inter_frame_without_reference_and_unknown_modes_are_rejected() {
         assert_eq!(
-            decode(crafted(2, 2, 1, &[INTER, 3, 0])).unwrap_err(),
+            decode(&crafted(2, 2, 1, &[INTER, 3, 0])).unwrap_err(),
             CodecError::BadHeader("inter frame without reference")
         );
         assert_eq!(
-            decode(crafted(2, 2, 1, &[7, 3, 0])).unwrap_err(),
+            decode(&crafted(2, 2, 1, &[7, 3, 0])).unwrap_err(),
             CodecError::BadMode(7)
         );
         assert_eq!(
-            decode(crafted(2, 2, 1, &[INTRA, 4, 0])).unwrap_err(),
+            decode(&crafted(2, 2, 1, &[INTRA, 4, 0])).unwrap_err(),
             CodecError::RunOverflow
         );
     }

@@ -6,15 +6,13 @@
 //! the block-average and histogram views defined here, which is exactly the
 //! information the paper's representation model uses.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bins used by [`Frame::histogram`]. 16 bins over 256 intensity
 /// levels is the classic shot-detection resolution: coarse enough to ignore
 /// noise, fine enough to see scene changes.
 pub const HISTOGRAM_BINS: usize = 16;
 
 /// A single video frame: an 8-bit luminance grid in row-major order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     width: usize,
     height: usize,

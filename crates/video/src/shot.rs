@@ -10,10 +10,9 @@
 
 use crate::frame::Frame;
 use crate::video::Video;
-use serde::{Deserialize, Serialize};
 
 /// Adaptive histogram-difference cut detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CutDetector {
     /// A boundary requires distance ≥ `abs_threshold` (hard floor, in the
     /// `[0, 2]` L1-histogram range). Kept low: its job is to reject cuts in

@@ -18,10 +18,9 @@ use crate::frame::Frame;
 use crate::video::{Video, VideoId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Frame width in pixels.
     pub width: usize,

@@ -15,10 +15,9 @@ use crate::frame::Frame;
 use crate::video::Video;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An editing operation applied to a whole video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Transform {
     /// Adds `delta` to every pixel (clamped). Global photometric change.
     BrightnessShift(i16),

@@ -1,12 +1,9 @@
 //! Video documents: identified frame sequences.
 
 use crate::frame::Frame;
-use serde::{Deserialize, Serialize};
 
 /// Opaque identifier of a video inside a collection.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VideoId(pub u64);
 
 impl std::fmt::Display for VideoId {
@@ -20,7 +17,7 @@ impl std::fmt::Display for VideoId {
 /// The paper keeps clips no longer than 10 minutes (§5.1, following Wu et
 /// al.); [`Video::duration_secs`] lets the evaluation harness enforce the
 /// same cap on synthetic data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Video {
     id: VideoId,
     fps: f64,

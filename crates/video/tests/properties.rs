@@ -56,7 +56,7 @@ proptest! {
     /// equals `decode(encode(v))` frame for frame, id and fps included.
     #[test]
     fn transcode_is_decode_of_encode(v in codec_edge_strategy()) {
-        let whole = decode(encode(&v)).expect("own bitstream decodes");
+        let whole = decode(&encode(&v)).expect("own bitstream decodes");
         let framewise = transcode(&v);
         prop_assert_eq!(framewise.id(), whole.id());
         prop_assert_eq!(framewise.fps().to_bits(), whole.fps().to_bits());
@@ -88,7 +88,7 @@ proptest! {
     fn codec_truncation_is_graceful(v in video_strategy(), cut_frac in 0.1..0.95f64) {
         let bits = encode(&v);
         let cut = ((bits.len() as f64) * cut_frac) as usize;
-        let result = decode(bits.slice(0..cut));
+        let result = decode(&bits[..cut]);
         prop_assert!(result.is_err());
     }
 

@@ -75,7 +75,7 @@ impl SnapshotStore {
         })
     }
 
-    /// Serializes and crash-atomically publishes `snapshot`, then prunes all
+    /// Encodes and crash-atomically publishes `snapshot`, then prunes all
     /// but the newest [`RETAIN`] snapshots. Returns the published path. The
     /// header goes out first and the two sections after it straight from
     /// `snapshot`'s buffers: nothing is concatenated.

@@ -11,7 +11,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`video`] | frames, toy codec, synthetic videos, editing transforms, shot detection |
-//! | [`emd`] | exact EMD (1-D closed form, SSP transportation oracle), κJ/DTW/ERP |
+//! | [`emd`] | exact EMD (1-D closed form and its lane kernel), κJ/DTW/ERP |
 //! | [`signature`] | video cuboid signatures and series |
 //! | [`social`] | social descriptors, UIG, sub-community extraction (SAR), maintenance |
 //! | [`index`] | shift-add-xor chained hashing, inverted files, LSB forest |

@@ -18,7 +18,7 @@ fn ingestion_goes_through_the_bitstream() {
     let v = clip(1, 2);
     let bits = encode(&v);
     assert!(bits.len() > 64, "bitstream suspiciously small");
-    let decoded = viderec::video::codec::decode(bits).expect("own bitstream decodes");
+    let decoded = viderec::video::codec::decode(&bits).expect("own bitstream decodes");
     // Signatures from decoded frames stay near-identical to pristine ones.
     let b = SignatureBuilder::default();
     let pristine = b.build(&v);
