@@ -11,9 +11,11 @@ use viderec_index::LsbConfig;
 /// stays the default: content-gated strategies (Cr, CsfSarH) draw from the
 /// truncated Fig. 6 indices while the social strategies enumerate the corpus,
 /// which keeps the Fig. 12 cost-model shapes intact. The `Gated*` modes make
-/// the inverted index and LSB forest the gatekeepers for *every* strategy so
-/// `scanned << corpus`; they differ only in whether videos the gather missed
-/// are checked against the top-k floor.
+/// the inverted index and the reach index the gatekeepers for *every*
+/// strategy so `scanned << corpus` — one gather for both: the posting union
+/// and every video holding a signature pair within the match radius — and
+/// differ only in whether videos the gather missed are checked against the
+/// top-k floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Full-corpus scoring universe as in the paper's evaluation (default).
@@ -23,9 +25,10 @@ pub enum RetrievalMode {
     /// non-candidate whose score ceiling reaches the top-k floor is promoted
     /// and scored exactly, so results are bit-identical to the naive scan.
     GatedCertified,
-    /// Index-gated gather with no certificate: pure approximate retrieval.
-    /// Fastest, but recall is only probabilistic (see the recall regression
-    /// gate in the scale bench).
+    /// Index-gated gather with no certificate. The gather holds every video
+    /// with a nonzero `κJ` and every SAR neighbour, so what it can miss is an
+    /// exact-`sJ` neighbour through unassigned users and the zero-score
+    /// tail's id order (see the recall regression gate in the scale bench).
     GatedApprox,
 }
 
@@ -45,7 +48,8 @@ pub struct RecommenderConfig {
     /// CDF-embedding dimensionality for signature points.
     pub embed_dims: usize,
     /// Candidates pulled per query signature from the LSB forest, and cap on
-    /// social candidates, before FJ refinement.
+    /// social candidates, before FJ refinement (paper mode's Fig. 6 gather;
+    /// the gated modes do not read it).
     pub candidate_limit: usize,
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,

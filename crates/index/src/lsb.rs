@@ -233,9 +233,7 @@ impl<P: Slot> LsbForest<P> {
     /// returned (so the result holds at most `trees × limit` candidates, not
     /// `limit`). Because each tree's pull sequence at `limit + 1` extends its
     /// pull sequence at `limit`, the returned candidate set is **monotone in
-    /// `limit`**: widening the fan-out never drops a candidate. This is the
-    /// KNN iteration the index-gated retrieval path widens during
-    /// widen-and-retry.
+    /// `limit`**: widening the fan-out never drops a candidate.
     pub fn query_monotone(&self, point: &[f64], limit: usize) -> Vec<LsbCandidate<P>> {
         if limit == 0 {
             return Vec::new();
@@ -255,19 +253,6 @@ impl<P: Slot> LsbForest<P> {
     /// the whole forest.
     pub fn query_radius(&self, point: &[f64], min_lcp: u32) -> Vec<LsbCandidate<P>> {
         self.expand(point, |_pulled, lcp| lcp >= min_lcp)
-    }
-
-    /// The raw pull sequence behind [`Self::query_monotone`]: every payload
-    /// the per-tree `limit`-bounded expansion touches, duplicates included
-    /// and in no useful order, handed to `visit` without being collected.
-    /// For callers with a cheaper dedup of their own than the sort this
-    /// module would do (the recommender's gather marks a bitset); the
-    /// visited *set* equals `query_monotone`'s, so it is monotone in `limit`
-    /// just the same.
-    pub fn visit_monotone(&self, point: &[f64], limit: usize, mut visit: impl FnMut(&P)) {
-        if limit > 0 {
-            self.pull(point, |pulled, _lcp| pulled < limit, |v, _lcp| visit(v));
-        }
     }
 
     /// Shared bidirectional cursor expansion: [`Self::pull`]ed candidates,
@@ -633,11 +618,6 @@ mod tests {
                 "widening the fan-out from {} to {limit} dropped a candidate",
                 limit - 1
             );
-            let mut visited = std::collections::BTreeSet::new();
-            f.visit_monotone(&q, limit, |&p| {
-                visited.insert(p);
-            });
-            assert_eq!(visited, cur, "the raw pulls cover the same set");
             // The truncated query draws from the same pulls, so everything it
             // returns must already be in the untruncated set.
             let truncated = payload_set(&f.query(&q, limit));

@@ -1,5 +1,5 @@
-//! `Recommender::build` runs its content half (ids, scoring arena, LSB
-//! forest) on a spawned thread beside its social half (registry, UIG,
+//! `Recommender::build` runs its content half (ids, scoring arena, reach
+//! index, LSB forest) on a spawned thread beside its social half (registry, UIG,
 //! sub-communities, chained hash, rows, inverted files, engagement lists).
 //! Each half is sequential in corpus order, so however the two interleave
 //! the built index is the same, part by part and bit for bit, and answers
@@ -58,6 +58,26 @@ fn two_builds_of_a_streamed_corpus_are_equal_part_by_part() {
     renamed[7].users[0].push('\'');
     let other = Recommender::build(cfg(RetrievalMode::Paper), renamed).unwrap();
     assert_eq!(first.differing_part(&other), Some("registry"));
+}
+
+/// Ingest extends the content half — ids, series, arena, reach index, LSB
+/// forest — to what a build over the whole corpus makes, part by part:
+/// whatever part the probe names first, it is a social one.
+#[test]
+fn ingest_leaves_the_content_half_a_build_makes() {
+    let (_, corpus) = streamed(2_000, 0xB0078);
+    let whole = Recommender::build(cfg(RetrievalMode::Paper), corpus.clone()).unwrap();
+    let mut grown =
+        Recommender::build(cfg(RetrievalMode::Paper), corpus[..1_500].to_vec()).unwrap();
+    for batch in [1_500..1_501, 1_501..1_800, 1_800..2_000] {
+        grown.add_videos(corpus[batch].to_vec()).unwrap();
+    }
+    let content = ["ids", "series", "arena", "reach", "lsb"];
+    let first = grown.differing_part(&whole);
+    assert!(
+        first.is_none_or(|part| !content.contains(&part)),
+        "{first:?}"
+    );
 }
 
 /// The engine against its reference scan for every strategy: the unpruned
