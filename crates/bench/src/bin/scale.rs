@@ -5,7 +5,6 @@
 //!
 //! * certified-exact gated latency (ms/query) and the scanned/corpus ratio;
 //! * bit-identity of the certified gated top-k against the naive full scan;
-//! * approximate-mode recall@20 against the same naive reference;
 //! * what the built content index holds: the LSB forest's distinct Z-values
 //!   and stored `(Z-value, video)` pairs, summed over its trees
 //!   (`lsb_distinct_keys`, `lsb_stored_pairs` — seed-deterministic, so
@@ -24,9 +23,8 @@
 //!
 //! Writes `BENCH_scale.json` and **fails** (exit 1) when a lock-down
 //! regression trips: certified results diverging from the naive scan, a
-//! scanned/corpus ratio above 0.2 at 10k+ videos, approx recall@20 below
-//! 0.95 on the 10k corpus, or (full mode only) super-linear latency growth
-//! from 10k to 100k.
+//! scanned/corpus ratio above 0.2 at 10k+ videos, or (full mode only)
+//! super-linear latency growth from 10k to 100k.
 //!
 //! ```sh
 //! cargo run --release -p viderec-bench --bin scale            # 1k/10k/100k
@@ -69,27 +67,10 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-/// Fraction of the naive top-k the approximate list recovered. Zero-score
-/// naive entries are excluded: they are arbitrary id-order padding the full
-/// scan emits when fewer than k videos score at all, not recommendations a
-/// retrieval scheme could meaningfully recover.
-fn recall(approx: &[Scored], naive: &[Scored]) -> f64 {
-    let relevant: Vec<_> = naive.iter().filter(|n| n.score > 0.0).collect();
-    if relevant.is_empty() {
-        return 1.0;
-    }
-    let hits = relevant
-        .iter()
-        .filter(|n| approx.iter().any(|a| a.video == n.video))
-        .count();
-    hits as f64 / relevant.len() as f64
-}
-
 struct StrategyRow {
     label: &'static str,
     ms_per_query: f64,
     scanned_ratio: f64,
-    recall_at_20: f64,
     naive_identical: bool,
 }
 
@@ -132,10 +113,6 @@ impl Point {
             .map(|r| r.scanned_ratio)
             .fold(0.0, f64::max)
     }
-
-    fn min_recall(&self) -> f64 {
-        self.rows.iter().map(|r| r.recall_at_20).fold(1.0, f64::min)
-    }
 }
 
 fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
@@ -169,8 +146,7 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         })
         .collect();
 
-    // The naive full scan is the shared reference for both the exact-mode
-    // bit-identity check and the approx-mode recall.
+    // The naive full scan is the reference of the bit-identity check.
     let naive: Vec<Vec<Vec<Scored>>> = STRATEGIES
         .iter()
         .map(|&s| {
@@ -183,7 +159,6 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
 
     let mut rows = Vec::new();
     for (si, &strategy) in STRATEGIES.iter().enumerate() {
-        rec.set_retrieval(RetrievalMode::GatedCertified);
         let mut scanned = 0u64;
         let mut corpus = 0u64;
         let mut identical = true;
@@ -208,19 +183,10 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
             }
         }
 
-        rec.set_retrieval(RetrievalMode::GatedApprox);
-        let mean_recall = queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| recall(&rec.recommend(strategy, q, k), &naive[si][qi]))
-            .sum::<f64>()
-            / queries.len() as f64;
-
         rows.push(StrategyRow {
             label: strategy.label(),
             ms_per_query: exact_ms / queries.len() as f64,
             scanned_ratio: scanned as f64 / corpus as f64,
-            recall_at_20: mean_recall,
             naive_identical: identical,
         });
     }
@@ -338,10 +304,9 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
     out.push_str(
         "\"description\": \"Index-gated retrieval at scale: certified-exact gated latency \
          and scanned/corpus ratio per strategy on streamed corpora, with bit-identity \
-         against the naive full scan and approximate-mode recall@20; the LSB \
-         forest's distinct keys and stored pairs after the build; then one \
-         8-comment batch, one single-video ingest and one age 1 on the same \
-         recommender, timed, with Fig. 5's merges, splits and videos rewritten; \
+         against the naive full scan; the LSB forest's distinct keys and \
+         stored pairs after the build; then one 8-comment batch, one \
+         single-video ingest and one age 1 on the same recommender, timed, with Fig. 5's merges, splits and videos rewritten; \
          then a durable bootstrap of the same corpus into a fresh data dir and \
          a recovery from it, timed, with the seed snapshot's size.\",\n",
     );
@@ -359,7 +324,7 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
             "{{\"videos\": {}, \"users\": {}, \"k_subcommunities\": {}, \"build_ms\": {}, \
              \"lsb_distinct_keys\": {}, \"lsb_stored_pairs\": {}, \
              \"mean_ms_per_query\": {:.3}, \"max_scanned_ratio\": {:.4}, \
-             \"min_recall_at_20\": {:.4}, \"strategies\": {{",
+             \"strategies\": {{",
             p.videos,
             p.users,
             p.k_subcommunities,
@@ -368,7 +333,6 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
             p.lsb_stored_pairs,
             p.mean_ms(),
             p.max_ratio(),
-            p.min_recall(),
         );
         for (j, r) in p.rows.iter().enumerate() {
             if j > 0 {
@@ -377,8 +341,8 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
             let _ = write!(
                 out,
                 "\"{}\": {{\"ms_per_query\": {:.3}, \"scanned_ratio\": {:.4}, \
-                 \"recall_at_20\": {:.4}, \"naive_identical\": {}}}",
-                r.label, r.ms_per_query, r.scanned_ratio, r.recall_at_20, r.naive_identical
+                 \"naive_identical\": {}}}",
+                r.label, r.ms_per_query, r.scanned_ratio, r.naive_identical
             );
         }
         out.push_str("}, \"write_path\": {");
@@ -441,13 +405,6 @@ fn main() {
                 "[scale] FAIL: scanned/corpus ratio {:.4} exceeds 0.2 at {} videos",
                 p.max_ratio(),
                 p.videos
-            );
-            failed = true;
-        }
-        if p.videos == 10_000 && p.min_recall() < 0.95 {
-            eprintln!(
-                "[scale] FAIL: approx recall@{k} {:.4} below 0.95 at 10k videos",
-                p.min_recall()
             );
             failed = true;
         }

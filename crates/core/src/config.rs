@@ -10,12 +10,11 @@ use viderec_index::LsbConfig;
 /// `Paper` reproduces the evaluation setup of the source paper exactly and
 /// stays the default: content-gated strategies (Cr, CsfSarH) draw from the
 /// truncated Fig. 6 indices while the social strategies enumerate the corpus,
-/// which keeps the Fig. 12 cost-model shapes intact. The `Gated*` modes make
+/// which keeps the Fig. 12 cost-model shapes intact. `GatedCertified` makes
 /// the inverted index and the reach index the gatekeepers for *every*
-/// strategy so `scanned << corpus` — one gather for both: the posting union
-/// and every video holding a signature pair within the match radius — and
-/// differ only in whether videos the gather missed are checked against the
-/// top-k floor.
+/// strategy so `scanned << corpus` — the posting union and every video
+/// holding a signature pair within the match radius — and checks the videos
+/// the gather missed against the top-k floor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Full-corpus scoring universe as in the paper's evaluation (default).
@@ -25,11 +24,6 @@ pub enum RetrievalMode {
     /// non-candidate whose score ceiling reaches the top-k floor is promoted
     /// and scored exactly, so results are bit-identical to the naive scan.
     GatedCertified,
-    /// Index-gated gather with no certificate. The gather holds every video
-    /// with a nonzero `κJ` and every SAR neighbour, so what it can miss is an
-    /// exact-`sJ` neighbour through unassigned users and the zero-score
-    /// tail's id order (see the recall regression gate in the scale bench).
-    GatedApprox,
 }
 
 /// All knobs of the recommendation system.
@@ -49,7 +43,7 @@ pub struct RecommenderConfig {
     pub embed_dims: usize,
     /// Candidates pulled per query signature from the LSB forest, and cap on
     /// social candidates, before FJ refinement (paper mode's Fig. 6 gather;
-    /// the gated modes do not read it).
+    /// the gated mode does not read it).
     pub candidate_limit: usize,
     /// Buckets of the chained user-name hash table.
     pub hash_buckets: usize,

@@ -22,18 +22,23 @@
 //! sort or sweep. The slice bound dominates the centroid gap (one slice *is*
 //! the centroid bound), so it is the only bound there is, and one kernel
 //! ([`row_bounds`]) prices it: a query row against every signature of the
-//! video at once, off the video's slice-major feature block. The `κJ`
-//! ceiling ([`kappa_upper_bound`]) and the exact matcher's keys
-//! ([`kappa_exact_cached`]) both read its rows.
+//! video at once, off the video's slice-major feature block. Paper mode's
+//! `κJ` ceiling ([`kappa_upper_bound`]) and the exact matcher's keys
+//! ([`kappa_exact_cached`]) read its rows.
 //!
-//! The gated modes ask the same question of the whole corpus at once: which
+//! The gated mode asks the same question of the whole corpus at once: which
 //! videos hold a signature pair whose bound is within `reach`, the match
 //! radius plus the rounding give? [`reach_set`] answers it off the corpus's
 //! mean-sorted [`ReachIndex`] — per query signature, one binary search for
-//! the window of means within `reach`, and one pass of the same kernel
+//! the window of means within `reach`, and one pass of the same expression
 //! ([`pair_bounds`]) over the window's slice columns. Its answer `R` is the
 //! content gather, and `idx ∉ R` is the ladder's zero rung: a video outside
-//! `R` has no row ceiling at `τ`, so its `κJ` ceiling is 0.
+//! `R` has no row ceiling at `τ`, so its `κJ` ceiling is 0. The pass also
+//! keeps, per member and query row, the smallest bound in reach
+//! ([`ReachRows`]), and a member's `κJ` ceiling is taken from those minima
+//! ([`kappa_ceiling_in_reach`]) — [`kappa_upper_bound`]'s bits, with no
+//! second pass over the member's pairs. A gated query runs [`row_bounds`]
+//! only to key the exact matcher.
 //!
 //! The pruning test uses *strict* inequality: a candidate tying the k-th
 //! score must still be evaluated because ranking ties break by `VideoId`, so
@@ -49,7 +54,7 @@
 
 use crate::arena::{ReachIndex, SeriesView};
 use crate::config::RecommenderConfig;
-use crate::recommender::{Content, Scored, Seen};
+use crate::recommender::{Content, Scored};
 use crate::relevance::{strategy_score, Strategy};
 use crate::topk::{floor_of, push_top_k, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
@@ -146,14 +151,15 @@ impl Default for PruneBound {
     }
 }
 
-/// Reusable buffers of [`kappa_upper_bound`] and [`kappa_exact_cached`]:
-/// the pair-bound row, the row ceilings, the matcher's two tiers of
-/// [`PairKey`]s and its row/column occupancy flags.
+/// Reusable buffers of the `κJ` ceilings ([`kappa_upper_bound`],
+/// [`kappa_ceiling_in_reach`]) and [`kappa_exact_cached`]: the pair-bound
+/// row, the row ceilings, the matcher's two tiers of [`PairKey`]s and its
+/// row/column occupancy flags.
 #[derive(Default)]
 struct Scratch {
     /// One query row's pair bounds ([`row_bounds`]).
     lbs: Vec<f64>,
-    /// The row ceilings of [`kappa_upper_bound`].
+    /// The row ceilings of a `κJ` ceiling.
     ceilings: Vec<f64>,
     /// Pairs not yet swept, keyed by their `SimC` ceiling, sorted ascending:
     /// the best at the back.
@@ -165,10 +171,10 @@ struct Scratch {
 }
 
 thread_local! {
-    /// Scratch reused across [`kappa_upper_bound`] and
-    /// [`kappa_exact_cached`] calls on this thread. One bound or refinement
-    /// runs per thread at a time, and the buffers regrow to the largest
-    /// series pair seen, so the hot path allocates nothing after warm-up.
+    /// Scratch reused across `κJ` ceiling and [`kappa_exact_cached`] calls
+    /// on this thread. One bound or refinement runs per thread at a time,
+    /// and the buffers regrow to the largest series pair seen, so the hot
+    /// path allocates nothing after warm-up.
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
@@ -179,6 +185,8 @@ thread_local! {
     static NEVER_EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Signature pairs [`row_bounds`] bounded on this thread.
     static PAIRS_BOUNDED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Of those, the pairs [`key_pairs`] bounded for the exact matcher.
+    static PAIRS_KEYED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// A signature pair `(i, j)` under a non-negative `SimC` key, packed so that
@@ -269,21 +277,88 @@ fn pair_bounds<const W: usize>(
 /// How many index entries [`reach_pass`] prices per step: two vectors.
 const REACH_STEP: usize = 2 * LANES;
 
-/// The reach set `R` of a gated query, into `out` (reset to the corpus
-/// size first): every video holding a signature pair whose [`row_bounds`]
-/// bound is `≤ reach`. A video outside it has no row ceiling at or above
-/// `τ` — each of its pairs is further than `reach`, so conceded by `give`
-/// it is over the radius — and so `κJ = 0` by [`kappa_upper_bound`].
+/// A gated query's reach set `R` with its row minima, as [`reach_set`]
+/// leaves them: per member video and query row, the smallest bound among
+/// the row's pairs in reach (`≤ reach`), `+∞` for a row holding none. Thread
+/// scratch: a slot per corpus video, reset through the member list rather
+/// than cleared whole, and `rows × |R|` minima.
+#[derive(Default)]
+pub(crate) struct ReachRows {
+    /// Per corpus video, its place in `members`, or [`Self::OUT`].
+    slot: Vec<u32>,
+    /// The videos of `R`, in the order the pass first found them.
+    members: Vec<u32>,
+    /// Query rows.
+    rows: usize,
+    /// `rows` minima per member, in member order.
+    minima: Vec<f64>,
+}
+
+impl ReachRows {
+    /// The slot of a video outside `R`.
+    const OUT: u32 = u32::MAX;
+
+    /// Empties the set and sizes it for `videos` videos and `rows` query rows.
+    fn reset(&mut self, videos: usize, rows: usize) {
+        for &video in &self.members {
+            self.slot[video as usize] = Self::OUT;
+        }
+        self.members.clear();
+        self.minima.clear();
+        self.slot.resize(videos, Self::OUT);
+        self.rows = rows;
+    }
+
+    /// Takes pair bound `lb`, in reach, of query row `row` against a
+    /// signature of `video` into the row's minimum.
+    fn note(&mut self, row: usize, video: u32, lb: f64) {
+        let mut at = self.slot[video as usize];
+        if at == Self::OUT {
+            at = self.members.len() as u32;
+            self.slot[video as usize] = at;
+            self.members.push(video);
+            self.minima
+                .resize(self.minima.len() + self.rows, f64::INFINITY);
+        }
+        let min = &mut self.minima[at as usize * self.rows + row];
+        *min = min.min(lb);
+    }
+
+    /// Whether `idx` is in `R`.
+    pub(crate) fn contains(&self, idx: u32) -> bool {
+        self.slot[idx as usize] != Self::OUT
+    }
+
+    /// The videos of `R`, in no particular order.
+    pub(crate) fn members(&self) -> &[u32] {
+        &self.members
+    }
+
+    /// The row minima of `idx`, or `None` outside `R`.
+    fn row_minima(&self, idx: u32) -> Option<&[f64]> {
+        let at = self.slot[idx as usize] as usize;
+        self.contains(idx)
+            .then(|| &self.minima[at * self.rows..(at + 1) * self.rows])
+    }
+}
+
+/// The reach set `R` of a gated query, with its row minima, into `out`
+/// (reset to the corpus size first): every video holding a signature pair
+/// whose [`row_bounds`] bound is `≤ reach`. A video outside it has no row
+/// ceiling at or above `τ` — each of its pairs is further than `reach`, so
+/// conceded by `give` it is over the radius — and so `κJ = 0` by
+/// [`kappa_upper_bound`]; a member's `κJ` ceiling is
+/// [`kappa_ceiling_in_reach`] over its minima.
 pub(crate) fn reach_set(
     index: &ReachIndex,
     query: SeriesView<'_>,
     reach: f64,
     videos: usize,
-    out: &mut Seen,
+    out: &mut ReachRows,
 ) {
-    out.reset(videos);
-    reach_pass(index, query, reach, |_, video| {
-        out.insert(video);
+    out.reset(videos, query.len());
+    reach_pass(index, query, reach, |row, video, lb| {
+        out.note(row, video, lb)
     });
 }
 
@@ -291,13 +366,14 @@ pub(crate) fn reach_set(
 /// window of entries whose centroid gap is within `reach`
 /// ([`ReachIndex::window`], one run per chunk it crosses), priced [`REACH_STEP`] at a time by
 /// [`pair_bounds`] — the expression [`row_bounds`] forms, on the same bits —
-/// and `in_reach(row, video)` for each entry whose bound is `≤ reach`.
-/// Entries outside the window have a gap, and so a bound, over `reach`.
+/// and `in_reach(row, video, lb)` for each entry whose bound `lb` is
+/// `≤ reach`. Entries outside the window have a gap, and so a bound, over
+/// `reach`.
 fn reach_pass(
     index: &ReachIndex,
     query: SeriesView<'_>,
     reach: f64,
-    mut in_reach: impl FnMut(usize, u32),
+    mut in_reach: impl FnMut(usize, u32, f64),
 ) {
     for (i, &q) in query.means.iter().enumerate() {
         let fq = query.features(i);
@@ -305,12 +381,12 @@ fn reach_pass(
             let full = means.len() - means.len() % REACH_STEP;
             for j in (0..full).step_by(REACH_STEP) {
                 let lbs = pair_bounds::<REACH_STEP>(q, &fq, &cols, means, j);
-                // No branch per entry: the rare step holding a pair in
-                // reach is walked again.
+                // No branch per entry: a step holding a pair in reach is
+                // walked again.
                 if lbs.iter().fold(false, |any, &lb| any | (lb <= reach)) {
                     for (&lb, &video) in lbs.iter().zip(&videos[j..]) {
                         if lb <= reach {
-                            in_reach(i, video);
+                            in_reach(i, video, lb);
                         }
                     }
                 }
@@ -318,11 +394,27 @@ fn reach_pass(
             for (j, &video) in videos.iter().enumerate().skip(full) {
                 let [lb] = pair_bounds::<1>(q, &fq, &cols, means, j);
                 if lb <= reach {
-                    in_reach(i, video);
+                    in_reach(i, video, lb);
                 }
             }
         }
     }
+}
+
+/// [`kappa_upper_bound`] of a video in a gated query's reach set, off its
+/// [`ReachRows`] minima instead of a second pass over its pairs: `SimC` of
+/// each row's minimum conceded by `give`, then the matcher bound over those
+/// row ceilings, for a video of `n2` signatures. The same bits: a row with a
+/// pair in reach has its smallest bound among those pairs — every other
+/// pair is over `reach` — and a row with none (`+∞`, a ceiling of 0) has
+/// every bound over `reach = radius + give`, so a ceiling under `τ` that
+/// [`extended_jaccard_upper_bound_in`] drops as it drops 0. (`τ ≤ 0` makes
+/// `reach` infinite, so then every row holds a pair in reach.)
+fn kappa_ceiling_in_reach(minima: &[f64], n2: usize, give: f64, cfg: MatchingConfig) -> f64 {
+    SCRATCH.with_borrow_mut(|scratch| {
+        let row_ceiling = |i: usize| sim_c_upper_bound(conceded(minima[i], give));
+        extended_jaccard_upper_bound_in(&mut scratch.ceilings, minima.len(), n2, row_ceiling, cfg)
+    })
 }
 
 /// What [`kappa_exact_cached`]'s keying step compares a pair's bounds with.
@@ -349,6 +441,8 @@ fn key_pairs(
     lbs: &mut Vec<f64>,
     unswept: &mut Vec<PairKey>,
 ) -> u64 {
+    #[cfg(test)]
+    PAIRS_KEYED.set(PAIRS_KEYED.get() + (query.len() * video.len()) as u64);
     let mut under = 0;
     for (i, &q) in query.means.iter().enumerate() {
         row_bounds(query, i, video, lbs);
@@ -664,10 +758,12 @@ impl LadderQueue {
 /// moves next; if that ceiling is strictly below the k-th exact score the
 /// whole queue is pruned, otherwise the candidate climbs one rung —
 /// `FJ(κ=1, s)` → O(1) zero rung (`κJ = 0`: outside the reach set `R` in the
-/// gated modes, mean ranges [`separated`] in paper mode) → slice-bound `κJ`
-/// ceiling, a proven `κJ = 0` when no pair is within reach
-/// ([`kappa_upper_bound`]) → exact `κJ` — and is dropped, re-queued, or
-/// scored. (A gated candidate outside `R` enters at `FJ(0, s)` already.)
+/// gated mode, mean ranges [`separated`] in paper mode) → slice-bound `κJ`
+/// ceiling (gated: off the reach pass's row minima,
+/// [`kappa_ceiling_in_reach`]; paper mode: [`kappa_upper_bound`], a proven
+/// `κJ = 0` when no pair is within reach) → exact `κJ` — and is dropped,
+/// re-queued, or scored. (A gated candidate outside `R` enters at `FJ(0, s)`
+/// already.)
 /// [`Self::drain`] makes those moves in *runs*: everything between two
 /// scoring events happens under one floor and one span.
 ///
@@ -694,29 +790,36 @@ pub(crate) struct Ladder<'a> {
     /// what a pair bound must exceed to prove its `SimC` under `τ` (see
     /// [`separated`] and [`reach_set`]).
     pub(crate) reach: f64,
-    /// The gated modes' reach set `R` ([`reach_set`]): the zero rung reads
-    /// `idx ∉ R`. `None` in paper mode, whose zero rung is [`separated`].
-    pub(crate) in_reach: Option<&'a Seen>,
+    /// A gated query's reach set `R` and its row minima ([`reach_set`]):
+    /// the zero rung reads `idx ∉ R`, and the ceiling of a member its
+    /// minima. `None` in paper mode, whose zero rung is [`separated`].
+    pub(crate) in_reach: Option<&'a ReachRows>,
     pub(crate) top_k: usize,
 }
 
 impl Ladder<'_> {
-    /// Candidate `i`'s `κJ` ceiling: 0 off the zero rung — outside `R`, or
-    /// in paper mode [`separated`] from the query — else
-    /// [`kappa_upper_bound`].
+    /// Candidate `i`'s `κJ` ceiling. Gated: 0 outside `R`, else
+    /// [`kappa_ceiling_in_reach`] over the minima the reach pass left — no
+    /// pair is priced again. Paper mode: 0 when [`separated`] from the
+    /// query, else [`kappa_upper_bound`].
     fn kappa_ceiling(&self, i: usize) -> f64 {
         let arena = &self.content.arena;
-        let zero = match self.in_reach {
-            Some(reach_set) => !reach_set.contains(i as u32),
+        let video = arena.view(i);
+        match self.in_reach {
+            Some(reach_set) => reach_set.row_minima(i as u32).map_or(0.0, |minima| {
+                let give = rounding_give(self.qv.rounding, video.rounding);
+                // The pass compared with `reach` under the same `give`: the
+                // arena's rounding is arena-wide, so every video's is one.
+                debug_assert!(self.reach == self.cfg.matching.radius() + give);
+                kappa_ceiling_in_reach(minima, video.len(), give, self.cfg.matching)
+            }),
             None => {
                 let (lo, hi) = arena.mean_ranges();
-                separated(self.q_range, (lo[i], hi[i]), self.reach)
+                match separated(self.q_range, (lo[i], hi[i]), self.reach) {
+                    true => 0.0,
+                    false => kappa_upper_bound(self.qv, video, self.cfg.matching),
+                }
             }
-        };
-        if zero {
-            0.0
-        } else {
-            kappa_upper_bound(self.qv, arena.view(i), self.cfg.matching)
         }
     }
 
@@ -1644,7 +1747,7 @@ mod tests {
                 let q = qc.view(0);
                 let reach = cfg.radius() + rounding_give(qc.rounding(), arena.rounding());
                 let mut found = vec![vec![0usize; corpus.len()]; q.len()];
-                reach_pass(&index, q, reach, |i, video| found[i][video as usize] += 1);
+                reach_pass(&index, q, reach, |i, video, _| found[i][video as usize] += 1);
                 let mut lbs = Vec::new();
                 for (i, row) in found.iter().enumerate() {
                     for (v, &got) in row.iter().enumerate() {
@@ -1660,13 +1763,163 @@ mod tests {
                         prop_assert!(got == in_slice_order.count(), "row {i} video {v}");
                     }
                 }
-                let mut in_reach = Seen::default();
+                let mut in_reach = ReachRows::default();
                 reach_set(&index, q, reach, corpus.len(), &mut in_reach);
                 for v in 0..corpus.len() {
                     let ceiling = kappa_upper_bound(q, arena.view(v), cfg);
                     prop_assert!(ceiling == 0.0 || in_reach.contains(v as u32), "video {v}");
                 }
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The gated ladder's fused ceilings against the row pass, on the
+        /// boundaries both compare with. The corpus is a boundary video —
+        /// eight equal cuboids, the first putting its slice-0 feature and the
+        /// centroid gap to a point mass at 0 on an edge or an ulp or two off
+        /// it, then up to three terms of whole ulps, nothing, or as much
+        /// again, the rest 0; a far signature pins `give` — plus random or
+        /// dyadic series. The edges are `reach`, where the pass's verdict
+        /// turns; the radius; and `1/τ − 1 + give`, where a row's `SimC`
+        /// ceiling crosses `τ`. The queries are the point mass (with a far
+        /// signature of its own) and two of the corpus series. Per video
+        /// and query row, the pass's minimum is the [`row_bounds`] row's
+        /// when that row holds a bound `≤ reach`, and `+∞` (or the video
+        /// outside `R`) when it holds none; and per video, in `R` or not,
+        /// the ladder's ceiling is [`kappa_upper_bound`]'s bit for bit.
+        #[test]
+        fn the_fused_ceiling_is_the_row_pass_ceiling_on_the_boundary(
+            seed in 0..u64::MAX,
+            dyadic in 0..2u32,
+            tau in 0..3usize,
+            edge in 0..3usize,
+            first in -2..3i64,
+            rest in prop::collection::vec((0..3u32, -2..3i64), 0..4),
+        ) {
+            use crate::{CorpusVideo, Recommender};
+            use viderec_video::VideoId;
+            let matching = MatchingConfig { min_similarity: [0.3, 0.5, 0.8][tau] };
+            let far = 1024.0;
+            let (radius, give) = (matching.radius(), rounding_give((1, far), (8, far)));
+            let edge = [radius + give, radius, 1.0 / matching.min_similarity - 1.0 + give][edge];
+            let ulp = nudged(edge, 1) - edge;
+            let mut values = vec![-8.0 * nudged(edge, first)];
+            values.extend(rest.iter().map(|&(kind, n)| match kind {
+                0 => 0.0,
+                1 => 8.0 * n as f64 * ulp,
+                _ => 8.0 * nudged(edge, n),
+            }));
+            values.resize(8, 0.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut corpus = vec![SignatureSeries::new(vec![level_sig(&values), level_sig(&[far])])];
+            for _ in 0..6 {
+                corpus.push(match dyadic {
+                    1 => shaped_series(&dyadic_shape(&mut rng, 5), 0.0),
+                    _ => random_series(&mut rng, 5),
+                });
+            }
+            let videos = corpus.iter().enumerate().map(|(n, series)| CorpusVideo {
+                id: VideoId(n as u64),
+                series: series.clone(),
+                users: vec![format!("u{n}")],
+            });
+            let cfg = RecommenderConfig { k_subcommunities: 1, matching, ..Default::default() };
+            let rec = Recommender::build(cfg, videos.collect()).unwrap();
+            let arena = &rec.content.arena;
+            let point = SignatureSeries::new(vec![level_sig(&[0.0]), level_sig(&[-far])]);
+            let mut rows = ReachRows::default();
+            let mut lbs = Vec::new();
+            for query in [&point, &corpus[1], &corpus[2]] {
+                let cache = ScoringArena::for_series(query);
+                let ladder = rec.ladder(Strategy::Cr, &cache, 1);
+                let (q, reach) = (ladder.qv, ladder.reach);
+                reach_set(&rec.content.reach, q, reach, corpus.len(), &mut rows);
+                for v in 0..corpus.len() {
+                    let video = arena.view(v);
+                    let want: Vec<Option<f64>> = (0..q.len())
+                        .map(|i| {
+                            let min = row_bounds(q, i, video, &mut lbs);
+                            lbs.iter().any(|&lb| lb <= reach).then_some(min)
+                        })
+                        .collect();
+                    let bits = |x: Option<f64>| x.map(f64::to_bits);
+                    match rows.row_minima(v as u32) {
+                        None => prop_assert!(want.iter().all(Option::is_none), "video {v}"),
+                        Some(got) => {
+                            prop_assert!(want.iter().any(Option::is_some), "video {v}");
+                            for (i, (&got, &want)) in got.iter().zip(&want).enumerate() {
+                                let got = Some(got).filter(|m| m.is_finite());
+                                prop_assert!(
+                                    bits(got) == bits(want),
+                                    "video {v} row {i}: {got:?} != {want:?}"
+                                );
+                            }
+                        }
+                    }
+                    let fused = Ladder { in_reach: Some(&rows), ..ladder };
+                    let got = fused.kappa_ceiling(v);
+                    let want = kappa_upper_bound(q, video, matching);
+                    prop_assert!(got.to_bits() == want.to_bits(), "video {v}: {got} != {want}");
+                }
+            }
+        }
+    }
+
+    /// A gated query prices no pair twice: the ladder's ceilings come from
+    /// the reach pass, so every pair [`row_bounds`] bounds on the way is one
+    /// the exact matcher keys. The paper-mode ladder, whose ceilings run
+    /// the row pass, is the control.
+    #[test]
+    fn a_gated_ladder_bounds_no_pair_outside_exact_keying() {
+        use crate::{CorpusVideo, QueryVideo, Recommender, RetrievalMode};
+        use viderec_video::VideoId;
+        let mut rng = StdRng::seed_from_u64(96);
+        let bases: Vec<SignatureSeries> = (0..3).map(|_| random_series(&mut rng, 4)).collect();
+        let corpus: Vec<CorpusVideo> = (0..24)
+            .map(|n| CorpusVideo {
+                id: VideoId(n),
+                series: shifted(
+                    &bases[n as usize % 3],
+                    [0.0, 0.25, 0.75, 6.0][n as usize / 6],
+                ),
+                users: vec![format!("u{}", n % 5)],
+            })
+            .collect();
+        let cfg = RecommenderConfig {
+            k_subcommunities: 2,
+            ..Default::default()
+        };
+        let mut rec = Recommender::build(cfg, corpus.clone()).unwrap();
+        for (mode, outside_keying) in [
+            (RetrievalMode::GatedCertified, false),
+            (RetrievalMode::Paper, true),
+        ] {
+            rec.set_retrieval(mode);
+            let (mut ceilings, mut bounded_outside) = (0, 0);
+            for source in &corpus {
+                let query = QueryVideo::from_corpus(source);
+                for strategy in [Strategy::Cr, Strategy::Csf, Strategy::CsfSarH] {
+                    let (bounded, keyed) = (PAIRS_BOUNDED.get(), PAIRS_KEYED.get());
+                    let (_, trace) = rec.recommend_traced(strategy, &query, 3, &[], Tracer::ON);
+                    let bounded = PAIRS_BOUNDED.get() - bounded;
+                    let keyed = PAIRS_KEYED.get() - keyed;
+                    assert!(keyed <= bounded);
+                    bounded_outside += bounded - keyed;
+                    ceilings += trace.stage(Stage::Bound).count;
+                }
+            }
+            assert!(
+                ceilings > 0,
+                "{mode:?}: no ceiling taken, the test is vacuous"
+            );
+            assert_eq!(
+                bounded_outside > 0,
+                outside_keying,
+                "{mode:?}: {bounded_outside} pairs"
+            );
         }
     }
 
@@ -1862,7 +2115,7 @@ mod tests {
             let promoting = promoting == 1;
             let cache = ScoringArena::for_series(&bases[0]);
             let ladder = rec.ladder(strategy, &cache, top_k);
-            let mut in_reach = Seen::default();
+            let mut in_reach = ReachRows::default();
             reach_set(&rec.content.reach, ladder.qv, ladder.reach, videos.len(), &mut in_reach);
             let in_reach = (gated == 1).then_some(&in_reach);
             let ladder = Ladder { in_reach, ..ladder };

@@ -33,24 +33,25 @@
 //!
 //! Under [`RetrievalMode::Paper`] (the default) the candidate universe is the
 //! paper's evaluation setup: full enumeration for SR/CSF/CSF-SAR, truncated
-//! Fig. 6 indices for CR/CSF-SAR-H. The `Gated*` modes instead make the
-//! *untruncated* inverted-file posting union plus the reach set `R` — every
-//! video holding a signature pair within the match radius plus the rounding
-//! give, found exactly off the corpus's mean-sorted reach index
-//! ([`crate::prune::reach_set`]) — the candidate universe for every
-//! strategy, so `scanned << corpus`, and bolt an exactness certificate on top
-//! (see [`Recommender::engine`] and DESIGN.md §11): after scoring the
-//! gathered candidates, a flat O(1) ceiling sweep over the *non*-candidates —
-//! whose `κJ` ceiling is 0, being outside `R` — queues any video that could
-//! still reach the top-k floor onto the same ladder. The certified result is
-//! bit-identical to [`Recommender::recommend_naive_excluding`], the true
-//! full-corpus scan.
+//! Fig. 6 indices for CR/CSF-SAR-H. [`RetrievalMode::GatedCertified`]
+//! instead makes the *untruncated* inverted-file posting union plus the
+//! reach set `R` — every video holding a signature pair within the match
+//! radius plus the rounding give, found exactly off the corpus's mean-sorted
+//! reach index ([`crate::prune::reach_set`], whose pass also leaves each
+//! member's row minima, the ladder's `κJ` ceilings) — the candidate universe
+//! for every strategy, so `scanned << corpus`, and bolts an exactness
+//! certificate on top (see [`Recommender::engine`] and DESIGN.md §11): after
+//! scoring the gathered candidates, a flat O(1) ceiling sweep over the
+//! *non*-candidates — whose `κJ` ceiling is 0, being outside `R` — queues
+//! any video that could still reach the top-k floor onto the same ladder.
+//! The certified result is bit-identical to
+//! [`Recommender::recommend_naive_excluding`], the true full-corpus scan.
 
 use crate::arena::{ReachIndex, ScoringArena, Totals};
 use crate::config::{RecommenderConfig, RetrievalMode};
 use crate::corpus::{CorpusVideo, QueryVideo};
 use crate::errors::RecError;
-use crate::prune::{reach_set, rounding_give, Ladder, LadderQueue, PruneStats, Queued};
+use crate::prune::{reach_set, rounding_give, Ladder, LadderQueue, PruneStats, Queued, ReachRows};
 use crate::relevance::{strategy_score, Strategy};
 use crate::topk::{floor_of, push_top_k, sort_ranked, top_k_heap, WorstFirst};
 use crate::trace::{QueryTrace, Stage, Tracer};
@@ -637,7 +638,7 @@ impl Recommender {
         prep: &PreparedQuery,
         candidates: &[u32],
         with_social: usize,
-        in_reach: Option<&Seen>,
+        in_reach: Option<&ReachRows>,
         rung: &mut FirstRung,
         tracer: Tracer,
         trace: &mut QueryTrace,
@@ -665,8 +666,7 @@ impl Recommender {
 
     /// The ground-truth reference: score **every** corpus video — no index
     /// truncation, no pruning — sort fully, truncate to `top_k`. This is what
-    /// the certified gated modes must reproduce bit-identically and what the
-    /// approximate mode's recall is measured against.
+    /// the certified gated mode must reproduce bit-identically.
     pub fn recommend_naive_excluding(
         &self,
         strategy: Strategy,
@@ -676,7 +676,7 @@ impl Recommender {
     ) -> Vec<Scored> {
         let prep = self.prepare_query(strategy, query);
         // viderec-lint: allow(corpus-enumeration) — the naive reference is a
-        // sanctioned full scan: it defines ground truth for the gated modes.
+        // sanctioned full scan: it defines ground truth for the gated mode.
         let universe = self.all_video_indices();
         self.reference_scan(universe, strategy, query, &prep, top_k, exclude)
     }
@@ -733,8 +733,7 @@ impl Recommender {
 }
 
 /// One bit per corpus video: gathered, excluded, or queued as a certificate
-/// survivor — everything the certificate sweep and the zero fill must skip;
-/// or, as a gated query's reach set `R`, holding a signature pair in reach.
+/// survivor — everything the certificate sweep and the zero fill must skip.
 #[derive(Default)]
 pub(crate) struct Seen(Vec<u64>);
 
@@ -751,11 +750,6 @@ impl Seen {
         let fresh = self.0[word] & bit == 0;
         self.0[word] |= bit;
         fresh
-    }
-
-    /// Whether `idx` is marked.
-    pub(crate) fn contains(&self, idx: u32) -> bool {
-        self.0[idx as usize / 64] & 1 << (idx % 64) != 0
     }
 
     /// Unmarks `idx`.
@@ -862,8 +856,8 @@ impl FirstRung {
 #[derive(Default)]
 struct Scratch {
     seen: Seen,
-    /// A gated query's reach set `R` ([`reach_set`]).
-    reach: Seen,
+    /// A gated query's reach set `R` and its row minima ([`reach_set`]).
+    reach: ReachRows,
     /// The gathered candidates, exclusions already dropped.
     candidates: Vec<u32>,
     /// How many gathered videos the exclusion list kept out of `candidates`.
@@ -1002,7 +996,7 @@ impl Recommender {
                 self.num_videos(),
                 &mut reach,
             );
-            for idx in reach.marked_descending() {
+            for &idx in reach.members() {
                 scratch.offer(idx, excluded);
             }
             scratch.reach = reach;
@@ -1111,7 +1105,8 @@ impl Recommender {
     /// universe, [`Self::gated_candidates`] otherwise), and whether the
     /// result is then certified: the certificate sweep, its survivors on the
     /// same ladder, and the certified-zero tail. `gate` in the returned trace
-    /// records which: 0 paper, 1 gated approximate, 2 gated certified exact.
+    /// records which: 0 paper, 2 gated certified exact (1 was the retired
+    /// uncertified gated mode).
     fn engine(
         &self,
         strategy: Strategy,
@@ -1129,11 +1124,8 @@ impl Recommender {
         if top_k == 0 {
             return (Vec::new(), trace);
         }
-        trace.gate = match self.cfg.retrieval {
-            RetrievalMode::Paper => 0,
-            RetrievalMode::GatedApprox => 1,
-            RetrievalMode::GatedCertified => 2,
-        };
+        let gated = self.cfg.retrieval == RetrievalMode::GatedCertified;
+        trace.gate = if gated { 2 } else { 0 };
 
         let sp = tracer.start();
         let prep = self.prepare_query(strategy, query);
@@ -1152,10 +1144,10 @@ impl Recommender {
         trace.stop_span(sp, Stage::Filter);
 
         let sp = tracer.start();
-        let with_social = if trace.gate == 0 {
-            self.candidate_indices(strategy, query, &prep, &excluded, scratch)
-        } else {
+        let with_social = if gated {
             self.gated_candidates(strategy, query, &prep, &ladder, &excluded, scratch)
+        } else {
+            self.candidate_indices(strategy, query, &prep, &excluded, scratch)
         };
         trace.stop_span(sp, Stage::Gather);
         let Scratch {
@@ -1165,8 +1157,9 @@ impl Recommender {
             dropped,
             rung,
         } = scratch;
-        // Gated, the zero rung is `R`, which the gather just computed.
-        let in_reach = (trace.gate != 0 && strategy.uses_content()).then_some(&*reach);
+        // Gated, the zero rung is `R` and the ceilings its row minima, which
+        // the gather just computed.
+        let in_reach = (gated && strategy.uses_content()).then_some(&*reach);
         let ladder = Ladder { in_reach, ..ladder };
         trace.gathered = candidates.len() as u64 + *dropped;
         trace.excluded = *dropped;
@@ -1193,7 +1186,7 @@ impl Recommender {
                 strategy, query, &prep, candidates, top_k, &mut heap, tracer, &mut trace,
             );
         }
-        if trace.gate == 2 {
+        if gated {
             let sp = tracer.start();
             let floor = floor_of(&heap, top_k).unwrap_or(0.0);
             candidates.clear();
@@ -2036,10 +2029,10 @@ mod tests {
                 let ladder = r.ladder(strategy, &cache, 1);
                 // A content query's gather holds all of `R`: the sweep sees
                 // only the videos outside it.
-                let mut reach = Seen::default();
+                let mut reach = ReachRows::default();
                 reach_set(&r.content.reach, ladder.qv, ladder.reach, 4, &mut reach);
                 let gathered: Vec<u32> = match strategy.uses_content() {
-                    true => reach.marked_descending().collect(),
+                    true => reach.members().to_vec(),
                     false => Vec::new(),
                 };
                 for skip in [vec![], vec![1u32], vec![0, 3]] {
@@ -2086,30 +2079,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn approx_mode_never_scans_more_than_it_gathered() {
-        let (corpus, _) = small_corpus();
-        let cfg = test_cfg().with_retrieval(RetrievalMode::GatedApprox);
-        let r = Recommender::build(cfg, corpus.clone()).unwrap();
-        let q = QueryVideo::from_corpus(&corpus[1]);
-        for strategy in ALL {
-            let (_, trace) = r.recommend_traced(strategy, &q, 2, &[], Tracer::OFF);
-            assert_eq!(trace.gate, 1, "{}", strategy.label());
-            assert_eq!(trace.promoted, 0);
-            assert_eq!(trace.stats.scanned, trace.gathered - trace.excluded);
-        }
-    }
-
     /// Each retrieval mode with the `gate` its traces must carry.
-    const MODES: [(RetrievalMode, u64); 3] = [
+    const MODES: [(RetrievalMode, u64); 2] = [
         (RetrievalMode::Paper, 0),
         (RetrievalMode::GatedCertified, 2),
-        (RetrievalMode::GatedApprox, 1),
     ];
 
     /// What `mode` must reproduce bit for bit: the unpruned scan of the
-    /// paper universe, the naive full scan once certified, nothing for the
-    /// approximate mode.
+    /// paper universe, the naive full scan once certified.
     fn reference(
         r: &Recommender,
         mode: RetrievalMode,
@@ -2117,13 +2094,10 @@ mod tests {
         q: &QueryVideo,
         k: usize,
         exclude: &[VideoId],
-    ) -> Option<Vec<Scored>> {
+    ) -> Vec<Scored> {
         match mode {
-            RetrievalMode::Paper => Some(r.recommend_unpruned_excluding(strategy, q, k, exclude)),
-            RetrievalMode::GatedCertified => {
-                Some(r.recommend_naive_excluding(strategy, q, k, exclude))
-            }
-            RetrievalMode::GatedApprox => None,
+            RetrievalMode::Paper => r.recommend_unpruned_excluding(strategy, q, k, exclude),
+            RetrievalMode::GatedCertified => r.recommend_naive_excluding(strategy, q, k, exclude),
         }
     }
 
@@ -2162,9 +2136,7 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "{label}");
             }
             assert_eq!(off_trace.stats, on_trace.stats, "{label}");
-            if let Some(want) = reference(r, mode, strategy, q, 3, exclude) {
-                assert_eq!(on, want, "{label}");
-            }
+            assert_eq!(on, reference(r, mode, strategy, q, 3, exclude), "{label}");
         });
     }
 
@@ -2185,9 +2157,7 @@ mod tests {
             assert!(on.stage_sum_ns() <= on.total_ns, "{label}");
             assert_eq!(on.gate, gate, "{label}");
             assert_eq!(on.corpus, 4);
-            if let Some(want) = reference(r, mode, strategy, q, 2, exclude) {
-                assert_eq!(top, want, "{label}");
-            }
+            assert_eq!(top, reference(r, mode, strategy, q, 2, exclude), "{label}");
             assert!(top.iter().all(|s| !exclude.contains(&s.video)), "{label}");
 
             // The gather is the same with or without exclusions, which only

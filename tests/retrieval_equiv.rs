@@ -222,25 +222,3 @@ fn gated_retrieval_honours_exclusions_exactly() {
         }
     }
 }
-
-#[test]
-fn approx_mode_stays_within_the_gathered_set_on_streamed_corpora() {
-    let (stream, corpus) = corpus();
-    let rec = gated(RetrievalMode::GatedApprox, &corpus);
-    let queries = queries_for(&stream, &rec);
-    for strategy in STRATEGIES {
-        for q in &queries {
-            let (got, trace) = rec.recommend_traced(strategy, q, 20, &[], Tracer::OFF);
-            assert!(got.len() <= 20);
-            assert_eq!(trace.gate, 1, "approx mode must flag itself");
-            assert_eq!(trace.promoted, 0, "approx mode never promotes");
-            assert!(
-                trace.stats.scanned < trace.corpus,
-                "{}: approx scanned {} of {}",
-                strategy.label(),
-                trace.stats.scanned,
-                trace.corpus
-            );
-        }
-    }
-}
