@@ -5,11 +5,6 @@
 //!
 //! * certified-exact gated latency (ms/query) and the scanned/corpus ratio;
 //! * bit-identity of the certified gated top-k against the naive full scan;
-//! * what the built content index holds: the LSB forest's distinct Z-values
-//!   and stored `(Z-value, video)` pairs, summed over its trees
-//!   (`lsb_distinct_keys`, `lsb_stored_pairs` — seed-deterministic, so
-//!   `bench_diff --quick` gates them to the unit and any change to hashing
-//!   or to the forest's dedup fails it);
 //! * the write path after the queries: one 8-comment batch, one
 //!   single-video ingest and one `age 1` on the same recommender, each with
 //!   its wall time and Fig. 5's decisions (`merges`, `splits`,
@@ -95,8 +90,6 @@ struct Point {
     users: usize,
     k_subcommunities: usize,
     build_ms: u128,
-    lsb_distinct_keys: usize,
-    lsb_stored_pairs: usize,
     rows: Vec<StrategyRow>,
     writes: Vec<WriteRow>,
     durable: DurableRow,
@@ -131,11 +124,7 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
     let t0 = Instant::now();
     let mut rec = Recommender::build(cfg.clone(), stream.materialize()).expect("build");
     let build_ms = t0.elapsed().as_millis();
-    let (lsb_distinct_keys, lsb_stored_pairs) = rec.lsb_entries();
-    eprintln!(
-        "[scale] {videos} videos: built in {build_ms} ms \
-         ({lsb_distinct_keys} LSB keys, {lsb_stored_pairs} stored pairs)"
-    );
+    eprintln!("[scale] {videos} videos: built in {build_ms} ms");
 
     let queries: Vec<QueryVideo> = stream
         .query_ids(queries_n)
@@ -199,8 +188,6 @@ fn run_point(videos: usize, queries_n: usize, k: usize) -> Point {
         users,
         k_subcommunities,
         build_ms,
-        lsb_distinct_keys,
-        lsb_stored_pairs,
         rows,
         writes,
         durable,
@@ -322,15 +309,12 @@ fn render(points: &[Point], quick: bool, queries: usize, k: usize) -> String {
         let _ = write!(
             out,
             "{{\"videos\": {}, \"users\": {}, \"k_subcommunities\": {}, \"build_ms\": {}, \
-             \"lsb_distinct_keys\": {}, \"lsb_stored_pairs\": {}, \
              \"mean_ms_per_query\": {:.3}, \"max_scanned_ratio\": {:.4}, \
              \"strategies\": {{",
             p.videos,
             p.users,
             p.k_subcommunities,
             p.build_ms,
-            p.lsb_distinct_keys,
-            p.lsb_stored_pairs,
             p.mean_ms(),
             p.max_ratio(),
         );

@@ -391,9 +391,6 @@ pub const SPECS: &[Spec] = &[
     spec("merges", LO, 0.0, true),
     spec("splits", LO, 0.0, true),
     spec("videos_rewritten", LO, 0.0, true),
-    // What the `scale` bin's built LSB forest holds.
-    spec("lsb_distinct_keys", LO, 0.0, true),
-    spec("lsb_stored_pairs", LO, 0.0, true),
     // The `scale` bin's seed snapshot: the on-disk format, to the byte.
     spec("snapshot_bytes", LO, 0.0, true),
     // -- wall-clock: same-host comparisons only --

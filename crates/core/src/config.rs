@@ -15,6 +15,10 @@ use viderec_index::LsbConfig;
 /// strategy so `scanned << corpus` — the posting union and every video
 /// holding a signature pair within the match radius — and checks the videos
 /// the gather missed against the top-k floor.
+///
+/// The mode also decides what a build makes, so it is fixed for the life of
+/// a recommender: only a `Paper` build (and its ingests) embeds every
+/// signature into the LSB forest, which only the paper's gather reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetrievalMode {
     /// Full-corpus scoring universe as in the paper's evaluation (default).
@@ -37,9 +41,11 @@ pub struct RecommenderConfig {
     pub k_subcommunities: usize,
     /// `κJ` matching threshold.
     pub matching: MatchingConfig,
-    /// LSB forest parameters for the content index.
+    /// LSB forest parameters for the content index. Read by
+    /// [`RetrievalMode::Paper`] builds only: a gated build holds no forest.
     pub lsb: LsbConfig,
-    /// CDF-embedding dimensionality for signature points.
+    /// CDF-embedding dimensionality for the forest's signature points. Read
+    /// by [`RetrievalMode::Paper`] builds only.
     pub embed_dims: usize,
     /// Candidates pulled per query signature from the LSB forest, and cap on
     /// social candidates, before FJ refinement (paper mode's Fig. 6 gather;
@@ -51,7 +57,8 @@ pub struct RecommenderConfig {
     /// bound, the quantile-slice bound the scoring arena always caches, and
     /// the engine reads neither this field nor [`PruneBound::Best`]'s.
     pub prune_bound: PruneBound,
-    /// Candidate-retrieval mode for all `recommend*` entry points.
+    /// Candidate-retrieval mode for all `recommend*` entry points, and so
+    /// which content indexes a build makes.
     pub retrieval: RetrievalMode,
 }
 

@@ -1892,12 +1892,11 @@ mod tests {
             k_subcommunities: 2,
             ..Default::default()
         };
-        let mut rec = Recommender::build(cfg, corpus.clone()).unwrap();
         for (mode, outside_keying) in [
             (RetrievalMode::GatedCertified, false),
             (RetrievalMode::Paper, true),
         ] {
-            rec.set_retrieval(mode);
+            let rec = Recommender::build(cfg.clone().with_retrieval(mode), corpus.clone()).unwrap();
             let (mut ceilings, mut bounded_outside) = (0, 0);
             for source in &corpus {
                 let query = QueryVideo::from_corpus(source);

@@ -142,6 +142,15 @@ pub(crate) struct Content {
     /// copy of `Content` bumps their counts instead of copying 76 bytes a
     /// signature, and an ingest writes only the chunks it lands in.
     pub(crate) reach: ReachIndex,
+    /// The Fig. 6 content index, held by a [`RetrievalMode::Paper`] build
+    /// only: no gated query reads it.
+    pub(crate) forest: Option<Forest>,
+}
+
+/// Paper mode's LSB forest over every signature's CDF embedding: what the
+/// paper's CR / CSF-SAR-H gather probes (Fig. 6 lines 5–6).
+#[derive(Clone)]
+pub(crate) struct Forest {
     pub(crate) lsb: LsbForest<u32>,
     pub(crate) embedder: CdfEmbedder,
 }
@@ -165,7 +174,8 @@ pub(crate) struct SocialRow {
 /// per-video rows are shared row by row and need none).
 #[doc(hidden)]
 pub mod part {
-    /// Ids, series, scoring arena, reach index, LSB forest.
+    /// Ids, series, scoring arena, reach index, and a paper-mode build's
+    /// LSB forest.
     pub const CONTENT: u8 = 1 << 0;
     /// The user registry.
     pub const REGISTRY: u8 = 1 << 1;
@@ -237,10 +247,10 @@ impl Recommender {
     ///
     /// * the **content half**, on a spawned thread, appends every video in
     ///   corpus order to the ids, the scoring arena (its columns sized once
-    ///   from the corpus totals) and the LSB forest, then sorts every
-    ///   signature into the reach index;
+    ///   from the corpus totals) and, in [`RetrievalMode::Paper`] only, the
+    ///   LSB forest, then sorts every signature into the reach index;
     /// * the **social half**, on the calling thread, interns users, builds
-    ///   the UIG, extracts `k` sub-communities, populates the chained hash
+    ///   the UIG in one counting pass, extracts `k` sub-communities, populates the chained hash
     ///   table, and vectorises every descriptor into its row, the inverted
     ///   files and the engagement lists.
     ///
@@ -368,17 +378,18 @@ impl Recommender {
             (
                 "lsb",
                 eq(a, b, |r| {
-                    let lsb = &r.content.lsb;
-                    let trees = lsb.listings().map(|tree| {
-                        tree.map(|(key, bag)| (key, bag.to_vec()))
-                            .collect::<Vec<_>>()
-                    });
-                    (
-                        lsb.len(),
-                        lsb.distinct_keys(),
-                        lsb.stored_pairs(),
-                        trees.collect::<Vec<_>>(),
-                    )
+                    r.content.forest.as_ref().map(|Forest { lsb, .. }| {
+                        let trees = lsb.listings().map(|tree| {
+                            tree.map(|(key, bag)| (key, bag.to_vec()))
+                                .collect::<Vec<_>>()
+                        });
+                        (
+                            lsb.len(),
+                            lsb.distinct_keys(),
+                            lsb.stored_pairs(),
+                            trees.collect::<Vec<_>>(),
+                        )
+                    })
                 }),
             ),
             (
@@ -445,15 +456,6 @@ impl Recommender {
         &self.cfg
     }
 
-    /// Switches the retrieval mode in place. The mode only selects the query
-    /// path (paper enumeration vs index-gated gather) — no index depends on
-    /// it — so flipping it on a built recommender is sound and cheap. The
-    /// scale bench uses this to compare modes without rebuilding a 100k-video
-    /// index per mode.
-    pub fn set_retrieval(&mut self, retrieval: RetrievalMode) {
-        self.cfg.retrieval = retrieval;
-    }
-
     /// Number of indexed videos.
     pub fn num_videos(&self) -> usize {
         // viderec-lint: allow(corpus-enumeration) — size accessor; no video
@@ -472,13 +474,16 @@ impl Recommender {
         self.maintenance.num_slots()
     }
 
-    /// What the content index holds: distinct Z-values and stored
-    /// `(Z-value, video)` pairs, each summed over the LSB forest's trees.
+    /// What the LSB forest holds: distinct Z-values and stored
+    /// `(Z-value, video)` pairs, each summed over its trees.
     /// Seed-deterministic, so a change to hashing or to the forest's dedup
-    /// shows in them.
+    /// shows in them. `(0, 0)` under [`RetrievalMode::GatedCertified`],
+    /// which builds no forest.
     pub fn lsb_entries(&self) -> (usize, usize) {
-        let lsb = &self.content.lsb;
-        (lsb.distinct_keys(), lsb.stored_pairs())
+        self.content
+            .forest
+            .as_ref()
+            .map_or((0, 0), |f| (f.lsb.distinct_keys(), f.lsb.stored_pairs()))
     }
 
     /// Number of registered users.
@@ -937,10 +942,13 @@ impl Recommender {
                         }
                     }
                 }
-                for sig in query.series.signatures() {
-                    let point = content.embedder.embed(&sig.as_pairs());
-                    for cand in content.lsb.query(&point, limit) {
-                        scratch.offer(cand.payload, excluded);
+                // A paper build always holds the forest.
+                if let Some(Forest { lsb, embedder }) = &content.forest {
+                    for sig in query.series.signatures() {
+                        let point = embedder.embed(&sig.as_pairs());
+                        for cand in lsb.query(&point, limit) {
+                            scratch.offer(cand.payload, excluded);
+                        }
                     }
                 }
             }
@@ -1421,8 +1429,10 @@ impl Content {
             series: Vec::with_capacity(totals.videos),
             arena: ScoringArena::new(),
             reach: ReachIndex::default(),
-            lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
-            embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
+            forest: (cfg.retrieval == RetrievalMode::Paper).then(|| Forest {
+                lsb: LsbForest::new(cfg.lsb, cfg.embed_dims),
+                embedder: CdfEmbedder::for_intensity_deltas(cfg.embed_dims),
+            }),
         };
         content.arena.reserve(totals);
         content.extend(corpus.into_iter().map(|video| (video.id, video.series)))?;
@@ -1433,15 +1443,16 @@ impl Content {
     /// first id already indexed — before it or earlier in `videos` — and
     /// returns it, with nothing of that video appended.
     ///
-    /// Each signature is embedded for the LSB forest off the value-ascending
-    /// lanes the arena has just written, into one point buffer reused for
-    /// the whole run. The appended signatures are then merged into the
-    /// reach index in one step ([`ReachIndex::extend`]).
+    /// With a forest, each signature is embedded for it off the
+    /// value-ascending lanes the arena has just written, into one point
+    /// buffer reused for the whole run. The appended signatures are then
+    /// merged into the reach index in one step ([`ReachIndex::extend`]).
     pub(crate) fn extend(
         &mut self,
         videos: impl IntoIterator<Item = (VideoId, SignatureSeries)>,
     ) -> Result<(), VideoId> {
-        let (mut pairs, mut point) = (Vec::new(), Vec::with_capacity(self.embedder.dims()));
+        let dims = self.forest.as_ref().map_or(0, |f| f.embedder.dims());
+        let (mut pairs, mut point) = (Vec::new(), Vec::with_capacity(dims));
         let (from, mut appended) = (self.ids.len(), Ok(()));
         for (id, series) in videos {
             let idx = self.ids.len();
@@ -1454,11 +1465,13 @@ impl Content {
             };
             self.arena.push_series(&series, &mut pairs);
             debug_assert_eq!(self.arena.len(), idx + 1, "arena tracks the corpus 1:1");
-            let view = self.arena.view(idx);
-            for sig in 0..view.len() {
-                let (values, weights) = view.lanes(sig);
-                self.embedder.embed_sorted_into(values, weights, &mut point);
-                self.lsb.insert(&point, idx as u32);
+            if let Some(Forest { lsb, embedder }) = &mut self.forest {
+                let view = self.arena.view(idx);
+                for sig in 0..view.len() {
+                    let (values, weights) = view.lanes(sig);
+                    embedder.embed_sorted_into(values, weights, &mut point);
+                    lsb.insert(&point, idx as u32);
+                }
             }
             self.ids.push(id);
             self.series.push(series);
@@ -1491,10 +1504,7 @@ impl Social {
             .map(|names| intern_users(&mut registry, names))
             .collect();
         drop(users);
-        let mut graph = UserInterestGraph::new(registry.len());
-        for users in &socials {
-            graph.add_video(users);
-        }
+        let graph = UserInterestGraph::from_videos(registry.len(), &socials);
         let maintenance = SocialUpdatesMaintenance::new(graph, cfg.k_subcommunities);
 
         // Chained hash table: user name → community slot (Fig. 4).
@@ -1763,6 +1773,36 @@ mod tests {
         };
         let other = build_on_one_thread(k, corpus);
         assert_eq!(threaded.differing_part(&other), Some("partition"));
+    }
+
+    /// Only a paper build embeds signatures: a gated build holds no LSB
+    /// forest, before and after an ingest, and differs from the paper build
+    /// of the same corpus in the forest alone. The paper build's forest is
+    /// the one every build held before gated builds dropped it (the counts
+    /// were read off a gated build of this corpus then).
+    #[test]
+    fn a_gated_build_and_its_ingests_hold_no_forest() {
+        let cfg = RecommenderConfig {
+            k_subcommunities: 12,
+            ..Default::default()
+        };
+        let corpus = tangled_corpus(400, 1);
+        let paper = Recommender::build(cfg.clone(), corpus.clone()).unwrap();
+        assert_eq!(paper.lsb_entries(), (3108, 3268));
+        let gated = cfg.with_retrieval(RetrievalMode::GatedCertified);
+        let whole = Recommender::build(gated.clone(), corpus.clone()).unwrap();
+        assert_eq!(whole.lsb_entries(), (0, 0));
+        assert_eq!(whole.differing_part(&paper), Some("lsb"));
+        let mut grown = Recommender::build(gated, corpus[..300].to_vec()).unwrap();
+        assert_eq!(grown.lsb_entries(), (0, 0));
+        grown.add_videos(corpus[300..].to_vec()).unwrap();
+        assert_eq!(grown.lsb_entries(), (0, 0));
+        let content = ["ids", "series", "arena", "reach", "lsb"];
+        let first = grown.differing_part(&whole);
+        assert!(
+            first.is_none_or(|part| !content.contains(&part)),
+            "{first:?}"
+        );
     }
 
     /// The reach index merged batch by batch on ingest equals, bit for bit,
@@ -2108,9 +2148,8 @@ mod tests {
         mut check: impl FnMut(&Recommender, RetrievalMode, u64, Strategy, &QueryVideo, &[VideoId]),
     ) {
         let (corpus, _) = small_corpus();
-        let mut r = Recommender::build(test_cfg(), corpus.clone()).unwrap();
         for (mode, gate) in MODES {
-            r.set_retrieval(mode);
+            let r = Recommender::build(test_cfg().with_retrieval(mode), corpus.clone()).unwrap();
             for strategy in ALL {
                 for source in &corpus {
                     let q = QueryVideo::from_corpus(source);

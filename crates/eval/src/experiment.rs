@@ -397,13 +397,15 @@ pub fn silhouette_comparison(community: &Community, k: usize, seed: u64) -> (f64
         user_videos[id.index()].insert(c.video);
         per_video.entry(c.video).or_default().push(id);
     }
-    let mut graph = UserInterestGraph::new(registry.len());
-    for users in per_video.values() {
-        let mut dedup = users.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        graph.add_video(&dedup);
-    }
+    let lists: Vec<Vec<viderec_social::UserId>> = per_video
+        .into_values()
+        .map(|mut users| {
+            users.sort_unstable();
+            users.dedup();
+            users
+        })
+        .collect();
+    let graph = UserInterestGraph::from_videos(registry.len(), &lists);
     let k = k.min(registry.len().max(1));
     let ours = extract_subcommunities(&graph, k);
     let spectral = spectral_clustering(&graph, k, seed);

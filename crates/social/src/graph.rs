@@ -2,9 +2,9 @@
 //!
 //! §4.2.2: nodes are the social users of a collection; "the weight of an edge
 //! linking two users denotes the number of common interested videos shared by
-//! them". The graph is built incrementally from (video → engaged users)
-//! records, so the maintenance algorithm of Fig. 5 can keep extending it with
-//! new comment connections.
+//! them". A build counts the (video → engaged users) records in one pass
+//! ([`UserInterestGraph::from_videos`]); the maintenance algorithm of Fig. 5
+//! then keeps extending the graph edge by edge with new comment connections.
 //!
 //! Each user owns its neighbour list, ascending by id, and every edge is
 //! stored at both ends: a lookup or an update is a binary search of one list,
@@ -14,7 +14,7 @@
 use crate::user::UserId;
 
 /// Weighted undirected user interest graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserInterestGraph {
     /// `adj[u]`: `u`'s neighbours ascending by id, each with the edge weight
     /// (always ≥ 1). Ids `0..adj.len()` are the valid nodes; isolated users
@@ -45,6 +45,68 @@ impl UserInterestGraph {
         Self {
             adj: vec![Vec::new(); num_users],
             num_edges: 0,
+        }
+    }
+
+    /// The graph over `num_users` user slots of every video in `lists`, each
+    /// list a video's engaged users, distinct: what [`Self::new`] followed by
+    /// one [`Self::add_video`] per list makes, built in one counting pass.
+    /// Each user's `n − 1` co-engaged ends of every list of `n` are counted,
+    /// laid out by prefix offsets in one flat buffer, then each user's slice
+    /// is sorted and run-length encoded into an exactly sized neighbour list.
+    ///
+    /// # Panics
+    /// Panics if a user is outside `0..num_users`.
+    pub fn from_videos(num_users: usize, lists: &[impl AsRef<[UserId]>]) -> Self {
+        let mut offsets = vec![0usize; num_users + 1];
+        for users in lists {
+            let users = users.as_ref();
+            for user in users {
+                offsets[user.index() + 1] += users.len() - 1;
+            }
+        }
+        for u in 0..num_users {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut ends = vec![UserId(0); offsets[num_users]];
+        let mut next = offsets.clone();
+        for users in lists {
+            let users = users.as_ref();
+            for &a in users {
+                for &b in users {
+                    if a != b {
+                        ends[next[a.index()]] = b;
+                        next[a.index()] += 1;
+                    }
+                }
+            }
+        }
+        // A repeated user fills fewer ends than it was counted for.
+        debug_assert!(
+            next[..num_users] == offsets[1..],
+            "a video's users must be distinct"
+        );
+        let mut num_ends = 0;
+        let adj = offsets
+            .windows(2)
+            .map(|span| {
+                let slice = &mut ends[span[0]..span[1]];
+                slice.sort_unstable();
+                let distinct = 1 + slice.windows(2).filter(|w| w[0] != w[1]).count();
+                let mut list = Vec::with_capacity(if slice.is_empty() { 0 } else { distinct });
+                for &b in slice.iter() {
+                    match list.last_mut() {
+                        Some((n, w)) if *n == b => *w += 1,
+                        _ => list.push((b, 1)),
+                    }
+                }
+                num_ends += list.len();
+                list
+            })
+            .collect();
+        Self {
+            adj,
+            num_edges: num_ends / 2,
         }
     }
 
@@ -161,11 +223,11 @@ mod tests {
         UserId(i)
     }
 
-    /// The running example of Fig. 2: 8 videos, 5 users.
-    pub(crate) fn paper_example() -> UserInterestGraph {
+    /// The engaged users of Fig. 2's 8 videos.
+    fn paper_videos() -> Vec<Vec<UserId>> {
         // (u1,<V1,V3,V8>) (u2,<V3,V8>) (u3,<V2,V4,V5>) (u4,<V1,V4,V5>)
         // (u5,<V4,V5,V6,V7>)  — users 0-indexed here.
-        let videos: Vec<Vec<UserId>> = vec![
+        vec![
             vec![u(0), u(3)],       // V1: u1, u4
             vec![u(2)],             // V2: u3
             vec![u(0), u(1)],       // V3: u1, u2
@@ -174,9 +236,13 @@ mod tests {
             vec![u(4)],             // V6
             vec![u(4)],             // V7
             vec![u(0), u(1)],       // V8: u1, u2
-        ];
+        ]
+    }
+
+    /// The running example of Fig. 2: 8 videos, 5 users.
+    pub(crate) fn paper_example() -> UserInterestGraph {
         let mut g = UserInterestGraph::new(5);
-        for users in &videos {
+        for users in &paper_videos() {
             g.add_video(users);
         }
         g
@@ -192,6 +258,30 @@ mod tests {
         assert_eq!(g.weight(u(3), u(4)), 2); // u4–u5 share V4, V5
         assert_eq!(g.weight(u(1), u(4)), 0);
         assert_eq!(g.num_edges(), 5);
+    }
+
+    #[test]
+    fn the_counting_build_is_the_pairwise_one() {
+        let lists = [vec![u(0), u(3)], vec![], vec![u(4), u(2), u(3)], vec![u(1)]];
+        let mut pairwise = UserInterestGraph::new(6);
+        for users in &lists {
+            pairwise.add_video(users);
+        }
+        let counted = UserInterestGraph::from_videos(6, &lists);
+        assert_eq!(counted, pairwise);
+        assert_eq!(counted.num_edges(), 4);
+        assert!(counted.neighbours(u(5)).is_empty(), "isolated user");
+        assert_eq!(
+            UserInterestGraph::from_videos(5, &paper_videos()),
+            paper_example()
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "distinct")]
+    fn the_counting_build_refuses_a_repeated_user() {
+        UserInterestGraph::from_videos(3, &[[u(0), u(1), u(0)]]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the social substrate: extraction equivalence, SAR
-//! soundness, and maintenance invariants.
+//! soundness, maintenance invariants, and the UIG's bulk build.
 
 use proptest::prelude::*;
 use viderec_social::{
@@ -25,8 +25,43 @@ fn build_graph(n: usize, edges: &[(u32, u32, u32)]) -> UserInterestGraph {
     g
 }
 
+/// Videos' engaged users over `drawn` users plus up to 3 that no video
+/// engages: distinct lists in draw order, with empty and one-user lists
+/// common, and — when `hub` — user 0 in every list.
+fn engagement_strategy() -> impl Strategy<Value = (usize, Vec<Vec<UserId>>)> {
+    (1..24u32, 0..4usize, 0..2u32).prop_flat_map(|(drawn, isolated, hub)| {
+        let lists = prop::collection::vec(prop::collection::vec(0..drawn, 0..7), 0..30);
+        lists.prop_map(move |lists| {
+            let lists = lists.into_iter().map(|draws| {
+                let mut list: Vec<UserId> = Vec::new();
+                let ids = (hub == 1).then_some(0).into_iter().chain(draws);
+                for id in ids.map(UserId) {
+                    if !list.contains(&id) {
+                        list.push(id);
+                    }
+                }
+                list
+            });
+            (drawn as usize + isolated, lists.collect())
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The counting build equals the pair-by-pair one: the same neighbour
+    /// lists and weights, the same edge count.
+    #[test]
+    fn the_counting_uig_build_is_the_pairwise_one((users, lists) in engagement_strategy()) {
+        let mut pairwise = UserInterestGraph::new(users);
+        for list in &lists {
+            pairwise.add_video(list);
+        }
+        let counted = UserInterestGraph::from_videos(users, &lists);
+        prop_assert_eq!(counted.num_edges(), pairwise.num_edges());
+        prop_assert_eq!(&counted, &pairwise);
+    }
 
     /// The fast MSF-duality extraction equals the literal Fig. 3 algorithm,
     /// ties and all.
